@@ -30,7 +30,7 @@ from .families import OperatorFamily
 from .matrices import FiniteMatrix
 from .serialize import digest, element_to_json, matrix_to_json, set_to_json
 from .sets import OperatorSet
-from .spectral import L2, Bracket
+from .spectral import L2
 
 PASS = "pass"
 FAIL = "fail"
@@ -186,7 +186,8 @@ def _atol(scale: float) -> float:
     return 1e-12 * max(1.0, scale)
 
 
-def _judge_chain_part(part: Part, tol: float) -> PartReport:
+def _judge_bracket_part(part: Part, tol: float) -> PartReport:
+    """Judge a chain or an equality part over its adjacent bracket pairs."""
     rows = tuple(TermRow(label, b.lo, b.hi, b.method) for label, b in part.terms)
     scale = max((r.hi for r in rows), default=0.0)
     atol = _atol(scale)
@@ -194,26 +195,18 @@ def _judge_chain_part(part: Part, tol: float) -> PartReport:
     verdicts = []
     for (_, a), (_, b) in zip(part.terms, part.terms[1:]):
         bound = b.hi * (1.0 + tol) + atol
-        slacks.append(bound - a.lo)
-        if a.lo > bound:
-            verdicts.append(FAIL)
-        elif a.hi <= bound:
-            verdicts.append(PASS)
+        if part.kind == EQUALITY:
+            sep = max(a.lo - bound, b.lo - (a.hi * (1.0 + tol) + atol))
+            slacks.append(-sep)
+            verdicts.append(FAIL if sep > 0 else PASS)
         else:
-            verdicts.append(INCONCLUSIVE)
-    return PartReport(part.name, part.kind, rows, tuple(slacks), _combine(verdicts))
-
-
-def _judge_equality_part(part: Part, tol: float) -> PartReport:
-    rows = tuple(TermRow(label, b.lo, b.hi, b.method) for label, b in part.terms)
-    scale = max((r.hi for r in rows), default=0.0)
-    atol = _atol(scale)
-    slacks = []
-    verdicts = []
-    for (_, a), (_, b) in zip(part.terms, part.terms[1:]):
-        sep = max(a.lo - (b.hi * (1 + tol) + atol), b.lo - (a.hi * (1 + tol) + atol))
-        slacks.append(-sep)
-        verdicts.append(FAIL if sep > 0 else PASS)
+            slacks.append(bound - a.lo)
+            if a.lo > bound:
+                verdicts.append(FAIL)
+            elif a.hi <= bound:
+                verdicts.append(PASS)
+            else:
+                verdicts.append(INCONCLUSIVE)
     return PartReport(part.name, part.kind, rows, tuple(slacks), _combine(verdicts))
 
 
@@ -234,7 +227,7 @@ def _judge_entrywise_part(part: Part, tol: float) -> PartReport:
     return PartReport(part.name, part.kind, tuple(rows), tuple(slacks), _combine(verdicts))
 
 
-_JUDGES = {CHAIN: _judge_chain_part, EQUALITY: _judge_equality_part,
+_JUDGES = {CHAIN: _judge_bracket_part, EQUALITY: _judge_bracket_part,
            ENTRYWISE: _judge_entrywise_part}
 
 

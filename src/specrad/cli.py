@@ -108,6 +108,8 @@ def _inputs_from_file(path: str) -> ChainInputs:
         raise InputFormatError(f"{path} is not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
     if not isinstance(obj, dict):
         raise InputFormatError("input file must hold a JSON object")
+    if not isinstance(obj.get("params", {}), dict):
+        raise InputFormatError("params must be a JSON object")
     try:
         return ChainInputs(
             matrices=tuple(matrix_from_json(m) for m in obj.get("matrices", [])),

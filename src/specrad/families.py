@@ -97,9 +97,6 @@ class OperatorFamily:
     def corner_shape(self) -> tuple[int, int]:
         return (0, 0) if self.corner is None else self.corner.shape
 
-    def band_limits(self) -> dict[int, float]:
-        return {d: w.limit for d, w in self.bands.items()}
-
     # -- entry access ---------------------------------------------------
 
     def band_entry(self, i: int, j: int) -> float:

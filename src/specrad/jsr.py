@@ -20,8 +20,8 @@ from .errors import BudgetExceededError, DomainError
 from .matrices import FiniteMatrix
 from .sets import OperatorSet, _as_set, set_product
 from .spectral import (
-    L1,
     L2,
+    _ROUND_GUARD,
     Bracket,
     essential_spectral_radius,
     hausdorff_mnc,
@@ -30,7 +30,6 @@ from .spectral import (
     spectral_radius,
 )
 
-_GUARD = 2e-13
 _MAX_LEVEL = 4096
 
 
@@ -174,7 +173,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         if exhaustive:
             fekete = min(fekete, level_fekete(frontier))
         frontier_term = max(math.exp(n.logp / len(n.word)) for n in frontier)
-        ub = min(fekete, max(alpha + delta, frontier_term * (1 + _GUARD)))
+        ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
         if ub - alpha <= delta:
             return Bracket(min(alpha, ub), ub, "gripenberg")
         if spent >= budget or len(frontier) * len(mats) > _MAX_LEVEL:
@@ -238,7 +237,7 @@ def ess_joint_radius_ub(s, m_max: int, tol: float = 1e-6) -> float:
     best = math.inf
     for m, level in _family_levels(s, m_max):
         top = max(hausdorff_mnc(f, tol).hi for f in level)
-        best = min(best, math.pow(top, 1.0 / m) * (1 + _GUARD) if top > 0 else 0.0)
+        best = min(best, math.pow(top, 1.0 / m) * (1 + _ROUND_GUARD) if top > 0 else 0.0)
     return best
 
 
@@ -268,31 +267,6 @@ def ess_gen_radius_estimate(s, m_max: int, j_max: int = 3,
 
 def ess_gen_radius_ub(s, m_max: int, j_max: int = 3, tol: float = 1e-6) -> float:
     return ess_gen_radius_estimate(s, m_max, j_max, tol)[1]
-
-
-def ess_set_bracket(s, m_max: int, tol: float = 1e-6) -> Bracket:
-    """Bracket valid for both essential set radii of a family set.
-
-    The upper end bounds the joint essential radius and therefore also the
-    generalized one; the lower end lifts per-product oracle values through
-    the sup-form of the generalized radius, which the joint radius
-    dominates.
-    """
-    s = _as_set(s)
-    if s.kind != "family":
-        raise DomainError("ess_set_bracket expects a set of operator families")
-    lo = 0.0
-    hi = math.inf
-    for m, level in _family_levels(s, m_max):
-        top = 0.0
-        for f in level:
-            g = hausdorff_mnc(f, tol)
-            top = max(top, g.hi)
-            oracle = oracle_ess_radius(f)
-            if oracle is not None and oracle > 0:
-                lo = max(lo, math.pow(oracle, 1.0 / m))
-        hi = min(hi, math.pow(top, 1.0 / m) * (1 + _GUARD) if top > 0 else 0.0)
-    return Bracket(min(lo, hi), hi, "ess-set-oracle-lb/gamma-ub")
 
 
 def norm_level_max(s, depth: int, space: str = L2, tol: float = 1e-10) -> float:

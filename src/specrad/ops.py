@@ -6,6 +6,7 @@ operands); the set-valued counterparts live in :mod:`specrad.sets`.
 
 from __future__ import annotations
 
+from .errors import ShapeMismatchError
 from .matrices import WeightVector
 
 
@@ -20,13 +21,14 @@ def hadamard_power(a, t: float):
 
 
 def weighted_geometric_mean(items, weights: WeightVector):
-    """Entrywise product of items[k]^(weights[k])."""
+    """Entrywise product of items[k]^(weights[k]); a weight of 1 skips the power."""
     items = list(items)
     if len(items) != len(weights):
-        raise ValueError(f"{len(items)} operands but {len(weights)} weights")
-    acc = items[0].hpow(weights.weights[0])
-    for x, a in zip(items[1:], weights.weights[1:]):
-        acc = acc.hadamard(x.hpow(a))
+        raise ShapeMismatchError(f"{len(items)} operands but {len(weights)} weights")
+    w = weights.weights
+    acc = items[0] if w[0] == 1.0 else items[0].hpow(w[0])
+    for x, a in zip(items[1:], w[1:]):
+        acc = acc.hadamard(x if a == 1.0 else x.hpow(a))
     return acc
 
 

@@ -15,6 +15,7 @@ from itertools import product as _iterprod
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError
 from .families import OperatorFamily
 from .matrices import FiniteMatrix, WeightVector
+from .ops import weighted_geometric_mean
 
 MAX_SET_ELEMENTS = 200_000
 
@@ -121,46 +122,32 @@ def set_hadamard_mean(sets, w: WeightVector) -> OperatorSet:
         raise ShapeMismatchError(f"{len(sets)} sets but {len(w)} weights")
     total = math.prod(len(s) for s in sets)
     _guard_size(total)
-    out = []
-    for combo in _iterprod(*[s.elements for s in sets]):
-        acc = combo[0].hpow(w.weights[0])
-        for elem, alpha in zip(combo[1:], w.weights[1:]):
-            acc = acc.hadamard(elem.hpow(alpha))
-        out.append(acc)
-    return OperatorSet(out)
-
-
-def set_hadamard_product(p, q) -> OperatorSet:
-    """All cross entrywise products {A o B}; the mean with weights (1, 1)."""
-    p, q = _as_set(p), _as_set(q)
-    _guard_size(len(p) * len(q))
-    return OperatorSet([a.hadamard(b) for a in p for b in q])
+    return OperatorSet([weighted_geometric_mean(combo, w)
+                        for combo in _iterprod(*[s.elements for s in sets])])
 
 
 def set_adjoint(s) -> OperatorSet:
     return _as_set(s).map(lambda a: a.adjoint())
 
 
-def set_scale(s, c: float) -> OperatorSet:
-    return _as_set(s).map(lambda a: a.scale(c))
+def symmetrization(s, alpha: float, beta: float, q=None) -> OperatorSet:
+    """Weighted geometric symmetrization {A^(a) o (B*)^(b) : A in S, B in Q}.
 
-
-def symmetrization(s, alpha: float, beta: float) -> OperatorSet:
-    """Weighted geometric symmetrization {A^(a) o (B*)^(b) : A, B in S}.
-
-    A and B range independently, so the result has |S|**2 elements; for a
-    singleton this collapses to the classical symmetrization of a single
-    operator.  Requires alpha + beta >= 1 so the mean stays bounded on l2.
+    Q defaults to S.  A and B range independently, so the result has
+    |S| * |Q| elements; for a singleton S = Q this collapses to the
+    classical symmetrization of a single operator.  A zero weight drops
+    its factor.  Requires alpha + beta >= 1 so the mean stays bounded on l2.
     """
     if alpha < 0 or beta < 0:
         raise DomainError("symmetrization weights must be nonnegative")
     if alpha + beta < 1.0 - 1e-12:
         raise DomainError(f"symmetrization needs alpha + beta >= 1, got {alpha + beta}")
     s = _as_set(s)
-    _guard_size(len(s) ** 2)
+    q = s if q is None else _as_set(q)
+    _guard_size(len(s) * len(q))
     out = []
     for a in s:
-        for b in s:
+        for b in q:
             bstar = b.adjoint()
             if beta == 0.0:
                 out.append(a.hpow(alpha) if alpha != 1.0 else a)

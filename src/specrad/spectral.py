@@ -76,11 +76,6 @@ class Bracket:
             raise DomainError("bracket power requires a positive exponent")
         return replace(self, lo=_pow0(self.lo, p), hi=_pow0(self.hi, p))
 
-    def times(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo * other.lo, self.hi * other.hi,
-                       f"{self.method}*{other.method}",
-                       self.converged and other.converged)
-
     def scaled(self, c: float) -> "Bracket":
         if c < 0:
             raise DomainError("brackets scale by nonnegative factors")

@@ -66,6 +66,30 @@ def test_check_hypothesis_rejection_exit_2(tmp_path, capsys):
     assert "t >= 1" in capsys.readouterr().err
 
 
+_M2 = {"rows": 2, "cols": 2, "entries": [1, 0.5, 0.25, 1]}
+_DIAG_SET = [{"diagonal": {"kind": "constant", "c": 0.5}}]
+
+
+@pytest.mark.parametrize("cid,bundle,message", [
+    ("F8", {"matrices": [_M2, _M2], "params": {"k": 1.5, "m": 1, "alphas": [1.0]}},
+     "integer k >= 1"),
+    ("E19", {"family_sets": [_DIAG_SET, _DIAG_SET],
+             "params": {"m": 2, "alpha": 0.5, "tau": 5, "nu": [0, 1]}},
+     "tau: a permutation"),
+    ("F9", {"matrices": [_M2], "params": {"m": 1, "alphas": ["x"], "t": 2.0}},
+     "alphas: m positive weights"),
+    ("F6", {"matrices": [_M2, _M2], "params": {"beta": "0.5"}}, "real beta in [0, 1]"),
+    ("F9", {"matrices": [_M2] * 3, "params": {"m": 2, "alphas": [0.5, 0.5], "t": 2.0}},
+     "exactly 2 matrices, got 3"),
+    ("F1", {"matrices": [_M2, _M2], "params": [1]}, "params must be a JSON object"),
+])
+def test_check_malformed_params_exit_2(tmp_path, capsys, cid, bundle, message):
+    """Malformed params and wrong operand counts are input errors, not crashes."""
+    path = _write(tmp_path, "bad.json", bundle)
+    assert main(["check", "--id", cid, "--input", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_check_malformed_input_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -62,6 +62,8 @@ def test_mean_idempotent_and_sqrt():
     half = WeightVector.uniform(2)
     assert weighted_geometric_mean([a, a], half) == a
     assert weighted_geometric_mean([a, b], half) == M([[2, 2], [1, 1]])
+    with pytest.raises(ShapeMismatchError):
+        weighted_geometric_mean([a, a], WeightVector.of(1.0))
 
 
 def test_mean_matches_brute_force():

@@ -1,9 +1,19 @@
+import json
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specrad import ChainInputs, EnsembleSpec, EvalContext, evaluate_chain
+from specrad import (
+    ChainInputs,
+    EnsembleSpec,
+    EvalContext,
+    FiniteMatrix,
+    HypothesisViolation,
+    evaluate_chain,
+    identity_family,
+)
 from specrad.ensembles import rng_for
 from specrad.registry import by_id, catalog_json, registry
 
@@ -28,6 +38,49 @@ def test_catalog_export_fields():
                               "hypothesis", "arity"}
         assert entry["level"] in ("finite", "essential")
         assert entry["description"]
+
+
+def test_catalog_matches_pinned_fixture():
+    """The catalog is byte-identical to the committed fixture."""
+    fixture = Path(__file__).parent / "fixtures" / "catalog.json"
+    assert json.dumps(catalog_json(), indent=2) + "\n" == fixture.read_text(encoding="utf-8")
+
+
+def test_operand_counts_must_match_exactly():
+    spec = by_id("F9")
+    mats = tuple(FiniteMatrix([[1.0, 2.0], [0.5, 1.0]]) for _ in range(3))
+    params = {"m": 2, "alphas": (0.5, 0.5), "t": 2.0}
+    assert spec.hypothesis(ChainInputs(matrices=mats[:2], params=params)) is None
+    extra = ChainInputs(matrices=mats, params=params)
+    assert "exactly 2 matrices, got 3" in spec.hypothesis(extra)
+    with pytest.raises(HypothesisViolation):
+        evaluate_chain(spec, extra, CTX)
+    # an operand kind the chain does not declare must be empty
+    stray = ChainInputs(matrices=mats[:2], families=(identity_family(),), params=params)
+    assert "exactly 0 families, got 1" in spec.hypothesis(stray)
+
+
+@pytest.mark.parametrize("cid,params,message", [
+    ("F4", {"m": True}, "integer m >= 1"),             # a bool is not an integer
+    ("F4", {"m": 1.0}, "integer m >= 1"),              # nor is an integral float
+    ("F4", {}, "integer m >= 1, got None"),            # a declared param is required
+    ("F10", {"t": float("nan")}, "real t >= 1"),       # reals must be finite
+    ("F14", {"beta": 0.0}, "real beta in (0, 1)"),     # open interval
+    ("E7", {"alpha": 1.0}, "real alpha > 1"),          # strict lower bound
+    ("E16", {"m": 4}, "odd integer m >= 3"),
+    ("E20", {"alpha": 0.1}, "real alpha >= 2/m"),
+    ("E21", {"nu": (0, 0, 0)}, "nu: a permutation of 0..m-1"),
+    ("E6", {"alpha": 0.25, "beta": 0.5}, "alpha + beta >= 1"),
+])
+def test_typed_params_reject(cid, params, message):
+    spec = by_id(cid)
+    kind = "dense_uniform" if cid.startswith("F") else "shift_family"
+    ens = EnsembleSpec(kind=kind, seed=5)
+    good = spec.sample(rng_for(ens, 0, cid), ens)
+    assert spec.hypothesis(good) is None
+    bad = ChainInputs(good.matrices, good.families, good.matrix_sets, good.family_sets,
+                      {**good.params, **params} if params else {})
+    assert message in spec.hypothesis(bad)
 
 
 def test_e19_rejects_odd_m():

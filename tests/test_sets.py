@@ -93,6 +93,16 @@ def test_symmetrization_matrix_cases():
         symmetrization(OperatorSet([A]), -0.5, 2.0)
 
 
+def test_symmetrization_two_sets():
+    """A second set Q pairs every A in S with every B* from Q; Q defaults to S."""
+    out = symmetrization(OperatorSet([A, B]), 0.5, 0.5, OperatorSet([C]))
+    cstar = C.adjoint().hpow(0.5)
+    assert list(out) == [A.hpow(0.5).hadamard(cstar), B.hpow(0.5).hadamard(cstar)]
+    s = OperatorSet([A, B])
+    assert list(symmetrization(s, 0.5, 0.5, s)) == list(symmetrization(s, 0.5, 0.5))
+    assert list(symmetrization(s, 0.0, 1.0, OperatorSet([C]))) == [C.adjoint()] * 2
+
+
 def test_symmetrization_families():
     f = diagonal_family(Constant(2.0))
     out = symmetrization(OperatorSet([f]), 0.5, 0.5)
