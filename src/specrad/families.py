@@ -35,6 +35,11 @@ MAX_BANDS = 512
 MAX_CORNER = 4096
 
 
+def _pow0(x: float, p: float) -> float:
+    """x**p with 0**p = 0, for x >= 0 and p > 0."""
+    return math.pow(x, p) if x > 0 else 0.0
+
+
 def band_start(d: int) -> int:
     """First row index at which the band of offset d has an entry."""
     return max(1, 1 - d)
@@ -187,7 +192,7 @@ class OperatorFamily:
             raise DomainError(f"entrywise power requires t > 0, got {t}")
         bands = {d: seq_power(w, t) for d, w in self.bands.items()}
         corner = self._entrywise_corner(
-            bands, lambda i, j: math.pow(self.entry(i, j), t) if self.entry(i, j) > 0 else 0.0,
+            bands, lambda i, j: _pow0(self.entry(i, j), t),
             self.corner_shape)
         return OperatorFamily(bands, finite_rank=corner)
 

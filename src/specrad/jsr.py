@@ -17,6 +17,7 @@ from itertools import product as _iterprod
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
+from .families import _pow0
 from .matrices import FiniteMatrix
 from .sets import OperatorSet, _as_set, set_product
 from .spectral import (
@@ -91,7 +92,7 @@ def joint_radius_ub(s, m_max: int, space: str = L2, tol: float = 1e-10) -> float
     best = math.inf
     for m in range(1, m_max + 1):
         top = max(operator_norm(p, space, tol).hi for p in level)
-        best = min(best, math.pow(top, 1.0 / m) if top > 0 else 0.0)
+        best = min(best, _pow0(top, 1.0 / m))
         if m < m_max:
             if len(level) * len(s) > _MAX_LEVEL:
                 break
@@ -237,7 +238,7 @@ def ess_joint_radius_ub(s, m_max: int, tol: float = 1e-6) -> float:
     best = math.inf
     for m, level in _family_levels(s, m_max):
         top = max(hausdorff_mnc(f, tol).hi for f in level)
-        best = min(best, math.pow(top, 1.0 / m) * (1 + _ROUND_GUARD) if top > 0 else 0.0)
+        best = min(best, _pow0(top, 1.0 / m) * (1 + _ROUND_GUARD))
     return best
 
 

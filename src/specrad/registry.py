@@ -71,6 +71,7 @@ from .ensembles import (
     sample_weights_ge_one,
 )
 from .errors import DomainError, InputFormatError
+from .families import _pow0
 from .jsr import (
     gamma_level_max,
     gamma_set_bracket,
@@ -95,7 +96,6 @@ from .sets import (
 from .spectral import (
     _ROUND_GUARD,
     Bracket,
-    _pow0,
     entrywise_sup,
     essential_spectral_radius,
     hausdorff_mnc,
@@ -1031,10 +1031,10 @@ def _e8_build(inputs, ctx):
     am = alpha * m
     alphas = [alpha] * m
     phis = [set_product_many(_cyclic(sets, j)) for j in range(m)]
-    sigmas = [set_product_many([set_hadamard_power(s, am) for s in _cyclic(sets, j)])
-              for j in range(m)]
+    powered = [set_hadamard_power(s, am) for s in sets]
+    sigmas = [set_product_many(_cyclic(powered, j)) for j in range(m)]
     prod_all = set_product_many(sets)
-    powprod = set_product_many([set_hadamard_power(s, am) for s in sets])
+    powprod = set_product_many(powered)
     lhs = ("r(mean_a(P_j))", _ess_term(ctx, [(_smean(sets, alphas), 1.0)]))
     parts = [
         Part("cyclic", CHAIN, [

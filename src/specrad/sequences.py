@@ -69,10 +69,6 @@ class WeightSeq:
     def liminf(self) -> float:
         return self.limit
 
-    def values(self, lo: int, hi: int) -> list[float]:
-        """w(i) for i in [lo, hi)."""
-        return [self.value(i) for i in range(lo, hi)]
-
 
 class Constant(WeightSeq):
     __slots__ = ("c",)
@@ -507,6 +503,8 @@ def seq_to_json(w: WeightSeq) -> dict:
 
 
 def seq_from_json(obj: dict) -> WeightSeq:
+    if not isinstance(obj, dict):
+        raise TypeError(f"weight sequence must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "constant":
         return Constant(obj["c"])

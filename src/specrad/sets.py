@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import product as _iterprod
 
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError
 from .families import OperatorFamily
 from .matrices import FiniteMatrix, WeightVector
-from .ops import weighted_geometric_mean
 
 MAX_SET_ELEMENTS = 200_000
 
@@ -116,14 +114,24 @@ def set_hadamard_power(s, t: float) -> OperatorSet:
 
 
 def set_hadamard_mean(sets, w: WeightVector) -> OperatorSet:
-    """Weighted Hadamard geometric mean of sets: all cross-element means."""
+    """Weighted Hadamard geometric mean of sets: all cross-element means.
+
+    Element order is that of ``itertools.product`` over the sets, and each
+    element is associated as ``weighted_geometric_mean`` does it,
+    ((x1^(a1) o x2^(a2)) o x3^(a3)) ...  Each power is taken once per operand,
+    not once per cross tuple: sum |S_k| ``hpow`` calls (none at weight 1.0)
+    and one ``hadamard`` per element of every partial product.
+    """
     sets = [_as_set(s) for s in sets]
     if len(sets) != len(w):
         raise ShapeMismatchError(f"{len(sets)} sets but {len(w)} weights")
     total = math.prod(len(s) for s in sets)
     _guard_size(total)
-    return OperatorSet([weighted_geometric_mean(combo, w)
-                        for combo in _iterprod(*[s.elements for s in sets])])
+    powered = [[x if a == 1.0 else x.hpow(a) for x in s] for s, a in zip(sets, w.weights)]
+    level = powered[0]
+    for factors in powered[1:]:
+        level = [acc.hadamard(y) for acc in level for y in factors]
+    return OperatorSet(level)
 
 
 def set_adjoint(s) -> OperatorSet:
@@ -134,9 +142,16 @@ def symmetrization(s, alpha: float, beta: float, q=None) -> OperatorSet:
     """Weighted geometric symmetrization {A^(a) o (B*)^(b) : A in S, B in Q}.
 
     Q defaults to S.  A and B range independently, so the result has
-    |S| * |Q| elements; for a singleton S = Q this collapses to the
-    classical symmetrization of a single operator.  A zero weight drops
-    its factor.  Requires alpha + beta >= 1 so the mean stays bounded on l2.
+    |S| * |Q| elements, ordered with B varying fastest; for a singleton
+    S = Q this collapses to the classical symmetrization of a single
+    operator.  A zero weight drops its factor, and then a weight of 1.0
+    skips its power.  When both weights are nonzero every factor is
+    powered, at 1.0 too, so each element is bit for bit
+    ``a.hpow(alpha).hadamard(b.adjoint().hpow(beta))``: on a family with a
+    corner, ``hpow(1.0)`` re-rounds the corner's last bits.  Each
+    operand's work is done once: at most |Q| adjoints, |S| + |Q| powers
+    and |S| * |Q| hadamards.  Requires alpha + beta >= 1 so the mean stays
+    bounded on l2.
     """
     if alpha < 0 or beta < 0:
         raise DomainError("symmetrization weights must be nonnegative")
@@ -145,14 +160,13 @@ def symmetrization(s, alpha: float, beta: float, q=None) -> OperatorSet:
     s = _as_set(s)
     q = s if q is None else _as_set(q)
     _guard_size(len(s) * len(q))
-    out = []
-    for a in s:
-        for b in q:
-            bstar = b.adjoint()
-            if beta == 0.0:
-                out.append(a.hpow(alpha) if alpha != 1.0 else a)
-            elif alpha == 0.0:
-                out.append(bstar.hpow(beta) if beta != 1.0 else bstar)
-            else:
-                out.append(a.hpow(alpha).hadamard(bstar.hpow(beta)))
-    return OperatorSet(out)
+    if beta == 0.0:
+        left = [a.hpow(alpha) if alpha != 1.0 else a for a in s]
+        return OperatorSet([x for x in left for _ in q])
+    bstars = [b.adjoint() for b in q]
+    if alpha == 0.0:
+        right = [b.hpow(beta) if beta != 1.0 else b for b in bstars]
+        return OperatorSet([y for _ in s for y in right])
+    left = [a.hpow(alpha) for a in s]
+    right = [b.hpow(beta) for b in bstars]
+    return OperatorSet([x.hadamard(y) for x in left for y in right])

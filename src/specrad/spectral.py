@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, ShapeMismatchError
-from .families import OperatorFamily
+from .families import OperatorFamily, _pow0
 from .matrices import FiniteMatrix
 
 L1 = "l1"
@@ -80,10 +80,6 @@ class Bracket:
         if c < 0:
             raise DomainError("brackets scale by nonnegative factors")
         return replace(self, lo=self.lo * c, hi=self.hi * c)
-
-
-def _pow0(x: float, p: float) -> float:
-    return math.pow(x, p) if x > 0 else 0.0
 
 
 # -- finite spectral radius ------------------------------------------------

@@ -99,6 +99,12 @@ def test_check_malformed_input_exit_2(tmp_path, capsys):
     missing = _write(tmp_path, "short.json",
                      {"matrices": [{"rows": 2, "cols": 2, "entries": [1, 2, 3]}]})
     assert main(["check", "--id", "F1", "--input", missing]) == 2
+    capsys.readouterr()
+    for name, family in (("scalar_diag.json", {"diagonal": 3}),
+                         ("list_weights.json", {"bands": [{"offset": 1, "weights": [1]}]})):
+        bad = _write(tmp_path, name, {"family_sets": [[family]]})
+        assert main(["check", "--id", "E1", "--input", bad]) == 2
+        assert "malformed family object" in capsys.readouterr().err
 
 
 def test_check_random_deterministic(tmp_path):

@@ -1,10 +1,16 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
 from specrad import (
     Constant,
+    EventuallyConstant,
     FiniteMatrix,
+    OperatorFamily,
     OperatorSet,
+    PrefixWithLimit,
     WeightVector,
     diagonal_family,
     set_adjoint,
@@ -113,3 +119,142 @@ def test_size_guard():
     s = OperatorSet([A, B])
     with pytest.raises(BudgetExceededError):
         set_power(s, 30)
+
+
+# -- one power and one adjoint per operand ---------------------------------
+
+
+def _family_sets():
+    """Three family sets with corners, sharing offsets so entrywise products keep bands."""
+    p = OperatorSet([
+        shift_family(EventuallyConstant([0.3, 0.7, 0.2], 0.5),
+                     finite_rank=[[0.2, 0.1], [0.0, 0.4]]),
+        diagonal_family(Constant(0.1), finite_rank=[[0.2]]),
+    ])
+    q = OperatorSet([
+        OperatorFamily({1: PrefixWithLimit([0.9, 0.4], 0.6), 0: Constant(0.3)}),
+        shift_family(Constant(0.8), offset=-1, finite_rank=[[0.0, 0.5], [0.3, 0.0]]),
+        diagonal_family(EventuallyConstant([1.5], 0.7), finite_rank=[[0.1, 0.2, 0.3]]),
+    ])
+    r = OperatorSet([
+        diagonal_family(Constant(0.6), finite_rank=[[0.7, 0.0], [0.0, 0.25]]),
+        OperatorFamily({-1: Constant(0.2), 1: Constant(0.4)}),
+    ])
+    return [p, q, r]
+
+
+def _matrix_sets():
+    d = FiniteMatrix([[0.0, 3.0], [0.5, 0.1]])
+    return [OperatorSet([A, B]), OperatorSet([C, d, B]), OperatorSet([d, A])]
+
+
+def _reference_mean(sets, w):
+    """The per-tuple construction: every power recomputed for every cross tuple."""
+    out = []
+    for combo in product(*sets):
+        acc = None
+        for x, a in zip(combo, w.weights):
+            y = x if a == 1.0 else x.hpow(a)
+            acc = y if acc is None else acc.hadamard(y)
+        out.append(acc)
+    return out
+
+
+def _reference_symmetrization(s, alpha, beta, q):
+    out = []
+    for a in s:
+        for b in q:
+            bstar = b.adjoint()
+            if beta == 0.0:
+                out.append(a.hpow(alpha) if alpha != 1.0 else a)
+            elif alpha == 0.0:
+                out.append(bstar.hpow(beta) if beta != 1.0 else bstar)
+            else:
+                out.append(a.hpow(alpha).hadamard(bstar.hpow(beta)))
+    return out
+
+
+def _assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        if isinstance(y, FiniteMatrix):
+            assert x.a.tobytes() == y.a.tobytes()
+            continue
+        assert x.offsets == y.offsets
+        assert (x.corner is None) == (y.corner is None)
+        if y.corner is not None:
+            assert np.array_equal(x.corner, y.corner)
+            assert x.corner.tobytes() == y.corner.tobytes()
+        assert x.truncate(12).a.tobytes() == y.truncate(12).a.tobytes()
+
+
+MEAN_WEIGHTS = [
+    WeightVector.of(0.5, 0.5),
+    WeightVector.of(1.0, 0.5),
+    WeightVector.of(0.3, 1.0),
+    WeightVector.of(0.5, 0.25, 0.25),
+    WeightVector.of(1.0, 0.4, 1.0),
+]
+
+
+@pytest.mark.parametrize("make_sets", [_family_sets, _matrix_sets], ids=["family", "matrix"])
+@pytest.mark.parametrize("w", MEAN_WEIGHTS, ids=lambda w: ",".join(map(str, w.weights)))
+def test_set_hadamard_mean_matches_per_tuple_reference(make_sets, w):
+    sets = make_sets()[:len(w)]
+    _assert_bitwise_equal(list(set_hadamard_mean(sets, w)), _reference_mean(sets, w))
+
+
+SYM_WEIGHTS = [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (1.0, 0.5), (0.7, 1.0)]
+
+
+@pytest.mark.parametrize("make_sets", [_family_sets, _matrix_sets], ids=["family", "matrix"])
+@pytest.mark.parametrize("alpha,beta", SYM_WEIGHTS)
+def test_symmetrization_matches_per_pair_reference(make_sets, alpha, beta):
+    p, q, _ = make_sets()
+    for s, other in ((p, q), (q, None)):
+        want = _reference_symmetrization(s, alpha, beta, s if other is None else other)
+        _assert_bitwise_equal(list(symmetrization(s, alpha, beta, other)), want)
+
+
+def test_hpow_one_rerounds_a_corner():
+    """Why symmetrization keeps hpow(1.0) when both weights are nonzero."""
+    f = diagonal_family(Constant(0.1), finite_rank=[[0.2]])
+    assert f.hpow(1.0).corner[0, 0] != f.corner[0, 0]
+
+
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(OperatorFamily, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(OperatorFamily, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("w", MEAN_WEIGHTS, ids=lambda w: ",".join(map(str, w.weights)))
+def test_set_hadamard_mean_powers_each_operand_once(monkeypatch, w):
+    sets = _family_sets()[:len(w)]
+    counts = _count_calls(monkeypatch, "hpow", "hadamard")
+    out = set_hadamard_mean(sets, w)
+    assert counts["hpow"] == sum(len(s) for s, a in zip(sets, w.weights) if a != 1.0)
+    sizes = [len(s) for s in sets]
+    assert counts["hadamard"] == sum(math.prod(sizes[:k + 1]) for k in range(1, len(sets)))
+    assert len(out) == math.prod(sizes)
+
+
+@pytest.mark.parametrize("alpha,beta,powers,adjoints", [
+    (0.5, 0.5, 5, 3), (1.0, 0.5, 5, 3), (0.7, 1.0, 5, 3),
+    (1.0, 0.0, 0, 0), (1.5, 0.0, 2, 0), (0.0, 1.0, 0, 3), (0.0, 1.5, 3, 3),
+])
+def test_symmetrization_work_counts(monkeypatch, alpha, beta, powers, adjoints):
+    p, q, _ = _family_sets()
+    counts = _count_calls(monkeypatch, "hpow", "adjoint", "hadamard")
+    out = symmetrization(p, alpha, beta, q)
+    assert len(out) == len(p) * len(q)
+    assert counts["hpow"] == powers <= len(p) + len(q)
+    assert counts["adjoint"] == adjoints <= len(q)
+    assert counts["hadamard"] == (len(p) * len(q) if alpha and beta else 0)
