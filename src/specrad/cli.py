@@ -49,17 +49,21 @@ from .spectral import (
 )
 
 _ENV_BUDGETS = {
-    "SPECRAD_SET_M_MAX": ("set_m_max", int),
-    "SPECRAD_ESS_M_MAX": ("ess_m_max", int),
-    "SPECRAD_J_MAX": ("j_max", int),
+    "SPECRAD_SET_M_MAX": "set_m_max",
+    "SPECRAD_ESS_M_MAX": "ess_m_max",
+    "SPECRAD_J_MAX": "j_max",
 }
 
 
 def _env_overrides() -> dict:
     out = {}
-    for var, (field, cast) in _ENV_BUDGETS.items():
+    for var, field in _ENV_BUDGETS.items():
         if var in os.environ:
-            out[field] = cast(os.environ[var])
+            try:
+                out[field] = int(os.environ[var])
+            except ValueError:
+                raise InputFormatError(
+                    f"{var} must be an integer, got {os.environ[var]!r}") from None
     return out
 
 
@@ -292,12 +296,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_catalog(args) -> int:
     doc = {"tool": "specrad", "version": __version__, "chains": catalog_json()}
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_report(args.out, "json", doc, [])
     else:
-        print(text, end="")
+        print(json.dumps(doc, indent=2, allow_nan=False))
     return 0
 
 

@@ -45,6 +45,32 @@ def band_start(d: int) -> int:
     return max(1, 1 - d)
 
 
+def _band_block(bands: dict[int, WeightSeq], rows: int, cols: int) -> np.ndarray:
+    """Dense rows-by-cols block of the bands alone: w_d(i) at (i, i+d)."""
+    out = np.zeros((rows, cols))
+    for d, w in bands.items():
+        i = np.arange(band_start(d), min(rows, cols - d) + 1)
+        out[i - 1, i + d - 1] = [w.value(k) for k in i.tolist()]
+    return out
+
+
+def _corner_correction(bands: dict[int, WeightSeq], box: tuple[int, int], exact):
+    """Corner = exact(rows, cols) operand block minus the result's band block.
+
+    Outside the box both operands are pure bands, where the result band
+    formula is already exact, so the correction is supported on the box.
+    """
+    rows, cols = box
+    if rows == 0 or cols == 0:
+        return None
+    if max(rows, cols) > MAX_CORNER:
+        raise ClosureOverflowError("corner correction exceeded the size cap")
+    out = exact(rows, cols) - _band_block(bands, rows, cols)
+    if np.any(out < -1e-9):
+        raise DomainError("internal: negative corner correction")
+    return np.maximum(out, 0.0)
+
+
 def _as_corner(value) -> np.ndarray | None:
     if value is None:
         return None
@@ -70,7 +96,7 @@ class OperatorFamily:
     __slots__ = ("bands", "corner")
 
     def __init__(self, bands=(), diagonal: WeightSeq | None = None, finite_rank=None):
-        items = dict(bands) if not isinstance(bands, dict) else dict(bands)
+        items = dict(bands)
         if diagonal is not None:
             if 0 in items:
                 raise ShapeMismatchError("give the diagonal either as offset 0 or as diagonal=, not both")
@@ -104,37 +130,31 @@ class OperatorFamily:
 
     # -- entry access ---------------------------------------------------
 
-    def band_entry(self, i: int, j: int) -> float:
-        d = j - i
-        w = self.bands.get(d)
-        if w is None or i < band_start(d):
-            return 0.0
-        return w.value(i)
-
     def entry(self, i: int, j: int) -> float:
         """1-based entry a(i, j)."""
         if i < 1 or j < 1:
             raise DomainError("indices are 1-based")
-        v = self.band_entry(i, j)
+        d = j - i
+        w = self.bands.get(d)
+        v = w.value(i) if w is not None and i >= band_start(d) else 0.0
         if self.corner is not None and i <= self.corner.shape[0] and j <= self.corner.shape[1]:
             v += self.corner[i - 1, j - 1]
         return v
+
+    def _block(self, rows: int, cols: int) -> np.ndarray:
+        """Top-left rows-by-cols block: bands plus the corner overlay."""
+        out = _band_block(self.bands, rows, cols)
+        if self.corner is not None:
+            r = min(rows, self.corner.shape[0])
+            c = min(cols, self.corner.shape[1])
+            out[:r, :c] += self.corner[:r, :c]
+        return out
 
     def truncate(self, n: int) -> FiniteMatrix:
         """Top-left n-by-n compression P_n A P_n as a dense matrix."""
         if n < 1:
             raise DomainError("truncation size must be >= 1")
-        out = np.zeros((n, n))
-        for d, w in self.bands.items():
-            lo = band_start(d)
-            hi = min(n, n - d)
-            for i in range(lo, hi + 1):
-                out[i - 1, i + d - 1] = w.value(i)
-        if self.corner is not None:
-            r = min(n, self.corner.shape[0])
-            c = min(n, self.corner.shape[1])
-            out[:r, :c] += self.corner[:r, :c]
-        return FiniteMatrix(out)
+        return FiniteMatrix(self._block(n, n))
 
     def tail_norm_bound(self, n: int) -> float:
         """Certified upper bound on the l2 norm of rows i >= n.
@@ -153,23 +173,14 @@ class OperatorFamily:
             total += float(np.linalg.norm(self.corner[n - 1:, :], 2))
         return total
 
-    def gamma_limits(self) -> tuple[float, float]:
-        """(lower, upper) certified bounds on the Hausdorff noncompactness.
-
-        The upper bound is the limit of the row-tail norm bound; the lower
-        bound sums per-band liminfs, which sliding window vectors realise in
-        the essential norm.  The finite-rank corner is compact and drops out.
-        """
-        lo = sum(w.liminf for w in self.bands.values())
-        hi = sum(w.limsup for w in self.bands.values())
-        return lo, hi
-
     def entry_sup(self) -> float:
         """sup of all entries, from a covering truncation plus band tails."""
         cr, cc = self.corner_shape
         base = max(cr, cc) + self.spread + 1
-        t = self.truncate(base + self.spread)
-        best = t.entry_sup()
+        n = base + self.spread
+        if n > MAX_CORNER:
+            raise ClosureOverflowError("entry-sup truncation exceeded the size cap")
+        best = self.truncate(n).entry_sup()
         for d, w in self.bands.items():
             best = max(best, w.tail_sup(max(base + 1, band_start(d))))
         return best
@@ -182,43 +193,19 @@ class OperatorFamily:
         bands = {}
         for d in set(self.bands) & set(other.bands):
             bands[d] = seq_product(self.bands[d], other.bands[d])
-        corner = self._entrywise_corner(
-            bands, lambda i, j: self.entry(i, j) * other.entry(i, j),
-            _union_box(self.corner_shape, other.corner_shape))
+        corner = _corner_correction(
+            bands, _union_box(self.corner_shape, other.corner_shape),
+            lambda r, c: self._block(r, c) * other._block(r, c))
         return OperatorFamily(bands, finite_rank=corner)
 
     def hpow(self, t: float) -> "OperatorFamily":
         if not (t > 0 and math.isfinite(t)):
             raise DomainError(f"entrywise power requires t > 0, got {t}")
         bands = {d: seq_power(w, t) for d, w in self.bands.items()}
-        corner = self._entrywise_corner(
-            bands, lambda i, j: _pow0(self.entry(i, j), t),
-            self.corner_shape)
+        # math.pow per entry: np.power differs from it in the last bit
+        corner = _corner_correction(bands, self.corner_shape, lambda r, c: np.array(
+            [[_pow0(x, t) for x in row] for row in self._block(r, c).tolist()]))
         return OperatorFamily(bands, finite_rank=corner)
-
-    @staticmethod
-    def _entrywise_corner(bands: dict[int, WeightSeq], exact, box: tuple[int, int]):
-        """Corner = exact entries minus the band contribution, on the box.
-
-        Outside the box both operands are pure bands, where the result band
-        formula is already exact, so the correction is supported on the box.
-        """
-        rows, cols = box
-        if rows == 0 or cols == 0:
-            return None
-        if max(rows, cols) > MAX_CORNER:
-            raise ClosureOverflowError("corner correction exceeded the size cap")
-        out = np.zeros((rows, cols))
-        for i in range(1, rows + 1):
-            for j in range(1, cols + 1):
-                d = j - i
-                w = bands.get(d)
-                band_v = w.value(i) if (w is not None and i >= band_start(d)) else 0.0
-                v = exact(i, j) - band_v
-                if v < -1e-9:
-                    raise DomainError("internal: negative corner correction")
-                out[i - 1, j - 1] = max(v, 0.0)
-        return out
 
     def __matmul__(self, other: "OperatorFamily") -> "OperatorFamily":
         if not isinstance(other, OperatorFamily):
@@ -237,36 +224,30 @@ class OperatorFamily:
     def _product_corner(self, other: "OperatorFamily"):
         ra, ca = self.corner_shape
         rb, cb = other.corner_shape
-        rows = 0
-        cols = 0
+        rows, cols = ra, cb
         if rb:
             rows = max(rows, max((rb - d for d in self.bands), default=0))
         if ra:
-            rows = max(rows, ra)
             cols = max(cols, max((ca + d for d in other.bands), default=0))
-        if rb:
-            cols = max(cols, cb)
-        if ra and rb:
-            cols = max(cols, cb)
         if rows == 0 or cols == 0:
             return None
         if max(rows, cols) > MAX_CORNER:
             raise ClosureOverflowError("product corner exceeded the size cap")
         out = np.zeros((rows, cols))
-        # bands(self) . corner(other)
+        # bands(self) . corner(other): rows lo..rb-d read corner rows lo+d..rb
         if other.corner is not None:
             for d, w in self.bands.items():
                 lo = band_start(d)
-                hi = min(rows, rb - d)
-                for i in range(lo, hi + 1):
-                    out[i - 1, :cb] += w.value(i) * other.corner[i + d - 1, :]
-        # corner(self) . bands(other)
+                if lo <= rb - d:
+                    vals = np.array([w.value(i) for i in range(lo, rb - d + 1)])
+                    out[lo - 1:rb - d, :cb] += vals[:, None] * other.corner[lo + d - 1:, :]
+        # corner(self) . bands(other): corner columns lo..ca land in lo+d..ca+d
         if self.corner is not None:
             for d, w in other.bands.items():
-                for k in range(band_start(d), ca + 1):
-                    j = k + d
-                    if 1 <= j <= cols:
-                        out[:ra, j - 1] += self.corner[:, k - 1] * w.value(k)
+                lo = band_start(d)
+                if lo <= ca:
+                    vals = np.array([w.value(k) for k in range(lo, ca + 1)])
+                    out[:ra, lo + d - 1:ca + d] += self.corner[:, lo - 1:] * vals
         # corner(self) . corner(other)
         if self.corner is not None and other.corner is not None:
             inner = max(ca, rb)

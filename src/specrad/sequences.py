@@ -1,12 +1,12 @@
 """Weight sequences for banded infinite operators.
 
 A weight sequence assigns a nonnegative value ``w(i)`` to every row index
-``i >= 1``.  Every sequence carries certified tail data: for each ``n`` an
-exact (or safely rounded-out) value of ``sup_{i>=n} w(i)`` and
-``inf_{i>=n} w(i)``, plus the limit of the sequence.  All constructible
-kinds converge, and the shift / product / power / sum combinators needed
-by the operator algebra preserve convergence, so ``limsup == liminf``
-throughout.  This is what makes the noncompactness estimators exact.
+``i >= 1``.  Every sequence carries a certified upper bound on
+``sup_{i>=n} w(i)`` for each ``n`` (exact for leaf kinds) and its exact
+limit.  All constructible kinds converge, and the shift / product / power
+/ sum combinators needed by the operator algebra preserve convergence, so
+the noncompactness of a banded family is exactly the sum of its band
+limits.
 
 Leaf kinds (the ones that appear in JSON inputs):
 
@@ -57,18 +57,6 @@ class WeightSeq:
         """Upper bound on sup of w(i) over i >= n; exact for leaf kinds."""
         raise NotImplementedError
 
-    def tail_inf(self, n: int) -> float:
-        """Lower bound on inf of w(i) over i >= n; exact for leaf kinds."""
-        raise NotImplementedError
-
-    @property
-    def limsup(self) -> float:
-        return self.limit
-
-    @property
-    def liminf(self) -> float:
-        return self.limit
-
 
 class Constant(WeightSeq):
     __slots__ = ("c",)
@@ -85,9 +73,6 @@ class Constant(WeightSeq):
         return self.c
 
     def tail_sup(self, n: int) -> float:
-        return self.c
-
-    def tail_inf(self, n: int) -> float:
         return self.c
 
     def __repr__(self):
@@ -115,10 +100,6 @@ class EventuallyConstant(WeightSeq):
     def tail_sup(self, n: int) -> float:
         rest = self.prefix[max(n - 1, 0):]
         return max(rest, default=self.tail) if not rest else max(max(rest), self.tail)
-
-    def tail_inf(self, n: int) -> float:
-        rest = self.prefix[max(n - 1, 0):]
-        return self.tail if not rest else min(min(rest), self.tail)
 
     def __repr__(self):
         return f"EventuallyConstant({list(self.prefix)}, {self.tail})"
@@ -172,10 +153,10 @@ def _cauchy_root_bound(coeffs: tuple[float, ...]) -> float:
 class RationalFormula(WeightSeq):
     """w(i) = p(i)/q(i) for polynomials positive on the integers i >= 1.
 
-    Requires deg p <= deg q so the sequence is bounded.  Tail sup/inf are
+    Requires deg p <= deg q so the sequence is bounded.  The tail sup is
     exact: beyond a precomputed threshold (a root bound for the derivative
-    numerator p'q - pq') the sequence is monotone, so the tail extremes are
-    attained at the window edge or at the limit.
+    numerator p'q - pq') the sequence is monotone, so the tail sup is
+    attained in the window up to the threshold or at the limit.
     """
 
     __slots__ = ("p", "q", "threshold")
@@ -214,20 +195,10 @@ class RationalFormula(WeightSeq):
     def value(self, i: int) -> float:
         return _poly_eval(self.p, i) / _poly_eval(self.q, i)
 
-    def _tail_extremes(self, n: int) -> tuple[float, float]:
-        n = max(n, 1)
-        n0 = max(n, self.threshold)
-        window = [self.value(i) for i in range(n, n0 + 1)]
-        edge = self.value(n0)
-        hi = max(max(window), edge, self.limit)
-        lo = min(min(window), edge, self.limit)
-        return lo, hi
-
     def tail_sup(self, n: int) -> float:
-        return self._tail_extremes(n)[1]
-
-    def tail_inf(self, n: int) -> float:
-        return self._tail_extremes(n)[0]
+        n = max(n, 1)
+        window = [self.value(i) for i in range(n, max(n, self.threshold) + 1)]
+        return max(max(window), self.limit)
 
     def __repr__(self):
         return f"RationalFormula(p={list(self.p)}, q={list(self.q)})"
@@ -267,12 +238,6 @@ class PrefixWithLimit(WeightSeq):
             return max(max(self.prefix[n - 1:]), self.tail_sup(P + 1))
         return max(self.value(n), self.limit)
 
-    def tail_inf(self, n: int) -> float:
-        P = len(self.prefix)
-        if n <= P:
-            return min(min(self.prefix[n - 1:]), self.tail_inf(P + 1))
-        return min(self.value(n), self.limit)
-
     def __repr__(self):
         return f"PrefixWithLimit({list(self.prefix)}, {self.limit})"
 
@@ -297,9 +262,6 @@ class Shifted(WeightSeq):
     def tail_sup(self, n: int) -> float:
         return self.inner.tail_sup(max(1, n + self.s))
 
-    def tail_inf(self, n: int) -> float:
-        return self.inner.tail_inf(max(1, n + self.s))
-
 
 class Restricted(WeightSeq):
     """w(i) = 0 for i < start, inner(i) afterwards."""
@@ -320,11 +282,6 @@ class Restricted(WeightSeq):
     def tail_sup(self, n: int) -> float:
         return self.inner.tail_sup(max(n, self.start))
 
-    def tail_inf(self, n: int) -> float:
-        if n < self.start:
-            return 0.0
-        return self.inner.tail_inf(n)
-
 
 class ProductSeq(WeightSeq):
     __slots__ = ("a", "b")
@@ -340,9 +297,6 @@ class ProductSeq(WeightSeq):
 
     def tail_sup(self, n: int) -> float:
         return self.a.tail_sup(n) * self.b.tail_sup(n)
-
-    def tail_inf(self, n: int) -> float:
-        return self.a.tail_inf(n) * self.b.tail_inf(n)
 
 
 class PowerSeq(WeightSeq):
@@ -364,10 +318,6 @@ class PowerSeq(WeightSeq):
         v = self.inner.tail_sup(n)
         return math.pow(v, self.t) if v > 0 else 0.0
 
-    def tail_inf(self, n: int) -> float:
-        v = self.inner.tail_inf(n)
-        return math.pow(v, self.t) if v > 0 else 0.0
-
 
 class SumSeq(WeightSeq):
     __slots__ = ("parts",)
@@ -382,9 +332,6 @@ class SumSeq(WeightSeq):
 
     def tail_sup(self, n: int) -> float:
         return sum(p.tail_sup(n) for p in self.parts)
-
-    def tail_inf(self, n: int) -> float:
-        return sum(p.tail_inf(n) for p in self.parts)
 
 
 class ScaledSeq(WeightSeq):
@@ -404,8 +351,6 @@ class ScaledSeq(WeightSeq):
     def tail_sup(self, n: int) -> float:
         return self.c * self.inner.tail_sup(n)
 
-    def tail_inf(self, n: int) -> float:
-        return self.c * self.inner.tail_inf(n)
 
 
 # Smart constructors: fold constants and collapse trivial nodes so the

@@ -29,9 +29,17 @@ def matrix_to_json(m: FiniteMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [float(v) for v in m.a.ravel()]}
 
 
+def _json_int(obj: Any, key: str) -> int:
+    """obj[key] as a JSON integer; a bool, float or string is malformed."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: Any) -> FiniteMatrix:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
         entries = list(obj["entries"])
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"matrix object needs rows/cols/entries: {exc}") from exc
@@ -63,7 +71,7 @@ def family_from_json(obj: Any) -> OperatorFamily:
     try:
         bands = {}
         for band in obj.get("bands", []):
-            d = int(band["offset"])
+            d = _json_int(band, "offset")
             bands[d] = seq_from_json(band["weights"])
         diagonal = seq_from_json(obj["diagonal"]) if "diagonal" in obj else None
         rank = matrix_from_json(obj["finite_rank"]) if "finite_rank" in obj else None

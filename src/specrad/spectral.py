@@ -6,9 +6,9 @@ finite spectral radius combines Gelfand upper bounds with Collatz-Wielandt
 lower bounds on repeated squarings, applied per strongly connected
 component so reducible matrices also get tight lower bounds.  On the
 infinite side, the Hausdorff measure of noncompactness of a banded family
-is pinned by per-band weight limits: row-tail norm bounds decrease to the
-sum of band limsups, while sliding window vectors force the sum of band
-liminfs from below.  For the declared weight kinds the two coincide.
+is the sum of its band weight limits: every weight sequence converges, so
+row-tail norm bounds decrease to that sum, and sliding window vectors
+attain it from below.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ _ROUND_GUARD = 2e-13
 
 DEFAULT_RHO_TOL = 1e-10
 DEFAULT_ESS_TOL = 1e-6
-DEFAULT_KMAX = 14
 DEFAULT_JMAX = 6
 _MAX_SQUARINGS = 64
 
@@ -180,32 +179,25 @@ def entrywise_sup(m) -> float:
 # -- noncompactness and essential radius ------------------------------------
 
 
-def hausdorff_mnc(f: OperatorFamily, tol: float = DEFAULT_ESS_TOL,
-                  k_max: int = DEFAULT_KMAX) -> Bracket:
-    """Bracket for the Hausdorff measure of noncompactness on l2.
+def hausdorff_mnc(f: OperatorFamily, tol: float = DEFAULT_ESS_TOL) -> Bracket:
+    """Hausdorff measure of noncompactness on l2: the sum of band limits.
 
-    The row-tail norm bound at n = 2^k is non-increasing and converges to
-    the sum of per-band weight limsups, which is therefore a certified
-    upper bound; the matching sum of liminfs is a lower bound.  The finite
-    refinement loop only runs while it can still beat the limit value.
+    The row-tail norm bound decreases to the sum of the band weight
+    limits, and sliding window vectors realise that sum in the essential
+    norm, so the point bracket is exact.  The finite-rank corner is compact
+    and drops out.  ``tol`` must be positive; the bracket has width 0.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    lo, hi_limit = f.gamma_limits()
-    hi = hi_limit
-    k = 0
-    while hi - lo > tol and k <= k_max:
-        hi = min(hi, f.tail_norm_bound(2 ** k))
-        k += 1
-    hi = max(hi, lo)
-    return Bracket(lo, hi, "band-tail-limit", converged=hi - lo <= tol)
+    g = sum(w.limit for w in f.bands.values())
+    return Bracket(g, g, "band-tail-limit")
 
 
 def oracle_ess_radius(f: OperatorFamily) -> float | None:
     """Exact essential radius for diagonal or single-band structure.
 
     The essential radius ignores the compact finite-rank corner.  For a
-    diagonal it is the limsup of the weights; for a single band at offset
+    diagonal it is the limit of the weights; for a single band at offset
     d it is the limit of geometric means of runs of weights, which for the
     convergent kinds equals the weight limit.  Returns None rather than
     guessing on richer structures.
@@ -214,7 +206,7 @@ def oracle_ess_radius(f: OperatorFamily) -> float | None:
         return 0.0
     if len(f.bands) == 1:
         (w,) = f.bands.values()
-        return w.limsup
+        return w.limit
     return None
 
 

@@ -111,7 +111,7 @@ def test_criterion_4_gamma_and_ess_oracles():
         w = sample_weight_seq(rng, ens)
         d = diagonal_family(w)
         g = hausdorff_mnc(d)
-        worst_gamma = max(worst_gamma, abs(g.lo - w.limsup), abs(g.hi - w.limsup))
+        worst_gamma = max(worst_gamma, abs(g.lo - w.limit), abs(g.hi - w.limit))
     worst_ess = 0.0
     for _ in range(30):
         w = sample_weight_seq(rng, ens)
@@ -120,7 +120,7 @@ def test_criterion_4_gamma_and_ess_oracles():
         oracle = oracle_ess_radius(f)
         worst_ess = max(worst_ess, abs(b.hi - oracle), abs(b.lo - oracle))
     _report(4, worst_gamma <= 1e-6 and worst_ess <= 1e-6,
-            f"30 diagonal families |gamma - limsup| <= {worst_gamma:.2e}; "
+            f"30 diagonal families |gamma - limit| <= {worst_gamma:.2e}; "
             f"30 single-band |ess - oracle| <= {worst_ess:.2e}")
 
 

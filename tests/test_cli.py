@@ -105,6 +105,19 @@ def test_check_malformed_input_exit_2(tmp_path, capsys):
         bad = _write(tmp_path, name, {"family_sets": [[family]]})
         assert main(["check", "--id", "E1", "--input", bad]) == 2
         assert "malformed family object" in capsys.readouterr().err
+    weights = {"kind": "constant", "c": 0.5}
+    for name, bundle in (
+            ("float_offset.json",
+             {"family_sets": [[{"bands": [{"offset": 1.5, "weights": weights}]}]]}),
+            ("bool_offset.json",
+             {"family_sets": [[{"bands": [{"offset": True, "weights": weights}]}]]}),
+            ("float_rows.json",
+             {"matrices": [{"rows": 1.5, "cols": 2, "entries": [1, 2]}] * 2}),
+            ("string_cols.json",
+             {"matrices": [{"rows": 1, "cols": "2", "entries": [1, 2]}] * 2})):
+        cid = "E1" if "family_sets" in bundle else "F1"
+        assert main(["check", "--id", cid, "--input", _write(tmp_path, name, bundle)]) == 2
+        assert "must be a JSON integer" in capsys.readouterr().err
 
 
 def test_check_random_deterministic(tmp_path):
@@ -172,6 +185,27 @@ def test_env_budget_override(monkeypatch, tmp_path):
     assert main(["sweep", "--ids", "F1", "--trials", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["config"]["j_max"] == 4
+
+
+def test_catalog_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "catalog.json"
+    assert main(["catalog", "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_env_budget_not_an_integer_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("SPECRAD_J_MAX", "abc")
+    assert main(["check", "--id", "F1"]) == 2
+    assert "SPECRAD_J_MAX" in capsys.readouterr().err
+
+
+def test_far_band_entry_sup_is_inconclusive(tmp_path, capsys):
+    far = {"bands": [{"offset": 5000, "weights": {"kind": "constant", "c": 1.0}}]}
+    path = _write(tmp_path, "far_band.json",
+                  {"families": [far, far], "params": {"m": 1, "t": 2.0}})
+    assert main(["check", "--id", "E1", "--input", path]) == 3
+    out = capsys.readouterr().out
+    assert "verdict=inconclusive" in out and "entry-sup truncation" in out
 
 
 def test_catalog_command(tmp_path):

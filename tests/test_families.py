@@ -10,11 +10,13 @@ from specrad import (
     RationalFormula,
     diagonal_family,
     finite_rank_family,
+    hausdorff_mnc,
     identity_family,
     shift_family,
 )
+from specrad.ensembles import EnsembleSpec, sample_family
 from specrad.errors import ClosureOverflowError, DomainError, ShapeMismatchError
-from specrad.families import band_start
+from specrad.families import _pow0, band_start
 
 
 def inv_index():
@@ -128,11 +130,16 @@ def test_tail_bound_non_increasing():
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def _gamma(f):
+    g = hausdorff_mnc(f)
+    return g.lo, g.hi
+
+
 def test_gamma_limits():
-    assert identity_family().gamma_limits() == (1.0, 1.0)
-    assert diagonal_family(inv_index()).gamma_limits() == (0.0, 0.0)
+    assert _gamma(identity_family()) == (1.0, 1.0)
+    assert _gamma(diagonal_family(inv_index())) == (0.0, 0.0)
     two = diagonal_family(Constant(1.0)) + shift_family(Constant(1.0))
-    assert two.gamma_limits() == (2.0, 2.0)
+    assert _gamma(two) == (2.0, 2.0)
 
 
 def test_entry_sup():
@@ -142,6 +149,17 @@ def test_entry_sup():
     assert s.entry_sup() == pytest.approx(0.7)
     r = shift_family(Constant(0.5), finite_rank=[[4.0]])
     assert r.entry_sup() == pytest.approx(4.0)
+
+
+def test_entry_sup_caps_the_covering_truncation(monkeypatch):
+    far = shift_family(Constant(1.0), offset=5000)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    with pytest.raises(ClosureOverflowError):
+        far.entry_sup()
 
 
 def test_band_start_convention():
@@ -198,9 +216,90 @@ def test_nested_algebra_tail_and_gamma_consistent():
         a = random_family(rng, multiband=True)
         b = random_family(rng, multiband=True)
         expr = (a @ b).hadamard(a + b).hpow(0.5)
-        lo, hi = expr.gamma_limits()
+        lo, hi = _gamma(expr)
         assert 0.0 <= lo <= hi
         assert hi <= expr.tail_norm_bound(1) + 1e-9
         vals = [expr.tail_norm_bound(2 ** k) for k in range(9)]
         assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
         assert vals[-1] >= hi - 1e-9
+
+
+# Per-entry reference constructions of the result corners: the entrywise
+# corner is exact(i, j) minus the result band entry, one entry at a time;
+# the product corner walks the rows of bands(f) . corner(g) and the columns
+# of corner(f) . bands(g), then adds corner(f) . corner(g).
+
+
+def _ref_entrywise_corner(bands, exact, box):
+    rows, cols = box
+    if rows == 0 or cols == 0:
+        return None
+    out = np.zeros((rows, cols))
+    for i in range(1, rows + 1):
+        for j in range(1, cols + 1):
+            d = j - i
+            w = bands.get(d)
+            band_v = w.value(i) if (w is not None and i >= band_start(d)) else 0.0
+            out[i - 1, j - 1] = max(exact(i, j) - band_v, 0.0)
+    return out
+
+
+def _ref_product_corner(f, g):
+    ra, ca = f.corner_shape
+    rb, cb = g.corner_shape
+    rows = max([0, ra] + ([rb - d for d in f.bands] if rb else []))
+    cols = max([0, cb] + ([ca + d for d in g.bands] if ra else []))
+    if rows == 0 or cols == 0:
+        return None
+    out = np.zeros((rows, cols))
+    if g.corner is not None:
+        for d, w in f.bands.items():
+            for i in range(band_start(d), min(rows, rb - d) + 1):
+                out[i - 1, :cb] += w.value(i) * g.corner[i + d - 1, :]
+    if f.corner is not None:
+        for d, w in g.bands.items():
+            for k in range(band_start(d), ca + 1):
+                j = k + d
+                if 1 <= j <= cols:
+                    out[:ra, j - 1] += f.corner[:, k - 1] * w.value(k)
+    if f.corner is not None and g.corner is not None:
+        inner = max(ca, rb)
+        a = np.zeros((ra, inner))
+        a[:, :ca] = f.corner
+        b = np.zeros((inner, cb))
+        b[:rb, :] = g.corner
+        out[:ra, :cb] += a @ b
+    return out
+
+
+def _assert_matches_reference(got, ref_corner, n=12):
+    ref = OperatorFamily(got.bands, finite_rank=ref_corner)
+    if ref.corner is None:
+        assert got.corner is None
+    else:
+        assert got.corner is not None and np.array_equal(got.corner, ref.corner)
+    dense = np.array([[ref.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    assert got.truncate(n).a.tobytes() == dense.tobytes()
+
+
+def _reference_operands():
+    rng = np.random.default_rng(7)
+    ens = EnsembleSpec(kind="shift_plus_rank", seed=7)
+    out = [random_family(rng, multiband=True) for _ in range(10)]
+    out += [sample_family(rng, ens, offset=d) for d in (-2, -1, 0, 1, 2)]
+    return out
+
+
+def test_corners_match_per_entry_reference():
+    ops = _reference_operands()
+    for f in ops:
+        for t in (0.5, 1.0, 1.5, 2.5):
+            _assert_matches_reference(f.hpow(t), _ref_entrywise_corner(
+                f.hpow(t).bands, lambda i, j: _pow0(f.entry(i, j), t), f.corner_shape))
+        for g in ops:
+            box = (max(f.corner_shape[0], g.corner_shape[0]),
+                   max(f.corner_shape[1], g.corner_shape[1]))
+            h = f.hadamard(g)
+            _assert_matches_reference(h, _ref_entrywise_corner(
+                h.bands, lambda i, j: f.entry(i, j) * g.entry(i, j), box))
+            _assert_matches_reference(f @ g, _ref_product_corner(f, g))

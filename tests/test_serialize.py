@@ -28,6 +28,11 @@ def test_matrix_errors():
         matrix_from_json({"rows": 1, "cols": 1, "entries": [-1.0]})
     with pytest.raises(InputFormatError):
         matrix_from_json({"cols": 1, "entries": [1.0]})
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(InputFormatError, match="JSON integer"):
+            matrix_from_json({"rows": bad, "cols": 2, "entries": [1, 2]})
+        with pytest.raises(InputFormatError, match="JSON integer"):
+            matrix_from_json({"rows": 1, "cols": bad, "entries": [1, 2]})
 
 
 def test_family_roundtrip():
@@ -48,6 +53,11 @@ def test_family_errors():
         family_from_json({"diagonal": {"kind": "nope"}})
     with pytest.raises(InputFormatError):
         family_from_json([1, 2, 3])
+    weights = {"kind": "constant", "c": 0.5}
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(InputFormatError, match="JSON integer"):
+            family_from_json({"bands": [{"offset": bad, "weights": weights}]})
+    assert family_from_json({"bands": [{"offset": -2, "weights": weights}]}).offsets == (-2,)
 
 
 def test_set_roundtrip_and_digest():
