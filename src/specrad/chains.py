@@ -48,10 +48,7 @@ class EvalContext:
     finite_tol: float = 1e-9
     ess_tol: float = 1e-6
     rho_tol: float = 1e-10
-    gamma_tol: float = 1e-6
     set_m_max: int = 1
-    ess_m_max: int = 1
-    j_max: int = 2
     space: str = L2
 
     def tol_for(self, level: str) -> float:
@@ -59,9 +56,8 @@ class EvalContext:
 
     def to_json(self) -> dict:
         return {"finite_tol": self.finite_tol, "ess_tol": self.ess_tol,
-                "rho_tol": self.rho_tol, "gamma_tol": self.gamma_tol,
-                "set_m_max": self.set_m_max, "ess_m_max": self.ess_m_max,
-                "j_max": self.j_max, "space": self.space}
+                "rho_tol": self.rho_tol, "set_m_max": self.set_m_max,
+                "space": self.space}
 
 
 @dataclass(frozen=True)

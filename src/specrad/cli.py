@@ -11,8 +11,10 @@ Exit codes: 0 all pass, 1 any fail, 3 any inconclusive, 2 input error.
 Reports embed the toolkit version and the full run configuration; identical
 configurations produce byte-identical reports.
 
-Environment overrides for default budgets (echoed into every report):
-``SPECRAD_SET_M_MAX``, ``SPECRAD_ESS_M_MAX``, ``SPECRAD_J_MAX``.
+Environment override for the default finite set-product depth (echoed
+into every report): ``SPECRAD_SET_M_MAX``.  Essential brackets have no
+depth or power budget: the noncompactness measure is multiplicative on
+banded families, so longer products and higher powers cannot tighten them.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import os
 import sys
 
 from . import __version__
-from .chains import EvalContext, evaluate_chain, run_ensemble
+from .chains import ChainInputs, EvalContext, evaluate_chain, run_ensemble
 from .ensembles import KINDS, EnsembleSpec
-from .errors import HypothesisViolation, InputFormatError, SpecradError
+from .errors import InputFormatError, SpecradError
 from .jsr import gripenberg_bracket
 from .registry import by_id, catalog_json, registry
 from .serialize import (
@@ -35,11 +37,7 @@ from .serialize import (
     matrix_from_json,
     set_from_json,
 )
-from .chains import ChainInputs
-from .sets import OperatorSet
 from .spectral import (
-    DEFAULT_ESS_TOL,
-    DEFAULT_JMAX,
     DEFAULT_RHO_TOL,
     SPACES,
     essential_spectral_radius,
@@ -48,31 +46,21 @@ from .spectral import (
     spectral_radius,
 )
 
-_ENV_BUDGETS = {
-    "SPECRAD_SET_M_MAX": "set_m_max",
-    "SPECRAD_ESS_M_MAX": "ess_m_max",
-    "SPECRAD_J_MAX": "j_max",
-}
-
 
 def _env_overrides() -> dict:
-    out = {}
-    for var, field in _ENV_BUDGETS.items():
-        if var in os.environ:
-            try:
-                out[field] = int(os.environ[var])
-            except ValueError:
-                raise InputFormatError(
-                    f"{var} must be an integer, got {os.environ[var]!r}") from None
-    return out
+    raw = os.environ.get("SPECRAD_SET_M_MAX")
+    if raw is None:
+        return {}
+    try:
+        return {"set_m_max": int(raw)}
+    except ValueError:
+        raise InputFormatError(f"SPECRAD_SET_M_MAX must be an integer, got {raw!r}") from None
 
 
 def _context(args) -> tuple[EvalContext, dict]:
     kwargs = _env_overrides()
     if getattr(args, "set_m_max", None) is not None:
         kwargs["set_m_max"] = args.set_m_max
-    if getattr(args, "j_max", None) is not None:
-        kwargs["j_max"] = args.j_max
     if getattr(args, "finite_tol", None) is not None:
         kwargs["finite_tol"] = args.finite_tol
     if getattr(args, "ess_tol", None) is not None:
@@ -102,14 +90,18 @@ def _resolve_ids(tokens, level: str | None = None) -> list:
     return chosen
 
 
-def _inputs_from_file(path: str) -> ChainInputs:
+def _load_json_file(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
+
+
+def _inputs_from_file(path: str) -> ChainInputs:
+    obj = _load_json_file(path)
     if not isinstance(obj, dict):
         raise InputFormatError("input file must hold a JSON object")
     if not isinstance(obj.get("params", {}), dict):
@@ -249,16 +241,6 @@ def cmd_sweep(args) -> int:
     return _verdict_exit(totals)
 
 
-def _load_json_file(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
-
-
 def cmd_estimate(args) -> int:
     obj = _load_json_file(args.input)
     q = args.quantity
@@ -267,16 +249,15 @@ def cmd_estimate(args) -> int:
     elif q == "norm":
         b = operator_norm(matrix_from_json(obj), args.space, args.tol or DEFAULT_RHO_TOL)
     elif q == "gamma":
-        b = hausdorff_mnc(family_from_json(obj), args.tol or DEFAULT_ESS_TOL)
+        b = hausdorff_mnc(family_from_json(obj))
     elif q == "ess":
-        b = essential_spectral_radius(family_from_json(obj), args.j_max or DEFAULT_JMAX,
-                                      args.tol or DEFAULT_ESS_TOL)
+        b = essential_spectral_radius(family_from_json(obj))
         if b.lo == 0.0 and b.hi > 0.0:
             print("warning: no analytic oracle for this structure; "
                   "lower end reported as 0", file=sys.stderr)
     elif q == "jsr":
-        data = set_from_json(obj if isinstance(obj, list) else obj.get("set", obj))
-        if not isinstance(data, OperatorSet) or data.kind != "matrix":
+        data = set_from_json(obj.get("set", obj) if isinstance(obj, dict) else obj)
+        if data.kind != "matrix":
             raise InputFormatError("jsr expects a set of finite matrices")
         b = gripenberg_bracket(data, args.delta, budget=args.budget, space=args.space)
     else:  # pragma: no cover - argparse restricts choices
@@ -286,8 +267,7 @@ def cmd_estimate(args) -> int:
     if args.out:
         doc = _report_doc("estimate", {"quantity": q, "input": args.input,
                                        "space": args.space, "delta": args.delta,
-                                       "tol": args.tol, "j_max": args.j_max,
-                                       "budget": args.budget},
+                                       "tol": args.tol, "budget": args.budget},
                           [{"lo": b.lo, "hi": b.hi, "method": b.method,
                             "converged": b.converged}], {})
         _write_report(args.out, "json", doc, [])
@@ -312,8 +292,6 @@ def _add_common_eval_flags(p):
                    help="sparse ensemble density")
     p.add_argument("--set-m-max", type=int, default=None,
                    help="product depth for finite set radii")
-    p.add_argument("--j-max", type=int, default=None,
-                   help="power budget for essential radii")
     p.add_argument("--finite-tol", type=float, default=None)
     p.add_argument("--ess-tol", type=float, default=None)
     p.add_argument("--out", default=None, help="report file path")
@@ -354,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=SPACES, default="l2")
     p.add_argument("--delta", type=float, default=1e-6, help="jsr gap target")
     p.add_argument("--budget", type=int, default=200_000, help="jsr product budget")
-    p.add_argument("--j-max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help="rho and norm tolerance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate)
 
@@ -370,9 +347,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, HypothesisViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpecradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,7 +226,7 @@ def _family_levels(s: OperatorSet, m_max: int):
             level = set_product(level, s)
 
 
-def ess_joint_radius_ub(s, m_max: int, tol: float = 1e-6) -> float:
+def ess_joint_radius_ub(s, m_max: int) -> float:
     """Certified upper bound for the joint essential radius of a family set.
 
     Min over m of the m-th root of the largest noncompactness measure over
@@ -237,13 +237,12 @@ def ess_joint_radius_ub(s, m_max: int, tol: float = 1e-6) -> float:
         raise DomainError("ess_joint_radius_ub expects a set of operator families")
     best = math.inf
     for m, level in _family_levels(s, m_max):
-        top = max(hausdorff_mnc(f, tol).hi for f in level)
+        top = max(hausdorff_mnc(f).hi for f in level)
         best = min(best, _pow0(top, 1.0 / m) * (1 + _ROUND_GUARD))
     return best
 
 
-def ess_gen_radius_estimate(s, m_max: int, j_max: int = 3,
-                            tol: float = 1e-6) -> tuple[float, float]:
+def ess_gen_radius_estimate(s, m_max: int) -> tuple[float, float]:
     """(max-of-lo, max-of-hi) over explored levels for the generalized
     essential radius.
 
@@ -258,7 +257,7 @@ def ess_gen_radius_estimate(s, m_max: int, j_max: int = 3,
     hi = 0.0
     for m, level in _family_levels(s, m_max):
         for f in level:
-            b = essential_spectral_radius(f, j_max, tol)
+            b = essential_spectral_radius(f)
             if b.lo > 0:
                 lo = max(lo, math.pow(b.lo, 1.0 / m))
             if b.hi > 0:
@@ -266,8 +265,8 @@ def ess_gen_radius_estimate(s, m_max: int, j_max: int = 3,
     return lo, hi
 
 
-def ess_gen_radius_ub(s, m_max: int, j_max: int = 3, tol: float = 1e-6) -> float:
-    return ess_gen_radius_estimate(s, m_max, j_max, tol)[1]
+def ess_gen_radius_ub(s, m_max: int) -> float:
+    return ess_gen_radius_estimate(s, m_max)[1]
 
 
 def norm_level_max(s, depth: int, space: str = L2, tol: float = 1e-10) -> float:
@@ -289,7 +288,7 @@ def norm_level_max(s, depth: int, space: str = L2, tol: float = 1e-10) -> float:
     return max(operator_norm(p, space, tol).hi for p in level)
 
 
-def gamma_level_max(s, depth: int = 1, tol: float = 1e-6) -> float:
+def gamma_level_max(s, depth: int = 1) -> float:
     """Largest noncompactness upper bound over length-``depth`` products."""
     s = _as_set(s)
     if s.kind != "family":
@@ -301,7 +300,7 @@ def gamma_level_max(s, depth: int = 1, tol: float = 1e-6) -> float:
     level = s
     for _ in range(depth - 1):
         level = set_product(level, s)
-    return max(hausdorff_mnc(f, tol).hi for f in level)
+    return max(hausdorff_mnc(f).hi for f in level)
 
 
 def oracle_set_lb(s) -> float:
@@ -315,7 +314,7 @@ def oracle_set_lb(s) -> float:
     return best
 
 
-def gamma_set_bracket(s, tol: float = 1e-6) -> Bracket:
+def gamma_set_bracket(s) -> Bracket:
     """sup of the noncompactness measure over the elements of a family set."""
     s = _as_set(s)
     if s.kind != "family":
@@ -324,7 +323,7 @@ def gamma_set_bracket(s, tol: float = 1e-6) -> Bracket:
     hi = 0.0
     conv = True
     for f in s:
-        b = hausdorff_mnc(f, tol)
+        b = hausdorff_mnc(f)
         lo = max(lo, b.lo)
         hi = max(hi, b.hi)
         conv = conv and b.converged

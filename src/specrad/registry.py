@@ -13,10 +13,12 @@ Verdict semantics live in :mod:`specrad.chains`; every term here is built
 from certified brackets, so a ``fail`` verdict on hypothesis-satisfying
 inputs localizes a toolkit bug, never a sharpness experiment.
 
-Upper estimates inside one part are evaluated at matched underlying
-depths, so whenever the proof of a chain rests on entrywise domination of
-matched products (all of these do), the certified upper bounds inherit
-the ordering and the part passes decisively.
+Finite-level upper estimates inside one part are evaluated at matched
+underlying depths, so whenever the proof of a chain rests on entrywise
+domination of matched products (all of these do), the certified upper
+bounds inherit the ordering and the part passes decisively.  Essential
+upper estimates need no depth: the noncompactness measure is
+multiplicative on banded families, so every depth gives the same bound.
 
 Adding a chain
 --------------
@@ -116,14 +118,6 @@ def _nrm(m, ctx):
     return operator_norm(m, ctx.space, ctx.rho_tol)
 
 
-def _gam(f, ctx):
-    return hausdorff_mnc(f, ctx.gamma_tol)
-
-
-def _esr(f, ctx):
-    return essential_spectral_radius(f, ctx.j_max, ctx.gamma_tol)
-
-
 def _lcm(values) -> int:
     return reduce(math.lcm, values, 1)
 
@@ -150,25 +144,23 @@ def _fin_term(ctx, factors, u: int | None = None) -> Bracket:
     return Bracket(min(lo, hi), hi, "set-depth-ub/gen-lb")
 
 
-def _ess_term(ctx, factors) -> Bracket:
+def _ess_term(factors) -> Bracket:
     """Product of essential set radii of family sets.
 
-    The upper end comes from noncompactness maxima at depth ess_m_max
+    The upper end is the largest noncompactness measure over the set
     (certified for the joint essential radius, which dominates the
-    generalized one); the lower end lifts per-element oracle values.
+    generalized one).  Longer products cannot tighten it: gamma is
+    multiplicative on banded families, so the depth-d root of the depth-d
+    maximum equals the depth-1 maximum.  The lower end lifts per-element
+    oracle values.
     """
-    d = max(1, ctx.ess_m_max)
     hi = 1.0
     lo = 1.0
     for S, p in factors:
-        hi *= _pow0(gamma_level_max(S, d, ctx.gamma_tol), p / d)
+        hi *= _pow0(gamma_level_max(S), p)
         lo *= _pow0(oracle_set_lb(S), p)
     hi *= 1 + _ROUND_GUARD
     return Bracket(min(lo, hi), hi, "ess-set-gamma-ub/oracle-lb")
-
-
-def _gamset(S, ctx):
-    return gamma_set_bracket(S, ctx.gamma_tol)
 
 
 def _normset(S, ctx):
@@ -750,28 +742,28 @@ def _e1_build(inputs, ctx):
     prod = _prod(mats)
     return [
         Part("gamma-power", CHAIN, [
-            ("gamma(A^(t))", _gam(a.hpow(t), ctx)),
-            ("gamma(A)^t", _gam(a, ctx).power(t)),
+            ("gamma(A^(t))", hausdorff_mnc(a.hpow(t))),
+            ("gamma(A)^t", hausdorff_mnc(a).power(t)),
         ]),
         Part("ess-power", CHAIN, [
-            ("ess(A^(t))", _esr(a.hpow(t), ctx)),
-            ("ess(A)^t", _esr(a, ctx).power(t)),
+            ("ess(A^(t))", essential_spectral_radius(a.hpow(t))),
+            ("ess(A)^t", essential_spectral_radius(a).power(t)),
         ]),
         Part("gamma-product-power", CHAIN, [
-            ("gamma(A1^(t)...Am^(t))", _gam(powprod, ctx)),
-            ("gamma(A1...Am)^t", _gam(prod, ctx).power(t)),
+            ("gamma(A1^(t)...Am^(t))", hausdorff_mnc(powprod)),
+            ("gamma(A1...Am)^t", hausdorff_mnc(prod).power(t)),
         ]),
         Part("ess-product-power", CHAIN, [
-            ("ess(A1^(t)...Am^(t))", _esr(powprod, ctx)),
-            ("ess(A1...Am)^t", _esr(prod, ctx).power(t)),
+            ("ess(A1^(t)...Am^(t))", essential_spectral_radius(powprod)),
+            ("ess(A1...Am)^t", essential_spectral_radius(prod).power(t)),
         ]),
         Part("gamma-sup-scaling", CHAIN, [
-            ("gamma(A^(t))", _gam(a.hpow(t), ctx)),
-            ("sup^(t-1) gamma(A)", _gam(a, ctx).scaled(c)),
+            ("gamma(A^(t))", hausdorff_mnc(a.hpow(t))),
+            ("sup^(t-1) gamma(A)", hausdorff_mnc(a).scaled(c)),
         ]),
         Part("ess-sup-scaling", CHAIN, [
-            ("ess(A^(t))", _esr(a.hpow(t), ctx)),
-            ("sup^(t-1) ess(A)", _esr(a, ctx).scaled(c)),
+            ("ess(A^(t))", essential_spectral_radius(a.hpow(t))),
+            ("sup^(t-1) ess(A)", essential_spectral_radius(a).scaled(c)),
         ]),
     ]
 
@@ -790,12 +782,12 @@ def _e2_build(inputs, ctx):
     mean = _mean(mats, alphas)
     return [
         Part("gamma-mean", CHAIN, [
-            ("gamma(mean)", _gam(mean, ctx)),
-            ("prod gamma(A_j)^a_j", _bprod([_gam(x, ctx) for x in mats], alphas)),
+            ("gamma(mean)", hausdorff_mnc(mean)),
+            ("prod gamma(A_j)^a_j", _bprod([hausdorff_mnc(x) for x in mats], alphas)),
         ]),
         Part("ess-mean", CHAIN, [
-            ("ess(mean)", _esr(mean, ctx)),
-            ("prod ess(A_j)^a_j", _bprod([_esr(x, ctx) for x in mats], alphas)),
+            ("ess(mean)", essential_spectral_radius(mean)),
+            ("prod ess(A_j)^a_j", _bprod([essential_spectral_radius(x) for x in mats], alphas)),
         ]),
     ]
 
@@ -818,14 +810,15 @@ def _e3_build(inputs, ctx):
     mid = _mean(cols, alphas)
     return [
         Part("gamma-grid", CHAIN, [
-            ("gamma(A)", _gam(a, ctx)),
-            ("gamma(mean of col products)", _gam(mid, ctx)),
-            ("prod gamma(col product)^a_j", _bprod([_gam(c, ctx) for c in cols], alphas)),
+            ("gamma(A)", hausdorff_mnc(a)),
+            ("gamma(mean of col products)", hausdorff_mnc(mid)),
+            ("prod gamma(col product)^a_j", _bprod([hausdorff_mnc(c) for c in cols], alphas)),
         ]),
         Part("ess-grid", CHAIN, [
-            ("ess(A)", _esr(a, ctx)),
-            ("ess(mean of col products)", _esr(mid, ctx)),
-            ("prod ess(col product)^a_j", _bprod([_esr(c, ctx) for c in cols], alphas)),
+            ("ess(A)", essential_spectral_radius(a)),
+            ("ess(mean of col products)", essential_spectral_radius(mid)),
+            ("prod ess(col product)^a_j",
+             _bprod([essential_spectral_radius(c) for c in cols], alphas)),
         ]),
     ]
 
@@ -858,24 +851,24 @@ def _e4_build(inputs, ctx):
     prod_all = set_product_many(sets)
     return [
         Part("set-mean", CHAIN, [
-            ("r(mean)", _ess_term(ctx, [(mean, 1.0)])),
-            ("r(mean of n-powers)^1/n", _ess_term(ctx, [(mean_n, 1.0 / n)])),
-            ("prod r(S_j)^a_j", _ess_term(ctx, [(s, a) for s, a in zip(sets, alphas)])),
+            ("r(mean)", _ess_term([(mean, 1.0)])),
+            ("r(mean of n-powers)^1/n", _ess_term([(mean_n, 1.0 / n)])),
+            ("prod r(S_j)^a_j", _ess_term([(s, a) for s, a in zip(sets, alphas)])),
         ]),
         Part("grid", CHAIN, [
-            ("r(product of row means)", _ess_term(ctx, [(set_product_many(rowmeans), 1.0)])),
-            ("r(mean of col products)", _ess_term(ctx, [(colmean, 1.0)])),
+            ("r(product of row means)", _ess_term([(set_product_many(rowmeans), 1.0)])),
+            ("r(mean of col products)", _ess_term([(colmean, 1.0)])),
             ("r(mean of n-powered col products)^1/n",
-             _ess_term(ctx, [(colmean_n, 1.0 / n)])),
-            ("prod r(col)^a_j", _ess_term(ctx, [(c, a) for c, a in zip(cols, alphas)])),
+             _ess_term([(colmean_n, 1.0 / n)])),
+            ("prod r(col)^a_j", _ess_term([(c, a) for c, a in zip(cols, alphas)])),
         ]),
         Part("set-power", CHAIN, [
             ("r(prod of S_j^(t))",
-             _ess_term(ctx, [(set_product_many([set_hadamard_power(s, t) for s in sets]), 1.0)])),
-            ("r((S1...Sm)^(t))", _ess_term(ctx, [(set_hadamard_power(prod_all, t), 1.0)])),
+             _ess_term([(set_product_many([set_hadamard_power(s, t) for s in sets]), 1.0)])),
+            ("r((S1...Sm)^(t))", _ess_term([(set_hadamard_power(prod_all, t), 1.0)])),
             ("r(((S1...Sm)^n)^(t))^1/n",
-             _ess_term(ctx, [(set_hadamard_power(set_power(prod_all, n), t), 1.0 / n)])),
-            ("r(S1...Sm)^t", _ess_term(ctx, [(prod_all, t)])),
+             _ess_term([(set_hadamard_power(set_power(prod_all, n), t), 1.0 / n)])),
+            ("r(S1...Sm)^t", _ess_term([(prod_all, t)])),
         ]),
     ]
 
@@ -899,11 +892,11 @@ def _e5_build(inputs, ctx):
     summean = _smean(colsums, alphas)
     summean_n = _smean([set_power(c, n) for c in colsums], alphas)
     return [Part("sum-of-means", CHAIN, [
-        ("r(sum of row means)", _ess_term(ctx, [(set_sum_many(rowmeans), 1.0)])),
-        ("r(mean of column sums)", _ess_term(ctx, [(summean, 1.0)])),
-        ("r(mean of n-powered column sums)^1/n", _ess_term(ctx, [(summean_n, 1.0 / n)])),
+        ("r(sum of row means)", _ess_term([(set_sum_many(rowmeans), 1.0)])),
+        ("r(mean of column sums)", _ess_term([(summean, 1.0)])),
+        ("r(mean of n-powered column sums)^1/n", _ess_term([(summean_n, 1.0 / n)])),
         ("prod r(col sum)^a_j",
-         _ess_term(ctx, [(c, a) for c, a in zip(colsums, alphas)])),
+         _ess_term([(c, a) for c, a in zip(colsums, alphas)])),
     ])]
 
 
@@ -938,35 +931,35 @@ def _e6_build(inputs, ctx):
     sums = set_sum_many(sets)
     parts = [
         Part("product-of-symmetrizations", CHAIN, [
-            ("r(S(P1)...S(Pm))", _ess_term(ctx, [(sym_prod, 1.0)])),
+            ("r(S(P1)...S(Pm))", _ess_term([(sym_prod, 1.0)])),
             ("r((P1..Pm)^(a) o ((Pm..P1)*)^(b))",
-             _ess_term(ctx, [(symmetrization(fwd, a, b, rev), 1.0)])),
+             _ess_term([(symmetrization(fwd, a, b, rev), 1.0)])),
             ("r(n-powered cross)^1/n",
-             _ess_term(ctx, [(symmetrization(set_power(fwd, n), a, b, set_power(rev, n)),
+             _ess_term([(symmetrization(set_power(fwd, n), a, b, set_power(rev, n)),
                               1.0 / n)])),
-            ("r(P1..Pm)^a r(Pm..P1)^b", _ess_term(ctx, [(fwd, a), (rev, b)])),
+            ("r(P1..Pm)^a r(Pm..P1)^b", _ess_term([(fwd, a), (rev, b)])),
         ]),
         Part("single-set", CHAIN, [
-            ("r(S(P))", _ess_term(ctx, [(symmetrization(psi, a, b), 1.0)])),
-            ("r(S(P^n))^1/n", _ess_term(ctx, [(symmetrization(set_power(psi, n), a, b), 1.0 / n)])),
-            ("r(P)^(a+b)", _ess_term(ctx, [(psi, a + b)])),
+            ("r(S(P))", _ess_term([(symmetrization(psi, a, b), 1.0)])),
+            ("r(S(P^n))^1/n", _ess_term([(symmetrization(set_power(psi, n), a, b), 1.0 / n)])),
+            ("r(P)^(a+b)", _ess_term([(psi, a + b)])),
         ]),
         Part("sums", CHAIN, [
             ("r(S(P1)+...+S(Pm))",
-             _ess_term(ctx, [(set_sum_many([symmetrization(s, a, b) for s in sets]), 1.0)])),
-            ("r(S(P1+...+Pm))", _ess_term(ctx, [(symmetrization(sums, a, b), 1.0)])),
+             _ess_term([(set_sum_many([symmetrization(s, a, b) for s in sets]), 1.0)])),
+            ("r(S(P1+...+Pm))", _ess_term([(symmetrization(sums, a, b), 1.0)])),
             ("r(S((P1+...+Pm)^n))^1/n",
-             _ess_term(ctx, [(symmetrization(set_power(sums, n), a, b), 1.0 / n)])),
-            ("r(P1+...+Pm)^(a+b)", _ess_term(ctx, [(sums, a + b)])),
+             _ess_term([(symmetrization(set_power(sums, n), a, b), 1.0 / n)])),
+            ("r(P1+...+Pm)^(a+b)", _ess_term([(sums, a + b)])),
         ]),
         Part("pair-product", CHAIN, [
             ("r(S(P1)S(P2))",
-             _ess_term(ctx, [(set_product(symmetrization(sets[0], a, b),
+             _ess_term([(set_product(symmetrization(sets[0], a, b),
                                           symmetrization(sets[1], a, b)), 1.0)])),
             ("r((P1P2)^(a) o ((P2P1)*)^(b))",
-             _ess_term(ctx, [(symmetrization(set_product(sets[0], sets[1]), a, b,
+             _ess_term([(symmetrization(set_product(sets[0], sets[1]), a, b,
                                              set_product(sets[1], sets[0])), 1.0)])),
-            ("r(P1P2)^(a+b)", _ess_term(ctx, [(set_product(sets[0], sets[1]), a + b)])),
+            ("r(P1P2)^(a+b)", _ess_term([(set_product(sets[0], sets[1]), a + b)])),
         ]),
     ]
     n_levels = 4 if len(psi) == 1 else 2
@@ -974,8 +967,8 @@ def _e6_build(inputs, ctx):
     for lv in range(n_levels + 1):
         p = 2 ** lv
         ladder.append((f"r(S(P^{p}))^(1/{p})",
-                       _ess_term(ctx, [(symmetrization(set_power(psi, p), a, b), 1.0 / p)])))
-    ladder.append(("r(P)^(a+b)", _ess_term(ctx, [(psi, a + b)])))
+                       _ess_term([(symmetrization(set_power(psi, p), a, b), 1.0 / p)])))
+    ladder.append(("r(P)^(a+b)", _ess_term([(psi, a + b)])))
     parts.append(Part("dyadic-ladder", CHAIN, ladder))
     return parts
 
@@ -996,19 +989,19 @@ def _e7_build(inputs, ctx):
     ones = [1.0] * m
     return [
         Part("integer-power", CHAIN, [
-            ("r(P^(m))", _ess_term(ctx, [(set_hadamard_power(psi, float(m)), 1.0)])),
-            ("r(P o ... o P)", _ess_term(ctx, [(_smean([psi] * m, ones), 1.0)])),
-            ("r(P^n o ... o P^n)^1/n", _ess_term(ctx, [(_smean([psin] * m, ones), 1.0 / n)])),
-            ("r(P)^m", _ess_term(ctx, [(psi, float(m))])),
+            ("r(P^(m))", _ess_term([(set_hadamard_power(psi, float(m)), 1.0)])),
+            ("r(P o ... o P)", _ess_term([(_smean([psi] * m, ones), 1.0)])),
+            ("r(P^n o ... o P^n)^1/n", _ess_term([(_smean([psin] * m, ones), 1.0 / n)])),
+            ("r(P)^m", _ess_term([(psi, float(m))])),
         ]),
         Part("real-power", CHAIN, [
-            ("r(P^(a))", _ess_term(ctx, [(set_hadamard_power(psi, alpha), 1.0)])),
+            ("r(P^(a))", _ess_term([(set_hadamard_power(psi, alpha), 1.0)])),
             ("r(P^(a-1) o P)",
-             _ess_term(ctx, [(_smean([set_hadamard_power(psi, alpha - 1), psi], [1.0, 1.0]), 1.0)])),
+             _ess_term([(_smean([set_hadamard_power(psi, alpha - 1), psi], [1.0, 1.0]), 1.0)])),
             ("r((P^n)^(a-1) o P^n)^1/n",
-             _ess_term(ctx, [(_smean([set_hadamard_power(psin, alpha - 1), psin], [1.0, 1.0]),
+             _ess_term([(_smean([set_hadamard_power(psin, alpha - 1), psin], [1.0, 1.0]),
                               1.0 / n)])),
-            ("r(P)^a", _ess_term(ctx, [(psi, alpha)])),
+            ("r(P)^a", _ess_term([(psi, alpha)])),
         ]),
     ]
 
@@ -1035,45 +1028,45 @@ def _e8_build(inputs, ctx):
     sigmas = [set_product_many(_cyclic(powered, j)) for j in range(m)]
     prod_all = set_product_many(sets)
     powprod = set_product_many(powered)
-    lhs = ("r(mean_a(P_j))", _ess_term(ctx, [(_smean(sets, alphas), 1.0)]))
+    lhs = ("r(mean_a(P_j))", _ess_term([(_smean(sets, alphas), 1.0)]))
     parts = [
         Part("cyclic", CHAIN, [
             lhs,
-            ("r(mean_a(Phi_j))^1/m", _ess_term(ctx, [(_smean(phis, alphas), 1.0 / m)])),
+            ("r(mean_a(Phi_j))^1/m", _ess_term([(_smean(phis, alphas), 1.0 / m)])),
             ("r(mean_a(Phi_j^n))^1/mn",
-             _ess_term(ctx, [(_smean([set_power(p, n) for p in phis], alphas), 1.0 / (m * n))])),
-            ("r(P1...Pm)^a", _ess_term(ctx, [(prod_all, alpha)])),
+             _ess_term([(_smean([set_power(p, n) for p in phis], alphas), 1.0 / (m * n))])),
+            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
         ]),
         Part("power-route", CHAIN, [
             lhs,
-            ("r(P1^(am)...Pm^(am))^1/m", _ess_term(ctx, [(powprod, 1.0 / m)])),
+            ("r(P1^(am)...Pm^(am))^1/m", _ess_term([(powprod, 1.0 / m)])),
             ("r((P1...Pm)^(am))^1/m",
-             _ess_term(ctx, [(set_hadamard_power(prod_all, am), 1.0 / m)])),
+             _ess_term([(set_hadamard_power(prod_all, am), 1.0 / m)])),
             ("r(((P1...Pm)^n)^(am))^1/nm",
-             _ess_term(ctx, [(set_hadamard_power(set_power(prod_all, n), am), 1.0 / (n * m))])),
-            ("r(P1...Pm)^a", _ess_term(ctx, [(prod_all, alpha)])),
+             _ess_term([(set_hadamard_power(set_power(prod_all, n), am), 1.0 / (n * m))])),
+            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
         ]),
         Part("sigma-route", CHAIN, [
             lhs,
             ("r(mean_1/m(Sig_j))^1/m",
-             _ess_term(ctx, [(_smean(sigmas, [1.0 / m] * m), 1.0 / m)])),
+             _ess_term([(_smean(sigmas, [1.0 / m] * m), 1.0 / m)])),
             ("r(mean_1/m(Sig_j^n))^1/mn",
-             _ess_term(ctx, [(_smean([set_power(s, n) for s in sigmas], [1.0 / m] * m),
+             _ess_term([(_smean([set_power(s, n) for s in sigmas], [1.0 / m] * m),
                               1.0 / (m * n))])),
-            ("r(P1^(am)...Pm^(am))^1/m", _ess_term(ctx, [(powprod, 1.0 / m)])),
+            ("r(P1^(am)...Pm^(am))^1/m", _ess_term([(powprod, 1.0 / m)])),
             ("r((P1...Pm)^(am))^1/m",
-             _ess_term(ctx, [(set_hadamard_power(prod_all, am), 1.0 / m)])),
-            ("r(P1...Pm)^a", _ess_term(ctx, [(prod_all, alpha)])),
+             _ess_term([(set_hadamard_power(prod_all, am), 1.0 / m)])),
+            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
         ]),
     ]
     if alpha >= 1.0:
         parts.append(Part("interleaved", CHAIN, [
             lhs,
-            ("r(mean_a(Phi_j))^1/m", _ess_term(ctx, [(_smean(phis, alphas), 1.0 / m)])),
+            ("r(mean_a(Phi_j))^1/m", _ess_term([(_smean(phis, alphas), 1.0 / m)])),
             ("prod r((Phi_j^n)^(m))^(a/m^2 n)",
-             _ess_term(ctx, [(set_hadamard_power(set_power(p, n), float(m)),
+             _ess_term([(set_hadamard_power(set_power(p, n), float(m)),
                               alpha / (m * m * n)) for p in phis])),
-            ("r(P1...Pm)^a", _ess_term(ctx, [(prod_all, alpha)])),
+            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
         ]))
     return parts
 
@@ -1092,39 +1085,39 @@ def _e9_build(inputs, ctx):
     bo = inputs.params["beta_open"]
     pq = set_product(p, q)
     qp = set_product(q, p)
-    lhs = ("r(P o Q)", _ess_term(ctx, [(_smean([p, q], [1.0, 1.0]), 1.0)]))
+    lhs = ("r(P o Q)", _ess_term([(_smean([p, q], [1.0, 1.0]), 1.0)]))
     return [
         Part("squares-route", CHAIN, [
             lhs,
             ("r(P^(2) Q^(2))^1/2",
-             _ess_term(ctx, [(set_product(set_hadamard_power(p, 2.0),
+             _ess_term([(set_product(set_hadamard_power(p, 2.0),
                                           set_hadamard_power(q, 2.0)), 0.5)])),
             ("r((PoP)(QoQ))^1/2",
-             _ess_term(ctx, [(set_product(_smean([p, p], [1.0, 1.0]),
+             _ess_term([(set_product(_smean([p, p], [1.0, 1.0]),
                                           _smean([q, q], [1.0, 1.0])), 0.5)])),
             ("r(PQoPQ)^b/2 r(QPoQP)^(1-b)/2",
-             _ess_term(ctx, [(_smean([pq, pq], [1.0, 1.0]), beta / 2),
+             _ess_term([(_smean([pq, pq], [1.0, 1.0]), beta / 2),
                              (_smean([qp, qp], [1.0, 1.0]), (1 - beta) / 2)])),
-            ("r(PQ)", _ess_term(ctx, [(pq, 1.0)])),
+            ("r(PQ)", _ess_term([(pq, 1.0)])),
         ]),
         Part("cross-route", CHAIN, [
             lhs,
-            ("r(PQ o QP)^1/2", _ess_term(ctx, [(_smean([pq, qp], [1.0, 1.0]), 0.5)])),
+            ("r(PQ o QP)^1/2", _ess_term([(_smean([pq, qp], [1.0, 1.0]), 0.5)])),
             ("r((PQ)^(2))^1/4 r((QP)^(2))^1/4",
-             _ess_term(ctx, [(set_hadamard_power(pq, 2.0), 0.25),
+             _ess_term([(set_hadamard_power(pq, 2.0), 0.25),
                              (set_hadamard_power(qp, 2.0), 0.25)])),
             ("r(PQoPQ)^1/4 r(QPoQP)^1/4",
-             _ess_term(ctx, [(_smean([pq, pq], [1.0, 1.0]), 0.25),
+             _ess_term([(_smean([pq, pq], [1.0, 1.0]), 0.25),
                              (_smean([qp, qp], [1.0, 1.0]), 0.25)])),
-            ("r(PQ)", _ess_term(ctx, [(pq, 1.0)])),
+            ("r(PQ)", _ess_term([(pq, 1.0)])),
         ]),
         Part("reciprocal-route", CHAIN, [
             lhs,
-            ("r(PQ o QP)^1/2", _ess_term(ctx, [(_smean([pq, qp], [1.0, 1.0]), 0.5)])),
+            ("r(PQ o QP)^1/2", _ess_term([(_smean([pq, qp], [1.0, 1.0]), 0.5)])),
             ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
-             _ess_term(ctx, [(set_hadamard_power(pq, 1 / bo), bo / 2),
+             _ess_term([(set_hadamard_power(pq, 1 / bo), bo / 2),
                              (set_hadamard_power(qp, 1 / (1 - bo)), (1 - bo) / 2)])),
-            ("r(PQ)", _ess_term(ctx, [(pq, 1.0)])),
+            ("r(PQ)", _ess_term([(pq, 1.0)])),
         ]),
     ]
 
@@ -1144,20 +1137,23 @@ def _e10_build(inputs, ctx):
     ab, ba = a @ b, b @ a
     return [
         Part("squares-route", CHAIN, [
-            ("ess(A o B)", _esr(a.hadamard(b), ctx)),
-            ("ess((AoA)(BoB))^1/2", _esr(a.hadamard(a) @ b.hadamard(b), ctx).power(0.5)),
+            ("ess(A o B)", essential_spectral_radius(a.hadamard(b))),
+            ("ess((AoA)(BoB))^1/2",
+             essential_spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5)),
             ("ess(ABoAB)^b/2 ess(BAoBA)^(1-b)/2",
-             _bprod([_esr(ab.hadamard(ab), ctx), _esr(ba.hadamard(ba), ctx)],
+             _bprod([essential_spectral_radius(ab.hadamard(ab)),
+                     essential_spectral_radius(ba.hadamard(ba))],
                     [beta / 2, (1 - beta) / 2])),
-            ("ess(AB)", _esr(ab, ctx)),
+            ("ess(AB)", essential_spectral_radius(ab)),
         ]),
         Part("reciprocal-route", CHAIN, [
-            ("ess(A o B)", _esr(a.hadamard(b), ctx)),
-            ("ess(AB o BA)^1/2", _esr(ab.hadamard(ba), ctx).power(0.5)),
+            ("ess(A o B)", essential_spectral_radius(a.hadamard(b))),
+            ("ess(AB o BA)^1/2", essential_spectral_radius(ab.hadamard(ba)).power(0.5)),
             ("ess((AB)^(1/b))^b/2 ess((BA)^(1/(1-b)))^(1-b)/2",
-             _bprod([_esr(ab.hpow(1 / bo), ctx), _esr(ba.hpow(1 / (1 - bo)), ctx)],
+             _bprod([essential_spectral_radius(ab.hpow(1 / bo)),
+                     essential_spectral_radius(ba.hpow(1 / (1 - bo)))],
                     [bo / 2, (1 - bo) / 2])),
-            ("ess(AB)", _esr(ab, ctx)),
+            ("ess(AB)", essential_spectral_radius(ab)),
         ]),
     ]
 
@@ -1178,15 +1174,16 @@ def _e11_build(inputs, ctx):
     return [
         Part("set", CHAIN, [
             ("r(P^(a) o (P*)^(a))",
-             _ess_term(ctx, [(_smean([pa, set_adjoint(pa)], [1.0, 1.0]), 1.0)])),
-            ("r(P^(a) o P^(a))", _ess_term(ctx, [(_smean([pa, pa], [1.0, 1.0]), 1.0)])),
-            ("r(P)^2a", _ess_term(ctx, [(psi, 2 * alpha)])),
+             _ess_term([(_smean([pa, set_adjoint(pa)], [1.0, 1.0]), 1.0)])),
+            ("r(P^(a) o P^(a))", _ess_term([(_smean([pa, pa], [1.0, 1.0]), 1.0)])),
+            ("r(P)^2a", _ess_term([(psi, 2 * alpha)])),
         ]),
         Part("singleton", CHAIN, [
             ("ess(A^(a) o (A*)^(a))",
-             _esr(a.hpow(alpha).hadamard(a.adjoint().hpow(alpha)), ctx)),
-            ("ess(A^(a) o A^(a))", _esr(a.hpow(alpha).hadamard(a.hpow(alpha)), ctx)),
-            ("ess(A)^2a", _esr(a, ctx).power(2 * alpha)),
+             essential_spectral_radius(a.hpow(alpha).hadamard(a.adjoint().hpow(alpha)))),
+            ("ess(A^(a) o A^(a))",
+             essential_spectral_radius(a.hpow(alpha).hadamard(a.hpow(alpha)))),
+            ("ess(A)^2a", essential_spectral_radius(a).power(2 * alpha)),
         ]),
     ]
 
@@ -1212,22 +1209,22 @@ def _e12_build(inputs, ctx):
     tst = t.adjoint() @ t
     return [
         Part("star-square", EQUALITY, [
-            ("ess(T*T)", _esr(tst, ctx)),
-            ("gamma(T*T)", _gam(tst, ctx)),
-            ("gamma(T)^2", _gam(t, ctx).power(2.0)),
+            ("ess(T*T)", essential_spectral_radius(tst)),
+            ("gamma(T*T)", hausdorff_mnc(tst)),
+            ("gamma(T)^2", hausdorff_mnc(t).power(2.0)),
         ]),
         Part("adjoint-gamma", EQUALITY, [
-            ("gamma(T)", _gam(t, ctx)),
-            ("gamma(T*)", _gam(t.adjoint(), ctx)),
+            ("gamma(T)", hausdorff_mnc(t)),
+            ("gamma(T*)", hausdorff_mnc(t.adjoint())),
         ]),
         Part("normal-case", EQUALITY, [
-            ("ess(D)", _esr(d, ctx)),
-            ("gamma(D)", _gam(d, ctx)),
+            ("ess(D)", essential_spectral_radius(d)),
+            ("gamma(D)", hausdorff_mnc(d)),
         ]),
         Part("set-star-identity", EQUALITY, [
-            ("gamma(S)", _gamset(sigma, ctx)),
-            ("r(S*S)^1/2", _ess_term(ctx, [(set_product(sstar, sigma), 0.5)])),
-            ("r(SS*)^1/2", _ess_term(ctx, [(set_product(sigma, sstar), 0.5)])),
+            ("gamma(S)", gamma_set_bracket(sigma)),
+            ("r(S*S)^1/2", _ess_term([(set_product(sstar, sigma), 0.5)])),
+            ("r(SS*)^1/2", _ess_term([(set_product(sigma, sstar), 0.5)])),
         ]),
     ]
 
@@ -1255,15 +1252,15 @@ def _e13_build(inputs, ctx):
     m = inputs.params["m"]
     sets = list(inputs.family_sets)
     uniform = [1.0 / m] * m
-    lhs = ("gamma(uniform mean)", _gamset(_smean(sets, uniform), ctx))
+    lhs = ("gamma(uniform mean)", gamma_set_bracket(_smean(sets, uniform)))
     if m % 2 == 0:
         w1, w2 = _star_word_patterns(m)
         rhs = ("(r(W) r(W-swap))^1/2m",
-               _ess_term(ctx, [(_word_set(sets, w1), 1.0 / (2 * m)),
+               _ess_term([(_word_set(sets, w1), 1.0 / (2 * m)),
                                (_word_set(sets, w2), 1.0 / (2 * m))]))
     else:
         rhs = ("r(long alternating word)^1/2m",
-               _ess_term(ctx, [(_word_set(sets, _long_word_pattern(m)), 1.0 / (2 * m))]))
+               _ess_term([(_word_set(sets, _long_word_pattern(m)), 1.0 / (2 * m))]))
     return [Part("mean-vs-word", CHAIN, [lhs, rhs])]
 
 
@@ -1283,24 +1280,24 @@ def _e14_build(inputs, ctx):
     bstar_a = b.adjoint() @ a
     return [
         Part("set", CHAIN, [
-            ("gamma(P^(1/2) o Q^(1/2))", _gamset(_smean([p, q], [0.5, 0.5]), ctx)),
+            ("gamma(P^(1/2) o Q^(1/2))", gamma_set_bracket(_smean([p, q], [0.5, 0.5]))),
             ("r((P*Q)^(1/2) o (Q*P)^(1/2))^1/2",
-             _ess_term(ctx, [(_smean([ps_q, qs_p], [0.5, 0.5]), 0.5)])),
-            ("r(P*Q)^1/2", _ess_term(ctx, [(ps_q, 0.5)])),
+             _ess_term([(_smean([ps_q, qs_p], [0.5, 0.5]), 0.5)])),
+            ("r(P*Q)^1/2", _ess_term([(ps_q, 0.5)])),
         ]),
         Part("set-star-swap", EQUALITY, [
-            ("r(P*Q)", _ess_term(ctx, [(ps_q, 1.0)])),
-            ("r(PQ*)", _ess_term(ctx, [(set_product(p, set_adjoint(q)), 1.0)])),
+            ("r(P*Q)", _ess_term([(ps_q, 1.0)])),
+            ("r(PQ*)", _ess_term([(set_product(p, set_adjoint(q)), 1.0)])),
         ]),
         Part("singleton", CHAIN, [
-            ("gamma(A^(1/2) o B^(1/2))", _gam(_mean([a, b], [0.5, 0.5]), ctx)),
+            ("gamma(A^(1/2) o B^(1/2))", hausdorff_mnc(_mean([a, b], [0.5, 0.5]))),
             ("ess((A*B)^(1/2) o (B*A)^(1/2))^1/2",
-             _esr(_mean([astar_b, bstar_a], [0.5, 0.5]), ctx).power(0.5)),
-            ("ess(A*B)^1/2", _esr(astar_b, ctx).power(0.5)),
+             essential_spectral_radius(_mean([astar_b, bstar_a], [0.5, 0.5])).power(0.5)),
+            ("ess(A*B)^1/2", essential_spectral_radius(astar_b).power(0.5)),
         ]),
         Part("singleton-star-swap", EQUALITY, [
-            ("ess(A*B)", _esr(astar_b, ctx)),
-            ("ess(AB*)", _esr(a @ b.adjoint(), ctx)),
+            ("ess(A*B)", essential_spectral_radius(astar_b)),
+            ("ess(AB*)", essential_spectral_radius(a @ b.adjoint())),
         ]),
     ]
 
@@ -1321,15 +1318,15 @@ def _e15_build(inputs, ctx):
     a2 = inputs.params["alpha2"]
     sets = list(inputs.family_sets)
     alphas = [alpha] * m
-    lhs = ("gamma(mean_a)", _gamset(_smean(sets, alphas), ctx))
+    lhs = ("gamma(mean_a)", gamma_set_bracket(_smean(sets, alphas)))
     if m % 2 == 0:
         w1, w2 = _star_word_patterns(m)
         rotations = [_word_set(sets, [((j + r) % m, star) for j, star in w1])
                      for r in range(m)]
         mid = ("r(mean_a(rotated words))^1/m",
-               _ess_term(ctx, [(_smean(rotations, alphas), 1.0 / m)]))
+               _ess_term([(_smean(rotations, alphas), 1.0 / m)]))
         last = ("(r(W) r(W-swap))^a/2",
-                _ess_term(ctx, [(_word_set(sets, w1), alpha / 2),
+                _ess_term([(_word_set(sets, w1), alpha / 2),
                                 (_word_set(sets, w2), alpha / 2)]))
         main = Part("even", CHAIN, [lhs, mid, last])
     else:
@@ -1338,31 +1335,31 @@ def _e15_build(inputs, ctx):
         main = Part("odd", CHAIN, [
             lhs,
             ("r(mean_a(rotated long words))^1/2m",
-             _ess_term(ctx, [(_smean(rotations, alphas), 1.0 / (2 * m))])),
-            ("r(long word)^a/2", _ess_term(ctx, [(_word_set(sets, wl), alpha / 2)])),
+             _ess_term([(_smean(rotations, alphas), 1.0 / (2 * m))])),
+            ("r(long word)^a/2", _ess_term([(_word_set(sets, wl), alpha / 2)])),
         ])
     p, q = sets[0], sets[1]
     ps_q = set_product(set_adjoint(p), q)
     qs_p = set_product(set_adjoint(q), p)
     pair = Part("pair", CHAIN, [
         ("gamma(P^(a2) o Q^(a2))",
-         _gamset(_smean([p, q], [a2, a2]), ctx)),
+         gamma_set_bracket(_smean([p, q], [a2, a2]))),
         ("r((P*Q)^(a2) o (Q*P)^(a2))^1/2",
-         _ess_term(ctx, [(_smean([ps_q, qs_p], [a2, a2]), 0.5)])),
-        ("r(P*Q)^a2", _ess_term(ctx, [(ps_q, a2)])),
+         _ess_term([(_smean([ps_q, qs_p], [a2, a2]), 0.5)])),
+        ("r(P*Q)^a2", _ess_term([(ps_q, a2)])),
     ])
     pair_matrix = Part("pair-matrix", CHAIN, [
         ("gamma(P^(a2) o Q^(a2))",
-         _gamset(_smean([p, q], [a2, a2]), ctx)),
+         gamma_set_bracket(_smean([p, q], [a2, a2]))),
         ("r((P*Q)^(a2) o (Q*P)^(a2))^1/2",
-         _ess_term(ctx, [(_smean([ps_q, qs_p], [a2, a2]), 0.5)])),
+         _ess_term([(_smean([ps_q, qs_p], [a2, a2]), 0.5)])),
         ("r((P*Q)^(a2) o (P*Q)^(a2))^1/2",
-         _ess_term(ctx, [(_smean([ps_q, ps_q], [a2, a2]), 0.5)])),
-        ("r(P*Q)^a2", _ess_term(ctx, [(ps_q, a2)])),
+         _ess_term([(_smean([ps_q, ps_q], [a2, a2]), 0.5)])),
+        ("r(P*Q)^a2", _ess_term([(ps_q, a2)])),
     ])
     swap = Part("pair-star-swap", EQUALITY, [
-        ("r(P*Q)", _ess_term(ctx, [(ps_q, 1.0)])),
-        ("r(PQ*)", _ess_term(ctx, [(set_product(p, set_adjoint(q)), 1.0)])),
+        ("r(P*Q)", _ess_term([(ps_q, 1.0)])),
+        ("r(PQ*)", _ess_term([(set_product(p, set_adjoint(q)), 1.0)])),
     ])
     return [main, pair, pair_matrix, swap]
 
@@ -1386,12 +1383,12 @@ def _e16_build(inputs, ctx):
     wl = _long_word_pattern(m)
     omegas = [_word_set(sets, _cyclic(wl, 2 * r)) for r in range(m)]
     return [Part("odd-pair-chain", CHAIN, [
-        ("gamma(uniform mean)", _gamset(_smean(sets, uniform), ctx)),
+        ("gamma(uniform mean)", gamma_set_bracket(_smean(sets, uniform))),
         ("r(mean(pair products))^1/2",
-         _ess_term(ctx, [(_smean(pairs, uniform), 0.5)])),
+         _ess_term([(_smean(pairs, uniform), 0.5)])),
         ("r(mean(rotated long words))^1/2m",
-         _ess_term(ctx, [(_smean(omegas, uniform), 1.0 / (2 * m))])),
-        ("r(long word)^1/2m", _ess_term(ctx, [(_word_set(sets, wl), 1.0 / (2 * m))])),
+         _ess_term([(_smean(omegas, uniform), 1.0 / (2 * m))])),
+        ("r(long word)^1/2m", _ess_term([(_word_set(sets, wl), 1.0 / (2 * m))])),
     ])]
 
 
@@ -1411,12 +1408,12 @@ def _e17_build(inputs, ctx):
     wl = _long_word_pattern(m)
     omegas = [_word_set(sets, _cyclic(wl, 2 * r)) for r in range(m)]
     return [Part("odd-weighted-chain", CHAIN, [
-        ("gamma(mean_a)", _gamset(_smean(sets, alphas), ctx)),
+        ("gamma(mean_a)", gamma_set_bracket(_smean(sets, alphas))),
         ("r(mean_a(pair products))^1/2",
-         _ess_term(ctx, [(_smean(pairs, alphas), 0.5)])),
+         _ess_term([(_smean(pairs, alphas), 0.5)])),
         ("r(mean_a(rotated long words))^1/2m",
-         _ess_term(ctx, [(_smean(omegas, alphas), 1.0 / (2 * m))])),
-        ("r(long word)^a/2", _ess_term(ctx, [(_word_set(sets, wl), alpha / 2)])),
+         _ess_term([(_smean(omegas, alphas), 1.0 / (2 * m))])),
+        ("r(long word)^a/2", _ess_term([(_word_set(sets, wl), alpha / 2)])),
     ])]
 
 
@@ -1442,12 +1439,12 @@ def _e18_build(inputs, ctx):
         w3 = set_product_many([q, p, set_adjoint(p), set_adjoint(q), set_adjoint(p), p])
         pqp = set_product_many([p, q, p])
         return Part(name, CHAIN, [
-            ("gamma(P^(a) o (Q*)^(a) o P^(a))", _gamset(lhs, ctx)),
+            ("gamma(P^(a) o (Q*)^(a) o P^(a))", gamma_set_bracket(lhs)),
             ("r((P*Q*)^(a) o (P*P)^(a) o (QP)^(a))^1/2",
-             _ess_term(ctx, [(_smean([m1, m2, m3], weights), 0.5)])),
+             _ess_term([(_smean([m1, m2, m3], weights), 0.5)])),
             ("r(mean_a(three 6-words))^1/6",
-             _ess_term(ctx, [(_smean([w1, w2, w3], weights), 1.0 / 6)])),
-            ("gamma(PQP)^a", _gamset(pqp, ctx).power(a)),
+             _ess_term([(_smean([w1, w2, w3], weights), 1.0 / 6)])),
+            ("gamma(PQP)^a", gamma_set_bracket(pqp).power(a)),
         ])
 
     return [parts_for(1.0 / 3.0, "third-weights"), parts_for(alpha, "alpha-weights")]
@@ -1485,12 +1482,12 @@ def _e19_build(inputs, ctx):
     def chain_for(a, name):
         weights = [a] * m
         return Part(name, CHAIN, [
-            ("gamma(mean(P_j))", _gamset(_smean(sets, weights), ctx)),
-            ("r(mean(Sigma_j))^1/2", _ess_term(ctx, [(_smean(sigmas, weights), 0.5)])),
+            ("gamma(mean(P_j))", gamma_set_bracket(_smean(sets, weights))),
+            ("r(mean(Sigma_j))^1/2", _ess_term([(_smean(sigmas, weights), 0.5)])),
             ("r(mean(Omega_i))^1/2m",
-             _ess_term(ctx, [(_smean(omegas, weights), 1.0 / (2 * m))])),
+             _ess_term([(_smean(omegas, weights), 1.0 / (2 * m))])),
             ("r(Sigma_nu(1)...Sigma_nu(m))^a/2",
-             _ess_term(ctx, [(nuprod, a / 2)])),
+             _ess_term([(nuprod, a / 2)])),
         ])
 
     return [chain_for(1.0 / m, "uniform"), chain_for(alpha, "weighted")]
@@ -1516,13 +1513,13 @@ def _e20_build(inputs, ctx):
     thetas = [set_product_many(_cyclic(first_half, i)) for i in range(half)]
     halfprod = set_product_many(first_half)
     return [Part("half-chain", CHAIN, [
-        ("gamma(mean_a(P_j))", _gamset(_smean(sets, [alpha] * m), ctx)),
-        ("r(mean_a(Sigma_j))^1/2", _ess_term(ctx, [(_smean(sigmas, [alpha] * m), 0.5)])),
+        ("gamma(mean_a(P_j))", gamma_set_bracket(_smean(sets, [alpha] * m))),
+        ("r(mean_a(Sigma_j))^1/2", _ess_term([(_smean(sigmas, [alpha] * m), 0.5)])),
         ("r(mean_a(Sigma_1..Sigma_m/2))",
-         _ess_term(ctx, [(_smean(first_half, [alpha] * half), 1.0)])),
+         _ess_term([(_smean(first_half, [alpha] * half), 1.0)])),
         ("r(mean_a(Theta_i))^2/m",
-         _ess_term(ctx, [(_smean(thetas, [alpha] * half), 2.0 / m)])),
-        ("r(Sigma_1...Sigma_m/2)^a", _ess_term(ctx, [(halfprod, alpha)])),
+         _ess_term([(_smean(thetas, [alpha] * half), 2.0 / m)])),
+        ("r(Sigma_1...Sigma_m/2)^a", _ess_term([(halfprod, alpha)])),
     ])]
 
 
@@ -1556,13 +1553,13 @@ def _e21_build(inputs, ctx):
         word = set_product_many(pairs)
         weights = [a] * m
         return Part(name, CHAIN, [
-            ("gamma(mean(P_j))", _gamset(_smean(sets, weights), ctx)),
+            ("gamma(mean(P_j))", gamma_set_bracket(_smean(sets, weights))),
             ("r(mean(tau/nu pairs))^1/2",
-             _ess_term(ctx, [(_smean(pairs, weights), 0.5)])),
+             _ess_term([(_smean(pairs, weights), 0.5)])),
             ("r(mean(Omega_j))^1/2m",
-             _ess_term(ctx, [(_smean(omegas, weights), 1.0 / (2 * m))])),
+             _ess_term([(_smean(omegas, weights), 1.0 / (2 * m))])),
             ("r(pair word)^a/2",
-             _ess_term(ctx, [(word, a / 2)])),
+             _ess_term([(word, a / 2)])),
         ])
 
     parts = [chain_for(tau, nu, 1.0 / m, "uniform"),
@@ -1574,8 +1571,8 @@ def _e21_build(inputs, ctx):
                  for j in range(m) for k in (0, 1)]
         word2 = _long_word_pattern(m)
         parts.append(Part("word-swap", EQUALITY, [
-            ("r(stars-first word)", _ess_term(ctx, [(_word_set(sets, word1), 1.0)])),
-            ("r(stars-second word)", _ess_term(ctx, [(_word_set(sets, word2), 1.0)])),
+            ("r(stars-first word)", _ess_term([(_word_set(sets, word1), 1.0)])),
+            ("r(stars-second word)", _ess_term([(_word_set(sets, word2), 1.0)])),
         ]))
     return parts
 

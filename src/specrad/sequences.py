@@ -426,14 +426,6 @@ def seq_sum(parts) -> WeightSeq:
     return SumSeq(flat)
 
 
-_LEAF_KINDS = {
-    "constant": Constant,
-    "eventually_constant": EventuallyConstant,
-    "rational": RationalFormula,
-    "prefix_with_limit": PrefixWithLimit,
-}
-
-
 def seq_to_json(w: WeightSeq) -> dict:
     """Serialize a leaf sequence.  Derived combinators have no wire format."""
     if isinstance(w, Constant):

@@ -8,7 +8,9 @@ component so reducible matrices also get tight lower bounds.  On the
 infinite side, the Hausdorff measure of noncompactness of a banded family
 is the sum of its band weight limits: every weight sequence converges, so
 row-tail norm bounds decrease to that sum, and sliding window vectors
-attain it from below.
+attain it from below.  Band limits multiply under operator products, so
+gamma(A^j) = gamma(A)^j and the essential radius lim_j gamma(A^j)^(1/j)
+is bounded above by gamma(A) itself, with no power sequence to explore.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ SPACES = (L1, L2, LINF)
 _ROUND_GUARD = 2e-13
 
 DEFAULT_RHO_TOL = 1e-10
-DEFAULT_ESS_TOL = 1e-6
-DEFAULT_JMAX = 6
 _MAX_SQUARINGS = 64
 
 
@@ -179,17 +179,15 @@ def entrywise_sup(m) -> float:
 # -- noncompactness and essential radius ------------------------------------
 
 
-def hausdorff_mnc(f: OperatorFamily, tol: float = DEFAULT_ESS_TOL) -> Bracket:
+def hausdorff_mnc(f: OperatorFamily) -> Bracket:
     """Hausdorff measure of noncompactness on l2: the sum of band limits.
 
     The row-tail norm bound decreases to the sum of the band weight
     limits, and sliding window vectors realise that sum in the essential
     norm, so the point bracket is exact.  The finite-rank corner is compact
-    and drops out.  ``tol`` must be positive; the bracket has width 0.
+    and drops out, so a family without bands gets the float bracket [0, 0].
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    g = sum(w.limit for w in f.bands.values())
+    g = sum((w.limit for w in f.bands.values()), 0.0)
     return Bracket(g, g, "band-tail-limit")
 
 
@@ -210,39 +208,28 @@ def oracle_ess_radius(f: OperatorFamily) -> float | None:
     return None
 
 
-def essential_spectral_radius(f: OperatorFamily, j_max: int = DEFAULT_JMAX,
-                              tol: float = DEFAULT_ESS_TOL) -> Bracket:
-    """Bracket for the essential spectral radius via noncompactness of powers.
+def essential_spectral_radius(f: OperatorFamily) -> Bracket:
+    """Bracket for the essential spectral radius from noncompactness.
 
-    gamma(A^j)^(1/j) is a certified upper bound for every j, so the min
-    over j <= j_max is an upper bound.  The lower end comes from the
-    analytic oracle when the band structure supports one, else 0.
+    r_ess(A) = lim_j gamma(A^j)^(1/j), and gamma is multiplicative on
+    banded families (band limits multiply under products), so
+    gamma(A^j) = gamma(A)^j and every power gives the same upper end
+    gamma(A).  The lower end comes from the analytic oracle when the band
+    structure supports one, else 0.
     """
-    if j_max < 1:
-        raise DomainError("power budget must be >= 1")
-    hi = math.inf
-    power = f
-    j = 1
-    while True:
-        g = hausdorff_mnc(power, tol)
-        hi = min(hi, _pow0(g.hi, 1.0 / j) * (1.0 + _ROUND_GUARD))
-        if j >= j_max or g.hi == 0.0:
-            break
-        power = power @ f
-        j += 1
+    hi = hausdorff_mnc(f).hi * (1.0 + _ROUND_GUARD)
     lo = oracle_ess_radius(f)
     method = "gamma-powers+oracle" if lo is not None else "gamma-powers"
     lo = 0.0 if lo is None else min(lo, hi)
     return Bracket(lo, hi, method)
 
 
-def gamma_via_star(f: OperatorFamily, j_max: int = DEFAULT_JMAX,
-                   tol: float = DEFAULT_ESS_TOL) -> Bracket:
+def gamma_via_star(f: OperatorFamily) -> Bracket:
     """Independent route to the noncompactness measure through A*A.
 
     On l2 the essential radius of A*A equals gamma(A)^2, so the square
     root of the A*A bracket cross-checks hausdorff_mnc.
     """
-    b = essential_spectral_radius(f.adjoint() @ f, j_max, tol)
+    b = essential_spectral_radius(f.adjoint() @ f)
     return Bracket(math.sqrt(b.lo), math.sqrt(b.hi) * (1.0 + _ROUND_GUARD),
                    "star-identity", b.converged)

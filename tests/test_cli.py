@@ -35,6 +35,25 @@ def test_estimate_gamma_identity(tmp_path, capsys):
     assert "gamma in [1, 1]" in out
 
 
+def test_estimate_gamma_without_bands_writes_floats(tmp_path, capsys):
+    path = _write(tmp_path, "finite_rank.json",
+                  {"finite_rank": {"rows": 1, "cols": 1, "entries": [2.0]}})
+    out = tmp_path / "gamma.json"
+    assert main(["estimate", "gamma", "--input", path, "--out", str(out)]) == 0
+    assert "gamma in [0, 0]" in capsys.readouterr().out
+    text = out.read_text()
+    assert '"lo": 0.0' in text and '"hi": 0.0' in text
+    run = json.loads(text)["runs"][0]
+    assert type(run["lo"]) is float and type(run["hi"]) is float
+
+
+@pytest.mark.parametrize("scalar", [3, "x", True, None])
+def test_estimate_jsr_scalar_input_exit_2(tmp_path, capsys, scalar):
+    path = _write(tmp_path, "scalar.json", scalar)
+    assert main(["estimate", "jsr", "--input", path]) == 2
+    assert "operator set must be a nonempty JSON list" in capsys.readouterr().err
+
+
 def test_estimate_jsr_golden(tmp_path, capsys):
     path = _write(tmp_path, "golden_pair.json", GOLDEN_PAIR)
     assert main(["estimate", "jsr", "--input", path, "--delta", "1e-6"]) == 0
@@ -175,16 +194,18 @@ def test_sweep_json_report_embeds_config(tmp_path):
     assert doc["tool"] == "specrad" and doc["version"]
     assert doc["config"]["ensemble"]["seed"] == 4
     assert doc["config"]["set_m_max"] >= 1
+    assert list(doc["config"]) == ["finite_tol", "ess_tol", "rho_tol", "set_m_max", "space",
+                                   "registry", "ids", "ensemble", "trials", "dump_inputs"]
     assert doc["runs"][0]["inputs"]
     assert doc["totals"]["fail"] == 0
 
 
 def test_env_budget_override(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
-    monkeypatch.setenv("SPECRAD_J_MAX", "4")
+    monkeypatch.setenv("SPECRAD_SET_M_MAX", "2")
     assert main(["sweep", "--ids", "F1", "--trials", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["config"]["j_max"] == 4
+    assert doc["config"]["set_m_max"] == 2
 
 
 def test_catalog_unwritable_out_exit_2(tmp_path, capsys):
@@ -194,9 +215,9 @@ def test_catalog_unwritable_out_exit_2(tmp_path, capsys):
 
 
 def test_env_budget_not_an_integer_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("SPECRAD_J_MAX", "abc")
+    monkeypatch.setenv("SPECRAD_SET_M_MAX", "abc")
     assert main(["check", "--id", "F1"]) == 2
-    assert "SPECRAD_J_MAX" in capsys.readouterr().err
+    assert "SPECRAD_SET_M_MAX" in capsys.readouterr().err
 
 
 def test_far_band_entry_sup_is_inconclusive(tmp_path, capsys):

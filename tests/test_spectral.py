@@ -23,6 +23,7 @@ from specrad import (
     spectral_radius,
 )
 from specrad.errors import DomainError, ShapeMismatchError
+from specrad.spectral import _ROUND_GUARD
 
 GOLDEN_SQUARED = (3 + math.sqrt(5)) / 2  # Perron root of [[2,1],[1,1]]
 
@@ -98,13 +99,13 @@ def test_entrywise_sup():
 
 
 def test_hausdorff_examples():
-    assert hausdorff_mnc(finite_rank_family([[1, 2], [3, 4]])).hi == 0.0
+    compact = hausdorff_mnc(finite_rank_family([[1, 2], [3, 4]]))
+    assert compact.hi == 0.0
+    assert type(compact.lo) is float and type(compact.hi) is float
     ident = hausdorff_mnc(identity_family())
     assert ident.lo == ident.hi == 1.0
     inv = hausdorff_mnc(diagonal_family(RationalFormula([1.0], [0.0, 1.0])))
     assert inv.hi == 0.0
-    with pytest.raises(DomainError):
-        hausdorff_mnc(identity_family(), tol=0.0)
 
 
 def test_essential_examples():
@@ -113,6 +114,29 @@ def test_essential_examples():
     assert d.contains(1.0) and d.width <= 1e-6
     s = essential_spectral_radius(shift_family(Constant(0.7)))
     assert s.contains(0.7) and s.width <= 1e-6
+
+
+def _power_loop_hi(f, j_max=6):
+    """Upper end of the power-loop estimator: min over j <= j_max of gamma(f^j)^(1/j)."""
+    hi = math.inf
+    power = f
+    for j in range(1, j_max + 1):
+        g = hausdorff_mnc(power).hi
+        hi = min(hi, (math.pow(g, 1.0 / j) if g > 0 else 0.0) * (1.0 + _ROUND_GUARD))
+        if g == 0.0:
+            break
+        power = power @ f
+    return hi
+
+
+def test_essential_upper_end_matches_power_loop():
+    # gamma(A^j) = gamma(A)^j on banded families, so no power tightens gamma(A)
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        f = random_family(rng, multiband=True)
+        hi = essential_spectral_radius(f).hi
+        ref = _power_loop_hi(f)
+        assert ref <= hi <= ref * (1.0 + 4 * 2.0 ** -52)
 
 
 def test_oracle_examples():
