@@ -10,6 +10,13 @@ sums, adjoints) is closed on this class: offsets add under products, and
 all boundary effects are absorbed into the corner, which stays finite and
 nonnegative.  When symbolic growth would exceed the caps the operation
 raises ``ClosureOverflowError`` rather than truncating silently.
+
+The corner of a derived family (``hadamard``, ``hpow``, ``@``, ``+``,
+``scale``, ``adjoint``) is computed on the first read of ``.corner``, not
+by the operation: noncompactness and essential radii read band limits
+only, so most derived corners are never needed.  Until that read,
+``corner_shape`` is the box that bounds the corner; the operation checks
+that box against ``MAX_CORNER``.
 """
 
 from __future__ import annotations
@@ -63,8 +70,6 @@ def _corner_correction(bands: dict[int, WeightSeq], box: tuple[int, int], exact)
     rows, cols = box
     if rows == 0 or cols == 0:
         return None
-    if max(rows, cols) > MAX_CORNER:
-        raise ClosureOverflowError("corner correction exceeded the size cap")
     out = exact(rows, cols) - _band_block(bands, rows, cols)
     if np.any(out < -1e-9):
         raise DomainError("internal: negative corner correction")
@@ -91,9 +96,17 @@ def _as_corner(value) -> np.ndarray | None:
 
 
 class OperatorFamily:
-    """Banded + diagonal + finite-rank nonnegative operator on l2."""
+    """Banded + diagonal + finite-rank nonnegative operator on l2.
 
-    __slots__ = ("bands", "corner")
+    ``corner`` is the finite-rank block, or ``None`` when there is none.
+    A family built from ``finite_rank=`` validates its corner at once.  A
+    derived family keeps its operands and computes its corner on the first
+    read of ``corner``; it then keeps the corner and lets the operands go.
+    ``corner_shape`` is the corner's shape once read and the bounding box
+    before.
+    """
+
+    __slots__ = ("bands", "_corner", "_box", "_pending")
 
     def __init__(self, bands=(), diagonal: WeightSeq | None = None, finite_rank=None):
         items = dict(bands)
@@ -112,9 +125,17 @@ class OperatorFamily:
         if len(clean) > MAX_BANDS:
             raise ClosureOverflowError(f"family has {len(clean)} bands (cap {MAX_BANDS})")
         self.bands = clean
-        self.corner = _as_corner(finite_rank)
+        self._corner = _as_corner(finite_rank)
+        self._box = _shape(self._corner)
+        self._pending = None  # (operands, build) until a derived corner is read
 
     # -- structure ----------------------------------------------------
+
+    @property
+    def corner(self) -> np.ndarray | None:
+        if self._pending is not None:
+            _realize(self)
+        return self._corner
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -126,7 +147,7 @@ class OperatorFamily:
 
     @property
     def corner_shape(self) -> tuple[int, int]:
-        return (0, 0) if self.corner is None else self.corner.shape
+        return self._box
 
     # -- entry access ---------------------------------------------------
 
@@ -137,17 +158,19 @@ class OperatorFamily:
         d = j - i
         w = self.bands.get(d)
         v = w.value(i) if w is not None and i >= band_start(d) else 0.0
-        if self.corner is not None and i <= self.corner.shape[0] and j <= self.corner.shape[1]:
-            v += self.corner[i - 1, j - 1]
+        corner = self.corner
+        if corner is not None and i <= corner.shape[0] and j <= corner.shape[1]:
+            v += corner[i - 1, j - 1]
         return v
 
     def _block(self, rows: int, cols: int) -> np.ndarray:
         """Top-left rows-by-cols block: bands plus the corner overlay."""
         out = _band_block(self.bands, rows, cols)
-        if self.corner is not None:
-            r = min(rows, self.corner.shape[0])
-            c = min(cols, self.corner.shape[1])
-            out[:r, :c] += self.corner[:r, :c]
+        corner = self.corner
+        if corner is not None:
+            r = min(rows, corner.shape[0])
+            c = min(cols, corner.shape[1])
+            out[:r, :c] += corner[:r, :c]
         return out
 
     def truncate(self, n: int) -> FiniteMatrix:
@@ -169,13 +192,14 @@ class OperatorFamily:
         total = 0.0
         for d, w in self.bands.items():
             total += w.tail_sup(max(n, band_start(d)))
-        if self.corner is not None and n <= self.corner.shape[0]:
-            total += float(np.linalg.norm(self.corner[n - 1:, :], 2))
+        corner = self.corner
+        if corner is not None and n <= corner.shape[0]:
+            total += float(np.linalg.norm(corner[n - 1:, :], 2))
         return total
 
     def entry_sup(self) -> float:
         """sup of all entries, from a covering truncation plus band tails."""
-        cr, cc = self.corner_shape
+        cr, cc = _shape(self.corner)
         base = max(cr, cc) + self.spread + 1
         n = base + self.spread
         if n > MAX_CORNER:
@@ -186,6 +210,9 @@ class OperatorFamily:
         return best
 
     # -- algebra ----------------------------------------------------------
+    # Each operation builds its bands now and hands _derived the box of its
+    # corner, as a function of the operands' corner shapes, and the corner
+    # itself, as a function of that box.
 
     def hadamard(self, other: "OperatorFamily") -> "OperatorFamily":
         if not isinstance(other, OperatorFamily):
@@ -193,19 +220,20 @@ class OperatorFamily:
         bands = {}
         for d in set(self.bands) & set(other.bands):
             bands[d] = seq_product(self.bands[d], other.bands[d])
-        corner = _corner_correction(
-            bands, _union_box(self.corner_shape, other.corner_shape),
-            lambda r, c: self._block(r, c) * other._block(r, c))
-        return OperatorFamily(bands, finite_rank=corner)
+        return _derived(
+            bands, (self, other), lambda: _union_box(self.corner_shape, other.corner_shape),
+            lambda box: _corner_correction(
+                bands, box, lambda r, c: self._block(r, c) * other._block(r, c)))
 
     def hpow(self, t: float) -> "OperatorFamily":
         if not (t > 0 and math.isfinite(t)):
             raise DomainError(f"entrywise power requires t > 0, got {t}")
         bands = {d: seq_power(w, t) for d, w in self.bands.items()}
         # math.pow per entry: np.power differs from it in the last bit
-        corner = _corner_correction(bands, self.corner_shape, lambda r, c: np.array(
-            [[_pow0(x, t) for x in row] for row in self._block(r, c).tolist()]))
-        return OperatorFamily(bands, finite_rank=corner)
+        return _derived(
+            bands, (self,), lambda: self.corner_shape,
+            lambda box: _corner_correction(bands, box, lambda r, c: np.array(
+                [[_pow0(x, t) for x in row] for row in self._block(r, c).tolist()])))
 
     def __matmul__(self, other: "OperatorFamily") -> "OperatorFamily":
         if not isinstance(other, OperatorFamily):
@@ -218,10 +246,10 @@ class OperatorFamily:
                 term = seq_restrict(seq_product(wa, seq_shift(wb, da)), start)
                 bands.setdefault(da + db, []).append(term)
         merged = {d: seq_sum(parts) for d, parts in bands.items()}
-        corner = self._product_corner(other)
-        return OperatorFamily(merged, finite_rank=corner)
+        return _derived(merged, (self, other), lambda: self._product_box(other),
+                        lambda box: self._product_corner(other, box), "product corner")
 
-    def _product_corner(self, other: "OperatorFamily"):
+    def _product_box(self, other: "OperatorFamily") -> tuple[int, int]:
         ra, ca = self.corner_shape
         rb, cb = other.corner_shape
         rows, cols = ra, cb
@@ -229,10 +257,14 @@ class OperatorFamily:
             rows = max(rows, max((rb - d for d in self.bands), default=0))
         if ra:
             cols = max(cols, max((ca + d for d in other.bands), default=0))
+        return rows, cols
+
+    def _product_corner(self, other: "OperatorFamily", box: tuple[int, int]):
+        ra, ca = self.corner_shape
+        rb, cb = other.corner_shape
+        rows, cols = box
         if rows == 0 or cols == 0:
             return None
-        if max(rows, cols) > MAX_CORNER:
-            raise ClosureOverflowError("product corner exceeded the size cap")
         out = np.zeros((rows, cols))
         # bands(self) . corner(other): rows lo..rb-d read corner rows lo+d..rb
         if other.corner is not None:
@@ -264,26 +296,83 @@ class OperatorFamily:
         bands = dict(self.bands)
         for d, w in other.bands.items():
             bands[d] = seq_sum([bands[d], w]) if d in bands else w
-        corner = _padded_sum(self.corner, other.corner)
-        return OperatorFamily(bands, finite_rank=corner)
+        return _derived(bands, (self, other),
+                        lambda: _union_box(self.corner_shape, other.corner_shape),
+                        lambda box: _padded_sum(self.corner, other.corner))
 
     def scale(self, c: float) -> "OperatorFamily":
         if not (c >= 0 and math.isfinite(c)):
             raise DomainError(f"scale factor must be finite and >= 0, got {c}")
         bands = {d: seq_scale(w, c) for d, w in self.bands.items()}
-        corner = None if self.corner is None else self.corner * c
-        return OperatorFamily(bands, finite_rank=corner)
+        return _derived(bands, (self,), lambda: self.corner_shape,
+                        lambda box: None if self.corner is None else self.corner * c)
 
     def adjoint(self) -> "OperatorFamily":
         bands = {}
         for d, w in self.bands.items():
             bands[-d] = seq_restrict(seq_shift(w, -d), max(1, 1 + d))
-        corner = None if self.corner is None else self.corner.T
-        return OperatorFamily(bands, finite_rank=corner)
+        return _derived(bands, (self,), lambda: self.corner_shape[::-1],
+                        lambda box: None if self.corner is None else self.corner.T)
 
     def __repr__(self):
         parts = [f"{d}:{w!r}" for d, w in self.bands.items()]
         return f"OperatorFamily(bands={{{', '.join(parts)}}}, corner={self.corner_shape})"
+
+
+def _shape(corner: np.ndarray | None) -> tuple[int, int]:
+    return (0, 0) if corner is None else corner.shape
+
+
+def _derived(bands, operands, shape, build, what="corner correction") -> OperatorFamily:
+    """Family of these bands whose corner is ``build(shape())`` on first read.
+
+    ``shape`` computes the corner box from the operands' ``corner_shape``:
+    box bounds now, realized shapes when the corner is built.  Its
+    arithmetic is monotone in those shapes and a realized shape never
+    exceeds its box, so the corner fits in the box checked against
+    ``MAX_CORNER`` here, at the operation.  ``build`` reads the operands'
+    realized corners, so the corner equals the one an eager build gives,
+    bit for bit, also when an operand's corner turned out all zero.
+
+    The one divergence from an eager build is in that last case: an
+    all-zero operand corner shows as ``None`` only once it is read, so
+    until then a later box can be larger than the eager one, and an
+    operation near ``MAX_CORNER`` can raise ``ClosureOverflowError`` where
+    the eager build would not.  An overflow the eager build raises is
+    always raised.
+    """
+    box = shape()
+    live = box[0] > 0 and box[1] > 0
+    if live and max(box) > MAX_CORNER:
+        raise ClosureOverflowError(f"{what} exceeded the size cap")
+    f = OperatorFamily(bands)
+    if live:
+        f._box = box
+        f._pending = (operands, lambda: build(shape()))
+    return f
+
+
+def _realize(root: OperatorFamily) -> None:
+    """Build the pending corners under root, operands first.
+
+    An explicit stack, so that a deep expression does not meet the
+    interpreter's recursion limit.
+    """
+    stack = [root]
+    while stack:
+        f = stack[-1]
+        if f._pending is None:
+            stack.pop()
+            continue
+        operands, build = f._pending
+        waiting = [g for g in operands if g._pending is not None]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        f._corner = _as_corner(build())
+        f._box = _shape(f._corner)
+        f._pending = None
 
 
 def _union_box(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:

@@ -29,6 +29,22 @@ def matrix_to_json(m: FiniteMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [float(v) for v in m.a.ravel()]}
 
 
+def _json_type(obj: Any) -> str:
+    """The JSON name of a decoded value's type, for error messages."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "boolean"
+    if isinstance(obj, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}.get(type(obj), type(obj).__name__)
+
+
+def _require_object(obj: Any, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{what} must be a JSON object, got {_json_type(obj)}")
+
+
 def _json_int(obj: Any, key: str) -> int:
     """obj[key] as a JSON integer; a bool, float or string is malformed."""
     value = obj[key]
@@ -38,17 +54,22 @@ def _json_int(obj: Any, key: str) -> int:
 
 
 def matrix_from_json(obj: Any) -> FiniteMatrix:
+    _require_object(obj, "matrix object")
     try:
         rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
-        entries = list(obj["entries"])
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"matrix object needs rows/cols/entries: {exc}") from exc
+        entries = obj["entries"]
+    except KeyError as exc:
+        raise InputFormatError(f"matrix object needs rows/cols/entries, missing {exc}") from exc
+    if not isinstance(entries, list):
+        raise InputFormatError(f"matrix entries must be a JSON array, got {_json_type(entries)}")
     if len(entries) != rows * cols:
         raise InputFormatError(
             f"matrix declares {rows}x{cols} but carries {len(entries)} entries")
     data = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
     try:
         return FiniteMatrix(data)
+    except TypeError as exc:
+        raise InputFormatError("matrix entries must be JSON numbers") from exc
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
@@ -66,11 +87,11 @@ def family_to_json(f: OperatorFamily) -> dict:
 
 
 def family_from_json(obj: Any) -> OperatorFamily:
-    if not isinstance(obj, dict):
-        raise InputFormatError("family object must be a JSON object")
+    _require_object(obj, "family object")
     try:
         bands = {}
         for band in obj.get("bands", []):
+            _require_object(band, "band")
             d = _json_int(band, "offset")
             bands[d] = seq_from_json(band["weights"])
         diagonal = seq_from_json(obj["diagonal"]) if "diagonal" in obj else None
@@ -82,16 +103,16 @@ def family_from_json(obj: Any) -> OperatorFamily:
         raise InputFormatError(f"malformed family object: {exc}") from exc
 
 
-def _is_matrix_obj(obj: Any) -> bool:
-    return isinstance(obj, dict) and "entries" in obj
-
-
 def element_to_json(e) -> dict:
     return matrix_to_json(e) if isinstance(e, FiniteMatrix) else family_to_json(e)
 
 
 def element_from_json(obj: Any):
-    return matrix_from_json(obj) if _is_matrix_obj(obj) else family_from_json(obj)
+    """A set element: a matrix object (it has "entries") or a family object."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(
+            f"set element must be a matrix object or a family object, got {_json_type(obj)}")
+    return matrix_from_json(obj) if "entries" in obj else family_from_json(obj)
 
 
 def set_to_json(s: OperatorSet) -> list:

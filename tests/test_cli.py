@@ -54,6 +54,21 @@ def test_estimate_jsr_scalar_input_exit_2(tmp_path, capsys, scalar):
     assert "operator set must be a nonempty JSON list" in capsys.readouterr().err
 
 
+def test_estimate_set_of_scalars_names_the_element_kind(tmp_path, capsys):
+    path = _write(tmp_path, "scalars.json", [1, 2])
+    assert main(["estimate", "jsr", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "set element must be a matrix object or a family object, got number" in err
+
+
+def test_estimate_rho_scalar_names_the_matrix_object(tmp_path, capsys):
+    path = _write(tmp_path, "scalar.json", 3)
+    assert main(["estimate", "rho", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "matrix object must be a JSON object, got number" in err
+    assert "subscriptable" not in err
+
+
 def test_estimate_jsr_golden(tmp_path, capsys):
     path = _write(tmp_path, "golden_pair.json", GOLDEN_PAIR)
     assert main(["estimate", "jsr", "--input", path, "--delta", "1e-6"]) == 0

@@ -4,19 +4,23 @@ import pytest
 from helpers import dense_product_check, random_family
 from specrad import (
     Constant,
+    EvalContext,
     EventuallyConstant,
     FiniteMatrix,
     OperatorFamily,
     RationalFormula,
     diagonal_family,
+    evaluate_chain,
     finite_rank_family,
     hausdorff_mnc,
     identity_family,
     shift_family,
 )
-from specrad.ensembles import EnsembleSpec, sample_family
+from specrad import families
+from specrad.ensembles import EnsembleSpec, rng_for, sample_family
 from specrad.errors import ClosureOverflowError, DomainError, ShapeMismatchError
 from specrad.families import _pow0, band_start
+from specrad.registry import by_id
 
 
 def inv_index():
@@ -303,3 +307,166 @@ def test_corners_match_per_entry_reference():
             _assert_matches_reference(h, _ref_entrywise_corner(
                 h.bands, lambda i, j: f.entry(i, j) * g.entry(i, j), box))
             _assert_matches_reference(f @ g, _ref_product_corner(f, g))
+
+
+# Lazy corners.  A derived family computes its corner on the first read of
+# ``corner``; the tests below count that work, compare realized corners with
+# an eager build, and check that the cap is still enforced at the operation.
+
+
+def _count_corner_builds(monkeypatch):
+    """Patch counters onto the two corner builders; returns the live count."""
+    count = [0]
+    entrywise = families._corner_correction
+    product = OperatorFamily._product_corner
+
+    def counted_entrywise(*args, **kwargs):
+        count[0] += 1
+        return entrywise(*args, **kwargs)
+
+    def counted_product(*args, **kwargs):
+        count[0] += 1
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(families, "_corner_correction", counted_entrywise)
+    monkeypatch.setattr(OperatorFamily, "_product_corner", counted_product)
+    return count
+
+
+def test_essential_chains_compute_no_corner(monkeypatch):
+    count = _count_corner_builds(monkeypatch)
+    ens = EnsembleSpec(kind="shift_plus_rank", seed=3)
+    for cid in ("E6", "E19", "E21"):
+        spec = by_id(cid)
+        for trial in range(3):
+            inputs = spec.sample(rng_for(ens, trial, cid), ens)
+            evaluate_chain(spec, inputs, EvalContext(), trial)
+    assert count[0] == 0
+    f = shift_family(Constant(2.0), finite_rank=[[1.0, 3.0], [0.5, 0.0]])
+    g = f.hadamard(f)
+    assert count[0] == 0
+    first = g.corner
+    assert count[0] == 1
+    assert g.corner is first
+    assert count[0] == 1
+
+
+def _eager(f):
+    """The family rebuilt from its realized corner, as an eager build leaves it."""
+    return OperatorFamily(f.bands, finite_rank=f.corner)
+
+
+def _build(expr, leaves, wrap, nodes):
+    """Evaluate a nested (op, *args) expression over leaf indices.
+
+    Every intermediate result passes through ``wrap`` and is appended to
+    ``nodes`` after its operands, so ``nodes`` is in operands-first order.
+    """
+    if isinstance(expr, int):
+        return leaves[expr]
+    op, *args = expr
+    x = _build(args[0], leaves, wrap, nodes)
+    if op in ("hadamard", "matmul", "add"):
+        y = _build(args[1], leaves, wrap, nodes)
+        out = {"hadamard": x.hadamard, "matmul": x.__matmul__, "add": x.__add__}[op](y)
+    else:
+        out = {"hpow": x.hpow, "scale": x.scale}[op](args[1]) if len(args) > 1 else x.adjoint()
+    out = wrap(out)
+    nodes.append(out)
+    return out
+
+
+_EXPRESSIONS = (
+    ("hpow", ("hadamard", ("matmul", 0, 1), ("add", ("adjoint", 2), 0)), 1.5),
+    ("matmul", ("hpow", ("hadamard", ("matmul", 0, 1), ("add", ("adjoint", 2), 0)), 1.5),
+     ("adjoint", ("matmul", 1, 1))),
+    ("add", ("scale", ("matmul", ("adjoint", 0), ("hpow", 1, 0.5)), 2.5),
+     ("hadamard", ("matmul", 2, 0), ("adjoint", ("scale", 1, 0.25)))),
+    ("matmul", ("hadamard", ("hpow", ("adjoint", 0), 2.5), ("matmul", 1, ("adjoint", 2))),
+     ("add", ("scale", 2, 0.0), ("hadamard", 0, 1))),
+    # 3 o 4 has an all-zero corner: a lazily collapsed operand further in
+    ("hpow", ("matmul", ("hadamard", 3, 4), ("add", 0, ("adjoint", ("hadamard", 3, 4)))), 2.0),
+)
+
+
+def _lazy_operands():
+    ops = _reference_operands()
+    collapse_f = shift_family(Constant(1.0), finite_rank=[[1.0]])
+    collapse_g = shift_family(Constant(2.0))
+    rng = np.random.default_rng(11)
+    picks = rng.choice(len(ops), size=(6, 3))
+    return [[ops[i] for i in row] + [collapse_f, collapse_g] for row in picks]
+
+
+def test_lazy_corners_match_eager_in_either_read_order():
+    """Realized corners equal an eager build's whichever node is read first.
+
+    The eager reference rebuilds every intermediate from its realized
+    corner, so each operation sees realized operand shapes, as an eager
+    build does.  Outer-first reads the root before anything else, which
+    realizes the whole expression at once; operands-first reads every
+    intermediate right after its operands.  Realized corner shapes always
+    match; the shapes before the read are the box bounds, which can only be
+    larger.
+    """
+    for leaves in _lazy_operands():
+        for expr in _EXPRESSIONS:
+            ref_nodes, outer, inner = [], [], []
+            _build(expr, leaves, _eager, ref_nodes)
+            _build(expr, leaves, lambda f: f, outer)
+            _build(expr, leaves, lambda f: f, inner)
+            for got, ref in zip(outer, ref_nodes):
+                assert all(b >= r for b, r in zip(got.corner_shape, ref.corner_shape))
+            for f in reversed(outer):
+                f.corner
+            for f in inner:
+                f.corner
+            for nodes in (outer, inner):
+                for got, ref in zip(nodes, ref_nodes):
+                    assert got.corner_shape == ref.corner_shape
+                    if ref.corner is None:
+                        assert got.corner is None
+                    else:
+                        assert np.array_equal(got.corner, ref.corner)
+                assert nodes[-1].truncate(12).a.tobytes() == ref_nodes[-1].truncate(12).a.tobytes()
+
+
+def test_all_zero_corner_correction_reads_as_none():
+    f = shift_family(Constant(1.0), finite_rank=[[1.0]])
+    g = shift_family(Constant(2.0))
+    h = f.hadamard(g)  # the corner sits on the diagonal, where g is zero
+    assert h.corner_shape == (1, 1)
+    assert h.corner is None
+    assert h.corner_shape == (0, 0)
+    assert f.scale(0.0).corner is None
+
+
+def test_closure_overflow_raises_at_the_operation(monkeypatch):
+    """The cap is checked on the box, at the call; no corner is built first.
+
+    An entrywise box is the union of its operand boxes, which are capped
+    already, so the entrywise check is reached only under a lowered cap.
+    """
+    count = _count_corner_builds(monkeypatch)
+    tall = finite_rank_family(np.ones((families.MAX_CORNER, 1))).scale(2.0)
+    down = shift_family(Constant(1.0), offset=-1)
+    with pytest.raises(ClosureOverflowError, match="product corner exceeded the size cap"):
+        down @ tall
+    f = shift_family(Constant(1.0), finite_rank=np.ones((4, 4)))
+    small = f @ f
+    monkeypatch.setattr(families, "MAX_CORNER", 3)
+    with pytest.raises(ClosureOverflowError, match="corner correction exceeded the size cap"):
+        small.hpow(2.0)
+    with pytest.raises(ClosureOverflowError, match="corner correction exceeded the size cap"):
+        small.hadamard(f)
+    with pytest.raises(ClosureOverflowError, match="product corner exceeded the size cap"):
+        small @ f
+    assert count[0] == 0
+
+
+def test_deep_expression_realizes_without_recursion():
+    f = shift_family(Constant(0.5), finite_rank=[[1.0, 2.0]])
+    g = f
+    for _ in range(5000):
+        g = g.adjoint().scale(1.0)
+    assert np.array_equal(g.corner, f.corner)

@@ -5,6 +5,7 @@ from specrad import Constant, FiniteMatrix, OperatorSet, shift_family
 from specrad.errors import InputFormatError
 from specrad.serialize import (
     digest,
+    element_from_json,
     family_from_json,
     family_to_json,
     matrix_from_json,
@@ -33,6 +34,30 @@ def test_matrix_errors():
             matrix_from_json({"rows": bad, "cols": 2, "entries": [1, 2]})
         with pytest.raises(InputFormatError, match="JSON integer"):
             matrix_from_json({"rows": 1, "cols": bad, "entries": [1, 2]})
+
+
+@pytest.mark.parametrize("obj, kind", [
+    (3, "number"), (2.5, "number"), (True, "boolean"), ("x", "string"),
+    (None, "null"), ([1, 2], "array")])
+def test_non_objects_name_the_expected_object_and_json_type(obj, kind):
+    with pytest.raises(InputFormatError, match=f"^matrix object must be a JSON object, got {kind}$"):
+        matrix_from_json(obj)
+    with pytest.raises(InputFormatError, match=f"^family object must be a JSON object, got {kind}$"):
+        family_from_json(obj)
+    with pytest.raises(InputFormatError, match=(
+            f"^set element must be a matrix object or a family object, got {kind}$")):
+        element_from_json(obj)
+
+
+def test_malformed_matrix_fields_are_typed():
+    with pytest.raises(InputFormatError, match="missing 'entries'"):
+        matrix_from_json({"rows": 1, "cols": 1})
+    with pytest.raises(InputFormatError, match="entries must be a JSON array, got number"):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": 3})
+    with pytest.raises(InputFormatError, match="entries must be JSON numbers"):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [{}]})
+    with pytest.raises(InputFormatError, match="band must be a JSON object, got number"):
+        family_from_json({"bands": [3]})
 
 
 def test_family_roundtrip():
