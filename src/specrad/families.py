@@ -334,12 +334,19 @@ def _derived(bands, operands, shape, build, what="corner correction") -> Operato
     realized corners, so the corner equals the one an eager build gives,
     bit for bit, also when an operand's corner turned out all zero.
 
-    The one divergence from an eager build is in that last case: an
-    all-zero operand corner shows as ``None`` only once it is read, so
-    until then a later box can be larger than the eager one, and an
-    operation near ``MAX_CORNER`` can raise ``ClosureOverflowError`` where
-    the eager build would not.  An overflow the eager build raises is
-    always raised.
+    An eager build differs in two ways.  First, an all-zero operand
+    corner shows as ``None`` only once it is read, so until then a later
+    box can be larger than the eager one, and an operation near
+    ``MAX_CORNER`` can raise ``ClosureOverflowError`` where the eager build
+    would not.  An overflow the eager build raises is always raised.
+    Second, the errors of the corner arithmetic itself surface at the
+    first read of ``corner``, or never if nothing reads it: a corner entry
+    that overflows to inf (``_as_corner``'s ``DomainError``), ``math.pow``'s
+    ``OverflowError`` under ``hpow`` and the internal negative-correction
+    check.  Essential radii and noncompactness never read a corner, so on
+    such an input they now give a bracket where the eager build refused
+    the operation; the corner is compact, so that bracket is the one the
+    operation's bands determine.
     """
     box = shape()
     live = box[0] > 0 and box[1] > 0

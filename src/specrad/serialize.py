@@ -65,11 +65,12 @@ def matrix_from_json(obj: Any) -> FiniteMatrix:
     if len(entries) != rows * cols:
         raise InputFormatError(
             f"matrix declares {rows}x{cols} but carries {len(entries)} entries")
+    for v in entries:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InputFormatError(f"matrix entries must be JSON numbers, got {_json_type(v)}")
     data = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
     try:
         return FiniteMatrix(data)
-    except TypeError as exc:
-        raise InputFormatError("matrix entries must be JSON numbers") from exc
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

@@ -464,6 +464,20 @@ def test_closure_overflow_raises_at_the_operation(monkeypatch):
     assert count[0] == 0
 
 
+def test_corner_arithmetic_errors_surface_at_the_read():
+    """An entry that overflows is refused when the corner is read, not at the call."""
+    f = shift_family(Constant(1.0), finite_rank=[[1e200]])
+    with np.errstate(over="ignore"):
+        product = f @ f
+        assert product.corner_shape == (1, 2)
+        assert hausdorff_mnc(product).hi == 1.0
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            product.corner
+    power = f.hpow(2.0)
+    with pytest.raises(OverflowError):
+        power.corner
+
+
 def test_deep_expression_realizes_without_recursion():
     f = shift_family(Constant(0.5), finite_rank=[[1.0, 2.0]])
     g = f

@@ -54,8 +54,10 @@ def test_malformed_matrix_fields_are_typed():
         matrix_from_json({"rows": 1, "cols": 1})
     with pytest.raises(InputFormatError, match="entries must be a JSON array, got number"):
         matrix_from_json({"rows": 1, "cols": 1, "entries": 3})
-    with pytest.raises(InputFormatError, match="entries must be JSON numbers"):
-        matrix_from_json({"rows": 1, "cols": 1, "entries": [{}]})
+    for bad, kind in (({}, "object"), ([1.0], "array"), ("1", "string"), ("x", "string"),
+                      (True, "boolean"), (None, "null")):
+        with pytest.raises(InputFormatError, match=f"entries must be JSON numbers, got {kind}$"):
+            matrix_from_json({"rows": 1, "cols": 1, "entries": [bad]})
     with pytest.raises(InputFormatError, match="band must be a JSON object, got number"):
         family_from_json({"bands": [3]})
 

@@ -2,15 +2,18 @@
 """Record specrad's benchmark figures for one or more checkouts as BENCH_<n>.json.
 
     python3 tools/bench_record.py PARENT=BENCH_0.json CHANGE=BENCH_1.json \\
-        [--seeds 501-510] [--seconds 20]
+        [--seeds 501-510]
 
 Each ``CHECKOUT=FILE`` names the root of a checkout and the JSON file to
-write for it.  The perfbench runs alternate between the checkouts seed by
+write for it.  The command, the run length, the workloads and the
+end-to-end metrics with their directions are read from the checkouts'
+``BENCHMARK.json``, which must be the same in all of them.  The
+benchmark's runs alternate between the checkouts seed by
 seed, first one first on even seeds and last one first on odd seeds, so a
 slow spell of a shared machine falls on both sides.  Each file holds, for
 its checkout:
 
-- ``workloads``: per workload, every ``perfbench/run.py --trace 0`` run over
+- ``workloads``: per workload, every ``--trace 0`` run of the benchmark over
   the seeds, and the median and quartiles (``statistics.quantiles``, n=4)
   of each end-to-end metric; plus ``trace1_seed1``, the final JSON line of
   one ``--trace 1`` run on seed 1;
@@ -40,9 +43,6 @@ import tempfile
 import time
 from pathlib import Path
 
-WORKLOADS = ("finite_dense", "finite_sparse", "essential_mix", "set_radii")
-END_TO_END = {"evals_per_s": "higher", "eval_p50_ms": "lower", "eval_tail_ms": "lower",
-              "ok_frac": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 CRITERIA = {"criterion_1": "test_criterion_1_", "criterion_2": "test_criterion_2_",
             "criterion_8": "test_criterion_8_"}
 REPORTS = {
@@ -73,9 +73,10 @@ print(json.dumps(out))
 """
 
 
-def _run(root: Path, args: list[str]) -> subprocess.CompletedProcess:
+def _run(root: Path, args: list[str], command: list[str] | None = None):
+    """Run ``command + args`` in root; the command defaults to this interpreter."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    return subprocess.run([sys.executable, *args], cwd=root, env=env,
+    return subprocess.run([*(command or [sys.executable]), *args], cwd=root, env=env,
                           capture_output=True, text=True)
 
 
@@ -86,17 +87,31 @@ def _last_json(proc: subprocess.CompletedProcess, what: str) -> dict:
     return json.loads(lines[-1])
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    proc = _run(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                       "--seconds", str(seconds), "--trace", str(trace)])
+def load_benchmark(roots: list[Path]) -> dict:
+    """The BENCHMARK.json all checkouts declare; they must agree."""
+    docs = [json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8")) for root in roots]
+    if any(doc != docs[0] for doc in docs):
+        raise SystemExit("the checkouts declare different BENCHMARK.json files")
+    return docs[0]
+
+
+def perfbench(bench: dict, root: Path, workload: str, seed: int, trace: int) -> dict:
+    proc = _run(root, ["--workload", workload, "--seed", str(seed),
+                       "--seconds", str(bench["run_seconds"]), "--trace", str(trace)],
+                bench["command"])
     return _last_json(proc, f"{root}: {workload} seed {seed}")
 
 
-def summarize(runs: list[dict]) -> dict:
+def end_to_end(bench: dict) -> dict[str, str]:
+    """Each end-to-end metric's name and its better direction."""
+    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+
+def summarize(bench: dict, runs: list[dict]) -> dict:
     out: dict = {"runs": runs}
     for key in ("q1", "median", "q3"):
         out[key] = {}
-    for name in END_TO_END:
+    for name in end_to_end(bench):
         values = [r["metrics"][name] for r in runs]
         q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
         out["q1"][name], out["median"][name], out["q3"][name] = q1, med, q3
@@ -137,10 +152,10 @@ def commit_of(root: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def compare(first: dict, last: dict) -> None:
+def compare(bench: dict, first: dict, last: dict) -> None:
     for workload, doc in last["workloads"].items():
         base = first["workloads"][workload]
-        for name, better in END_TO_END.items():
+        for name, better in end_to_end(bench).items():
             pairs = list(zip((r["metrics"][name] for r in base["runs"]),
                              (r["metrics"][name] for r in doc["runs"])))
             wins = sum((b > a) if better == "higher" else (b < a) for a, b in pairs)
@@ -159,39 +174,41 @@ def main(argv=None) -> int:
     parser.add_argument("targets", nargs="+", metavar="CHECKOUT=FILE")
     parser.add_argument("--seeds", type=_seeds, default=_seeds("501-510"),
                         help="seed range of the --trace 0 pairs, e.g. 501-510")
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     targets = []
     for spec in args.targets:
         root, sep, out = spec.partition("=")
-        if not sep or not (Path(root) / "perfbench" / "run.py").is_file():
-            parser.error(f"{spec!r} is not CHECKOUT=FILE with perfbench/run.py in CHECKOUT")
+        if not sep or not (Path(root) / "BENCHMARK.json").is_file():
+            parser.error(f"{spec!r} is not CHECKOUT=FILE with BENCHMARK.json in CHECKOUT")
         targets.append((Path(root).resolve(), Path(out)))
+    bench = load_benchmark([root for root, _ in targets])
+    workloads = [w["name"] for w in bench["workloads"]]
 
-    docs = [{"commit": commit_of(root), "seconds": args.seconds, "seeds": args.seeds,
+    docs = [{"commit": commit_of(root), "seconds": bench["run_seconds"], "seeds": args.seeds,
              "workloads": {}} for root, _ in targets]
-    for workload in WORKLOADS:
+    for workload in workloads:
         runs: list[list[dict]] = [[] for _ in targets]
         for k, seed in enumerate(args.seeds):
             order = range(len(targets)) if k % 2 == 0 else reversed(range(len(targets)))
             for i in order:
-                result = perfbench(targets[i][0], workload, seed, args.seconds, 0)
+                result = perfbench(bench, targets[i][0], workload, seed, 0)
                 runs[i].append({"seed": seed, "correct": result["correct"],
-                                "metrics": {n: result["metrics"][n]["value"] for n in END_TO_END}})
-                print(f"{targets[i][1]} {workload} seed {seed}: "
-                      f"{runs[i][-1]['metrics']['evals_per_s']:.1f} evals/s", flush=True)
+                                "metrics": {n: result["metrics"][n]["value"]
+                                            for n in end_to_end(bench)}})
+                print(f"{targets[i][1]} {workload} seed {seed}: {runs[i][-1]['metrics']}",
+                      flush=True)
         for doc, r in zip(docs, runs):
-            doc["workloads"][workload] = summarize(r)
+            doc["workloads"][workload] = summarize(bench, r)
     for (root, out), doc in zip(targets, docs):
-        for workload in WORKLOADS:
-            doc["workloads"][workload]["trace1_seed1"] = perfbench(root, workload, 1, args.seconds, 1)
+        for workload in workloads:
+            doc["workloads"][workload]["trace1_seed1"] = perfbench(bench, root, workload, 1, 1)
         doc["reference"] = json.loads(_run(root, ["-c", REFERENCE]).stdout)
         doc["reports"] = reports(root)
         doc["tier1"] = tier1(root)
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {out}", flush=True)
     if len(docs) > 1:
-        compare(docs[0], docs[-1])
+        compare(bench, docs[0], docs[-1])
     return 0
 
 
