@@ -42,25 +42,11 @@ from .families import (
     shift_family,
 )
 from .jsr import (
-    ess_gen_radius_estimate,
-    ess_gen_radius_ub,
-    ess_joint_radius_ub,
     gen_radius_lb,
     gripenberg_bracket,
     joint_radius_ub,
 )
 from .matrices import FiniteMatrix, WeightVector
-from .ops import (
-    adjoint,
-    hadamard_power,
-    hadamard_product,
-    matrix_product,
-    matrix_sum,
-    scale,
-    tail_bound,
-    truncate,
-    weighted_geometric_mean,
-)
 from .registry import by_id, catalog_json, registry
 from .sequences import (
     Constant,
@@ -78,10 +64,10 @@ from .sets import (
     set_product,
     set_sum,
     symmetrization,
+    weighted_geometric_mean,
 )
 from .spectral import (
     Bracket,
-    entrywise_sup,
     essential_spectral_radius,
     gamma_via_star,
     hausdorff_mnc,

@@ -310,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", action="append", default=None, required=True,
                    help="chain id (repeatable, comma lists, or 'all')")
     p.add_argument("--input", default=None, help="JSON input bundle")
-    p.add_argument("--random", action="store_true",
-                   help="draw inputs from the ensemble (default when no --input)")
     p.add_argument("--quiet", action="store_true")
     _add_common_eval_flags(p)
     p.set_defaults(func=cmd_check)

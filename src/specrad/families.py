@@ -138,10 +138,6 @@ class OperatorFamily:
         return self._corner
 
     @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(self.bands.keys())
-
-    @property
     def spread(self) -> int:
         return max((abs(d) for d in self.bands), default=0)
 

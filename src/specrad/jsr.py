@@ -4,8 +4,6 @@ Lower bounds come from spectral radii of explored products (valid for the
 generalized radius at every depth), upper bounds from norm maxima over
 complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
-On the essential side the same scheme runs with the noncompactness
-measure in place of the norm.
 """
 
 from __future__ import annotations
@@ -19,12 +17,11 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .families import _pow0
 from .matrices import FiniteMatrix
-from .sets import OperatorSet, _as_set, set_product
+from .sets import _as_set
 from .spectral import (
     L2,
     _ROUND_GUARD,
     Bracket,
-    essential_spectral_radius,
     hausdorff_mnc,
     operator_norm,
     oracle_ess_radius,
@@ -50,14 +47,11 @@ def _word_product(mats, word):
     return acc
 
 
-def gen_radius_lb(s, m_max: int, tol: float = 1e-10,
-                  lengths=None) -> float:
+def gen_radius_lb(s, m_max: int, tol: float = 1e-10) -> float:
     """Certified lower bound for the generalized radius of a matrix set.
 
     Max of rho(P)^(1/m) over canonical length-m words, m <= m_max.  The
-    bound is non-decreasing in m_max.  ``lengths`` restricts the explored
-    word lengths explicitly, which makes identities such as
-    r(S^k) = r(S)^k exact on matched word sets.
+    bound is non-decreasing in m_max.
     """
     s = _as_set(s)
     if s.kind != "matrix":
@@ -66,7 +60,7 @@ def gen_radius_lb(s, m_max: int, tol: float = 1e-10,
         raise DomainError("m_max must be >= 1")
     mats = list(s.elements)
     best = 0.0
-    for m in (range(1, m_max + 1) if lengths is None else lengths):
+    for m in range(1, m_max + 1):
         for word in _iterprod(range(len(mats)), repeat=m):
             if not _canonical(word):
                 continue
@@ -98,13 +92,6 @@ def joint_radius_ub(s, m_max: int, space: str = L2, tol: float = 1e-10) -> float
                 break
             level = [p @ a for p in level for a in s.elements]
     return best
-
-
-def finite_set_bracket(s, m_max: int, space: str = L2, tol: float = 1e-10) -> Bracket:
-    """[generalized lower, joint upper]; encloses both finite set radii."""
-    lo = gen_radius_lb(s, m_max, tol)
-    hi = joint_radius_ub(s, m_max, space, tol)
-    return Bracket(min(lo, hi), hi, "set-gen-lb/joint-ub")
 
 
 @dataclass
@@ -213,62 +200,6 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         frontier = nxt
 
 
-# -- essential (noncompactness-based) set radii ------------------------------
-
-
-def _family_levels(s: OperatorSet, m_max: int):
-    level = s
-    for m in range(1, m_max + 1):
-        yield m, level
-        if m < m_max:
-            if len(level) * len(s) > _MAX_LEVEL:
-                raise BudgetExceededError("essential set-level enumeration exceeded its cap")
-            level = set_product(level, s)
-
-
-def ess_joint_radius_ub(s, m_max: int) -> float:
-    """Certified upper bound for the joint essential radius of a family set.
-
-    Min over m of the m-th root of the largest noncompactness measure over
-    length-m products; valid because the measure is submultiplicative.
-    """
-    s = _as_set(s)
-    if s.kind != "family":
-        raise DomainError("ess_joint_radius_ub expects a set of operator families")
-    best = math.inf
-    for m, level in _family_levels(s, m_max):
-        top = max(hausdorff_mnc(f).hi for f in level)
-        best = min(best, _pow0(top, 1.0 / m) * (1 + _ROUND_GUARD))
-    return best
-
-
-def ess_gen_radius_estimate(s, m_max: int) -> tuple[float, float]:
-    """(max-of-lo, max-of-hi) over explored levels for the generalized
-    essential radius.
-
-    The lower value is certified (the sup-form dominates every explored
-    level); the upper value is an observed estimate only, since the sup
-    over all product lengths is not finitely certifiable.
-    """
-    s = _as_set(s)
-    if s.kind != "family":
-        raise DomainError("ess_gen_radius_estimate expects a set of operator families")
-    lo = 0.0
-    hi = 0.0
-    for m, level in _family_levels(s, m_max):
-        for f in level:
-            b = essential_spectral_radius(f)
-            if b.lo > 0:
-                lo = max(lo, math.pow(b.lo, 1.0 / m))
-            if b.hi > 0:
-                hi = max(hi, math.pow(b.hi, 1.0 / m))
-    return lo, hi
-
-
-def ess_gen_radius_ub(s, m_max: int) -> float:
-    return ess_gen_radius_estimate(s, m_max)[1]
-
-
 def norm_level_max(s, depth: int, space: str = L2, tol: float = 1e-10) -> float:
     """Largest norm upper bound over all length-``depth`` products from S.
 
@@ -288,19 +219,19 @@ def norm_level_max(s, depth: int, space: str = L2, tol: float = 1e-10) -> float:
     return max(operator_norm(p, space, tol).hi for p in level)
 
 
-def gamma_level_max(s, depth: int = 1) -> float:
-    """Largest noncompactness upper bound over length-``depth`` products."""
+def gamma_level_max(s) -> float:
+    """Largest noncompactness upper bound over the elements of a family set.
+
+    Depth 1 is enough for both essential set radii: gamma is multiplicative
+    on banded families, so the largest gamma over length-m products is this
+    value to the m-th power.
+    """
     s = _as_set(s)
     if s.kind != "family":
         raise DomainError("gamma_level_max expects a set of operator families")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if len(s) ** depth > _MAX_LEVEL:
+    if len(s) > _MAX_LEVEL:
         raise BudgetExceededError("gamma level enumeration exceeded its cap")
-    level = s
-    for _ in range(depth - 1):
-        level = set_product(level, s)
-    return max(hausdorff_mnc(f).hi for f in level)
+    return gamma_set_bracket(s).hi
 
 
 def oracle_set_lb(s) -> float:

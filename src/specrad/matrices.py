@@ -150,10 +150,6 @@ class WeightVector:
     def __iter__(self):
         return iter(self.weights)
 
-    @property
-    def total(self) -> float:
-        return sum(self.weights)
-
     @classmethod
     def uniform(cls, m: int, regime: str = SUM_EQ_ONE) -> "WeightVector":
         return cls((1.0 / m,) * m, regime)

@@ -83,7 +83,6 @@ from .jsr import (
     oracle_set_lb,
 )
 from .matrices import FiniteMatrix, WeightVector
-from .ops import weighted_geometric_mean
 from .sets import (
     OperatorSet,
     set_adjoint,
@@ -94,11 +93,11 @@ from .sets import (
     set_product_many,
     set_sum_many,
     symmetrization,
+    weighted_geometric_mean,
 )
 from .spectral import (
     _ROUND_GUARD,
     Bracket,
-    entrywise_sup,
     essential_spectral_radius,
     hausdorff_mnc,
     operator_norm,
@@ -558,7 +557,7 @@ def _f10_sample(rng, ens):
 def _f10_build(inputs, ctx):
     a = inputs.matrices[0]
     t = inputs.params["t"]
-    s = entrywise_sup(a)
+    s = a.entry_sup()
     c = _pow0(s, t - 1.0)
     return [
         Part("entrywise", ENTRYWISE, [
@@ -736,7 +735,7 @@ def _e1_build(inputs, ctx):
     t = inputs.params["t"]
     a = inputs.families[0]
     mats = list(inputs.families[1:])
-    s = entrywise_sup(a)
+    s = a.entry_sup()
     c = _pow0(s, t - 1.0)
     powprod = _prod([x.hpow(t) for x in mats])
     prod = _prod(mats)

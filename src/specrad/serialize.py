@@ -8,6 +8,7 @@ Schemas:
   where W is a leaf weight sequence, e.g. {"kind": "constant", "c": 1.0}
 - set:      a JSON list of matrices or of families (homogeneous)
 
+A matrix, family or band object with a key outside its schema is refused.
 Only leaf weight sequences serialize; derived symbolic sequences are an
 in-process representation and have no wire format.
 """
@@ -40,9 +41,18 @@ def _json_type(obj: Any) -> str:
     return {str: "string", list: "array", dict: "object"}.get(type(obj), type(obj).__name__)
 
 
-def _require_object(obj: Any, what: str) -> None:
+def _require_object(obj: Any, what: str, keys: tuple[str, ...]) -> None:
+    """obj must be a JSON object whose keys are all among ``keys``.
+
+    A misspelt key is refused rather than ignored: a family read without
+    its "diagonal" would give a silently wrong bracket.
+    """
     if not isinstance(obj, dict):
         raise InputFormatError(f"{what} must be a JSON object, got {_json_type(obj)}")
+    for key in obj:
+        if key not in keys:
+            raise InputFormatError(
+                f"{what} has unexpected key {key!r}; expected keys: {', '.join(keys)}")
 
 
 def _json_int(obj: Any, key: str) -> int:
@@ -54,7 +64,7 @@ def _json_int(obj: Any, key: str) -> int:
 
 
 def matrix_from_json(obj: Any) -> FiniteMatrix:
-    _require_object(obj, "matrix object")
+    _require_object(obj, "matrix object", ("rows", "cols", "entries"))
     try:
         rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
         entries = obj["entries"]
@@ -88,11 +98,14 @@ def family_to_json(f: OperatorFamily) -> dict:
 
 
 def family_from_json(obj: Any) -> OperatorFamily:
-    _require_object(obj, "family object")
+    _require_object(obj, "family object", ("bands", "diagonal", "finite_rank"))
+    band_list = obj.get("bands", [])
+    if not isinstance(band_list, list):
+        raise InputFormatError(f"family bands must be a JSON array, got {_json_type(band_list)}")
     try:
         bands = {}
-        for band in obj.get("bands", []):
-            _require_object(band, "band")
+        for band in band_list:
+            _require_object(band, "band", ("offset", "weights"))
             d = _json_int(band, "offset")
             bands[d] = seq_from_json(band["weights"])
         diagonal = seq_from_json(obj["diagonal"]) if "diagonal" in obj else None

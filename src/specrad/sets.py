@@ -113,6 +113,21 @@ def set_hadamard_power(s, t: float) -> OperatorSet:
     return _as_set(s).map(lambda a: a.hpow(t))
 
 
+def weighted_geometric_mean(items, weights: WeightVector):
+    """Entrywise product of items[k]^(weights[k]); a weight of 1 skips the power.
+
+    Items are matrices or operator families alike.
+    """
+    items = list(items)
+    if len(items) != len(weights):
+        raise ShapeMismatchError(f"{len(items)} operands but {len(weights)} weights")
+    w = weights.weights
+    acc = items[0] if w[0] == 1.0 else items[0].hpow(w[0])
+    for x, a in zip(items[1:], w[1:]):
+        acc = acc.hadamard(x if a == 1.0 else x.hpow(a))
+    return acc
+
+
 def set_hadamard_mean(sets, w: WeightVector) -> OperatorSet:
     """Weighted Hadamard geometric mean of sets: all cross-element means.
 

@@ -171,11 +171,6 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
     raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
 
 
-def entrywise_sup(m) -> float:
-    """sup of matrix entries; for families computed from prefix + envelope."""
-    return m.entry_sup()
-
-
 # -- noncompactness and essential radius ------------------------------------
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
+
 import numpy as np
 
-from specrad import FiniteMatrix, OperatorFamily
+from specrad import FiniteMatrix, OperatorFamily, spectral_radius
 
 
 def perron_root_charpoly(a: np.ndarray) -> float:
@@ -39,6 +42,25 @@ def brute_geometric_mean(arrays, alphas) -> np.ndarray:
                 v *= base ** alpha if base > 0 else 0.0
             out[i, j] = v
     return out
+
+
+def word_radius_lb(s, lengths) -> float:
+    """Max of rho(P)^(1/n) over the length-n words P of a matrix set, n in lengths.
+
+    One word per rotation class, since rotating the factors keeps the
+    spectrum.  With lengths k, 2k, ..., mk this explores the same words as
+    a depth-m search over S^k, so r(S^k) = r(S)^k holds on matched words.
+    """
+    mats = list(s)
+    best = 0.0
+    for n in lengths:
+        for word in product(range(len(mats)), repeat=n):
+            if any(word[i:] + word[:i] < word for i in range(1, n)):
+                continue
+            lo = spectral_radius(reduce(lambda a, b: a @ b, (mats[i] for i in word))).lo
+            if lo > 0:
+                best = max(best, lo ** (1.0 / n))
+    return best
 
 
 def dense_product_check(f: OperatorFamily, g: OperatorFamily, n: int) -> bool:

@@ -61,6 +61,18 @@ def test_estimate_set_of_scalars_names_the_element_kind(tmp_path, capsys):
     assert "set element must be a matrix object or a family object, got number" in err
 
 
+def test_estimate_gamma_misspelt_key_exit_2(tmp_path, capsys):
+    """A misspelt key is refused, not read as a family with fewer bands."""
+    matrix = _write(tmp_path, "matrix.json", {"rows": 2, "cols": 2, "entrys": [1, 1, 0, 1]})
+    assert main(["estimate", "gamma", "--input", matrix]) == 2
+    assert "family object has unexpected key 'rows'" in capsys.readouterr().err
+    family = _write(tmp_path, "family.json", {
+        "bands": [{"offset": 1, "weights": {"kind": "constant", "c": 1.0}}],
+        "diagnal": {"kind": "constant", "c": 3.0}})
+    assert main(["estimate", "gamma", "--input", family]) == 2
+    assert "family object has unexpected key 'diagnal'" in capsys.readouterr().err
+
+
 def test_estimate_rho_scalar_names_the_matrix_object(tmp_path, capsys):
     path = _write(tmp_path, "scalar.json", 3)
     assert main(["estimate", "rho", "--input", path]) == 2
@@ -139,6 +151,9 @@ def test_check_malformed_input_exit_2(tmp_path, capsys):
         bad = _write(tmp_path, name, {"family_sets": [[family]]})
         assert main(["check", "--id", "E1", "--input", bad]) == 2
         assert "malformed family object" in capsys.readouterr().err
+    bad = _write(tmp_path, "scalar_bands.json", {"family_sets": [[{"bands": 3}]]})
+    assert main(["check", "--id", "E1", "--input", bad]) == 2
+    assert "family bands must be a JSON array, got number" in capsys.readouterr().err
     weights = {"kind": "constant", "c": 0.5}
     for name, bundle in (
             ("float_offset.json",
@@ -157,8 +172,7 @@ def test_check_malformed_input_exit_2(tmp_path, capsys):
 def test_check_random_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    args = ["check", "--id", "F2", "--random", "--seed", "1", "--trials", "3",
-            "--quiet"]
+    args = ["check", "--id", "F2", "--seed", "1", "--trials", "3", "--quiet"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()

@@ -182,17 +182,15 @@ def test_negative_corner_rejected():
         finite_rank_family([[-1.0]])
 
 
-def test_module_level_ops():
-    from specrad import adjoint, hadamard_product, matrix_product, tail_bound, truncate
-
+def test_family_algebra_methods():
     f = shift_family(Constant(2.0))
     g = diagonal_family(Constant(3.0))
-    assert np.allclose(truncate(hadamard_product(f + g, f + g), 5).a,
+    assert np.allclose((f + g).hadamard(f + g).truncate(5).a,
                        (f + g).truncate(5).a ** 2)
-    assert np.allclose(truncate(matrix_product(f, g), 4).a,
+    assert np.allclose((f @ g).truncate(4).a,
                        f.truncate(5).a[:4, :4] @ g.truncate(4).a)
-    assert tail_bound(g, 7) == pytest.approx(3.0)
-    assert np.allclose(truncate(adjoint(f), 4).a, f.truncate(4).a.T)
+    assert g.tail_norm_bound(7) == pytest.approx(3.0)
+    assert np.allclose(f.adjoint().truncate(4).a, f.truncate(4).a.T)
 
 
 def test_nested_algebra_matches_dense():

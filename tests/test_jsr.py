@@ -3,23 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_family, word_radius_lb
 from specrad import (
+    Bracket,
     Constant,
     FiniteMatrix,
     OperatorSet,
     RationalFormula,
     diagonal_family,
-    ess_gen_radius_estimate,
-    ess_joint_radius_ub,
     finite_rank_family,
     gen_radius_lb,
     gripenberg_bracket,
     joint_radius_ub,
+    set_power,
     shift_family,
     spectral_radius,
 )
 from specrad.errors import DomainError
-from specrad.jsr import finite_set_bracket, gamma_set_bracket, norm_level_max
+from specrad.jsr import gamma_level_max, gamma_set_bracket, norm_level_max
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -61,14 +62,13 @@ def test_sandwich_and_monotone_refinement():
 
 def test_power_and_cyclic_identities():
     rng = np.random.default_rng(22)
-    from specrad import set_power, set_product
+    from specrad import set_product
     for _ in range(8):
         s = OperatorSet([FiniteMatrix(rng.random((2, 2))) for _ in range(2)])
         for k in (2, 3):
             for m in (1, 2):
                 left = gen_radius_lb(set_power(s, k), m)
-                right = gen_radius_lb(s, k * m,
-                                      lengths=[k * j for j in range(1, m + 1)]) ** k
+                right = word_radius_lb(s, [k * j for j in range(1, m + 1)]) ** k
                 assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
         p = OperatorSet([FiniteMatrix(rng.random((2, 2))) for _ in range(2)])
         a = gen_radius_lb(set_product(s, p), 2)
@@ -104,7 +104,7 @@ def test_gripenberg_contains_lb_and_ub():
         ub = joint_radius_ub(s, 3)
         assert lb <= g.hi + 1e-9
         assert g.lo <= ub + 1e-9
-        assert g.overlaps(finite_set_bracket(s, 3), slack=1e-9)
+        assert g.overlaps(Bracket(min(lb, ub), ub, "set-gen-lb/joint-ub"), slack=1e-9)
 
 
 def test_gripenberg_budget_flag():
@@ -116,18 +116,25 @@ def test_gripenberg_budget_flag():
 
 
 def test_ess_set_radii():
-    c = OperatorSet([shift_family(Constant(0.8))])
-    assert ess_joint_radius_ub(c, 3) == pytest.approx(0.8, rel=1e-9)
-    lo, hi = ess_gen_radius_estimate(c, 2)
-    assert lo == pytest.approx(0.8, rel=1e-9)
-    assert hi == pytest.approx(0.8, rel=1e-9)
+    """Depth 1 is enough: the largest gamma over length-m products is (max gamma)^m."""
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        s = OperatorSet([random_family(rng, multiband=True)
+                         for _ in range(int(rng.integers(1, 4)))])
+        g = gamma_level_max(s)
+        assert g == gamma_set_bracket(s).hi
+        for m in (1, 2, 3):
+            root = gamma_level_max(set_power(s, m)) ** (1.0 / m)
+            assert abs(root - g) <= 4 * m * 2.0 ** -52 * g
+    assert gamma_level_max(OperatorSet([shift_family(Constant(0.8))])) == \
+        pytest.approx(0.8, rel=1e-9)
     compact = OperatorSet([finite_rank_family([[1.0, 2.0], [0.5, 1.0]])])
-    assert ess_joint_radius_ub(compact, 2) == 0.0
+    assert gamma_level_max(compact) == 0.0
     pair = OperatorSet([
         diagonal_family(RationalFormula([-0.4, 1.0], [0.0, 1.0])),  # -> 1
         diagonal_family(RationalFormula([0.4, 2.0], [0.0, 1.0])),   # -> 2
     ])
-    assert ess_joint_radius_ub(pair, 2) == pytest.approx(2.0, rel=1e-9)
+    assert gamma_level_max(pair) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_gamma_set_and_level_helpers():

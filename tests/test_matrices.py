@@ -7,7 +7,7 @@ from helpers import brute_geometric_mean
 from specrad import FiniteMatrix, WeightVector
 from specrad.errors import DomainError, ShapeMismatchError
 from specrad.matrices import SUM_EQ_ONE, SUM_GE_ONE
-from specrad.ops import weighted_geometric_mean
+from specrad.sets import weighted_geometric_mean
 
 
 def M(data):

@@ -71,6 +71,28 @@ def test_family_roundtrip():
     rational = family_from_json({
         "diagonal": {"kind": "rational", "p": [1.0, 1.0], "q": [0.0, 1.0]}})
     assert rational.entry(2, 2) == pytest.approx(1.5)
+    full = family_to_json(family_from_json({
+        "bands": [{"offset": -1, "weights": {"kind": "constant", "c": 0.5}}],
+        "diagonal": {"kind": "eventually_constant", "prefix": [2.0], "tail": 1.0},
+        "finite_rank": {"rows": 1, "cols": 2, "entries": [1.0, 3.0]}}))
+    assert set(full) == {"bands", "diagonal", "finite_rank"}
+    assert family_to_json(family_from_json(full)) == full
+
+
+def test_unknown_keys_are_refused():
+    weights = {"kind": "constant", "c": 1.0}
+    with pytest.raises(InputFormatError, match="^matrix object has unexpected key 'entrys'"):
+        matrix_from_json({"rows": 2, "cols": 2, "entrys": [1, 1, 0, 1]})
+    with pytest.raises(InputFormatError, match="^matrix object has unexpected key 'extra'"):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [1.0], "extra": 0})
+    with pytest.raises(InputFormatError, match="^family object has unexpected key 'rows'"):
+        family_from_json({"rows": 2, "cols": 2, "entrys": [1, 1, 0, 1]})
+    with pytest.raises(InputFormatError, match="^family object has unexpected key 'diagnal'"):
+        family_from_json({"bands": [{"offset": 0, "weights": weights}], "diagnal": weights})
+    with pytest.raises(InputFormatError, match="^band has unexpected key 'offest'"):
+        family_from_json({"bands": [{"offset": 1, "weights": weights, "offest": 2}]})
+    with pytest.raises(InputFormatError, match="^matrix object has unexpected key 'entrys'"):
+        family_from_json({"finite_rank": {"rows": 1, "cols": 1, "entrys": [1.0]}})
 
 
 def test_family_errors():
@@ -80,11 +102,15 @@ def test_family_errors():
         family_from_json({"diagonal": {"kind": "nope"}})
     with pytest.raises(InputFormatError):
         family_from_json([1, 2, 3])
+    for bad, kind in ((3, "number"), ({}, "object"), ("x", "string"), (None, "null")):
+        with pytest.raises(InputFormatError,
+                           match=f"^family bands must be a JSON array, got {kind}$"):
+            family_from_json({"bands": bad})
     weights = {"kind": "constant", "c": 0.5}
     for bad in (1.5, True, "2", None):
         with pytest.raises(InputFormatError, match="JSON integer"):
             family_from_json({"bands": [{"offset": bad, "weights": weights}]})
-    assert family_from_json({"bands": [{"offset": -2, "weights": weights}]}).offsets == (-2,)
+    assert tuple(family_from_json({"bands": [{"offset": -2, "weights": weights}]}).bands) == (-2,)
 
 
 def test_set_roundtrip_and_digest():

@@ -180,7 +180,7 @@ def _assert_bitwise_equal(got, want):
         if isinstance(y, FiniteMatrix):
             assert x.a.tobytes() == y.a.tobytes()
             continue
-        assert x.offsets == y.offsets
+        assert tuple(x.bands) == tuple(y.bands)
         assert (x.corner is None) == (y.corner is None)
         if y.corner is not None:
             assert np.array_equal(x.corner, y.corner)

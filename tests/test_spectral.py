@@ -11,7 +11,6 @@ from specrad import (
     FiniteMatrix,
     RationalFormula,
     diagonal_family,
-    entrywise_sup,
     essential_spectral_radius,
     finite_rank_family,
     gamma_via_star,
@@ -91,11 +90,11 @@ def test_operator_norms():
         operator_norm(FiniteMatrix([[1]]), "l3")
 
 
-def test_entrywise_sup():
-    assert entrywise_sup(FiniteMatrix([[1, 2], [3, 4]])) == 4.0
-    assert entrywise_sup(shift_family(Constant(0.7))) == pytest.approx(0.7)
+def test_entry_sup():
+    assert FiniteMatrix([[1, 2], [3, 4]]).entry_sup() == 4.0
+    assert shift_family(Constant(0.7)).entry_sup() == pytest.approx(0.7)
     d = diagonal_family(RationalFormula([1.0, 1.0], [0.0, 1.0]))
-    assert entrywise_sup(d) == pytest.approx(2.0)
+    assert d.entry_sup() == pytest.approx(2.0)
 
 
 def test_hausdorff_examples():

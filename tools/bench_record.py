@@ -13,6 +13,8 @@ seed, first one first on even seeds and last one first on odd seeds, so a
 slow spell of a shared machine falls on both sides.  Each file holds, for
 its checkout:
 
+- ``host``: the ``env`` record the benchmark prints (Python, numpy, scipy
+  and BLAS versions, CPU model, thread variables);
 - ``workloads``: per workload, every ``--trace 0`` run of the benchmark over
   the seeds, and the median and quartiles (``statistics.quantiles``, n=4)
   of each end-to-end metric; plus ``trace1_seed1``, the final JSON line of
@@ -26,7 +28,10 @@ its checkout:
 
 With two or more checkouts it prints, per workload and metric, how many
 seed pairs the last checkout won against the first and the ratio of the
-medians.  The benchmark files under ``perfbench/`` are used as they are.
+medians.  It also prints ``identical`` or ``DIFFERS`` for the stdout and
+``--out`` sha256 of each fixed report and for the counts and digest of
+each reference slice, the last checkout against the first.  The benchmark
+files under ``perfbench/`` are used as they are.
 """
 
 from __future__ import annotations
@@ -95,11 +100,16 @@ def load_benchmark(roots: list[Path]) -> dict:
     return docs[0]
 
 
-def perfbench(bench: dict, root: Path, workload: str, seed: int, trace: int) -> dict:
+def perfbench(bench: dict, root: Path, workload: str, seed: int,
+              trace: int) -> tuple[dict, dict | None]:
+    """The final JSON line of one benchmark run, and the run's ``env`` record."""
     proc = _run(root, ["--workload", workload, "--seed", str(seed),
                        "--seconds", str(bench["run_seconds"]), "--trace", str(trace)],
                 bench["command"])
-    return _last_json(proc, f"{root}: {workload} seed {seed}")
+    result = _last_json(proc, f"{root}: {workload} seed {seed}")
+    env = next((line[len("env "):] for line in proc.stdout.splitlines()
+                if line.startswith("env ")), None)
+    return result, json.loads(env) if env else None
 
 
 def end_to_end(bench: dict) -> dict[str, str]:
@@ -162,6 +172,18 @@ def compare(bench: dict, first: dict, last: dict) -> None:
             ratio = doc["median"][name] / base["median"][name] if base["median"][name] else None
             ratio_text = "n/a" if ratio is None else f"{ratio:.3f}"
             print(f"{workload} {name}: wins {wins}/{len(pairs)} median ratio {ratio_text}")
+    for name, doc in last["reports"].items():
+        for key in ("stdout_sha256", "out_sha256"):
+            print(f"report {name} {key}: {_same(doc[key], first['reports'][name][key])}")
+    for workload, seeds in last["reference"].items():
+        for seed, doc in seeds.items():
+            for key in ("counts", "digest"):
+                base = first["reference"][workload][seed][key]
+                print(f"reference {workload} seed {seed} {key}: {_same(doc[key], base)}")
+
+
+def _same(a, b) -> str:
+    return "identical" if a == b else "DIFFERS"
 
 
 def _seeds(text: str) -> list[int]:
@@ -191,7 +213,7 @@ def main(argv=None) -> int:
         for k, seed in enumerate(args.seeds):
             order = range(len(targets)) if k % 2 == 0 else reversed(range(len(targets)))
             for i in order:
-                result = perfbench(bench, targets[i][0], workload, seed, 0)
+                result, _ = perfbench(bench, targets[i][0], workload, seed, 0)
                 runs[i].append({"seed": seed, "correct": result["correct"],
                                 "metrics": {n: result["metrics"][n]["value"]
                                             for n in end_to_end(bench)}})
@@ -201,7 +223,8 @@ def main(argv=None) -> int:
             doc["workloads"][workload] = summarize(bench, r)
     for (root, out), doc in zip(targets, docs):
         for workload in workloads:
-            doc["workloads"][workload]["trace1_seed1"] = perfbench(bench, root, workload, 1, 1)
+            doc["workloads"][workload]["trace1_seed1"], doc["host"] = perfbench(
+                bench, root, workload, 1, 1)
         doc["reference"] = json.loads(_run(root, ["-c", REFERENCE]).stdout)
         doc["reports"] = reports(root)
         doc["tier1"] = tier1(root)
