@@ -27,12 +27,13 @@ import os
 import sys
 
 from . import __version__
-from .chains import ChainInputs, EvalContext, evaluate_chain, run_ensemble
+from .chains import ChainInputs, ChainSpec, EvalContext, evaluate_chain, run_ensemble
 from .ensembles import KINDS, EnsembleSpec
 from .errors import InputFormatError, SpecradError
 from .jsr import gripenberg_bracket
 from .registry import by_id, catalog_json, registry
 from .serialize import (
+    _require_object,
     family_from_json,
     matrix_from_json,
     set_from_json,
@@ -100,12 +101,18 @@ def _load_json_file(path: str):
         raise InputFormatError(f"{path} is not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
 
 
-def _inputs_from_file(path: str) -> ChainInputs:
+def _inputs_from_file(path: str, spec: ChainSpec) -> ChainInputs:
+    """The operands and params of one ``check --input`` bundle for ``spec``.
+
+    A top-level key other than the operand lists and ``params``, or a
+    param the chain does not declare, is refused: a misspelt key would
+    otherwise be dropped and the chain judged without it.
+    """
     obj = _load_json_file(path)
-    if not isinstance(obj, dict):
-        raise InputFormatError("input file must hold a JSON object")
-    if not isinstance(obj.get("params", {}), dict):
-        raise InputFormatError("params must be a JSON object")
+    _require_object(obj, "input file",
+                    ("matrices", "families", "matrix_sets", "family_sets", "params"))
+    declared = tuple(spec.arity.get("params", ()))
+    _require_object(obj.get("params", {}), "params", declared)
     try:
         return ChainInputs(
             matrices=tuple(matrix_from_json(m) for m in obj.get("matrices", [])),
@@ -188,7 +195,7 @@ def cmd_check(args) -> int:
     if args.input:
         if len(specs) != 1:
             raise InputFormatError("--input evaluates exactly one chain id")
-        inputs = _inputs_from_file(args.input)
+        inputs = _inputs_from_file(args.input, specs[0])
         config["input"] = args.input
         reports.append(evaluate_chain(specs[0], inputs, ctx))
     else:

@@ -246,19 +246,16 @@ def oracle_set_lb(s) -> float:
 
 
 def gamma_set_bracket(s) -> Bracket:
-    """sup of the noncompactness measure over the elements of a family set."""
+    """sup of the noncompactness measure over the elements of a family set.
+
+    Each element's measure is an exact point bracket, so the sup is one
+    point too.
+    """
     s = _as_set(s)
     if s.kind != "family":
         raise DomainError("gamma_set_bracket expects a set of operator families")
-    lo = 0.0
-    hi = 0.0
-    conv = True
-    for f in s:
-        b = hausdorff_mnc(f)
-        lo = max(lo, b.lo)
-        hi = max(hi, b.hi)
-        conv = conv and b.converged
-    return Bracket(min(lo, hi), hi, "gamma-sup", conv)
+    g = max(0.0, *(hausdorff_mnc(f).hi for f in s))
+    return Bracket(g, g, "gamma-sup")
 
 
 def norm_set_bracket(s, space: str = L2, tol: float = 1e-10) -> Bracket:

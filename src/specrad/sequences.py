@@ -424,31 +424,3 @@ def seq_sum(parts) -> WeightSeq:
     if len(flat) == 1:
         return flat[0]
     return SumSeq(flat)
-
-
-def seq_to_json(w: WeightSeq) -> dict:
-    """Serialize a leaf sequence.  Derived combinators have no wire format."""
-    if isinstance(w, Constant):
-        return {"kind": "constant", "c": w.c}
-    if isinstance(w, EventuallyConstant):
-        return {"kind": "eventually_constant", "prefix": list(w.prefix), "tail": w.tail}
-    if isinstance(w, RationalFormula):
-        return {"kind": "rational", "p": list(w.p), "q": list(w.q)}
-    if isinstance(w, PrefixWithLimit):
-        return {"kind": "prefix_with_limit", "prefix": list(w.prefix), "limit": w.limit}
-    raise DomainError(f"sequence of type {type(w).__name__} has no JSON form")
-
-
-def seq_from_json(obj: dict) -> WeightSeq:
-    if not isinstance(obj, dict):
-        raise TypeError(f"weight sequence must be a JSON object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind == "constant":
-        return Constant(obj["c"])
-    if kind == "eventually_constant":
-        return EventuallyConstant(obj["prefix"], obj["tail"])
-    if kind == "rational":
-        return RationalFormula(obj["p"], obj["q"])
-    if kind == "prefix_with_limit":
-        return PrefixWithLimit(obj["prefix"], obj["limit"])
-    raise DomainError(f"unknown weight-sequence kind: {kind!r}")

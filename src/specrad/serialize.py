@@ -5,10 +5,14 @@ Schemas:
 - matrix:   {"rows": r, "cols": c, "entries": [row-major floats]}
 - family:   {"bands": [{"offset": d, "weights": W}, ...],
              "diagonal": W?, "finite_rank": matrix?}
-  where W is a leaf weight sequence, e.g. {"kind": "constant", "c": 1.0}
+  where W is a leaf weight sequence: {"kind": "constant", "c": x},
+  {"kind": "eventually_constant", "prefix": [...], "tail": x},
+  {"kind": "rational", "p": [...], "q": [...]} or
+  {"kind": "prefix_with_limit", "prefix": [...], "limit": x}
 - set:      a JSON list of matrices or of families (homogeneous)
 
-A matrix, family or band object with a key outside its schema is refused.
+A matrix, family, band or weight-sequence object with a key outside its
+schema is refused, and so is a weight sequence missing one of its keys.
 Only leaf weight sequences serialize; derived symbolic sequences are an
 in-process representation and have no wire format.
 """
@@ -19,10 +23,16 @@ import hashlib
 import json
 from typing import Any
 
-from .errors import InputFormatError
+from .errors import DomainError, InputFormatError
 from .families import OperatorFamily
 from .matrices import FiniteMatrix
-from .sequences import seq_from_json, seq_to_json
+from .sequences import (
+    Constant,
+    EventuallyConstant,
+    PrefixWithLimit,
+    RationalFormula,
+    WeightSeq,
+)
 from .sets import OperatorSet
 
 
@@ -52,7 +62,7 @@ def _require_object(obj: Any, what: str, keys: tuple[str, ...]) -> None:
     for key in obj:
         if key not in keys:
             raise InputFormatError(
-                f"{what} has unexpected key {key!r}; expected keys: {', '.join(keys)}")
+                f"{what} has unexpected key {key!r}; expected keys: {', '.join(keys) or 'none'}")
 
 
 def _json_int(obj: Any, key: str) -> int:
@@ -83,6 +93,43 @@ def matrix_from_json(obj: Any) -> FiniteMatrix:
         return FiniteMatrix(data)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
+
+
+# Each leaf weight-sequence kind: its class and its fields in constructor order.
+_SEQ_KINDS = {
+    "constant": (Constant, ("c",)),
+    "eventually_constant": (EventuallyConstant, ("prefix", "tail")),
+    "rational": (RationalFormula, ("p", "q")),
+    "prefix_with_limit": (PrefixWithLimit, ("prefix", "limit")),
+}
+
+
+def seq_to_json(w: WeightSeq) -> dict:
+    """Serialize a leaf sequence.  Derived combinators have no wire format."""
+    if isinstance(w, Constant):
+        return {"kind": "constant", "c": w.c}
+    if isinstance(w, EventuallyConstant):
+        return {"kind": "eventually_constant", "prefix": list(w.prefix), "tail": w.tail}
+    if isinstance(w, RationalFormula):
+        return {"kind": "rational", "p": list(w.p), "q": list(w.q)}
+    if isinstance(w, PrefixWithLimit):
+        return {"kind": "prefix_with_limit", "prefix": list(w.prefix), "limit": w.limit}
+    raise DomainError(f"sequence of type {type(w).__name__} has no JSON form")
+
+
+def seq_from_json(obj: Any) -> WeightSeq:
+    """A leaf weight sequence; a key its kind does not declare, or a missing one, is refused."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"weight sequence must be a JSON object, got {_json_type(obj)}")
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _SEQ_KINDS:
+        raise DomainError(f"unknown weight-sequence kind: {kind!r}")
+    cls, fields = _SEQ_KINDS[kind]
+    _require_object(obj, f"{kind} weight sequence", ("kind", *fields))
+    for key in fields:
+        if key not in obj:
+            raise InputFormatError(f"{kind} weight sequence needs key {key!r}")
+    return cls(*(obj[key] for key in fields))
 
 
 def family_to_json(f: OperatorFamily) -> dict:

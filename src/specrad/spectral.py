@@ -4,7 +4,10 @@ Every estimator returns a ``Bracket`` whose lower and upper endpoints are
 both certified, with a ``method`` tag and a ``converged`` flag.  The
 finite spectral radius combines Gelfand upper bounds with Collatz-Wielandt
 lower bounds on repeated squarings, applied per strongly connected
-component so reducible matrices also get tight lower bounds.  On the
+component so reducible matrices also get tight lower bounds.  The
+components come from the reachability closure of the sparsity pattern:
+R = (A != 0) | I squared until it stops growing, after which i and j
+share a component exactly when R[i, j] and R[j, i].  On the
 infinite side, the Hausdorff measure of noncompactness of a banded family
 is the sum of its band weight limits: every weight sequence converges, so
 row-tail norm bounds decrease to that sum, and sliding window vectors
@@ -19,8 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, ShapeMismatchError
 from .families import OperatorFamily, _pow0
@@ -85,8 +86,34 @@ class Bracket:
 
 
 def _strong_components(a: np.ndarray) -> list[np.ndarray]:
-    n, labels = connected_components(csr_matrix(a != 0), directed=True, connection="strong")
-    return [np.flatnonzero(labels == c) for c in range(n)]
+    """Strongly connected components of the digraph i -> j where a[i, j] != 0.
+
+    R = (a != 0) | I holds 0/1 floats; each squaring, clipped back to 1,
+    doubles the path length R covers, so it stops growing after at most
+    ceil(log2 n) + 1 products and is then the reachability closure.
+    Products use BLAS: at n = 100 a boolean ``@`` is several times slower.
+    Each component is its sorted indices; components come in order of
+    their smallest index.  When R is all ones (an entrywise positive
+    matrix, or a primitive one after a few squarings) the whole index
+    range is one component.
+    """
+    n = a.shape[0]
+    r = (a != 0).astype(float)
+    np.fill_diagonal(r, 1.0)
+    count = r.sum()
+    while count < n * n:
+        r = r @ r
+        np.minimum(r, 1.0, out=r)
+        grown = r.sum()
+        if grown == count:
+            # Row i of R * R.T marks i's component; its first one is the
+            # component's smallest index, which labels it.
+            labels = (r * r.T).argmax(axis=1)
+            order = np.argsort(labels, kind="stable")
+            cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), n]
+            return [order[i:j] for i, j in zip(cuts, cuts[1:])]
+        count = grown
+    return [np.arange(n)]
 
 
 def _irreducible_bracket(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
@@ -96,7 +123,7 @@ def _irreducible_bracket(a: np.ndarray, tol: float) -> tuple[float, float, bool]
     vector, so their min and max raised to 2^-k enclose the Perron root,
     and the 2^k-th root collapses the enclosure geometrically.
     """
-    top = float(a.max())
+    top = a.max().item()
     if top <= 0.0:
         return 0.0, 0.0, True
     b = a / top
@@ -105,9 +132,9 @@ def _irreducible_bracket(a: np.ndarray, tol: float) -> tuple[float, float, bool]
     hi_best = math.inf
     power = 1.0  # 2**k
     for _ in range(_MAX_SQUARINGS):
-        rs = b.sum(axis=1)
-        mn = float(rs.min())
-        mx = float(rs.max())
+        rs = b.sum(axis=1).tolist()
+        mn = min(rs)
+        mx = max(rs)
         if mx <= 0.0:
             return 0.0, 0.0, True
         if mn > 0.0:
@@ -116,7 +143,7 @@ def _irreducible_bracket(a: np.ndarray, tol: float) -> tuple[float, float, bool]
         if hi_best - lo_best <= tol * max(1.0, hi_best):
             break
         b = b @ b
-        top = float(b.max())
+        top = b.max().item()
         if top <= 0.0 or not math.isfinite(top):
             break
         b /= top

@@ -128,9 +128,15 @@ _DIAG_SET = [{"diagonal": {"kind": "constant", "c": 0.5}}]
     ("F9", {"matrices": [_M2] * 3, "params": {"m": 2, "alphas": [0.5, 0.5], "t": 2.0}},
      "exactly 2 matrices, got 3"),
     ("F1", {"matrices": [_M2, _M2], "params": [1]}, "params must be a JSON object"),
+    ("F2", {"matrices": [_M2, _M2], "familes": []}, "input file has unexpected key 'familes'"),
+    ("F2", {"matrices": [_M2, _M2], "params": {"t": 2.0}},
+     "params has unexpected key 't'; expected keys: none"),
+    ("F10", {"matrices": [_M2], "params": {"t": 2.0, "tt": 5}},
+     "params has unexpected key 'tt'; expected keys: t"),
 ])
 def test_check_malformed_params_exit_2(tmp_path, capsys, cid, bundle, message):
-    """Malformed params and wrong operand counts are input errors, not crashes."""
+    """Malformed or undeclared params, undeclared bundle keys and wrong operand
+    counts are input errors, not crashes."""
     path = _write(tmp_path, "bad.json", bundle)
     assert main(["check", "--id", cid, "--input", path]) == 2
     assert message in capsys.readouterr().err
@@ -167,6 +173,16 @@ def test_check_malformed_input_exit_2(tmp_path, capsys):
         cid = "E1" if "family_sets" in bundle else "F1"
         assert main(["check", "--id", cid, "--input", _write(tmp_path, name, bundle)]) == 2
         assert "must be a JSON integer" in capsys.readouterr().err
+    for name, seq, message in (
+            ("extra_seq_key.json", {"kind": "constant", "c": 1.0, "cc": 3},
+             "constant weight sequence has unexpected key 'cc'"),
+            ("misspelt_seq_key.json", {"kind": "eventually_constant", "prefix": [1], "tial": 3},
+             "eventually_constant weight sequence has unexpected key 'tial'"),
+            ("missing_seq_key.json", {"kind": "eventually_constant", "prefix": [1]},
+             "eventually_constant weight sequence needs key 'tail'")):
+        bad = _write(tmp_path, name, {"family_sets": [[{"diagonal": seq}]]})
+        assert main(["check", "--id", "E1", "--input", bad]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_check_random_deterministic(tmp_path):

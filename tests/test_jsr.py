@@ -14,6 +14,7 @@ from specrad import (
     finite_rank_family,
     gen_radius_lb,
     gripenberg_bracket,
+    hausdorff_mnc,
     joint_radius_ub,
     set_power,
     shift_family,
@@ -122,7 +123,9 @@ def test_ess_set_radii():
         s = OperatorSet([random_family(rng, multiband=True)
                          for _ in range(int(rng.integers(1, 4)))])
         g = gamma_level_max(s)
-        assert g == gamma_set_bracket(s).hi
+        b = gamma_set_bracket(s)
+        assert b.lo == b.hi == g and b.converged
+        assert g == max(hausdorff_mnc(f).hi for f in s)
         for m in (1, 2, 3):
             root = gamma_level_max(set_power(s, m)) ** (1.0 / m)
             assert abs(root - g) <= 4 * m * 2.0 ** -52 * g
@@ -130,6 +133,9 @@ def test_ess_set_radii():
         pytest.approx(0.8, rel=1e-9)
     compact = OperatorSet([finite_rank_family([[1.0, 2.0], [0.5, 1.0]])])
     assert gamma_level_max(compact) == 0.0
+    b = gamma_set_bracket(compact)
+    assert (b.lo, b.hi) == (0.0, 0.0)
+    assert math.copysign(1.0, b.lo) == math.copysign(1.0, b.hi) == 1.0  # +0.0
     pair = OperatorSet([
         diagonal_family(RationalFormula([-0.4, 1.0], [0.0, 1.0])),  # -> 1
         diagonal_family(RationalFormula([0.4, 2.0], [0.0, 1.0])),   # -> 2

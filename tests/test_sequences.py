@@ -8,14 +8,13 @@ from specrad.sequences import (
     EventuallyConstant,
     PrefixWithLimit,
     RationalFormula,
-    seq_from_json,
     seq_power,
     seq_product,
     seq_restrict,
     seq_shift,
     seq_sum,
-    seq_to_json,
 )
+from specrad.serialize import seq_from_json, seq_to_json
 
 
 def brute_sup(seq, n, horizon=3000):

@@ -93,6 +93,13 @@ def test_unknown_keys_are_refused():
         family_from_json({"bands": [{"offset": 1, "weights": weights, "offest": 2}]})
     with pytest.raises(InputFormatError, match="^matrix object has unexpected key 'entrys'"):
         family_from_json({"finite_rank": {"rows": 1, "cols": 1, "entrys": [1.0]}})
+    with pytest.raises(InputFormatError, match="^constant weight sequence has unexpected key "
+                                               "'cc'; expected keys: kind, c$"):
+        family_from_json({"diagonal": {"kind": "constant", "c": 1.0, "cc": 3}})
+    with pytest.raises(InputFormatError,
+                       match="^eventually_constant weight sequence has unexpected key 'tial'"):
+        family_from_json({"bands": [{"offset": 1, "weights": {
+            "kind": "eventually_constant", "prefix": [1], "tial": 3}}]})
 
 
 def test_family_errors():
@@ -100,6 +107,15 @@ def test_family_errors():
         family_from_json({"bands": [{"offset": 1}]})
     with pytest.raises(InputFormatError):
         family_from_json({"diagonal": {"kind": "nope"}})
+    with pytest.raises(InputFormatError, match="unknown weight-sequence kind"):
+        family_from_json({"diagonal": {"kind": ["constant"], "c": 1.0}})
+    for seq, key in (({"kind": "constant"}, "c"),
+                     ({"kind": "eventually_constant", "prefix": [1]}, "tail"),
+                     ({"kind": "rational", "p": [1.0]}, "q"),
+                     ({"kind": "prefix_with_limit", "limit": 1.0}, "prefix")):
+        with pytest.raises(InputFormatError,
+                           match=f"^{seq['kind']} weight sequence needs key '{key}'$"):
+            family_from_json({"diagonal": seq})
     with pytest.raises(InputFormatError):
         family_from_json([1, 2, 3])
     for bad, kind in ((3, "number"), ({}, "object"), ("x", "string"), (None, "null")):

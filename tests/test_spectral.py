@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +25,12 @@ from specrad import (
     spectral_radius,
 )
 from specrad.errors import DomainError, ShapeMismatchError
-from specrad.spectral import _ROUND_GUARD
+from specrad.spectral import (
+    _MAX_SQUARINGS,
+    _ROUND_GUARD,
+    DEFAULT_RHO_TOL,
+    _strong_components,
+)
 
 GOLDEN_SQUARED = (3 + math.sqrt(5)) / 2  # Perron root of [[2,1],[1,1]]
 
@@ -78,6 +86,131 @@ def test_spectral_radius_imprimitive_cycle():
     b = spectral_radius(a)
     assert b.contains((0.3 * 1.7 * 0.9) ** (1 / 3), slack=1e-10)
     assert b.width <= 1e-9
+
+
+# -- reference: the component split through scipy's strong components -----
+
+
+def _scipy_components(a):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, labels = connected_components(csr_matrix(a != 0), directed=True, connection="strong")
+    return [np.flatnonzero(labels == c) for c in range(n)]
+
+
+def _reference_irreducible_bracket(a, tol):
+    top = float(a.max())
+    if top <= 0.0:
+        return 0.0, 0.0, True
+    b = a / top
+    logscale = math.log(top)
+    lo_best = 0.0
+    hi_best = math.inf
+    power = 1.0
+    for _ in range(_MAX_SQUARINGS):
+        rs = b.sum(axis=1)
+        mn = float(rs.min())
+        mx = float(rs.max())
+        if mx <= 0.0:
+            return 0.0, 0.0, True
+        if mn > 0.0:
+            lo_best = max(lo_best, math.exp((math.log(mn) + logscale) / power))
+        hi_best = min(hi_best, math.exp((math.log(mx) + logscale) / power))
+        if hi_best - lo_best <= tol * max(1.0, hi_best):
+            break
+        b = b @ b
+        top = float(b.max())
+        if top <= 0.0 or not math.isfinite(top):
+            break
+        b /= top
+        logscale = 2.0 * logscale + math.log(top)
+        power *= 2.0
+    lo = lo_best * (1.0 - _ROUND_GUARD)
+    hi = hi_best * (1.0 + _ROUND_GUARD)
+    return lo, hi, hi - lo <= tol * max(1.0, hi)
+
+
+def _reference_spectral_radius(a, tol=DEFAULT_RHO_TOL):
+    """spectral_radius as it was with scipy's component split."""
+    lo = hi = 0.0
+    conv = True
+    for comp in _scipy_components(a):
+        if comp.size == 1:
+            i = int(comp[0])
+            v = float(a[i, i])
+            lo, hi = max(lo, v), max(hi, v)
+            continue
+        clo, chi, ok = _reference_irreducible_bracket(a[np.ix_(comp, comp)], tol)
+        lo, hi = max(lo, clo), max(hi, chi)
+        conv = conv and ok
+    return Bracket(lo, hi, "gelfand-cw", conv)
+
+
+def _component_matrices(count, seed):
+    """Zero and identity matrices, then ``count`` seeded nonnegative matrices.
+
+    Sizes 1-14, densities 0.05-1 and scales 1e-200 to 1e200; in turn plain,
+    with a zero diagonal, permuted block-triangular, and permuted
+    imprimitive: every other time a weighted path or n-cycle, whose
+    closure takes the most squarings, else block-cyclic with period 2 or 3.
+    """
+    for n in (1, 2, 5, 14):
+        yield np.zeros((n, n))
+        yield np.eye(n)
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 15))
+        a = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+        shape = k % 4
+        if shape == 1:
+            np.fill_diagonal(a, 0.0)
+        elif shape == 2:
+            block = np.sort(rng.integers(0, 4, n))
+            a[block[:, None] > block[None, :]] = 0.0
+        elif shape == 3 and k % 8 == 3:
+            a = np.diag(rng.random(n - 1) + 0.1, 1)
+            if k % 16 == 3:
+                a[-1, 0] = rng.random() + 0.1
+        elif shape == 3:
+            period = int(rng.integers(2, 4))
+            block = rng.integers(0, period, n)
+            a = (rng.random((n, n)) + 0.1) * (block[None, :] == (block[:, None] + 1) % period)
+        if shape >= 2:
+            p = rng.permutation(n)
+            a = a[np.ix_(p, p)]
+        yield a * 10.0 ** rng.uniform(-200.0, 200.0)
+
+
+def test_strong_components_match_scipy():
+    """Same partition as scipy's strong components; sorted, by smallest index."""
+    for a in _component_matrices(2400, seed=81):
+        comps = _strong_components(a)
+        assert {frozenset(c.tolist()) for c in comps} == \
+            {frozenset(c.tolist()) for c in _scipy_components(a)}
+        assert sum(c.size for c in comps) == a.shape[0]
+        assert all(np.array_equal(c, np.sort(c)) for c in comps)
+        assert [int(c[0]) for c in comps] == sorted(int(c[0]) for c in comps)
+
+
+def test_spectral_radius_matches_scipy_split_reference():
+    """Bit for bit the brackets of the scipy component split."""
+    for a in _component_matrices(2400, seed=82):
+        got = spectral_radius(FiniteMatrix(a))
+        want = _reference_spectral_radius(a)
+        assert (got.lo.hex(), got.hi.hex(), got.converged, got.method) == \
+            (want.lo.hex(), want.hi.hex(), want.converged, want.method)
+
+
+def test_import_and_registry_load_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral_radius.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, specrad; specrad.registry(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_operator_norms():
