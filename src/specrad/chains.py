@@ -19,18 +19,19 @@ certifiably disjoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, rng_for
-from .errors import BudgetExceededError, ClosureOverflowError, HypothesisViolation
+from .errors import BudgetExceededError, ClosureOverflowError, DomainError, HypothesisViolation
 from .families import OperatorFamily
 from .matrices import FiniteMatrix
 from .serialize import digest, element_to_json, matrix_to_json, set_to_json
 from .sets import OperatorSet
-from .spectral import L2
+from .spectral import DEFAULT_RHO_TOL, L2
 
 PASS = "pass"
 FAIL = "fail"
@@ -43,21 +44,35 @@ ENTRYWISE = "entrywise"
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Budgets and tolerances for chain evaluation; echoed into reports."""
+    """Judging tolerances and the finite set-product depth; echoed into reports.
+
+    The tolerances are finite and >= 0: a negative one fails true chains and
+    a nan or inf one cannot be written to a report.  ``set_m_max`` is an
+    integer >= 1.  Brackets are computed at ``spectral.DEFAULT_RHO_TOL`` in
+    l2, which reports record as "rho_tol" and "space".
+    """
 
     finite_tol: float = 1e-9
     ess_tol: float = 1e-6
-    rho_tol: float = 1e-10
     set_m_max: int = 1
-    space: str = L2
+
+    def __post_init__(self):
+        for name in ("finite_tol", "ess_tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                    or not (math.isfinite(v) and v >= 0):
+                raise DomainError(f"{name} must be a finite number >= 0, got {v!r}")
+        v = self.set_m_max
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise DomainError(f"set_m_max must be an integer >= 1, got {v!r}")
 
     def tol_for(self, level: str) -> float:
         return self.finite_tol if level == "finite" else self.ess_tol
 
     def to_json(self) -> dict:
         return {"finite_tol": self.finite_tol, "ess_tol": self.ess_tol,
-                "rho_tol": self.rho_tol, "set_m_max": self.set_m_max,
-                "space": self.space}
+                "rho_tol": DEFAULT_RHO_TOL, "set_m_max": self.set_m_max,
+                "space": L2}
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ Exit codes: 0 all pass, 1 any fail, 3 any inconclusive, 2 input error.
 Reports embed the toolkit version and the full run configuration; identical
 configurations produce byte-identical reports.
 
-Environment override for the default finite set-product depth (echoed
-into every report): ``SPECRAD_SET_M_MAX``.  Essential brackets have no
-depth or power budget: the noncompactness measure is multiplicative on
-banded families, so longer products and higher powers cannot tighten them.
+``check`` and ``sweep`` take three evaluation settings, echoed into every
+report: ``--finite-tol`` and ``--ess-tol`` (finite, >= 0) and
+``--set-m-max`` (integer >= 1), the finite set-product depth.  A value out
+of range is an input error.  Essential brackets have no depth or power
+budget: the noncompactness measure is multiplicative on banded families,
+so longer products and higher powers cannot tighten them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__
@@ -48,25 +49,9 @@ from .spectral import (
 )
 
 
-def _env_overrides() -> dict:
-    raw = os.environ.get("SPECRAD_SET_M_MAX")
-    if raw is None:
-        return {}
-    try:
-        return {"set_m_max": int(raw)}
-    except ValueError:
-        raise InputFormatError(f"SPECRAD_SET_M_MAX must be an integer, got {raw!r}") from None
-
-
 def _context(args) -> tuple[EvalContext, dict]:
-    kwargs = _env_overrides()
-    if getattr(args, "set_m_max", None) is not None:
-        kwargs["set_m_max"] = args.set_m_max
-    if getattr(args, "finite_tol", None) is not None:
-        kwargs["finite_tol"] = args.finite_tol
-    if getattr(args, "ess_tol", None) is not None:
-        kwargs["ess_tol"] = args.ess_tol
-    ctx = EvalContext(**kwargs)
+    ctx = EvalContext(finite_tol=args.finite_tol, ess_tol=args.ess_tol,
+                      set_m_max=args.set_m_max)
     return ctx, ctx.to_json()
 
 
@@ -297,10 +282,12 @@ def _add_common_eval_flags(p):
     p.add_argument("--size", type=int, default=4, help="matrix size")
     p.add_argument("--density", type=float, default=0.3,
                    help="sparse ensemble density")
-    p.add_argument("--set-m-max", type=int, default=None,
-                   help="product depth for finite set radii")
-    p.add_argument("--finite-tol", type=float, default=None)
-    p.add_argument("--ess-tol", type=float, default=None)
+    p.add_argument("--set-m-max", type=int, default=EvalContext.set_m_max,
+                   help="product depth for finite set radii (integer >= 1)")
+    p.add_argument("--finite-tol", type=float, default=EvalContext.finite_tol,
+                   help="relative judging slack of finite chains (finite, >= 0)")
+    p.add_argument("--ess-tol", type=float, default=EvalContext.ess_tol,
+                   help="relative judging slack of essential chains (finite, >= 0)")
     p.add_argument("--out", default=None, help="report file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

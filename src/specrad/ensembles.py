@@ -27,17 +27,24 @@ MATRIX_KINDS = (DENSE_UNIFORM, SPARSE_BERNOULLI)
 FAMILY_KINDS = (SHIFT_FAMILY, DIAGONAL_FAMILY, SHIFT_PLUS_RANK)
 KINDS = MATRIX_KINDS + FAMILY_KINDS
 
+# Weight laws w(i) = c + a/i draw c and a uniformly from these ranges.
+C_RANGE = (0.5, 2.0)
+A_RANGE = (-0.4, 1.0)
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Description of a random input population; identical spec, identical draws."""
+    """Description of a random input population; identical spec, identical draws.
+
+    ``size`` is the matrix side, ``density`` the nonzero probability of
+    ``sparse_bernoulli`` entries.  The weight-law ranges are the module
+    constants ``C_RANGE`` and ``A_RANGE``; ``to_json`` records them too.
+    """
 
     kind: str = DENSE_UNIFORM
     size: int = 4
     density: float = 0.3
     seed: int = 0
-    c_range: tuple[float, float] = (0.5, 2.0)
-    a_range: tuple[float, float] = (-0.4, 1.0)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -49,8 +56,8 @@ class EnsembleSpec:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "size": self.size, "density": self.density,
-                "seed": self.seed, "c_range": list(self.c_range),
-                "a_range": list(self.a_range)}
+                "seed": self.seed, "c_range": list(C_RANGE),
+                "a_range": list(A_RANGE)}
 
 
 def rng_for(ens: EnsembleSpec, trial: int, label: str) -> np.random.Generator:
@@ -58,9 +65,8 @@ def rng_for(ens: EnsembleSpec, trial: int, label: str) -> np.random.Generator:
     return np.random.default_rng([ens.seed, trial, zlib.crc32(label.encode("utf-8"))])
 
 
-def sample_matrix(rng: np.random.Generator, ens: EnsembleSpec,
-                  size: int | None = None) -> FiniteMatrix:
-    n = size if size is not None else ens.size
+def sample_matrix(rng: np.random.Generator, ens: EnsembleSpec) -> FiniteMatrix:
+    n = ens.size
     a = rng.random((n, n))
     if ens.kind == SPARSE_BERNOULLI:
         a = a * (rng.random((n, n)) < ens.density)
@@ -73,8 +79,8 @@ def _uniform(rng, lo: float, hi: float) -> float:
 
 def sample_weight_seq(rng: np.random.Generator, ens: EnsembleSpec) -> WeightSeq:
     """Weight law w(i) = c + a/i by default, other leaf kinds mixed in."""
-    c = _uniform(rng, *ens.c_range)
-    a = _uniform(rng, *ens.a_range)
+    c = _uniform(rng, *C_RANGE)
+    a = _uniform(rng, *A_RANGE)
     pick = rng.random()
     if pick < 0.7:
         return RationalFormula([a, c], [0.0, 1.0])  # (c i + a)/i = c + a/i

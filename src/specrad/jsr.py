@@ -47,7 +47,7 @@ def _word_product(mats, word):
     return acc
 
 
-def gen_radius_lb(s, m_max: int, tol: float = 1e-10) -> float:
+def gen_radius_lb(s, m_max: int) -> float:
     """Certified lower bound for the generalized radius of a matrix set.
 
     Max of rho(P)^(1/m) over canonical length-m words, m <= m_max.  The
@@ -64,33 +64,30 @@ def gen_radius_lb(s, m_max: int, tol: float = 1e-10) -> float:
         for word in _iterprod(range(len(mats)), repeat=m):
             if not _canonical(word):
                 continue
-            lo = spectral_radius(_word_product(mats, word), tol).lo
+            lo = spectral_radius(_word_product(mats, word)).lo
             if lo > 0:
                 best = max(best, math.pow(lo, 1.0 / m))
     return best
 
 
-def joint_radius_ub(s, m_max: int, space: str = L2, tol: float = 1e-10) -> float:
+def joint_radius_ub(s, m_max: int) -> float:
     """Certified upper bound for the joint radius of a matrix set.
 
-    Min over m <= m_max of the m-th root of the largest norm over all
-    length-m products; valid by submultiplicativity.  Non-increasing in
-    m_max.
+    Min over m <= m_max of ``norm_level_max(S, m)^(1/m)``; valid by
+    submultiplicativity.  Non-increasing in m_max.  Stops at the last depth
+    whose level fits under the enumeration cap instead of raising; depth 1
+    is always evaluated.
     """
     s = _as_set(s)
     if s.kind != "matrix":
         raise DomainError("joint_radius_ub expects a set of finite matrices")
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
-    level = list(s.elements)
     best = math.inf
     for m in range(1, m_max + 1):
-        top = max(operator_norm(p, space, tol).hi for p in level)
-        best = min(best, _pow0(top, 1.0 / m))
-        if m < m_max:
-            if len(level) * len(s) > _MAX_LEVEL:
-                break
-            level = [p @ a for p in level for a in s.elements]
+        if m > 1 and len(s) ** m > _MAX_LEVEL:
+            break
+        best = min(best, _pow0(norm_level_max(s, m), 1.0 / m))
     return best
 
 
@@ -103,7 +100,7 @@ class _Node:
 
 
 def gripenberg_bracket(s, delta: float, budget: int = 50_000,
-                       space: str = L2, tol: float = 1e-10) -> Bracket:
+                       space: str = L2) -> Bracket:
     """Branch-and-bound enclosure of the joint spectral radius.
 
     Grows the product tree level by level.  A word is pruned once its
@@ -132,7 +129,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     exhaustive = True  # no nonzero branch pruned yet: levels are complete
 
     def rho_of(node: _Node) -> float:
-        b = spectral_radius(FiniteMatrix(node.mat), tol)
+        b = spectral_radius(FiniteMatrix(node.mat))
         if b.lo <= 0:
             return 0.0
         return math.exp((math.log(b.lo) + node.logscale) / len(node.word))
@@ -141,7 +138,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         m = len(nodes[0].word)
         best = -math.inf
         for n in nodes:
-            hi = operator_norm(FiniteMatrix(n.mat), space, tol).hi
+            hi = operator_norm(FiniteMatrix(n.mat), space).hi
             if hi > 0:
                 best = max(best, math.log(hi) + n.logscale)
         return math.exp(best / m) if best > -math.inf else 0.0
@@ -200,23 +197,24 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         frontier = nxt
 
 
-def norm_level_max(s, depth: int, space: str = L2, tol: float = 1e-10) -> float:
-    """Largest norm upper bound over all length-``depth`` products from S.
+def norm_level_max(s, depth: int) -> float:
+    """Largest l2 norm upper bound over all length-``depth`` products from S.
 
     The depth-th root is a certified upper bound for both finite set radii;
-    chains compare such values at matched underlying depths.
+    chains compare such values at matched underlying depths.  The cap
+    bounds the products built, so depth 1, which builds none, never hits it.
     """
     s = _as_set(s)
     if s.kind != "matrix":
         raise DomainError("norm_level_max expects a set of finite matrices")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if len(s) ** depth > _MAX_LEVEL:
+    if depth > 1 and len(s) ** depth > _MAX_LEVEL:
         raise BudgetExceededError("norm level enumeration exceeded its cap")
     level = list(s.elements)
     for _ in range(depth - 1):
         level = [p @ a for p in level for a in s.elements]
-    return max(operator_norm(p, space, tol).hi for p in level)
+    return max(operator_norm(p).hi for p in level)
 
 
 def gamma_level_max(s) -> float:
@@ -258,15 +256,15 @@ def gamma_set_bracket(s) -> Bracket:
     return Bracket(g, g, "gamma-sup")
 
 
-def norm_set_bracket(s, space: str = L2, tol: float = 1e-10) -> Bracket:
-    """sup of the operator norm over the elements of a matrix set."""
+def norm_set_bracket(s) -> Bracket:
+    """sup of the l2 operator norm over the elements of a matrix set."""
     s = _as_set(s)
     if s.kind != "matrix":
         raise DomainError("norm_set_bracket expects a set of finite matrices")
     lo = 0.0
     hi = 0.0
     for m in s:
-        b = operator_norm(m, space, tol)
+        b = operator_norm(m)
         lo = max(lo, b.lo)
         hi = max(hi, b.hi)
     return Bracket(min(lo, hi), hi, "norm-sup")

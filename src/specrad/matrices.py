@@ -110,23 +110,20 @@ class FiniteMatrix:
         return cls(np.ones((rows, cols if cols is not None else rows)))
 
 
-SUM_EQ_ONE = "sum_eq_one"
-SUM_GE_ONE = "sum_ge_one"
-
-_EQ_TOL = 1e-12
+_SUM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive exponents for weighted geometric means, with their regime.
+    """Positive exponents for weighted geometric means.
 
-    ``sum_eq_one`` demands the weights sum to 1 (within 1e-12); the mean is
-    then dominated entrywise by the matching arithmetic mean.  ``sum_ge_one``
-    is the relaxed regime used on sequence spaces.
+    Every weight is positive and finite and the weights sum to at least 1
+    (within 1e-12).  A sum of exactly 1 gives the classical mean, dominated
+    entrywise by the matching arithmetic mean; a larger sum is the relaxed
+    form that the sequence-space inequalities allow.
     """
 
     weights: tuple[float, ...]
-    regime: str = SUM_EQ_ONE
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -135,14 +132,8 @@ class WeightVector:
         if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
             raise DomainError("weights must be positive and finite")
         total = sum(self.weights)
-        if self.regime == SUM_EQ_ONE:
-            if abs(total - 1.0) > _EQ_TOL:
-                raise DomainError(f"sum_eq_one regime needs weights summing to 1, got {total}")
-        elif self.regime == SUM_GE_ONE:
-            if total < 1.0 - _EQ_TOL:
-                raise DomainError(f"sum_ge_one regime needs weight sum >= 1, got {total}")
-        else:
-            raise DomainError(f"unknown weight regime: {self.regime!r}")
+        if total < 1.0 - _SUM_SLACK:
+            raise DomainError(f"weights must sum to at least 1, got {total}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -151,11 +142,9 @@ class WeightVector:
         return iter(self.weights)
 
     @classmethod
-    def uniform(cls, m: int, regime: str = SUM_EQ_ONE) -> "WeightVector":
-        return cls((1.0 / m,) * m, regime)
+    def uniform(cls, m: int) -> "WeightVector":
+        return cls((1.0 / m,) * m)
 
     @classmethod
     def of(cls, *weights: float) -> "WeightVector":
-        total = sum(weights)
-        regime = SUM_EQ_ONE if abs(total - 1.0) <= _EQ_TOL else SUM_GE_ONE
-        return cls(tuple(weights), regime)
+        return cls(weights)

@@ -109,19 +109,7 @@ from .spectral import (
 # term builders
 
 
-def _rho(m, ctx):
-    return spectral_radius(m, ctx.rho_tol)
-
-
-def _nrm(m, ctx):
-    return operator_norm(m, ctx.space, ctx.rho_tol)
-
-
-def _lcm(values) -> int:
-    return reduce(math.lcm, values, 1)
-
-
-def _fin_term(ctx, factors, u: int | None = None) -> Bracket:
+def _fin_term(factors, u: int) -> Bracket:
     """Product of finite set radii, all bounded at one underlying depth.
 
     ``factors`` is a list of (set, power, sigma) where sigma counts how
@@ -130,15 +118,12 @@ def _fin_term(ctx, factors, u: int | None = None) -> Bracket:
     comparable: entrywise domination of matched products transfers to the
     norm maxima, so theorem-ordered terms stay ordered.
     """
-    sigmas = [s for (_, _, s) in factors]
-    if u is None:
-        u = max(1, ctx.set_m_max) * _lcm(sigmas)
     hi = 1.0
     lo = 1.0
     for S, p, sigma in factors:
         d = max(1, u // sigma)
-        hi *= _pow0(norm_level_max(S, d, ctx.space, ctx.rho_tol), p / d)
-        lo *= _pow0(gen_radius_lb(S, d, ctx.rho_tol), p)
+        hi *= _pow0(norm_level_max(S, d), p / d)
+        lo *= _pow0(gen_radius_lb(S, d), p)
     hi *= 1 + _ROUND_GUARD
     return Bracket(min(lo, hi), hi, "set-depth-ub/gen-lb")
 
@@ -160,10 +145,6 @@ def _ess_term(factors) -> Bracket:
         lo *= _pow0(oracle_set_lb(S), p)
     hi *= 1 + _ROUND_GUARD
     return Bracket(min(lo, hi), hi, "ess-set-gamma-ub/oracle-lb")
-
-
-def _normset(S, ctx):
-    return norm_set_bracket(S, ctx.space, ctx.rho_tol)
 
 
 def _bprod(brackets, powers) -> Bracket:
@@ -413,22 +394,22 @@ def _zhan(middle_terms):
 
     def build(inputs, ctx):
         a, b = inputs.matrices
-        terms = [("rho(A o B)", _rho(a.hadamard(b), ctx))]
-        terms += middle_terms(a, b, ctx)
-        terms.append(("rho(AB)", _rho(a @ b, ctx)))
+        terms = [("rho(A o B)", spectral_radius(a.hadamard(b)))]
+        terms += middle_terms(a, b)
+        terms.append(("rho(AB)", spectral_radius(a @ b)))
         return [Part("chain", CHAIN, terms)]
 
     return build
 
 
-def _f2_mid(a, b, ctx):
+def _f2_mid(a, b):
     return [("rho((AoA)(BoB))^1/2",
-             _rho(a.hadamard(a) @ b.hadamard(b), ctx).power(0.5))]
+             spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5))]
 
 
-def _f3_mid(a, b, ctx):
+def _f3_mid(a, b):
     return [("rho(AB o BA)^1/2",
-             _rho((a @ b).hadamard(b @ a), ctx).power(0.5))]
+             spectral_radius((a @ b).hadamard(b @ a)).power(0.5))]
 
 
 def _f4_sample(rng, ens):
@@ -439,15 +420,15 @@ def _f4_sample(rng, ens):
 def _f4_build(inputs, ctx):
     mats = inputs.matrices
     return [Part("chain", CHAIN, [
-        ("rho(A1 o ... o Am)", _rho(_mean(mats, [1.0] * len(mats)), ctx)),
-        ("rho(A1 ... Am)", _rho(_prod(mats), ctx)),
+        ("rho(A1 o ... o Am)", spectral_radius(_mean(mats, [1.0] * len(mats)))),
+        ("rho(A1 ... Am)", spectral_radius(_prod(mats))),
     ])]
 
 
-def _f5_mid(a, b, ctx):
+def _f5_mid(a, b):
     return [
-        ("rho((AoA)(BoB))^1/2", _rho(a.hadamard(a) @ b.hadamard(b), ctx).power(0.5)),
-        ("rho(AB o AB)^1/2", _rho((a @ b).hadamard(a @ b), ctx).power(0.5)),
+        ("rho((AoA)(BoB))^1/2", spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5)),
+        ("rho(AB o AB)^1/2", spectral_radius((a @ b).hadamard(a @ b)).power(0.5)),
     ]
 
 
@@ -461,21 +442,21 @@ def _f6_build(inputs, ctx):
     beta = inputs.params["beta"]
     ab, ba = a @ b, b @ a
     return [Part("chain", CHAIN, [
-        ("rho(A o B)", _rho(a.hadamard(b), ctx)),
-        ("rho((AoA)(BoB))^1/2", _rho(a.hadamard(a) @ b.hadamard(b), ctx).power(0.5)),
+        ("rho(A o B)", spectral_radius(a.hadamard(b))),
+        ("rho((AoA)(BoB))^1/2", spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5)),
         ("rho(ABoAB)^b/2 rho(BAoBA)^(1-b)/2",
-         _bprod([_rho(ab.hadamard(ab), ctx), _rho(ba.hadamard(ba), ctx)],
+         _bprod([spectral_radius(ab.hadamard(ab)), spectral_radius(ba.hadamard(ba))],
                 [beta / 2, (1 - beta) / 2])),
-        ("rho(AB)", _rho(ab, ctx)),
+        ("rho(AB)", spectral_radius(ab)),
     ])]
 
 
-def _f7_mid(a, b, ctx):
+def _f7_mid(a, b):
     ab, ba = a @ b, b @ a
     return [
-        ("rho(AB o BA)^1/2", _rho(ab.hadamard(ba), ctx).power(0.5)),
+        ("rho(AB o BA)^1/2", spectral_radius(ab.hadamard(ba)).power(0.5)),
         ("rho(ABoAB)^1/4 rho(BAoBA)^1/4",
-         _bprod([_rho(ab.hadamard(ab), ctx), _rho(ba.hadamard(ba), ctx)],
+         _bprod([spectral_radius(ab.hadamard(ab)), spectral_radius(ba.hadamard(ba))],
                 [0.25, 0.25])),
     ]
 
@@ -498,14 +479,14 @@ def _f8_build(inputs, ctx):
     return [
         Part("entrywise", ENTRYWISE, [("row-mean product", a), ("mean of column products", mid)]),
         Part("norms", CHAIN, [
-            ("|A|", _nrm(a, ctx)),
-            ("|mean of col products|", _nrm(mid, ctx)),
-            ("prod |col product|^a_j", _bprod([_nrm(c, ctx) for c in cols], alphas)),
+            ("|A|", operator_norm(a)),
+            ("|mean of col products|", operator_norm(mid)),
+            ("prod |col product|^a_j", _bprod([operator_norm(c) for c in cols], alphas)),
         ]),
         Part("radii", CHAIN, [
-            ("rho(A)", _rho(a, ctx)),
-            ("rho(mean of col products)", _rho(mid, ctx)),
-            ("prod rho(col product)^a_j", _bprod([_rho(c, ctx) for c in cols], alphas)),
+            ("rho(A)", spectral_radius(a)),
+            ("rho(mean of col products)", spectral_radius(mid)),
+            ("prod rho(col product)^a_j", _bprod([spectral_radius(c) for c in cols], alphas)),
         ]),
     ]
 
@@ -527,24 +508,24 @@ def _f9_build(inputs, ctx):
     prod = _prod(mats)
     return [
         Part("mean-norm", CHAIN, [
-            ("|mean|", _nrm(mean, ctx)),
-            ("prod |A_j|^a_j", _bprod([_nrm(x, ctx) for x in mats], alphas)),
+            ("|mean|", operator_norm(mean)),
+            ("prod |A_j|^a_j", _bprod([operator_norm(x) for x in mats], alphas)),
         ]),
         Part("mean-radius", CHAIN, [
-            ("rho(mean)", _rho(mean, ctx)),
-            ("prod rho(A_j)^a_j", _bprod([_rho(x, ctx) for x in mats], alphas)),
+            ("rho(mean)", spectral_radius(mean)),
+            ("prod rho(A_j)^a_j", _bprod([spectral_radius(x) for x in mats], alphas)),
         ]),
         Part("power-entrywise", ENTRYWISE, [
             ("A1^(t) ... Am^(t)", powprod),
             ("(A1 ... Am)^(t)", prod.hpow(t)),
         ]),
         Part("power-radius", CHAIN, [
-            ("rho(A1^(t)...Am^(t))", _rho(powprod, ctx)),
-            ("rho(A1...Am)^t", _rho(prod, ctx).power(t)),
+            ("rho(A1^(t)...Am^(t))", spectral_radius(powprod)),
+            ("rho(A1...Am)^t", spectral_radius(prod).power(t)),
         ]),
         Part("power-norm", CHAIN, [
-            ("|A1^(t)...Am^(t)|", _nrm(powprod, ctx)),
-            ("|A1...Am|^t", _nrm(prod, ctx).power(t)),
+            ("|A1^(t)...Am^(t)|", operator_norm(powprod)),
+            ("|A1...Am|^t", operator_norm(prod).power(t)),
         ]),
     ]
 
@@ -565,12 +546,12 @@ def _f10_build(inputs, ctx):
             ("sup^(t-1) A", a.scale(c)),
         ]),
         Part("norm", CHAIN, [
-            ("|A^(t)|", _nrm(a.hpow(t), ctx)),
-            ("sup^(t-1)|A|", _nrm(a, ctx).scaled(c)),
+            ("|A^(t)|", operator_norm(a.hpow(t))),
+            ("sup^(t-1)|A|", operator_norm(a).scaled(c)),
         ]),
         Part("radius", CHAIN, [
-            ("rho(A^(t))", _rho(a.hpow(t), ctx)),
-            ("sup^(t-1) rho(A)", _rho(a, ctx).scaled(c)),
+            ("rho(A^(t))", spectral_radius(a.hpow(t))),
+            ("sup^(t-1) rho(A)", spectral_radius(a).scaled(c)),
         ]),
     ]
 
@@ -595,31 +576,23 @@ def _f11_build(inputs, ctx):
     uniform = [1.0 / m] * m
     mean = _smean(sets, alphas)
     mean_n = _smean([set_power(s, n) for s in sets], alphas)
+    un = n * ctx.set_m_max
+    um = m * ctx.set_m_max
     return [
         Part("set-mean", CHAIN, [
-            ("r(mean)", _fin_term(ctx, [(mean, 1.0, 1)], u=n * ctx.set_m_max)),
-            ("r(mean of n-powers)^1/n",
-             _fin_term(ctx, [(mean_n, 1.0 / n, n)], u=n * ctx.set_m_max)),
-            ("prod r(S_j)^a_j",
-             _fin_term(ctx, [(s, a, 1) for s, a in zip(sets, alphas)],
-                       u=n * ctx.set_m_max)),
+            ("r(mean)", _fin_term([(mean, 1.0, 1)], un)),
+            ("r(mean of n-powers)^1/n", _fin_term([(mean_n, 1.0 / n, n)], un)),
+            ("prod r(S_j)^a_j", _fin_term([(s, a, 1) for s, a in zip(sets, alphas)], un)),
         ]),
         Part("geometric-mean-vs-product", CHAIN, [
-            ("r(uniform mean)",
-             _fin_term(ctx, [(_smean(sets, uniform), 1.0, 1)], u=m * ctx.set_m_max)),
-            ("r(S1...Sm)^1/m",
-             _fin_term(ctx, [(set_product_many(sets), 1.0 / m, m)],
-                       u=m * ctx.set_m_max)),
+            ("r(uniform mean)", _fin_term([(_smean(sets, uniform), 1.0, 1)], um)),
+            ("r(S1...Sm)^1/m", _fin_term([(set_product_many(sets), 1.0 / m, m)], um)),
         ]),
         Part("set-power", CHAIN, [
-            ("r(S^(t))",
-             _fin_term(ctx, [(set_hadamard_power(sets[0], t), 1.0, 1)],
-                       u=n * ctx.set_m_max)),
+            ("r(S^(t))", _fin_term([(set_hadamard_power(sets[0], t), 1.0, 1)], un)),
             ("r((S^n)^(t))^1/n",
-             _fin_term(ctx, [(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)],
-                       u=n * ctx.set_m_max)),
-            ("r(S)^t",
-             _fin_term(ctx, [(sets[0], t, 1)], u=n * ctx.set_m_max)),
+             _fin_term([(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], un)),
+            ("r(S)^t", _fin_term([(sets[0], t, 1)], un)),
         ]),
     ]
 
@@ -654,9 +627,9 @@ def _f13_build(inputs, ctx):
     sstar = set_adjoint(s)
     u = 2 * ctx.set_m_max
     return [Part("norm-identity", EQUALITY, [
-        ("sup |T|", _normset(s, ctx)),
-        ("r(S*S)^1/2", _fin_term(ctx, [(set_product(sstar, s), 0.5, 2)], u=u)),
-        ("r(SS*)^1/2", _fin_term(ctx, [(set_product(s, sstar), 0.5, 2)], u=u)),
+        ("sup |T|", norm_set_bracket(s)),
+        ("r(S*S)^1/2", _fin_term([(set_product(sstar, s), 0.5, 2)], u)),
+        ("r(SS*)^1/2", _fin_term([(set_product(s, sstar), 0.5, 2)], u)),
     ])]
 
 
@@ -672,14 +645,12 @@ def _f14_build(inputs, ctx):
     qp = set_product(q, p)
     u = 2 * ctx.set_m_max
     return [Part("beta-split", CHAIN, [
-        ("r(P o Q)", _fin_term(ctx, [(_smean([p, q], [1.0, 1.0]), 1.0, 1)], u=u)),
-        ("r(PQ o QP)^1/2",
-         _fin_term(ctx, [(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], u=u)),
+        ("r(P o Q)", _fin_term([(_smean([p, q], [1.0, 1.0]), 1.0, 1)], u)),
+        ("r(PQ o QP)^1/2", _fin_term([(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], u)),
         ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
-         _fin_term(ctx, [(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
-                         (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)],
-                   u=u)),
-        ("r(PQ)", _fin_term(ctx, [(pq, 1.0, 2)], u=u)),
+         _fin_term([(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
+                    (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], u)),
+        ("r(PQ)", _fin_term([(pq, 1.0, 2)], u)),
     ])]
 
 
@@ -694,9 +665,9 @@ def _f15_build(inputs, ctx):
     uniform = [1.0 / m] * m
     cyc = [_prod(_cyclic(mats, j)) for j in range(m)]
     return [Part("cyclic-mean", CHAIN, [
-        ("rho(mean(A_j))", _rho(_mean(mats, uniform), ctx)),
-        ("rho(mean(P_j))^1/m", _rho(_mean(cyc, uniform), ctx).power(1.0 / m)),
-        ("rho(A1...Am)^1/m", _rho(_prod(mats), ctx).power(1.0 / m)),
+        ("rho(mean(A_j))", spectral_radius(_mean(mats, uniform))),
+        ("rho(mean(P_j))^1/m", spectral_radius(_mean(cyc, uniform)).power(1.0 / m)),
+        ("rho(A1...Am)^1/m", spectral_radius(_prod(mats)).power(1.0 / m)),
     ])]
 
 
@@ -706,15 +677,14 @@ def _f16_build(inputs, ctx):
     bstar_a = b.adjoint() @ a
     return [
         Part("norm-chain", CHAIN, [
-            ("|A^(1/2) o B^(1/2)|", operator_norm(_mean([a, b], [0.5, 0.5]),
-                                                  "l2", ctx.rho_tol)),
+            ("|A^(1/2) o B^(1/2)|", operator_norm(_mean([a, b], [0.5, 0.5]))),
             ("rho((A*B)^(1/2) o (B*A)^(1/2))^1/2",
-             _rho(_mean([astar_b, bstar_a], [0.5, 0.5]), ctx).power(0.5)),
-            ("rho(A*B)^1/2", _rho(astar_b, ctx).power(0.5)),
+             spectral_radius(_mean([astar_b, bstar_a], [0.5, 0.5])).power(0.5)),
+            ("rho(A*B)^1/2", spectral_radius(astar_b).power(0.5)),
         ]),
         Part("star-swap", EQUALITY, [
-            ("rho(A*B)", _rho(astar_b, ctx)),
-            ("rho(AB*)", _rho(a @ b.adjoint(), ctx)),
+            ("rho(A*B)", spectral_radius(astar_b)),
+            ("rho(AB*)", spectral_radius(a @ b.adjoint())),
         ]),
     ]
 
@@ -1592,7 +1562,7 @@ _REGISTRY = (
     _chain("F1", "hadamard-vs-product", "finite",
            "Spectral radius of the Hadamard product is dominated by that of the ordinary product.",
            _TWO_MATRICES, {"matrices": 2}, (),
-           _pair_sample, _zhan(lambda a, b, ctx: [])),
+           _pair_sample, _zhan(lambda a, b: [])),
     _chain("F2", "audenaert-refinement", "finite",
            "Audenaert's interpolation between the Hadamard and ordinary products.",
            _TWO_MATRICES, {"matrices": 2}, (),

@@ -65,6 +65,21 @@ def _require_object(obj: Any, what: str, keys: tuple[str, ...]) -> None:
                 f"{what} has unexpected key {key!r}; expected keys: {', '.join(keys) or 'none'}")
 
 
+def _is_number(value: Any) -> bool:
+    """True for a decoded JSON number; true and false decode to bools, not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_numbers(value: Any, what: str) -> list:
+    """value as a JSON array of numbers."""
+    if not isinstance(value, list):
+        raise InputFormatError(f"{what} must be a JSON array, got {_json_type(value)}")
+    for v in value:
+        if not _is_number(v):
+            raise InputFormatError(f"{what} must be JSON numbers, got {_json_type(v)}")
+    return value
+
+
 def _json_int(obj: Any, key: str) -> int:
     """obj[key] as a JSON integer; a bool, float or string is malformed."""
     value = obj[key]
@@ -80,14 +95,10 @@ def matrix_from_json(obj: Any) -> FiniteMatrix:
         entries = obj["entries"]
     except KeyError as exc:
         raise InputFormatError(f"matrix object needs rows/cols/entries, missing {exc}") from exc
-    if not isinstance(entries, list):
-        raise InputFormatError(f"matrix entries must be a JSON array, got {_json_type(entries)}")
+    _json_numbers(entries, "matrix entries")
     if len(entries) != rows * cols:
         raise InputFormatError(
             f"matrix declares {rows}x{cols} but carries {len(entries)} entries")
-    for v in entries:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputFormatError(f"matrix entries must be JSON numbers, got {_json_type(v)}")
     data = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
     try:
         return FiniteMatrix(data)
@@ -102,6 +113,8 @@ _SEQ_KINDS = {
     "rational": (RationalFormula, ("p", "q")),
     "prefix_with_limit": (PrefixWithLimit, ("prefix", "limit")),
 }
+# The weight-sequence fields that hold an array of numbers; the rest hold one.
+_SEQ_ARRAYS = ("prefix", "p", "q")
 
 
 def seq_to_json(w: WeightSeq) -> dict:
@@ -118,7 +131,11 @@ def seq_to_json(w: WeightSeq) -> dict:
 
 
 def seq_from_json(obj: Any) -> WeightSeq:
-    """A leaf weight sequence; a key its kind does not declare, or a missing one, is refused."""
+    """A leaf weight sequence.
+
+    A key its kind does not declare, a missing one, or a value that is not
+    a JSON number (or, for prefix, p and q, an array of them) is refused.
+    """
     if not isinstance(obj, dict):
         raise TypeError(f"weight sequence must be a JSON object, got {_json_type(obj)}")
     kind = obj.get("kind")
@@ -129,6 +146,11 @@ def seq_from_json(obj: Any) -> WeightSeq:
     for key in fields:
         if key not in obj:
             raise InputFormatError(f"{kind} weight sequence needs key {key!r}")
+        what = f"{kind} weight sequence key {key!r}"
+        if key in _SEQ_ARRAYS:
+            _json_numbers(obj[key], what)
+        elif not _is_number(obj[key]):
+            raise InputFormatError(f"{what} must be a JSON number, got {_json_type(obj[key])}")
     return cls(*(obj[key] for key in fields))
 
 

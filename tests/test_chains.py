@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from specrad import (
@@ -10,6 +12,7 @@ from specrad import (
     run_ensemble,
 )
 from specrad.chains import CHAIN, ChainSpec, Part
+from specrad.errors import DomainError
 from specrad.registry import by_id
 from specrad.spectral import Bracket
 
@@ -115,3 +118,33 @@ def test_run_ensemble_summary_fields():
     assert s["pass"] + s["fail"] + s["inconclusive"] == 3
     assert s["argmin_digest"]
     assert run.reports[0].input_digest != ""
+
+
+def test_report_configs_keep_their_keys_and_values():
+    """Reports record the fixed bracket tolerance, norm space and weight-law
+    ranges next to the settable values, in this key order."""
+    assert list(EvalContext().to_json().items()) == [
+        ("finite_tol", 1e-9), ("ess_tol", 1e-6), ("rho_tol", 1e-10), ("set_m_max", 1),
+        ("space", "l2")]
+    assert list(EvalContext(finite_tol=0.0, ess_tol=2.5, set_m_max=3).to_json().items()) == [
+        ("finite_tol", 0.0), ("ess_tol", 2.5), ("rho_tol", 1e-10), ("set_m_max", 3),
+        ("space", "l2")]
+    ens = EnsembleSpec(kind="shift_family", size=5, density=0.25, seed=7)
+    assert list(ens.to_json().items()) == [
+        ("kind", "shift_family"), ("size", 5), ("density", 0.25), ("seed", 7),
+        ("c_range", [0.5, 2.0]), ("a_range", [-0.4, 1.0])]
+    assert [f.name for f in dataclasses.fields(EvalContext)] == [
+        "finite_tol", "ess_tol", "set_m_max"]
+    assert [f.name for f in dataclasses.fields(EnsembleSpec)] == [
+        "kind", "size", "density", "seed"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"finite_tol": float("nan")}, {"finite_tol": float("inf")}, {"finite_tol": -1e-9},
+    {"finite_tol": "1e-9"}, {"finite_tol": True}, {"ess_tol": float("nan")},
+    {"ess_tol": -1.0}, {"set_m_max": 0}, {"set_m_max": 1.5}, {"set_m_max": True},
+    {"set_m_max": "2"},
+])
+def test_eval_context_refuses_unusable_settings(kwargs):
+    with pytest.raises(DomainError, match=next(iter(kwargs))):
+        EvalContext(**kwargs)

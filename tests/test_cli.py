@@ -179,7 +179,15 @@ def test_check_malformed_input_exit_2(tmp_path, capsys):
             ("misspelt_seq_key.json", {"kind": "eventually_constant", "prefix": [1], "tial": 3},
              "eventually_constant weight sequence has unexpected key 'tial'"),
             ("missing_seq_key.json", {"kind": "eventually_constant", "prefix": [1]},
-             "eventually_constant weight sequence needs key 'tail'")):
+             "eventually_constant weight sequence needs key 'tail'"),
+            ("string_c.json", {"kind": "constant", "c": "1.5"},
+             "constant weight sequence key 'c' must be a JSON number, got string"),
+            ("bool_c.json", {"kind": "constant", "c": True},
+             "constant weight sequence key 'c' must be a JSON number, got boolean"),
+            ("word_c.json", {"kind": "constant", "c": "x"},
+             "constant weight sequence key 'c' must be a JSON number, got string"),
+            ("scalar_p.json", {"kind": "rational", "p": 3, "q": [1.0]},
+             "rational weight sequence key 'p' must be a JSON array, got number")):
         bad = _write(tmp_path, name, {"family_sets": [[{"diagonal": seq}]]})
         assert main(["check", "--id", "E1", "--input", bad]) == 2
         assert message in capsys.readouterr().err
@@ -245,24 +253,33 @@ def test_sweep_json_report_embeds_config(tmp_path):
     assert doc["totals"]["fail"] == 0
 
 
-def test_env_budget_override(monkeypatch, tmp_path):
+def test_set_m_max_flag_is_echoed(tmp_path):
     out = tmp_path / "r.json"
-    monkeypatch.setenv("SPECRAD_SET_M_MAX", "2")
-    assert main(["sweep", "--ids", "F1", "--trials", "1", "--out", str(out)]) == 0
+    assert main(["sweep", "--ids", "F1", "--trials", "1", "--set-m-max", "2",
+                 "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["config"]["set_m_max"] == 2
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--finite-tol", "nan", "finite_tol must be a finite number >= 0, got nan"),
+    ("--finite-tol", "-1", "finite_tol must be a finite number >= 0, got -1.0"),
+    ("--ess-tol", "inf", "ess_tol must be a finite number >= 0, got inf"),
+    ("--set-m-max", "0", "set_m_max must be an integer >= 1, got 0"),
+])
+def test_unusable_evaluation_settings_exit_2(tmp_path, capsys, flag, value, message):
+    """A setting the evaluation cannot honour is an input error: no traceback,
+    no certified verdict and no report."""
+    out = tmp_path / "r.json"
+    assert main(["check", "--id", "F1", flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_catalog_unwritable_out_exit_2(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "catalog.json"
     assert main(["catalog", "--out", str(out)]) == 2
     assert "cannot write" in capsys.readouterr().err
-
-
-def test_env_budget_not_an_integer_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("SPECRAD_SET_M_MAX", "abc")
-    assert main(["check", "--id", "F1"]) == 2
-    assert "SPECRAD_SET_M_MAX" in capsys.readouterr().err
 
 
 def test_far_band_entry_sup_is_inconclusive(tmp_path, capsys):

@@ -20,8 +20,10 @@ from specrad import (
     shift_family,
     spectral_radius,
 )
-from specrad.errors import DomainError
-from specrad.jsr import gamma_level_max, gamma_set_bracket, norm_level_max
+from specrad.errors import BudgetExceededError, DomainError
+from specrad.families import _pow0
+from specrad.jsr import _MAX_LEVEL, gamma_level_max, gamma_set_bracket, norm_level_max
+from specrad.spectral import operator_norm
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -47,6 +49,43 @@ def test_joint_radius_ub_examples():
     assert joint_radius_ub(GOLDEN, 1) == pytest.approx(PHI, rel=1e-9)
     c = OperatorSet([FiniteMatrix.identity(3).scale(1.3)])
     assert joint_radius_ub(c, 2) == pytest.approx(1.3, rel=1e-9)
+
+
+def _reference_joint_radius_ub(s, m_max):
+    """The incremental level enumerator that joint_radius_ub replaced."""
+    level = list(s.elements)
+    best = math.inf
+    for m in range(1, m_max + 1):
+        top = max(operator_norm(p).hi for p in level)
+        best = min(best, _pow0(top, 1.0 / m))
+        if m < m_max:
+            if len(level) * len(s) > _MAX_LEVEL:
+                break
+            level = [p @ a for p in level for a in s.elements]
+    return best
+
+
+def test_joint_radius_ub_matches_incremental_enumerator():
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-20, 20)
+        s = OperatorSet([FiniteMatrix(scale * rng.random((n, n)) * (rng.random((n, n)) < 0.6))
+                         for _ in range(k)])
+        for m_max in range(1, 5):
+            assert joint_radius_ub(s, m_max).hex() == \
+                _reference_joint_radius_ub(s, m_max).hex()
+    # 64 elements: depth 2 has 4096 products and fits the cap, depth 3 does not
+    s = OperatorSet([FiniteMatrix(rng.random((2, 2))) for _ in range(64)])
+    with pytest.raises(BudgetExceededError):
+        norm_level_max(s, 3)
+    assert joint_radius_ub(s, 3) == joint_radius_ub(s, 2) == _reference_joint_radius_ub(s, 3)
+    # more elements than the cap: depth 1 only, and no error
+    values = rng.random(_MAX_LEVEL + 1)
+    big = OperatorSet([FiniteMatrix([[v]]) for v in values])
+    assert joint_radius_ub(big, 3) == _reference_joint_radius_ub(big, 3) == norm_level_max(big, 1)
+    assert norm_level_max(big, 1) == pytest.approx(values.max(), rel=1e-12)
 
 
 def test_sandwich_and_monotone_refinement():

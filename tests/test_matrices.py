@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import brute_geometric_mean
 from specrad import FiniteMatrix, WeightVector
 from specrad.errors import DomainError, ShapeMismatchError
-from specrad.matrices import SUM_EQ_ONE, SUM_GE_ONE
 from specrad.sets import weighted_geometric_mean
 
 
@@ -81,7 +82,7 @@ def test_mean_am_gm_domination():
     for _ in range(25):
         arrays = [rng.random((4, 4)) for _ in range(3)]
         alphas = rng.dirichlet(np.ones(3))
-        w = WeightVector(tuple(alphas), SUM_EQ_ONE)
+        w = WeightVector(tuple(alphas))
         mean = weighted_geometric_mean([FiniteMatrix(x) for x in arrays], w).a
         arith = sum(a * x for a, x in zip(alphas, arrays))
         assert np.all(mean <= arith + 1e-12)
@@ -122,14 +123,14 @@ def test_hadamard_power_composes(s, t):
     assert np.allclose(left, right, rtol=1e-12)
 
 
-def test_weight_vector_regimes():
-    WeightVector((0.5, 0.5), SUM_EQ_ONE)
-    WeightVector((1.0, 0.75), SUM_GE_ONE)
-    with pytest.raises(DomainError):
-        WeightVector((0.5, 0.6), SUM_EQ_ONE)
-    with pytest.raises(DomainError):
-        WeightVector((0.2, 0.3), SUM_GE_ONE)
-    with pytest.raises(DomainError):
-        WeightVector((0.5, -0.5), SUM_EQ_ONE)
-    assert WeightVector.of(0.25, 0.75).regime == SUM_EQ_ONE
-    assert WeightVector.of(1.0, 1.0).regime == SUM_GE_ONE
+def test_weight_vector_rule():
+    WeightVector((0.5, 0.5))
+    WeightVector((1.0, 0.75))
+    WeightVector((0.5, 0.5 - 5e-13))
+    with pytest.raises(DomainError, match="sum to at least 1"):
+        WeightVector((0.2, 0.3))
+    with pytest.raises(DomainError, match="positive and finite"):
+        WeightVector((0.5, -0.5))
+    with pytest.raises(DomainError, match="positive and finite"):
+        WeightVector((1.0, 0.0))
+    assert [f.name for f in dataclasses.fields(WeightVector)] == ["weights"]

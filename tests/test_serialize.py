@@ -116,6 +116,23 @@ def test_family_errors():
         with pytest.raises(InputFormatError,
                            match=f"^{seq['kind']} weight sequence needs key '{key}'$"):
             family_from_json({"diagonal": seq})
+    for seq, key, message in (
+            ({"kind": "constant", "c": "1.5"}, "c", "a JSON number, got string"),
+            ({"kind": "constant", "c": True}, "c", "a JSON number, got boolean"),
+            ({"kind": "constant", "c": [1]}, "c", "a JSON number, got array"),
+            ({"kind": "eventually_constant", "prefix": [1], "tail": None}, "tail",
+             "a JSON number, got null"),
+            ({"kind": "prefix_with_limit", "prefix": [1], "limit": {}}, "limit",
+             "a JSON number, got object"),
+            ({"kind": "eventually_constant", "prefix": 1, "tail": 1}, "prefix",
+             "a JSON array, got number"),
+            ({"kind": "prefix_with_limit", "prefix": [1, "2"], "limit": 1}, "prefix",
+             "JSON numbers, got string"),
+            ({"kind": "rational", "p": 3, "q": [1.0]}, "p", "a JSON array, got number"),
+            ({"kind": "rational", "p": [1.0], "q": [False]}, "q", "JSON numbers, got boolean")):
+        with pytest.raises(InputFormatError,
+                           match=f"^{seq['kind']} weight sequence key '{key}' must be {message}$"):
+            family_from_json({"diagonal": seq})
     with pytest.raises(InputFormatError):
         family_from_json([1, 2, 3])
     for bad, kind in ((3, "number"), ({}, "object"), ("x", "string"), (None, "null")):
