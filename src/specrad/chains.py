@@ -269,9 +269,12 @@ def evaluate_chain(spec: ChainSpec, inputs: ChainInputs, ctx: EvalContext,
 
 @dataclass(frozen=True)
 class EnsembleRun:
+    """The reports of one chain over an ensemble, and the inputs they evaluated."""
+
     chain_id: str
     reports: tuple[ChainReport, ...]
     summary: dict
+    inputs: tuple[ChainInputs, ...]
 
     def to_json(self) -> dict:
         return {"chain_id": self.chain_id, "summary": self.summary,
@@ -284,9 +287,10 @@ def run_ensemble(spec: ChainSpec, ens: EnsembleSpec, trials: int,
     if trials < 1:
         raise HypothesisViolation("trials must be >= 1")
     reports = []
+    sampled = []
     for trial in range(trials):
-        rng = rng_for(ens, trial, spec.id)
-        inputs = spec.sample(rng, ens)
+        inputs = spec.sample(rng_for(ens, trial, spec.id), ens)
+        sampled.append(inputs)
         reports.append(evaluate_chain(spec, inputs, ctx, trial))
     counts = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
     min_slack = float("inf")
@@ -300,4 +304,4 @@ def run_ensemble(spec: ChainSpec, ens: EnsembleSpec, trials: int,
                "inconclusive": counts[INCONCLUSIVE],
                "min_slack": min_slack if min_slack != float("inf") else None,
                "argmin_digest": argmin}
-    return EnsembleRun(spec.id, tuple(reports), summary)
+    return EnsembleRun(spec.id, tuple(reports), summary, tuple(sampled))

@@ -23,9 +23,10 @@ multiplicative on banded families, so every depth gives the same bound.
 Adding a chain
 --------------
 Write two functions and one declaration.  ``sample(rng, ens)`` draws
-random inputs; ``build(inputs, ctx)`` turns inputs into parts of
-labelled terms.  The declaration is one ``_chain(...)`` entry in
-``_REGISTRY`` and holds:
+random inputs; ``build(inputs, ctx, **params)`` turns inputs into parts
+of labelled terms and signs for exactly its declared params, by name
+(E15: ``build(inputs, ctx, m, alpha, alpha2)``).  The declaration is one
+``_chain(...)`` entry in ``_REGISTRY`` and holds:
 
 - the catalog strings: id, title, level, description, and the hypothesis
   text that ``specrad catalog`` prints;
@@ -54,7 +55,8 @@ every report: reports carry the digest and the params of each sampled
 input, so reordering two draws changes the bytes of every report that
 contains the chain.  Call ``sample`` and ``build`` only through their
 ``ChainSpec``; perfbench's tracer counts calls there and checks the count
-against cProfile.
+against cProfile by ``__code__``, so the ``ChainSpec.build`` that
+``_chain`` wraps around a build is a plain function, not a ``partial``.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from .jsr import (
     oracle_set_lb,
 )
 from .matrices import FiniteMatrix, WeightVector
+from .serialize import _is_number
 from .sets import (
     OperatorSet,
     set_adjoint,
@@ -171,6 +174,10 @@ def _prod(items):
     return reduce(lambda a, b: a @ b, items)
 
 
+def _sum(items):
+    return reduce(lambda a, b: a + b, items)
+
+
 def _smean(sets, alphas) -> OperatorSet:
     return set_hadamard_mean(sets, WeightVector.of(*alphas))
 
@@ -179,13 +186,82 @@ def _cyclic(seq, j):
     return list(seq[j:]) + list(seq[:j])
 
 
-def _word_set(sets, pattern) -> OperatorSet:
-    """Ordered product of sets, starring (adjoining) marked positions.
+def _rotations(factors, step=1):
+    """Products of ``factors`` rotated by 0, step, 2*step, ... places; unrotated first."""
+    return [set_product_many(_cyclic(factors, j)) for j in range(0, len(factors), step)]
 
-    pattern: list of (index, star) pairs into ``sets``.
-    """
-    parts = [set_adjoint(sets[i]) if star else sets[i] for i, star in pattern]
-    return set_product_many(parts)
+
+def _grid(items, k, m):
+    """``items`` read row by row into k rows of m."""
+    return [list(items[i * m:(i + 1) * m]) for i in range(k)]
+
+
+def _grid_factorization(items, k, m, alphas):
+    """(product of row means, column products, mean of column products)."""
+    grid = _grid(items, k, m)
+    a = _prod([_mean(row, alphas) for row in grid])
+    cols = [_prod(col) for col in zip(*grid)]
+    return a, cols, _mean(cols, alphas)
+
+
+def _grid_terms(labels, f, a, cols, mid, alphas):
+    """f(A) <= f(mean of column products) <= prod f(column product)^a_j."""
+    return list(zip(labels, (f(a), f(mid), _bprod([f(c) for c in cols], alphas))))
+
+
+def _adjoints(sets):
+    return [set_adjoint(s) for s in sets]
+
+
+def _word_set(sets, stars, pattern) -> OperatorSet:
+    """Product along ``pattern``, (index, starred) pairs; starred takes ``stars[index]``."""
+    return set_product_many([stars[i] if star else sets[i] for i, star in pattern])
+
+
+def _star_word_patterns(m: int):
+    """(W1, W2) for even m: stars on even positions and its star-swap."""
+    return [(j, j % 2 == 0) for j in range(m)], [(j, j % 2 == 1) for j in range(m)]
+
+
+def _long_word_pattern(m: int):
+    """Length-2m pattern index p mod m, starred on odd positions (odd m)."""
+    return [(p % m, p % 2 == 1) for p in range(2 * m)]
+
+
+def _long_words(sets, stars):
+    """The long alternating word rotated by 0, 2, ..., 2m-2 letters."""
+    letters = [stars[i] if star else sets[i] for i, star in _long_word_pattern(len(sets))]
+    return _rotations(letters, 2)
+
+
+def _pair_word_part(name, labels, sets, a, pairs, words) -> Part:
+    """gamma(mean_a(P_j)) <= r(mean_a(pairs))^1/2 <= r(mean_a(words))^1/2m <= r(W)^a/2,
+    where ``words`` are the rotations of the word W, unrotated first."""
+    m = len(sets)
+    weights = [a] * m
+    return Part(name, CHAIN, list(zip(labels, (
+        gamma_set_bracket(_smean(sets, weights)),
+        _ess_term([(_smean(pairs, weights), 0.5)]),
+        _ess_term([(_smean(words, weights), 1.0 / (2 * m))]),
+        _ess_term([(words[0], a / 2)])))))
+
+
+def _star_pair(sets, stars):
+    """(P*Q, Q*P, PQ*) for the first two sets P, Q and their adjoints."""
+    p, q = sets[0], sets[1]
+    return set_product(stars[0], q), set_product(stars[1], p), set_product(p, stars[1])
+
+
+def _star_mean_terms(labels, sets, ps_q, qs_p, a):
+    """gamma(P^(a) o Q^(a)) <= r((P*Q)^(a) o (Q*P)^(a))^1/2 <= r(P*Q)^a."""
+    return list(zip(labels, (gamma_set_bracket(_smean(sets[:2], [a, a])),
+                             _ess_term([(_smean([ps_q, qs_p], [a, a]), 0.5)]),
+                             _ess_term([(ps_q, a)]))))
+
+
+def _star_swap(name, ps_q, p_qs) -> Part:
+    return Part(name, EQUALITY, [("r(P*Q)", _ess_term([(ps_q, 1.0)])),
+                                 ("r(PQ*)", _ess_term([(p_qs, 1.0)]))])
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +297,12 @@ def _set_size_for(m: int) -> int:
     return 2 if m <= 2 else 1
 
 
+def _fam_sets(rng, ens, m):
+    """m family sets of ``_set_size_for(m)`` elements, each with its own band offset."""
+    return tuple(_fam_set(rng, ens, _set_size_for(m), offset=_pick_offset(rng, ens))
+                 for _ in range(m))
+
+
 def _perm(rng, m):
     return tuple(int(x) for x in rng.permutation(m))
 
@@ -233,10 +315,6 @@ _SLACK = 1e-12
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -272,7 +350,7 @@ class _Real:
         return f"real {self.name} in {lb}{self.low:g}, {self.high:g}{rb}"
 
     def holds(self, v, params) -> bool:
-        if not _is_real(v):
+        if not (_is_number(v) and math.isfinite(v)):
             return False
         if self.open:
             return self.low < v < self.high
@@ -295,7 +373,7 @@ class _Alpha:
 
     def holds(self, v, params) -> bool:
         den = params["m"] if self.den == "m" else self.den
-        return _is_real(v) and v >= self.num / den - _SLACK
+        return _is_number(v) and self.num / den - _SLACK <= v < math.inf
 
 
 @dataclass(frozen=True)
@@ -309,7 +387,8 @@ class _Weights:
 
     def holds(self, v, params) -> bool:
         return (isinstance(v, (list, tuple)) and len(v) == params["m"]
-                and all(_is_real(a) and a > 0 for a in v) and sum(v) >= 1.0 - _SLACK)
+                and all(_is_number(a) and 0 < a < math.inf for a in v)
+                and sum(v) >= 1.0 - _SLACK)
 
 
 @dataclass(frozen=True)
@@ -377,8 +456,11 @@ def _chain(cid, title, level, description, hypothesis_doc, operands, params,
     def hypothesis(inputs):
         return _violation(inputs, operands, params, check)
 
+    def build_with_params(inputs, ctx):
+        return build(inputs, ctx, **{p.name: inputs.params[p.name] for p in params})
+
     return ChainSpec(cid, title, level, description, arity, hypothesis_doc,
-                     sample, hypothesis, build)
+                     sample, hypothesis, build_with_params)
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +472,32 @@ def _pair_sample(rng, ens):
 
 
 def _zhan(middle_terms):
-    """Build of a Zhan-style chain: rho(A o B) <= middle terms <= rho(AB)."""
+    """Build of a Zhan-style chain: rho(A o B) <= middle_terms(a, b, AB, **params) <= rho(AB)."""
 
-    def build(inputs, ctx):
+    def build(inputs, ctx, **params):
         a, b = inputs.matrices
-        terms = [("rho(A o B)", spectral_radius(a.hadamard(b)))]
-        terms += middle_terms(a, b)
-        terms.append(("rho(AB)", spectral_radius(a @ b)))
-        return [Part("chain", CHAIN, terms)]
+        ab = a @ b
+        return [Part("chain", CHAIN, [
+            ("rho(A o B)", spectral_radius(a.hadamard(b))),
+            *middle_terms(a, b, ab, **params),
+            ("rho(AB)", spectral_radius(ab)),
+        ])]
 
     return build
 
 
-def _f2_mid(a, b):
-    return [("rho((AoA)(BoB))^1/2",
-             spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5))]
+def _squares(a, b):
+    return ("rho((AoA)(BoB))^1/2", spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5))
 
 
-def _f3_mid(a, b):
-    return [("rho(AB o BA)^1/2",
-             spectral_radius((a @ b).hadamard(b @ a)).power(0.5))]
+def _split(radius, ab, ba, beta) -> Bracket:
+    """radius(AB o AB)^(beta/2) radius(BA o BA)^((1-beta)/2)."""
+    return _bprod([radius(ab.hadamard(ab)), radius(ba.hadamard(ba))],
+                  [beta / 2, (1 - beta) / 2])
+
+
+def _f3_mid(a, b, ab):
+    return [("rho(AB o BA)^1/2", spectral_radius(ab.hadamard(b @ a)).power(0.5))]
 
 
 def _f4_sample(rng, ens):
@@ -417,19 +505,17 @@ def _f4_sample(rng, ens):
     return ChainInputs(matrices=_mats(rng, ens, m), params={"m": m})
 
 
-def _f4_build(inputs, ctx):
+def _f4_build(inputs, ctx, m):
     mats = inputs.matrices
     return [Part("chain", CHAIN, [
-        ("rho(A1 o ... o Am)", spectral_radius(_mean(mats, [1.0] * len(mats)))),
+        ("rho(A1 o ... o Am)", spectral_radius(_mean(mats, [1.0] * m))),
         ("rho(A1 ... Am)", spectral_radius(_prod(mats))),
     ])]
 
 
-def _f5_mid(a, b):
-    return [
-        ("rho((AoA)(BoB))^1/2", spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5)),
-        ("rho(AB o AB)^1/2", spectral_radius((a @ b).hadamard(a @ b)).power(0.5)),
-    ]
+def _f5_mid(a, b, ab):
+    return [_squares(a, b),
+            ("rho(AB o AB)^1/2", spectral_radius(ab.hadamard(ab)).power(0.5))]
 
 
 def _f6_sample(rng, ens):
@@ -437,28 +523,15 @@ def _f6_sample(rng, ens):
                        params={"beta": sample_beta(rng)})
 
 
-def _f6_build(inputs, ctx):
-    a, b = inputs.matrices
-    beta = inputs.params["beta"]
-    ab, ba = a @ b, b @ a
-    return [Part("chain", CHAIN, [
-        ("rho(A o B)", spectral_radius(a.hadamard(b))),
-        ("rho((AoA)(BoB))^1/2", spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5)),
-        ("rho(ABoAB)^b/2 rho(BAoBA)^(1-b)/2",
-         _bprod([spectral_radius(ab.hadamard(ab)), spectral_radius(ba.hadamard(ba))],
-                [beta / 2, (1 - beta) / 2])),
-        ("rho(AB)", spectral_radius(ab)),
-    ])]
+def _f6_mid(a, b, ab, beta):
+    return [_squares(a, b),
+            ("rho(ABoAB)^b/2 rho(BAoBA)^(1-b)/2", _split(spectral_radius, ab, b @ a, beta))]
 
 
-def _f7_mid(a, b):
-    ab, ba = a @ b, b @ a
-    return [
-        ("rho(AB o BA)^1/2", spectral_radius(ab.hadamard(ba)).power(0.5)),
-        ("rho(ABoAB)^1/4 rho(BAoBA)^1/4",
-         _bprod([spectral_radius(ab.hadamard(ab)), spectral_radius(ba.hadamard(ba))],
-                [0.25, 0.25])),
-    ]
+def _f7_mid(a, b, ab):
+    ba = b @ a
+    return [("rho(AB o BA)^1/2", spectral_radius(ab.hadamard(ba)).power(0.5)),
+            ("rho(ABoAB)^1/4 rho(BAoBA)^1/4", _split(spectral_radius, ab, ba, 0.5))]
 
 
 def _f8_sample(rng, ens):
@@ -469,25 +542,16 @@ def _f8_sample(rng, ens):
                        params={"k": k, "m": m, "alphas": alphas})
 
 
-def _f8_build(inputs, ctx):
-    k, m = inputs.params["k"], inputs.params["m"]
-    alphas = list(inputs.params["alphas"])
-    grid = [list(inputs.matrices[i * m:(i + 1) * m]) for i in range(k)]
-    a = _prod([_mean(row, alphas) for row in grid])
-    cols = [_prod([grid[i][j] for i in range(k)]) for j in range(m)]
-    mid = _mean(cols, alphas)
+def _f8_build(inputs, ctx, k, m, alphas):
+    a, cols, mid = _grid_factorization(inputs.matrices, k, m, alphas)
     return [
         Part("entrywise", ENTRYWISE, [("row-mean product", a), ("mean of column products", mid)]),
-        Part("norms", CHAIN, [
-            ("|A|", operator_norm(a)),
-            ("|mean of col products|", operator_norm(mid)),
-            ("prod |col product|^a_j", _bprod([operator_norm(c) for c in cols], alphas)),
-        ]),
-        Part("radii", CHAIN, [
-            ("rho(A)", spectral_radius(a)),
-            ("rho(mean of col products)", spectral_radius(mid)),
-            ("prod rho(col product)^a_j", _bprod([spectral_radius(c) for c in cols], alphas)),
-        ]),
+        Part("norms", CHAIN, _grid_terms(
+            ("|A|", "|mean of col products|", "prod |col product|^a_j"),
+            operator_norm, a, cols, mid, alphas)),
+        Part("radii", CHAIN, _grid_terms(
+            ("rho(A)", "rho(mean of col products)", "prod rho(col product)^a_j"),
+            spectral_radius, a, cols, mid, alphas)),
     ]
 
 
@@ -499,10 +563,8 @@ def _f9_sample(rng, ens):
                        params={"m": m, "alphas": alphas, "t": t})
 
 
-def _f9_build(inputs, ctx):
+def _f9_build(inputs, ctx, m, alphas, t):
     mats = inputs.matrices
-    alphas = list(inputs.params["alphas"])
-    t = inputs.params["t"]
     mean = _mean(mats, alphas)
     powprod = _prod([x.hpow(t) for x in mats])
     prod = _prod(mats)
@@ -535,22 +597,21 @@ def _f10_sample(rng, ens):
     return ChainInputs(matrices=_mats(rng, ens, 1), params={"t": t})
 
 
-def _f10_build(inputs, ctx):
+def _f10_build(inputs, ctx, t):
     a = inputs.matrices[0]
-    t = inputs.params["t"]
-    s = a.entry_sup()
-    c = _pow0(s, t - 1.0)
+    c = _pow0(a.entry_sup(), t - 1.0)
+    at = a.hpow(t)
     return [
         Part("entrywise", ENTRYWISE, [
-            ("A^(t)", a.hpow(t)),
+            ("A^(t)", at),
             ("sup^(t-1) A", a.scale(c)),
         ]),
         Part("norm", CHAIN, [
-            ("|A^(t)|", operator_norm(a.hpow(t))),
+            ("|A^(t)|", operator_norm(at)),
             ("sup^(t-1)|A|", operator_norm(a).scaled(c)),
         ]),
         Part("radius", CHAIN, [
-            ("rho(A^(t))", spectral_radius(a.hpow(t))),
+            ("rho(A^(t))", spectral_radius(at)),
             ("sup^(t-1) rho(A)", spectral_radius(a).scaled(c)),
         ]),
     ]
@@ -567,13 +628,8 @@ def _f11_sample(rng, ens):
                        params={"m": m, "n": n, "alphas": alphas, "t": t})
 
 
-def _f11_build(inputs, ctx):
-    sets = list(inputs.matrix_sets)
-    m = inputs.params["m"]
-    n = inputs.params["n"]
-    t = inputs.params["t"]
-    alphas = list(inputs.params["alphas"])
-    uniform = [1.0 / m] * m
+def _f11_build(inputs, ctx, m, n, alphas, t):
+    sets = inputs.matrix_sets
     mean = _smean(sets, alphas)
     mean_n = _smean([set_power(s, n) for s in sets], alphas)
     un = n * ctx.set_m_max
@@ -585,7 +641,7 @@ def _f11_build(inputs, ctx):
             ("prod r(S_j)^a_j", _fin_term([(s, a, 1) for s, a in zip(sets, alphas)], un)),
         ]),
         Part("geometric-mean-vs-product", CHAIN, [
-            ("r(uniform mean)", _fin_term([(_smean(sets, uniform), 1.0, 1)], um)),
+            ("r(uniform mean)", _fin_term([(_smean(sets, [1.0 / m] * m), 1.0, 1)], um)),
             ("r(S1...Sm)^1/m", _fin_term([(set_product_many(sets), 1.0 / m, m)], um)),
         ]),
         Part("set-power", CHAIN, [
@@ -606,14 +662,10 @@ def _f12_sample(rng, ens):
     return ChainInputs(matrices=vecs, params={"k": k, "m": m, "alphas": alphas})
 
 
-def _f12_build(inputs, ctx):
-    k, m = inputs.params["k"], inputs.params["m"]
-    alphas = list(inputs.params["alphas"])
-    grid = [list(inputs.matrices[i * m:(i + 1) * m]) for i in range(k)]
-    lhs = reduce(lambda a, b: a + b, [_mean(row, alphas) for row in grid])
-    colsums = [reduce(lambda a, b: a + b, [grid[i][j] for i in range(k)])
-               for j in range(m)]
-    rhs = _mean(colsums, alphas)
+def _f12_build(inputs, ctx, k, m, alphas):
+    grid = _grid(inputs.matrices, k, m)
+    lhs = _sum([_mean(row, alphas) for row in grid])
+    rhs = _mean([_sum(col) for col in zip(*grid)], alphas)
     return [Part("entrywise", ENTRYWISE, [
         ("sum of row means", lhs), ("mean of column sums", rhs)])]
 
@@ -638,9 +690,8 @@ def _f14_sample(rng, ens):
                        params={"beta": sample_beta(rng, open_interval=True)})
 
 
-def _f14_build(inputs, ctx):
+def _f14_build(inputs, ctx, beta):
     p, q = inputs.matrix_sets
-    beta = inputs.params["beta"]
     pq = set_product(p, q)
     qp = set_product(q, p)
     u = 2 * ctx.set_m_max
@@ -659,9 +710,8 @@ def _f15_sample(rng, ens):
     return ChainInputs(matrices=_mats(rng, ens, m), params={"m": m})
 
 
-def _f15_build(inputs, ctx):
-    mats = list(inputs.matrices)
-    m = inputs.params["m"]
+def _f15_build(inputs, ctx, m):
+    mats = inputs.matrices
     uniform = [1.0 / m] * m
     cyc = [_prod(_cyclic(mats, j)) for j in range(m)]
     return [Part("cyclic-mean", CHAIN, [
@@ -671,22 +721,27 @@ def _f15_build(inputs, ctx):
     ])]
 
 
-def _f16_build(inputs, ctx):
-    a, b = inputs.matrices
+def _adjoint_mean_parts(names, labels, norm, radius, a, b):
+    """norm(A^(1/2) o B^(1/2)) <= radius((A*B)^(1/2) o (B*A)^(1/2))^1/2 <= radius(A*B)^1/2,
+    then radius(A*B) = radius(AB*)."""
     astar_b = a.adjoint() @ b
-    bstar_a = b.adjoint() @ a
+    bstar = b.adjoint()
+    r = radius(astar_b)
     return [
-        Part("norm-chain", CHAIN, [
-            ("|A^(1/2) o B^(1/2)|", operator_norm(_mean([a, b], [0.5, 0.5]))),
-            ("rho((A*B)^(1/2) o (B*A)^(1/2))^1/2",
-             spectral_radius(_mean([astar_b, bstar_a], [0.5, 0.5])).power(0.5)),
-            ("rho(A*B)^1/2", spectral_radius(astar_b).power(0.5)),
-        ]),
-        Part("star-swap", EQUALITY, [
-            ("rho(A*B)", spectral_radius(astar_b)),
-            ("rho(AB*)", spectral_radius(a @ b.adjoint())),
-        ]),
+        Part(names[0], CHAIN, list(zip(labels, (
+            norm(_mean([a, b], [0.5, 0.5])),
+            radius(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5),
+            r.power(0.5))))),
+        Part(names[1], EQUALITY, list(zip(labels[3:], (r, radius(a @ bstar))))),
     ]
+
+
+def _f16_build(inputs, ctx):
+    return _adjoint_mean_parts(
+        ("norm-chain", "star-swap"),
+        ("|A^(1/2) o B^(1/2)|", "rho((A*B)^(1/2) o (B*A)^(1/2))^1/2", "rho(A*B)^1/2",
+         "rho(A*B)", "rho(AB*)"),
+        operator_norm, spectral_radius, *inputs.matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -701,22 +756,22 @@ def _e1_sample(rng, ens):
     return ChainInputs(families=fams, params={"m": m, "t": t})
 
 
-def _e1_build(inputs, ctx):
-    t = inputs.params["t"]
-    a = inputs.families[0]
-    mats = list(inputs.families[1:])
-    s = a.entry_sup()
-    c = _pow0(s, t - 1.0)
+def _e1_build(inputs, ctx, m, t):
+    a, *mats = inputs.families
+    c = _pow0(a.entry_sup(), t - 1.0)
     powprod = _prod([x.hpow(t) for x in mats])
     prod = _prod(mats)
+    at = a.hpow(t)
+    gamma_at, gamma_a = hausdorff_mnc(at), hausdorff_mnc(a)
+    ess_at, ess_a = essential_spectral_radius(at), essential_spectral_radius(a)
     return [
         Part("gamma-power", CHAIN, [
-            ("gamma(A^(t))", hausdorff_mnc(a.hpow(t))),
-            ("gamma(A)^t", hausdorff_mnc(a).power(t)),
+            ("gamma(A^(t))", gamma_at),
+            ("gamma(A)^t", gamma_a.power(t)),
         ]),
         Part("ess-power", CHAIN, [
-            ("ess(A^(t))", essential_spectral_radius(a.hpow(t))),
-            ("ess(A)^t", essential_spectral_radius(a).power(t)),
+            ("ess(A^(t))", ess_at),
+            ("ess(A)^t", ess_a.power(t)),
         ]),
         Part("gamma-product-power", CHAIN, [
             ("gamma(A1^(t)...Am^(t))", hausdorff_mnc(powprod)),
@@ -727,12 +782,12 @@ def _e1_build(inputs, ctx):
             ("ess(A1...Am)^t", essential_spectral_radius(prod).power(t)),
         ]),
         Part("gamma-sup-scaling", CHAIN, [
-            ("gamma(A^(t))", hausdorff_mnc(a.hpow(t))),
-            ("sup^(t-1) gamma(A)", hausdorff_mnc(a).scaled(c)),
+            ("gamma(A^(t))", gamma_at),
+            ("sup^(t-1) gamma(A)", gamma_a.scaled(c)),
         ]),
         Part("ess-sup-scaling", CHAIN, [
-            ("ess(A^(t))", essential_spectral_radius(a.hpow(t))),
-            ("sup^(t-1) ess(A)", essential_spectral_radius(a).scaled(c)),
+            ("ess(A^(t))", ess_at),
+            ("sup^(t-1) ess(A)", ess_a.scaled(c)),
         ]),
     ]
 
@@ -745,9 +800,8 @@ def _e2_sample(rng, ens):
                        params={"m": m, "alphas": alphas})
 
 
-def _e2_build(inputs, ctx):
-    mats = list(inputs.families)
-    alphas = list(inputs.params["alphas"])
+def _e2_build(inputs, ctx, m, alphas):
+    mats = inputs.families
     mean = _mean(mats, alphas)
     return [
         Part("gamma-mean", CHAIN, [
@@ -770,25 +824,15 @@ def _e3_sample(rng, ens):
                        params={"k": k, "m": m, "alphas": alphas})
 
 
-def _e3_build(inputs, ctx):
-    k, m = inputs.params["k"], inputs.params["m"]
-    alphas = list(inputs.params["alphas"])
-    grid = [list(inputs.families[i * m:(i + 1) * m]) for i in range(k)]
-    a = _prod([_mean(row, alphas) for row in grid])
-    cols = [_prod([grid[i][j] for i in range(k)]) for j in range(m)]
-    mid = _mean(cols, alphas)
+def _e3_build(inputs, ctx, k, m, alphas):
+    a, cols, mid = _grid_factorization(inputs.families, k, m, alphas)
     return [
-        Part("gamma-grid", CHAIN, [
-            ("gamma(A)", hausdorff_mnc(a)),
-            ("gamma(mean of col products)", hausdorff_mnc(mid)),
-            ("prod gamma(col product)^a_j", _bprod([hausdorff_mnc(c) for c in cols], alphas)),
-        ]),
-        Part("ess-grid", CHAIN, [
-            ("ess(A)", essential_spectral_radius(a)),
-            ("ess(mean of col products)", essential_spectral_radius(mid)),
-            ("prod ess(col product)^a_j",
-             _bprod([essential_spectral_radius(c) for c in cols], alphas)),
-        ]),
+        Part("gamma-grid", CHAIN, _grid_terms(
+            ("gamma(A)", "gamma(mean of col products)", "prod gamma(col product)^a_j"),
+            hausdorff_mnc, a, cols, mid, alphas)),
+        Part("ess-grid", CHAIN, _grid_terms(
+            ("ess(A)", "ess(mean of col products)", "prod ess(col product)^a_j"),
+            essential_spectral_radius, a, cols, mid, alphas)),
     ]
 
 
@@ -805,16 +849,13 @@ def _e4_sample(rng, ens):
                        params={"m": m, "n": n, "k": k, "alphas": alphas, "t": t})
 
 
-def _e4_build(inputs, ctx):
-    m, n, k = inputs.params["m"], inputs.params["n"], inputs.params["k"]
-    alphas = list(inputs.params["alphas"])
-    t = inputs.params["t"]
-    sets = list(inputs.family_sets[:m])
-    grid = [list(inputs.family_sets[m + i * m: m + (i + 1) * m]) for i in range(k)]
+def _e4_build(inputs, ctx, m, n, k, alphas, t):
+    sets = inputs.family_sets[:m]
+    grid = _grid(inputs.family_sets[m:], k, m)
     mean = _smean(sets, alphas)
     mean_n = _smean([set_power(s, n) for s in sets], alphas)
     rowmeans = [_smean(row, alphas) for row in grid]
-    cols = [set_product_many([grid[i][j] for i in range(k)]) for j in range(m)]
+    cols = [set_product_many(col) for col in zip(*grid)]
     colmean = _smean(cols, alphas)
     colmean_n = _smean([set_power(c, n) for c in cols], alphas)
     prod_all = set_product_many(sets)
@@ -852,12 +893,10 @@ def _e5_sample(rng, ens):
                        params={"k": k, "m": m, "n": n, "alphas": alphas})
 
 
-def _e5_build(inputs, ctx):
-    k, m, n = inputs.params["k"], inputs.params["m"], inputs.params["n"]
-    alphas = list(inputs.params["alphas"])
-    grid = [list(inputs.family_sets[i * m:(i + 1) * m]) for i in range(k)]
+def _e5_build(inputs, ctx, k, m, n, alphas):
+    grid = _grid(inputs.family_sets, k, m)
     rowmeans = [_smean(row, alphas) for row in grid]
-    colsums = [set_sum_many([grid[i][j] for i in range(k)]) for j in range(m)]
+    colsums = [set_sum_many(col) for col in zip(*grid)]
     summean = _smean(colsums, alphas)
     summean_n = _smean([set_power(c, n) for c in colsums], alphas)
     return [Part("sum-of-means", CHAIN, [
@@ -889,57 +928,50 @@ def _e6_check(inputs):
     return None
 
 
-def _e6_build(inputs, ctx):
-    m, n = inputs.params["m"], inputs.params["n"]
-    a, b = inputs.params["alpha"], inputs.params["beta"]
-    psi = inputs.family_sets[0]
-    sets = list(inputs.family_sets[1:])
+def _e6_build(inputs, ctx, m, n, alpha, beta):
+    psi, *sets = inputs.family_sets
     fwd = set_product_many(sets)
-    rev = set_product_many(list(reversed(sets)))
-    sym_prod = set_product_many([symmetrization(s, a, b) for s in sets])
+    rev = set_product_many(sets[::-1])
+    syms = [symmetrization(s, alpha, beta) for s in sets]
+    sym_prod = set_product_many(syms)
     sums = set_sum_many(sets)
+    p1p2 = set_product(sets[0], sets[1])
+    psi_power = ("r(P)^(a+b)", _ess_term([(psi, alpha + beta)]))
     parts = [
         Part("product-of-symmetrizations", CHAIN, [
             ("r(S(P1)...S(Pm))", _ess_term([(sym_prod, 1.0)])),
             ("r((P1..Pm)^(a) o ((Pm..P1)*)^(b))",
-             _ess_term([(symmetrization(fwd, a, b, rev), 1.0)])),
+             _ess_term([(symmetrization(fwd, alpha, beta, rev), 1.0)])),
             ("r(n-powered cross)^1/n",
-             _ess_term([(symmetrization(set_power(fwd, n), a, b, set_power(rev, n)),
-                              1.0 / n)])),
-            ("r(P1..Pm)^a r(Pm..P1)^b", _ess_term([(fwd, a), (rev, b)])),
+             _ess_term([(symmetrization(set_power(fwd, n), alpha, beta, set_power(rev, n)),
+                         1.0 / n)])),
+            ("r(P1..Pm)^a r(Pm..P1)^b", _ess_term([(fwd, alpha), (rev, beta)])),
         ]),
         Part("single-set", CHAIN, [
-            ("r(S(P))", _ess_term([(symmetrization(psi, a, b), 1.0)])),
-            ("r(S(P^n))^1/n", _ess_term([(symmetrization(set_power(psi, n), a, b), 1.0 / n)])),
-            ("r(P)^(a+b)", _ess_term([(psi, a + b)])),
+            ("r(S(P))", _ess_term([(symmetrization(psi, alpha, beta), 1.0)])),
+            ("r(S(P^n))^1/n",
+             _ess_term([(symmetrization(set_power(psi, n), alpha, beta), 1.0 / n)])),
+            psi_power,
         ]),
         Part("sums", CHAIN, [
-            ("r(S(P1)+...+S(Pm))",
-             _ess_term([(set_sum_many([symmetrization(s, a, b) for s in sets]), 1.0)])),
-            ("r(S(P1+...+Pm))", _ess_term([(symmetrization(sums, a, b), 1.0)])),
+            ("r(S(P1)+...+S(Pm))", _ess_term([(set_sum_many(syms), 1.0)])),
+            ("r(S(P1+...+Pm))", _ess_term([(symmetrization(sums, alpha, beta), 1.0)])),
             ("r(S((P1+...+Pm)^n))^1/n",
-             _ess_term([(symmetrization(set_power(sums, n), a, b), 1.0 / n)])),
-            ("r(P1+...+Pm)^(a+b)", _ess_term([(sums, a + b)])),
+             _ess_term([(symmetrization(set_power(sums, n), alpha, beta), 1.0 / n)])),
+            ("r(P1+...+Pm)^(a+b)", _ess_term([(sums, alpha + beta)])),
         ]),
         Part("pair-product", CHAIN, [
-            ("r(S(P1)S(P2))",
-             _ess_term([(set_product(symmetrization(sets[0], a, b),
-                                          symmetrization(sets[1], a, b)), 1.0)])),
+            ("r(S(P1)S(P2))", _ess_term([(set_product(syms[0], syms[1]), 1.0)])),
             ("r((P1P2)^(a) o ((P2P1)*)^(b))",
-             _ess_term([(symmetrization(set_product(sets[0], sets[1]), a, b,
-                                             set_product(sets[1], sets[0])), 1.0)])),
-            ("r(P1P2)^(a+b)", _ess_term([(set_product(sets[0], sets[1]), a + b)])),
+             _ess_term([(symmetrization(p1p2, alpha, beta, set_product(sets[1], sets[0])),
+                         1.0)])),
+            ("r(P1P2)^(a+b)", _ess_term([(p1p2, alpha + beta)])),
         ]),
     ]
-    n_levels = 4 if len(psi) == 1 else 2
-    ladder = []
-    for lv in range(n_levels + 1):
-        p = 2 ** lv
-        ladder.append((f"r(S(P^{p}))^(1/{p})",
-                       _ess_term([(symmetrization(set_power(psi, p), a, b), 1.0 / p)])))
-    ladder.append(("r(P)^(a+b)", _ess_term([(psi, a + b)])))
-    parts.append(Part("dyadic-ladder", CHAIN, ladder))
-    return parts
+    ladder = [(f"r(S(P^{p}))^(1/{p})",
+               _ess_term([(symmetrization(set_power(psi, p), alpha, beta), 1.0 / p)]))
+              for p in (2 ** lv for lv in range(5 if len(psi) == 1 else 3))]
+    return parts + [Part("dyadic-ladder", CHAIN, [*ladder, psi_power])]
 
 
 def _e7_sample(rng, ens):
@@ -951,8 +983,7 @@ def _e7_sample(rng, ens):
                        params={"m": m, "n": n, "alpha": alpha})
 
 
-def _e7_build(inputs, ctx):
-    m, n, alpha = inputs.params["m"], inputs.params["n"], inputs.params["alpha"]
+def _e7_build(inputs, ctx, m, n, alpha):
     psi = inputs.family_sets[0]
     psin = set_power(psi, n)
     ones = [1.0] * m
@@ -969,7 +1000,7 @@ def _e7_build(inputs, ctx):
              _ess_term([(_smean([set_hadamard_power(psi, alpha - 1), psi], [1.0, 1.0]), 1.0)])),
             ("r((P^n)^(a-1) o P^n)^1/n",
              _ess_term([(_smean([set_hadamard_power(psin, alpha - 1), psin], [1.0, 1.0]),
-                              1.0 / n)])),
+                         1.0 / n)])),
             ("r(P)^a", _ess_term([(psi, alpha)])),
         ]),
     ]
@@ -987,33 +1018,35 @@ def _e8_sample(rng, ens):
     return ChainInputs(family_sets=sets, params={"m": m, "n": n, "alpha": alpha})
 
 
-def _e8_build(inputs, ctx):
-    m, n, alpha = inputs.params["m"], inputs.params["n"], inputs.params["alpha"]
-    sets = list(inputs.family_sets)
+def _e8_build(inputs, ctx, m, n, alpha):
+    sets = inputs.family_sets
     am = alpha * m
     alphas = [alpha] * m
-    phis = [set_product_many(_cyclic(sets, j)) for j in range(m)]
+    phis = _rotations(sets)
     powered = [set_hadamard_power(s, am) for s in sets]
-    sigmas = [set_product_many(_cyclic(powered, j)) for j in range(m)]
-    prod_all = set_product_many(sets)
-    powprod = set_product_many(powered)
+    sigmas = _rotations(powered)
+    prod_all = phis[0]
     lhs = ("r(mean_a(P_j))", _ess_term([(_smean(sets, alphas), 1.0)]))
+    phi_mean = ("r(mean_a(Phi_j))^1/m", _ess_term([(_smean(phis, alphas), 1.0 / m)]))
+    powprod = ("r(P1^(am)...Pm^(am))^1/m", _ess_term([(sigmas[0], 1.0 / m)]))
+    prod_am = ("r((P1...Pm)^(am))^1/m",
+               _ess_term([(set_hadamard_power(prod_all, am), 1.0 / m)]))
+    rhs = ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)]))
     parts = [
         Part("cyclic", CHAIN, [
             lhs,
-            ("r(mean_a(Phi_j))^1/m", _ess_term([(_smean(phis, alphas), 1.0 / m)])),
+            phi_mean,
             ("r(mean_a(Phi_j^n))^1/mn",
              _ess_term([(_smean([set_power(p, n) for p in phis], alphas), 1.0 / (m * n))])),
-            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
+            rhs,
         ]),
         Part("power-route", CHAIN, [
             lhs,
-            ("r(P1^(am)...Pm^(am))^1/m", _ess_term([(powprod, 1.0 / m)])),
-            ("r((P1...Pm)^(am))^1/m",
-             _ess_term([(set_hadamard_power(prod_all, am), 1.0 / m)])),
+            powprod,
+            prod_am,
             ("r(((P1...Pm)^n)^(am))^1/nm",
              _ess_term([(set_hadamard_power(set_power(prod_all, n), am), 1.0 / (n * m))])),
-            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
+            rhs,
         ]),
         Part("sigma-route", CHAIN, [
             lhs,
@@ -1021,21 +1054,20 @@ def _e8_build(inputs, ctx):
              _ess_term([(_smean(sigmas, [1.0 / m] * m), 1.0 / m)])),
             ("r(mean_1/m(Sig_j^n))^1/mn",
              _ess_term([(_smean([set_power(s, n) for s in sigmas], [1.0 / m] * m),
-                              1.0 / (m * n))])),
-            ("r(P1^(am)...Pm^(am))^1/m", _ess_term([(powprod, 1.0 / m)])),
-            ("r((P1...Pm)^(am))^1/m",
-             _ess_term([(set_hadamard_power(prod_all, am), 1.0 / m)])),
-            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
+                         1.0 / (m * n))])),
+            powprod,
+            prod_am,
+            rhs,
         ]),
     ]
     if alpha >= 1.0:
         parts.append(Part("interleaved", CHAIN, [
             lhs,
-            ("r(mean_a(Phi_j))^1/m", _ess_term([(_smean(phis, alphas), 1.0 / m)])),
+            phi_mean,
             ("prod r((Phi_j^n)^(m))^(a/m^2 n)",
              _ess_term([(set_hadamard_power(set_power(p, n), float(m)),
-                              alpha / (m * m * n)) for p in phis])),
-            ("r(P1...Pm)^a", _ess_term([(prod_all, alpha)])),
+                         alpha / (m * m * n)) for p in phis])),
+            rhs,
         ]))
     return parts
 
@@ -1048,45 +1080,43 @@ def _e9_sample(rng, ens):
                                "beta_open": sample_beta(rng, open_interval=True)})
 
 
-def _e9_build(inputs, ctx):
+def _e9_build(inputs, ctx, beta, beta_open):
     p, q = inputs.family_sets
-    beta = inputs.params["beta"]
-    bo = inputs.params["beta_open"]
+    ones = [1.0, 1.0]
     pq = set_product(p, q)
     qp = set_product(q, p)
-    lhs = ("r(P o Q)", _ess_term([(_smean([p, q], [1.0, 1.0]), 1.0)]))
+    pqpq, qpqp = _smean([pq, pq], ones), _smean([qp, qp], ones)
+    lhs = ("r(P o Q)", _ess_term([(_smean([p, q], ones), 1.0)]))
+    cross = ("r(PQ o QP)^1/2", _ess_term([(_smean([pq, qp], ones), 0.5)]))
+    rhs = ("r(PQ)", _ess_term([(pq, 1.0)]))
     return [
         Part("squares-route", CHAIN, [
             lhs,
             ("r(P^(2) Q^(2))^1/2",
              _ess_term([(set_product(set_hadamard_power(p, 2.0),
-                                          set_hadamard_power(q, 2.0)), 0.5)])),
+                                     set_hadamard_power(q, 2.0)), 0.5)])),
             ("r((PoP)(QoQ))^1/2",
-             _ess_term([(set_product(_smean([p, p], [1.0, 1.0]),
-                                          _smean([q, q], [1.0, 1.0])), 0.5)])),
+             _ess_term([(set_product(_smean([p, p], ones), _smean([q, q], ones)), 0.5)])),
             ("r(PQoPQ)^b/2 r(QPoQP)^(1-b)/2",
-             _ess_term([(_smean([pq, pq], [1.0, 1.0]), beta / 2),
-                             (_smean([qp, qp], [1.0, 1.0]), (1 - beta) / 2)])),
-            ("r(PQ)", _ess_term([(pq, 1.0)])),
+             _ess_term([(pqpq, beta / 2), (qpqp, (1 - beta) / 2)])),
+            rhs,
         ]),
         Part("cross-route", CHAIN, [
             lhs,
-            ("r(PQ o QP)^1/2", _ess_term([(_smean([pq, qp], [1.0, 1.0]), 0.5)])),
+            cross,
             ("r((PQ)^(2))^1/4 r((QP)^(2))^1/4",
              _ess_term([(set_hadamard_power(pq, 2.0), 0.25),
-                             (set_hadamard_power(qp, 2.0), 0.25)])),
-            ("r(PQoPQ)^1/4 r(QPoQP)^1/4",
-             _ess_term([(_smean([pq, pq], [1.0, 1.0]), 0.25),
-                             (_smean([qp, qp], [1.0, 1.0]), 0.25)])),
-            ("r(PQ)", _ess_term([(pq, 1.0)])),
+                        (set_hadamard_power(qp, 2.0), 0.25)])),
+            ("r(PQoPQ)^1/4 r(QPoQP)^1/4", _ess_term([(pqpq, 0.25), (qpqp, 0.25)])),
+            rhs,
         ]),
         Part("reciprocal-route", CHAIN, [
             lhs,
-            ("r(PQ o QP)^1/2", _ess_term([(_smean([pq, qp], [1.0, 1.0]), 0.5)])),
+            cross,
             ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
-             _ess_term([(set_hadamard_power(pq, 1 / bo), bo / 2),
-                             (set_hadamard_power(qp, 1 / (1 - bo)), (1 - bo) / 2)])),
-            ("r(PQ)", _ess_term([(pq, 1.0)])),
+             _ess_term([(set_hadamard_power(pq, 1 / beta_open), beta_open / 2),
+                        (set_hadamard_power(qp, 1 / (1 - beta_open)), (1 - beta_open) / 2)])),
+            rhs,
         ]),
     ]
 
@@ -1099,30 +1129,28 @@ def _e10_sample(rng, ens):
                                "beta_open": sample_beta(rng, open_interval=True)})
 
 
-def _e10_build(inputs, ctx):
+def _e10_build(inputs, ctx, beta, beta_open):
     a, b = inputs.families
-    beta = inputs.params["beta"]
-    bo = inputs.params["beta_open"]
     ab, ba = a @ b, b @ a
+    lhs = ("ess(A o B)", essential_spectral_radius(a.hadamard(b)))
+    rhs = ("ess(AB)", essential_spectral_radius(ab))
     return [
         Part("squares-route", CHAIN, [
-            ("ess(A o B)", essential_spectral_radius(a.hadamard(b))),
+            lhs,
             ("ess((AoA)(BoB))^1/2",
              essential_spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5)),
             ("ess(ABoAB)^b/2 ess(BAoBA)^(1-b)/2",
-             _bprod([essential_spectral_radius(ab.hadamard(ab)),
-                     essential_spectral_radius(ba.hadamard(ba))],
-                    [beta / 2, (1 - beta) / 2])),
-            ("ess(AB)", essential_spectral_radius(ab)),
+             _split(essential_spectral_radius, ab, ba, beta)),
+            rhs,
         ]),
         Part("reciprocal-route", CHAIN, [
-            ("ess(A o B)", essential_spectral_radius(a.hadamard(b))),
+            lhs,
             ("ess(AB o BA)^1/2", essential_spectral_radius(ab.hadamard(ba)).power(0.5)),
             ("ess((AB)^(1/b))^b/2 ess((BA)^(1/(1-b)))^(1-b)/2",
-             _bprod([essential_spectral_radius(ab.hpow(1 / bo)),
-                     essential_spectral_radius(ba.hpow(1 / (1 - bo)))],
-                    [bo / 2, (1 - bo) / 2])),
-            ("ess(AB)", essential_spectral_radius(ab)),
+             _bprod([essential_spectral_radius(ab.hpow(1 / beta_open)),
+                     essential_spectral_radius(ba.hpow(1 / (1 - beta_open)))],
+                    [beta_open / 2, (1 - beta_open) / 2])),
+            rhs,
         ]),
     ]
 
@@ -1135,11 +1163,11 @@ def _e11_sample(rng, ens):
                        params={"alpha": alpha})
 
 
-def _e11_build(inputs, ctx):
-    alpha = inputs.params["alpha"]
+def _e11_build(inputs, ctx, alpha):
     psi = inputs.family_sets[0]
     a = inputs.families[0]
     pa = set_hadamard_power(psi, alpha)
+    aa = a.hpow(alpha)
     return [
         Part("set", CHAIN, [
             ("r(P^(a) o (P*)^(a))",
@@ -1149,9 +1177,8 @@ def _e11_build(inputs, ctx):
         ]),
         Part("singleton", CHAIN, [
             ("ess(A^(a) o (A*)^(a))",
-             essential_spectral_radius(a.hpow(alpha).hadamard(a.adjoint().hpow(alpha)))),
-            ("ess(A^(a) o A^(a))",
-             essential_spectral_radius(a.hpow(alpha).hadamard(a.hpow(alpha)))),
+             essential_spectral_radius(aa.hadamard(a.adjoint().hpow(alpha)))),
+            ("ess(A^(a) o A^(a))", essential_spectral_radius(aa.hadamard(aa))),
             ("ess(A)^2a", essential_spectral_radius(a).power(2 * alpha)),
         ]),
     ]
@@ -1175,16 +1202,18 @@ def _e12_build(inputs, ctx):
     t, d = inputs.families
     sigma = inputs.family_sets[0]
     sstar = set_adjoint(sigma)
-    tst = t.adjoint() @ t
+    tstar = t.adjoint()
+    tst = tstar @ t
+    gamma_t = hausdorff_mnc(t)
     return [
         Part("star-square", EQUALITY, [
             ("ess(T*T)", essential_spectral_radius(tst)),
             ("gamma(T*T)", hausdorff_mnc(tst)),
-            ("gamma(T)^2", hausdorff_mnc(t).power(2.0)),
+            ("gamma(T)^2", gamma_t.power(2.0)),
         ]),
         Part("adjoint-gamma", EQUALITY, [
-            ("gamma(T)", hausdorff_mnc(t)),
-            ("gamma(T*)", hausdorff_mnc(t.adjoint())),
+            ("gamma(T)", gamma_t),
+            ("gamma(T*)", hausdorff_mnc(tstar)),
         ]),
         Part("normal-case", EQUALITY, [
             ("ess(D)", essential_spectral_radius(d)),
@@ -1198,38 +1227,24 @@ def _e12_build(inputs, ctx):
     ]
 
 
-def _star_word_patterns(m: int):
-    """(W1, W2) for even m: stars on even positions and its star-swap."""
-    w1 = [(j, j % 2 == 0) for j in range(m)]
-    w2 = [(j, j % 2 == 1) for j in range(m)]
-    return w1, w2
-
-
-def _long_word_pattern(m: int):
-    """Length-2m pattern index p mod m, starred on odd positions (odd m)."""
-    return [(p % m, p % 2 == 1) for p in range(2 * m)]
-
-
 def _e13_sample(rng, ens):
     m = int(rng.integers(2, 5))
-    size = _set_size_for(m)
-    sets = tuple(_fam_set(rng, ens, size, offset=_pick_offset(rng, ens)) for _ in range(m))
+    sets = _fam_sets(rng, ens, m)
     return ChainInputs(family_sets=sets, params={"m": m})
 
 
-def _e13_build(inputs, ctx):
-    m = inputs.params["m"]
-    sets = list(inputs.family_sets)
-    uniform = [1.0 / m] * m
-    lhs = ("gamma(uniform mean)", gamma_set_bracket(_smean(sets, uniform)))
+def _e13_build(inputs, ctx, m):
+    sets = inputs.family_sets
+    stars = _adjoints(sets)
+    lhs = ("gamma(uniform mean)", gamma_set_bracket(_smean(sets, [1.0 / m] * m)))
     if m % 2 == 0:
         w1, w2 = _star_word_patterns(m)
         rhs = ("(r(W) r(W-swap))^1/2m",
-               _ess_term([(_word_set(sets, w1), 1.0 / (2 * m)),
-                               (_word_set(sets, w2), 1.0 / (2 * m))]))
+               _ess_term([(_word_set(sets, stars, w1), 1.0 / (2 * m)),
+                          (_word_set(sets, stars, w2), 1.0 / (2 * m))]))
     else:
         rhs = ("r(long alternating word)^1/2m",
-               _ess_term([(_word_set(sets, _long_word_pattern(m)), 1.0 / (2 * m))]))
+               _ess_term([(_word_set(sets, stars, _long_word_pattern(m)), 1.0 / (2 * m))]))
     return [Part("mean-vs-word", CHAIN, [lhs, rhs])]
 
 
@@ -1241,149 +1256,108 @@ def _e14_sample(rng, ens):
 
 
 def _e14_build(inputs, ctx):
-    p, q = inputs.family_sets
-    a, b = inputs.families
-    ps_q = set_product(set_adjoint(p), q)
-    qs_p = set_product(set_adjoint(q), p)
-    astar_b = a.adjoint() @ b
-    bstar_a = b.adjoint() @ a
+    sets = inputs.family_sets
+    ps_q, qs_p, p_qs = _star_pair(sets, _adjoints(sets))
     return [
-        Part("set", CHAIN, [
-            ("gamma(P^(1/2) o Q^(1/2))", gamma_set_bracket(_smean([p, q], [0.5, 0.5]))),
-            ("r((P*Q)^(1/2) o (Q*P)^(1/2))^1/2",
-             _ess_term([(_smean([ps_q, qs_p], [0.5, 0.5]), 0.5)])),
-            ("r(P*Q)^1/2", _ess_term([(ps_q, 0.5)])),
-        ]),
-        Part("set-star-swap", EQUALITY, [
-            ("r(P*Q)", _ess_term([(ps_q, 1.0)])),
-            ("r(PQ*)", _ess_term([(set_product(p, set_adjoint(q)), 1.0)])),
-        ]),
-        Part("singleton", CHAIN, [
-            ("gamma(A^(1/2) o B^(1/2))", hausdorff_mnc(_mean([a, b], [0.5, 0.5]))),
-            ("ess((A*B)^(1/2) o (B*A)^(1/2))^1/2",
-             essential_spectral_radius(_mean([astar_b, bstar_a], [0.5, 0.5])).power(0.5)),
-            ("ess(A*B)^1/2", essential_spectral_radius(astar_b).power(0.5)),
-        ]),
-        Part("singleton-star-swap", EQUALITY, [
-            ("ess(A*B)", essential_spectral_radius(astar_b)),
-            ("ess(AB*)", essential_spectral_radius(a @ b.adjoint())),
-        ]),
+        Part("set", CHAIN, _star_mean_terms(
+            ("gamma(P^(1/2) o Q^(1/2))", "r((P*Q)^(1/2) o (Q*P)^(1/2))^1/2", "r(P*Q)^1/2"),
+            sets, ps_q, qs_p, 0.5)),
+        _star_swap("set-star-swap", ps_q, p_qs),
+        *_adjoint_mean_parts(
+            ("singleton", "singleton-star-swap"),
+            ("gamma(A^(1/2) o B^(1/2))", "ess((A*B)^(1/2) o (B*A)^(1/2))^1/2", "ess(A*B)^1/2",
+             "ess(A*B)", "ess(AB*)"),
+            hausdorff_mnc, essential_spectral_radius, *inputs.families),
     ]
 
 
 def _e15_sample(rng, ens):
     m = int(rng.integers(2, 4))
-    size = _set_size_for(m)
     alpha = sample_alpha_at_least(rng, 1.0 / m)
     alpha2 = sample_alpha_at_least(rng, 0.5)
-    sets = tuple(_fam_set(rng, ens, size, offset=_pick_offset(rng, ens)) for _ in range(m))
+    sets = _fam_sets(rng, ens, m)
     return ChainInputs(family_sets=sets,
                        params={"m": m, "alpha": alpha, "alpha2": alpha2})
 
 
-def _e15_build(inputs, ctx):
-    m = inputs.params["m"]
-    alpha = inputs.params["alpha"]
-    a2 = inputs.params["alpha2"]
-    sets = list(inputs.family_sets)
+def _e15_build(inputs, ctx, m, alpha, alpha2):
+    sets = inputs.family_sets
+    stars = _adjoints(sets)
     alphas = [alpha] * m
     lhs = ("gamma(mean_a)", gamma_set_bracket(_smean(sets, alphas)))
     if m % 2 == 0:
         w1, w2 = _star_word_patterns(m)
-        rotations = [_word_set(sets, [((j + r) % m, star) for j, star in w1])
+        rotations = [_word_set(sets, stars, [((j + r) % m, star) for j, star in w1])
                      for r in range(m)]
-        mid = ("r(mean_a(rotated words))^1/m",
-               _ess_term([(_smean(rotations, alphas), 1.0 / m)]))
-        last = ("(r(W) r(W-swap))^a/2",
-                _ess_term([(_word_set(sets, w1), alpha / 2),
-                                (_word_set(sets, w2), alpha / 2)]))
-        main = Part("even", CHAIN, [lhs, mid, last])
+        main = Part("even", CHAIN, [
+            lhs,
+            ("r(mean_a(rotated words))^1/m", _ess_term([(_smean(rotations, alphas), 1.0 / m)])),
+            ("(r(W) r(W-swap))^a/2",
+             _ess_term([(_word_set(sets, stars, w1), alpha / 2),
+                        (_word_set(sets, stars, w2), alpha / 2)])),
+        ])
     else:
-        wl = _long_word_pattern(m)
-        rotations = [_word_set(sets, _cyclic(wl, 2 * r)) for r in range(m)]
+        words = _long_words(sets, stars)
         main = Part("odd", CHAIN, [
             lhs,
             ("r(mean_a(rotated long words))^1/2m",
-             _ess_term([(_smean(rotations, alphas), 1.0 / (2 * m))])),
-            ("r(long word)^a/2", _ess_term([(_word_set(sets, wl), alpha / 2)])),
+             _ess_term([(_smean(words, alphas), 1.0 / (2 * m))])),
+            ("r(long word)^a/2", _ess_term([(words[0], alpha / 2)])),
         ])
-    p, q = sets[0], sets[1]
-    ps_q = set_product(set_adjoint(p), q)
-    qs_p = set_product(set_adjoint(q), p)
-    pair = Part("pair", CHAIN, [
-        ("gamma(P^(a2) o Q^(a2))",
-         gamma_set_bracket(_smean([p, q], [a2, a2]))),
-        ("r((P*Q)^(a2) o (Q*P)^(a2))^1/2",
-         _ess_term([(_smean([ps_q, qs_p], [a2, a2]), 0.5)])),
-        ("r(P*Q)^a2", _ess_term([(ps_q, a2)])),
-    ])
-    pair_matrix = Part("pair-matrix", CHAIN, [
-        ("gamma(P^(a2) o Q^(a2))",
-         gamma_set_bracket(_smean([p, q], [a2, a2]))),
-        ("r((P*Q)^(a2) o (Q*P)^(a2))^1/2",
-         _ess_term([(_smean([ps_q, qs_p], [a2, a2]), 0.5)])),
-        ("r((P*Q)^(a2) o (P*Q)^(a2))^1/2",
-         _ess_term([(_smean([ps_q, ps_q], [a2, a2]), 0.5)])),
-        ("r(P*Q)^a2", _ess_term([(ps_q, a2)])),
-    ])
-    swap = Part("pair-star-swap", EQUALITY, [
-        ("r(P*Q)", _ess_term([(ps_q, 1.0)])),
-        ("r(PQ*)", _ess_term([(set_product(p, set_adjoint(q)), 1.0)])),
-    ])
-    return [main, pair, pair_matrix, swap]
+    ps_q, qs_p, p_qs = _star_pair(sets, stars)
+    gamma_mean, cross_mean, last = _star_mean_terms(
+        ("gamma(P^(a2) o Q^(a2))", "r((P*Q)^(a2) o (Q*P)^(a2))^1/2", "r(P*Q)^a2"),
+        sets, ps_q, qs_p, alpha2)
+    return [
+        main,
+        Part("pair", CHAIN, [gamma_mean, cross_mean, last]),
+        Part("pair-matrix", CHAIN, [
+            gamma_mean,
+            cross_mean,
+            ("r((P*Q)^(a2) o (P*Q)^(a2))^1/2",
+             _ess_term([(_smean([ps_q, ps_q], [alpha2, alpha2]), 0.5)])),
+            last,
+        ]),
+        _star_swap("pair-star-swap", ps_q, p_qs),
+    ]
 
 
-def _cyclic_pairs(m: int):
-    """The m cyclic pair patterns (j, j+1 mod m), first unstarred, second starred."""
-    return [[(j, False), ((j + 1) % m, True)] for j in range(m)]
+def _odd_pair_part(name, labels, sets, a) -> Part:
+    """The pair-word part over the cyclic pairs P_j P*_(j+1) and the long word (odd m)."""
+    m = len(sets)
+    stars = _adjoints(sets)
+    pairs = [set_product(sets[j], stars[(j + 1) % m]) for j in range(m)]
+    return _pair_word_part(name, labels, sets, a, pairs, _long_words(sets, stars))
 
 
 def _e16_sample(rng, ens):
     m = 3 if rng.random() < 0.8 else 5
-    sets = tuple(_fam_set(rng, ens, 1, offset=_pick_offset(rng, ens)) for _ in range(m))
+    sets = _fam_sets(rng, ens, m)
     return ChainInputs(family_sets=sets, params={"m": m})
 
 
-def _e16_build(inputs, ctx):
-    m = inputs.params["m"]
-    sets = list(inputs.family_sets)
-    uniform = [1.0 / m] * m
-    pairs = [_word_set(sets, pat) for pat in _cyclic_pairs(m)]
-    wl = _long_word_pattern(m)
-    omegas = [_word_set(sets, _cyclic(wl, 2 * r)) for r in range(m)]
-    return [Part("odd-pair-chain", CHAIN, [
-        ("gamma(uniform mean)", gamma_set_bracket(_smean(sets, uniform))),
-        ("r(mean(pair products))^1/2",
-         _ess_term([(_smean(pairs, uniform), 0.5)])),
-        ("r(mean(rotated long words))^1/2m",
-         _ess_term([(_smean(omegas, uniform), 1.0 / (2 * m))])),
-        ("r(long word)^1/2m", _ess_term([(_word_set(sets, wl), 1.0 / (2 * m))])),
-    ])]
+def _e16_build(inputs, ctx, m):
+    # the last power (1/m)/2 is 1/(2m) exactly: halving a float is exact
+    return [_odd_pair_part(
+        "odd-pair-chain",
+        ("gamma(uniform mean)", "r(mean(pair products))^1/2",
+         "r(mean(rotated long words))^1/2m", "r(long word)^1/2m"),
+        inputs.family_sets, 1.0 / m)]
 
 
 def _e17_sample(rng, ens):
     m = 3 if rng.random() < 0.8 else 5
     alpha = sample_alpha_at_least(rng, 1.0 / m)
-    sets = tuple(_fam_set(rng, ens, 1, offset=_pick_offset(rng, ens)) for _ in range(m))
+    sets = _fam_sets(rng, ens, m)
     return ChainInputs(family_sets=sets, params={"m": m, "alpha": alpha})
 
 
-def _e17_build(inputs, ctx):
-    m = inputs.params["m"]
-    alpha = inputs.params["alpha"]
-    sets = list(inputs.family_sets)
-    alphas = [alpha] * m
-    pairs = [_word_set(sets, pat) for pat in _cyclic_pairs(m)]
-    wl = _long_word_pattern(m)
-    omegas = [_word_set(sets, _cyclic(wl, 2 * r)) for r in range(m)]
-    return [Part("odd-weighted-chain", CHAIN, [
-        ("gamma(mean_a)", gamma_set_bracket(_smean(sets, alphas))),
-        ("r(mean_a(pair products))^1/2",
-         _ess_term([(_smean(pairs, alphas), 0.5)])),
-        ("r(mean_a(rotated long words))^1/2m",
-         _ess_term([(_smean(omegas, alphas), 1.0 / (2 * m))])),
-        ("r(long word)^a/2", _ess_term([(_word_set(sets, wl), alpha / 2)])),
-    ])]
+def _e17_build(inputs, ctx, m, alpha):
+    return [_odd_pair_part(
+        "odd-weighted-chain",
+        ("gamma(mean_a)", "r(mean_a(pair products))^1/2",
+         "r(mean_a(rotated long words))^1/2m", "r(long word)^a/2"),
+        inputs.family_sets, alpha)]
 
 
 def _e18_sample(rng, ens):
@@ -1393,94 +1367,67 @@ def _e18_sample(rng, ens):
     return ChainInputs(family_sets=sets, params={"alpha": alpha})
 
 
-def _e18_build(inputs, ctx):
+def _e18_build(inputs, ctx, alpha):
     p, q = inputs.family_sets
-    alpha = inputs.params["alpha"]
+    ps, qs = _adjoints((p, q))
+    cross = [set_product(ps, qs), set_product(ps, p), set_product(q, p)]
+    words = [set_product_many([ps, qs, ps, p, q, p]),
+             set_product_many([ps, p, q, p, ps, qs]),
+             set_product_many([q, p, ps, qs, ps, p])]
+    gamma_pqp = gamma_set_bracket(set_product_many([p, q, p]))
 
-    def parts_for(a, name):
+    def part(a, name):
         weights = [a] * 3
-        lhs = _smean([p, set_adjoint(q), p], weights)
-        m1 = set_product(set_adjoint(p), set_adjoint(q))
-        m2 = set_product(set_adjoint(p), p)
-        m3 = set_product(q, p)
-        w1 = set_product_many([set_adjoint(p), set_adjoint(q), set_adjoint(p), p, q, p])
-        w2 = set_product_many([set_adjoint(p), p, q, p, set_adjoint(p), set_adjoint(q)])
-        w3 = set_product_many([q, p, set_adjoint(p), set_adjoint(q), set_adjoint(p), p])
-        pqp = set_product_many([p, q, p])
         return Part(name, CHAIN, [
-            ("gamma(P^(a) o (Q*)^(a) o P^(a))", gamma_set_bracket(lhs)),
+            ("gamma(P^(a) o (Q*)^(a) o P^(a))", gamma_set_bracket(_smean([p, qs, p], weights))),
             ("r((P*Q*)^(a) o (P*P)^(a) o (QP)^(a))^1/2",
-             _ess_term([(_smean([m1, m2, m3], weights), 0.5)])),
-            ("r(mean_a(three 6-words))^1/6",
-             _ess_term([(_smean([w1, w2, w3], weights), 1.0 / 6)])),
-            ("gamma(PQP)^a", gamma_set_bracket(pqp).power(a)),
+             _ess_term([(_smean(cross, weights), 0.5)])),
+            ("r(mean_a(three 6-words))^1/6", _ess_term([(_smean(words, weights), 1.0 / 6)])),
+            ("gamma(PQP)^a", gamma_pqp.power(a)),
         ])
 
-    return [parts_for(1.0 / 3.0, "third-weights"), parts_for(alpha, "alpha-weights")]
+    return [part(1.0 / 3.0, "third-weights"), part(alpha, "alpha-weights")]
 
 
 def _e19_sigmas(sets, tau):
-    m = len(sets)
-    half = m // 2
     sig = [set_product(set_adjoint(sets[tau[2 * j]]), sets[tau[2 * j + 1]])
-           for j in range(half)]
-    return sig + [set_adjoint(s) for s in sig]
+           for j in range(len(sets) // 2)]
+    return sig + _adjoints(sig)
 
 
 def _e19_sample(rng, ens):
     m = 2 if rng.random() < 0.8 else 4
-    size = _set_size_for(m)
     alpha = sample_alpha_at_least(rng, 1.0 / m)
-    sets = tuple(_fam_set(rng, ens, size, offset=_pick_offset(rng, ens)) for _ in range(m))
+    sets = _fam_sets(rng, ens, m)
     return ChainInputs(family_sets=sets,
                        params={"m": m, "alpha": alpha,
                                "tau": _perm(rng, m), "nu": _perm(rng, m)})
 
 
-def _e19_build(inputs, ctx):
-    m = inputs.params["m"]
-    alpha = inputs.params["alpha"]
-    tau = list(inputs.params["tau"])
-    nu = list(inputs.params["nu"])
-    sets = list(inputs.family_sets)
+def _e19_build(inputs, ctx, m, alpha, tau, nu):
+    sets = inputs.family_sets
     sigmas = _e19_sigmas(sets, tau)
-    nus = [sigmas[nu[i]] for i in range(m)]
-    omegas = [set_product_many(_cyclic(nus, i)) for i in range(m)]
-    nuprod = set_product_many(nus)
-
-    def chain_for(a, name):
-        weights = [a] * m
-        return Part(name, CHAIN, [
-            ("gamma(mean(P_j))", gamma_set_bracket(_smean(sets, weights))),
-            ("r(mean(Sigma_j))^1/2", _ess_term([(_smean(sigmas, weights), 0.5)])),
-            ("r(mean(Omega_i))^1/2m",
-             _ess_term([(_smean(omegas, weights), 1.0 / (2 * m))])),
-            ("r(Sigma_nu(1)...Sigma_nu(m))^a/2",
-             _ess_term([(nuprod, a / 2)])),
-        ])
-
-    return [chain_for(1.0 / m, "uniform"), chain_for(alpha, "weighted")]
+    omegas = _rotations([sigmas[i] for i in nu])
+    labels = ("gamma(mean(P_j))", "r(mean(Sigma_j))^1/2", "r(mean(Omega_i))^1/2m",
+              "r(Sigma_nu(1)...Sigma_nu(m))^a/2")
+    return [_pair_word_part(name, labels, sets, a, sigmas, omegas)
+            for a, name in ((1.0 / m, "uniform"), (alpha, "weighted"))]
 
 
 def _e20_sample(rng, ens):
     m = 2 if rng.random() < 0.8 else 4
-    size = _set_size_for(m)
     alpha = sample_alpha_at_least(rng, 2.0 / m)
-    sets = tuple(_fam_set(rng, ens, size, offset=_pick_offset(rng, ens)) for _ in range(m))
+    sets = _fam_sets(rng, ens, m)
     return ChainInputs(family_sets=sets,
                        params={"m": m, "alpha": alpha, "tau": _perm(rng, m)})
 
 
-def _e20_build(inputs, ctx):
-    m = inputs.params["m"]
-    alpha = inputs.params["alpha"]
-    tau = list(inputs.params["tau"])
-    sets = list(inputs.family_sets)
+def _e20_build(inputs, ctx, m, alpha, tau):
+    sets = inputs.family_sets
     half = m // 2
     sigmas = _e19_sigmas(sets, tau)
     first_half = sigmas[:half]
-    thetas = [set_product_many(_cyclic(first_half, i)) for i in range(half)]
-    halfprod = set_product_many(first_half)
+    thetas = _rotations(first_half)
     return [Part("half-chain", CHAIN, [
         ("gamma(mean_a(P_j))", gamma_set_bracket(_smean(sets, [alpha] * m))),
         ("r(mean_a(Sigma_j))^1/2", _ess_term([(_smean(sigmas, [alpha] * m), 0.5)])),
@@ -1488,7 +1435,7 @@ def _e20_build(inputs, ctx):
          _ess_term([(_smean(first_half, [alpha] * half), 1.0)])),
         ("r(mean_a(Theta_i))^2/m",
          _ess_term([(_smean(thetas, [alpha] * half), 2.0 / m)])),
-        ("r(Sigma_1...Sigma_m/2)^a", _ess_term([(halfprod, alpha)])),
+        ("r(Sigma_1...Sigma_m/2)^a", _ess_term([(thetas[0], alpha)])),
     ])]
 
 
@@ -1496,52 +1443,41 @@ def _sonce_perms(m: int):
     """Permutations that pair each operator with its cyclic successor."""
     tau = list(range(0, m, 2)) + list(range(1, m, 2))
     nu = [(t + 1) % m for t in tau]
-    return tuple(tau), tuple(nu)
+    return tau, nu
 
 
 def _e21_sample(rng, ens):
     m = 2 if rng.random() < 0.6 else 3
-    size = _set_size_for(m)
     alpha = sample_alpha_at_least(rng, 1.0 / m)
-    sets = tuple(_fam_set(rng, ens, size, offset=_pick_offset(rng, ens)) for _ in range(m))
+    sets = _fam_sets(rng, ens, m)
     return ChainInputs(family_sets=sets,
                        params={"m": m, "alpha": alpha,
                                "tau": _perm(rng, m), "nu": _perm(rng, m)})
 
 
-def _e21_build(inputs, ctx):
-    m = inputs.params["m"]
-    alpha = inputs.params["alpha"]
-    tau = list(inputs.params["tau"])
-    nu = list(inputs.params["nu"])
-    sets = list(inputs.family_sets)
+def _e21_build(inputs, ctx, m, alpha, tau, nu):
+    sets = inputs.family_sets
+    stars = _adjoints(sets)
+    labels = ("gamma(mean(P_j))", "r(mean(tau/nu pairs))^1/2", "r(mean(Omega_j))^1/2m",
+              "r(pair word)^a/2")
 
-    def chain_for(t, v, a, name):
-        pairs = [set_product(set_adjoint(sets[t[j]]), sets[v[j]]) for j in range(m)]
-        omegas = [set_product_many(_cyclic(pairs, j)) for j in range(m)]
-        word = set_product_many(pairs)
-        weights = [a] * m
-        return Part(name, CHAIN, [
-            ("gamma(mean(P_j))", gamma_set_bracket(_smean(sets, weights))),
-            ("r(mean(tau/nu pairs))^1/2",
-             _ess_term([(_smean(pairs, weights), 0.5)])),
-            ("r(mean(Omega_j))^1/2m",
-             _ess_term([(_smean(omegas, weights), 1.0 / (2 * m))])),
-            ("r(pair word)^a/2",
-             _ess_term([(word, a / 2)])),
-        ])
+    def chains_for(t, v, weightings):
+        """One part per (weight, name), all over the pairs P*_t(j) P_v(j)."""
+        pairs = [set_product(stars[t[j]], sets[v[j]]) for j in range(m)]
+        omegas = _rotations(pairs)
+        return [_pair_word_part(name, labels, sets, a, pairs, omegas)
+                for a, name in weightings]
 
-    parts = [chain_for(tau, nu, 1.0 / m, "uniform"),
-             chain_for(tau, nu, alpha, "weighted")]
+    parts = chains_for(tau, nu, ((1.0 / m, "uniform"), (alpha, "weighted")))
     if m % 2 == 1:
         st, sv = _sonce_perms(m)
-        parts.append(chain_for(list(st), list(sv), 1.0 / m, "consecutive-pairs"))
+        parts += chains_for(st, sv, ((1.0 / m, "consecutive-pairs"),))
         word1 = [(st[j], True) if k == 0 else (sv[j], False)
                  for j in range(m) for k in (0, 1)]
-        word2 = _long_word_pattern(m)
         parts.append(Part("word-swap", EQUALITY, [
-            ("r(stars-first word)", _ess_term([(_word_set(sets, word1), 1.0)])),
-            ("r(stars-second word)", _ess_term([(_word_set(sets, word2), 1.0)])),
+            ("r(stars-first word)", _ess_term([(_word_set(sets, stars, word1), 1.0)])),
+            ("r(stars-second word)",
+             _ess_term([(_word_set(sets, stars, _long_word_pattern(m)), 1.0)])),
         ]))
     return parts
 
@@ -1562,11 +1498,11 @@ _REGISTRY = (
     _chain("F1", "hadamard-vs-product", "finite",
            "Spectral radius of the Hadamard product is dominated by that of the ordinary product.",
            _TWO_MATRICES, {"matrices": 2}, (),
-           _pair_sample, _zhan(lambda a, b: [])),
+           _pair_sample, _zhan(lambda a, b, ab: [])),
     _chain("F2", "audenaert-refinement", "finite",
            "Audenaert's interpolation between the Hadamard and ordinary products.",
            _TWO_MATRICES, {"matrices": 2}, (),
-           _pair_sample, _zhan(_f2_mid)),
+           _pair_sample, _zhan(lambda a, b, ab: [_squares(a, b)])),
     _chain("F3", "horn-zhang-refinement", "finite",
            "Horn and Zhang's interpolation through AB o BA.",
            _TWO_MATRICES, {"matrices": 2}, (),
@@ -1582,7 +1518,7 @@ _REGISTRY = (
     _chain("F6", "beta-interpolated-refinement", "finite",
            "Beta-weighted interpolation between the AB and BA Hadamard squares.",
            "two square matrices; beta in [0, 1]", {"matrices": 2}, (_BETA,),
-           _f6_sample, _f6_build),
+           _f6_sample, _zhan(_f6_mid)),
     _chain("F7", "quarter-power-refinement", "finite",
            "Interpolation through AB o BA and the quarter powers.",
            _TWO_MATRICES, {"matrices": 2}, (),

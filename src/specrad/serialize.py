@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from typing import Any
 
 from .errors import DomainError, InputFormatError
@@ -47,7 +48,7 @@ def _json_type(obj: Any) -> str:
     if isinstance(obj, bool):
         return "boolean"
     if isinstance(obj, (int, float)):
-        return "number"
+        return "number" if _is_number(obj) else "integer too large for a float"
     return {str: "string", list: "array", dict: "object"}.get(type(obj), type(obj).__name__)
 
 
@@ -66,8 +67,20 @@ def _require_object(obj: Any, what: str, keys: tuple[str, ...]) -> None:
 
 
 def _is_number(value: Any) -> bool:
-    """True for a decoded JSON number; true and false decode to bools, not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a real number that converts to a float.
+
+    This is the one number check for JSON values and chain params.  true and
+    false decode to bools, not numbers.  JSON integers have no size limit,
+    and one beyond the float range is refused here rather than left to
+    overflow in ``float()``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _json_numbers(value: Any, what: str) -> list:

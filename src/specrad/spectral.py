@@ -19,6 +19,7 @@ is bounded above by gamma(A) itself, with no power sequence to explore.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,12 @@ _ROUND_GUARD = 2e-13
 
 DEFAULT_RHO_TOL = 1e-10
 _MAX_SQUARINGS = 64
+
+# Range of the largest entry in which the Gram matrix A*A is formed with no
+# overflow and no subnormal rounding (for n below 2**100).  A matrix outside
+# it is scaled by a power of two first.
+_GRAM_MIN = 2.0 ** -400
+_GRAM_MAX = 2.0 ** 400
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,10 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
     """Operator norm bracket on the requested sequence space.
 
     l1 and linf norms are exact column/row sums; the l2 norm is the square
-    root of the spectral radius of A*A.
+    root of the spectral radius of A*A.  When the largest entry lies outside
+    [_GRAM_MIN, _GRAM_MAX], A*A would overflow or lose its low bits to
+    subnormal rounding, so the norm of 2**-e A is taken instead, where 2**e
+    brackets that entry, and its endpoints are multiplied back by 2**e.
     """
     if space == L1:
         v = float(m.a.sum(axis=0).max())
@@ -192,10 +202,28 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
         v = float(m.a.sum(axis=1).max())
         return Bracket(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), "rowsum")
     if space == L2:
-        gram = FiniteMatrix(m.a.T @ m.a)
-        b = spectral_radius(gram, tol)
-        return Bracket(math.sqrt(b.lo), math.sqrt(b.hi), "sqrt-gram", b.converged)
+        top = m.a.max().item()
+        if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX:
+            gram = FiniteMatrix(m.a.T @ m.a)
+            b = spectral_radius(gram, tol)
+            return Bracket(math.sqrt(b.lo), math.sqrt(b.hi), "sqrt-gram", b.converged)
+        e = math.frexp(top)[1]
+        b = operator_norm(FiniteMatrix(np.ldexp(m.a, -e)), L2, tol)
+        return replace(b, lo=_times_pow2(b.lo, e, 0.0), hi=_times_pow2(b.hi, e, math.inf))
     raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
+
+
+def _times_pow2(x: float, e: int, toward: float) -> float:
+    """x * 2**e, moved one step toward ``toward`` when the product is subnormal.
+
+    A normal product is exact; a subnormal one is rounded to nearest, so the
+    step keeps an endpoint on its side of the value it encloses.
+    """
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        raise DomainError("operator norm exceeds the float range") from None
+    return math.nextafter(y, toward) if 0.0 < y < sys.float_info.min else y
 
 
 # -- noncompactness and essential radius ------------------------------------

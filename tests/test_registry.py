@@ -1,3 +1,4 @@
+import inspect
 import json
 from itertools import permutations
 from pathlib import Path
@@ -71,6 +72,9 @@ def test_operand_counts_must_match_exactly():
     ("E20", {"alpha": 0.1}, "real alpha >= 2/m"),
     ("E21", {"nu": (0, 0, 0)}, "nu: a permutation of 0..m-1"),
     ("E6", {"alpha": 0.25, "beta": 0.5}, "alpha + beta >= 1"),
+    ("F10", {"t": 10 ** 400}, "real t >= 1"),          # reals must fit in a float
+    ("F9", {"alphas": (10 ** 400,)}, "alphas: m positive weights"),
+    ("E8", {"alpha": 10 ** 400}, "real alpha >= 1/m"),
 ])
 def test_typed_params_reject(cid, params, message):
     spec = by_id(cid)
@@ -81,6 +85,27 @@ def test_typed_params_reject(cid, params, message):
     bad = ChainInputs(good.matrices, good.families, good.matrix_sets, good.family_sets,
                       {**good.params, **params} if params else {})
     assert message in spec.hypothesis(bad)
+
+
+def _signed_params(spec):
+    """The names a chain's build takes after (inputs, ctx).
+
+    ``ChainSpec.build`` is ``_chain``'s adapter, which closes over the
+    declared build; a Zhan build takes ``**params`` and passes them on to
+    its middle terms, which take (a, b, ab) first.
+    """
+    build = inspect.getclosurevars(spec.build).nonlocals["build"]
+    names = list(inspect.signature(build).parameters)[2:]
+    if names == ["params"]:
+        middle = inspect.getclosurevars(build).nonlocals["middle_terms"]
+        names = list(inspect.signature(middle).parameters)[3:]
+    return names
+
+
+def test_builds_sign_for_exactly_their_declared_params():
+    for spec in registry():
+        assert _signed_params(spec) == spec.arity.get("params", []), spec.id
+        assert "__code__" in dir(spec.build), spec.id  # the tracer reads it
 
 
 def test_e19_rejects_odd_m():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,8 @@ from specrad import (
 )
 from specrad.errors import DomainError, ShapeMismatchError
 from specrad.spectral import (
+    _GRAM_MAX,
+    _GRAM_MIN,
     _MAX_SQUARINGS,
     _ROUND_GUARD,
     DEFAULT_RHO_TOL,
@@ -221,6 +224,85 @@ def test_operator_norms():
     assert operator_norm(FiniteMatrix([[1, 2], [3, 4]]), "linf").contains(7.0)
     with pytest.raises(DomainError):
         operator_norm(FiniteMatrix([[1]]), "l3")
+
+
+def _reference_operator_norm_l2(m, tol=DEFAULT_RHO_TOL):
+    """The l2 operator_norm without power-of-two scaling: sqrt of rho(A*A)."""
+    gram = FiniteMatrix(m.a.T @ m.a)
+    b = spectral_radius(gram, tol)
+    return Bracket(math.sqrt(b.lo), math.sqrt(b.hi), "sqrt-gram", b.converged)
+
+
+def _norm_matrices(count, seed):
+    """Rectangular nonnegative matrices whose largest entry is inside the
+    unscaled range, and matrices whose largest entry is at either end of it."""
+    for top in (_GRAM_MIN, _GRAM_MAX):
+        yield np.full((2, 3), top)
+        yield np.diag([top, 0.5 * top, 1e-30 * top])
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, cols = (int(x) for x in rng.integers(1, 11, 2))
+        a = rng.random((rows, cols)) * (rng.random((rows, cols)) < rng.uniform(0.05, 1.0))
+        yield a * 10.0 ** rng.uniform(-115.0, 115.0)
+
+
+def test_operator_norm_unscaled_range_is_bit_identical():
+    """Inside [_GRAM_MIN, _GRAM_MAX] the bracket is the sqrt of rho(A*A), bit for bit."""
+    count = 0
+    for a in _norm_matrices(2400, seed=91):
+        m = FiniteMatrix(a)
+        got = operator_norm(m)
+        want = _reference_operator_norm_l2(m)
+        assert (got.lo.hex(), got.hi.hex(), got.converged, got.method) == \
+            (want.lo.hex(), want.hi.hex(), want.converged, want.method)
+        count += 1
+    assert count >= 2000
+
+
+def _known_norms(c):
+    """(matrix, exact l2 norm as an mpf) pairs whose entries are multiples of c."""
+    x, y = 3.0 * c, 4.0 * c
+    return [
+        (np.diag([c, 0.25 * c]), mpmath.mpf(c)),               # diagonal
+        (np.full((3, 3), c), 3 * mpmath.mpf(c)),               # rank one, c * 1 1^T
+        (np.array([[x, y], [0.0, 0.0]]), mpmath.hypot(x, y)),  # rank one, a row
+    ]
+
+
+@pytest.mark.parametrize("exp10", range(-300, 301, 10))
+def test_operator_norm_encloses_known_norms_at_every_scale(exp10):
+    """Certified from 1e-300 to 1e300; the Gram matrix alone underflows
+    below about 1e-154 and overflows above about 1e154."""
+    mpmath.mp.prec = 200
+    for a, norm in _known_norms(10.0 ** exp10):
+        b = operator_norm(FiniteMatrix(a))
+        assert 0.0 < b.lo and mpmath.mpf(b.lo) <= norm <= mpmath.mpf(b.hi)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a diagonal Gram matrix splits into singleton components, whose radius "
+    "is the rounded entry x*x + y*y with no rounding pad, so the point "
+    "bracket can miss the norm by an ulp at any scale"))
+@pytest.mark.parametrize("c", [1e-28, 1e240])
+def test_operator_norm_encloses_rank_one_column(c):
+    x, y = 3.0 * c, 4.0 * c
+    mpmath.mp.prec = 200
+    b = operator_norm(FiniteMatrix(np.array([[x, 0.0], [y, 0.0]])))
+    assert mpmath.mpf(b.lo) <= mpmath.hypot(x, y) <= mpmath.mpf(b.hi)
+
+
+def test_operator_norm_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="operator norm exceeds the float range"):
+        operator_norm(FiniteMatrix(np.full((2, 2), 1.7e308)))
+
+
+@pytest.mark.parametrize("c", [1e-310, 5e-324])
+def test_operator_norm_encloses_subnormal_norms(c):
+    b = operator_norm(FiniteMatrix(np.diag([c, c])))
+    assert b.lo <= c <= b.hi
+    mpmath.mp.prec = 200
+    b = operator_norm(FiniteMatrix(np.array([[c, c], [0.0, 0.0]])))
+    assert mpmath.mpf(b.lo) <= mpmath.sqrt(2) * c <= mpmath.mpf(b.hi)
 
 
 def test_entry_sup():
