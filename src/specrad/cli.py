@@ -34,7 +34,6 @@ from .errors import InputFormatError, SpecradError
 from .jsr import gripenberg_bracket
 from .registry import by_id, catalog_json, registry
 from .serialize import (
-    _is_number,
     _require_object,
     family_from_json,
     matrix_from_json,
@@ -105,24 +104,13 @@ def _inputs_from_file(path: str, spec: ChainSpec) -> ChainInputs:
             families=tuple(family_from_json(f) for f in obj.get("families", [])),
             matrix_sets=tuple(set_from_json(s) for s in obj.get("matrix_sets", [])),
             family_sets=tuple(set_from_json(s) for s in obj.get("family_sets", [])),
-            params={k: _param(k, v) for k, v in obj.get("params", {}).items()},
+            params={k: (tuple(v) if isinstance(v, list) else v)
+                    for k, v in obj.get("params", {}).items()},
         )
     except InputFormatError:
         raise
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed inputs in {path}: {exc}") from exc
-
-
-def _param(key: str, value):
-    """A bundle param as a chain reads it: a JSON array becomes a tuple.
-
-    An integer too large for a float is refused here, naming the key; any
-    other value the chain cannot use is refused by its hypothesis.
-    """
-    items = value if isinstance(value, list) else [value]
-    if any(isinstance(v, int) and not isinstance(v, bool) and not _is_number(v) for v in items):
-        raise InputFormatError(f"params key {key!r} holds an integer too large for a float")
-    return tuple(value) if isinstance(value, list) else value
 
 
 def _verdict_exit(counts: dict) -> int:

@@ -36,10 +36,11 @@ of labelled terms and signs for exactly its declared params, by name
   ``ChainInputs.matrices``), ``families``, ``matrix_sets`` and
   ``family_sets``;
 - ``params``: the typed params in catalog order, each with its side
-  condition: ``_Int`` (integer >= low, optionally odd or even), ``_Real``
-  (finite real in a closed or open range), ``_Alpha`` (real >= c/m or >= c,
-  with 1e-12 slack for the rounded bound), ``_Weights`` (m positive reals
-  summing to at least 1) and ``_Perm`` (a permutation of 0..m-1);
+  condition: ``_Int`` (integer >= low that converts to a float, optionally
+  odd or even), ``_Real`` (finite real in a closed or open range), ``_Alpha``
+  (real >= c/m or >= c, with 1e-12 slack for the rounded bound), ``_Weights``
+  (m positive reals summing to at least 1) and ``_Perm`` (a permutation of
+  0..m-1);
 - ``check``: an optional per-chain condition that fits no shared type.
 
 The catalog ``arity`` and the chain's ``hypothesis`` both come from the
@@ -319,7 +320,7 @@ def _is_int(v) -> bool:
 
 @dataclass(frozen=True)
 class _Int:
-    """Integer param >= low, optionally odd or even."""
+    """Integer param >= low that converts to a float, optionally odd or even."""
 
     name: str
     low: int = 1
@@ -330,7 +331,7 @@ class _Int:
         return f"{kind} {self.name} >= {self.low}"
 
     def holds(self, v, params) -> bool:
-        return (_is_int(v) and v >= self.low
+        return (_is_int(v) and _is_number(v) and v >= self.low
                 and (not self.parity or (v % 2 == 1) == (self.parity == "odd")))
 
 
@@ -721,27 +722,20 @@ def _f15_build(inputs, ctx, m):
     ])]
 
 
-def _adjoint_mean_parts(names, labels, norm, radius, a, b):
-    """norm(A^(1/2) o B^(1/2)) <= radius((A*B)^(1/2) o (B*A)^(1/2))^1/2 <= radius(A*B)^1/2,
-    then radius(A*B) = radius(AB*)."""
-    astar_b = a.adjoint() @ b
-    bstar = b.adjoint()
-    r = radius(astar_b)
-    return [
-        Part(names[0], CHAIN, list(zip(labels, (
-            norm(_mean([a, b], [0.5, 0.5])),
-            radius(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5),
-            r.power(0.5))))),
-        Part(names[1], EQUALITY, list(zip(labels[3:], (r, radius(a @ bstar))))),
-    ]
-
-
 def _f16_build(inputs, ctx):
-    return _adjoint_mean_parts(
-        ("norm-chain", "star-swap"),
-        ("|A^(1/2) o B^(1/2)|", "rho((A*B)^(1/2) o (B*A)^(1/2))^1/2", "rho(A*B)^1/2",
-         "rho(A*B)", "rho(AB*)"),
-        operator_norm, spectral_radius, *inputs.matrices)
+    a, b = inputs.matrices
+    bstar = b.adjoint()
+    astar_b = a.adjoint() @ b
+    r = spectral_radius(astar_b)
+    return [
+        Part("norm-chain", CHAIN, [
+            ("|A^(1/2) o B^(1/2)|", operator_norm(_mean([a, b], [0.5, 0.5]))),
+            ("rho((A*B)^(1/2) o (B*A)^(1/2))^1/2",
+             spectral_radius(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5)),
+            ("rho(A*B)^1/2", r.power(0.5)),
+        ]),
+        Part("star-swap", EQUALITY, [("rho(A*B)", r), ("rho(AB*)", spectral_radius(a @ bstar))]),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1258,16 +1252,23 @@ def _e14_sample(rng, ens):
 def _e14_build(inputs, ctx):
     sets = inputs.family_sets
     ps_q, qs_p, p_qs = _star_pair(sets, _adjoints(sets))
+    a, b = inputs.families
+    bstar = b.adjoint()
+    astar_b = a.adjoint() @ b
+    r = essential_spectral_radius(astar_b)
     return [
         Part("set", CHAIN, _star_mean_terms(
             ("gamma(P^(1/2) o Q^(1/2))", "r((P*Q)^(1/2) o (Q*P)^(1/2))^1/2", "r(P*Q)^1/2"),
             sets, ps_q, qs_p, 0.5)),
         _star_swap("set-star-swap", ps_q, p_qs),
-        *_adjoint_mean_parts(
-            ("singleton", "singleton-star-swap"),
-            ("gamma(A^(1/2) o B^(1/2))", "ess((A*B)^(1/2) o (B*A)^(1/2))^1/2", "ess(A*B)^1/2",
-             "ess(A*B)", "ess(AB*)"),
-            hausdorff_mnc, essential_spectral_radius, *inputs.families),
+        Part("singleton", CHAIN, [
+            ("gamma(A^(1/2) o B^(1/2))", hausdorff_mnc(_mean([a, b], [0.5, 0.5]))),
+            ("ess((A*B)^(1/2) o (B*A)^(1/2))^1/2",
+             essential_spectral_radius(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5)),
+            ("ess(A*B)^1/2", r.power(0.5)),
+        ]),
+        Part("singleton-star-swap", EQUALITY,
+             [("ess(A*B)", r), ("ess(AB*)", essential_spectral_radius(a @ bstar))]),
     ]
 
 

@@ -205,11 +205,15 @@ _HUGE = 10 ** 400  # a JSON integer beyond the float range
      "got integer too large for a float"),
     (["check", "--id", "F10"],
      {"matrices": [{"rows": 1, "cols": 1, "entries": [1.0]}], "params": {"t": _HUGE}},
-     "params key 't' holds an integer too large for a float"),
+     "F10: needs real t >= 1, got 1000"),
     (["check", "--id", "F9"],
      {"matrices": [{"rows": 1, "cols": 1, "entries": [1.0]}],
       "params": {"m": 1, "alphas": [_HUGE], "t": 2.0}},
-     "params key 'alphas' holds an integer too large for a float"),
+     "F9: needs alphas: m positive weights with sum >= 1, got (1000"),
+    (["check", "--id", "E7"],
+     {"family_sets": [[{"diagonal": {"kind": "constant", "c": 0.5}}]],
+      "params": {"m": _HUGE, "n": 1, "alpha": 2.0}},
+     "E7: needs integer m >= 2, got 1000"),
 ])
 def test_integer_too_large_for_a_float_exit_2(tmp_path, capsys, argv, bundle, message):
     path = _write(tmp_path, "huge.json", bundle)

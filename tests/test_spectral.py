@@ -2,8 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -259,13 +259,18 @@ def test_operator_norm_unscaled_range_is_bit_identical():
     assert count >= 2000
 
 
+def _encloses(b, norm_sq):
+    """lo <= norm <= hi, checked exactly on squares: norm_sq is a Fraction."""
+    return 0.0 <= b.lo and Fraction(b.lo) ** 2 <= norm_sq <= Fraction(b.hi) ** 2
+
+
 def _known_norms(c):
-    """(matrix, exact l2 norm as an mpf) pairs whose entries are multiples of c."""
+    """(matrix, exact squared l2 norm) pairs whose entries are multiples of c."""
     x, y = 3.0 * c, 4.0 * c
     return [
-        (np.diag([c, 0.25 * c]), mpmath.mpf(c)),               # diagonal
-        (np.full((3, 3), c), 3 * mpmath.mpf(c)),               # rank one, c * 1 1^T
-        (np.array([[x, y], [0.0, 0.0]]), mpmath.hypot(x, y)),  # rank one, a row
+        (np.diag([c, 0.25 * c]), Fraction(c) ** 2),                       # diagonal
+        (np.full((3, 3), c), (3 * Fraction(c)) ** 2),                     # rank one, c * 1 1^T
+        (np.array([[x, y], [0.0, 0.0]]), Fraction(x) ** 2 + Fraction(y) ** 2),  # rank one, a row
     ]
 
 
@@ -273,10 +278,9 @@ def _known_norms(c):
 def test_operator_norm_encloses_known_norms_at_every_scale(exp10):
     """Certified from 1e-300 to 1e300; the Gram matrix alone underflows
     below about 1e-154 and overflows above about 1e154."""
-    mpmath.mp.prec = 200
-    for a, norm in _known_norms(10.0 ** exp10):
+    for a, norm_sq in _known_norms(10.0 ** exp10):
         b = operator_norm(FiniteMatrix(a))
-        assert 0.0 < b.lo and mpmath.mpf(b.lo) <= norm <= mpmath.mpf(b.hi)
+        assert 0.0 < b.lo and _encloses(b, norm_sq)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -286,9 +290,8 @@ def test_operator_norm_encloses_known_norms_at_every_scale(exp10):
 @pytest.mark.parametrize("c", [1e-28, 1e240])
 def test_operator_norm_encloses_rank_one_column(c):
     x, y = 3.0 * c, 4.0 * c
-    mpmath.mp.prec = 200
     b = operator_norm(FiniteMatrix(np.array([[x, 0.0], [y, 0.0]])))
-    assert mpmath.mpf(b.lo) <= mpmath.hypot(x, y) <= mpmath.mpf(b.hi)
+    assert _encloses(b, Fraction(x) ** 2 + Fraction(y) ** 2)
 
 
 def test_operator_norm_beyond_the_float_range_is_a_domain_error():
@@ -300,9 +303,8 @@ def test_operator_norm_beyond_the_float_range_is_a_domain_error():
 def test_operator_norm_encloses_subnormal_norms(c):
     b = operator_norm(FiniteMatrix(np.diag([c, c])))
     assert b.lo <= c <= b.hi
-    mpmath.mp.prec = 200
     b = operator_norm(FiniteMatrix(np.array([[c, c], [0.0, 0.0]])))
-    assert mpmath.mpf(b.lo) <= mpmath.sqrt(2) * c <= mpmath.mpf(b.hi)
+    assert _encloses(b, 2 * Fraction(c) ** 2)
 
 
 def test_entry_sup():
