@@ -4,17 +4,18 @@ Lower bounds come from spectral radii of explored products (valid for the
 generalized radius at every depth), upper bounds from norm maxima over
 complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
+Each level of products is built as one stack, and the radii and norms of
+a level go through one batched estimator call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iterprod
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, ShapeMismatchError
 from .families import _pow0
 from .matrices import FiniteMatrix
 from .sets import _as_set
@@ -22,10 +23,11 @@ from .spectral import (
     L2,
     _ROUND_GUARD,
     Bracket,
+    _l2_norms,
+    _spectral_radii,
     hausdorff_mnc,
     operator_norm,
     oracle_ess_radius,
-    spectral_radius,
 )
 
 _MAX_LEVEL = 4096
@@ -40,33 +42,89 @@ def _canonical(word: tuple[int, ...]) -> bool:
     return all(word <= word[i:] + word[:i] for i in range(1, len(word)))
 
 
-def _word_product(mats, word):
-    acc = mats[word[0]]
-    for idx in word[1:]:
-        acc = acc @ mats[idx]
-    return acc
+def _necklaces(k: int, m: int) -> list[int]:
+    """Ranks, in lexicographic order, of the length-m words over k letters
+    that are their least rotation.
+
+    The FKM algorithm (Fredricksen, Kessler & Maiorana; Ruskey, Savage &
+    Wang 1992) steps through the prenecklaces in order: raise the last
+    letter below k - 1, repeat the prefix up to it periodically, and emit
+    the word when its period divides m.  The rank of a word is its index
+    in the level, sum of word[j] * k**(m - 1 - j).
+    """
+    a = [0] * m
+    out = [0]
+    while True:
+        i = m - 1
+        while i >= 0 and a[i] == k - 1:
+            i -= 1
+        if i < 0:
+            return out
+        a[i] += 1
+        for j in range(i + 1, m):
+            a[j] = a[j - i - 1]
+        if m % (i + 1) == 0:
+            rank = 0
+            for x in a:
+                rank = rank * k + x
+            out.append(rank)
+
+
+def _levels(letters: list[np.ndarray], depth: int):
+    """Yield the products of all words of length 1..depth over the letters.
+
+    Each level lists its words in lexicographic order and multiplies left
+    to right, (w[0] @ w[1]) @ w[2] ..., so every product is the ``@`` that
+    a one-word fold computes.  Level 1 is the letters themselves; later
+    levels are C-ordered (K, n, n) stacks, k**m products at depth m.  Each
+    letter stays in its own memory layout as a factor, because at some
+    sizes (n = 17 to 20, for one) OpenBLAS rounds the products of C- and
+    Fortran-ordered operands differently; the letters are never copied
+    into one stack.  Run it under ``np.errstate(over="ignore",
+    invalid="ignore")``: a product beyond the float range comes out
+    non-finite, and the caller checks the products it reads.
+    """
+    n = letters[0].shape[0]
+    if depth > 1 and letters[0].shape != (n, n):
+        raise ShapeMismatchError(f"word products need square matrices, got {letters[0].shape}")
+    level = letters
+    for m in range(1, depth + 1):
+        if m == 2:
+            level = np.stack([p @ a for p in letters for a in letters])
+        elif m > 2:
+            level = np.stack([level @ a for a in letters], axis=1).reshape(-1, n, n)
+        yield level
 
 
 def gen_radius_lb(s, m_max: int) -> float:
     """Certified lower bound for the generalized radius of a matrix set.
 
-    Max of rho(P)^(1/m) over canonical length-m words, m <= m_max.  The
-    bound is non-decreasing in m_max.
+    Max of rho(P)^(1/m) over the products P of length-m necklace words,
+    m <= m_max: radii of products are invariant under cyclic rotation of
+    the factors, so one word per rotation class is enough.  The bound is
+    non-decreasing in m_max.  The radii of all the products go through one
+    batched ``_spectral_radii`` call.  Building a level holds all k**m of
+    its products in memory at once.
     """
     s = _as_set(s)
     if s.kind != "matrix":
         raise DomainError("gen_radius_lb expects a set of finite matrices")
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
-    mats = list(s.elements)
+    letters = [m.a for m in s.elements]
+    prods = []
+    roots = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, level in enumerate(_levels(letters, m_max), 1):
+            picked = np.asarray(level)[_necklaces(len(letters), m)]
+            if not np.isfinite(picked).all():
+                raise DomainError("a word product exceeds the float range")
+            prods += list(picked)
+            roots += [1.0 / m] * len(picked)
     best = 0.0
-    for m in range(1, m_max + 1):
-        for word in _iterprod(range(len(mats)), repeat=m):
-            if not _canonical(word):
-                continue
-            lo = spectral_radius(_word_product(mats, word)).lo
-            if lo > 0:
-                best = max(best, math.pow(lo, 1.0 / m))
+    for (lo, _, _), p in zip(_spectral_radii(prods), roots):
+        if lo > 0:
+            best = max(best, math.pow(lo, p))
     return best
 
 
@@ -120,7 +178,8 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     mats = [np.array(m.a) for m in s.elements]
     letter_lognorm = []
     for m in mats:
-        v = float(m.sum(axis=0).max())
+        with np.errstate(over="ignore"):
+            v = float(m.sum(axis=0).max())
         letter_lognorm.append(math.log(v) if v > 0 else -math.inf)
 
     alpha = 0.0
@@ -128,20 +187,28 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     spent = 0
     exhaustive = True  # no nonzero branch pruned yet: levels are complete
 
-    def rho_of(node: _Node) -> float:
-        b = spectral_radius(FiniteMatrix(node.mat))
-        if b.lo <= 0:
-            return 0.0
-        return math.exp((math.log(b.lo) + node.logscale) / len(node.word))
+    def lower_end(nodes: list[_Node]) -> float:
+        """Largest rho(P)^(1/|w|) over the nodes' products, in one batched call."""
+        best = 0.0
+        for n, (lo, _, _) in zip(nodes, _spectral_radii([n.mat for n in nodes])):
+            if lo > 0:
+                try:
+                    best = max(best, math.exp((math.log(lo) + n.logscale) / len(n.word)))
+                except OverflowError:
+                    raise DomainError("joint spectral radius exceeds the float range") from None
+        return best
 
     def level_fekete(nodes: list[_Node]) -> float:
         m = len(nodes[0].word)
+        if space == L2:
+            his = [hi for _, hi, _ in _l2_norms([n.mat for n in nodes])]
+        else:
+            his = [operator_norm(FiniteMatrix(n.mat), space).hi for n in nodes]
         best = -math.inf
-        for n in nodes:
-            hi = operator_norm(FiniteMatrix(n.mat), space).hi
+        for n, hi in zip(nodes, his):
             if hi > 0:
                 best = max(best, math.log(hi) + n.logscale)
-        return math.exp(best / m) if best > -math.inf else 0.0
+        return _exp_up(best / m) if best > -math.inf else 0.0
 
     frontier: list[_Node] = []
     for i, m in enumerate(mats):
@@ -151,13 +218,12 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         frontier.append(_Node((i,), m / top, math.log(top), letter_lognorm[i]))
     if not frontier:
         return Bracket(0.0, 0.0, "gripenberg")
-    for node in frontier:
-        alpha = max(alpha, rho_of(node))
+    alpha = max(alpha, lower_end(frontier))
 
     while True:
         if exhaustive:
             fekete = min(fekete, level_fekete(frontier))
-        frontier_term = max(math.exp(n.logp / len(n.word)) for n in frontier)
+        frontier_term = max(_exp_up(n.logp / len(n.word)) for n in frontier)
         ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
         if ub - alpha <= delta:
             return Bracket(min(alpha, ub), ub, "gripenberg")
@@ -165,29 +231,29 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
         survivors: list[_Node] = []
-        for node in frontier:
-            for i, m in enumerate(mats):
-                spent += 1
-                prod = node.mat @ m
-                top = float(prod.max())
-                if top <= 0:
-                    continue  # zero product: prunable with bound 0
-                child = _Node(node.word + (i,), prod / top,
-                              node.logscale + math.log(top), 0.0)
-                lognorm = math.log(float(prod.sum(axis=0).max())) + node.logscale
-                child.logp = min(node.logp + letter_lognorm[i], lognorm)
-                if math.exp(child.logp / len(child.word)) <= alpha + delta:
-                    exhaustive = False
-                    continue
-                survivors.append(child)
+        with np.errstate(over="ignore"):
+            for node in frontier:
+                for i, m in enumerate(mats):
+                    spent += 1
+                    prod = node.mat @ m
+                    top = float(prod.max())
+                    if top <= 0:
+                        continue  # zero product: prunable with bound 0
+                    lognorm = math.log(float(prod.sum(axis=0).max())) + node.logscale
+                    logp = min(node.logp + letter_lognorm[i], lognorm)
+                    if _exp_up(logp / (len(node.word) + 1)) <= alpha + delta:
+                        exhaustive = False
+                        continue
+                    if top == math.inf:
+                        raise DomainError("a word product exceeds the float range")
+                    survivors.append(_Node(node.word + (i,), prod / top,
+                                           node.logscale + math.log(top), logp))
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
-        for child in survivors:
-            if _canonical(child.word):
-                alpha = max(alpha, rho_of(child))
+        alpha = max(alpha, lower_end([c for c in survivors if _canonical(c.word)]))
         nxt = []
         for child in survivors:
-            if math.exp(child.logp / len(child.word)) <= alpha + delta:
+            if _exp_up(child.logp / len(child.word)) <= alpha + delta:
                 exhaustive = False
                 continue
             nxt.append(child)
@@ -195,6 +261,14 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
             ub = min(fekete, alpha + delta)
             return Bracket(min(alpha, ub), ub, "gripenberg")
         frontier = nxt
+
+
+def _exp_up(x: float) -> float:
+    """exp(x) for an upper end: +inf beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def norm_level_max(s, depth: int) -> float:
@@ -211,10 +285,11 @@ def norm_level_max(s, depth: int) -> float:
         raise DomainError("depth must be >= 1")
     if depth > 1 and len(s) ** depth > _MAX_LEVEL:
         raise BudgetExceededError("norm level enumeration exceeded its cap")
-    level = list(s.elements)
-    for _ in range(depth - 1):
-        level = [p @ a for p in level for a in s.elements]
-    return max(operator_norm(p).hi for p in level)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in _levels([m.a for m in s.elements], depth):
+            if not np.isfinite(level).all():
+                raise DomainError("a word product exceeds the float range")
+    return max(hi for _, hi, _ in _l2_norms(level))
 
 
 def gamma_level_max(s) -> float:

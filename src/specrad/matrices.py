@@ -52,34 +52,37 @@ class FiniteMatrix:
             raise ShapeMismatchError(
                 f"entrywise product needs equal shapes, got {self.a.shape} and {other.a.shape}"
             )
-        return FiniteMatrix(self.a * other.a)
+        with np.errstate(over="ignore"):
+            return _checked(self.a * other.a, "entrywise product")
 
     def hpow(self, t: float) -> "FiniteMatrix":
         """Entrywise t-th power with the convention 0^t = 0."""
         if not (t > 0 and math.isfinite(t)):
             raise DomainError(f"entrywise power requires t > 0, got {t}")
-        with np.errstate(divide="ignore"):
-            out = np.where(self.a > 0, np.power(self.a, t), 0.0)
-        return FiniteMatrix(out)
+        with np.errstate(divide="ignore", over="ignore"):
+            return _checked(np.where(self.a > 0, np.power(self.a, t), 0.0), "entrywise power")
 
     def __matmul__(self, other: "FiniteMatrix") -> "FiniteMatrix":
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"product needs conformable shapes, got {self.a.shape} and {other.a.shape}"
             )
-        return FiniteMatrix(self.a @ other.a)
+        with np.errstate(over="ignore"):
+            return _checked(self.a @ other.a, "matrix product")
 
     def __add__(self, other: "FiniteMatrix") -> "FiniteMatrix":
         if self.a.shape != other.a.shape:
             raise ShapeMismatchError(
                 f"sum needs equal shapes, got {self.a.shape} and {other.a.shape}"
             )
-        return FiniteMatrix(self.a + other.a)
+        with np.errstate(over="ignore"):
+            return _checked(self.a + other.a, "matrix sum")
 
     def scale(self, c: float) -> "FiniteMatrix":
         if not (c >= 0 and math.isfinite(c)):
             raise DomainError(f"scale factor must be finite and >= 0, got {c}")
-        return FiniteMatrix(self.a * c)
+        with np.errstate(over="ignore"):
+            return _checked(self.a * c, "scaled matrix")
 
     def adjoint(self) -> "FiniteMatrix":
         """Transpose; the adjoint of a real nonnegative matrix."""
@@ -108,6 +111,15 @@ class FiniteMatrix:
     @classmethod
     def ones(cls, rows: int, cols: int | None = None) -> "FiniteMatrix":
         return cls(np.ones((rows, cols if cols is not None else rows)))
+
+
+def _checked(a: np.ndarray, what: str) -> FiniteMatrix:
+    """The result ``a`` of an operation on finite nonnegative matrices, which
+    can fail the FiniteMatrix checks only by overflowing to inf."""
+    try:
+        return FiniteMatrix(a)
+    except DomainError:
+        raise DomainError(f"{what} exceeds the float range") from None
 
 
 _SUM_SLACK = 1e-12

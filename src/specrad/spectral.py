@@ -7,7 +7,15 @@ lower bounds on repeated squarings, applied per strongly connected
 component so reducible matrices also get tight lower bounds.  The
 components come from the reachability closure of the sparsity pattern:
 R = (A != 0) | I squared until it stops growing, after which i and j
-share a component exactly when R[i, j] and R[j, i].  On the
+share a component exactly when R[i, j] and R[j, i].  One routine,
+``_perron_brackets``, squeezes a whole stack of equal-sized blocks at
+once: the components of many matrices (word products of a set, or their
+Gram matrices) are stacked by size, and ``spectral_radius`` is the
+one-matrix case.  Each block gets the same float operations as a squeeze
+of that block alone: the stacked numpy sums, maxima, quotients and ``@``
+round each element as the one-matrix calls do, and the logarithms and
+exponentials run per element on ``math``.  So a bracket does not depend
+on the batch it was computed in.  On the
 infinite side, the Hausdorff measure of noncompactness of a banded family
 is the sum of its band weight limits: every weight sequence converges, so
 row-tail norm bounds decrease to that sum, and sliding window vectors
@@ -123,94 +131,199 @@ def _strong_components(a: np.ndarray) -> list[np.ndarray]:
     return [np.arange(n)]
 
 
-def _irreducible_bracket(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
-    """Gelfand + Collatz-Wielandt bracket for an irreducible block.
+def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
+    """Gelfand + Collatz-Wielandt (lo, hi, converged) for each irreducible
+    block of a C-ordered (k, n, n) stack, n >= 2.
 
-    Row sums of A^(2^k) are the Collatz-Wielandt ratios at the all-ones
-    vector, so their min and max raised to 2^-k enclose the Perron root,
-    and the 2^k-th root collapses the enclosure geometrically.
+    Row sums of A^(2^j) are the Collatz-Wielandt ratios at the all-ones
+    vector, so their min and max raised to 2^-j enclose the Perron root,
+    and the 2^j-th root collapses the enclosure geometrically.  Each block
+    gets the float operations of a squeeze run on it alone: numpy's
+    elementwise arithmetic, row sums, maxima and stacked ``@`` give every
+    element the bits they give a lone matrix, and logarithms and
+    exponentials run per element on ``math``, because numpy's vector
+    kernels may round them differently.  A block leaves the stack when it
+    stops.  An upper end beyond the float range counts as +inf, which the
+    running minimum skips; a lower end beyond it, or a final upper end of
+    +inf, is a DomainError.
+
+    The squarings and reductions write into buffers allocated once (and
+    cut down when blocks leave), which keeps a one-block call as cheap as
+    a scalar loop over one matrix.
     """
-    top = a.max().item()
-    if top <= 0.0:
-        return 0.0, 0.0, True
-    b = a / top
-    logscale = math.log(top)
-    lo_best = 0.0
-    hi_best = math.inf
-    power = 1.0  # 2**k
-    for _ in range(_MAX_SQUARINGS):
-        rs = b.sum(axis=1).tolist()
-        mn = min(rs)
-        mx = max(rs)
-        if mx <= 0.0:
-            return 0.0, 0.0, True
-        if mn > 0.0:
-            lo_best = max(lo_best, math.exp((math.log(mn) + logscale) / power))
-        hi_best = min(hi_best, math.exp((math.log(mx) + logscale) / power))
-        if hi_best - lo_best <= tol * max(1.0, hi_best):
-            break
-        b = b @ b
-        top = b.max().item()
-        if top <= 0.0 or not math.isfinite(top):
-            break
-        b /= top
-        logscale = 2.0 * logscale + math.log(top)
+    out = [None] * len(stack)
+    top = np.maximum.reduce(stack, axis=(1, 2), keepdims=True)
+    b = stack / top
+    spare = np.empty_like(b)
+    sums = np.empty(b.shape[:2])
+    logscale = [math.log(t) for t in top.ravel().tolist()]
+    ids = list(range(len(stack)))
+    lo = [0.0] * len(ids)
+    hi = [math.inf] * len(ids)
+    power = 1.0  # 2**j
+    exp, log, inf = math.exp, math.log, math.inf
+    last = _MAX_SQUARINGS - 1
+    done: list[int] = []
+    for step in range(_MAX_SQUARINGS):
+        final = step == last
+        for j, rs in enumerate(np.add.reduce(b, axis=2, out=sums).tolist()):
+            mn = min(rs)
+            mx = max(rs)  # >= 1: every b has an entry equal to 1
+            s = logscale[j]
+            lo_j = lo[j]
+            if mn > 0.0:
+                try:
+                    x = exp((log(mn) + s) / power)
+                except OverflowError:
+                    raise DomainError("spectral radius exceeds the float range") from None
+                if x > lo_j:
+                    lo_j = lo[j] = x
+            hi_j = hi[j]
+            try:
+                x = exp((log(mx) + s) / power)
+            except OverflowError:
+                x = inf
+            if x < hi_j:
+                hi_j = hi[j] = x
+            if hi_j - lo_j <= tol * (hi_j if hi_j > 1.0 else 1.0) and hi_j < inf or final:
+                out[ids[j]] = _finish(lo_j, hi_j, tol)
+                done.append(j)
+        if done:
+            if len(done) == len(ids):
+                return out
+            b, spare, sums, top, ids, lo, hi, logscale = _drop(
+                done, b, spare, sums, top, ids, lo, hi, logscale)
+            done = []
+        np.matmul(b, b, out=spare)
+        b, spare = spare, b
+        np.maximum.reduce(b, axis=(1, 2), keepdims=True, out=top)
+        for j, t in enumerate(top.ravel().tolist()):
+            if 0.0 < t < inf:
+                logscale[j] = 2.0 * logscale[j] + log(t)
+            else:
+                out[ids[j]] = _finish(lo[j], hi[j], tol)
+                done.append(j)
+        if done:
+            if len(done) == len(ids):
+                return out
+            b, spare, sums, top, ids, lo, hi, logscale = _drop(
+                done, b, spare, sums, top, ids, lo, hi, logscale)
+            done = []
+        b /= top if len(ids) > 1 else top.item()  # a lone block takes numpy's scalar path
         power *= 2.0
-    lo = lo_best * (1.0 - _ROUND_GUARD)
-    hi = hi_best * (1.0 + _ROUND_GUARD)
+    return out
+
+
+def _drop(done: list[int], *columns):
+    """Each array or list without its ``done`` rows."""
+    done = set(done)
+    keep = [j for j in range(len(columns[0])) if j not in done]
+    return [c[keep] if isinstance(c, np.ndarray) else [c[j] for j in keep] for c in columns]
+
+
+def _finish(lo: float, hi: float, tol: float) -> tuple[float, float, bool]:
+    """A squeeze's final bracket: its best ends padded by the rounding guard."""
+    lo *= 1.0 - _ROUND_GUARD
+    hi *= 1.0 + _ROUND_GUARD
+    if hi == math.inf:
+        raise DomainError("spectral radius exceeds the float range")
     return lo, hi, hi - lo <= tol * max(1.0, hi)
+
+
+def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
+    """(lo, hi, converged) for the Perron root of each square nonnegative array.
+
+    The spectrum of a block-triangular matrix is the union over diagonal
+    blocks, so a radius is the max over strongly connected components.  A
+    singleton component is its diagonal entry.  The blocks of each larger
+    size, gathered across all arrays as C-ordered copies, go through one
+    ``_perron_brackets`` call.
+    """
+    out = []
+    groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    for i, a in enumerate(arrays):
+        if a.shape[0] != a.shape[1]:
+            raise ShapeMismatchError("spectral radius needs a square matrix")
+        v = 0.0  # the largest singleton component, a diagonal entry
+        for comp in _strong_components(a):
+            if comp.size == 1:
+                c = comp.item()
+                v = max(v, a.item(c, c))
+                continue
+            if comp.size not in groups:
+                groups[comp.size] = ([], [])
+            owners, blocks = groups[comp.size]
+            owners.append(i)
+            blocks.append(np.ascontiguousarray(a) if comp.size == len(a)
+                          else a[np.ix_(comp, comp)])
+        out.append([v, v, True])
+    for owners, blocks in groups.values():
+        stack = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+        for i, (lo, hi, ok) in zip(owners, _perron_brackets(stack, tol)):
+            r = out[i]
+            r[0], r[1], r[2] = max(r[0], lo), max(r[1], hi), r[2] and ok
+    return [tuple(r) for r in out]
 
 
 def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     """Certified bracket for the Perron root of a nonnegative matrix.
 
-    The spectrum of a block-triangular matrix is the union over diagonal
-    blocks, so the radius is the max over strongly connected components;
-    each irreducible component gets the Gelfand/Collatz-Wielandt squeeze.
+    The one-matrix case of ``_spectral_radii``: the max over strongly
+    connected components, each irreducible one squeezed by
+    ``_perron_brackets``.
     """
-    if not m.is_square:
-        raise ShapeMismatchError("spectral radius needs a square matrix")
-    lo = 0.0
-    hi = 0.0
-    conv = True
-    for comp in _strong_components(m.a):
-        if comp.size == 1:
-            i = int(comp[0])
-            v = float(m.a[i, i])
-            lo, hi = max(lo, v), max(hi, v)
-            continue
-        sub = m.a[np.ix_(comp, comp)]
-        clo, chi, ok = _irreducible_bracket(sub, tol)
-        lo, hi = max(lo, clo), max(hi, chi)
-        conv = conv and ok
-    return Bracket(lo, hi, "gelfand-cw", conv)
+    lo, hi, ok = _spectral_radii([m.a], tol)[0]
+    return Bracket(lo, hi, "gelfand-cw", ok)
 
 
 def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     """Operator norm bracket on the requested sequence space.
 
     l1 and linf norms are exact column/row sums; the l2 norm is the square
-    root of the spectral radius of A*A.  When the largest entry lies outside
-    [_GRAM_MIN, _GRAM_MAX], A*A would overflow or lose its low bits to
-    subnormal rounding, so the norm of 2**-e A is taken instead, where 2**e
-    brackets that entry, and its endpoints are multiplied back by 2**e.
+    root of the spectral radius of A*A (see ``_l2_norms``).  A norm beyond
+    the float range is a DomainError.
     """
-    if space == L1:
-        v = float(m.a.sum(axis=0).max())
-        return Bracket(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), "colsum")
-    if space == LINF:
-        v = float(m.a.sum(axis=1).max())
-        return Bracket(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), "rowsum")
+    if space == L1 or space == LINF:
+        with np.errstate(over="ignore"):
+            v = float(m.a.sum(axis=0 if space == L1 else 1).max())
+        hi = v * (1 + _ROUND_GUARD)
+        if hi == math.inf:
+            raise DomainError("operator norm exceeds the float range")
+        return Bracket(v * (1 - _ROUND_GUARD), hi, "colsum" if space == L1 else "rowsum")
     if space == L2:
-        top = m.a.max().item()
-        if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX:
-            gram = FiniteMatrix(m.a.T @ m.a)
-            b = spectral_radius(gram, tol)
-            return Bracket(math.sqrt(b.lo), math.sqrt(b.hi), "sqrt-gram", b.converged)
-        e = math.frexp(top)[1]
-        b = operator_norm(FiniteMatrix(np.ldexp(m.a, -e)), L2, tol)
-        return replace(b, lo=_times_pow2(b.lo, e, 0.0), hi=_times_pow2(b.hi, e, math.inf))
+        lo, hi, ok = _l2_norms([m.a], tol)[0]
+        return Bracket(lo, hi, "sqrt-gram", ok)
     raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
+
+
+def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
+    """(lo, hi, converged) for the l2 norm of each nonnegative array.
+
+    The norm is the square root of the spectral radius of A*A, and the Gram
+    radii of all arrays go through one ``_spectral_radii`` call.  Each Gram
+    matrix is formed on its own array, since numpy may compute ``a.T @ a``
+    with a symmetric rank-k update that rounds differently from a general
+    product.  When the largest entry lies outside [_GRAM_MIN, _GRAM_MAX],
+    A*A would overflow or lose its low bits to subnormal rounding, so the
+    norm of 2**-e A is taken instead, where 2**e brackets that entry, and
+    its endpoints are multiplied back by 2**e.
+    """
+    grams = []
+    exps = []
+    for a in arrays:
+        top = a.max().item()
+        e = 0 if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX else math.frexp(top)[1]
+        if e:
+            a = np.ldexp(a, -e)
+        grams.append(a.T @ a)
+        exps.append(e)
+    out = []
+    for e, (lo, hi, ok) in zip(exps, _spectral_radii(grams, tol)):
+        lo, hi = math.sqrt(lo), math.sqrt(hi)
+        if e:
+            lo, hi = _times_pow2(lo, e, 0.0), _times_pow2(hi, e, math.inf)
+        out.append((lo, hi, ok))
+    return out
 
 
 def _times_pow2(x: float, e: int, toward: float) -> float:

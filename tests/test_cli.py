@@ -28,6 +28,21 @@ def test_estimate_rho_permutation(tmp_path, capsys):
     assert "rho in [1, 1]" in out and "converged=True" in out
 
 
+def test_estimate_rho_near_the_top_of_the_float_range(tmp_path, capsys):
+    path = _write(tmp_path, "top.json",
+                  {"rows": 2, "cols": 2, "entries": [1e308, 1e308, 1e-300, 0]})
+    assert main(["estimate", "rho", "--input", path]) == 0
+    assert "rho in [" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("quantity", ["rho", "jsr"])
+def test_estimate_beyond_the_float_range_exit_2(tmp_path, capsys, quantity):
+    m = {"rows": 2, "cols": 2, "entries": [1e308] * 4}
+    path = _write(tmp_path, "huge.json", m if quantity == "rho" else [m])
+    assert main(["estimate", quantity, "--input", path, "--delta", "1e-2"]) == 2
+    assert "spectral radius exceeds the float range" in capsys.readouterr().err
+
+
 def test_estimate_gamma_identity(tmp_path, capsys):
     path = _write(tmp_path, "identity_family.json",
                   {"diagonal": {"kind": "constant", "c": 1.0}})

@@ -1,4 +1,10 @@
+import importlib.util
+import json
 import math
+import warnings
+from functools import reduce
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +26,17 @@ from specrad import (
     shift_family,
     spectral_radius,
 )
-from specrad.errors import BudgetExceededError, DomainError
+from specrad.errors import BudgetExceededError, DomainError, ShapeMismatchError
 from specrad.families import _pow0
-from specrad.jsr import _MAX_LEVEL, gamma_level_max, gamma_set_bracket, norm_level_max
+from specrad.jsr import (
+    _MAX_LEVEL,
+    _canonical,
+    _levels,
+    _necklaces,
+    gamma_level_max,
+    gamma_set_bracket,
+    norm_level_max,
+)
 from specrad.spectral import operator_norm
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -188,3 +202,71 @@ def test_gamma_set_and_level_helpers():
     assert g.lo == g.hi == 1.5
     assert norm_level_max(GOLDEN, 1) == pytest.approx(PHI, rel=1e-9)
     assert norm_level_max(GOLDEN, 2) == pytest.approx(PHI ** 2, rel=1e-9)
+
+
+# -- batched word levels ------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _recorder():
+    path = Path(__file__).resolve().parents[1] / "tools" / "record_set_radii_bits.py"
+    spec = importlib.util.spec_from_file_location("record_set_radii_bits", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_set_radii_match_the_recorded_bits():
+    """gen_radius_lb, norm_level_max and gripenberg_bracket reproduce, bit for
+    bit, the values that tools/record_set_radii_bits.py recorded."""
+    recorder = _recorder()
+    cases = json.loads((FIXTURES / "set_radii_bits.json").read_text(encoding="utf-8"))
+    assert len(cases) >= 40
+    for i, case in enumerate(cases):
+        assert recorder.outputs(case) == case["expected"], f"case {i}"
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2, 3, 4) for m in range(1, 7)])
+def test_necklaces_are_the_canonical_words_in_order(k, m):
+    want = [r for r, w in enumerate(product(range(k), repeat=m)) if _canonical(w)]
+    assert _necklaces(k, m) == want
+
+
+def test_levels_are_left_folds_in_each_letter_layout():
+    """Every level product is the ``@`` fold of its word, bit for bit, with
+    Fortran-ordered letters kept in their own layout: at n = 18 OpenBLAS
+    rounds C- and Fortran-ordered operands differently."""
+    rng = np.random.default_rng(31)
+    letters = [rng.random((18, 18)), np.asfortranarray(rng.random((18, 18))),
+               rng.random((18, 18)).T]
+    for m, level in enumerate(_levels(letters, 4), 1):
+        words = list(product(range(3), repeat=m))
+        assert len(level) == len(words)
+        for word, p in zip(words, level):
+            want = reduce(np.matmul, [letters[i] for i in word])
+            assert np.array_equal(p, want)
+
+
+def test_overflowing_word_products_are_domain_errors():
+    """A product beyond the float range is a DomainError, with no numpy
+    RuntimeWarning on the way."""
+    big = OperatorSet([FiniteMatrix(np.full((2, 2), 1e200))])
+    huge = OperatorSet([FiniteMatrix(np.full((2, 2), 1e308))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            gen_radius_lb(big, 3)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            norm_level_max(big, 3)
+        with pytest.raises(DomainError, match="joint spectral radius exceeds the float range"):
+            gripenberg_bracket(huge, 1e-2)
+
+
+def test_non_square_sets_are_shape_errors():
+    s = OperatorSet([FiniteMatrix([[1.0, 2.0, 0.5]]), FiniteMatrix([[0.5, 1.0, 1.0]])])
+    assert norm_level_max(s, 1) == operator_norm(s[0]).hi
+    for call in (lambda: gen_radius_lb(s, 1), lambda: gen_radius_lb(s, 3),
+                 lambda: norm_level_max(s, 2), lambda: gripenberg_bracket(s, 1e-2)):
+        with pytest.raises(ShapeMismatchError):
+            call()

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def test_product_sum_scale_adjoint():
         a @ M([[1, 2, 3]]).adjoint() @ a  # 2x2 times 3x1
     with pytest.raises(DomainError):
         a.scale(-1.0)
+
+
+@pytest.mark.parametrize("op,what", [
+    (lambda a: a @ a, "matrix product"),
+    (lambda a: a + a, "matrix sum"),
+    (lambda a: a.scale(1e10), "scaled matrix"),
+    (lambda a: a.hadamard(a), "entrywise product"),
+    (lambda a: a.hpow(2.0), "entrywise power"),
+])
+def test_overflow_is_a_domain_error_without_a_runtime_warning(op, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{what} exceeds the float range"):
+            op(M(np.full((2, 2), 1.5e308)))
 
 
 def test_mean_idempotent_and_sqrt():

@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import perron_root_charpoly, random_family
 from specrad import (
@@ -32,6 +35,7 @@ from specrad.spectral import (
     _MAX_SQUARINGS,
     _ROUND_GUARD,
     DEFAULT_RHO_TOL,
+    _spectral_radii,
     _strong_components,
 )
 
@@ -205,6 +209,68 @@ def test_spectral_radius_matches_scipy_split_reference():
             (want.lo.hex(), want.hi.hex(), want.converged, want.method)
 
 
+@st.composite
+def _radius_batches(draw):
+    """A few square nonnegative arrays of sizes 1-40 and scales 2^-1000 to
+    2^1000: dense, 0.2-sparse, permuted block-triangular, with zero rows
+    and columns, or a permuted weighted cycle or block cycle (imprimitive).
+    Sizes repeat often, so blocks of one size share a stack."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arrays = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from([2, 3, 12]) | st.integers(1, 40))
+        kind = draw(st.sampled_from(["dense", "sparse", "triangular", "zeros", "cycle"]))
+        a = rng.random((n, n))
+        if kind == "sparse":
+            a *= rng.random((n, n)) < 0.2
+        elif kind == "triangular":
+            block = np.sort(rng.integers(0, 4, n))
+            a[block[:, None] > block[None, :]] = 0.0
+        elif kind == "zeros":
+            dead = rng.random(n) < 0.4
+            a[dead, :] = 0.0
+            a[:, dead] = 0.0
+        elif kind == "cycle":
+            period = int(rng.integers(1, 4))
+            phase = rng.integers(0, period, n) if period > 1 else np.arange(n)
+            period = period if period > 1 else n
+            a = (a + 0.1) * (phase[None, :] == (phase[:, None] + 1) % period)
+        if kind != "dense":
+            p = rng.permutation(n)
+            a = a[np.ix_(p, p)]
+        arrays.append(a * 2.0 ** draw(st.integers(-1000, 1000)))
+    return arrays
+
+
+def _bits(r):
+    lo, hi, ok = r
+    return lo.hex(), hi.hex(), ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(_radius_batches())
+def test_spectral_radii_bits_do_not_depend_on_the_batch(arrays):
+    """Each array gets the bits of the scalar reference, alone or batched
+    with others in any order."""
+    batch = arrays + arrays[::-1]
+    got = _spectral_radii(batch)
+    for a, r, back in zip(arrays, got, got[::-1]):
+        want = _reference_spectral_radius(a)
+        assert _bits(r) == _bits(back) == _bits(_spectral_radii([a])[0]) == \
+            (want.lo.hex(), want.hi.hex(), want.converged)
+
+
+def test_spectral_radius_encloses_roots_near_the_top_of_the_float_range():
+    # Perron root 1e308 + ~1e-300: the first row-sum upper end overflows
+    b = spectral_radius(FiniteMatrix([[1e308, 1e308], [1e-300, 0.0]]))
+    assert b.lo <= 1e308 < b.hi
+
+
+def test_spectral_radius_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="spectral radius exceeds the float range"):
+        spectral_radius(FiniteMatrix([[1e308, 1e308], [1e308, 1e308]]))
+
+
 def test_import_and_registry_load_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(spectral_radius.__code__.co_filename)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -297,6 +363,14 @@ def test_operator_norm_encloses_rank_one_column(c):
 def test_operator_norm_beyond_the_float_range_is_a_domain_error():
     with pytest.raises(DomainError, match="operator norm exceeds the float range"):
         operator_norm(FiniteMatrix(np.full((2, 2), 1.7e308)))
+
+
+@pytest.mark.parametrize("space", ["l1", "linf"])
+def test_row_and_column_sum_norms_beyond_the_float_range_are_domain_errors(space):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="operator norm exceeds the float range"):
+            operator_norm(FiniteMatrix(np.full((2, 2), 1e308)), space)
 
 
 @pytest.mark.parametrize("c", [1e-310, 5e-324])

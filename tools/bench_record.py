@@ -24,7 +24,8 @@ its checkout:
 - ``reference``: the verdict counts and report digests of perfbench's
   reference slices on its default and held-out seeds;
 - ``reports``: wall time and sha256 of stdout and ``--out`` of ``catalog``,
-  the fixed-seed sweep over all chains and the three essential sweeps.
+  the fixed-seed sweep over all chains, the three essential sweeps, the
+  sweep with ``--dump-inputs`` and ``estimate jsr`` on the golden pair.
 
 With two or more checkouts it prints, per workload and metric, how many
 seed pairs the last checkout won against the first and the ratio of the
@@ -50,12 +51,18 @@ from pathlib import Path
 
 CRITERIA = {"criterion_1": "test_criterion_1_", "criterion_2": "test_criterion_2_",
             "criterion_8": "test_criterion_8_"}
+# The jsr estimate reads this file's checkout's golden-pair fixture in every
+# checkout, so its report names the same input path.
+GOLDEN_PAIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "golden_pair.json"
 REPORTS = {
     "catalog": ["catalog"],
     "sweep_all": ["sweep", "--registry", "all", "--trials", "4", "--seed", "42"],
     **{f"sweep_essential_{e}": ["sweep", "--registry", "essential", "--ensemble", e,
                                 "--trials", "20", "--seed", "11"]
        for e in ("shift_family", "diagonal_family", "shift_plus_rank")},
+    "sweep_dump": ["sweep", "--registry", "all", "--trials", "2", "--seed", "5",
+                   "--dump-inputs"],
+    "estimate_jsr": ["estimate", "jsr", "--input", str(GOLDEN_PAIR), "--delta", "1e-6"],
 }
 # Runs in a checkout's root; prints {workload: {seed: {counts, digest}}}.
 REFERENCE = """
