@@ -213,8 +213,9 @@ def test_spectral_radius_matches_scipy_split_reference():
 def _radius_batches(draw):
     """A few square nonnegative arrays of sizes 1-40 and scales 2^-1000 to
     2^1000: dense, 0.2-sparse, permuted block-triangular, with zero rows
-    and columns, or a permuted weighted cycle or block cycle (imprimitive).
-    Sizes repeat often, so blocks of one size share a stack."""
+    and columns, or a permuted weighted cycle or block cycle (imprimitive),
+    in C or Fortran order.  Sizes repeat often, so blocks of one size share
+    a stack."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     arrays = []
     for _ in range(draw(st.integers(1, 5))):
@@ -238,7 +239,8 @@ def _radius_batches(draw):
         if kind != "dense":
             p = rng.permutation(n)
             a = a[np.ix_(p, p)]
-        arrays.append(a * 2.0 ** draw(st.integers(-1000, 1000)))
+        a = a * 2.0 ** draw(st.integers(-1000, 1000))
+        arrays.append(np.asfortranarray(a) if draw(st.booleans()) else a)
     return arrays
 
 
