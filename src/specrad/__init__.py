@@ -69,7 +69,6 @@ from .sets import (
 from .spectral import (
     Bracket,
     essential_spectral_radius,
-    gamma_via_star,
     hausdorff_mnc,
     operator_norm,
     oracle_ess_radius,

@@ -16,7 +16,10 @@ report: ``--finite-tol`` and ``--ess-tol`` (finite, >= 0) and
 ``--set-m-max`` (integer >= 1), the finite set-product depth.  A value out
 of range is an input error.  Essential brackets have no depth or power
 budget: the noncompactness measure is multiplicative on banded families,
-so longer products and higher powers cannot tighten them.
+so longer products and higher powers cannot tighten them.  ``--seed`` is an
+integer >= 0.  ``estimate`` takes a ``--tol`` that is finite and >= 0 (unset
+means ``spectral.DEFAULT_RHO_TOL``), a ``--delta`` that is finite and > 0 and
+a ``--budget`` >= 0; any other value is an input error.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import __version__
@@ -229,12 +233,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputFormatError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    if not (math.isfinite(args.delta) and args.delta > 0):
+        raise InputFormatError(f"--delta must be a finite number > 0, got {args.delta!r}")
+    if args.budget < 0:
+        raise InputFormatError(f"--budget must be an integer >= 0, got {args.budget!r}")
+    tol = DEFAULT_RHO_TOL if args.tol is None else args.tol
     obj = _load_json_file(args.input)
     q = args.quantity
     if q == "rho":
-        b = spectral_radius(matrix_from_json(obj), args.tol or DEFAULT_RHO_TOL)
+        b = spectral_radius(matrix_from_json(obj), tol)
     elif q == "norm":
-        b = operator_norm(matrix_from_json(obj), args.space, args.tol or DEFAULT_RHO_TOL)
+        b = operator_norm(matrix_from_json(obj), args.space, tol)
     elif q == "gamma":
         b = hausdorff_mnc(family_from_json(obj))
     elif q == "ess":
@@ -244,8 +255,6 @@ def cmd_estimate(args) -> int:
                   "lower end reported as 0", file=sys.stderr)
     elif q == "jsr":
         data = set_from_json(obj.get("set", obj) if isinstance(obj, dict) else obj)
-        if data.kind != "matrix":
-            raise InputFormatError("jsr expects a set of finite matrices")
         b = gripenberg_bracket(data, args.delta, budget=args.budget, space=args.space)
     else:  # pragma: no cover - argparse restricts choices
         raise InputFormatError(f"unknown quantity {q}")
@@ -271,7 +280,7 @@ def cmd_catalog(args) -> int:
 
 
 def _add_common_eval_flags(p):
-    p.add_argument("--seed", type=int, default=0, help="ensemble seed")
+    p.add_argument("--seed", type=int, default=0, help="ensemble seed (integer >= 0)")
     p.add_argument("--trials", type=int, default=1, help="trials per chain")
     p.add_argument("--ensemble", choices=KINDS, default="dense_uniform")
     p.add_argument("--size", type=int, default=4, help="matrix size")
@@ -317,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("quantity", choices=("rho", "norm", "gamma", "ess", "jsr"))
     p.add_argument("--input", required=True, help="JSON operator or set")
     p.add_argument("--space", choices=SPACES, default="l2")
-    p.add_argument("--delta", type=float, default=1e-6, help="jsr gap target")
-    p.add_argument("--budget", type=int, default=200_000, help="jsr product budget")
-    p.add_argument("--tol", type=float, default=None, help="rho and norm tolerance")
+    p.add_argument("--delta", type=float, default=1e-6, help="jsr gap target (finite, > 0)")
+    p.add_argument("--budget", type=int, default=200_000, help="jsr product budget (>= 0)")
+    p.add_argument("--tol", type=float, default=None, help="rho and norm tolerance (finite, >= 0)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate)
 

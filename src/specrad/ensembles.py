@@ -37,8 +37,9 @@ class EnsembleSpec:
     """Description of a random input population; identical spec, identical draws.
 
     ``size`` is the matrix side, ``density`` the nonzero probability of
-    ``sparse_bernoulli`` entries.  The weight-law ranges are the module
-    constants ``C_RANGE`` and ``A_RANGE``; ``to_json`` records them too.
+    ``sparse_bernoulli`` entries and ``seed`` an integer >= 0.  The weight-law
+    ranges are the module constants ``C_RANGE`` and ``A_RANGE``; ``to_json``
+    records them too.
     """
 
     kind: str = DENSE_UNIFORM
@@ -53,6 +54,8 @@ class EnsembleSpec:
             raise DomainError("ensemble size must be >= 1")
         if not (0.0 <= self.density <= 1.0):
             raise DomainError("density must lie in [0, 1]")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise DomainError(f"ensemble seed must be an integer >= 0, got {self.seed!r}")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "size": self.size, "density": self.density,

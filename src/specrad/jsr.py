@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError
 from .families import _pow0
 from .matrices import FiniteMatrix
-from .sets import _as_set
+from .sets import OperatorSet, _as_set
 from .spectral import (
     L2,
     _ROUND_GUARD,
@@ -31,6 +31,22 @@ from .spectral import (
 )
 
 _MAX_LEVEL = 4096
+_KIND_NAMES = {"matrix": "finite matrices", "family": "operator families"}
+
+
+def _set_of(s, kind: str, who: str) -> OperatorSet:
+    """s as an OperatorSet whose elements are of ``kind``; ``who`` names the caller."""
+    s = _as_set(s)
+    if s.kind != kind:
+        raise DomainError(f"{who} expects a set of {_KIND_NAMES[kind]}")
+    return s
+
+
+def _finite(products):
+    """The products, unless one of them lies beyond the float range."""
+    if not np.isfinite(products).all():
+        raise DomainError("a word product exceeds the float range")
+    return products
 
 
 def _canonical(word: tuple[int, ...]) -> bool:
@@ -106,9 +122,7 @@ def gen_radius_lb(s, m_max: int) -> float:
     batched ``_spectral_radii`` call.  Building a level holds all k**m of
     its products in memory at once.
     """
-    s = _as_set(s)
-    if s.kind != "matrix":
-        raise DomainError("gen_radius_lb expects a set of finite matrices")
+    s = _set_of(s, "matrix", "gen_radius_lb")
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
     letters = [m.a for m in s.elements]
@@ -116,9 +130,7 @@ def gen_radius_lb(s, m_max: int) -> float:
     roots = []
     with np.errstate(over="ignore", invalid="ignore"):
         for m, level in enumerate(_levels(letters, m_max), 1):
-            picked = np.asarray(level)[_necklaces(len(letters), m)]
-            if not np.isfinite(picked).all():
-                raise DomainError("a word product exceeds the float range")
+            picked = _finite(np.asarray(level)[_necklaces(len(letters), m)])
             prods += list(picked)
             roots += [1.0 / m] * len(picked)
     best = 0.0
@@ -134,18 +146,18 @@ def joint_radius_ub(s, m_max: int) -> float:
     Min over m <= m_max of ``norm_level_max(S, m)^(1/m)``; valid by
     submultiplicativity.  Non-increasing in m_max.  Stops at the last depth
     whose level fits under the enumeration cap instead of raising; depth 1
-    is always evaluated.
+    is always evaluated.  One walk over the levels serves every depth.
     """
-    s = _as_set(s)
-    if s.kind != "matrix":
-        raise DomainError("joint_radius_ub expects a set of finite matrices")
+    s = _set_of(s, "matrix", "joint_radius_ub")
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
+    depth = next(m for m in range(m_max, 0, -1) if m == 1 or len(s) ** m <= _MAX_LEVEL)
+    levels = _levels([m.a for m in s.elements], depth)
     best = math.inf
-    for m in range(1, m_max + 1):
-        if m > 1 and len(s) ** m > _MAX_LEVEL:
-            break
-        best = min(best, _pow0(norm_level_max(s, m), 1.0 / m))
+    for m in range(1, depth + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = _finite(next(levels))
+        best = min(best, _pow0(max(hi for _, hi, _ in _l2_norms(level)), 1.0 / m))
     return best
 
 
@@ -170,19 +182,14 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     out first, in which case the widest certified bracket is returned with
     the converged flag cleared.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    s = _as_set(s)
-    if s.kind != "matrix":
-        raise DomainError("gripenberg_bracket expects a set of finite matrices")
-    mats = [np.array(m.a) for m in s.elements]
-    letter_lognorm = []
-    for m in mats:
-        with np.errstate(over="ignore"):
-            v = float(m.sum(axis=0).max())
-        letter_lognorm.append(math.log(v) if v > 0 else -math.inf)
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta!r}")
+    s = _set_of(s, "matrix", "gripenberg_bracket")
+    mats = [m.a for m in s.elements]
+    with np.errstate(over="ignore"):
+        colsums = [float(m.sum(axis=0).max()) for m in mats]
+    letter_lognorm = [math.log(v) if v > 0 else -math.inf for v in colsums]
 
-    alpha = 0.0
     fekete = math.inf
     spent = 0
     exhaustive = True  # no nonzero branch pruned yet: levels are complete
@@ -218,7 +225,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         frontier.append(_Node((i,), m / top, math.log(top), letter_lognorm[i]))
     if not frontier:
         return Bracket(0.0, 0.0, "gripenberg")
-    alpha = max(alpha, lower_end(frontier))
+    alpha = lower_end(frontier)
 
     while True:
         if exhaustive:
@@ -230,7 +237,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         if spent >= budget or len(frontier) * len(mats) > _MAX_LEVEL:
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
-        survivors: list[_Node] = []
+        children = []  # unpruned: (parent, letter, product, its largest entry, logp)
         with np.errstate(over="ignore"):
             for node in frontier:
                 for i, m in enumerate(mats):
@@ -244,10 +251,10 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
                     if _exp_up(logp / (len(node.word) + 1)) <= alpha + delta:
                         exhaustive = False
                         continue
-                    if top == math.inf:
-                        raise DomainError("a word product exceeds the float range")
-                    survivors.append(_Node(node.word + (i,), prod / top,
-                                           node.logscale + math.log(top), logp))
+                    children.append((node, i, prod, top, logp))
+        _finite([top for _, _, _, top, _ in children])
+        survivors = [_Node(node.word + (i,), prod / top, node.logscale + math.log(top), logp)
+                     for node, i, prod, top, logp in children]
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
         alpha = max(alpha, lower_end([c for c in survivors if _canonical(c.word)]))
@@ -278,17 +285,14 @@ def norm_level_max(s, depth: int) -> float:
     chains compare such values at matched underlying depths.  The cap
     bounds the products built, so depth 1, which builds none, never hits it.
     """
-    s = _as_set(s)
-    if s.kind != "matrix":
-        raise DomainError("norm_level_max expects a set of finite matrices")
+    s = _set_of(s, "matrix", "norm_level_max")
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if depth > 1 and len(s) ** depth > _MAX_LEVEL:
         raise BudgetExceededError("norm level enumeration exceeded its cap")
     with np.errstate(over="ignore", invalid="ignore"):
         for level in _levels([m.a for m in s.elements], depth):
-            if not np.isfinite(level).all():
-                raise DomainError("a word product exceeds the float range")
+            _finite(level)
     return max(hi for _, hi, _ in _l2_norms(level))
 
 
@@ -299,9 +303,7 @@ def gamma_level_max(s) -> float:
     on banded families, so the largest gamma over length-m products is this
     value to the m-th power.
     """
-    s = _as_set(s)
-    if s.kind != "family":
-        raise DomainError("gamma_level_max expects a set of operator families")
+    s = _set_of(s, "family", "gamma_level_max")
     if len(s) > _MAX_LEVEL:
         raise BudgetExceededError("gamma level enumeration exceeded its cap")
     return gamma_set_bracket(s).hi
@@ -309,13 +311,8 @@ def gamma_level_max(s) -> float:
 
 def oracle_set_lb(s) -> float:
     """Certified lower bound for both essential set radii from element oracles."""
-    s = _as_set(s)
-    best = 0.0
-    for f in s:
-        v = oracle_ess_radius(f)
-        if v is not None:
-            best = max(best, v)
-    return best
+    values = map(oracle_ess_radius, _set_of(s, "family", "oracle_set_lb"))
+    return max([0.0, *(v for v in values if v is not None)])
 
 
 def gamma_set_bracket(s) -> Bracket:
@@ -324,22 +321,13 @@ def gamma_set_bracket(s) -> Bracket:
     Each element's measure is an exact point bracket, so the sup is one
     point too.
     """
-    s = _as_set(s)
-    if s.kind != "family":
-        raise DomainError("gamma_set_bracket expects a set of operator families")
-    g = max(0.0, *(hausdorff_mnc(f).hi for f in s))
+    g = max(0.0, *(hausdorff_mnc(f).hi for f in _set_of(s, "family", "gamma_set_bracket")))
     return Bracket(g, g, "gamma-sup")
 
 
 def norm_set_bracket(s) -> Bracket:
-    """sup of the l2 operator norm over the elements of a matrix set."""
-    s = _as_set(s)
-    if s.kind != "matrix":
-        raise DomainError("norm_set_bracket expects a set of finite matrices")
-    lo = 0.0
-    hi = 0.0
-    for m in s:
-        b = operator_norm(m)
-        lo = max(lo, b.lo)
-        hi = max(hi, b.hi)
+    """sup of the l2 operator norm over the elements of a matrix set, in one batch."""
+    norms = _l2_norms([m.a for m in _set_of(s, "matrix", "norm_set_bracket")])
+    lo = max(0.0, *(lo for lo, _, _ in norms))  # starting at +0.0 fixes the sign of zero
+    hi = max(0.0, *(hi for _, hi, _ in norms))
     return Bracket(min(lo, hi), hi, "norm-sup")

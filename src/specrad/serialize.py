@@ -131,15 +131,13 @@ _SEQ_ARRAYS = ("prefix", "p", "q")
 
 
 def seq_to_json(w: WeightSeq) -> dict:
-    """Serialize a leaf sequence.  Derived combinators have no wire format."""
-    if isinstance(w, Constant):
-        return {"kind": "constant", "c": w.c}
-    if isinstance(w, EventuallyConstant):
-        return {"kind": "eventually_constant", "prefix": list(w.prefix), "tail": w.tail}
-    if isinstance(w, RationalFormula):
-        return {"kind": "rational", "p": list(w.p), "q": list(w.q)}
-    if isinstance(w, PrefixWithLimit):
-        return {"kind": "prefix_with_limit", "prefix": list(w.prefix), "limit": w.limit}
+    """Serialize a leaf sequence, keys in ``_SEQ_KINDS`` order.  Combinators have none."""
+    for kind, (cls, fields) in _SEQ_KINDS.items():
+        if isinstance(w, cls):
+            out = {"kind": kind}
+            for key in fields:
+                out[key] = list(getattr(w, key)) if key in _SEQ_ARRAYS else getattr(w, key)
+            return out
     raise DomainError(f"sequence of type {type(w).__name__} has no JSON form")
 
 

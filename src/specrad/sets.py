@@ -116,32 +116,25 @@ def set_hadamard_power(s, t: float) -> OperatorSet:
 def weighted_geometric_mean(items, weights: WeightVector):
     """Entrywise product of items[k]^(weights[k]); a weight of 1 skips the power.
 
-    Items are matrices or operator families alike.
+    Items are matrices or families alike: the mean is the one element of
+    ``set_hadamard_mean`` over the singletons {items[k]}.
     """
-    items = list(items)
-    if len(items) != len(weights):
-        raise ShapeMismatchError(f"{len(items)} operands but {len(weights)} weights")
-    w = weights.weights
-    acc = items[0] if w[0] == 1.0 else items[0].hpow(w[0])
-    for x, a in zip(items[1:], w[1:]):
-        acc = acc.hadamard(x if a == 1.0 else x.hpow(a))
-    return acc
+    return set_hadamard_mean(items, weights).elements[0]
 
 
 def set_hadamard_mean(sets, w: WeightVector) -> OperatorSet:
     """Weighted Hadamard geometric mean of sets: all cross-element means.
 
     Element order is that of ``itertools.product`` over the sets, and each
-    element is associated as ``weighted_geometric_mean`` does it,
-    ((x1^(a1) o x2^(a2)) o x3^(a3)) ...  Each power is taken once per operand,
-    not once per cross tuple: sum |S_k| ``hpow`` calls (none at weight 1.0)
-    and one ``hadamard`` per element of every partial product.
+    element is associated left to right, ((x1^(a1) o x2^(a2)) o x3^(a3)) ...
+    Each power is taken once per operand, not once per cross tuple: sum |S_k|
+    ``hpow`` calls (none at weight 1.0) and one ``hadamard`` per element of
+    every partial product.
     """
     sets = [_as_set(s) for s in sets]
     if len(sets) != len(w):
-        raise ShapeMismatchError(f"{len(sets)} sets but {len(w)} weights")
-    total = math.prod(len(s) for s in sets)
-    _guard_size(total)
+        raise ShapeMismatchError(f"{len(sets)} operands but {len(w)} weights")
+    _guard_size(math.prod(len(s) for s in sets))
     powered = [[x if a == 1.0 else x.hpow(a) for x in s] for s, a in zip(sets, w.weights)]
     level = powered[0]
     for factors in powered[1:]:

@@ -385,14 +385,3 @@ def essential_spectral_radius(f: OperatorFamily) -> Bracket:
     method = "gamma-powers+oracle" if lo is not None else "gamma-powers"
     lo = 0.0 if lo is None else min(lo, hi)
     return Bracket(lo, hi, method)
-
-
-def gamma_via_star(f: OperatorFamily) -> Bracket:
-    """Independent route to the noncompactness measure through A*A.
-
-    On l2 the essential radius of A*A equals gamma(A)^2, so the square
-    root of the A*A bracket cross-checks hausdorff_mnc.
-    """
-    b = essential_spectral_radius(f.adjoint() @ f)
-    return Bracket(math.sqrt(b.lo), math.sqrt(b.hi) * (1.0 + _ROUND_GUARD),
-                   "star-identity", b.converged)

@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from specrad import FiniteMatrix, OperatorFamily, spectral_radius
+from specrad import (
+    Bracket,
+    FiniteMatrix,
+    OperatorFamily,
+    essential_spectral_radius,
+    spectral_radius,
+)
+from specrad.spectral import _ROUND_GUARD
+
+
+def gamma_via_star(f: OperatorFamily) -> Bracket:
+    """Independent route to the noncompactness measure through A*A.
+
+    On l2 the essential radius of A*A equals gamma(A)^2, so the square
+    root of the A*A bracket cross-checks hausdorff_mnc.
+    """
+    b = essential_spectral_radius(f.adjoint() @ f)
+    return Bracket(math.sqrt(b.lo), math.sqrt(b.hi) * (1.0 + _ROUND_GUARD),
+                   "star-identity", b.converged)
 
 
 def perron_root_charpoly(a: np.ndarray) -> float:

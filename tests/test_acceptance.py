@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import perron_root_charpoly, word_radius_lb
+from helpers import gamma_via_star, perron_root_charpoly, word_radius_lb
 from specrad import (
     EnsembleSpec,
     EvalContext,
     FiniteMatrix,
     OperatorSet,
     essential_spectral_radius,
-    gamma_via_star,
     gen_radius_lb,
     gripenberg_bracket,
     hausdorff_mnc,

@@ -148,3 +148,9 @@ def test_report_configs_keep_their_keys_and_values():
 def test_eval_context_refuses_unusable_settings(kwargs):
     with pytest.raises(DomainError, match=next(iter(kwargs))):
         EvalContext(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_ensemble_spec_refuses_a_seed_numpy_cannot_use(seed):
+    with pytest.raises(DomainError, match="ensemble seed must be an integer >= 0"):
+        EnsembleSpec(seed=seed)

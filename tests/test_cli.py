@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from specrad.chains import CHAIN, ChainInputs, ChainSpec, Part
 from specrad.cli import main
+from specrad.matrices import FiniteMatrix
 from specrad.registry import registry
-from specrad.spectral import Bracket
+from specrad.spectral import Bracket, spectral_radius
 
 
 GOLDEN_PAIR = [
@@ -347,6 +349,7 @@ def test_set_m_max_flag_is_echoed(tmp_path):
     ("--finite-tol", "-1", "finite_tol must be a finite number >= 0, got -1.0"),
     ("--ess-tol", "inf", "ess_tol must be a finite number >= 0, got inf"),
     ("--set-m-max", "0", "set_m_max must be an integer >= 1, got 0"),
+    ("--seed", "-1", "ensemble seed must be an integer >= 0, got -1"),
 ])
 def test_unusable_evaluation_settings_exit_2(tmp_path, capsys, flag, value, message):
     """A setting the evaluation cannot honour is an input error: no traceback,
@@ -355,6 +358,43 @@ def test_unusable_evaluation_settings_exit_2(tmp_path, capsys, flag, value, mess
     assert main(["check", "--id", "F1", flag, value, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--ids", "F1", "--seed", "-1"], "ensemble seed must be an integer >= 0, got -1"),
+    (["estimate", "rho", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
+    (["estimate", "rho", "--tol", "inf"], "--tol must be a finite number >= 0, got inf"),
+    (["estimate", "rho", "--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
+    (["estimate", "norm", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
+    (["estimate", "jsr", "--delta", "nan"], "--delta must be a finite number > 0, got nan"),
+    (["estimate", "jsr", "--delta", "inf"], "--delta must be a finite number > 0, got inf"),
+    (["estimate", "jsr", "--delta", "0"], "--delta must be a finite number > 0, got 0.0"),
+    (["estimate", "jsr", "--budget", "-1"], "--budget must be an integer >= 0, got -1"),
+])
+def test_unusable_run_settings_exit_2(tmp_path, capsys, argv, message):
+    """A seed, tolerance, gap or budget that no run can honour, or no report
+    can record, is an input error: no traceback and no report."""
+    if argv[0] == "estimate":
+        operand = GOLDEN_PAIR if argv[1] == "jsr" else GOLDEN_PAIR[0]
+        argv = argv + ["--input", _write(tmp_path, "in.json", operand)]
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_tol_zero_is_honoured(tmp_path, capsys):
+    a = np.random.default_rng(0).random((3, 3))
+    path = _write(tmp_path, "m.json", {"rows": 3, "cols": 3, "entries": a.ravel().tolist()})
+    out = tmp_path / "r.json"
+    assert main(["estimate", "rho", "--input", path, "--tol", "0", "--out", str(out)]) == 0
+    b = spectral_radius(FiniteMatrix(a), 0.0)
+    assert b != spectral_radius(FiniteMatrix(a))
+    assert f"rho in [{b.lo:.12g}, {b.hi:.12g}] width={b.width:.3g}" in capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["config"]["tol"] == 0.0
+    assert doc["runs"] == [{"lo": b.lo, "hi": b.hi, "method": b.method,
+                            "converged": b.converged}]
 
 
 def test_catalog_unwritable_out_exit_2(tmp_path, capsys):

@@ -36,6 +36,8 @@ from specrad.jsr import (
     gamma_level_max,
     gamma_set_bracket,
     norm_level_max,
+    norm_set_bracket,
+    oracle_set_lb,
 )
 from specrad.spectral import operator_norm
 
@@ -259,8 +261,15 @@ def test_overflowing_word_products_are_domain_errors():
             gen_radius_lb(big, 3)
         with pytest.raises(DomainError, match="exceeds the float range"):
             norm_level_max(big, 3)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            joint_radius_ub(big, 3)
         with pytest.raises(DomainError, match="joint spectral radius exceeds the float range"):
             gripenberg_bracket(huge, 1e-2)
+        # the letters fit, but the surviving child AB has an entry 2e308
+        pair = OperatorSet([FiniteMatrix([[1e308, 1e308], [0.0, 0.0]]),
+                            FiniteMatrix([[1e308, 0.0], [1e308, 0.0]])])
+        with pytest.raises(DomainError, match="a word product exceeds the float range"):
+            gripenberg_bracket(pair, 1e-2)
 
 
 def test_non_square_sets_are_shape_errors():
@@ -270,3 +279,57 @@ def test_non_square_sets_are_shape_errors():
                  lambda: norm_level_max(s, 2), lambda: gripenberg_bracket(s, 1e-2)):
         with pytest.raises(ShapeMismatchError):
             call()
+
+
+def test_gen_radius_lb_checks_only_the_necklace_products():
+    """AB leaves the float range but is no necklace (BA is its rotation), so
+    gen_radius_lb never reads it; norm_level_max reads every product."""
+    b = FiniteMatrix([[0.0, 1e250], [0.0, 0.0]])
+    a = FiniteMatrix([[1e100, 0.0], [0.0, 0.0]])
+    s = OperatorSet([b, a])
+    assert gen_radius_lb(s, 2) == 1e100
+    with pytest.raises(DomainError, match="a word product exceeds the float range"):
+        norm_level_max(s, 2)
+
+
+def test_set_radii_refuse_the_wrong_kind_of_set():
+    matrices = OperatorSet([FiniteMatrix([[1.0]])])
+    families = OperatorSet([shift_family(Constant(0.5))])
+    for fn in (oracle_set_lb, gamma_set_bracket, gamma_level_max):
+        with pytest.raises(DomainError, match=f"{fn.__name__} expects a set of operator families"):
+            fn(matrices)
+    for fn in (norm_set_bracket, lambda s: norm_level_max(s, 1),
+               lambda s: gen_radius_lb(s, 1), lambda s: joint_radius_ub(s, 1),
+               lambda s: gripenberg_bracket(s, 1e-2)):
+        with pytest.raises(DomainError, match="expects a set of finite matrices"):
+            fn(families)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_gripenberg_refuses_a_delta_outside_the_positive_floats(delta):
+    with pytest.raises(DomainError, match="delta must be positive"):
+        gripenberg_bracket(GOLDEN, delta)
+
+
+def _loop_norm_set_bracket(s):
+    """The per-element loop that norm_set_bracket ran before its one batch."""
+    lo = 0.0
+    hi = 0.0
+    for m in s:
+        b = operator_norm(m)
+        lo = max(lo, b.lo)
+        hi = max(hi, b.hi)
+    return Bracket(min(lo, hi), hi, "norm-sup")
+
+
+def test_norm_set_bracket_matches_the_per_element_loop():
+    rng = np.random.default_rng(57)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        scales = 2.0 ** rng.integers(-1000, 1000, size=int(rng.integers(1, 5)))
+        mask = rng.random((len(scales), rows, cols)) < 0.7
+        s = OperatorSet([FiniteMatrix(c * rng.random((rows, cols)) * keep)
+                         for c, keep in zip(scales, mask)])
+        got, want = norm_set_bracket(s), _loop_norm_set_bracket(s)
+        assert (got.lo.hex(), got.hi.hex(), got.method, got.converged) == \
+            (want.lo.hex(), want.hi.hex(), want.method, want.converged)

@@ -136,6 +136,13 @@ def test_json_roundtrip_leaves():
         back = seq_from_json(seq_to_json(w))
         assert type(back) is type(w)
         assert [back.value(i) for i in range(1, 8)] == [w.value(i) for i in range(1, 8)]
+    # the exact wire objects, keys in order: reports and digests read them
+    assert [list(seq_to_json(w).items()) for w in leaves] == [
+        [("kind", "constant"), ("c", 1.5)],
+        [("kind", "eventually_constant"), ("prefix", [1.0, 2.0]), ("tail", 0.5)],
+        [("kind", "rational"), ("p", [0.2, 1.0]), ("q", [0.0, 1.0])],
+        [("kind", "prefix_with_limit"), ("prefix", [2.0]), ("limit", 1.0)],
+    ]
     with pytest.raises(DomainError):
         seq_to_json(seq_product(leaves[1], leaves[2]))
     with pytest.raises(DomainError):

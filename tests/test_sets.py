@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import random_family
 from specrad import (
     Constant,
     EventuallyConstant,
@@ -21,6 +22,7 @@ from specrad import (
     set_sum,
     shift_family,
     symmetrization,
+    weighted_geometric_mean,
 )
 from specrad.errors import BudgetExceededError, DomainError, ShapeMismatchError
 
@@ -258,3 +260,44 @@ def test_symmetrization_work_counts(monkeypatch, alpha, beta, powers, adjoints):
     assert counts["hpow"] == powers <= len(p) + len(q)
     assert counts["adjoint"] == adjoints <= len(q)
     assert counts["hadamard"] == (len(p) * len(q) if alpha and beta else 0)
+
+
+def _fold_mean(items, weights):
+    """The hpow/hadamard fold that weighted_geometric_mean ran before it became
+    the singleton case of set_hadamard_mean."""
+    w = weights.weights
+    acc = items[0] if w[0] == 1.0 else items[0].hpow(w[0])
+    for x, a in zip(items[1:], w[1:]):
+        acc = acc.hadamard(x if a == 1.0 else x.hpow(a))
+    return acc
+
+
+def _random_weights(rng, m):
+    w = rng.dirichlet(np.ones(m)) * (1.0 + rng.random())
+    return WeightVector(tuple(1.0 if rng.random() < 0.25 else float(x) for x in w))
+
+
+def _family_bits(f):
+    """Every bit of a family that a report can read: band values at i = 1..29,
+    band limits and the corner."""
+    corner = f.corner
+    return ([(d, [float(w.value(i)).hex() for i in range(1, 30)], float(w.limit).hex())
+             for d, w in f.bands.items()],
+            None if corner is None else (corner.shape, corner.tobytes()))
+
+
+def test_weighted_geometric_mean_matches_the_fold_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 5))
+        arrays = [rng.random((n, n)) * (rng.random((n, n)) < 0.7) for _ in range(m)]
+        w = _random_weights(rng, m)
+        got = weighted_geometric_mean([FiniteMatrix(x) for x in arrays], w).a
+        want = _fold_mean([FiniteMatrix(x) for x in arrays], w).a
+        assert got.tobytes() == want.tobytes()
+    for _ in range(60):
+        m = int(rng.integers(1, 4))
+        fams = [random_family(rng, multiband=True) for _ in range(m)]
+        w = _random_weights(rng, m)
+        assert _family_bits(weighted_geometric_mean(fams, w)) == _family_bits(_fold_mean(fams, w))

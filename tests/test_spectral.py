@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import perron_root_charpoly, random_family
+from helpers import gamma_via_star, perron_root_charpoly, random_family
 from specrad import (
     Bracket,
     Constant,
@@ -20,7 +20,6 @@ from specrad import (
     diagonal_family,
     essential_spectral_radius,
     finite_rank_family,
-    gamma_via_star,
     hausdorff_mnc,
     identity_family,
     operator_norm,

@@ -23,9 +23,8 @@ its checkout:
   durations of acceptance criteria 1, 2 and 8 from ``pytest --durations=0``;
 - ``reference``: the verdict counts and report digests of perfbench's
   reference slices on its default and held-out seeds;
-- ``reports``: wall time and sha256 of stdout and ``--out`` of ``catalog``,
-  the fixed-seed sweep over all chains, the three essential sweeps, the
-  sweep with ``--dump-inputs`` and ``estimate jsr`` on the golden pair.
+- ``reports``: wall time, exit status and sha256 of stdout and ``--out`` of
+  the seven fixed reports that ``tools/fixed_reports.py`` builds.
 
 With two or more checkouts it prints, per workload and metric, how many
 seed pairs the last checkout won against the first and the ratio of the
@@ -38,32 +37,18 @@ files under ``perfbench/`` are used as they are.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import re
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
+from fixed_reports import reports, run_in
+
 CRITERIA = {"criterion_1": "test_criterion_1_", "criterion_2": "test_criterion_2_",
             "criterion_8": "test_criterion_8_"}
-# The jsr estimate reads this file's checkout's golden-pair fixture in every
-# checkout, so its report names the same input path.
-GOLDEN_PAIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "golden_pair.json"
-REPORTS = {
-    "catalog": ["catalog"],
-    "sweep_all": ["sweep", "--registry", "all", "--trials", "4", "--seed", "42"],
-    **{f"sweep_essential_{e}": ["sweep", "--registry", "essential", "--ensemble", e,
-                                "--trials", "20", "--seed", "11"]
-       for e in ("shift_family", "diagonal_family", "shift_plus_rank")},
-    "sweep_dump": ["sweep", "--registry", "all", "--trials", "2", "--seed", "5",
-                   "--dump-inputs"],
-    "estimate_jsr": ["estimate", "jsr", "--input", str(GOLDEN_PAIR), "--delta", "1e-6"],
-}
 # Runs in a checkout's root; prints {workload: {seed: {counts, digest}}}.
 REFERENCE = """
 import json, sys
@@ -85,13 +70,6 @@ print(json.dumps(out))
 """
 
 
-def _run(root: Path, args: list[str], command: list[str] | None = None):
-    """Run ``command + args`` in root; the command defaults to this interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    return subprocess.run([*(command or [sys.executable]), *args], cwd=root, env=env,
-                          capture_output=True, text=True)
-
-
 def _last_json(proc: subprocess.CompletedProcess, what: str) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 2 or not lines:
@@ -110,7 +88,7 @@ def load_benchmark(roots: list[Path]) -> dict:
 def perfbench(bench: dict, root: Path, workload: str, seed: int,
               trace: int) -> tuple[dict, dict | None]:
     """The final JSON line of one benchmark run, and the run's ``env`` record."""
-    proc = _run(root, ["--workload", workload, "--seed", str(seed),
+    proc = run_in(root, ["--workload", workload, "--seed", str(seed),
                        "--seconds", str(bench["run_seconds"]), "--trace", str(trace)],
                 bench["command"])
     result = _last_json(proc, f"{root}: {workload} seed {seed}")
@@ -137,7 +115,7 @@ def summarize(bench: dict, runs: list[dict]) -> dict:
 
 def tier1(root: Path) -> dict:
     start = time.perf_counter()
-    proc = _run(root, ["-m", "pytest", "-q", "--continue-on-collection-errors",
+    proc = run_in(root, ["-m", "pytest", "-q", "--continue-on-collection-errors",
                        "--durations=0", "-p", "no:cacheprovider"])
     wall = time.perf_counter() - start
     durations = re.findall(r"^([\d.]+)s call\s+\S+::(\S+)$", proc.stdout, re.M)
@@ -146,22 +124,6 @@ def tier1(root: Path) -> dict:
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     return {"wall_s": round(wall, 2), "summary": summary.strip("= "), "criteria_s": criteria,
             "exit_code": proc.returncode}
-
-
-def reports(root: Path) -> dict:
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, args in REPORTS.items():
-            path = Path(tmp) / f"{name}.json"
-            start = time.perf_counter()
-            proc = _run(root, ["-m", "specrad.cli", *args, "--out", str(path)])
-            wall = time.perf_counter() - start
-            out[name] = {
-                "wall_s": round(wall, 3), "exit_code": proc.returncode,
-                "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest(),
-                "out_sha256": hashlib.sha256(path.read_bytes()).hexdigest()
-                if path.exists() else None}
-    return out
 
 
 def commit_of(root: Path) -> str | None:
@@ -232,7 +194,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             doc["workloads"][workload]["trace1_seed1"], doc["host"] = perfbench(
                 bench, root, workload, 1, 1)
-        doc["reference"] = json.loads(_run(root, ["-c", REFERENCE]).stdout)
+        doc["reference"] = json.loads(run_in(root, ["-c", REFERENCE]).stdout)
         doc["reports"] = reports(root)
         doc["tier1"] = tier1(root)
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Build specrad's seven fixed reports in a checkout and print their sha256.
+
+    python3 tools/fixed_reports.py CHECKOUT [BASE_CHECKOUT]
+
+The fixed reports are the ones that must stay byte-identical across
+refactors: ``catalog``, the fixed-seed sweep over all chains, the three
+essential sweeps, the sweep with ``--dump-inputs`` and ``estimate jsr`` on
+the golden pair (the only one that reaches ``gripenberg_bracket``).  Each
+runs in the checkout's root with its ``src`` on ``PYTHONPATH`` and with
+``--out``, and one line per report gives the sha256 of its stdout and of
+its ``--out`` file.  With a base checkout the reports are built there too,
+and the stdout and ``--out`` of each one are printed as ``identical`` or
+``DIFFERS``.  The jsr estimate reads the golden-pair fixture of this tool's
+own checkout in every checkout, so its report names the same input path.
+
+The exit status is 1 when a report command exits with a nonzero status in
+either checkout, and 0 otherwise: a difference is printed, not judged.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+GOLDEN_PAIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "golden_pair.json"
+REPORTS = {
+    "catalog": ["catalog"],
+    "sweep_all": ["sweep", "--registry", "all", "--trials", "4", "--seed", "42"],
+    **{f"sweep_essential_{e}": ["sweep", "--registry", "essential", "--ensemble", e,
+                                "--trials", "20", "--seed", "11"]
+       for e in ("shift_family", "diagonal_family", "shift_plus_rank")},
+    "sweep_dump": ["sweep", "--registry", "all", "--trials", "2", "--seed", "5",
+                   "--dump-inputs"],
+    "estimate_jsr": ["estimate", "jsr", "--input", str(GOLDEN_PAIR), "--delta", "1e-6"],
+}
+DIGESTS = ("stdout_sha256", "out_sha256")
+
+
+def run_in(root: Path, args: list[str], command: list[str] | None = None):
+    """Run ``command + args`` in root with its ``src`` on the path; the
+    command defaults to this interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([*(command or [sys.executable]), *args], cwd=root, env=env,
+                          capture_output=True, text=True)
+
+
+def reports(root: Path) -> dict:
+    """Per fixed report: wall time, exit status and the sha256 of stdout and ``--out``."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in REPORTS.items():
+            path = Path(tmp) / f"{name}.json"
+            start = time.perf_counter()
+            proc = run_in(root, ["-m", "specrad.cli", *args, "--out", str(path)])
+            wall = time.perf_counter() - start
+            out[name] = {
+                "wall_s": round(wall, 3), "exit_code": proc.returncode,
+                "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest(),
+                "out_sha256": hashlib.sha256(path.read_bytes()).hexdigest()
+                if path.exists() else None}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    parser.add_argument("base", type=Path, nargs="?")
+    args = parser.parse_args(argv)
+    docs = [reports(args.checkout.resolve())]
+    for name, doc in docs[0].items():
+        print(f"{name} exit={doc['exit_code']} "
+              + " ".join(f"{key}={doc[key]}" for key in DIGESTS))
+    if args.base is not None:
+        docs.append(reports(args.base.resolve()))
+        for name, doc in docs[0].items():
+            for key in DIGESTS:
+                same = doc[key] == docs[1][name][key]
+                print(f"{'identical' if same else 'DIFFERS'} {name} {key}")
+    return 1 if any(d["exit_code"] for doc in docs for d in doc.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
