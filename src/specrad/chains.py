@@ -101,10 +101,14 @@ class ChainInputs:
 
 
 def _params_json(params: dict) -> dict:
+    """Params as JSON values.  A sequence becomes a list; in it an integer
+    (an entry of a permutation) stays an integer, as a scalar param does,
+    and another number becomes a float."""
     out = {}
     for k, v in params.items():
         if isinstance(v, (tuple, list)):
-            out[k] = [float(x) if isinstance(x, (int, float)) else list(x) for x in v]
+            out[k] = [x if isinstance(x, int) else float(x) if isinstance(x, float) else list(x)
+                      for x in v]
         else:
             out[k] = v
     return out

@@ -912,8 +912,7 @@ def _e6_sample(rng, ens):
     sets = tuple(_fam_set(rng, ens, size, offset=_pick_offset(rng, ens)) for _ in range(m))
     psi = _fam_set(rng, ens, size, offset=_pick_offset(rng, ens))
     return ChainInputs(family_sets=(psi,) + sets,
-                       params={"m": m, "n": n, "alpha": alpha, "beta": beta,
-                               "size": size})
+                       params={"m": m, "n": n, "alpha": alpha, "beta": beta})
 
 
 def _e6_check(inputs):

@@ -2,20 +2,25 @@
 
 Every estimator returns a ``Bracket`` whose lower and upper endpoints are
 both certified, with a ``method`` tag and a ``converged`` flag.  The
-finite spectral radius combines Gelfand upper bounds with Collatz-Wielandt
-lower bounds on repeated squarings, applied per strongly connected
-component so reducible matrices also get tight lower bounds.  The
-components come from the reachability closure of the sparsity pattern:
-R = (A != 0) | I squared until it stops growing, after which i and j
-share a component exactly when R[i, j] and R[j, i].  One routine,
-``_perron_brackets``, squeezes a whole stack of equal-sized blocks at
-once: the components of many matrices (word products of a set, or their
-Gram matrices) are stacked by size, and ``spectral_radius`` is the
-one-matrix case.  Each block gets the same float operations as a squeeze
-of that block alone: the stacked numpy sums, maxima, quotients and ``@``
-round each element as the one-matrix calls do, and the logarithms and
-exponentials run per element on ``math``.  So a bracket does not depend
-on the batch it was computed in.  On the
+finite spectral radius is the max over strongly connected components,
+so reducible matrices also get tight lower bounds.  The components come
+from the reachability closure of the sparsity pattern: R = (A != 0) | I
+squared until it stops growing, after which i and j share a component
+exactly when R[i, j] and R[j, i].  One routine, ``_perron_brackets``,
+brackets a whole stack of equal-sized irreducible blocks at once: the
+components of many matrices (word products of a set, or their Gram
+matrices) are stacked by size, and ``spectral_radius`` is the one-matrix
+case.  It takes each block's Perron vector x from one batched
+``np.linalg.eig`` call and makes one Collatz-Wielandt check: the min and
+max of fl(Ax)_i / x_i, widened by Higham's gamma_{n+1} with every rounded
+step moved outward, enclose the Perron root for any x > 0.  A block whose
+check is not certified (x not positive, a product below the normal range,
+an inexact power-of-two scaling) or not within tol falls back to
+``_squeeze``, Gelfand upper and Collatz-Wielandt lower bounds on repeated
+squarings.  When ``eig`` fails on a stack, each block is retried alone.
+Every step treats each block as it would treat it alone, so a bracket
+does not depend on the batch it was computed in.  The l2 norm widens its
+Gram radius by gamma_m, the rounding of A*A.  On the
 infinite side, the Hausdorff measure of noncompactness of a banded family
 is the sum of its band weight limits: every weight sequence converges, so
 row-tail norm bounds decrease to that sum, and sliding window vectors
@@ -45,13 +50,16 @@ SPACES = (L1, L2, LINF)
 _ROUND_GUARD = 2e-13
 
 DEFAULT_RHO_TOL = 1e-10
-_MAX_SQUARINGS = 64
+_MAX_SQUARINGS = 64  # the cap of the squeeze fallback
 
 # Range of the largest entry in which the Gram matrix A*A is formed with no
 # overflow and no subnormal rounding (for n below 2**100).  A matrix outside
 # it is scaled by a power of two first.
 _GRAM_MIN = 2.0 ** -400
 _GRAM_MAX = 2.0 ** 400
+
+_U = 2.0 ** -53  # unit roundoff of round to nearest
+_TINY = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,85 @@ def _strong_components(a: np.ndarray) -> list[np.ndarray]:
 
 
 def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
+    """(lo, hi, converged) for the Perron root of each irreducible block of a
+    C-ordered (k, n, n) stack, n >= 2: a Collatz-Wielandt bracket at the
+    Perron vector of one batched ``np.linalg.eig`` call, with ``_squeeze``
+    as the fallback.
+
+    Each block A is scaled to B = 2**-e A, e the binary exponent of its
+    largest entry.  x is |v| for the eigenvector v of the eigenvalue with
+    the largest real part.  For every x > 0, min_i (Bx)_i / x_i <= rho(B)
+    <= max_i (Bx)_i / x_i (Collatz-Wielandt).  With B, x >= 0 and every
+    nonzero product b_ij x_j in the normal range, fl(Bx)_i =
+    (Bx)_i (1 + theta) with |theta| <= gamma_n in any summation order, and
+    the quotient by x_i rounds once more, so each computed ratio q_i lies
+    within a factor 1 +- gamma_{n+1} of the exact one, where
+    gamma_m = m u / (1 - m u) and u = 2**-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3).  So lo = min q / (1 +
+    gamma_{n+1}) and hi = max q / (1 - gamma_{n+1}), each rounded step
+    moved outward by ``math.nextafter``, and both ends are multiplied back
+    by 2**e.  The bound holds for any positive x: a poor eigenvector makes
+    the bracket loose, never wrong.
+
+    A block goes to ``_squeeze`` when a scaled entry does not round-trip,
+    when x has a zero or non-finite entry, when a nonzero product b_ij x_j
+    lies below the normal range, when an end leaves the float range on
+    the way back, or when hi - lo > tol * hi.  When ``eig`` raises
+    ``LinAlgError`` on the stack, each block is retried alone and a block
+    that fails alone falls back, so no sibling decides the path of a
+    block.  ``eig`` treats each matrix of a stack on its own and every
+    other step is elementwise or a reduction along the last axis, so a
+    bracket does not depend on the batch it was computed in.
+    """
+    k, n, _ = stack.shape
+    exps = [math.frexp(t)[1] for t in np.maximum.reduce(stack, axis=(1, 2)).tolist()]
+    e = np.array(exps).reshape(k, 1, 1)
+    b = np.ldexp(stack, -e)
+    x = _perron_vectors(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = b * x[:, None, :]
+        q = np.add.reduce(p, axis=2) / x
+    good = ((np.ldexp(b, e) == stack).all(axis=(1, 2)) & (x > 0.0).all(axis=1)
+            & ((b == 0.0) | (p > _TINY)).all(axis=(1, 2)))
+    g = _gamma(n + 1)
+    up, down = _up(1.0 + g), _down(1.0 - g)
+    out = []
+    redo = []
+    for j, (ok, qlo, qhi, ej) in enumerate(zip(good.tolist(), q.min(axis=1).tolist(),
+                                               q.max(axis=1).tolist(), exps)):
+        if ok:
+            try:
+                lo = _times_pow2(_down(qlo / up), ej, 0.0)
+                hi = _times_pow2(_up(qhi / down), ej, math.inf)
+                if hi - lo <= tol * hi:
+                    out.append((lo, hi, True))
+                    continue
+            except OverflowError:
+                pass
+        out.append(None)
+        redo.append(j)
+    if redo:
+        for j, r in zip(redo, _squeeze(stack[redo], tol)):
+            out[j] = r
+    return out
+
+
+def _perron_vectors(b: np.ndarray) -> np.ndarray:
+    """|v| for the eigenvector v of each block's eigenvalue with the largest
+    real part, as a (k, n) array; NaN for a block whose ``eig`` fails alone."""
+    try:
+        w, v = np.linalg.eig(b)
+    except np.linalg.LinAlgError:
+        if len(b) == 1:
+            return np.full(b.shape[1:2], np.nan)[None]
+        return np.concatenate([_perron_vectors(blk[None]) for blk in b])
+    return np.abs(v[np.arange(len(b)), :, w.real.argmax(axis=1)])
+
+
+def _squeeze(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
     """Gelfand + Collatz-Wielandt (lo, hi, converged) for each irreducible
-    block of a C-ordered (k, n, n) stack, n >= 2.
+    block of a C-ordered (k, n, n) stack, n >= 2, by repeated squaring: the
+    fallback of ``_perron_brackets``.
 
     Row sums of A^(2^j) are the Collatz-Wielandt ratios at the all-ones
     vector, so their min and max raised to 2^-j enclose the Perron root,
@@ -142,8 +227,11 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     elementwise arithmetic, row sums, maxima and stacked ``@`` give every
     element the bits they give a lone matrix, and logarithms and
     exponentials run per element on ``math``, because numpy's vector
-    kernels may round them differently.  A block leaves the stack when it
-    stops.  An upper end beyond the float range counts as +inf, which the
+    kernels may round them differently.  A block leaves the stack when its
+    ends are within tol relative to the upper end (hi - lo <= tol * hi) or
+    at the squaring cap, and ``_finish`` pads them by ``_ROUND_GUARD``; the
+    Perron-vector path of ``_perron_brackets`` needs no such pad.  An upper
+    end beyond the float range counts as +inf, which the
     running minimum skips; a lower end beyond it, or a final upper end of
     +inf, is a DomainError.
 
@@ -185,7 +273,7 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
                 x = inf
             if x < hi_j:
                 hi_j = hi[j] = x
-            if hi_j - lo_j <= tol * (hi_j if hi_j > 1.0 else 1.0) and hi_j < inf or final:
+            if hi_j - lo_j <= tol * hi_j and hi_j < inf or final:
                 out[ids[j]] = _finish(lo_j, hi_j, tol)
                 done.append(j)
         if done:
@@ -227,7 +315,7 @@ def _finish(lo: float, hi: float, tol: float) -> tuple[float, float, bool]:
     hi *= 1.0 + _ROUND_GUARD
     if hi == math.inf:
         raise DomainError("spectral radius exceeds the float range")
-    return lo, hi, hi - lo <= tol * max(1.0, hi)
+    return lo, hi, hi - lo <= tol * hi
 
 
 def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
@@ -269,7 +357,7 @@ def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     """Certified bracket for the Perron root of a nonnegative matrix.
 
     The one-matrix case of ``_spectral_radii``: the max over strongly
-    connected components, each irreducible one squeezed by
+    connected components, each irreducible one bracketed by
     ``_perron_brackets``.
     """
     lo, hi, ok = _spectral_radii([m.a], tol)[0]
@@ -307,6 +395,17 @@ def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, 
     A*A would overflow or lose its low bits to subnormal rounding, so the
     norm of 2**-e A is taken instead, where 2**e brackets that entry, and
     its endpoints are multiplied back by 2**e.
+
+    fl(A*A) lies within gamma_m (A*A) entrywise for A with m rows, since
+    every term is nonnegative, and the Perron root is monotone in
+    nonnegative entries and homogeneous, so each Gram radius is widened to
+    [lo / (1 + gamma_m), hi / (1 - gamma_m)] before the square root; a
+    singleton component, a rounded diagonal entry, is covered too.  Every
+    rounded step (the two quotients, the square roots, a scaling below the
+    normal range) moves one ulp outward.  Underflow in the scaled entries
+    or in the Gram products moves the radius, which is at least the largest
+    squared entry (>= 2**-802), by less than n * m * 2**-1074, below the
+    one-ulp steps.
     """
     grams = []
     exps = []
@@ -318,25 +417,49 @@ def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, 
         grams.append(a.T @ a)
         exps.append(e)
     out = []
-    for e, (lo, hi, ok) in zip(exps, _spectral_radii(grams, tol)):
-        lo, hi = math.sqrt(lo), math.sqrt(hi)
+    for a, e, (lo, hi, ok) in zip(arrays, exps, _spectral_radii(grams, tol)):
+        g = _gamma(a.shape[0])
+        lo = _down(math.sqrt(_down(lo / _up(1.0 + g))))
+        hi = _up(math.sqrt(_up(hi / _down(1.0 - g))))
         if e:
-            lo, hi = _times_pow2(lo, e, 0.0), _times_pow2(hi, e, math.inf)
+            try:
+                lo, hi = _times_pow2(lo, e, 0.0), _times_pow2(hi, e, math.inf)
+            except OverflowError:
+                raise DomainError("operator norm exceeds the float range") from None
         out.append((lo, hi, ok))
     return out
 
 
-def _times_pow2(x: float, e: int, toward: float) -> float:
-    """x * 2**e, moved one step toward ``toward`` when the product is subnormal.
+def _down(x: float) -> float:
+    """The next float toward zero: a lower end after one rounded step."""
+    return math.nextafter(x, 0.0)
 
-    A normal product is exact; a subnormal one is rounded to nearest, so the
-    step keeps an endpoint on its side of the value it encloses.
+
+def _up(x: float) -> float:
+    """The next float up, zero kept: an upper end after one rounded step
+    (a rounded positive result is never zero)."""
+    return math.nextafter(x, math.inf) if x else x
+
+
+def _times_pow2(x: float, e: int, toward: float) -> float:
+    """x * 2**e, moved one step toward ``toward`` when the product is below
+    the normal range; OverflowError beyond the float range.
+
+    A normal product is exact; a smaller one is rounded to nearest (possibly
+    to zero), so the step keeps an endpoint on its side of the value it
+    encloses.  Zero stays zero.
     """
-    try:
-        y = math.ldexp(x, e)
-    except OverflowError:
-        raise DomainError("operator norm exceeds the float range") from None
-    return math.nextafter(y, toward) if 0.0 < y < sys.float_info.min else y
+    y = math.ldexp(x, e)
+    return math.nextafter(y, toward) if x and y < _TINY else y
+
+
+def _gamma(m: int) -> float:
+    """An upper bound on Higham's gamma_m = m u / (1 - m u), u = 2**-53.
+
+    m u and 1 - m u are exact for m < 2**52, so one step up covers the
+    rounding of the quotient.
+    """
+    return math.nextafter(m * _U / (1.0 - m * _U), math.inf)
 
 
 # -- noncompactness and essential radius ------------------------------------

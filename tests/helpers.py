@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -29,24 +30,116 @@ def gamma_via_star(f: OperatorFamily) -> Bracket:
                    "star-identity", b.converged)
 
 
-def perron_root_charpoly(a: np.ndarray) -> float:
-    """Perron root via characteristic polynomial coefficients plus np.roots.
+def encloses_perron_root(a, lo, hi) -> bool:
+    """True when lo <= rho(a) <= hi, decided in exact arithmetic.
 
-    Coefficients come from the Faddeev-LeVerrier trace recursion, so this
-    path shares nothing with the Gelfand/Collatz-Wielandt bracket.
+    ``a`` is a square nonnegative matrix of degree <= 8 whose entries are
+    floats or Fractions (a float is an exact dyadic rational); lo and hi
+    are floats or Fractions.  Scaled by the common denominator D of its
+    entries, a becomes an integer matrix N, whose characteristic
+    polynomial Faddeev-LeVerrier gives exactly over the integers; its
+    roots are D times those of a.  By Perron-Frobenius the Perron root is
+    the largest real eigenvalue, so [lo, hi] encloses it exactly when no
+    root lies above hi and at least one lies at or above lo; a Sturm
+    sequence of the square-free part counts the distinct real roots in
+    (x, oo) as V(x) - V(oo).  Uses the standard library only.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    coeffs = [1.0]
-    m = np.array(a)
-    c = -np.trace(m)
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        m = a @ (m + c * np.eye(n))
-        c = -np.trace(m) / k
+    rows = [[Fraction(x) for x in row] for row in np.asarray(a, dtype=object).tolist()]
+    n = len(rows)
+    if not 1 <= n <= 8 or any(len(r) != n for r in rows):
+        raise ValueError(f"the exact oracle takes square matrices of degree 1 to 8, got {n}")
+    if any(x < 0 for r in rows for x in r):
+        raise ValueError("the exact oracle takes nonnegative matrices")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        return False
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    ints = [[int(x * d) for x in r] for r in rows]
+    p = [Fraction(c) for c in _charpoly(ints)]
+    seq = _sturm(_square_free(p))
+    lo, hi = lo * d, hi * d
+    at_inf = _sign_changes([c[0] for c in seq])
+    if _sign_changes([_value(q, hi) for q in seq]) - at_inf > 0:
+        return False
+    return _value(seq[0], lo) == 0 or _sign_changes([_value(q, lo) for q in seq]) > at_inf
+
+
+def _charpoly(m: list[list[int]]) -> list[int]:
+    """Coefficients, highest degree first, of det(xI - m) for an integer matrix.
+
+    Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(m M_k) / k and
+    M_{k+1} = m M_k + c_{n-k} I; every M_k is an integer polynomial in m,
+    so each division is exact.
+    """
+    n = len(m)
+    coeffs = [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(m[i][l] * mk[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c, r = divmod(-sum(prod[i][i] for i in range(n)), k)
+        assert r == 0
         coeffs.append(c)
-    roots = np.roots(coeffs)
-    return float(max(abs(roots))) if len(roots) else 0.0
+        for i in range(n):
+            prod[i][i] += c
+        mk = prod
+    return coeffs
+
+
+def _strip(p: list[Fraction]) -> list[Fraction]:
+    i = 0
+    while i < len(p) - 1 and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _divmod_poly(a: list[Fraction], b: list[Fraction]):
+    """Quotient and remainder of polynomials, highest degree first."""
+    a = list(a)
+    quot = []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        quot.append(f)
+        for i, c in enumerate(b):
+            a[i] -= f * c
+        a.pop(0)
+    return quot or [Fraction(0)], _strip(a) if a else [Fraction(0)]
+
+
+def _derivative(p: list[Fraction]) -> list[Fraction]:
+    deg = len(p) - 1
+    return [c * (deg - i) for i, c in enumerate(p[:-1])] or [Fraction(0)]
+
+
+def _square_free(p: list[Fraction]) -> list[Fraction]:
+    """p divided by gcd(p, p'): the same distinct roots, each simple."""
+    a, b = p, _derivative(p)
+    while b != [0]:
+        a, b = b, _divmod_poly(a, b)[1]
+    return _divmod_poly(p, a)[0] if len(a) > 1 else p
+
+
+def _sturm(p: list[Fraction]) -> list[list[Fraction]]:
+    """The Sturm sequence of a square-free polynomial, each term scaled by a
+    positive constant to keep the numbers small."""
+    seq = [p, _derivative(p)]
+    while len(seq[-1]) > 1:
+        r = _divmod_poly(seq[-2], seq[-1])[1]
+        if r == [0]:
+            break
+        seq.append([-c / abs(r[0]) for c in r])
+    return seq
+
+
+def _value(p: list[Fraction], x: Fraction) -> Fraction:
+    v = Fraction(0)
+    for c in p:
+        v = v * x + c
+    return v
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def brute_geometric_mean(arrays, alphas) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import gamma_via_star, perron_root_charpoly, word_radius_lb
+from helpers import encloses_perron_root, gamma_via_star, word_radius_lb
 from specrad import (
     EnsembleSpec,
     EvalContext,
@@ -157,9 +157,9 @@ def test_criterion_6_compact_perturbation():
 
 
 def test_criterion_7_spectral_oracle_fixture():
+    """Zero slack: each bracket must enclose the exact Perron root."""
     rng = np.random.default_rng(47)
-    worst = 0.0
-    ok = True
+    enclosed = 0
     for k in range(50):
         n = 2 if k % 2 == 0 else 3
         a = rng.random((n, n))
@@ -168,12 +168,9 @@ def test_criterion_7_spectral_oracle_fixture():
         if k % 7 == 0:
             a = np.triu(a)
         b = spectral_radius(FiniteMatrix(a))
-        root = perron_root_charpoly(a)
-        tol = 1e-10 * max(1.0, b.hi)
-        ok = ok and (b.lo - tol <= root <= b.hi + tol)
-        worst = max(worst, b.lo - root, root - b.hi)
-    _report(7, ok, f"50-case 2x2/3x3 fixture: bracket excess vs "
-                   f"characteristic-polynomial root <= {max(worst, 0):.2e}")
+        enclosed += encloses_perron_root(a, b.lo, b.hi)
+    _report(7, enclosed == 50, f"50-case 2x2/3x3 fixture: {enclosed}/50 brackets enclose "
+                               "the exact Perron root")
 
 
 def test_criterion_8_power_and_cyclic_identities():

@@ -239,15 +239,6 @@ def test_integer_too_large_for_a_float_exit_2(tmp_path, capsys, argv, bundle, me
     assert message in err and "Traceback" not in err
 
 
-# Chains whose dumped bundles ``check --input`` refuses today, and why.
-_DUMP_REFUSED = {
-    "E6": "E6's sample adds the undeclared param 'size', which check --input refuses",
-    **dict.fromkeys(("E19", "E20", "E21"),
-                    "reports write the permutation params tau and nu as floats, "
-                    "which the permutation check refuses"),
-}
-
-
 @pytest.fixture(scope="module")
 def dumped_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("dump") / "dump.json"
@@ -256,10 +247,7 @@ def dumped_sweep(tmp_path_factory):
     return {run["chain_id"]: run for run in json.loads(out.read_text(encoding="utf-8"))["runs"]}
 
 
-@pytest.mark.parametrize("cid", [
-    pytest.param(spec.id, marks=pytest.mark.xfail(strict=True, reason=_DUMP_REFUSED[spec.id]))
-    if spec.id in _DUMP_REFUSED else spec.id
-    for spec in registry()])
+@pytest.mark.parametrize("cid", [spec.id for spec in registry()])
 def test_dumped_bundles_pass_check_input(tmp_path, capsys, dumped_sweep, cid):
     """Each ``sweep --dump-inputs`` bundle, fed back to ``check --input``,
     gets the sweep's input digest, verdict and parts."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gamma_via_star, perron_root_charpoly, random_family
+from helpers import encloses_perron_root, gamma_via_star, random_family
 from specrad import (
     Bracket,
     Constant,
@@ -31,10 +31,12 @@ from specrad.errors import DomainError, ShapeMismatchError
 from specrad.spectral import (
     _GRAM_MAX,
     _GRAM_MIN,
-    _MAX_SQUARINGS,
     _ROUND_GUARD,
     DEFAULT_RHO_TOL,
+    _gamma,
+    _perron_brackets,
     _spectral_radii,
+    _squeeze,
     _strong_components,
 )
 
@@ -74,7 +76,7 @@ def test_spectral_radius_reducible_tight():
     assert b.contains(2.0) and b.width <= 1e-9
 
 
-def test_spectral_radius_vs_charpoly_oracle():
+def test_spectral_radius_vs_exact_oracle():
     rng = np.random.default_rng(11)
     for k in range(50):
         n = 2 + (k % 3)
@@ -82,8 +84,7 @@ def test_spectral_radius_vs_charpoly_oracle():
         if k % 4 == 0:
             a = a * (rng.random((n, n)) < 0.5)
         b = spectral_radius(FiniteMatrix(a))
-        root = perron_root_charpoly(a)
-        assert b.lo - 1e-10 * max(1, b.hi) <= root <= b.hi + 1e-10 * max(1, b.hi)
+        assert encloses_perron_root(a, b.lo, b.hi)
 
 
 def test_spectral_radius_imprimitive_cycle():
@@ -105,40 +106,9 @@ def _scipy_components(a):
     return [np.flatnonzero(labels == c) for c in range(n)]
 
 
-def _reference_irreducible_bracket(a, tol):
-    top = float(a.max())
-    if top <= 0.0:
-        return 0.0, 0.0, True
-    b = a / top
-    logscale = math.log(top)
-    lo_best = 0.0
-    hi_best = math.inf
-    power = 1.0
-    for _ in range(_MAX_SQUARINGS):
-        rs = b.sum(axis=1)
-        mn = float(rs.min())
-        mx = float(rs.max())
-        if mx <= 0.0:
-            return 0.0, 0.0, True
-        if mn > 0.0:
-            lo_best = max(lo_best, math.exp((math.log(mn) + logscale) / power))
-        hi_best = min(hi_best, math.exp((math.log(mx) + logscale) / power))
-        if hi_best - lo_best <= tol * max(1.0, hi_best):
-            break
-        b = b @ b
-        top = float(b.max())
-        if top <= 0.0 or not math.isfinite(top):
-            break
-        b /= top
-        logscale = 2.0 * logscale + math.log(top)
-        power *= 2.0
-    lo = lo_best * (1.0 - _ROUND_GUARD)
-    hi = hi_best * (1.0 + _ROUND_GUARD)
-    return lo, hi, hi - lo <= tol * max(1.0, hi)
-
-
 def _reference_spectral_radius(a, tol=DEFAULT_RHO_TOL):
-    """spectral_radius as it was with scipy's component split."""
+    """spectral_radius through scipy's component split, each irreducible
+    component bracketed alone by the same per-block routine."""
     lo = hi = 0.0
     conv = True
     for comp in _scipy_components(a):
@@ -147,7 +117,7 @@ def _reference_spectral_radius(a, tol=DEFAULT_RHO_TOL):
             v = float(a[i, i])
             lo, hi = max(lo, v), max(hi, v)
             continue
-        clo, chi, ok = _reference_irreducible_bracket(a[np.ix_(comp, comp)], tol)
+        (clo, chi, ok), = _perron_brackets(a[np.ix_(comp, comp)][None], tol)
         lo, hi = max(lo, clo), max(hi, chi)
         conv = conv and ok
     return Bracket(lo, hi, "gelfand-cw", conv)
@@ -200,7 +170,8 @@ def test_strong_components_match_scipy():
 
 
 def test_spectral_radius_matches_scipy_split_reference():
-    """Bit for bit the brackets of the scipy component split."""
+    """Bit for bit the brackets of the scipy component split, its blocks
+    bracketed one by one."""
     for a in _component_matrices(2400, seed=82):
         got = spectral_radius(FiniteMatrix(a))
         want = _reference_spectral_radius(a)
@@ -251,14 +222,80 @@ def _bits(r):
 @settings(max_examples=60, deadline=None)
 @given(_radius_batches())
 def test_spectral_radii_bits_do_not_depend_on_the_batch(arrays):
-    """Each array gets the bits of the scalar reference, alone or batched
-    with others in any order."""
+    """Each array gets the same bits alone or batched with others in any
+    order, and up to degree 8 its bracket encloses the exact Perron root."""
     batch = arrays + arrays[::-1]
     got = _spectral_radii(batch)
     for a, r, back in zip(arrays, got, got[::-1]):
-        want = _reference_spectral_radius(a)
-        assert _bits(r) == _bits(back) == _bits(_spectral_radii([a])[0]) == \
-            (want.lo.hex(), want.hi.hex(), want.converged)
+        assert _bits(r) == _bits(back) == _bits(_spectral_radii([a])[0])
+        if len(a) <= 8:
+            assert encloses_perron_root(a, r[0], r[1])
+
+
+def test_a_failed_eig_on_one_block_does_not_move_its_siblings(monkeypatch):
+    """When eig raises LinAlgError on a stack, each block is retried alone:
+    the one that fails alone gets the squeeze, the others their own bits."""
+    rng = np.random.default_rng(5)
+    blocks = [rng.random((4, 4)) for _ in range(3)]
+    alone = [_perron_brackets(b[None], DEFAULT_RHO_TOL)[0] for b in blocks]
+    eig = np.linalg.eig
+    bad = np.ldexp(blocks[1], -math.frexp(blocks[1].max())[1])
+
+    def failing_eig(stack):
+        if any(np.array_equal(m, bad) for m in stack):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(stack)
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    got = _perron_brackets(np.stack(blocks), DEFAULT_RHO_TOL)
+    assert got[0] == alone[0] and got[2] == alone[2]
+    assert got[1] == _squeeze(blocks[1][None], DEFAULT_RHO_TOL)[0] != alone[1]
+    assert got[::-1] == _perron_brackets(np.stack(blocks[::-1]), DEFAULT_RHO_TOL)
+    assert all(encloses_perron_root(b, lo, hi) for b, (lo, hi, _) in zip(blocks, got))
+
+
+def _oracle_matrix(draw, n):
+    """An n x n nonnegative matrix, n <= 8, at a scale from 2^-1000 to
+    2^1000: dense, half-sparse, two epsilon-coupled blocks (reducible when
+    one coupling is zero), or a permuted weighted cycle or block cycle,
+    where several eigenvalues share the maximal modulus."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "half-sparse", "coupled", "cycle"]))
+    a = rng.random((n, n))
+    if kind == "half-sparse":
+        a *= rng.random((n, n)) < 0.5
+    elif kind == "coupled" and n >= 2:
+        cut = int(rng.integers(1, n))
+        down, up = (2.0 ** -draw(st.integers(0, 1000)) for _ in range(2))
+        a[cut:, :cut] *= down if draw(st.booleans()) else 0.0
+        a[:cut, cut:] *= up
+    elif kind == "cycle":
+        period = int(rng.integers(2, n + 1)) if n >= 2 else 1
+        phase = rng.permutation(np.arange(n) % period)
+        a = (a + 0.1) * (phase[None, :] == (phase[:, None] + 1) % period)
+    return a * 2.0 ** draw(st.integers(-1000, 1000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_spectral_radius_encloses_the_exact_root(data):
+    a = _oracle_matrix(data.draw, data.draw(st.integers(1, 8)))
+    b = spectral_radius(FiniteMatrix(a))
+    assert encloses_perron_root(a, b.lo, b.hi)
+    assert b.converged
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_l2_operator_norm_encloses_the_exact_norm(data):
+    """lo^2 <= rho(A*A) <= hi^2 on the exact Gram matrix."""
+    rows = data.draw(st.integers(1, 8))
+    a = _oracle_matrix(data.draw, rows)[:, :data.draw(st.integers(1, rows))]
+    b = operator_norm(FiniteMatrix(a))
+    exact = [[Fraction(x) for x in row] for row in a.tolist()]
+    gram = [[sum(r[i] * r[j] for r in exact) for j in range(a.shape[1])]
+            for i in range(a.shape[1])]
+    assert encloses_perron_root(gram, Fraction(b.lo) ** 2, Fraction(b.hi) ** 2)
 
 
 def test_spectral_radius_encloses_roots_near_the_top_of_the_float_range():
@@ -294,10 +331,21 @@ def test_operator_norms():
 
 
 def _reference_operator_norm_l2(m, tol=DEFAULT_RHO_TOL):
-    """The l2 operator_norm without power-of-two scaling: sqrt of rho(A*A)."""
+    """The l2 operator_norm without power-of-two scaling: the square root
+    of rho(A*A) widened by gamma_m, each rounded step one ulp outward."""
     gram = FiniteMatrix(m.a.T @ m.a)
     b = spectral_radius(gram, tol)
-    return Bracket(math.sqrt(b.lo), math.sqrt(b.hi), "sqrt-gram", b.converged)
+    g = _gamma(m.a.shape[0])
+
+    def down(x):
+        return math.nextafter(x, 0.0)
+
+    def up(x):
+        return math.nextafter(x, math.inf) if x else x
+
+    lo = down(math.sqrt(down(b.lo / up(1.0 + g))))
+    hi = up(math.sqrt(up(b.hi / down(1.0 - g))))
+    return Bracket(lo, hi, "sqrt-gram", b.converged)
 
 
 def _norm_matrices(count, seed):
@@ -350,15 +398,26 @@ def test_operator_norm_encloses_known_norms_at_every_scale(exp10):
         assert 0.0 < b.lo and _encloses(b, norm_sq)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a diagonal Gram matrix splits into singleton components, whose radius "
-    "is the rounded entry x*x + y*y with no rounding pad, so the point "
-    "bracket can miss the norm by an ulp at any scale"))
 @pytest.mark.parametrize("c", [1e-28, 1e240])
 def test_operator_norm_encloses_rank_one_column(c):
+    """A diagonal Gram matrix splits into singleton components, rounded
+    entries x*x + y*y, which the gamma_m widening covers."""
     x, y = 3.0 * c, 4.0 * c
     b = operator_norm(FiniteMatrix(np.array([[x, 0.0], [y, 0.0]])))
     assert _encloses(b, Fraction(x) ** 2 + Fraction(y) ** 2)
+
+
+@pytest.mark.parametrize("c", [1e-120, 1e-300, 1.0, 1e120])
+def test_small_brackets_meet_a_relative_tolerance(c):
+    """Width within tol * hi at every scale, on both paths: a small matrix
+    is no longer called converged with an absolute width of tol."""
+    b = operator_norm(FiniteMatrix(np.array([[3.0 * c, 4.0 * c], [0.0, 0.0]])))
+    assert b.converged and b.hi - b.lo <= DEFAULT_RHO_TOL * b.hi
+    a = np.array([[2.0 * c, c], [c, c]])
+    for lo, hi, ok in (_perron_brackets(a[None], DEFAULT_RHO_TOL)[0],
+                       _squeeze(a[None], DEFAULT_RHO_TOL)[0]):
+        assert ok and hi - lo <= DEFAULT_RHO_TOL * hi
+        assert encloses_perron_root(a, lo, hi)
 
 
 def test_operator_norm_beyond_the_float_range_is_a_domain_error():
