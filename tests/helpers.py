@@ -40,9 +40,10 @@ def encloses_perron_root(a, lo, hi) -> bool:
     polynomial Faddeev-LeVerrier gives exactly over the integers; its
     roots are D times those of a.  By Perron-Frobenius the Perron root is
     the largest real eigenvalue, so [lo, hi] encloses it exactly when no
-    root lies above hi and at least one lies at or above lo; a Sturm
+    root lies above hi and at least one lies at or above lo.  A Sturm
     sequence of the square-free part counts the distinct real roots in
-    (x, oo) as V(x) - V(oo).  Uses the standard library only.
+    (x, oo) as V(x) - V(oo), where V(x) is the number of sign changes
+    along the sequence at x.  Uses the standard library only.
     """
     rows = [[Fraction(x) for x in row] for row in np.asarray(a, dtype=object).tolist()]
     n = len(rows)
@@ -54,14 +55,15 @@ def encloses_perron_root(a, lo, hi) -> bool:
     if lo > hi:
         return False
     d = math.lcm(*(x.denominator for r in rows for x in r))
-    ints = [[int(x * d) for x in r] for r in rows]
-    p = [Fraction(c) for c in _charpoly(ints)]
-    seq = _sturm(_square_free(p))
-    lo, hi = lo * d, hi * d
-    at_inf = _sign_changes([c[0] for c in seq])
-    if _sign_changes([_value(q, hi) for q in seq]) - at_inf > 0:
+    p = _charpoly([[int(x * d) for x in r] for r in rows])
+    seq = _sturm(p)
+    if len(seq[-1]) > 1:  # gcd(p, p') is not constant: divide out the repeated roots
+        seq = _sturm(_exact_quotient(p, seq[-1]))
+    at_inf = _sign_changes([q[0] for q in seq])
+    if _sign_changes([_sign_at(q, hi * d) for q in seq]) > at_inf:
         return False
-    return _value(seq[0], lo) == 0 or _sign_changes([_value(q, lo) for q in seq]) > at_inf
+    return (_sign_at(seq[0], lo * d) == 0
+            or _sign_changes([_sign_at(q, lo * d) for q in seq]) > at_inf)
 
 
 def _charpoly(m: list[list[int]]) -> list[int]:
@@ -85,56 +87,50 @@ def _charpoly(m: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def _strip(p: list[Fraction]) -> list[Fraction]:
-    i = 0
-    while i < len(p) - 1 and p[i] == 0:
-        i += 1
-    return p[i:]
-
-
-def _divmod_poly(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of polynomials, highest degree first."""
-    a = list(a)
-    quot = []
-    while len(a) >= len(b):
-        f = a[0] / b[0]
-        quot.append(f)
-        for i, c in enumerate(b):
-            a[i] -= f * c
-        a.pop(0)
-    return quot or [Fraction(0)], _strip(a) if a else [Fraction(0)]
-
-
-def _derivative(p: list[Fraction]) -> list[Fraction]:
+def _sturm(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of an integer polynomial, highest degree first, each
+    term scaled by a positive number to keep integer coefficients (a
+    primitive pseudo-remainder sequence).  It ends at gcd(p, p'), which is
+    constant exactly when p has no repeated root."""
     deg = len(p) - 1
-    return [c * (deg - i) for i, c in enumerate(p[:-1])] or [Fraction(0)]
-
-
-def _square_free(p: list[Fraction]) -> list[Fraction]:
-    """p divided by gcd(p, p'): the same distinct roots, each simple."""
-    a, b = p, _derivative(p)
-    while b != [0]:
-        a, b = b, _divmod_poly(a, b)[1]
-    return _divmod_poly(p, a)[0] if len(a) > 1 else p
-
-
-def _sturm(p: list[Fraction]) -> list[list[Fraction]]:
-    """The Sturm sequence of a square-free polynomial, each term scaled by a
-    positive constant to keep the numbers small."""
-    seq = [p, _derivative(p)]
+    seq = [p, [c * (deg - i) for i, c in enumerate(p[:-1])]]
     while len(seq[-1]) > 1:
-        r = _divmod_poly(seq[-2], seq[-1])[1]
-        if r == [0]:
+        a, b = list(seq[-2]), seq[-1]
+        scale, sign = abs(b[0]), 1 if b[0] > 0 else -1
+        while len(a) >= len(b):  # |lc(b)| a minus a multiple of b drops a's leading term
+            f = a[0] * sign
+            a = [c * scale - f * (b[i] if i < len(b) else 0) for i, c in enumerate(a)][1:]
+        while a and a[0] == 0:
+            a.pop(0)
+        if not a:
             break
-        seq.append([-c / abs(r[0]) for c in r])
+        g = math.gcd(*a)
+        seq.append([-c // g for c in a])
     return seq
 
 
-def _value(p: list[Fraction], x: Fraction) -> Fraction:
-    v = Fraction(0)
+def _exact_quotient(p: list[int], g: list[int]) -> list[int]:
+    """p / g for a divisor g of p, scaled to integer coefficients by a
+    positive number."""
+    a = [Fraction(c) for c in p]
+    quot = []
+    while len(a) >= len(g):
+        f = a[0] / g[0]
+        quot.append(f)
+        a = [c - f * (g[i] if i < len(g) else 0) for i, c in enumerate(a)][1:]
+    d = math.lcm(*(c.denominator for c in quot))
+    return [int(c * d) for c in quot]
+
+
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """The sign of p(x), read off v^deg p(u / v) = sum c_i u^(deg - i) v^i
+    for x = u / v with v > 0."""
+    u, v = x.numerator, x.denominator
+    value, v_pow = 0, 1
     for c in p:
-        v = v * x + c
-    return v
+        value = value * u + c * v_pow
+        v_pow *= v
+    return (value > 0) - (value < 0)
 
 
 def _sign_changes(values) -> int:

@@ -27,6 +27,7 @@ from specrad import (
     shift_family,
     spectral_radius,
 )
+from specrad import spectral
 from specrad.errors import DomainError, ShapeMismatchError
 from specrad.spectral import (
     _GRAM_MAX,
@@ -252,6 +253,42 @@ def test_a_failed_eig_on_one_block_does_not_move_its_siblings(monkeypatch):
     assert got[1] == _squeeze(blocks[1][None], DEFAULT_RHO_TOL)[0] != alone[1]
     assert got[::-1] == _perron_brackets(np.stack(blocks[::-1]), DEFAULT_RHO_TOL)
     assert all(encloses_perron_root(b, lo, hi) for b, (lo, hi, _) in zip(blocks, got))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_perron_bracket_covers_the_rounding_of_ax(n):
+    """Equal rows [1, d, ..., d] with d just under the unit roundoff: the
+    Perron vector is the ones vector and the root is 1 + (n - 1) d, but a
+    row sum can drop the d terms.  Only the gamma_{n+1} widening keeps the
+    root inside at n = 3."""
+    for frac in (0.9, 0.99):
+        row = np.full(n, frac * 2.0 ** -53)
+        row[0] = 1.0
+        a = np.tile(row, (n, 1))
+        b = spectral_radius(FiniteMatrix(a))
+        assert b.converged and encloses_perron_root(a, b.lo, b.hi)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, 1.0], [5e-324, 1.0]]),        # 5e-324 / 2 does not round-trip
+    np.array([[0.0, 1.0], [2.0 ** -1030, 0.0]]),  # b_10 x_0 falls below the normal range
+    np.array([[1e308, 1e308], [1e-300, 0.0]]),    # the Perron vector's second entry is 0
+])
+def test_uncertified_blocks_go_to_the_squeeze(monkeypatch, a):
+    calls = []
+    squeeze = spectral._squeeze
+
+    def counted(stack, tol):
+        calls.append(len(stack))
+        return squeeze(stack, tol)
+
+    monkeypatch.setattr(spectral, "_squeeze", counted)
+    (lo, hi, _), = _perron_brackets(a[None], DEFAULT_RHO_TOL)
+    assert calls == [1]
+    assert encloses_perron_root(a, lo, hi)
+    calls.clear()
+    _perron_brackets(np.array([[2.0, 1.0], [1.0, 1.0]])[None], DEFAULT_RHO_TOL)
+    assert calls == []
 
 
 def _oracle_matrix(draw, n):
