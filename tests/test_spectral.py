@@ -25,9 +25,9 @@ from specrad import (
     operator_norm,
     oracle_ess_radius,
     shift_family,
+    spectral,
     spectral_radius,
 )
-from specrad import spectral
 from specrad.errors import DomainError, ShapeMismatchError
 from specrad.spectral import (
     _GRAM_MAX,
@@ -77,7 +77,7 @@ def test_spectral_radius_reducible_tight():
     assert b.contains(2.0) and b.width <= 1e-9
 
 
-def test_spectral_radius_vs_exact_oracle():
+def test_spectral_radius_vs_charpoly_oracle():
     rng = np.random.default_rng(11)
     for k in range(50):
         n = 2 + (k % 3)
