@@ -175,7 +175,7 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     e = np.array(exps).reshape(k, 1, 1)
     b = np.ldexp(stack, -e)
     x = _perron_vectors(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p = b * x[:, None, :]
         q = np.add.reduce(p, axis=2) / x
     good = ((np.ldexp(b, e) == stack).all(axis=(1, 2)) & (x > 0.0).all(axis=1)
@@ -190,7 +190,7 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
             try:
                 lo = _times_pow2(_down(qlo / up), ej, 0.0)
                 hi = _times_pow2(_up(qhi / down), ej, math.inf)
-                if hi - lo <= tol * hi:
+                if hi - lo <= tol * hi < math.inf:
                     out.append((lo, hi, True))
                     continue
             except OverflowError:

@@ -291,6 +291,18 @@ def test_uncertified_blocks_go_to_the_squeeze(monkeypatch, a):
     assert calls == []
 
 
+def test_an_infinite_ratio_goes_to_the_squeeze(monkeypatch):
+    """A poor positive x with an entry near the bottom of the normal range
+    passes the product check but overflows its ratio y_i / x_i; the block
+    then falls back instead of reporting an infinite upper end."""
+    a = np.full((9, 9), 1.98)
+    x = np.ones(9)
+    x[8] = 1.02 * sys.float_info.min
+    monkeypatch.setattr(spectral, "_perron_vectors", lambda b: x[None])
+    (lo, hi, ok), = _perron_brackets(a[None], DEFAULT_RHO_TOL)
+    assert ok and Fraction(lo) <= 9 * Fraction(1.98) <= Fraction(hi)
+
+
 def _oracle_matrix(draw, n):
     """An n x n nonnegative matrix, n <= 8, at a scale from 2^-1000 to
     2^1000: dense, half-sparse, two epsilon-coupled blocks (reducible when
