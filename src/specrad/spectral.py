@@ -227,13 +227,22 @@ def _squeeze(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
     elementwise arithmetic, row sums, maxima and stacked ``@`` give every
     element the bits they give a lone matrix, and logarithms and
     exponentials run per element on ``math``, because numpy's vector
-    kernels may round them differently.  A block leaves the stack when its
-    ends are within tol relative to the upper end (hi - lo <= tol * hi) or
-    at the squaring cap, and ``_finish`` pads them by ``_ROUND_GUARD``; the
-    Perron-vector path of ``_perron_brackets`` needs no such pad.  An upper
-    end beyond the float range counts as +inf, which the
-    running minimum skips; a lower end beyond it, or a final upper end of
-    +inf, is a DomainError.
+    kernels may round them differently.
+
+    The log scale L_j = 2 L_(j-1) + log(top_j) of a block carries a bound
+    on its rounding, one ulp for each libm ``log`` (assumed accurate to
+    within an ulp) and each addition, doubled at every squaring, and both
+    ends move outward by it before the 2^j-th root.  Untracked, that drift
+    exceeded the pad below after some 40 squarings of a block near 2^740.
+    ``_finish`` then pads the best ends by ``_ROUND_GUARD``, which covers
+    the products and the normalising divisions (within gamma_{n+1} of the
+    root, below the guard for n < 1,800) and the final ``exp`` (the
+    Perron-vector path of ``_perron_brackets`` needs no such pad).  A
+    block leaves the stack at the squaring cap or once its padded ends
+    are within tol relative to the upper end (hi - lo <= tol * hi), the
+    test its converged flag reports.  An upper end beyond the float range
+    counts as +inf, which the running minimum skips; a lower end beyond
+    it, or a final upper end of +inf, is a DomainError.
 
     The squarings and reductions write into buffers allocated once (and
     cut down when blocks leave), which keeps a one-block call as cheap as
@@ -245,11 +254,12 @@ def _squeeze(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
     spare = np.empty_like(b)
     sums = np.empty(b.shape[:2])
     logscale = [math.log(t) for t in top.ravel().tolist()]
+    logerr = [math.ulp(s) for s in logscale]  # bounds |logscale - its exact value|
     ids = list(range(len(stack)))
     lo = [0.0] * len(ids)
     hi = [math.inf] * len(ids)
     power = 1.0  # 2**j
-    exp, log, inf = math.exp, math.log, math.inf
+    exp, log, ulp, inf = math.exp, math.log, math.ulp, math.inf
     last = _MAX_SQUARINGS - 1
     done: list[int] = []
     for step in range(_MAX_SQUARINGS):
@@ -258,44 +268,51 @@ def _squeeze(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
             mn = min(rs)
             mx = max(rs)  # >= 1: every b has an entry equal to 1
             s = logscale[j]
+            err = logerr[j]
             lo_j = lo[j]
             if mn > 0.0:
+                t = log(mn)
                 try:
-                    x = exp((log(mn) + s) / power)
+                    x = exp((t + s - (err + 4.0 * ulp(abs(t) + abs(s)))) / power)
                 except OverflowError:
                     raise DomainError("spectral radius exceeds the float range") from None
                 if x > lo_j:
                     lo_j = lo[j] = x
             hi_j = hi[j]
+            t = log(mx)
             try:
-                x = exp((log(mx) + s) / power)
+                x = exp((t + s + (err + 4.0 * ulp(abs(t) + abs(s)))) / power)
             except OverflowError:
                 x = inf
             if x < hi_j:
                 hi_j = hi[j] = x
-            if hi_j - lo_j <= tol * hi_j and hi_j < inf or final:
-                out[ids[j]] = _finish(lo_j, hi_j, tol)
-                done.append(j)
+            if hi_j < inf or final:
+                r = _finish(lo_j, hi_j, tol)
+                if r[2] or final:
+                    out[ids[j]] = r
+                    done.append(j)
         if done:
             if len(done) == len(ids):
                 return out
-            b, spare, sums, top, ids, lo, hi, logscale = _drop(
-                done, b, spare, sums, top, ids, lo, hi, logscale)
+            b, spare, sums, top, ids, lo, hi, logscale, logerr = _drop(
+                done, b, spare, sums, top, ids, lo, hi, logscale, logerr)
             done = []
         np.matmul(b, b, out=spare)
         b, spare = spare, b
         np.maximum.reduce(b, axis=(1, 2), keepdims=True, out=top)
         for j, t in enumerate(top.ravel().tolist()):
             if 0.0 < t < inf:
-                logscale[j] = 2.0 * logscale[j] + log(t)
+                s, t = 2.0 * logscale[j], log(t)
+                logscale[j] = s + t
+                logerr[j] = 2.0 * logerr[j] + 2.0 * ulp(abs(s) + abs(t))
             else:
                 out[ids[j]] = _finish(lo[j], hi[j], tol)
                 done.append(j)
         if done:
             if len(done) == len(ids):
                 return out
-            b, spare, sums, top, ids, lo, hi, logscale = _drop(
-                done, b, spare, sums, top, ids, lo, hi, logscale)
+            b, spare, sums, top, ids, lo, hi, logscale, logerr = _drop(
+                done, b, spare, sums, top, ids, lo, hi, logscale, logerr)
             done = []
         b /= top if len(ids) > 1 else top.item()  # a lone block takes numpy's scalar path
         power *= 2.0

@@ -291,6 +291,33 @@ def test_uncertified_blocks_go_to_the_squeeze(monkeypatch, a):
     assert calls == []
 
 
+_SLOW_BLOCK = np.array([  # two blocks coupled by 2^-10 and 2^-39: a slow squeeze
+    [0.5118885911882057, 0.05407980327125794, 3.169733113226927e-13, 5.89688666377049e-14],
+    [0.6199462567240359, 0.4050734207978558, 1.684810657597327e-13, 1.2567236550735902e-12],
+    [0.0009129808054794562, 0.0008971459031747361, 0.9043507374669928, 0.08320725560747533],
+    [0.00018988567173107722, 0.0008300086615326004, 0.7724312658821432, 0.050749842150798696],
+])
+
+
+@pytest.mark.parametrize("e", [-1000, -740, 0, 740, 1000])
+def test_the_squeeze_encloses_a_slow_block_at_every_scale(e):
+    """Some 40 squarings: the log scale's tracked rounding keeps the root
+    inside at 2^740 (the fixed pad alone does not), and the block stops on
+    the padded width it reports, so it is converged."""
+    a = _SLOW_BLOCK * 2.0 ** e
+    (lo, hi, ok), = _squeeze(a[None], DEFAULT_RHO_TOL)
+    assert ok and encloses_perron_root(a, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_squeeze_encloses_the_exact_root(data):
+    a = _oracle_matrix(data.draw, data.draw(st.integers(2, 8)))
+    if len(_strong_components(a)) == 1:
+        (lo, hi, _), = _squeeze(np.ascontiguousarray(a)[None], DEFAULT_RHO_TOL)
+        assert encloses_perron_root(a, lo, hi)
+
+
 def test_an_infinite_ratio_goes_to_the_squeeze(monkeypatch):
     """A poor positive x with an entry near the bottom of the normal range
     passes the product check but overflows its ratio y_i / x_i; the block
