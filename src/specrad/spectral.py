@@ -15,9 +15,9 @@ case.  It takes each block's Perron vector x from one batched
 max of fl(Ax)_i / x_i, widened by Higham's gamma_{n+1} with every rounded
 step moved outward, enclose the Perron root for any x > 0.  A block whose
 check is not certified (x not positive, a product below the normal range,
-an inexact power-of-two scaling) or not within tol falls back to
-``_squeeze``, Gelfand upper and Collatz-Wielandt lower bounds on repeated
-squarings.  When ``eig`` fails on a stack, each block is retried alone.
+an inexact power-of-two scaling) or not within tol falls back, on its own,
+to ``_squeeze``, Gelfand upper and Collatz-Wielandt lower bounds on
+repeated squarings.  When ``eig`` fails on a stack, each block is retried alone.
 Every step treats each block as it would treat it alone, so a bracket
 does not depend on the batch it was computed in.  The l2 norm widens its
 Gram radius by gamma_m, the rounding of A*A.  On the
@@ -143,7 +143,7 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     """(lo, hi, converged) for the Perron root of each irreducible block of a
     C-ordered (k, n, n) stack, n >= 2: a Collatz-Wielandt bracket at the
     Perron vector of one batched ``np.linalg.eig`` call, with ``_squeeze``
-    as the fallback.
+    on each block whose check fails as the fallback.
 
     Each block A is scaled to B = 2**-e A, e the binary exponent of its
     largest entry.  x is |v| for the eigenvector v of the eigenvalue with
@@ -160,7 +160,7 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     by 2**e.  The bound holds for any positive x: a poor eigenvector makes
     the bracket loose, never wrong.
 
-    A block goes to ``_squeeze`` when a scaled entry does not round-trip,
+    A block goes to ``_squeeze``, which runs on it alone, when a scaled entry does not round-trip,
     when x has a zero or non-finite entry, when a nonzero product b_ij x_j
     lies below the normal range, when an end leaves the float range on
     the way back, or when hi - lo > tol * hi.  When ``eig`` raises
@@ -183,7 +183,6 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     g = _gamma(n + 1)
     up, down = _up(1.0 + g), _down(1.0 - g)
     out = []
-    redo = []
     for j, (ok, qlo, qhi, ej) in enumerate(zip(good.tolist(), q.min(axis=1).tolist(),
                                                q.max(axis=1).tolist(), exps)):
         if ok:
@@ -195,11 +194,7 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
                     continue
             except OverflowError:
                 pass
-        out.append(None)
-        redo.append(j)
-    if redo:
-        for j, r in zip(redo, _squeeze(stack[redo], tol)):
-            out[j] = r
+        out.append(_squeeze(stack[j], tol))
     return out
 
 
@@ -215,119 +210,71 @@ def _perron_vectors(b: np.ndarray) -> np.ndarray:
     return np.abs(v[np.arange(len(b)), :, w.real.argmax(axis=1)])
 
 
-def _squeeze(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
-    """Gelfand + Collatz-Wielandt (lo, hi, converged) for each irreducible
-    block of a C-ordered (k, n, n) stack, n >= 2, by repeated squaring: the
-    fallback of ``_perron_brackets``.
+def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
+    """Gelfand + Collatz-Wielandt (lo, hi, converged) for an irreducible
+    C-ordered n x n block, n >= 2, by repeated squaring: the fallback of
+    ``_perron_brackets``.
 
     Row sums of A^(2^j) are the Collatz-Wielandt ratios at the all-ones
     vector, so their min and max raised to 2^-j enclose the Perron root,
-    and the 2^j-th root collapses the enclosure geometrically.  Each block
-    gets the float operations of a squeeze run on it alone: numpy's
-    elementwise arithmetic, row sums, maxima and stacked ``@`` give every
-    element the bits they give a lone matrix, and logarithms and
-    exponentials run per element on ``math``, because numpy's vector
-    kernels may round them differently.
+    and the 2^j-th root collapses the enclosure geometrically.  Each
+    squaring is normalised by its largest entry, and logarithms and
+    exponentials run on ``math``, because numpy's vector kernels may round
+    them differently.
 
-    The log scale L_j = 2 L_(j-1) + log(top_j) of a block carries a bound
-    on its rounding, one ulp for each libm ``log`` (assumed accurate to
-    within an ulp) and each addition, doubled at every squaring, and both
-    ends move outward by it before the 2^j-th root.  Untracked, that drift
-    exceeded the pad below after some 40 squarings of a block near 2^740.
-    ``_finish`` then pads the best ends by ``_ROUND_GUARD``, which covers
-    the products and the normalising divisions (within gamma_{n+1} of the
-    root, below the guard for n < 1,800) and the final ``exp`` (the
-    Perron-vector path of ``_perron_brackets`` needs no such pad).  A
-    block leaves the stack at the squaring cap or once its padded ends
-    are within tol relative to the upper end (hi - lo <= tol * hi), the
-    test its converged flag reports.  An upper end beyond the float range
-    counts as +inf, which the running minimum skips; a lower end beyond
-    it, or a final upper end of +inf, is a DomainError.
-
-    The squarings and reductions write into buffers allocated once (and
-    cut down when blocks leave), which keeps a one-block call as cheap as
-    a scalar loop over one matrix.
+    The log scale L_j = 2 L_(j-1) + log(top_j) carries a bound on its
+    rounding, one ulp for each libm ``log`` (assumed accurate to within an
+    ulp) and each addition, doubled at every squaring, and both ends move
+    outward by it before the 2^j-th root.  Untracked, that drift exceeded
+    the pad below after some 40 squarings of a block near 2^740.  The best
+    ends are then padded by ``_ROUND_GUARD``, which covers the products and
+    the normalising divisions (within gamma_{n+1} of the root, below the
+    guard for n < 1,800) and the final ``exp`` (the Perron-vector path of
+    ``_perron_brackets`` needs no such pad).  The squeeze stops at the
+    squaring cap, when a squaring leaves the float range, or once its
+    padded ends are within tol relative to the upper end
+    (hi - lo <= tol * hi), the test its converged flag reports.  An upper
+    end beyond the float range counts as +inf, which the running minimum
+    skips; a lower end beyond it, or a final upper end of +inf, is a
+    DomainError.
     """
-    out = [None] * len(stack)
-    top = np.maximum.reduce(stack, axis=(1, 2), keepdims=True)
-    b = stack / top
-    spare = np.empty_like(b)
-    sums = np.empty(b.shape[:2])
-    logscale = [math.log(t) for t in top.ravel().tolist()]
-    logerr = [math.ulp(s) for s in logscale]  # bounds |logscale - its exact value|
-    ids = list(range(len(stack)))
-    lo = [0.0] * len(ids)
-    hi = [math.inf] * len(ids)
+    top = a.max().item()
+    b = a / top
+    s = math.log(top)
+    err = math.ulp(s)  # bounds |s - its exact value|
+    lo, hi = 0.0, math.inf
     power = 1.0  # 2**j
-    exp, log, ulp, inf = math.exp, math.log, math.ulp, math.inf
-    last = _MAX_SQUARINGS - 1
-    done: list[int] = []
     for step in range(_MAX_SQUARINGS):
-        final = step == last
-        for j, rs in enumerate(np.add.reduce(b, axis=2, out=sums).tolist()):
-            mn = min(rs)
-            mx = max(rs)  # >= 1: every b has an entry equal to 1
-            s = logscale[j]
-            err = logerr[j]
-            lo_j = lo[j]
-            if mn > 0.0:
-                t = log(mn)
-                try:
-                    x = exp((t + s - (err + 4.0 * ulp(abs(t) + abs(s)))) / power)
-                except OverflowError:
-                    raise DomainError("spectral radius exceeds the float range") from None
-                if x > lo_j:
-                    lo_j = lo[j] = x
-            hi_j = hi[j]
-            t = log(mx)
+        rs = b.sum(axis=1).tolist()
+        mn = min(rs)
+        mx = max(rs)  # >= 1: b has an entry equal to 1
+        if mn > 0.0:
+            t = math.log(mn)
             try:
-                x = exp((t + s + (err + 4.0 * ulp(abs(t) + abs(s)))) / power)
+                x = math.exp((t + s - (err + 4.0 * math.ulp(abs(t) + abs(s)))) / power)
             except OverflowError:
-                x = inf
-            if x < hi_j:
-                hi_j = hi[j] = x
-            if hi_j < inf or final:
-                r = _finish(lo_j, hi_j, tol)
-                if r[2] or final:
-                    out[ids[j]] = r
-                    done.append(j)
-        if done:
-            if len(done) == len(ids):
-                return out
-            b, spare, sums, top, ids, lo, hi, logscale, logerr = _drop(
-                done, b, spare, sums, top, ids, lo, hi, logscale, logerr)
-            done = []
-        np.matmul(b, b, out=spare)
-        b, spare = spare, b
-        np.maximum.reduce(b, axis=(1, 2), keepdims=True, out=top)
-        for j, t in enumerate(top.ravel().tolist()):
-            if 0.0 < t < inf:
-                s, t = 2.0 * logscale[j], log(t)
-                logscale[j] = s + t
-                logerr[j] = 2.0 * logerr[j] + 2.0 * ulp(abs(s) + abs(t))
-            else:
-                out[ids[j]] = _finish(lo[j], hi[j], tol)
-                done.append(j)
-        if done:
-            if len(done) == len(ids):
-                return out
-            b, spare, sums, top, ids, lo, hi, logscale, logerr = _drop(
-                done, b, spare, sums, top, ids, lo, hi, logscale, logerr)
-            done = []
-        b /= top if len(ids) > 1 else top.item()  # a lone block takes numpy's scalar path
+                raise DomainError("spectral radius exceeds the float range") from None
+            lo = max(lo, x)
+        t = math.log(mx)
+        try:
+            x = math.exp((t + s + (err + 4.0 * math.ulp(abs(t) + abs(s)))) / power)
+        except OverflowError:
+            x = math.inf
+        hi = min(hi, x)
+        if step == _MAX_SQUARINGS - 1:
+            break
+        up = hi * (1.0 + _ROUND_GUARD)  # the padded upper end; +inf raises below
+        if hi < math.inf and (up == math.inf or up - lo * (1.0 - _ROUND_GUARD) <= tol * up):
+            break
+        b = b @ b
+        top = b.max().item()
+        if not 0.0 < top < math.inf:
+            break
+        s, t = 2.0 * s, math.log(top)
+        err = 2.0 * err + 2.0 * math.ulp(abs(s) + abs(t))
+        s += t
+        b /= top
         power *= 2.0
-    return out
-
-
-def _drop(done: list[int], *columns):
-    """Each array or list without its ``done`` rows."""
-    done = set(done)
-    keep = [j for j in range(len(columns[0])) if j not in done]
-    return [c[keep] if isinstance(c, np.ndarray) else [c[j] for j in keep] for c in columns]
-
-
-def _finish(lo: float, hi: float, tol: float) -> tuple[float, float, bool]:
-    """A squeeze's final bracket: its best ends padded by the rounding guard."""
     lo *= 1.0 - _ROUND_GUARD
     hi *= 1.0 + _ROUND_GUARD
     if hi == math.inf:

@@ -250,7 +250,7 @@ def test_a_failed_eig_on_one_block_does_not_move_its_siblings(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", failing_eig)
     got = _perron_brackets(np.stack(blocks), DEFAULT_RHO_TOL)
     assert got[0] == alone[0] and got[2] == alone[2]
-    assert got[1] == _squeeze(blocks[1][None], DEFAULT_RHO_TOL)[0] != alone[1]
+    assert got[1] == _squeeze(blocks[1], DEFAULT_RHO_TOL) != alone[1]
     assert got[::-1] == _perron_brackets(np.stack(blocks[::-1]), DEFAULT_RHO_TOL)
     assert all(encloses_perron_root(b, lo, hi) for b, (lo, hi, _) in zip(blocks, got))
 
@@ -278,13 +278,13 @@ def test_uncertified_blocks_go_to_the_squeeze(monkeypatch, a):
     calls = []
     squeeze = spectral._squeeze
 
-    def counted(stack, tol):
-        calls.append(len(stack))
-        return squeeze(stack, tol)
+    def counted(block, tol):
+        calls.append(block.shape)
+        return squeeze(block, tol)
 
     monkeypatch.setattr(spectral, "_squeeze", counted)
     (lo, hi, _), = _perron_brackets(a[None], DEFAULT_RHO_TOL)
-    assert calls == [1]
+    assert calls == [a.shape]
     assert encloses_perron_root(a, lo, hi)
     calls.clear()
     _perron_brackets(np.array([[2.0, 1.0], [1.0, 1.0]])[None], DEFAULT_RHO_TOL)
@@ -305,7 +305,7 @@ def test_the_squeeze_encloses_a_slow_block_at_every_scale(e):
     inside at 2^740 (the fixed pad alone does not), and the block stops on
     the padded width it reports, so it is converged."""
     a = _SLOW_BLOCK * 2.0 ** e
-    (lo, hi, ok), = _squeeze(a[None], DEFAULT_RHO_TOL)
+    lo, hi, ok = _squeeze(a, DEFAULT_RHO_TOL)
     assert ok and encloses_perron_root(a, lo, hi)
 
 
@@ -314,7 +314,7 @@ def test_the_squeeze_encloses_a_slow_block_at_every_scale(e):
 def test_the_squeeze_encloses_the_exact_root(data):
     a = _oracle_matrix(data.draw, data.draw(st.integers(2, 8)))
     if len(_strong_components(a)) == 1:
-        (lo, hi, _), = _squeeze(np.ascontiguousarray(a)[None], DEFAULT_RHO_TOL)
+        lo, hi, _ = _squeeze(np.ascontiguousarray(a), DEFAULT_RHO_TOL)
         assert encloses_perron_root(a, lo, hi)
 
 
@@ -491,7 +491,7 @@ def test_small_brackets_meet_a_relative_tolerance(c):
     assert b.converged and b.hi - b.lo <= DEFAULT_RHO_TOL * b.hi
     a = np.array([[2.0 * c, c], [c, c]])
     for lo, hi, ok in (_perron_brackets(a[None], DEFAULT_RHO_TOL)[0],
-                       _squeeze(a[None], DEFAULT_RHO_TOL)[0]):
+                       _squeeze(a, DEFAULT_RHO_TOL)):
         assert ok and hi - lo <= DEFAULT_RHO_TOL * hi
         assert encloses_perron_root(a, lo, hi)
 
