@@ -217,8 +217,10 @@ def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
 
     Row sums of A^(2^j) are the Collatz-Wielandt ratios at the all-ones
     vector, so their min and max raised to 2^-j enclose the Perron root,
-    and the 2^j-th root collapses the enclosure geometrically.  Each
-    squaring is normalised by its largest entry, and logarithms and
+    and the 2^j-th root collapses the enclosure geometrically.  The lower
+    end starts at the largest diagonal entry, since rho(A) >= a_ii for
+    A >= 0: a row of the normalised block that underflows to zero keeps
+    every min row sum at 0.  Each squaring is normalised by its largest entry, and logarithms and
     exponentials run on ``math``, because numpy's vector kernels may round
     them differently.
 
@@ -242,7 +244,7 @@ def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
     b = a / top
     s = math.log(top)
     err = math.ulp(s)  # bounds |s - its exact value|
-    lo, hi = 0.0, math.inf
+    lo, hi = a.diagonal().max().item(), math.inf
     power = 1.0  # 2**j
     for step in range(_MAX_SQUARINGS):
         rs = b.sum(axis=1).tolist()

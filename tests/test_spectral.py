@@ -375,9 +375,12 @@ def test_l2_operator_norm_encloses_the_exact_norm(data):
 
 
 def test_spectral_radius_encloses_roots_near_the_top_of_the_float_range():
-    # Perron root 1e308 + ~1e-300: the first row-sum upper end overflows
-    b = spectral_radius(FiniteMatrix([[1e308, 1e308], [1e-300, 0.0]]))
+    # Perron root 1e308 + ~1e-300: the first row-sum upper end overflows,
+    # and the second row underflows, so the lower end comes from a_00
+    a = np.array([[1e308, 1e308], [1e-300, 0.0]])
+    b = spectral_radius(FiniteMatrix(a))
     assert b.lo <= 1e308 < b.hi
+    assert b.converged and encloses_perron_root(a, b.lo, b.hi)
 
 
 def test_spectral_radius_beyond_the_float_range_is_a_domain_error():
