@@ -120,11 +120,14 @@ def gen_radius_lb(s, m_max: int) -> float:
     the factors, so one word per rotation class is enough.  The bound is
     non-decreasing in m_max.  The radii of all the products go through one
     batched ``_spectral_radii`` call.  Building a level holds all k**m of
-    its products in memory at once.
+    its products in memory at once, so the cap of ``norm_level_max``
+    applies to the deepest level.
     """
     s = _set_of(s, "matrix", "gen_radius_lb")
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
+    if m_max > 1 and len(s) ** m_max > _MAX_LEVEL:
+        raise BudgetExceededError("word level enumeration exceeded its cap")
     letters = [m.a for m in s.elements]
     prods = []
     roots = []

@@ -17,8 +17,8 @@ step moved outward, enclose the Perron root for any x > 0.  A block whose
 check is not certified (x not positive, a product below the normal range,
 an inexact power-of-two scaling) or not within tol falls back, on its own,
 to ``_squeeze``, Gelfand upper and Collatz-Wielandt lower bounds on
-repeated squarings.  When ``eig`` fails on a stack, each block is retried alone.
-Every step treats each block as it would treat it alone, so a bracket
+repeated squarings.  When ``eig`` fails on a stack, each block is retried
+alone.  Every step treats each block as it would treat it alone, so a bracket
 does not depend on the batch it was computed in.  The l2 norm widens its
 Gram radius by gamma_m, the rounding of A*A.  On the
 infinite side, the Hausdorff measure of noncompactness of a banded family
@@ -143,7 +143,7 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     """(lo, hi, converged) for the Perron root of each irreducible block of a
     C-ordered (k, n, n) stack, n >= 2: a Collatz-Wielandt bracket at the
     Perron vector of one batched ``np.linalg.eig`` call, with ``_squeeze``
-    on each block whose check fails as the fallback.
+    as the fallback for each block whose check fails.
 
     Each block A is scaled to B = 2**-e A, e the binary exponent of its
     largest entry.  x is |v| for the eigenvector v of the eigenvalue with
@@ -160,10 +160,10 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     by 2**e.  The bound holds for any positive x: a poor eigenvector makes
     the bracket loose, never wrong.
 
-    A block goes to ``_squeeze``, which runs on it alone, when a scaled entry does not round-trip,
-    when x has a zero or non-finite entry, when a nonzero product b_ij x_j
-    lies below the normal range, when an end leaves the float range on
-    the way back, or when hi - lo > tol * hi.  When ``eig`` raises
+    A block goes to ``_squeeze``, which runs on it alone, when a scaled
+    entry does not round-trip, when x has a zero or non-finite entry, when
+    a nonzero product b_ij x_j lies below the normal range, when an end
+    leaves the float range on the way back, or when hi - lo > tol * hi.  When ``eig`` raises
     ``LinAlgError`` on the stack, each block is retried alone and a block
     that fails alone falls back, so no sibling decides the path of a
     block.  ``eig`` treats each matrix of a stack on its own and every
@@ -220,9 +220,9 @@ def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
     and the 2^j-th root collapses the enclosure geometrically.  The lower
     end starts at the largest diagonal entry, since rho(A) >= a_ii for
     A >= 0: a row of the normalised block that underflows to zero keeps
-    every min row sum at 0.  Each squaring is normalised by its largest entry, and logarithms and
-    exponentials run on ``math``, because numpy's vector kernels may round
-    them differently.
+    every min row sum at 0.  Each squaring is normalised by its largest
+    entry, and logarithms and exponentials run on ``math``, because numpy's
+    vector kernels may round them differently.
 
     The log scale L_j = 2 L_(j-1) + log(top_j) carries a bound on its
     rounding, one ulp for each libm ``log`` (assumed accurate to within an

@@ -104,6 +104,18 @@ def test_joint_radius_ub_matches_incremental_enumerator():
     assert norm_level_max(big, 1) == pytest.approx(values.max(), rel=1e-12)
 
 
+def test_gen_radius_lb_has_the_level_cap():
+    """Level m holds all k**m products, so a level past the cap is a budget
+    error before any level is built, not a failed allocation."""
+    assert gen_radius_lb(GOLDEN, 12) == pytest.approx(PHI, rel=1e-9)  # 2**12 fits
+    for depth in (13, 40):
+        with pytest.raises(BudgetExceededError):
+            gen_radius_lb(GOLDEN, depth)
+    # more elements than the cap: depth 1 builds no product, and no error
+    big = OperatorSet([FiniteMatrix([[v]]) for v in np.linspace(0.0, 1.0, _MAX_LEVEL + 1)])
+    assert gen_radius_lb(big, 1) == 1.0
+
+
 def test_sandwich_and_monotone_refinement():
     rng = np.random.default_rng(21)
     for _ in range(10):

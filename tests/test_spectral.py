@@ -309,6 +309,19 @@ def test_the_squeeze_encloses_a_slow_block_at_every_scale(e):
     assert ok and encloses_perron_root(a, lo, hi)
 
 
+def test_fallback_blocks_of_one_stack_each_get_their_own_squeeze():
+    """Three slow blocks at 2^-740, 2^0 and 2^740 fall back from one stack
+    beside a block that eig certifies; each gets the bits it gets alone."""
+    blocks = [_SLOW_BLOCK * 2.0 ** -740, np.random.default_rng(5).random((4, 4)),
+              _SLOW_BLOCK, _SLOW_BLOCK * 2.0 ** 740]
+    got = _perron_brackets(np.stack(blocks), DEFAULT_RHO_TOL)
+    for a, r in zip(blocks, got):
+        assert r == _perron_brackets(a[None], DEFAULT_RHO_TOL)[0]
+        assert encloses_perron_root(a, r[0], r[1])
+    slow = [0, 2, 3]
+    assert [got[j] for j in slow] == [_squeeze(blocks[j], DEFAULT_RHO_TOL) for j in slow]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_the_squeeze_encloses_the_exact_root(data):
