@@ -44,17 +44,17 @@ ENTRYWISE = "entrywise"
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Judging tolerances and the finite set-product depth; echoed into reports.
+    """Judging tolerances; echoed into reports.
 
     The tolerances are finite and >= 0: a negative one fails true chains and
-    a nan or inf one cannot be written to a report.  ``set_m_max`` is an
-    integer >= 1.  Brackets are computed at ``spectral.DEFAULT_RHO_TOL`` in
-    l2, which reports record as "rho_tol" and "space".
+    a nan or inf one cannot be written to a report.  Brackets are computed
+    at ``spectral.DEFAULT_RHO_TOL`` in l2, and the finite set-product depth
+    factor is fixed at 1; reports record them as "rho_tol", "space" and
+    "set_m_max".
     """
 
     finite_tol: float = 1e-9
     ess_tol: float = 1e-6
-    set_m_max: int = 1
 
     def __post_init__(self):
         for name in ("finite_tol", "ess_tol"):
@@ -62,16 +62,13 @@ class EvalContext:
             if isinstance(v, bool) or not isinstance(v, (int, float)) \
                     or not (math.isfinite(v) and v >= 0):
                 raise DomainError(f"{name} must be a finite number >= 0, got {v!r}")
-        v = self.set_m_max
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise DomainError(f"set_m_max must be an integer >= 1, got {v!r}")
 
     def tol_for(self, level: str) -> float:
         return self.finite_tol if level == "finite" else self.ess_tol
 
     def to_json(self) -> dict:
         return {"finite_tol": self.finite_tol, "ess_tol": self.ess_tol,
-                "rho_tol": DEFAULT_RHO_TOL, "set_m_max": self.set_m_max,
+                "rho_tol": DEFAULT_RHO_TOL, "set_m_max": 1,
                 "space": L2}
 
 
@@ -135,7 +132,7 @@ class ChainSpec:
     hypothesis_doc: str
     sample: Callable[[np.random.Generator, EnsembleSpec], ChainInputs]
     hypothesis: Callable[[ChainInputs], str | None]
-    build: Callable[[ChainInputs, EvalContext], list[Part]]
+    build: Callable[[ChainInputs], list[Part]]
 
     def catalog_entry(self) -> dict:
         return {"id": self.id, "title": self.title, "level": self.level,
@@ -260,7 +257,7 @@ def evaluate_chain(spec: ChainSpec, inputs: ChainInputs, ctx: EvalContext,
     tol = ctx.tol_for(spec.level)
     part_reports = []
     try:
-        parts = spec.build(inputs, ctx)
+        parts = spec.build(inputs)
     except (BudgetExceededError, ClosureOverflowError) as exc:
         part_reports.append(PartReport("build", CHAIN, (), (), INCONCLUSIVE, str(exc)))
         parts = []

@@ -11,10 +11,11 @@ Exit codes: 0 all pass, 1 any fail, 3 any inconclusive, 2 input error.
 Reports embed the toolkit version and the full run configuration; identical
 configurations produce byte-identical reports.
 
-``check`` and ``sweep`` take three evaluation settings, echoed into every
-report: ``--finite-tol`` and ``--ess-tol`` (finite, >= 0) and
-``--set-m-max`` (integer >= 1), the finite set-product depth.  A value out
-of range is an input error.  Essential brackets have no depth or power
+``check`` and ``sweep`` take two evaluation settings, echoed into every
+report: ``--finite-tol`` and ``--ess-tol`` (finite, >= 0).  A value out of
+range is an input error.  Reports also record the fixed settings
+``rho_tol``, ``set_m_max`` (the finite set-product depth factor, always 1)
+and ``space``.  Essential brackets have no depth or power
 budget: the noncompactness measure is multiplicative on banded families,
 so longer products and higher powers cannot tighten them.  ``--seed`` is an
 integer >= 0.  ``estimate`` takes a ``--tol`` that is finite and >= 0 (unset
@@ -54,8 +55,7 @@ from .spectral import (
 
 
 def _context(args) -> tuple[EvalContext, dict]:
-    ctx = EvalContext(finite_tol=args.finite_tol, ess_tol=args.ess_tol,
-                      set_m_max=args.set_m_max)
+    ctx = EvalContext(finite_tol=args.finite_tol, ess_tol=args.ess_tol)
     return ctx, ctx.to_json()
 
 
@@ -254,8 +254,8 @@ def cmd_estimate(args) -> int:
             print("warning: no analytic oracle for this structure; "
                   "lower end reported as 0", file=sys.stderr)
     elif q == "jsr":
-        data = set_from_json(obj.get("set", obj) if isinstance(obj, dict) else obj)
-        b = gripenberg_bracket(data, args.delta, budget=args.budget, space=args.space)
+        b = gripenberg_bracket(set_from_json(obj), args.delta, budget=args.budget,
+                               space=args.space)
     else:  # pragma: no cover - argparse restricts choices
         raise InputFormatError(f"unknown quantity {q}")
     print(f"{q} in [{b.lo:.12g}, {b.hi:.12g}] width={b.width:.3g} "
@@ -286,8 +286,6 @@ def _add_common_eval_flags(p):
     p.add_argument("--size", type=int, default=4, help="matrix size")
     p.add_argument("--density", type=float, default=0.3,
                    help="sparse ensemble density")
-    p.add_argument("--set-m-max", type=int, default=EvalContext.set_m_max,
-                   help="product depth for finite set radii (integer >= 1)")
     p.add_argument("--finite-tol", type=float, default=EvalContext.finite_tol,
                    help="relative judging slack of finite chains (finite, >= 0)")
     p.add_argument("--ess-tol", type=float, default=EvalContext.ess_tol,

@@ -3,7 +3,7 @@
 An ``OperatorFamily`` is a finite collection of bands (offset ``d`` holds
 ``a[i, i+d] = w_d(i)``), plus an optional finite-rank correction embedded
 in the top-left corner.  Band weights are :mod:`specrad.sequences` values,
-so every family carries certified tail bounds and exact per-band limits.
+so every family carries certified tail bounds and per-band limits.
 Finitely many bands with bounded weights always give a bounded operator,
 and the algebra below (entrywise products and powers, operator products,
 sums, adjoints) is closed on this class: offsets add under products, and

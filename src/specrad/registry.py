@@ -23,10 +23,11 @@ multiplicative on banded families, so every depth gives the same bound.
 Adding a chain
 --------------
 Write two functions and one declaration.  ``sample(rng, ens)`` draws
-random inputs; ``build(inputs, ctx, **params)`` turns inputs into parts
-of labelled terms and signs for exactly its declared params, by name
-(E15: ``build(inputs, ctx, m, alpha, alpha2)``).  The declaration is one
-``_chain(...)`` entry in ``_REGISTRY`` and holds:
+random inputs (a word chain on m family sets passes ``_Words(m_law)``,
+which derives it from the params); ``build(inputs, **params)`` turns
+inputs into parts of labelled terms and signs for exactly its declared
+params, by name (E15: ``build(inputs, m, alpha, alpha2)``).  The
+declaration is one ``_chain(...)`` entry in ``_REGISTRY`` and holds:
 
 - the catalog strings: id, title, level, description, and the hypothesis
   text that ``specrad catalog`` prints;
@@ -66,6 +67,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 from .chains import CHAIN, ENTRYWISE, EQUALITY, ChainInputs, ChainSpec, Part
 from .ensembles import (
@@ -372,9 +374,11 @@ class _Alpha:
     def doc(self) -> str:
         return f"real {self.name} >= {self.num}/{self.den}"
 
+    def bound(self, params) -> float:
+        return self.num / (params["m"] if self.den == "m" else self.den)
+
     def holds(self, v, params) -> bool:
-        den = params["m"] if self.den == "m" else self.den
-        return _is_number(v) and self.num / den - _SLACK <= v < math.inf
+        return _is_number(v) and self.bound(params) - _SLACK <= v < math.inf
 
 
 @dataclass(frozen=True)
@@ -404,6 +408,27 @@ class _Perm:
     def holds(self, v, params) -> bool:
         return (isinstance(v, (list, tuple)) and len(v) == params["m"]
                 and all(_is_int(x) for x in v) and sorted(v) == list(range(len(v))))
+
+
+@dataclass(frozen=True)
+class _Words:
+    """A word chain's sampler, read off its declared params: m from ``m_law``,
+    each ``_Alpha`` from its bound up, the m family sets, each ``_Perm``."""
+
+    m_law: Callable
+
+    def sampler(self, params):
+        def sample(rng, ens):
+            m = self.m_law(rng)
+            values = {"m": m}
+            for p in params:
+                if isinstance(p, _Alpha):
+                    values[p.name] = sample_alpha_at_least(rng, p.bound(values))
+            sets = _fam_sets(rng, ens, m)
+            values.update((p.name, _perm(rng, m)) for p in params if isinstance(p, _Perm))
+            return ChainInputs(family_sets=sets, params=values)
+
+        return sample
 
 
 # declared operand kind -> (ChainInputs field, suffix of the catalog count)
@@ -453,12 +478,14 @@ def _chain(cid, title, level, description, hypothesis_doc, operands, params,
         arity[field] = f"{n}{suffix}" if suffix else n
     if params:
         arity["params"] = [p.name for p in params]
+    if isinstance(sample, _Words):
+        sample = sample.sampler(params)
 
     def hypothesis(inputs):
         return _violation(inputs, operands, params, check)
 
-    def build_with_params(inputs, ctx):
-        return build(inputs, ctx, **{p.name: inputs.params[p.name] for p in params})
+    def build_with_params(inputs):
+        return build(inputs, **{p.name: inputs.params[p.name] for p in params})
 
     return ChainSpec(cid, title, level, description, arity, hypothesis_doc,
                      sample, hypothesis, build_with_params)
@@ -475,7 +502,7 @@ def _pair_sample(rng, ens):
 def _zhan(middle_terms):
     """Build of a Zhan-style chain: rho(A o B) <= middle_terms(a, b, AB, **params) <= rho(AB)."""
 
-    def build(inputs, ctx, **params):
+    def build(inputs, **params):
         a, b = inputs.matrices
         ab = a @ b
         return [Part("chain", CHAIN, [
@@ -506,7 +533,7 @@ def _f4_sample(rng, ens):
     return ChainInputs(matrices=_mats(rng, ens, m), params={"m": m})
 
 
-def _f4_build(inputs, ctx, m):
+def _f4_build(inputs, m):
     mats = inputs.matrices
     return [Part("chain", CHAIN, [
         ("rho(A1 o ... o Am)", spectral_radius(_mean(mats, [1.0] * m))),
@@ -543,7 +570,7 @@ def _f8_sample(rng, ens):
                        params={"k": k, "m": m, "alphas": alphas})
 
 
-def _f8_build(inputs, ctx, k, m, alphas):
+def _f8_build(inputs, k, m, alphas):
     a, cols, mid = _grid_factorization(inputs.matrices, k, m, alphas)
     return [
         Part("entrywise", ENTRYWISE, [("row-mean product", a), ("mean of column products", mid)]),
@@ -564,7 +591,7 @@ def _f9_sample(rng, ens):
                        params={"m": m, "alphas": alphas, "t": t})
 
 
-def _f9_build(inputs, ctx, m, alphas, t):
+def _f9_build(inputs, m, alphas, t):
     mats = inputs.matrices
     mean = _mean(mats, alphas)
     powprod = _prod([x.hpow(t) for x in mats])
@@ -598,7 +625,7 @@ def _f10_sample(rng, ens):
     return ChainInputs(matrices=_mats(rng, ens, 1), params={"t": t})
 
 
-def _f10_build(inputs, ctx, t):
+def _f10_build(inputs, t):
     a = inputs.matrices[0]
     c = _pow0(a.entry_sup(), t - 1.0)
     at = a.hpow(t)
@@ -629,27 +656,25 @@ def _f11_sample(rng, ens):
                        params={"m": m, "n": n, "alphas": alphas, "t": t})
 
 
-def _f11_build(inputs, ctx, m, n, alphas, t):
+def _f11_build(inputs, m, n, alphas, t):
     sets = inputs.matrix_sets
     mean = _smean(sets, alphas)
     mean_n = _smean([set_power(s, n) for s in sets], alphas)
-    un = n * ctx.set_m_max
-    um = m * ctx.set_m_max
     return [
         Part("set-mean", CHAIN, [
-            ("r(mean)", _fin_term([(mean, 1.0, 1)], un)),
-            ("r(mean of n-powers)^1/n", _fin_term([(mean_n, 1.0 / n, n)], un)),
-            ("prod r(S_j)^a_j", _fin_term([(s, a, 1) for s, a in zip(sets, alphas)], un)),
+            ("r(mean)", _fin_term([(mean, 1.0, 1)], n)),
+            ("r(mean of n-powers)^1/n", _fin_term([(mean_n, 1.0 / n, n)], n)),
+            ("prod r(S_j)^a_j", _fin_term([(s, a, 1) for s, a in zip(sets, alphas)], n)),
         ]),
         Part("geometric-mean-vs-product", CHAIN, [
-            ("r(uniform mean)", _fin_term([(_smean(sets, [1.0 / m] * m), 1.0, 1)], um)),
-            ("r(S1...Sm)^1/m", _fin_term([(set_product_many(sets), 1.0 / m, m)], um)),
+            ("r(uniform mean)", _fin_term([(_smean(sets, [1.0 / m] * m), 1.0, 1)], m)),
+            ("r(S1...Sm)^1/m", _fin_term([(set_product_many(sets), 1.0 / m, m)], m)),
         ]),
         Part("set-power", CHAIN, [
-            ("r(S^(t))", _fin_term([(set_hadamard_power(sets[0], t), 1.0, 1)], un)),
+            ("r(S^(t))", _fin_term([(set_hadamard_power(sets[0], t), 1.0, 1)], n)),
             ("r((S^n)^(t))^1/n",
-             _fin_term([(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], un)),
-            ("r(S)^t", _fin_term([(sets[0], t, 1)], un)),
+             _fin_term([(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], n)),
+            ("r(S)^t", _fin_term([(sets[0], t, 1)], n)),
         ]),
     ]
 
@@ -663,7 +688,7 @@ def _f12_sample(rng, ens):
     return ChainInputs(matrices=vecs, params={"k": k, "m": m, "alphas": alphas})
 
 
-def _f12_build(inputs, ctx, k, m, alphas):
+def _f12_build(inputs, k, m, alphas):
     grid = _grid(inputs.matrices, k, m)
     lhs = _sum([_mean(row, alphas) for row in grid])
     rhs = _mean([_sum(col) for col in zip(*grid)], alphas)
@@ -675,14 +700,13 @@ def _f13_sample(rng, ens):
     return ChainInputs(matrix_sets=(_mat_set(rng, ens, 2),))
 
 
-def _f13_build(inputs, ctx):
+def _f13_build(inputs):
     s = inputs.matrix_sets[0]
     sstar = set_adjoint(s)
-    u = 2 * ctx.set_m_max
     return [Part("norm-identity", EQUALITY, [
         ("sup |T|", norm_set_bracket(s)),
-        ("r(S*S)^1/2", _fin_term([(set_product(sstar, s), 0.5, 2)], u)),
-        ("r(SS*)^1/2", _fin_term([(set_product(s, sstar), 0.5, 2)], u)),
+        ("r(S*S)^1/2", _fin_term([(set_product(sstar, s), 0.5, 2)], 2)),
+        ("r(SS*)^1/2", _fin_term([(set_product(s, sstar), 0.5, 2)], 2)),
     ])]
 
 
@@ -691,18 +715,17 @@ def _f14_sample(rng, ens):
                        params={"beta": sample_beta(rng, open_interval=True)})
 
 
-def _f14_build(inputs, ctx, beta):
+def _f14_build(inputs, beta):
     p, q = inputs.matrix_sets
     pq = set_product(p, q)
     qp = set_product(q, p)
-    u = 2 * ctx.set_m_max
     return [Part("beta-split", CHAIN, [
-        ("r(P o Q)", _fin_term([(_smean([p, q], [1.0, 1.0]), 1.0, 1)], u)),
-        ("r(PQ o QP)^1/2", _fin_term([(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], u)),
+        ("r(P o Q)", _fin_term([(_smean([p, q], [1.0, 1.0]), 1.0, 1)], 2)),
+        ("r(PQ o QP)^1/2", _fin_term([(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], 2)),
         ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
          _fin_term([(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
-                    (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], u)),
-        ("r(PQ)", _fin_term([(pq, 1.0, 2)], u)),
+                    (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], 2)),
+        ("r(PQ)", _fin_term([(pq, 1.0, 2)], 2)),
     ])]
 
 
@@ -711,7 +734,7 @@ def _f15_sample(rng, ens):
     return ChainInputs(matrices=_mats(rng, ens, m), params={"m": m})
 
 
-def _f15_build(inputs, ctx, m):
+def _f15_build(inputs, m):
     mats = inputs.matrices
     uniform = [1.0 / m] * m
     cyc = [_prod(_cyclic(mats, j)) for j in range(m)]
@@ -722,7 +745,7 @@ def _f15_build(inputs, ctx, m):
     ])]
 
 
-def _f16_build(inputs, ctx):
+def _f16_build(inputs):
     a, b = inputs.matrices
     bstar = b.adjoint()
     astar_b = a.adjoint() @ b
@@ -750,7 +773,7 @@ def _e1_sample(rng, ens):
     return ChainInputs(families=fams, params={"m": m, "t": t})
 
 
-def _e1_build(inputs, ctx, m, t):
+def _e1_build(inputs, m, t):
     a, *mats = inputs.families
     c = _pow0(a.entry_sup(), t - 1.0)
     powprod = _prod([x.hpow(t) for x in mats])
@@ -794,7 +817,7 @@ def _e2_sample(rng, ens):
                        params={"m": m, "alphas": alphas})
 
 
-def _e2_build(inputs, ctx, m, alphas):
+def _e2_build(inputs, m, alphas):
     mats = inputs.families
     mean = _mean(mats, alphas)
     return [
@@ -818,7 +841,7 @@ def _e3_sample(rng, ens):
                        params={"k": k, "m": m, "alphas": alphas})
 
 
-def _e3_build(inputs, ctx, k, m, alphas):
+def _e3_build(inputs, k, m, alphas):
     a, cols, mid = _grid_factorization(inputs.families, k, m, alphas)
     return [
         Part("gamma-grid", CHAIN, _grid_terms(
@@ -843,7 +866,7 @@ def _e4_sample(rng, ens):
                        params={"m": m, "n": n, "k": k, "alphas": alphas, "t": t})
 
 
-def _e4_build(inputs, ctx, m, n, k, alphas, t):
+def _e4_build(inputs, m, n, k, alphas, t):
     sets = inputs.family_sets[:m]
     grid = _grid(inputs.family_sets[m:], k, m)
     mean = _smean(sets, alphas)
@@ -887,7 +910,7 @@ def _e5_sample(rng, ens):
                        params={"k": k, "m": m, "n": n, "alphas": alphas})
 
 
-def _e5_build(inputs, ctx, k, m, n, alphas):
+def _e5_build(inputs, k, m, n, alphas):
     grid = _grid(inputs.family_sets, k, m)
     rowmeans = [_smean(row, alphas) for row in grid]
     colsums = [set_sum_many(col) for col in zip(*grid)]
@@ -921,7 +944,7 @@ def _e6_check(inputs):
     return None
 
 
-def _e6_build(inputs, ctx, m, n, alpha, beta):
+def _e6_build(inputs, m, n, alpha, beta):
     psi, *sets = inputs.family_sets
     fwd = set_product_many(sets)
     rev = set_product_many(sets[::-1])
@@ -976,7 +999,7 @@ def _e7_sample(rng, ens):
                        params={"m": m, "n": n, "alpha": alpha})
 
 
-def _e7_build(inputs, ctx, m, n, alpha):
+def _e7_build(inputs, m, n, alpha):
     psi = inputs.family_sets[0]
     psin = set_power(psi, n)
     ones = [1.0] * m
@@ -1011,7 +1034,7 @@ def _e8_sample(rng, ens):
     return ChainInputs(family_sets=sets, params={"m": m, "n": n, "alpha": alpha})
 
 
-def _e8_build(inputs, ctx, m, n, alpha):
+def _e8_build(inputs, m, n, alpha):
     sets = inputs.family_sets
     am = alpha * m
     alphas = [alpha] * m
@@ -1073,7 +1096,7 @@ def _e9_sample(rng, ens):
                                "beta_open": sample_beta(rng, open_interval=True)})
 
 
-def _e9_build(inputs, ctx, beta, beta_open):
+def _e9_build(inputs, beta, beta_open):
     p, q = inputs.family_sets
     ones = [1.0, 1.0]
     pq = set_product(p, q)
@@ -1122,7 +1145,7 @@ def _e10_sample(rng, ens):
                                "beta_open": sample_beta(rng, open_interval=True)})
 
 
-def _e10_build(inputs, ctx, beta, beta_open):
+def _e10_build(inputs, beta, beta_open):
     a, b = inputs.families
     ab, ba = a @ b, b @ a
     lhs = ("ess(A o B)", essential_spectral_radius(a.hadamard(b)))
@@ -1156,7 +1179,7 @@ def _e11_sample(rng, ens):
                        params={"alpha": alpha})
 
 
-def _e11_build(inputs, ctx, alpha):
+def _e11_build(inputs, alpha):
     psi = inputs.family_sets[0]
     a = inputs.families[0]
     pa = set_hadamard_power(psi, alpha)
@@ -1191,7 +1214,7 @@ def _e12_check(inputs):
     return None
 
 
-def _e12_build(inputs, ctx):
+def _e12_build(inputs):
     t, d = inputs.families
     sigma = inputs.family_sets[0]
     sstar = set_adjoint(sigma)
@@ -1220,13 +1243,7 @@ def _e12_build(inputs, ctx):
     ]
 
 
-def _e13_sample(rng, ens):
-    m = int(rng.integers(2, 5))
-    sets = _fam_sets(rng, ens, m)
-    return ChainInputs(family_sets=sets, params={"m": m})
-
-
-def _e13_build(inputs, ctx, m):
+def _e13_build(inputs, m):
     sets = inputs.family_sets
     stars = _adjoints(sets)
     lhs = ("gamma(uniform mean)", gamma_set_bracket(_smean(sets, [1.0 / m] * m)))
@@ -1248,7 +1265,7 @@ def _e14_sample(rng, ens):
     return ChainInputs(family_sets=sets, families=fams)
 
 
-def _e14_build(inputs, ctx):
+def _e14_build(inputs):
     sets = inputs.family_sets
     ps_q, qs_p, p_qs = _star_pair(sets, _adjoints(sets))
     a, b = inputs.families
@@ -1271,16 +1288,7 @@ def _e14_build(inputs, ctx):
     ]
 
 
-def _e15_sample(rng, ens):
-    m = int(rng.integers(2, 4))
-    alpha = sample_alpha_at_least(rng, 1.0 / m)
-    alpha2 = sample_alpha_at_least(rng, 0.5)
-    sets = _fam_sets(rng, ens, m)
-    return ChainInputs(family_sets=sets,
-                       params={"m": m, "alpha": alpha, "alpha2": alpha2})
-
-
-def _e15_build(inputs, ctx, m, alpha, alpha2):
+def _e15_build(inputs, m, alpha, alpha2):
     sets = inputs.family_sets
     stars = _adjoints(sets)
     alphas = [alpha] * m
@@ -1330,13 +1338,7 @@ def _odd_pair_part(name, labels, sets, a) -> Part:
     return _pair_word_part(name, labels, sets, a, pairs, _long_words(sets, stars))
 
 
-def _e16_sample(rng, ens):
-    m = 3 if rng.random() < 0.8 else 5
-    sets = _fam_sets(rng, ens, m)
-    return ChainInputs(family_sets=sets, params={"m": m})
-
-
-def _e16_build(inputs, ctx, m):
+def _e16_build(inputs, m):
     # the last power (1/m)/2 is 1/(2m) exactly: halving a float is exact
     return [_odd_pair_part(
         "odd-pair-chain",
@@ -1345,14 +1347,7 @@ def _e16_build(inputs, ctx, m):
         inputs.family_sets, 1.0 / m)]
 
 
-def _e17_sample(rng, ens):
-    m = 3 if rng.random() < 0.8 else 5
-    alpha = sample_alpha_at_least(rng, 1.0 / m)
-    sets = _fam_sets(rng, ens, m)
-    return ChainInputs(family_sets=sets, params={"m": m, "alpha": alpha})
-
-
-def _e17_build(inputs, ctx, m, alpha):
+def _e17_build(inputs, m, alpha):
     return [_odd_pair_part(
         "odd-weighted-chain",
         ("gamma(mean_a)", "r(mean_a(pair products))^1/2",
@@ -1367,7 +1362,7 @@ def _e18_sample(rng, ens):
     return ChainInputs(family_sets=sets, params={"alpha": alpha})
 
 
-def _e18_build(inputs, ctx, alpha):
+def _e18_build(inputs, alpha):
     p, q = inputs.family_sets
     ps, qs = _adjoints((p, q))
     cross = [set_product(ps, qs), set_product(ps, p), set_product(q, p)]
@@ -1395,16 +1390,7 @@ def _e19_sigmas(sets, tau):
     return sig + _adjoints(sig)
 
 
-def _e19_sample(rng, ens):
-    m = 2 if rng.random() < 0.8 else 4
-    alpha = sample_alpha_at_least(rng, 1.0 / m)
-    sets = _fam_sets(rng, ens, m)
-    return ChainInputs(family_sets=sets,
-                       params={"m": m, "alpha": alpha,
-                               "tau": _perm(rng, m), "nu": _perm(rng, m)})
-
-
-def _e19_build(inputs, ctx, m, alpha, tau, nu):
+def _e19_build(inputs, m, alpha, tau, nu):
     sets = inputs.family_sets
     sigmas = _e19_sigmas(sets, tau)
     omegas = _rotations([sigmas[i] for i in nu])
@@ -1414,15 +1400,7 @@ def _e19_build(inputs, ctx, m, alpha, tau, nu):
             for a, name in ((1.0 / m, "uniform"), (alpha, "weighted"))]
 
 
-def _e20_sample(rng, ens):
-    m = 2 if rng.random() < 0.8 else 4
-    alpha = sample_alpha_at_least(rng, 2.0 / m)
-    sets = _fam_sets(rng, ens, m)
-    return ChainInputs(family_sets=sets,
-                       params={"m": m, "alpha": alpha, "tau": _perm(rng, m)})
-
-
-def _e20_build(inputs, ctx, m, alpha, tau):
+def _e20_build(inputs, m, alpha, tau):
     sets = inputs.family_sets
     half = m // 2
     sigmas = _e19_sigmas(sets, tau)
@@ -1446,16 +1424,7 @@ def _sonce_perms(m: int):
     return tau, nu
 
 
-def _e21_sample(rng, ens):
-    m = 2 if rng.random() < 0.6 else 3
-    alpha = sample_alpha_at_least(rng, 1.0 / m)
-    sets = _fam_sets(rng, ens, m)
-    return ChainInputs(family_sets=sets,
-                       params={"m": m, "alpha": alpha,
-                               "tau": _perm(rng, m), "nu": _perm(rng, m)})
-
-
-def _e21_build(inputs, ctx, m, alpha, tau, nu):
+def _e21_build(inputs, m, alpha, tau, nu):
     sets = inputs.family_sets
     stars = _adjoints(sets)
     labels = ("gamma(mean(P_j))", "r(mean(tau/nu pairs))^1/2", "r(mean(Omega_j))^1/2m",
@@ -1641,7 +1610,7 @@ _REGISTRY = (
            "The noncompactness of a uniform Hadamard mean is bounded by "
            "roots of radii of star-alternating product words.",
            "m >= 2 family sets", {"family_sets": "m"}, (_Int("m", 2),),
-           _e13_sample, _e13_build),
+           _Words(lambda rng: int(rng.integers(2, 5))), _e13_build),
     _chain("E14", "essential-mean-norm", "essential",
            "Noncompactness of the geometric mean through adjoint cross "
            "products, for sets and single operators.",
@@ -1652,17 +1621,17 @@ _REGISTRY = (
            "words; the two-set corollaries with alpha >= 1/2.",
            "m >= 2 family sets; alpha >= 1/m; alpha2 >= 1/2",
            {"family_sets": "m"}, (_Int("m", 2), _Alpha("alpha", 1), _Alpha("alpha2", 1, 2)),
-           _e15_sample, _e15_build),
+           _Words(lambda rng: int(rng.integers(2, 4))), _e15_build),
     _chain("E16", "odd-cyclic-pair-bounds", "essential",
            "Odd-length uniform means refined through cyclic adjoint pairs "
            "and rotated double-length words.",
            "odd m >= 3 family sets", {"family_sets": "m"}, (_Int("m", 3, "odd"),),
-           _e16_sample, _e16_build),
+           _Words(lambda rng: 3 if rng.random() < 0.8 else 5), _e16_build),
     _chain("E17", "odd-weighted-pair-bounds", "essential",
            "Weighted variant of the odd cyclic pair refinement.",
            "odd m >= 3 family sets; alpha >= 1/m",
            {"family_sets": "m"}, (_Int("m", 3, "odd"), _Alpha("alpha", 1)),
-           _e17_sample, _e17_build),
+           _Words(lambda rng: 3 if rng.random() < 0.8 else 5), _e17_build),
     _chain("E18", "sandwich-word-bounds", "essential",
            "Three-factor sandwich means bounded through adjoint cross "
            "products and six-letter words.",
@@ -1674,20 +1643,20 @@ _REGISTRY = (
            "even m >= 2 family sets; alpha >= 1/m; permutations tau, nu",
            {"family_sets": "m"},
            (_Int("m", 2, "even"), _Alpha("alpha", 1), _Perm("tau"), _Perm("nu")),
-           _e19_sample, _e19_build),
+           _Words(lambda rng: 2 if rng.random() < 0.8 else 4), _e19_build),
     _chain("E20", "even-half-word-bounds", "essential",
            "Even-length weighted means against products of the first half of "
            "the permutation pairs.",
            "even m >= 2 family sets; alpha >= 2/m; permutation tau",
            {"family_sets": "m"}, (_Int("m", 2, "even"), _Alpha("alpha", 2), _Perm("tau")),
-           _e20_sample, _e20_build),
+           _Words(lambda rng: 2 if rng.random() < 0.8 else 4), _e20_build),
     _chain("E21", "permutation-pair-word-bounds", "essential",
            "General permutation-paired adjoint refinements, with the odd-m "
            "consecutive-pair case and its word identity.",
            "m >= 2 family sets; alpha >= 1/m; permutations tau, nu",
            {"family_sets": "m"},
            (_Int("m", 2), _Alpha("alpha", 1), _Perm("tau"), _Perm("nu")),
-           _e21_sample, _e21_build),
+           _Words(lambda rng: 2 if rng.random() < 0.6 else 3), _e21_build),
 )
 
 if len({c.id for c in _REGISTRY}) != len(_REGISTRY):

@@ -2,11 +2,11 @@
 
 A weight sequence assigns a nonnegative value ``w(i)`` to every row index
 ``i >= 1``.  Every sequence carries a certified upper bound on
-``sup_{i>=n} w(i)`` for each ``n`` (exact for leaf kinds) and its exact
-limit.  All constructible kinds converge, and the shift / product / power
-/ sum combinators needed by the operator algebra preserve convergence, so
-the noncompactness of a banded family is exactly the sum of its band
-limits.
+``sup_{i>=n} w(i)`` for each ``n`` (exact for leaf kinds) and its limit
+rounded to nearest.  All constructible kinds converge, and the shift /
+product / power / sum combinators needed by the operator algebra preserve
+convergence, so the noncompactness of a banded family is the sum of its
+band limits.
 
 Leaf kinds (the ones that appear in JSON inputs):
 

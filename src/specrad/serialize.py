@@ -187,6 +187,8 @@ def family_from_json(obj: Any) -> OperatorFamily:
         for band in band_list:
             _require_object(band, "band", ("offset", "weights"))
             d = _json_int(band, "offset")
+            if d in bands:
+                raise InputFormatError(f"family has two bands at offset {d}")
             bands[d] = seq_from_json(band["weights"])
         diagonal = seq_from_json(obj["diagonal"]) if "diagonal" in obj else None
         rank = matrix_from_json(obj["finite_rank"]) if "finite_rank" in obj else None

@@ -1,7 +1,7 @@
 """Certified brackets for spectral radii, norms, and noncompactness.
 
-Every estimator returns a ``Bracket`` whose lower and upper endpoints are
-both certified, with a ``method`` tag and a ``converged`` flag.  The
+Every estimator returns a ``Bracket`` with a ``method`` tag and a
+``converged`` flag; the finite ones are certified at both ends.  The
 finite spectral radius is the max over strongly connected components,
 so reducible matrices also get tight lower bounds.  The components come
 from the reachability closure of the sparsity pattern: R = (A != 0) | I
@@ -436,21 +436,23 @@ def hausdorff_mnc(f: OperatorFamily) -> Bracket:
 
     The row-tail norm bound decreases to the sum of the band weight
     limits, and sliding window vectors realise that sum in the essential
-    norm, so the point bracket is exact.  The finite-rank corner is compact
-    and drops out, so a family without bands gets the float bracket [0, 0].
+    norm.  The point bracket sums the limits rounded to nearest, so it is
+    not certified: one band of weights 1/3 gets [fl(1/3), fl(1/3)] < 1/3.
+    The finite-rank corner is compact and drops out, so a family without
+    bands gets the float bracket [0, 0].
     """
     g = sum((w.limit for w in f.bands.values()), 0.0)
     return Bracket(g, g, "band-tail-limit")
 
 
 def oracle_ess_radius(f: OperatorFamily) -> float | None:
-    """Exact essential radius for diagonal or single-band structure.
+    """Essential radius for diagonal or single-band structure, as a float.
 
     The essential radius ignores the compact finite-rank corner.  For a
     diagonal it is the limit of the weights; for a single band at offset
     d it is the limit of geometric means of runs of weights, which for the
-    convergent kinds equals the weight limit.  Returns None rather than
-    guessing on richer structures.
+    convergent kinds equals the weight limit, here rounded to nearest (so
+    it can exceed the radius).  Returns None on richer structures.
     """
     if len(f.bands) == 0:
         return 0.0
@@ -466,8 +468,8 @@ def essential_spectral_radius(f: OperatorFamily) -> Bracket:
     r_ess(A) = lim_j gamma(A^j)^(1/j), and gamma is multiplicative on
     banded families (band limits multiply under products), so
     gamma(A^j) = gamma(A)^j and every power gives the same upper end
-    gamma(A).  The lower end comes from the analytic oracle when the band
-    structure supports one, else 0.
+    gamma(A).  The lower end is the oracle's rounded limit when the band
+    structure supports one (not certified: fl(0.1) > 1/10), else 0.
     """
     hi = hausdorff_mnc(f).hi * (1.0 + _ROUND_GUARD)
     lo = oracle_ess_radius(f)

@@ -66,6 +66,14 @@ def encloses_perron_root(a, lo, hi) -> bool:
             or _sign_changes([_sign_at(q, lo * d) for q in seq]) > at_inf)
 
 
+def exact_gram(a) -> list[list[Fraction]]:
+    """A*A of a real matrix in exact rationals; its Perron root is the
+    square of the l2 norm of a."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(a).tolist()]
+    cols = range(len(rows[0]))
+    return [[sum(r[i] * r[j] for r in rows) for j in cols] for i in cols]
+
+
 def _charpoly(m: list[list[int]]) -> list[int]:
     """Coefficients, highest degree first, of det(xI - m) for an integer matrix.
 

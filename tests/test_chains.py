@@ -23,7 +23,7 @@ CTX = EvalContext()
 def _const_chain(values, tol_level="finite"):
     """Test-only chain whose terms are fixed point brackets."""
 
-    def build(inputs, ctx):
+    def build(inputs):
         return [Part("fixed", CHAIN,
                      [(f"t{i}", Bracket(v, v, "fixed")) for i, v in enumerate(values)])]
 
@@ -33,7 +33,7 @@ def _const_chain(values, tol_level="finite"):
 
 
 def _wide_chain():
-    def build(inputs, ctx):
+    def build(inputs):
         return [Part("wide", CHAIN, [
             ("t0", Bracket(0.0, 10.0, "wide")),
             ("t1", Bracket(0.0, 5.0, "tight")),
@@ -126,15 +126,15 @@ def test_report_configs_keep_their_keys_and_values():
     assert list(EvalContext().to_json().items()) == [
         ("finite_tol", 1e-9), ("ess_tol", 1e-6), ("rho_tol", 1e-10), ("set_m_max", 1),
         ("space", "l2")]
-    assert list(EvalContext(finite_tol=0.0, ess_tol=2.5, set_m_max=3).to_json().items()) == [
-        ("finite_tol", 0.0), ("ess_tol", 2.5), ("rho_tol", 1e-10), ("set_m_max", 3),
+    assert list(EvalContext(finite_tol=0.0, ess_tol=2.5).to_json().items()) == [
+        ("finite_tol", 0.0), ("ess_tol", 2.5), ("rho_tol", 1e-10), ("set_m_max", 1),
         ("space", "l2")]
     ens = EnsembleSpec(kind="shift_family", size=5, density=0.25, seed=7)
     assert list(ens.to_json().items()) == [
         ("kind", "shift_family"), ("size", 5), ("density", 0.25), ("seed", 7),
         ("c_range", [0.5, 2.0]), ("a_range", [-0.4, 1.0])]
     assert [f.name for f in dataclasses.fields(EvalContext)] == [
-        "finite_tol", "ess_tol", "set_m_max"]
+        "finite_tol", "ess_tol"]
     assert [f.name for f in dataclasses.fields(EnsembleSpec)] == [
         "kind", "size", "density", "seed"]
 
@@ -142,8 +142,7 @@ def test_report_configs_keep_their_keys_and_values():
 @pytest.mark.parametrize("kwargs", [
     {"finite_tol": float("nan")}, {"finite_tol": float("inf")}, {"finite_tol": -1e-9},
     {"finite_tol": "1e-9"}, {"finite_tol": True}, {"ess_tol": float("nan")},
-    {"ess_tol": -1.0}, {"set_m_max": 0}, {"set_m_max": 1.5}, {"set_m_max": True},
-    {"set_m_max": "2"},
+    {"ess_tol": -1.0},
 ])
 def test_eval_context_refuses_unusable_settings(kwargs):
     with pytest.raises(DomainError, match=next(iter(kwargs))):

@@ -91,6 +91,24 @@ def test_estimate_gamma_misspelt_key_exit_2(tmp_path, capsys):
     assert "family object has unexpected key 'diagnal'" in capsys.readouterr().err
 
 
+def test_estimate_gamma_repeated_band_offset_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "twice.json", {"bands": [
+        {"offset": 1, "weights": {"kind": "constant", "c": 1.0}},
+        {"offset": 1, "weights": {"kind": "constant", "c": 2.0}}]})
+    assert main(["estimate", "gamma", "--input", path]) == 2
+    assert "family has two bands at offset 1" in capsys.readouterr().err
+
+
+def test_estimate_jsr_refuses_an_object_around_the_set(tmp_path, capsys):
+    """The set is the whole input: an object holding it is not read for its
+    "set" key while its other keys are ignored."""
+    path = _write(tmp_path, "wrapped.json", {"set": GOLDEN_PAIR, "delta": 0.5, "sett": 3})
+    out = tmp_path / "jsr.json"
+    assert main(["estimate", "jsr", "--input", path, "--out", str(out)]) == 2
+    assert "operator set must be a nonempty JSON list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_rho_scalar_names_the_matrix_object(tmp_path, capsys):
     path = _write(tmp_path, "scalar.json", 3)
     assert main(["estimate", "rho", "--input", path]) == 2
@@ -276,11 +294,11 @@ def test_check_random_deterministic(tmp_path):
 def test_exit_codes_with_broken_chain(monkeypatch, tmp_path):
     """A deliberately broken chain (test-only) must drive exit code 1."""
 
-    def build_fail(inputs, ctx):
+    def build_fail(inputs):
         return [Part("broken", CHAIN, [("hi", Bracket(2.0, 2.0, "fixed")),
                                        ("lo", Bracket(1.0, 1.0, "fixed"))])]
 
-    def build_wide(inputs, ctx):
+    def build_wide(inputs):
         return [Part("wide", CHAIN, [("wide", Bracket(0.0, 10.0, "wide")),
                                      ("tight", Bracket(0.0, 5.0, "fixed"))])]
 
@@ -317,26 +335,28 @@ def test_sweep_json_report_embeds_config(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["tool"] == "specrad" and doc["version"]
     assert doc["config"]["ensemble"]["seed"] == 4
-    assert doc["config"]["set_m_max"] >= 1
+    assert doc["config"]["set_m_max"] == 1
     assert list(doc["config"]) == ["finite_tol", "ess_tol", "rho_tol", "set_m_max", "space",
                                    "registry", "ids", "ensemble", "trials", "dump_inputs"]
     assert doc["runs"][0]["inputs"]
     assert doc["totals"]["fail"] == 0
 
 
-def test_set_m_max_flag_is_echoed(tmp_path):
+def test_set_m_max_is_no_longer_a_flag(tmp_path, capsys):
+    """The finite set-product depth is fixed: the flag is an unknown argument."""
     out = tmp_path / "r.json"
-    assert main(["sweep", "--ids", "F1", "--trials", "1", "--set-m-max", "2",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["config"]["set_m_max"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ids", "F1", "--trials", "1", "--set-m-max", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --set-m-max 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--finite-tol", "nan", "finite_tol must be a finite number >= 0, got nan"),
     ("--finite-tol", "-1", "finite_tol must be a finite number >= 0, got -1.0"),
     ("--ess-tol", "inf", "ess_tol must be a finite number >= 0, got inf"),
-    ("--set-m-max", "0", "set_m_max must be an integer >= 1, got 0"),
     ("--seed", "-1", "ensemble seed must be an integer >= 0, got -1"),
 ])
 def test_unusable_evaluation_settings_exit_2(tmp_path, capsys, flag, value, message):

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 from itertools import permutations
@@ -88,14 +89,14 @@ def test_typed_params_reject(cid, params, message):
 
 
 def _signed_params(spec):
-    """The names a chain's build takes after (inputs, ctx).
+    """The names a chain's build takes after its inputs.
 
     ``ChainSpec.build`` is ``_chain``'s adapter, which closes over the
     declared build; a Zhan build takes ``**params`` and passes them on to
     its middle terms, which take (a, b, ab) first.
     """
     build = inspect.getclosurevars(spec.build).nonlocals["build"]
-    names = list(inspect.signature(build).parameters)[2:]
+    names = list(inspect.signature(build).parameters)[1:]
     if names == ["params"]:
         middle = inspect.getclosurevars(build).nonlocals["middle_terms"]
         names = list(inspect.signature(middle).parameters)[3:]
@@ -106,6 +107,22 @@ def test_builds_sign_for_exactly_their_declared_params():
     for spec in registry():
         assert _signed_params(spec) == spec.arity.get("params", []), spec.id
         assert "__code__" in dir(spec.build), spec.id  # the tracer reads it
+
+
+def test_samplers_draw_the_recorded_inputs():
+    """Every chain's sampler draws, at seed 42, trials 0-4 and each ensemble
+    kind of its level, the inputs whose digests
+    tools/record_sample_digests.py recorded."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "record_sample_digests.py"
+    loader = importlib.util.spec_from_file_location("record_sample_digests", path)
+    recorder = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(recorder)
+    fixture = Path(__file__).parent / "fixtures" / "sample_digests.json"
+    expected = json.loads(fixture.read_text(encoding="utf-8"))
+    assert list(expected) == [spec.id for spec in registry()]
+    got = recorder.digests()
+    for cid, per_kind in expected.items():
+        assert got[cid] == per_kind, cid
 
 
 def test_e19_rejects_odd_m():

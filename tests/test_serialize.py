@@ -146,6 +146,16 @@ def test_family_errors():
     assert tuple(family_from_json({"bands": [{"offset": -2, "weights": weights}]}).bands) == (-2,)
 
 
+def test_repeated_band_offset_is_refused():
+    """Two bands at one offset are an input error, not the last band alone."""
+    bands = [{"offset": 1, "weights": {"kind": "constant", "c": 1.0}},
+             {"offset": -1, "weights": {"kind": "constant", "c": 3.0}},
+             {"offset": 1, "weights": {"kind": "constant", "c": 2.0}}]
+    with pytest.raises(InputFormatError, match="^family has two bands at offset 1$"):
+        family_from_json({"bands": bands})
+    assert tuple(family_from_json({"bands": bands[:2]}).bands) == (-1, 1)
+
+
 def test_set_roundtrip_and_digest():
     s = OperatorSet([FiniteMatrix([[1, 2], [3, 4]]), FiniteMatrix([[0, 1], [1, 0]])])
     obj = set_to_json(s)

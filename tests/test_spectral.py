@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import encloses_perron_root, gamma_via_star, random_family
+from helpers import encloses_perron_root, exact_gram, gamma_via_star, random_family
 from specrad import (
     Bracket,
     Constant,
     EventuallyConstant,
     FiniteMatrix,
+    OperatorSet,
     RationalFormula,
     diagonal_family,
     essential_spectral_radius,
@@ -29,6 +30,7 @@ from specrad import (
     spectral_radius,
 )
 from specrad.errors import DomainError, ShapeMismatchError
+from specrad.jsr import norm_set_bracket
 from specrad.spectral import (
     _GRAM_MAX,
     _GRAM_MIN,
@@ -381,10 +383,38 @@ def test_l2_operator_norm_encloses_the_exact_norm(data):
     rows = data.draw(st.integers(1, 8))
     a = _oracle_matrix(data.draw, rows)[:, :data.draw(st.integers(1, rows))]
     b = operator_norm(FiniteMatrix(a))
+    assert encloses_perron_root(exact_gram(a), Fraction(b.lo) ** 2, Fraction(b.hi) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_norm_set_bracket_encloses_the_exact_sup_of_the_norms(data):
+    """No element's exact l2 norm exceeds hi, and some element's reaches lo."""
+    n = data.draw(st.integers(1, 8))
+    mats = [_oracle_matrix(data.draw, n) for _ in range(data.draw(st.integers(1, 3)))]
+    b = norm_set_bracket(OperatorSet([FiniteMatrix(a) for a in mats]))
+    lo2, hi2 = Fraction(b.lo) ** 2, Fraction(b.hi) ** 2
+    grams = [exact_gram(a) for a in mats]
+    assert all(encloses_perron_root(g, 0, hi2) for g in grams)
+    assert any(encloses_perron_root(g, lo2, hi2) for g in grams)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["l1", "linf"]))
+def test_sum_norms_enclose_the_exact_column_or_row_sum(data, space):
+    """The l1 norm is the largest column sum and the linf norm the largest
+    row sum, summed here in exact rationals; n <= 64 at 2^-1074..2^1000."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 64))
+    a = rng.random((rows, cols))
+    if data.draw(st.booleans()):
+        a *= rng.random((rows, cols)) < 0.3
+    a *= 2.0 ** data.draw(st.integers(-1074, 1000))
     exact = [[Fraction(x) for x in row] for row in a.tolist()]
-    gram = [[sum(r[i] * r[j] for r in exact) for j in range(a.shape[1])]
-            for i in range(a.shape[1])]
-    assert encloses_perron_root(gram, Fraction(b.lo) ** 2, Fraction(b.hi) ** 2)
+    lines = exact if space == "linf" else zip(*exact)
+    top = max(sum(line) for line in lines)
+    b = operator_norm(FiniteMatrix(a), space)
+    assert Fraction(b.lo) <= top <= Fraction(b.hi)
 
 
 def test_spectral_radius_encloses_roots_near_the_top_of_the_float_range():
@@ -548,6 +578,22 @@ def test_hausdorff_examples():
     assert ident.lo == ident.hi == 1.0
     inv = hausdorff_mnc(diagonal_family(RationalFormula([1.0], [0.0, 1.0])))
     assert inv.hi == 0.0
+
+
+_ROUNDED_LIMIT = pytest.mark.xfail(
+    strict=True, reason="band limits are rounded to nearest, not enclosed")
+
+
+@pytest.mark.parametrize("estimator,q", [
+    pytest.param(hausdorff_mnc, 3, marks=_ROUNDED_LIMIT),  # [fl(1/3), fl(1/3)] < 1/3
+    pytest.param(hausdorff_mnc, 10, marks=_ROUNDED_LIMIT),  # fl(0.1) > 1/10
+    pytest.param(essential_spectral_radius, 10, marks=_ROUNDED_LIMIT),  # lo = fl(0.1)
+    (essential_spectral_radius, 3),  # the upper end's pad covers fl(1/3) < 1/3
+])
+def test_band_limit_brackets_enclose_the_exact_limit(estimator, q):
+    """w(i) = i / (q i) = 1/q on one band: gamma and the essential radius are 1/q."""
+    b = estimator(shift_family(RationalFormula([0, 1], [0, q])))
+    assert Fraction(b.lo) <= Fraction(1, q) <= Fraction(b.hi)
 
 
 def test_essential_examples():
