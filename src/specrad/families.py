@@ -30,6 +30,7 @@ from .matrices import FiniteMatrix
 from .sequences import (
     Constant,
     WeightSeq,
+    _pow0,
     seq_power,
     seq_product,
     seq_restrict,
@@ -40,11 +41,6 @@ from .sequences import (
 
 MAX_BANDS = 512
 MAX_CORNER = 4096
-
-
-def _pow0(x: float, p: float) -> float:
-    """x**p with 0**p = 0, for x >= 0 and p > 0."""
-    return math.pow(x, p) if x > 0 else 0.0
 
 
 def band_start(d: int) -> int:
@@ -337,11 +333,12 @@ def _derived(bands, operands, shape, build, what="corner correction") -> Operato
     would not.  An overflow the eager build raises is always raised.
     Second, the errors of the corner arithmetic itself surface at the
     first read of ``corner``, or never if nothing reads it: a corner entry
-    that overflows to inf (``_as_corner``'s ``DomainError``), ``math.pow``'s
-    ``OverflowError`` under ``hpow`` and the internal negative-correction
-    check.  Essential radii and noncompactness never read a corner, so on
-    such an input they now give a bracket where the eager build refused
-    the operation; the corner is compact, so that bracket is the one the
+    that overflows to inf (``_as_corner``'s ``DomainError``), an entry
+    power beyond the float range under ``hpow`` (``_pow0``'s
+    ``DomainError``) and the internal negative-correction check.
+    Essential radii and noncompactness never read a corner, so on such an
+    input they now give a bracket where the eager build refused the
+    operation; the corner is compact, so that bracket is the one the
     operation's bands determine.
     """
     box = shape()

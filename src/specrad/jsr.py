@@ -4,14 +4,15 @@ Lower bounds come from spectral radii of explored products (valid for the
 generalized radius at every depth), upper bounds from norm maxima over
 complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
-Each level of products is built as one stack, and the radii and norms of
-a level go through one batched estimator call.
+One walk, ``_levels``, builds each level of products as one stack, and
+the radii and norms of a level go through one batched estimator call.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,94 +54,79 @@ def _canonical(word: tuple[int, ...]) -> bool:
     """True when the word is the lexicographically minimal rotation.
 
     Radii of products are invariant under cyclic rotation of the factors,
-    so one representative per necklace is enough for lower bounds.
+    so one representative per necklace is enough for lower bounds.  In one
+    pass: p is the period of the longest prenecklace prefix, and the word
+    is a necklace when no letter falls below the one p places back and p
+    divides the length (Cattell et al., J. Algorithms 2000).
     """
-    return all(word <= word[i:] + word[:i] for i in range(1, len(word)))
+    p = 1
+    for i in range(1, len(word)):
+        if word[i] < word[i - p]:
+            return False
+        if word[i] > word[i - p]:
+            p = i + 1
+    return len(word) % p == 0
 
 
+@functools.cache
 def _necklaces(k: int, m: int) -> list[int]:
-    """Ranks, in lexicographic order, of the length-m words over k letters
-    that are their least rotation.
+    """Ranks (indices in the level), in order, of the length-m words over k
+    letters that are their least rotation; cached, so never mutate the list."""
+    return [r for r, w in enumerate(itertools.product(range(k), repeat=m)) if _canonical(w)]
 
-    The FKM algorithm (Fredricksen, Kessler & Maiorana; Ruskey, Savage &
-    Wang 1992) steps through the prenecklaces in order: raise the last
-    letter below k - 1, repeat the prefix up to it periodically, and emit
-    the word when its period divides m.  The rank of a word is its index
-    in the level, sum of word[j] * k**(m - 1 - j).
+
+def _levels(letters: list[np.ndarray], depth: int, clip: bool = False) -> list:
+    """Products of all words of length 1..depth over the letters, one level
+    per length; level m holds all k**m products in lexicographic order.
+
+    The depth is an integer >= 1.  A level past ``_MAX_LEVEL`` raises
+    ``BudgetExceededError`` before any is built or, with ``clip``, ends the
+    walk at the deepest level that fits; depth 1 builds no product.  Each
+    product multiplies left to right, (w[0] @ w[1]) @ w[2] ..., as a
+    one-word fold does.  Level 1 is the letters; later levels are
+    C-ordered (K, n, n) stacks.  Each letter keeps its own memory layout,
+    because at some sizes (n = 17 to 20, for one) OpenBLAS rounds products
+    of C- and Fortran-ordered operands differently.  Levels are built
+    under ``np.errstate(over="ignore", invalid="ignore")``: a product
+    beyond the float range comes out non-finite, and each caller checks
+    the products it reads.
     """
-    a = [0] * m
-    out = [0]
-    while True:
-        i = m - 1
-        while i >= 0 and a[i] == k - 1:
-            i -= 1
-        if i < 0:
-            return out
-        a[i] += 1
-        for j in range(i + 1, m):
-            a[j] = a[j - i - 1]
-        if m % (i + 1) == 0:
-            rank = 0
-            for x in a:
-                rank = rank * k + x
-            out.append(rank)
-
-
-def _levels(letters: list[np.ndarray], depth: int):
-    """Yield the products of all words of length 1..depth over the letters.
-
-    Each level lists its words in lexicographic order and multiplies left
-    to right, (w[0] @ w[1]) @ w[2] ..., so every product is the ``@`` that
-    a one-word fold computes.  Level 1 is the letters themselves; later
-    levels are C-ordered (K, n, n) stacks, k**m products at depth m.  Each
-    letter stays in its own memory layout as a factor, because at some
-    sizes (n = 17 to 20, for one) OpenBLAS rounds the products of C- and
-    Fortran-ordered operands differently; the letters are never copied
-    into one stack.  Run it under ``np.errstate(over="ignore",
-    invalid="ignore")``: a product beyond the float range comes out
-    non-finite, and the caller checks the products it reads.
-    """
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
+        raise DomainError(f"word depth must be an integer >= 1, got {depth!r}")
+    fits = 1
+    while fits < depth and len(letters) ** (fits + 1) <= _MAX_LEVEL:
+        fits += 1
+    if fits < depth and not clip:
+        raise BudgetExceededError("word level enumeration exceeded its cap")
     n = letters[0].shape[0]
-    if depth > 1 and letters[0].shape != (n, n):
+    if fits > 1 and letters[0].shape != (n, n):
         raise ShapeMismatchError(f"word products need square matrices, got {letters[0].shape}")
-    level = letters
-    for m in range(1, depth + 1):
-        if m == 2:
-            level = np.stack([p @ a for p in letters for a in letters])
-        elif m > 2:
-            level = np.stack([level @ a for a in letters], axis=1).reshape(-1, n, n)
-        yield level
+    levels = [letters]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(2, fits + 1):
+            if m == 2:
+                levels.append(np.stack([p @ a for p in letters for a in letters]))
+            else:
+                levels.append(np.stack([levels[-1] @ a for a in letters], axis=1).reshape(-1, n, n))
+    return levels
 
 
 def gen_radius_lb(s, m_max: int) -> float:
     """Certified lower bound for the generalized radius of a matrix set.
 
-    Max of rho(P)^(1/m) over the products P of length-m necklace words,
-    m <= m_max: radii of products are invariant under cyclic rotation of
-    the factors, so one word per rotation class is enough.  The bound is
-    non-decreasing in m_max.  The radii of all the products go through one
-    batched ``_spectral_radii`` call.  Building a level holds all k**m of
-    its products in memory at once, so the cap of ``norm_level_max``
-    applies to the deepest level.
+    Max of rho(P)^(1/m) over the products P of length-m necklace words
+    (one word per rotation class), m <= m_max; non-decreasing in m_max.
+    The radii of all the products go through one batched
+    ``_spectral_radii`` call; ``_levels`` caps the deepest level.
     """
     s = _set_of(s, "matrix", "gen_radius_lb")
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
-    if m_max > 1 and len(s) ** m_max > _MAX_LEVEL:
-        raise BudgetExceededError("word level enumeration exceeded its cap")
-    letters = [m.a for m in s.elements]
-    prods = []
-    roots = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, level in enumerate(_levels(letters, m_max), 1):
-            picked = _finite(np.asarray(level)[_necklaces(len(letters), m)])
-            prods += list(picked)
-            roots += [1.0 / m] * len(picked)
-    best = 0.0
-    for (lo, _, _), p in zip(_spectral_radii(prods), roots):
-        if lo > 0:
-            best = max(best, math.pow(lo, p))
-    return best
+    prods, roots = [], []
+    for m, level in enumerate(_levels([e.a for e in s.elements], m_max), 1):
+        picked = _finite(np.asarray(level)[_necklaces(len(s), m)])
+        prods += list(picked)
+        roots += [1.0 / m] * len(picked)
+    return max([math.pow(lo, p) for (lo, _, _), p in zip(_spectral_radii(prods), roots)
+                if lo > 0], default=0.0)
 
 
 def joint_radius_ub(s, m_max: int) -> float:
@@ -148,28 +134,13 @@ def joint_radius_ub(s, m_max: int) -> float:
 
     Min over m <= m_max of ``norm_level_max(S, m)^(1/m)``; valid by
     submultiplicativity.  Non-increasing in m_max.  Stops at the last depth
-    whose level fits under the enumeration cap instead of raising; depth 1
-    is always evaluated.  One walk over the levels serves every depth.
+    whose level fits under the cap instead of raising, in one walk.
     """
     s = _set_of(s, "matrix", "joint_radius_ub")
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
-    depth = next(m for m in range(m_max, 0, -1) if m == 1 or len(s) ** m <= _MAX_LEVEL)
-    levels = _levels([m.a for m in s.elements], depth)
     best = math.inf
-    for m in range(1, depth + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            level = _finite(next(levels))
-        best = min(best, _pow0(max(hi for _, hi, _ in _l2_norms(level)), 1.0 / m))
+    for m, level in enumerate(_levels([e.a for e in s.elements], m_max, clip=True), 1):
+        best = min(best, _pow0(max(hi for _, hi, _ in _l2_norms(_finite(level))), 1.0 / m))
     return best
-
-
-@dataclass
-class _Node:
-    word: tuple[int, ...]
-    mat: np.ndarray       # product normalized to unit max entry
-    logscale: float       # log of the normalization factor
-    logp: float           # log of the chained pruning bound
 
 
 def gripenberg_bracket(s, delta: float, budget: int = 50_000,
@@ -181,12 +152,14 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     product then factors through pruned blocks and the surviving frontier,
     which yields a certified upper bound.  While no branch has been pruned
     the levels are exhaustive and also feed Fekete upper bounds in the
-    requested norm.  Terminates with width <= delta unless the budget runs
-    out first, in which case the widest certified bracket is returned with
-    the converged flag cleared.
+    requested norm.  Terminates with width <= delta unless the budget (an
+    integer >= 0 of child products) runs out first, in which case the
+    widest certified bracket is returned with the converged flag cleared.
     """
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise DomainError(f"budget must be an integer >= 0, got {budget!r}")
     s = _set_of(s, "matrix", "gripenberg_bracket")
     mats = [m.a for m in s.elements]
     with np.errstate(over="ignore"):
@@ -197,80 +170,82 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     spent = 0
     exhaustive = True  # no nonzero branch pruned yet: levels are complete
 
-    def lower_end(nodes: list[_Node]) -> float:
-        """Largest rho(P)^(1/|w|) over the nodes' products, in one batched call."""
+    def lower_end(m: int, prods: list, logscales: list) -> float:
+        """Largest rho(P)^(1/m) over the length-m products, in one batched call."""
         best = 0.0
-        for n, (lo, _, _) in zip(nodes, _spectral_radii([n.mat for n in nodes])):
+        for logscale, (lo, _, _) in zip(logscales, _spectral_radii(prods)):
             if lo > 0:
                 try:
-                    best = max(best, math.exp((math.log(lo) + n.logscale) / len(n.word)))
+                    best = max(best, math.exp((math.log(lo) + logscale) / m))
                 except OverflowError:
                     raise DomainError("joint spectral radius exceeds the float range") from None
         return best
 
-    def level_fekete(nodes: list[_Node]) -> float:
-        m = len(nodes[0].word)
+    def level_fekete(m: int, prods: list, logscales: list) -> float:
         if space == L2:
-            his = [hi for _, hi, _ in _l2_norms([n.mat for n in nodes])]
+            his = [hi for _, hi, _ in _l2_norms(prods)]
         else:
-            his = [operator_norm(FiniteMatrix(n.mat), space).hi for n in nodes]
-        best = -math.inf
-        for n, hi in zip(nodes, his):
-            if hi > 0:
-                best = max(best, math.log(hi) + n.logscale)
+            his = [operator_norm(FiniteMatrix(p), space).hi for p in prods]
+        best = max([math.log(hi) + logscale for logscale, hi in zip(logscales, his) if hi > 0],
+                   default=-math.inf)
         return _exp_up(best / m) if best > -math.inf else 0.0
 
-    frontier: list[_Node] = []
-    for i, m in enumerate(mats):
-        top = float(m.max())
-        if top <= 0:
-            continue  # a zero letter only yields zero products
-        frontier.append(_Node((i,), m / top, math.log(top), letter_lognorm[i]))
-    if not frontier:
+    tops = [float(a.max()) for a in mats]
+    live = [i for i, top in enumerate(tops) if top > 0]  # a zero letter only yields zero products
+    if not live:
         return Bracket(0.0, 0.0, "gripenberg")
-    alpha = lower_end(frontier)
+    # the frontier: words of one length m, their products normalized to unit
+    # max entry, the logs of the normalization factors and of the pruning bounds
+    words = [(i,) for i in live]
+    prods = [mats[i] / tops[i] for i in live]
+    logscales = [math.log(tops[i]) for i in live]
+    logps = [letter_lognorm[i] for i in live]
+    alpha = lower_end(1, prods, logscales)
 
     while True:
+        m = len(words[0])
         if exhaustive:
-            fekete = min(fekete, level_fekete(frontier))
-        frontier_term = max(_exp_up(n.logp / len(n.word)) for n in frontier)
+            fekete = min(fekete, level_fekete(m, prods, logscales))
+        frontier_term = max(_exp_up(logp / m) for logp in logps)
         ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
         if ub - alpha <= delta:
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        if spent >= budget or len(frontier) * len(mats) > _MAX_LEVEL:
+        if spent >= budget or len(words) * len(mats) > _MAX_LEVEL:
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
         children = []  # unpruned: (parent, letter, product, its largest entry, logp)
         with np.errstate(over="ignore"):
-            for node in frontier:
-                for i, m in enumerate(mats):
+            for j in range(len(words)):
+                for i, a in enumerate(mats):
                     spent += 1
-                    prod = node.mat @ m
+                    prod = prods[j] @ a
                     top = float(prod.max())
                     if top <= 0:
                         continue  # zero product: prunable with bound 0
-                    lognorm = math.log(float(prod.sum(axis=0).max())) + node.logscale
-                    logp = min(node.logp + letter_lognorm[i], lognorm)
-                    if _exp_up(logp / (len(node.word) + 1)) <= alpha + delta:
+                    lognorm = math.log(float(prod.sum(axis=0).max())) + logscales[j]
+                    logp = min(logps[j] + letter_lognorm[i], lognorm)
+                    if _exp_up(logp / (m + 1)) <= alpha + delta:
                         exhaustive = False
                         continue
-                    children.append((node, i, prod, top, logp))
+                    children.append((j, i, prod, top, logp))
         _finite([top for _, _, _, top, _ in children])
-        survivors = [_Node(node.word + (i,), prod / top, node.logscale + math.log(top), logp)
-                     for node, i, prod, top, logp in children]
+        words, prods, logscales, logps = (
+            [words[j] + (i,) for j, i, _, _, _ in children],
+            [prod / top for _, _, prod, top, _ in children],
+            [logscales[j] + math.log(top) for j, _, _, top, _ in children],
+            [logp for _, _, _, _, logp in children])
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
-        alpha = max(alpha, lower_end([c for c in survivors if _canonical(c.word)]))
-        nxt = []
-        for child in survivors:
-            if _exp_up(child.logp / len(child.word)) <= alpha + delta:
-                exhaustive = False
-                continue
-            nxt.append(child)
-        if not nxt:
+        canon = [j for j, w in enumerate(words) if _canonical(w)]
+        alpha = max(alpha, lower_end(m + 1, [prods[j] for j in canon],
+                                     [logscales[j] for j in canon]))
+        keep = [j for j, logp in enumerate(logps) if _exp_up(logp / (m + 1)) > alpha + delta]
+        exhaustive = exhaustive and len(keep) == len(words)
+        if not keep:
             ub = min(fekete, alpha + delta)
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        frontier = nxt
+        words, prods, logscales, logps = (
+            [col[j] for j in keep] for col in (words, prods, logscales, logps))
 
 
 def _exp_up(x: float) -> float:
@@ -285,17 +260,11 @@ def norm_level_max(s, depth: int) -> float:
     """Largest l2 norm upper bound over all length-``depth`` products from S.
 
     The depth-th root is a certified upper bound for both finite set radii;
-    chains compare such values at matched underlying depths.  The cap
-    bounds the products built, so depth 1, which builds none, never hits it.
+    chains compare such values at matched underlying depths.
     """
     s = _set_of(s, "matrix", "norm_level_max")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if depth > 1 and len(s) ** depth > _MAX_LEVEL:
-        raise BudgetExceededError("norm level enumeration exceeded its cap")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level in _levels([m.a for m in s.elements], depth):
-            _finite(level)
+    for level in _levels([m.a for m in s.elements], depth):
+        _finite(level)
     return max(hi for _, hi, _ in _l2_norms(level))
 
 

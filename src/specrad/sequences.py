@@ -34,6 +34,14 @@ MAX_NODES = 50_000
 _RATIONAL_WINDOW_CAP = 100_000
 
 
+def _pow0(x: float, p: float) -> float:
+    """x**p with 0**p = 0, for x >= 0 and p > 0; a DomainError beyond the float range."""
+    try:
+        return math.pow(x, p) if x > 0 else 0.0
+    except OverflowError:
+        raise DomainError(f"{x!r} ** {p!r} exceeds the float range") from None
+
+
 def _check_nodes(nodes: int) -> int:
     if nodes > MAX_NODES:
         raise ClosureOverflowError(
@@ -307,16 +315,14 @@ class PowerSeq(WeightSeq):
             raise DomainError(f"entrywise power requires t > 0, got {t}")
         self.inner = inner
         self.t = float(t)
-        self.limit = math.pow(inner.limit, self.t) if inner.limit > 0 else 0.0
+        self.limit = _pow0(inner.limit, self.t)
         self.nodes = _check_nodes(inner.nodes + 1)
 
     def value(self, i: int) -> float:
-        v = self.inner.value(i)
-        return math.pow(v, self.t) if v > 0 else 0.0
+        return _pow0(self.inner.value(i), self.t)
 
     def tail_sup(self, n: int) -> float:
-        v = self.inner.tail_sup(n)
-        return math.pow(v, self.t) if v > 0 else 0.0
+        return _pow0(self.inner.tail_sup(n), self.t)
 
 
 class SumSeq(WeightSeq):
@@ -386,7 +392,7 @@ def seq_power(w: WeightSeq, t: float) -> WeightSeq:
     if t == 1.0:
         return w
     if isinstance(w, Constant):
-        return Constant(math.pow(w.c, t) if w.c > 0 else 0.0)
+        return Constant(_pow0(w.c, t))
     if isinstance(w, PowerSeq):
         return PowerSeq(w.inner, w.t * t)
     return PowerSeq(w, t)

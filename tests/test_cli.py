@@ -420,6 +420,15 @@ def test_far_band_entry_sup_is_inconclusive(tmp_path, capsys):
     assert "verdict=inconclusive" in out and "entry-sup truncation" in out
 
 
+def test_check_power_beyond_the_float_range_exit_2(tmp_path, capsys):
+    """(1e200)**2 leaves the float range: an input error, not a traceback or a fail."""
+    big = {"bands": [{"offset": 1, "weights": {"kind": "constant", "c": 1e200}}]}
+    path = _write(tmp_path, "big_band.json",
+                  {"families": [big, big], "params": {"m": 1, "t": 2.0}})
+    assert main(["check", "--id", "E1", "--input", path]) == 2
+    assert "exceeds the float range" in capsys.readouterr().err
+
+
 def test_catalog_command(tmp_path):
     out = tmp_path / "catalog.json"
     assert main(["catalog", "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from specrad import (
     hausdorff_mnc,
     identity_family,
     shift_family,
+    spectral_radius,
 )
-from specrad import families
+from specrad import families, sequences
 from specrad.ensembles import EnsembleSpec, rng_for, sample_family
 from specrad.errors import ClosureOverflowError, DomainError, ShapeMismatchError
 from specrad.families import _pow0, band_start
 from specrad.registry import by_id
+from specrad.sequences import seq_power
 
 
 def inv_index():
@@ -472,8 +476,27 @@ def test_corner_arithmetic_errors_surface_at_the_read():
         with pytest.raises(DomainError, match="finite and nonnegative"):
             product.corner
     power = f.hpow(2.0)
-    with pytest.raises(OverflowError):
+    with pytest.raises(DomainError, match="exceeds the float range"):
         power.corner
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: shift_family(Constant(10.0)).hpow(400.0),
+    lambda: finite_rank_family([[10.0]]).hpow(400.0).corner,
+    lambda: hausdorff_mnc(shift_family(RationalFormula([1e200, 0], [1.0])).hpow(2.0)),
+    lambda: spectral_radius(FiniteMatrix([[1e200]])).power(2.0),
+    lambda: seq_power(EventuallyConstant([1e200], 1.0), 2.0).value(1),
+    lambda: seq_power(EventuallyConstant([1e200], 1.0), 2.0).tail_sup(1),
+], ids=["constant-band", "corner", "band-limit", "bracket", "value", "tail-sup"])
+def test_powers_beyond_the_float_range_are_domain_errors(probe):
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        probe()
+
+
+def test_one_pow0_serves_families_and_sequences():
+    assert _pow0 is sequences._pow0
+    assert _pow0(0.0, 2.5) == 0.0
+    assert _pow0(3.0, 2.5) == math.pow(3.0, 2.5)
 
 
 def test_deep_expression_realizes_without_recursion():

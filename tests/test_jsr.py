@@ -241,10 +241,78 @@ def test_set_radii_match_the_recorded_bits():
         assert recorder.outputs(case) == case["expected"], f"case {i}"
 
 
+def _least_rotation(word):
+    return all(word <= word[i:] + word[:i] for i in range(1, len(word)))
+
+
 @pytest.mark.parametrize("k,m", [(k, m) for k in (1, 2, 3, 4) for m in range(1, 7)])
 def test_necklaces_are_the_canonical_words_in_order(k, m):
-    want = [r for r, w in enumerate(product(range(k), repeat=m)) if _canonical(w)]
+    want = [r for r, w in enumerate(product(range(k), repeat=m)) if _least_rotation(w)]
     assert _necklaces(k, m) == want
+
+
+def test_canonical_is_the_least_rotation_test_on_long_and_periodic_words():
+    rng = np.random.default_rng(41)
+    for _ in range(3000):
+        k, m, period = (int(v) for v in rng.integers(1, [4, 60, 8]))
+        letters = rng.integers(0, k, period if rng.random() < 0.5 else m)
+        word = tuple(int(v) for v in np.resize(letters, m))
+        assert _canonical(word) == _least_rotation(word), word
+
+
+def _phi(d):
+    return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+
+_NECKLACE_PAIRS = [(k, m) for k in range(1, 65) for m in range(1, 13) if k ** m <= _MAX_LEVEL]
+
+
+def test_necklace_counts_match_moreaus_formula():
+    """Every level that fits the cap has (1/m) sum_{d|m} phi(d) k**(m/d)
+    necklaces (Moreau), listed by strictly increasing rank."""
+    assert len(_NECKLACE_PAIRS) == 174
+    for k, m in _NECKLACE_PAIRS:
+        ranks = _necklaces(k, m)
+        count = sum(_phi(d) * k ** (m // d) for d in range(1, m + 1) if m % d == 0)
+        assert count % m == 0 and len(ranks) == count // m, (k, m)
+        assert all(a < b for a, b in zip(ranks, ranks[1:])), (k, m)
+        assert ranks[0] == 0 and ranks[-1] < k ** m, (k, m)
+
+
+@pytest.mark.parametrize("call", [gen_radius_lb, norm_level_max, joint_radius_ub])
+@pytest.mark.parametrize("depth", [2.5, 2.0, True, 0, -1, math.nan, "2"])
+def test_word_depths_are_integers_of_at_least_one(call, depth):
+    with pytest.raises(DomainError, match="word depth must be an integer >= 1"):
+        call(GOLDEN, depth)
+
+
+def test_word_depths_may_be_numpy_integers():
+    for call in (gen_radius_lb, norm_level_max, joint_radius_ub):
+        assert call(GOLDEN, np.int64(3)) == call(GOLDEN, 3)
+
+
+@pytest.mark.parametrize("budget", [math.nan, 2.5, True, -1, "10"])
+def test_gripenberg_refuses_a_budget_that_is_not_a_count(budget):
+    with pytest.raises(DomainError, match="budget must be an integer >= 0"):
+        gripenberg_bracket(GOLDEN, 1e-2, budget=budget)
+
+
+def test_gripenberg_takes_a_zero_or_numpy_budget():
+    assert not gripenberg_bracket(GOLDEN, 1e-12, budget=0).converged
+    assert gripenberg_bracket(GOLDEN, 1e-2, budget=np.int64(100)) == \
+        gripenberg_bracket(GOLDEN, 1e-2, budget=100)
+
+
+def test_a_refused_overflowing_level_leaves_the_error_state_as_it_was():
+    """The word levels ignore overflow only while they are built."""
+    big = OperatorSet([FiniteMatrix(np.full((2, 2), 1e200))])
+    for state in ({}, {"all": "raise"}, {"over": "warn", "invalid": "print"}):
+        with np.errstate(**state):
+            before = np.geterr()
+            for call in (gen_radius_lb, norm_level_max, joint_radius_ub):
+                with pytest.raises(DomainError, match="exceeds the float range"):
+                    call(big, 3)
+                assert np.geterr() == before
 
 
 def test_levels_are_left_folds_in_each_letter_layout():
