@@ -4,8 +4,10 @@ Lower bounds come from spectral radii of explored products (valid for the
 generalized radius at every depth), upper bounds from norm maxima over
 complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
-One walk, ``_levels``, builds each level of products as one stack, and
+One walk, ``_levels``, yields each level of products as one stack, and
 the radii and norms of a level go through one batched estimator call.
+The branch and bound builds each level's children the same way, as one
+stack, and reduces, prunes and normalizes them stacked.
 """
 
 from __future__ import annotations
@@ -68,6 +70,19 @@ def _canonical(word: tuple[int, ...]) -> bool:
     return len(word) % p == 0
 
 
+def _child_period(word: tuple[int, ...], p: int, c: int) -> int:
+    """The prenecklace period of ``word + (c,)``, given the word's period p
+    (0 when the word is no prenecklace): ``_canonical``'s scan, one letter on.
+
+    The child is a necklace exactly when its period is positive and divides
+    its length; a one-letter word has period 1.
+    """
+    if not p:
+        return 0
+    last = word[len(word) - p]
+    return 0 if c < last else len(word) + 1 if c > last else p
+
+
 @functools.cache
 def _necklaces(k: int, m: int) -> list[int]:
     """Ranks (indices in the level), in order, of the length-m words over k
@@ -75,21 +90,22 @@ def _necklaces(k: int, m: int) -> list[int]:
     return [r for r, w in enumerate(itertools.product(range(k), repeat=m)) if _canonical(w)]
 
 
-def _levels(letters: list[np.ndarray], depth: int, clip: bool = False) -> list:
-    """Products of all words of length 1..depth over the letters, one level
-    per length; level m holds all k**m products in lexicographic order.
+def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
+    """Products of all words of length 1..depth over the letters, yielded one
+    level per length; level m holds all k**m products in lexicographic order.
 
     The depth is an integer >= 1.  A level past ``_MAX_LEVEL`` raises
-    ``BudgetExceededError`` before any is built or, with ``clip``, ends the
+    ``BudgetExceededError`` before any is yielded or, with ``clip``, ends the
     walk at the deepest level that fits; depth 1 builds no product.  Each
     product multiplies left to right, (w[0] @ w[1]) @ w[2] ..., as a
     one-word fold does.  Level 1 is the letters; later levels are
-    C-ordered (K, n, n) stacks.  Each letter keeps its own memory layout,
-    because at some sizes (n = 17 to 20, for one) OpenBLAS rounds products
-    of C- and Fortran-ordered operands differently.  Levels are built
-    under ``np.errstate(over="ignore", invalid="ignore")``: a product
-    beyond the float range comes out non-finite, and each caller checks
-    the products it reads.
+    C-ordered (K, n, n) stacks, and only the level being extended is kept.
+    Each letter keeps its own memory layout, because at some sizes (n = 17
+    to 20, for one) OpenBLAS rounds products of C- and Fortran-ordered
+    operands differently.  Each level is built under
+    ``np.errstate(over="ignore", invalid="ignore")``, left before the level
+    is yielded: a product beyond the float range comes out non-finite, and
+    each caller checks the products it reads under its own error state.
     """
     if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
         raise DomainError(f"word depth must be an integer >= 1, got {depth!r}")
@@ -101,14 +117,15 @@ def _levels(letters: list[np.ndarray], depth: int, clip: bool = False) -> list:
     n = letters[0].shape[0]
     if fits > 1 and letters[0].shape != (n, n):
         raise ShapeMismatchError(f"word products need square matrices, got {letters[0].shape}")
-    levels = [letters]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(2, fits + 1):
+    level = letters
+    yield level
+    for m in range(2, fits + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
             if m == 2:
-                levels.append(np.stack([p @ a for p in letters for a in letters]))
+                level = np.stack([p @ a for p in letters for a in letters])
             else:
-                levels.append(np.stack([levels[-1] @ a for a in letters], axis=1).reshape(-1, n, n))
-    return levels
+                level = np.stack([level @ a for a in letters], axis=1).reshape(-1, n, n)
+        yield level
 
 
 def gen_radius_lb(s, m_max: int) -> float:
@@ -155,6 +172,14 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     requested norm.  Terminates with width <= delta unless the budget (an
     integer >= 0 of child products) runs out first, in which case the
     widest certified bracket is returned with the converged flag cleared.
+
+    Each level's children form one C-ordered stack, in ``_levels``' order
+    and layout rule; their largest entries and l1 norms (max column sums)
+    come from two stacked reductions, the survivors are normalized in one
+    stacked division, and the canonical ones go to ``lower_end`` as one
+    slice of the stack.  A child is canonical when its prenecklace period,
+    carried from its parent in constant time (``_child_period``), divides
+    its length.  Logs and exponentials stay per element on ``math``.
     """
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
@@ -194,12 +219,15 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     live = [i for i, top in enumerate(tops) if top > 0]  # a zero letter only yields zero products
     if not live:
         return Bracket(0.0, 0.0, "gripenberg")
+    k, n = len(mats), mats[0].shape[0]
     # the frontier: words of one length m, their products normalized to unit
-    # max entry, the logs of the normalization factors and of the pruning bounds
+    # max entry, the logs of the normalization factors and of the pruning
+    # bounds, and each word's prenecklace period (``_child_period``)
     words = [(i,) for i in live]
     prods = [mats[i] / tops[i] for i in live]
     logscales = [math.log(tops[i]) for i in live]
     logps = [letter_lognorm[i] for i in live]
+    periods = [1] * len(live)
     alpha = lower_end(1, prods, logscales)
 
     while True:
@@ -210,42 +238,49 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
         if ub - alpha <= delta:
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        if spent >= budget or len(words) * len(mats) > _MAX_LEVEL:
+        if spent >= budget or len(words) * k > _MAX_LEVEL:
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
-        children = []  # unpruned: (parent, letter, product, its largest entry, logp)
+        # child j * k + i is word j followed by letter i, as in ``_levels``;
+        # the level-1 products keep their letters' layouts, so they multiply
+        # one pair at a time
+        spent += len(words) * k
         with np.errstate(over="ignore"):
-            for j in range(len(words)):
-                for i, a in enumerate(mats):
-                    spent += 1
-                    prod = prods[j] @ a
-                    top = float(prod.max())
-                    if top <= 0:
-                        continue  # zero product: prunable with bound 0
-                    lognorm = math.log(float(prod.sum(axis=0).max())) + logscales[j]
-                    logp = min(logps[j] + letter_lognorm[i], lognorm)
-                    if _exp_up(logp / (m + 1)) <= alpha + delta:
-                        exhaustive = False
-                        continue
-                    children.append((j, i, prod, top, logp))
-        _finite([top for _, _, _, top, _ in children])
-        words, prods, logscales, logps = (
-            [words[j] + (i,) for j, i, _, _, _ in children],
-            [prod / top for _, _, prod, top, _ in children],
-            [logscales[j] + math.log(top) for j, _, _, top, _ in children],
-            [logp for _, _, _, _, logp in children])
+            if m == 1:
+                stack = np.stack([p @ a for p in prods for a in mats])
+            else:
+                stack = np.stack([prods @ a for a in mats], axis=1).reshape(-1, n, n)
+            colsums = stack.sum(axis=1).max(axis=1).tolist()
+        children = []  # unpruned: (index in the stack, its largest entry, logp, period)
+        for c, (top, colsum) in enumerate(zip(stack.max(axis=(1, 2)).tolist(), colsums)):
+            if top <= 0:
+                continue  # zero product: prunable with bound 0
+            j, i = divmod(c, k)
+            logp = min(logps[j] + letter_lognorm[i], math.log(colsum) + logscales[j])
+            if _exp_up(logp / (m + 1)) <= alpha + delta:
+                exhaustive = False
+                continue
+            children.append((c, top, logp, _child_period(words[j], periods[j], i)))
+        _finite([top for _, top, _, _ in children])
+        words, logscales, logps, periods = (
+            [words[c // k] + (c % k,) for c, _, _, _ in children],
+            [logscales[c // k] + math.log(top) for c, top, _, _ in children],
+            [logp for _, _, logp, _ in children],
+            [p for _, _, _, p in children])
+        prods = stack[[c for c, _, _, _ in children]] / np.array(
+            [top for _, top, _, _ in children]).reshape(-1, 1, 1)
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
-        canon = [j for j, w in enumerate(words) if _canonical(w)]
-        alpha = max(alpha, lower_end(m + 1, [prods[j] for j in canon],
-                                     [logscales[j] for j in canon]))
+        canon = [j for j, p in enumerate(periods) if p and (m + 1) % p == 0]
+        alpha = max(alpha, lower_end(m + 1, prods[canon], [logscales[j] for j in canon]))
         keep = [j for j, logp in enumerate(logps) if _exp_up(logp / (m + 1)) > alpha + delta]
         exhaustive = exhaustive and len(keep) == len(words)
         if not keep:
             ub = min(fekete, alpha + delta)
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        words, prods, logscales, logps = (
-            [col[j] for j in keep] for col in (words, prods, logscales, logps))
+        words, logscales, logps, periods = (
+            [col[j] for j in keep] for col in (words, logscales, logps, periods))
+        prods = prods[keep]
 
 
 def _exp_up(x: float) -> float:

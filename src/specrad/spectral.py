@@ -6,8 +6,10 @@ finite spectral radius is the max over strongly connected components,
 so reducible matrices also get tight lower bounds.  The components come
 from the reachability closure of the sparsity pattern: R = (A != 0) | I
 squared until it stops growing, after which i and j share a component
-exactly when R[i, j] and R[j, i].  One routine, ``_perron_brackets``,
-brackets a whole stack of equal-sized irreducible blocks at once: the
+exactly when R[i, j] and R[j, i].  In a batch, the arrays of one shape
+are tested for a zero entry in one stacked reduction, and each with none,
+one component by itself, skips the closure.  One routine,
+``_perron_brackets``, brackets a whole stack of equal-sized irreducible blocks at once: the
 components of many matrices (word products of a set, or their Gram
 matrices) are stacked by size, and ``spectral_radius`` is the one-matrix
 case.  It takes each block's Perron vector x from one batched
@@ -291,25 +293,33 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     blocks, so a radius is the max over strongly connected components.  A
     singleton component is its diagonal entry.  The blocks of each larger
     size, gathered across all arrays as C-ordered copies, go through one
-    ``_perron_brackets`` call.
+    ``_perron_brackets`` call.  An array with every entry nonzero is one
+    component: when two or more arrays share its shape, n >= 2, it joins
+    its size's group from one stacked test (``_full_blocks``) and skips
+    ``_strong_components``.
     """
     out = []
     groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+
+    def add(i: int, block: np.ndarray) -> None:
+        owners, blocks = groups.setdefault(len(block), ([], []))
+        owners.append(i)
+        blocks.append(block)
+
+    full = _full_blocks(arrays)
     for i, a in enumerate(arrays):
         if a.shape[0] != a.shape[1]:
             raise ShapeMismatchError("spectral radius needs a square matrix")
         v = 0.0  # the largest singleton component, a diagonal entry
-        for comp in _strong_components(a):
-            if comp.size == 1:
-                c = comp.item()
-                v = max(v, a.item(c, c))
-                continue
-            if comp.size not in groups:
-                groups[comp.size] = ([], [])
-            owners, blocks = groups[comp.size]
-            owners.append(i)
-            blocks.append(np.ascontiguousarray(a) if comp.size == len(a)
-                          else a[np.ix_(comp, comp)])
+        if i in full:
+            add(i, full[i])
+        else:
+            for comp in _strong_components(a):
+                if comp.size == 1:
+                    c = comp.item()
+                    v = max(v, a.item(c, c))
+                    continue
+                add(i, np.ascontiguousarray(a) if comp.size == len(a) else a[np.ix_(comp, comp)])
         out.append([v, v, True])
     for owners, blocks in groups.values():
         stack = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
@@ -317,6 +327,28 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
             r = out[i]
             r[0], r[1], r[2] = max(r[0], lo), max(r[1], hi), r[2] and ok
     return [tuple(r) for r in out]
+
+
+def _full_blocks(arrays) -> dict[int, np.ndarray]:
+    """{index: C-ordered copy} of the arrays with every entry nonzero, among
+    the square n x n arrays, n >= 2, whose shape two or more arrays share.
+
+    Each shape's arrays are stacked and forced to C order, because ``np.stack``
+    keeps a lone Fortran-ordered array's strides, and ``_perron_brackets``'
+    row sums would then add in another order than for the array alone.
+    """
+    shapes: dict[tuple, list[int]] = {}
+    for i, a in enumerate(arrays):
+        shapes.setdefault(a.shape, []).append(i)
+    full = {}
+    for shape, owners in shapes.items():
+        if len(owners) < 2 or shape != (shape[0], shape[0]) or shape[0] < 2:
+            continue
+        stack = np.ascontiguousarray(np.stack([arrays[i] for i in owners]))
+        for i, blk, ok in zip(owners, stack, (stack != 0).all(axis=(1, 2)).tolist()):
+            if ok:
+                full[i] = blk
+    return full
 
 
 def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:

@@ -235,6 +235,52 @@ def test_spectral_radii_bits_do_not_depend_on_the_batch(arrays):
             assert encloses_perron_root(a, r[0], r[1])
 
 
+def test_fortran_ordered_positive_arrays_get_their_own_bits_in_a_batch():
+    """Positive arrays of one shape are stacked in C order: at n = 10 and 14
+    a Fortran-ordered one batched with C-ordered ones, or only with other
+    Fortran-ordered ones, gets the bits it gets alone.  ``np.stack`` keeps
+    Fortran strides, and its row sums would add in another order."""
+    rng = np.random.default_rng(71)
+    for n in (10, 14):
+        for _ in range(10):
+            fortran = [np.asfortranarray(rng.random((n, n)) + 0.01) for _ in range(2)]
+            c_ordered = [rng.random((n, n)) + 0.01 for _ in range(2)]
+            for batch in ([fortran[0], *c_ordered, fortran[1]], fortran,
+                          [fortran[0], c_ordered[0][:3, :3], fortran[1]]):
+                for a, r in zip(batch, _spectral_radii(batch)):
+                    assert _bits(r) == _bits(_spectral_radii([a])[0])
+
+
+def test_only_arrays_with_a_zero_entry_are_split_into_components(monkeypatch):
+    """Two or more arrays of one shape are tested for a zero entry in one
+    stacked reduction; only those that have one, and a lone array, go
+    through ``_strong_components``."""
+    split = []
+    real = spectral._strong_components
+    monkeypatch.setattr(spectral, "_strong_components", lambda a: split.append(a) or real(a))
+    rng = np.random.default_rng(72)
+    sparse = [np.triu(rng.random((3, 3))), np.array([[0.0, 2.0], [3.0, 0.0]])]
+    batch = [rng.random((3, 3)) + 0.1, sparse[0], np.asfortranarray(rng.random((3, 3)) + 0.1),
+             sparse[1], np.ones((2, 2)), np.array([[2.5]]), np.array([[0.5]])]
+    got = _spectral_radii(batch)
+    assert [id(a) for a in split] == [id(a) for a in sparse + batch[5:]]
+    split.clear()
+    alone = [_spectral_radii([a])[0] for a in batch]
+    assert [id(a) for a in split] == [id(a) for a in batch]
+    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
+    split.clear()
+    assert spectral_radius(FiniteMatrix(batch[0])) == Bracket(*got[0][:2], "gelfand-cw")
+    assert len(split) == 1
+
+
+def test_a_one_by_one_array_in_a_batch_is_its_entry():
+    batch = [np.array([[2.5]]), np.ones((2, 2)), np.array([[0.0]]), np.full((2, 2), 2.0),
+             np.array([[7.0]])]
+    got = _spectral_radii(batch)
+    assert [got[0], got[2], got[4]] == [(2.5, 2.5, True), (0.0, 0.0, True), (7.0, 7.0, True)]
+    assert got[1][0] <= 2.0 <= got[1][1] and got[3][0] <= 4.0 <= got[3][1]
+
+
 def test_a_failed_eig_on_one_block_does_not_move_its_siblings(monkeypatch):
     """When eig raises LinAlgError on a stack, each block is retried alone:
     the one that fails alone gets the squeeze, the others their own bits."""
