@@ -322,7 +322,7 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
                 add(i, np.ascontiguousarray(a) if comp.size == len(a) else a[np.ix_(comp, comp)])
         out.append([v, v, True])
     for owners, blocks in groups.values():
-        stack = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+        stack = np.array(blocks) if len(blocks) > 1 else blocks[0][None]
         for i, (lo, hi, ok) in zip(owners, _perron_brackets(stack, tol)):
             r = out[i]
             r[0], r[1], r[2] = max(r[0], lo), max(r[1], hi), r[2] and ok
@@ -333,9 +333,10 @@ def _full_blocks(arrays) -> dict[int, np.ndarray]:
     """{index: C-ordered copy} of the arrays with every entry nonzero, among
     the square n x n arrays, n >= 2, whose shape two or more arrays share.
 
-    Each shape's arrays are stacked and forced to C order, because ``np.stack``
-    keeps a lone Fortran-ordered array's strides, and ``_perron_brackets``'
-    row sums would then add in another order than for the array alone.
+    Each shape's arrays are copied into one C-ordered stack by ``np.array``
+    of their list, a copy that keeps no operand's layout: ``np.stack`` keeps
+    Fortran strides, and ``_perron_brackets``' row sums would then add in
+    another order than for the array alone.
     """
     shapes: dict[tuple, list[int]] = {}
     for i, a in enumerate(arrays):
@@ -344,10 +345,9 @@ def _full_blocks(arrays) -> dict[int, np.ndarray]:
     for shape, owners in shapes.items():
         if len(owners) < 2 or shape != (shape[0], shape[0]) or shape[0] < 2:
             continue
-        stack = np.ascontiguousarray(np.stack([arrays[i] for i in owners]))
-        for i, blk, ok in zip(owners, stack, (stack != 0).all(axis=(1, 2)).tolist()):
-            if ok:
-                full[i] = blk
+        stack = np.array([arrays[i] for i in owners])
+        for j in np.flatnonzero(stack.reshape(len(owners), -1).all(axis=1)).tolist():
+            full[owners[j]] = stack[j]
     return full
 
 

@@ -237,16 +237,19 @@ def test_spectral_radii_bits_do_not_depend_on_the_batch(arrays):
 
 def test_fortran_ordered_positive_arrays_get_their_own_bits_in_a_batch():
     """Positive arrays of one shape are stacked in C order: at n = 10 and 14
-    a Fortran-ordered one batched with C-ordered ones, or only with other
-    Fortran-ordered ones, gets the bits it gets alone.  ``np.stack`` keeps
-    Fortran strides, and its row sums would add in another order."""
+    a Fortran-ordered one batched with C-ordered ones, with other
+    Fortran-ordered ones, or as the only positive array of its shape, gets
+    the bits it gets alone.  ``np.stack`` keeps Fortran strides, and its row
+    sums would add in another order."""
     rng = np.random.default_rng(71)
     for n in (10, 14):
         for _ in range(10):
             fortran = [np.asfortranarray(rng.random((n, n)) + 0.01) for _ in range(2)]
             c_ordered = [rng.random((n, n)) + 0.01 for _ in range(2)]
+            triangular = np.asfortranarray(np.triu(rng.random((n, n))))
             for batch in ([fortran[0], *c_ordered, fortran[1]], fortran,
-                          [fortran[0], c_ordered[0][:3, :3], fortran[1]]):
+                          [fortran[0], c_ordered[0][:3, :3], fortran[1]],
+                          [fortran[0], triangular]):
                 for a, r in zip(batch, _spectral_radii(batch)):
                     assert _bits(r) == _bits(_spectral_radii([a])[0])
 
