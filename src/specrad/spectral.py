@@ -306,7 +306,7 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
         owners.append(i)
         blocks.append(block)
 
-    full = _full_blocks(arrays)
+    full = _full_blocks(arrays) if len(arrays) > 1 else {}
     for i, a in enumerate(arrays):
         if a.shape[0] != a.shape[1]:
             raise ShapeMismatchError("spectral radius needs a square matrix")
