@@ -71,6 +71,5 @@ from .spectral import (
     essential_spectral_radius,
     hausdorff_mnc,
     operator_norm,
-    oracle_ess_radius,
     spectral_radius,
 )

@@ -250,9 +250,6 @@ def cmd_estimate(args) -> int:
         b = hausdorff_mnc(family_from_json(obj))
     elif q == "ess":
         b = essential_spectral_radius(family_from_json(obj))
-        if b.lo == 0.0 and b.hi > 0.0:
-            print("warning: no analytic oracle for this structure; "
-                  "lower end reported as 0", file=sys.stderr)
     elif q == "jsr":
         b = gripenberg_bracket(set_from_json(obj), args.delta, budget=args.budget,
                                space=args.space)

@@ -3,7 +3,7 @@
 An ``OperatorFamily`` is a finite collection of bands (offset ``d`` holds
 ``a[i, i+d] = w_d(i)``), plus an optional finite-rank correction embedded
 in the top-left corner.  Band weights are :mod:`specrad.sequences` values,
-so every family carries certified tail bounds and per-band limits.
+so every family carries float tail bounds and per-band limits.
 Finitely many bands with bounded weights always give a bounded operator,
 and the algebra below (entrywise products and powers, operator products,
 sums, adjoints) is closed on this class: offsets add under products, and
@@ -172,12 +172,14 @@ class OperatorFamily:
         return FiniteMatrix(self._block(n, n))
 
     def tail_norm_bound(self, n: int) -> float:
-        """Certified upper bound on the l2 norm of rows i >= n.
+        """Bound on the l2 norm of rows i >= n, computed in floats.
 
         Each band restricted to rows >= n is a partial weighted shift whose
         norm is the sup of the remaining weights; the triangle inequality
-        over bands plus the exact norm of the remaining corner rows gives a
-        bound that decreases to the essential norm as n grows.
+        over bands plus the norm of the remaining corner rows gives a bound
+        that decreases to the essential norm as n grows.  It sums
+        ``tail_sup`` values and an SVD norm, all rounded to nearest, so it
+        is not certified.
         """
         if n < 1:
             raise DomainError("tail index must be >= 1")

@@ -30,7 +30,6 @@ from .spectral import (
     _spectral_radii,
     hausdorff_mnc,
     operator_norm,
-    oracle_ess_radius,
 )
 
 _MAX_LEVEL = 4096
@@ -99,10 +98,10 @@ def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
     walk at the deepest level that fits; depth 1 builds no product.  Each
     product multiplies left to right, (w[0] @ w[1]) @ w[2] ..., as a
     one-word fold does.  Level 1 is the letters; later levels are
-    C-ordered (K, n, n) stacks, and only the level being extended is kept.
-    Each letter keeps its own memory layout, because at some sizes (n = 17
-    to 20, for one) OpenBLAS rounds products of C- and Fortran-ordered
-    operands differently.  Each level is built under
+    C-ordered (K, n, n) stacks from ``_extend``, and only the level being
+    extended is kept.  Each letter keeps its own memory layout, because at
+    some sizes (n = 17 to 20, for one) OpenBLAS rounds products of C- and
+    Fortran-ordered operands differently.  Each level is built under
     ``np.errstate(over="ignore", invalid="ignore")``, left before the level
     is yielded: a product beyond the float range comes out non-finite, and
     each caller checks the products it reads under its own error state.
@@ -119,13 +118,25 @@ def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
         raise ShapeMismatchError(f"word products need square matrices, got {letters[0].shape}")
     level = letters
     yield level
-    for m in range(2, fits + 1):
+    for _ in range(2, fits + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            if m == 2:
-                level = np.stack([p @ a for p in letters for a in letters])
-            else:
-                level = np.stack([level @ a for a in letters], axis=1).reshape(-1, n, n)
+            level = _extend(level, letters)
         yield level
+
+
+def _extend(level, letters: list[np.ndarray]) -> np.ndarray:
+    """The children of a word level as one C-ordered (K * k, n, n) stack:
+    child j * k + i is ``level[j] @ letters[i]``.
+
+    A list level (the letters, or any products that keep their own layouts)
+    multiplies one pair at a time, so each operand keeps its layout; a
+    stacked level takes one stacked ``@`` per letter.  The caller sets the
+    error state.
+    """
+    if isinstance(level, list):
+        return np.stack([p @ a for p in level for a in letters])
+    n = level.shape[-1]
+    return np.stack([level @ a for a in letters], axis=1).reshape(-1, n, n)
 
 
 def gen_radius_lb(s, m_max: int) -> float:
@@ -173,11 +184,11 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     integer >= 0 of child products) runs out first, in which case the
     widest certified bracket is returned with the converged flag cleared.
 
-    Each level's children form one C-ordered stack, in ``_levels``' order
-    and layout rule; their largest entries and l1 norms (max column sums)
-    come from two stacked reductions, the survivors are normalized in one
-    stacked division, and the canonical ones go to ``lower_end`` as one
-    slice of the stack.  A child is canonical when its prenecklace period,
+    Each level's children form one C-ordered stack, built by ``_extend``
+    as ``_levels`` builds a level; their largest entries and l1 norms (max
+    column sums) come from two stacked reductions, the survivors are
+    normalized in one stacked division, and the canonical ones go to
+    ``lower_end`` as one slice of the stack.  A child is canonical when its prenecklace period,
     carried from its parent in constant time (``_child_period``), divides
     its length.  Logs and exponentials stay per element on ``math``.
     """
@@ -219,7 +230,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     live = [i for i, top in enumerate(tops) if top > 0]  # a zero letter only yields zero products
     if not live:
         return Bracket(0.0, 0.0, "gripenberg")
-    k, n = len(mats), mats[0].shape[0]
+    k = len(mats)
     # the frontier: words of one length m, their products normalized to unit
     # max entry, the logs of the normalization factors and of the pruning
     # bounds, and each word's prenecklace period (``_child_period``)
@@ -241,15 +252,11 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         if spent >= budget or len(words) * k > _MAX_LEVEL:
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
-        # child j * k + i is word j followed by letter i, as in ``_levels``;
-        # the level-1 products keep their letters' layouts, so they multiply
-        # one pair at a time
+        # child j * k + i is word j followed by letter i; the level-1
+        # products are a list, so they keep their letters' layouts
         spent += len(words) * k
         with np.errstate(over="ignore"):
-            if m == 1:
-                stack = np.stack([p @ a for p in prods for a in mats])
-            else:
-                stack = np.stack([prods @ a for a in mats], axis=1).reshape(-1, n, n)
+            stack = _extend(prods, mats)
             colsums = stack.sum(axis=1).max(axis=1).tolist()
         children = []  # unpruned: (index in the stack, its largest entry, logp, period)
         for c, (top, colsum) in enumerate(zip(stack.max(axis=(1, 2)).tolist(), colsums)):
@@ -314,12 +321,6 @@ def gamma_level_max(s) -> float:
     if len(s) > _MAX_LEVEL:
         raise BudgetExceededError("gamma level enumeration exceeded its cap")
     return gamma_set_bracket(s).hi
-
-
-def oracle_set_lb(s) -> float:
-    """Certified lower bound for both essential set radii from element oracles."""
-    values = map(oracle_ess_radius, _set_of(s, "family", "oracle_set_lb"))
-    return max([0.0, *(v for v in values if v is not None)])
 
 
 def gamma_set_bracket(s) -> Bracket:

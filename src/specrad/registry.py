@@ -85,7 +85,6 @@ from .jsr import (
     gen_radius_lb,
     norm_level_max,
     norm_set_bracket,
-    oracle_set_lb,
 )
 from .matrices import FiniteMatrix, WeightVector
 from .serialize import _is_number
@@ -137,20 +136,17 @@ def _fin_term(factors, u: int) -> Bracket:
 def _ess_term(factors) -> Bracket:
     """Product of essential set radii of family sets.
 
-    The upper end is the largest noncompactness measure over the set
-    (certified for the joint essential radius, which dominates the
-    generalized one).  Longer products cannot tighten it: gamma is
-    multiplicative on banded families, so the depth-d root of the depth-d
-    maximum equals the depth-1 maximum.  The lower end lifts per-element
-    oracle values.
+    Both essential set radii of S equal the largest gamma over its elements:
+    each element's essential radius is its gamma (see
+    ``essential_spectral_radius``), and gamma is multiplicative on banded
+    families, so the largest gamma over length-m products is that maximum
+    to the m-th power.  The product v of the powered maxima is padded by
+    ``_ROUND_GUARD`` each way.
     """
-    hi = 1.0
-    lo = 1.0
+    v = 1.0
     for S, p in factors:
-        hi *= _pow0(gamma_level_max(S), p)
-        lo *= _pow0(oracle_set_lb(S), p)
-    hi *= 1 + _ROUND_GUARD
-    return Bracket(min(lo, hi), hi, "ess-set-gamma-ub/oracle-lb")
+        v *= _pow0(gamma_level_max(S), p)
+    return Bracket(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), "ess-set-gamma")
 
 
 def _bprod(brackets, powers) -> Bracket:

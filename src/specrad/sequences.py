@@ -1,12 +1,12 @@
 """Weight sequences for banded infinite operators.
 
 A weight sequence assigns a nonnegative value ``w(i)`` to every row index
-``i >= 1``.  Every sequence carries a certified upper bound on
-``sup_{i>=n} w(i)`` for each ``n`` (exact for leaf kinds) and its limit
-rounded to nearest.  All constructible kinds converge, and the shift /
-product / power / sum combinators needed by the operator algebra preserve
-convergence, so the noncompactness of a banded family is the sum of its
-band limits.
+``i >= 1``.  Every sequence carries a bound on ``sup_{i>=n} w(i)`` for
+each ``n`` and its limit, both computed in floats and rounded to nearest,
+so neither is certified: ``tail_sup`` can fall below the exact sup.  All
+constructible kinds converge, and the shift / product / power / sum
+combinators needed by the operator algebra preserve convergence, so the
+noncompactness of a banded family is the sum of its band limits.
 
 Leaf kinds (the ones that appear in JSON inputs):
 
@@ -51,7 +51,7 @@ def _check_nodes(nodes: int) -> int:
 
 
 class WeightSeq:
-    """Base class: a convergent nonnegative sequence with certified tails."""
+    """Base class: a convergent nonnegative sequence with float tail bounds."""
 
     __slots__ = ("limit", "nodes")
 
@@ -62,7 +62,11 @@ class WeightSeq:
         raise NotImplementedError
 
     def tail_sup(self, n: int) -> float:
-        """Upper bound on sup of w(i) over i >= n; exact for leaf kinds."""
+        """sup of w(i) over i >= n from float values, rounded to nearest.
+
+        Not certified: ``RationalFormula([1.0], [0.0, 3.0]).tail_sup(1)`` is
+        fl(1/3) < 1/3.
+        """
         raise NotImplementedError
 
 
@@ -161,10 +165,12 @@ def _cauchy_root_bound(coeffs: tuple[float, ...]) -> float:
 class RationalFormula(WeightSeq):
     """w(i) = p(i)/q(i) for polynomials positive on the integers i >= 1.
 
-    Requires deg p <= deg q so the sequence is bounded.  The tail sup is
-    exact: beyond a precomputed threshold (a root bound for the derivative
-    numerator p'q - pq') the sequence is monotone, so the tail sup is
-    attained in the window up to the threshold or at the limit.
+    Requires deg p <= deg q so the sequence is bounded.  Beyond a
+    precomputed threshold (a root bound for the derivative numerator
+    p'q - pq') the sequence is monotone, so the tail sup is attained in the
+    window up to the threshold or at the limit; ``tail_sup`` takes the max
+    of their float values, each rounded to nearest, so it is no certified
+    upper bound.
     """
 
     __slots__ = ("p", "q", "threshold")

@@ -23,12 +23,14 @@ repeated squarings.  When ``eig`` fails on a stack, each block is retried
 alone.  Every step treats each block as it would treat it alone, so a bracket
 does not depend on the batch it was computed in.  The l2 norm widens its
 Gram radius by gamma_m, the rounding of A*A.  On the
-infinite side, the Hausdorff measure of noncompactness of a banded family
-is the sum of its band weight limits: every weight sequence converges, so
-row-tail norm bounds decrease to that sum, and sliding window vectors
-attain it from below.  Band limits multiply under operator products, so
-gamma(A^j) = gamma(A)^j and the essential radius lim_j gamma(A^j)^(1/j)
-is bounded above by gamma(A) itself, with no power sequence to explore.
+infinite side, the Hausdorff measure of noncompactness gamma of a banded
+family is the sum of its band weight limits: every weight sequence
+converges, so row-tail norm bounds decrease to that sum, and sliding
+window vectors attain it from below.  A family is a Toeplitz operator with
+those nonnegative limits on its bands plus a compact part, so its
+essential radius is gamma too (see ``essential_spectral_radius``).  Both
+brackets read the band limits rounded to nearest, so they are not
+certified as the finite ones are.
 """
 
 from __future__ import annotations
@@ -477,34 +479,20 @@ def hausdorff_mnc(f: OperatorFamily) -> Bracket:
     return Bracket(g, g, "band-tail-limit")
 
 
-def oracle_ess_radius(f: OperatorFamily) -> float | None:
-    """Essential radius for diagonal or single-band structure, as a float.
-
-    The essential radius ignores the compact finite-rank corner.  For a
-    diagonal it is the limit of the weights; for a single band at offset
-    d it is the limit of geometric means of runs of weights, which for the
-    convergent kinds equals the weight limit, here rounded to nearest (so
-    it can exceed the radius).  Returns None on richer structures.
-    """
-    if len(f.bands) == 0:
-        return 0.0
-    if len(f.bands) == 1:
-        (w,) = f.bands.values()
-        return w.limit
-    return None
-
-
 def essential_spectral_radius(f: OperatorFamily) -> Bracket:
-    """Bracket for the essential spectral radius from noncompactness.
+    """Bracket for the essential spectral radius: gamma at both ends.
 
-    r_ess(A) = lim_j gamma(A^j)^(1/j), and gamma is multiplicative on
-    banded families (band limits multiply under products), so
-    gamma(A^j) = gamma(A)^j and every power gives the same upper end
-    gamma(A).  The lower end is the oracle's rounded limit when the band
-    structure supports one (not certified: fl(0.1) > 1/10), else 0.
+    Every family here is the banded Toeplitz operator T whose band at
+    offset d carries the constant c_d, the limit of its weights, plus a
+    compact part: the weights minus their limits tend to zero, and the
+    corner has finite rank.  A compact part leaves the essential spectrum
+    alone, and sigma_ess(T) is the image of the unit circle under the
+    symbol sum_d c_d z^d (Boettcher & Silbermann, *Analysis of Toeplitz
+    Operators*, 2006).  With every c_d >= 0 its largest modulus is taken at
+    z = 1, so r_ess = sum_d c_d = gamma.  The bracket is g =
+    ``hausdorff_mnc(f).hi`` padded by ``_ROUND_GUARD`` each way.  The band
+    limits are rounded to nearest, and the pad is a blanket guard for that
+    rounding, not a derived error bound.
     """
-    hi = hausdorff_mnc(f).hi * (1.0 + _ROUND_GUARD)
-    lo = oracle_ess_radius(f)
-    method = "gamma-powers+oracle" if lo is not None else "gamma-powers"
-    lo = 0.0 if lo is None else min(lo, hi)
-    return Bracket(lo, hi, method)
+    g = hausdorff_mnc(f).hi
+    return Bracket(g * (1.0 - _ROUND_GUARD), g * (1.0 + _ROUND_GUARD), "toeplitz-gamma")

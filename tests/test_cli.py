@@ -124,13 +124,30 @@ def test_estimate_jsr_golden(tmp_path, capsys):
     assert "jsr in [1.618033" in out
 
 
-def test_estimate_ess_warns_without_oracle(tmp_path, capsys):
+def test_estimate_jsr_golden_in_linf(tmp_path, capsys):
+    path = _write(tmp_path, "golden_pair.json", GOLDEN_PAIR)
+    out = tmp_path / "jsr.json"
+    assert main(["estimate", "jsr", "--input", path, "--delta", "1e-3", "--space", "linf",
+                 "--out", str(out)]) == 0
+    assert "jsr in [1.618033" in capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["config"]["space"] == "linf"
+    b = Bracket(**doc["runs"][0])
+    assert b.converged and b.width <= 1e-3
+    assert b.contains((1 + 5 ** 0.5) / 2, slack=1e-12)
+
+
+def test_estimate_ess_brackets_a_multiband_family(tmp_path, capsys):
+    """I + S: both ends are gamma = 2, with no warning."""
     fam = {"diagonal": {"kind": "constant", "c": 1.0},
            "bands": [{"offset": 1, "weights": {"kind": "constant", "c": 1.0}}]}
     path = _write(tmp_path, "multiband.json", fam)
-    assert main(["estimate", "ess", "--input", path]) == 0
-    err = capsys.readouterr().err
-    assert "no analytic oracle" in err
+    out = tmp_path / "ess.json"
+    assert main(["estimate", "ess", "--input", path, "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "" and "ess in [2, 2]" in printed.out
+    run = json.loads(out.read_text(encoding="utf-8"))["runs"][0]
+    assert run["lo"] < 2.0 < run["hi"]
 
 
 def test_check_explicit_pass(tmp_path, capsys):

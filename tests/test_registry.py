@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -13,11 +14,15 @@ from specrad import (
     EvalContext,
     FiniteMatrix,
     HypothesisViolation,
+    OperatorSet,
+    RationalFormula,
+    diagonal_family,
     evaluate_chain,
     identity_family,
+    shift_family,
 )
 from specrad.ensembles import rng_for
-from specrad.registry import by_id, catalog_json, registry
+from specrad.registry import _ess_term, by_id, catalog_json, registry
 
 CTX = EvalContext()
 
@@ -243,3 +248,19 @@ def test_gamma_multiplicative_on_band_limit_families():
         g = random_family(rng, multiband=True)
         assert hausdorff_mnc(f @ g).hi == pytest.approx(
             hausdorff_mnc(f).hi * hausdorff_mnc(g).hi, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("power", [1.0, 2.0])
+def test_essential_set_term_encloses_the_largest_exact_gamma(power):
+    """Both ends of an essential set term come from the largest gamma over the
+    set, also on multi-band families: two bands of weights i / (q i) give
+    gamma = 2/q exactly, and {2/10, 2/7} has the largest value 2/7."""
+    fams, gammas = [], []
+    for q in (10, 7):
+        w = RationalFormula([0, 1], [0, q])
+        fams.append(diagonal_family(w) + shift_family(w))
+        gammas.append(2 * Fraction(w.p[-1]) / Fraction(w.q[-1]))
+    exact = max(gammas) ** int(power)
+    b = _ess_term([(OperatorSet(fams), power)])
+    assert Fraction(b.lo) <= exact <= Fraction(b.hi)
+    assert abs(Fraction(b.lo) - exact) <= Fraction(1e-12) * exact

@@ -24,7 +24,6 @@ from specrad import (
     hausdorff_mnc,
     identity_family,
     operator_norm,
-    oracle_ess_radius,
     shift_family,
     spectral,
     spectral_radius,
@@ -636,7 +635,7 @@ _ROUNDED_LIMIT = pytest.mark.xfail(
 @pytest.mark.parametrize("estimator,q", [
     pytest.param(hausdorff_mnc, 3, marks=_ROUNDED_LIMIT),  # [fl(1/3), fl(1/3)] < 1/3
     pytest.param(hausdorff_mnc, 10, marks=_ROUNDED_LIMIT),  # fl(0.1) > 1/10
-    pytest.param(essential_spectral_radius, 10, marks=_ROUNDED_LIMIT),  # lo = fl(0.1)
+    (essential_spectral_radius, 10),  # the lower end's pad covers fl(0.1) > 1/10
     (essential_spectral_radius, 3),  # the upper end's pad covers fl(1/3) < 1/3
 ])
 def test_band_limit_brackets_enclose_the_exact_limit(estimator, q):
@@ -676,15 +675,30 @@ def test_essential_upper_end_matches_power_loop():
         assert ref <= hi <= ref * (1.0 + 4 * 2.0 ** -52)
 
 
-def test_oracle_examples():
-    assert oracle_ess_radius(diagonal_family(EventuallyConstant([1, 9], 3.0))) == 3.0
+def test_essential_lower_end_examples():
+    """The lower end is gamma too, padded down, on every band structure."""
+    tail = essential_spectral_radius(diagonal_family(EventuallyConstant([1, 9], 3.0)))
+    assert tail.contains(3.0)
     withrank = shift_family(Constant(0.7), finite_rank=[[1, 1], [1, 1]])
-    assert oracle_ess_radius(withrank) == pytest.approx(0.7)
-    assert oracle_ess_radius(diagonal_family(RationalFormula([1.0], [0.0, 1.0]))) == 0.0
-    multi = identity_family() + shift_family(Constant(1.0))
-    assert oracle_ess_radius(multi) is None
-    b = essential_spectral_radius(multi)
-    assert b.lo == 0.0 and b.hi >= 2.0 - 1e-9  # honest zero lower end
+    assert essential_spectral_radius(withrank).lo == pytest.approx(0.7)
+    zero = essential_spectral_radius(diagonal_family(RationalFormula([1.0], [0.0, 1.0])))
+    assert (zero.lo, zero.hi) == (0.0, 0.0)
+    b = essential_spectral_radius(identity_family() + shift_family(Constant(1.0)))
+    assert b.lo < 2.0 < b.hi and b.width <= 1e-12  # I + S: r_ess = 1 + 1
+
+
+@pytest.mark.parametrize("bands", [2, 3])
+def test_multiband_essential_lower_end_encloses_the_exact_sum(bands):
+    """w(i) = i / (10 i) = 1/10 on each band: r_ess is exactly bands/10."""
+    w = RationalFormula([0, 1], [0, 10])
+    f = diagonal_family(w)
+    for d in range(1, bands):
+        f = f + shift_family(w, offset=d)
+    assert len(f.bands) == bands
+    exact = bands * Fraction(w.p[-1]) / Fraction(w.q[-1])
+    b = essential_spectral_radius(f)
+    assert Fraction(b.lo) <= exact <= Fraction(b.hi)
+    assert abs(Fraction(b.lo) - exact) <= Fraction(1e-12) * exact
 
 
 def test_gamma_via_star_examples():
