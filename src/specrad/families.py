@@ -16,7 +16,9 @@ The corner of a derived family (``hadamard``, ``hpow``, ``@``, ``+``,
 by the operation: noncompactness and essential radii read band limits
 only, so most derived corners are never needed.  Until that read,
 ``corner_shape`` is the box that bounds the corner; the operation checks
-that box against ``MAX_CORNER``.
+that box against ``MAX_CORNER``.  Operands with no corner box give a
+result with no pending build.  Derived bands skip the constructor's
+type checks; ``_normal_bands`` normalises every family's bands.
 """
 
 from __future__ import annotations
@@ -110,17 +112,10 @@ class OperatorFamily:
             if 0 in items:
                 raise ShapeMismatchError("give the diagonal either as offset 0 or as diagonal=, not both")
             items[0] = diagonal
-        clean: dict[int, WeightSeq] = {}
-        for d, w in sorted(items.items()):
-            d = int(d)
+        for w in items.values():
             if not isinstance(w, WeightSeq):
                 raise DomainError(f"band weights must be WeightSeq values, got {type(w).__name__}")
-            if isinstance(w, Constant) and w.c == 0.0:
-                continue
-            clean[d] = w
-        if len(clean) > MAX_BANDS:
-            raise ClosureOverflowError(f"family has {len(clean)} bands (cap {MAX_BANDS})")
-        self.bands = clean
+        self.bands = _normal_bands({int(d): w for d, w in items.items()})
         self._corner = _as_corner(finite_rank)
         self._box = _shape(self._corner)
         self._pending = None  # (operands, build) until a derived corner is read
@@ -204,16 +199,18 @@ class OperatorFamily:
         return best
 
     # -- algebra ----------------------------------------------------------
-    # Each operation builds its bands now and hands _derived the box of its
-    # corner, as a function of the operands' corner shapes, and the corner
-    # itself, as a function of that box.
+    # Each operation builds its bands now.  With no operand corner box the
+    # result is _plain; otherwise the operation hands _derived the box of
+    # its corner, as a function of the operands' corner shapes, and the
+    # corner itself, as a function of that box.
 
     def hadamard(self, other: "OperatorFamily") -> "OperatorFamily":
         if not isinstance(other, OperatorFamily):
             raise ShapeMismatchError("entrywise product needs two operator families")
-        bands = {}
-        for d in set(self.bands) & set(other.bands):
-            bands[d] = seq_product(self.bands[d], other.bands[d])
+        theirs = other.bands
+        bands = {d: seq_product(w, theirs[d]) for d, w in self.bands.items() if d in theirs}
+        if self._box == other._box == (0, 0):
+            return _plain(bands)
         return _derived(
             bands, (self, other), lambda: _union_box(self.corner_shape, other.corner_shape),
             lambda box: _corner_correction(
@@ -223,6 +220,8 @@ class OperatorFamily:
         if not (t > 0 and math.isfinite(t)):
             raise DomainError(f"entrywise power requires t > 0, got {t}")
         bands = {d: seq_power(w, t) for d, w in self.bands.items()}
+        if self._box == (0, 0):
+            return _plain(bands)
         # math.pow per entry: np.power differs from it in the last bit
         return _derived(
             bands, (self,), lambda: self.corner_shape,
@@ -240,6 +239,8 @@ class OperatorFamily:
                 term = seq_restrict(seq_product(wa, seq_shift(wb, da)), start)
                 bands.setdefault(da + db, []).append(term)
         merged = {d: seq_sum(parts) for d, parts in bands.items()}
+        if self._box == other._box == (0, 0):
+            return _plain(merged)
         return _derived(merged, (self, other), lambda: self._product_box(other),
                         lambda box: self._product_corner(other, box), "product corner")
 
@@ -290,6 +291,8 @@ class OperatorFamily:
         bands = dict(self.bands)
         for d, w in other.bands.items():
             bands[d] = seq_sum([bands[d], w]) if d in bands else w
+        if self._box == other._box == (0, 0):
+            return _plain(bands)
         return _derived(bands, (self, other),
                         lambda: _union_box(self.corner_shape, other.corner_shape),
                         lambda box: _padded_sum(self.corner, other.corner))
@@ -298,6 +301,8 @@ class OperatorFamily:
         if not (c >= 0 and math.isfinite(c)):
             raise DomainError(f"scale factor must be finite and >= 0, got {c}")
         bands = {d: seq_scale(w, c) for d, w in self.bands.items()}
+        if self._box == (0, 0):
+            return _plain(bands)
         return _derived(bands, (self,), lambda: self.corner_shape,
                         lambda box: None if self.corner is None else self.corner * c)
 
@@ -305,6 +310,8 @@ class OperatorFamily:
         bands = {}
         for d, w in self.bands.items():
             bands[-d] = seq_restrict(seq_shift(w, -d), max(1, 1 + d))
+        if self._box == (0, 0):
+            return _plain(bands)
         return _derived(bands, (self,), lambda: self.corner_shape[::-1],
                         lambda box: None if self.corner is None else self.corner.T)
 
@@ -317,9 +324,34 @@ def _shape(corner: np.ndarray | None) -> tuple[int, int]:
     return (0, 0) if corner is None else corner.shape
 
 
+def _normal_bands(bands: dict[int, WeightSeq]) -> dict[int, WeightSeq]:
+    """The bands in ascending offset order, zero constant bands dropped,
+    capped at ``MAX_BANDS``."""
+    clean = {}
+    for d in sorted(bands):
+        w = bands[d]
+        if not (isinstance(w, Constant) and w.c == 0.0):
+            clean[d] = w
+    if len(clean) > MAX_BANDS:
+        raise ClosureOverflowError(f"family has {len(clean)} bands (cap {MAX_BANDS})")
+    return clean
+
+
+def _plain(bands) -> OperatorFamily:
+    """Corner-free family of these bands, built past the constructor."""
+    f = OperatorFamily.__new__(OperatorFamily)
+    f.bands = _normal_bands(bands)
+    f._corner = None
+    f._box = (0, 0)
+    f._pending = None
+    return f
+
+
 def _derived(bands, operands, shape, build, what="corner correction") -> OperatorFamily:
     """Family of these bands whose corner is ``build(shape())`` on first read.
 
+    Operations on operands with no corner box return ``_plain`` instead and
+    never reach here, so a corner-free result carries no pending build.
     ``shape`` computes the corner box from the operands' ``corner_shape``:
     box bounds now, realized shapes when the corner is built.  Its
     arithmetic is monotone in those shapes and a realized shape never
@@ -347,7 +379,7 @@ def _derived(bands, operands, shape, build, what="corner correction") -> Operato
     live = box[0] > 0 and box[1] > 0
     if live and max(box) > MAX_CORNER:
         raise ClosureOverflowError(f"{what} exceeded the size cap")
-    f = OperatorFamily(bands)
+    f = _plain(bands)
     if live:
         f._box = box
         f._pending = (operands, lambda: build(shape()))

@@ -26,9 +26,9 @@ from .spectral import (
     L2,
     _ROUND_GUARD,
     Bracket,
+    _band_limit_sum,
     _l2_norms,
     _spectral_radii,
-    hausdorff_mnc,
     operator_norm,
 )
 
@@ -320,17 +320,26 @@ def gamma_level_max(s) -> float:
     s = _set_of(s, "family", "gamma_level_max")
     if len(s) > _MAX_LEVEL:
         raise BudgetExceededError("gamma level enumeration exceeded its cap")
-    return gamma_set_bracket(s).hi
+    return _gamma_max(s)
 
 
 def gamma_set_bracket(s) -> Bracket:
     """sup of the noncompactness measure over the elements of a family set.
 
-    Each element's measure is an exact point bracket, so the sup is one
-    point too.
+    Each element's measure is the point ``hausdorff_mnc(f).hi``, so the
+    sup is one point too, taken without a bracket per element.
     """
-    g = max(0.0, *(hausdorff_mnc(f).hi for f in _set_of(s, "family", "gamma_set_bracket")))
+    g = _gamma_max(_set_of(s, "family", "gamma_set_bracket"))
     return Bracket(g, g, "gamma-sup")
+
+
+def _gamma_max(s: OperatorSet) -> float:
+    """The largest ``hausdorff_mnc`` point over a checked family set, refused
+    beyond the float range as there; starting at +0.0 fixes the sign of zero."""
+    gammas = [_band_limit_sum(f) for f in s]
+    if not all(map(math.isfinite, gammas)):
+        raise DomainError("bracket endpoints must be finite")
+    return max(0.0, *gammas)
 
 
 def norm_set_bracket(s) -> Bracket:

@@ -7,8 +7,9 @@ so reducible matrices also get tight lower bounds.  The components come
 from the reachability closure of the sparsity pattern: R = (A != 0) | I
 squared until it stops growing, after which i and j share a component
 exactly when R[i, j] and R[j, i].  In a batch, the arrays of one shape
-are tested for a zero entry in one stacked reduction, and each with none,
-one component by itself, skips the closure.  One routine,
+whose two off-diagonal corner entries are nonzero are tested for a zero
+entry in one stacked reduction, and each with none, one component by
+itself, skips the closure.  One routine,
 ``_perron_brackets``, brackets a whole stack of equal-sized irreducible blocks at once: the
 components of many matrices (word products of a set, or their Gram
 matrices) are stacked by size, and ``spectral_radius`` is the one-matrix
@@ -335,10 +336,11 @@ def _full_blocks(arrays) -> dict[int, np.ndarray]:
     """{index: C-ordered copy} of the arrays with every entry nonzero, among
     the square n x n arrays, n >= 2, whose shape two or more arrays share.
 
-    Each shape's arrays are copied into one C-ordered stack by ``np.array``
-    of their list, a copy that keeps no operand's layout: ``np.stack`` keeps
-    Fortran strides, and ``_perron_brackets``' row sums would then add in
-    another order than for the array alone.
+    Only arrays whose top-right and bottom-left entries are nonzero are
+    stacked and tested.  Each shape's are copied into one C-ordered stack by
+    ``np.array`` of their list, a copy that keeps no operand's layout:
+    ``np.stack`` keeps Fortran strides, and ``_perron_brackets``' row sums
+    would then add in another order than for the array alone.
     """
     shapes: dict[tuple, list[int]] = {}
     for i, a in enumerate(arrays):
@@ -346,6 +348,9 @@ def _full_blocks(arrays) -> dict[int, np.ndarray]:
     full = {}
     for shape, owners in shapes.items():
         if len(owners) < 2 or shape != (shape[0], shape[0]) or shape[0] < 2:
+            continue
+        owners = [i for i in owners if arrays[i].item(0, -1) and arrays[i].item(-1, 0)]
+        if not owners:
             continue
         stack = np.array([arrays[i] for i in owners])
         for j in np.flatnonzero(stack.reshape(len(owners), -1).all(axis=1)).tolist():
@@ -465,17 +470,22 @@ def _gamma(m: int) -> float:
 # -- noncompactness and essential radius ------------------------------------
 
 
+def _band_limit_sum(f: OperatorFamily) -> float:
+    """gamma as a float: the band limits summed in offset order from +0.0."""
+    return sum((w.limit for w in f.bands.values()), 0.0)
+
+
 def hausdorff_mnc(f: OperatorFamily) -> Bracket:
     """Hausdorff measure of noncompactness on l2: the sum of band limits.
 
     The row-tail norm bound decreases to the sum of the band weight
     limits, and sliding window vectors realise that sum in the essential
-    norm.  The point bracket sums the limits rounded to nearest, so it is
-    not certified: one band of weights 1/3 gets [fl(1/3), fl(1/3)] < 1/3.
-    The finite-rank corner is compact and drops out, so a family without
-    bands gets the float bracket [0, 0].
+    norm.  The point bracket is ``_band_limit_sum``: it sums the limits
+    rounded to nearest, so it is not certified: one band of weights 1/3
+    gets [fl(1/3), fl(1/3)] < 1/3.  The finite-rank corner is compact and
+    drops out, so a family without bands gets the float bracket [+0, +0].
     """
-    g = sum((w.limit for w in f.bands.values()), 0.0)
+    g = _band_limit_sum(f)
     return Bracket(g, g, "band-tail-limit")
 
 

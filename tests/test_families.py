@@ -24,6 +24,7 @@ from specrad.ensembles import EnsembleSpec, rng_for, sample_family
 from specrad.errors import ClosureOverflowError, DomainError, ShapeMismatchError
 from specrad.families import _pow0, band_start
 from specrad.registry import by_id
+from specrad.serialize import canonical_dumps
 from specrad.sequences import seq_power
 
 
@@ -431,6 +432,76 @@ def test_lazy_corners_match_eager_in_either_read_order():
                     else:
                         assert np.array_equal(got.corner, ref.corner)
                 assert nodes[-1].truncate(12).a.tobytes() == ref_nodes[-1].truncate(12).a.tobytes()
+
+
+def _random_expression(rng, leaves: int, depth: int):
+    """A random nested (op, *args) expression for ``_build`` over leaf indices."""
+    if depth == 0 or rng.random() < 0.2:
+        return int(rng.integers(leaves))
+    op = ("hadamard", "matmul", "add", "hpow", "scale", "adjoint")[int(rng.integers(6))]
+    x = _random_expression(rng, leaves, depth - 1)
+    if op in ("hadamard", "matmul", "add"):
+        return op, x, _random_expression(rng, leaves, depth - 1)
+    if op == "hpow":
+        return op, x, float(rng.choice([0.5, 1.0, 1.5, 2.5]))
+    if op == "scale":
+        return op, x, float(rng.choice([0.0, 0.25, 1.0, 3.0]))  # 0.0 makes zero bands
+    return op, x
+
+
+def test_derived_bands_match_the_public_constructor():
+    """Every derived family holds the bands the public constructor makes of
+    them: the same offsets in ascending order with the same limit bits, and
+    no zero constant band.  Operations on corner-free operands leave no
+    corner box and no pending build."""
+    rng = np.random.default_rng(19)
+    for with_corners in (False, True):
+        for _ in range(40):
+            leaves = [random_family(rng, multiband=True) for _ in range(4)]
+            if not with_corners:
+                leaves = [OperatorFamily(f.bands) for f in leaves]
+            nodes = []
+            _build(_random_expression(rng, len(leaves), 3), leaves, lambda f: f, nodes)
+            for f in nodes:
+                ref = OperatorFamily(f.bands)
+                assert list(f.bands) == list(ref.bands) == sorted(f.bands)
+                assert ([w.limit.hex() for w in f.bands.values()]
+                        == [w.limit.hex() for w in ref.bands.values()])
+                assert not any(isinstance(w, Constant) and w.c == 0.0 for w in f.bands.values())
+                if not with_corners:
+                    assert f.corner_shape == (0, 0) and f._pending is None
+
+
+def test_band_cap_holds_on_corner_free_products():
+    wide = OperatorFamily({d: Constant(1.0) for d in range(300)})
+    gap = OperatorFamily({0: Constant(1.0), 300: Constant(1.0)})
+    assert wide.corner_shape == gap.corner_shape == (0, 0)
+    with pytest.raises(ClosureOverflowError, match=r"family has 600 bands \(cap 512\)"):
+        wide @ gap
+
+
+def test_essential_reports_match_an_eager_rebuild(monkeypatch):
+    """E6, E8, E19 and E21 give byte-identical reports on all three family
+    kinds when every algebra result is rebuilt through the public
+    constructor, as ``_eager`` does."""
+    def reports():
+        out = []
+        for kind in ("shift_family", "diagonal_family", "shift_plus_rank"):
+            ens = EnsembleSpec(kind=kind, seed=5)
+            for cid in ("E6", "E8", "E19", "E21"):
+                spec = by_id(cid)
+                for trial in range(3):
+                    inputs = spec.sample(rng_for(ens, trial, cid), ens)
+                    report = evaluate_chain(spec, inputs, EvalContext(), trial)
+                    out.append(canonical_dumps(report.to_json()))
+        return out
+
+    lean = reports()
+    for name in ("hadamard", "hpow", "__matmul__", "__add__", "scale", "adjoint"):
+        op = getattr(OperatorFamily, name)
+        monkeypatch.setattr(OperatorFamily, name,
+                            lambda self, *args, _op=op: _eager(_op(self, *args)))
+    assert reports() == lean
 
 
 def test_all_zero_corner_correction_reads_as_none():

@@ -233,6 +233,36 @@ def test_ess_set_radii():
     assert gamma_level_max(pair) == pytest.approx(2.0, rel=1e-9)
 
 
+def test_gamma_set_bracket_is_the_largest_hausdorff_mnc_bit_for_bit():
+    """One gamma sum serves both: the set sup equals the max of the
+    per-element brackets' upper ends in its bits, and a set whose largest
+    gamma is that of a band-free family reads +0.0, not -0.0."""
+    rng = np.random.default_rng(31)
+    band_free = finite_rank_family([[1.0, 2.0], [0.5, 1.0]])
+    sets = [OperatorSet([random_family(rng, multiband=True)
+                         for _ in range(int(rng.integers(1, 5)))]) for _ in range(40)]
+    sets.append(OperatorSet([band_free, shift_family(Constant(0.5)) @ band_free]))
+    sets.append(OperatorSet([band_free, shift_family(Constant(0.25)).adjoint()]))
+    for s in sets:
+        want = max(hausdorff_mnc(f).hi for f in s)
+        got = gamma_set_bracket(s)
+        assert got.hi.hex() == got.lo.hex() == want.hex()
+        assert gamma_level_max(s).hex() == want.hex()
+    zero = gamma_set_bracket(sets[-2])
+    assert math.copysign(1.0, zero.hi) == math.copysign(1.0, zero.lo) == 1.0
+
+
+def test_a_gamma_beyond_the_float_range_is_refused_by_the_set_sup_too():
+    big = shift_family(RationalFormula([1e200, 0.0], [1.0]))
+    inf_gamma = big.hadamard(big)  # limit 1e400 -> inf
+    nan_gamma = inf_gamma.hadamard(shift_family(RationalFormula([1.0], [0.0, 1.0])))  # inf * 0
+    for f in (inf_gamma, nan_gamma):
+        s = OperatorSet([shift_family(Constant(1.0)), f])
+        for fn in (hausdorff_mnc, lambda _: gamma_set_bracket(s), lambda _: gamma_level_max(s)):
+            with pytest.raises(DomainError, match="must be finite"):
+                fn(f)
+
+
 def test_gamma_set_and_level_helpers():
     pair = OperatorSet([shift_family(Constant(0.5)), shift_family(Constant(1.5))])
     g = gamma_set_bracket(pair)
