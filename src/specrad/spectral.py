@@ -7,9 +7,10 @@ so reducible matrices also get tight lower bounds.  The components come
 from the reachability closure of the sparsity pattern: R = (A != 0) | I
 squared until it stops growing, after which i and j share a component
 exactly when R[i, j] and R[j, i].  In a batch, the arrays of one shape
-whose two off-diagonal corner entries are nonzero are tested for a zero
-entry in one stacked reduction, and each with none, one component by
-itself, skips the closure.  One routine,
+are tested for a zero entry in one stacked reduction (when the first
+of them has a zero off-diagonal corner entry, only those whose two corner
+entries are nonzero), and each with none, one component by itself, skips
+the closure.  One routine,
 ``_perron_brackets``, brackets a whole stack of equal-sized irreducible blocks at once: the
 components of many matrices (word products of a set, or their Gram
 matrices) are stacked by size, and ``spectral_radius`` is the one-matrix
@@ -336,11 +337,14 @@ def _full_blocks(arrays) -> dict[int, np.ndarray]:
     """{index: C-ordered copy} of the arrays with every entry nonzero, among
     the square n x n arrays, n >= 2, whose shape two or more arrays share.
 
-    Only arrays whose top-right and bottom-left entries are nonzero are
-    stacked and tested.  Each shape's are copied into one C-ordered stack by
-    ``np.array`` of their list, a copy that keeps no operand's layout:
-    ``np.stack`` keeps Fortran strides, and ``_perron_brackets``' row sums
-    would then add in another order than for the array alone.
+    An array with a zero top-right or bottom-left entry is not full.  When
+    the first array of a shape fails that probe, only the arrays of the
+    shape that pass it are stacked and tested; a shape whose first array
+    passes is stacked whole, so a positive batch pays one probe per shape.
+    The candidates are copied into one C-ordered stack by ``np.array`` of
+    their list, a copy that keeps no operand's layout: ``np.stack`` keeps
+    Fortran strides, and ``_perron_brackets``' row sums would then add in
+    another order than for the array alone.
     """
     shapes: dict[tuple, list[int]] = {}
     for i, a in enumerate(arrays):
@@ -349,9 +353,11 @@ def _full_blocks(arrays) -> dict[int, np.ndarray]:
     for shape, owners in shapes.items():
         if len(owners) < 2 or shape != (shape[0], shape[0]) or shape[0] < 2:
             continue
-        owners = [i for i in owners if arrays[i].item(0, -1) and arrays[i].item(-1, 0)]
-        if not owners:
-            continue
+        first = arrays[owners[0]]
+        if not (first.item(0, -1) and first.item(-1, 0)):
+            owners = [i for i in owners if arrays[i].item(0, -1) and arrays[i].item(-1, 0)]
+            if not owners:
+                continue
         stack = np.array([arrays[i] for i in owners])
         for j in np.flatnonzero(stack.reshape(len(owners), -1).all(axis=1)).tolist():
             full[owners[j]] = stack[j]

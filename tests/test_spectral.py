@@ -275,6 +275,24 @@ def test_only_arrays_with_a_zero_entry_are_split_into_components(monkeypatch):
     assert len(split) == 1
 
 
+def test_a_shape_led_by_a_sparse_array_probes_each_array(monkeypatch):
+    """When the first array of a shape has a zero off-diagonal corner entry,
+    each array is probed at its two corner entries; the full ones still skip
+    ``_strong_components`` and every bracket keeps its bits."""
+    split = []
+    real = spectral._strong_components
+    monkeypatch.setattr(spectral, "_strong_components", lambda a: split.append(a) or real(a))
+    rng = np.random.default_rng(73)
+    hole = rng.random((3, 3)) + 0.1
+    hole[1, 1] = 0.0  # passes the corner probe, fails the stacked test
+    batch = [np.triu(rng.random((3, 3))), rng.random((3, 3)) + 0.1, hole,
+             np.asfortranarray(rng.random((3, 3)) + 0.1)]
+    got = _spectral_radii(batch)
+    assert [id(a) for a in split] == [id(batch[0]), id(hole)]
+    alone = [_spectral_radii([a])[0] for a in batch]
+    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
+
+
 def test_a_one_by_one_array_in_a_batch_is_its_entry():
     batch = [np.array([[2.5]]), np.ones((2, 2)), np.array([[0.0]]), np.full((2, 2), 2.0),
              np.array([[7.0]])]
