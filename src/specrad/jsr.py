@@ -5,7 +5,9 @@ generalized radius at every depth), upper bounds from norm maxima over
 complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
 One walk, ``_levels``, yields each level of products as one stack, and
-the radii and norms of a level go through one batched estimator call.
+the radii and norms of a level go through one batched estimator call;
+``_depth_bounds`` gives both finite bounds of many (set, depth) pairs
+from one such call.
 The branch and bound builds each level's children the same way, as one
 stack, and reduces, prunes and normalizes them stacked.
 """
@@ -27,6 +29,8 @@ from .spectral import (
     _ROUND_GUARD,
     Bracket,
     _band_limit_sum,
+    _gram,
+    _l2_finish,
     _l2_norms,
     _spectral_radii,
     operator_norm,
@@ -42,6 +46,11 @@ def _set_of(s, kind: str, who: str) -> OperatorSet:
     if s.kind != kind:
         raise DomainError(f"{who} expects a set of {_KIND_NAMES[kind]}")
     return s
+
+
+def _letters(s, who: str) -> list[np.ndarray]:
+    """The arrays of a matrix set, refused for any other kind of set."""
+    return [e.a for e in _set_of(s, "matrix", who).elements]
 
 
 def _finite(products):
@@ -69,17 +78,26 @@ def _canonical(word: tuple[int, ...]) -> bool:
     return len(word) % p == 0
 
 
-def _child_period(word: tuple[int, ...], p: int, c: int) -> int:
-    """The prenecklace period of ``word + (c,)``, given the word's period p
-    (0 when the word is no prenecklace): ``_canonical``'s scan, one letter on.
+def _child(head: tuple[int, ...], m: int, p: int, c: int) -> tuple[int, tuple[int, ...]]:
+    """(period, head) of the word w + (c,): ``_canonical``'s scan, one letter
+    on, from the length m of w, its prenecklace period p (0 when w is no
+    prenecklace) and its head, the first p letters of w.
 
-    The child is a necklace exactly when its period is positive and divides
-    its length; a one-letter word has period 1.
+    A prenecklace of period p is p-periodic, so the letter p places back,
+    w[m - p], is head[m % p], and a child keeps its parent's head unless its
+    period becomes its length, when the child is rebuilt from the head in
+    full; a child that is no prenecklace has period 0 and head ().  The
+    child is a necklace exactly when its period is positive and divides its
+    length; a one-letter word has period 1 and is its own head.
     """
     if not p:
-        return 0
-    last = word[len(word) - p]
-    return 0 if c < last else len(word) + 1 if c > last else p
+        return 0, ()
+    last = head[m % p]
+    if c < last:
+        return 0, ()
+    if c > last:
+        return m + 1, (head * (m // p + 1))[:m] + (c,)
+    return p, head
 
 
 @functools.cache
@@ -147,14 +165,60 @@ def gen_radius_lb(s, m_max: int) -> float:
     The radii of all the products go through one batched
     ``_spectral_radii`` call; ``_levels`` caps the deepest level.
     """
-    s = _set_of(s, "matrix", "gen_radius_lb")
+    prods, roots, _ = _necklace_walk(_letters(s, "gen_radius_lb"), m_max)
+    return _root_max(_spectral_radii(prods), roots)
+
+
+def _necklace_walk(letters: list[np.ndarray], depth: int, full: bool = False):
+    """One ``_levels`` walk to ``depth``: (the products of every level's
+    necklace words, their roots 1/m, the deepest level).
+
+    The picked products are checked finite or, with ``full``, every product
+    of every level, as ``norm_level_max`` checks them.
+    """
     prods, roots = [], []
-    for m, level in enumerate(_levels([e.a for e in s.elements], m_max), 1):
-        picked = _finite(np.asarray(level)[_necklaces(len(s), m)])
+    for m, level in enumerate(_levels(letters, depth), 1):
+        picked = np.asarray(level)[_necklaces(len(letters), m)]
+        _finite(level if full else picked)
         prods += list(picked)
         roots += [1.0 / m] * len(picked)
-    return max([math.pow(lo, p) for (lo, _, _), p in zip(_spectral_radii(prods), roots)
-                if lo > 0], default=0.0)
+    return prods, roots, level
+
+
+def _root_max(radii, roots) -> float:
+    """The largest lo**root over the radii with a positive lower end, else 0.0."""
+    return max([math.pow(lo, p) for (lo, _, _), p in zip(radii, roots) if lo > 0], default=0.0)
+
+
+def _norm_max(norms) -> float:
+    """The largest upper end over a level's norms."""
+    return max(hi for _, hi, _ in norms)
+
+
+def _depth_bounds(pairs) -> list[tuple[float, float]]:
+    """``(gen_radius_lb(S, d), norm_level_max(S, d))`` for each (S, d) pair,
+    bit for bit, from one walk per pair and one ``_spectral_radii`` call.
+
+    A pair repeated (the same set object at the same depth) is walked once.
+    The necklace products of every walk and the Gram matrices
+    (``spectral._gram``) of every deepest level go into the one batch, whose
+    radii do not depend on the batch they share.  Every product of every
+    level is checked finite, as ``norm_level_max`` checks it, so this raises
+    wherever either estimator would, though not always with the error that
+    running the two in turn raises first.
+    """
+    walks = {}
+    for s, d in pairs:
+        if (id(s), d) not in walks:
+            walks[id(s), d] = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
+    grams = [[_gram(a) for a in level] for _, _, level in walks.values()]
+    radii = iter(_spectral_radii([p for prods, _, _ in walks.values() for p in prods]
+                                 + [g for level in grams for g, _ in level]))
+    lbs = [_root_max([next(radii) for _ in prods], roots) for prods, roots, _ in walks.values()]
+    ubs = [_norm_max([_l2_finish(a.shape[0], e, next(radii)) for a, (_, e) in zip(level, gs)])
+           for (_, _, level), gs in zip(walks.values(), grams)]
+    bounds = dict(zip(walks, zip(lbs, ubs)))
+    return [bounds[id(s), d] for s, d in pairs]
 
 
 def joint_radius_ub(s, m_max: int) -> float:
@@ -164,10 +228,9 @@ def joint_radius_ub(s, m_max: int) -> float:
     submultiplicativity.  Non-increasing in m_max.  Stops at the last depth
     whose level fits under the cap instead of raising, in one walk.
     """
-    s = _set_of(s, "matrix", "joint_radius_ub")
     best = math.inf
-    for m, level in enumerate(_levels([e.a for e in s.elements], m_max, clip=True), 1):
-        best = min(best, _pow0(max(hi for _, hi, _ in _l2_norms(_finite(level))), 1.0 / m))
+    for m, level in enumerate(_levels(_letters(s, "joint_radius_ub"), m_max, clip=True), 1):
+        best = min(best, _pow0(_norm_max(_l2_norms(_finite(level))), 1.0 / m))
     return best
 
 
@@ -188,16 +251,17 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     as ``_levels`` builds a level; their largest entries and l1 norms (max
     column sums) come from two stacked reductions, the survivors are
     normalized in one stacked division, and the canonical ones go to
-    ``lower_end`` as one slice of the stack.  A child is canonical when its prenecklace period,
-    carried from its parent in constant time (``_child_period``), divides
-    its length.  Logs and exponentials stay per element on ``math``.
+    ``lower_end`` as one slice of the stack.  A child is canonical when its
+    prenecklace period, carried from its parent with the word's first
+    period letters (``_child``), divides its length; the words themselves
+    are never spelled out, so a child costs constant time unless its period
+    becomes its length.  Logs and exponentials stay per element on ``math``.
     """
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
         raise DomainError(f"budget must be an integer >= 0, got {budget!r}")
-    s = _set_of(s, "matrix", "gripenberg_bracket")
-    mats = [m.a for m in s.elements]
+    mats = _letters(s, "gripenberg_bracket")
     with np.errstate(over="ignore"):
         colsums = [float(m.sum(axis=0).max()) for m in mats]
     letter_lognorm = [math.log(v) if v > 0 else -math.inf for v in colsums]
@@ -233,8 +297,9 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     k = len(mats)
     # the frontier: words of one length m, their products normalized to unit
     # max entry, the logs of the normalization factors and of the pruning
-    # bounds, and each word's prenecklace period (``_child_period``)
-    words = [(i,) for i in live]
+    # bounds, and each word's prenecklace period and head (``_child``)
+    m = 1
+    heads = [(i,) for i in live]
     prods = [mats[i] / tops[i] for i in live]
     logscales = [math.log(tops[i]) for i in live]
     logps = [letter_lognorm[i] for i in live]
@@ -242,23 +307,22 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     alpha = lower_end(1, prods, logscales)
 
     while True:
-        m = len(words[0])
         if exhaustive:
             fekete = min(fekete, level_fekete(m, prods, logscales))
         frontier_term = max(_exp_up(logp / m) for logp in logps)
         ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
         if ub - alpha <= delta:
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        if spent >= budget or len(words) * k > _MAX_LEVEL:
+        if spent >= budget or len(heads) * k > _MAX_LEVEL:
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
         # child j * k + i is word j followed by letter i; the level-1
         # products are a list, so they keep their letters' layouts
-        spent += len(words) * k
+        spent += len(heads) * k
         with np.errstate(over="ignore"):
             stack = _extend(prods, mats)
             colsums = stack.sum(axis=1).max(axis=1).tolist()
-        children = []  # unpruned: (index in the stack, its largest entry, logp, period)
+        children = []  # unpruned: (index in the stack, its largest entry, logp, period, head)
         for c, (top, colsum) in enumerate(zip(stack.max(axis=(1, 2)).tolist(), colsums)):
             if top <= 0:
                 continue  # zero product: prunable with bound 0
@@ -267,26 +331,27 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
             if _exp_up(logp / (m + 1)) <= alpha + delta:
                 exhaustive = False
                 continue
-            children.append((c, top, logp, _child_period(words[j], periods[j], i)))
-        _finite([top for _, top, _, _ in children])
-        words, logscales, logps, periods = (
-            [words[c // k] + (c % k,) for c, _, _, _ in children],
-            [logscales[c // k] + math.log(top) for c, top, _, _ in children],
-            [logp for _, _, logp, _ in children],
-            [p for _, _, _, p in children])
-        prods = stack[[c for c, _, _, _ in children]] / np.array(
-            [top for _, top, _, _ in children]).reshape(-1, 1, 1)
+            children.append((c, top, logp, *_child(heads[j], m, periods[j], i)))
+        _finite([top for _, top, _, _, _ in children])
+        m += 1
+        logscales, logps, periods, heads = (
+            [logscales[c // k] + math.log(top) for c, top, _, _, _ in children],
+            [logp for _, _, logp, _, _ in children],
+            [p for _, _, _, p, _ in children],
+            [head for _, _, _, _, head in children])
+        prods = stack[[c for c, _, _, _, _ in children]] / np.array(
+            [top for _, top, _, _, _ in children]).reshape(-1, 1, 1)
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
-        canon = [j for j, p in enumerate(periods) if p and (m + 1) % p == 0]
-        alpha = max(alpha, lower_end(m + 1, prods[canon], [logscales[j] for j in canon]))
-        keep = [j for j, logp in enumerate(logps) if _exp_up(logp / (m + 1)) > alpha + delta]
-        exhaustive = exhaustive and len(keep) == len(words)
+        canon = [j for j, p in enumerate(periods) if p and m % p == 0]
+        alpha = max(alpha, lower_end(m, prods[canon], [logscales[j] for j in canon]))
+        keep = [j for j, logp in enumerate(logps) if _exp_up(logp / m) > alpha + delta]
+        exhaustive = exhaustive and len(keep) == len(heads)
         if not keep:
             ub = min(fekete, alpha + delta)
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        words, logscales, logps, periods = (
-            [col[j] for j in keep] for col in (words, logscales, logps, periods))
+        logscales, logps, periods, heads = (
+            [col[j] for j in keep] for col in (logscales, logps, periods, heads))
         prods = prods[keep]
 
 
@@ -304,10 +369,9 @@ def norm_level_max(s, depth: int) -> float:
     The depth-th root is a certified upper bound for both finite set radii;
     chains compare such values at matched underlying depths.
     """
-    s = _set_of(s, "matrix", "norm_level_max")
-    for level in _levels([m.a for m in s.elements], depth):
+    for level in _levels(_letters(s, "norm_level_max"), depth):
         _finite(level)
-    return max(hi for _, hi, _ in _l2_norms(level))
+    return _norm_max(_l2_norms(level))
 
 
 def gamma_level_max(s) -> float:
@@ -344,7 +408,7 @@ def _gamma_max(s: OperatorSet) -> float:
 
 def norm_set_bracket(s) -> Bracket:
     """sup of the l2 operator norm over the elements of a matrix set, in one batch."""
-    norms = _l2_norms([m.a for m in _set_of(s, "matrix", "norm_set_bracket")])
+    norms = _l2_norms(_letters(s, "norm_set_bracket"))
     lo = max(0.0, *(lo for lo, _, _ in norms))  # starting at +0.0 fixes the sign of zero
     hi = max(0.0, *(hi for _, hi, _ in norms))
     return Bracket(min(lo, hi), hi, "norm-sup")

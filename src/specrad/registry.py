@@ -16,9 +16,15 @@ inputs localizes a toolkit bug, never a sharpness experiment.
 Finite-level upper estimates inside one part are evaluated at matched
 underlying depths, so whenever the proof of a chain rests on entrywise
 domination of matched products (all of these do), the certified upper
-bounds inherit the ordering and the part passes decisively.  Essential
-upper estimates need no depth: the noncompactness measure is
-multiplicative on banded families, so every depth gives the same bound.
+bounds inherit the ordering and the part passes decisively.  A chain
+declares its finite set terms as one sequence of labelled terms (a
+generator that builds each term's sets as it yields the term) and bounds
+them in one ``_fin_terms`` call: every term's ``gen_radius_lb`` and
+``norm_level_max`` come from one batched pass, ``jsr._depth_bounds``, bit
+for bit, and an input that fails raises what bounding the terms one at a
+time raises first.  Essential upper estimates need no depth: the noncompactness
+measure is multiplicative on banded families, so every depth gives the
+same bound.
 
 Adding a chain
 --------------
@@ -77,9 +83,10 @@ from .ensembles import (
     sample_matrix,
     sample_weights_ge_one,
 )
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, SpecradError
 from .families import _pow0
 from .jsr import (
+    _depth_bounds,
     gamma_level_max,
     gamma_set_bracket,
     gen_radius_lb,
@@ -114,21 +121,47 @@ from .spectral import (
 # term builders
 
 
-def _fin_term(factors, u: int) -> Bracket:
-    """Product of finite set radii, all bounded at one underlying depth.
+def _fin_terms(terms) -> list[tuple[str, Bracket]]:
+    """Labelled products of finite set radii, from one batched pass.
 
-    ``factors`` is a list of (set, power, sigma) where sigma counts how
-    many base factors one element of the set embodies.  Evaluating every
-    term of a part at the same underlying depth u keeps the upper bounds
-    comparable: entrywise domination of matched products transfers to the
-    norm maxima, so theorem-ordered terms stay ordered.
+    Each term is (label, factors, u): ``factors`` is a list of (set, power,
+    sigma) where sigma counts how many base factors one element of the set
+    embodies, and each factor is bounded at depth d = max(1, u // sigma).
+    Evaluating every term of a part at the same underlying depth u keeps
+    the upper bounds comparable: entrywise domination of matched products
+    transfers to the norm maxima, so theorem-ordered terms stay ordered.
+    Every factor's ``gen_radius_lb`` and ``norm_level_max`` come from one
+    ``_depth_bounds`` call, bit for bit.
+
+    ``terms`` may be a generator that builds each term's sets as it yields
+    the term.  When building a term or the batch raises, the terms drawn so
+    far are bounded again one factor at a time, as if each term were built
+    and bounded in turn, so the error raised is the one that order meets
+    first.
     """
+    drawn = []
+    try:
+        for label, factors, u in terms:
+            drawn.append((label, [(S, p, max(1, u // sigma)) for S, p, sigma in factors]))
+        pairs = [(S, d) for _, factors in drawn for S, _, d in factors]
+        bounds = {(id(S), d): b for (S, d), b in zip(pairs, _depth_bounds(pairs))}
+    except SpecradError:
+        for _, factors in drawn:
+            _fin_term(factors, norm_level_max, gen_radius_lb)
+        raise
+    return [(label, _fin_term(factors, lambda S, d: bounds[id(S), d][1],
+                              lambda S, d: bounds[id(S), d][0])) for label, factors in drawn]
+
+
+def _fin_term(factors, ub, lb) -> Bracket:
+    """The product of the set radii (set, power, depth) of one term, with
+    ``ub(S, d)`` for ``norm_level_max`` and ``lb(S, d)`` for
+    ``gen_radius_lb``, read in that order."""
     hi = 1.0
     lo = 1.0
-    for S, p, sigma in factors:
-        d = max(1, u // sigma)
-        hi *= _pow0(norm_level_max(S, d), p / d)
-        lo *= _pow0(gen_radius_lb(S, d), p)
+    for S, p, d in factors:
+        hi *= _pow0(ub(S, d), p / d)
+        lo *= _pow0(lb(S, d), p)
     hi *= 1 + _ROUND_GUARD
     return Bracket(min(lo, hi), hi, "set-depth-ub/gen-lb")
 
@@ -654,25 +687,24 @@ def _f11_sample(rng, ens):
 
 def _f11_build(inputs, m, n, alphas, t):
     sets = inputs.matrix_sets
-    mean = _smean(sets, alphas)
-    mean_n = _smean([set_power(s, n) for s in sets], alphas)
-    return [
-        Part("set-mean", CHAIN, [
-            ("r(mean)", _fin_term([(mean, 1.0, 1)], n)),
-            ("r(mean of n-powers)^1/n", _fin_term([(mean_n, 1.0 / n, n)], n)),
-            ("prod r(S_j)^a_j", _fin_term([(s, a, 1) for s, a in zip(sets, alphas)], n)),
-        ]),
-        Part("geometric-mean-vs-product", CHAIN, [
-            ("r(uniform mean)", _fin_term([(_smean(sets, [1.0 / m] * m), 1.0, 1)], m)),
-            ("r(S1...Sm)^1/m", _fin_term([(set_product_many(sets), 1.0 / m, m)], m)),
-        ]),
-        Part("set-power", CHAIN, [
-            ("r(S^(t))", _fin_term([(set_hadamard_power(sets[0], t), 1.0, 1)], n)),
-            ("r((S^n)^(t))^1/n",
-             _fin_term([(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], n)),
-            ("r(S)^t", _fin_term([(sets[0], t, 1)], n)),
-        ]),
-    ]
+
+    def terms():
+        mean = _smean(sets, alphas)
+        mean_n = _smean([set_power(s, n) for s in sets], alphas)
+        yield "r(mean)", [(mean, 1.0, 1)], n
+        yield "r(mean of n-powers)^1/n", [(mean_n, 1.0 / n, n)], n
+        yield "prod r(S_j)^a_j", [(s, a, 1) for s, a in zip(sets, alphas)], n
+        yield "r(uniform mean)", [(_smean(sets, [1.0 / m] * m), 1.0, 1)], m
+        yield "r(S1...Sm)^1/m", [(set_product_many(sets), 1.0 / m, m)], m
+        yield "r(S^(t))", [(set_hadamard_power(sets[0], t), 1.0, 1)], n
+        yield ("r((S^n)^(t))^1/n",
+               [(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], n)
+        yield "r(S)^t", [(sets[0], t, 1)], n
+
+    r = _fin_terms(terms())
+    return [Part("set-mean", CHAIN, r[:3]),
+            Part("geometric-mean-vs-product", CHAIN, r[3:5]),
+            Part("set-power", CHAIN, r[5:])]
 
 
 def _f12_sample(rng, ens):
@@ -699,11 +731,13 @@ def _f13_sample(rng, ens):
 def _f13_build(inputs):
     s = inputs.matrix_sets[0]
     sstar = set_adjoint(s)
-    return [Part("norm-identity", EQUALITY, [
-        ("sup |T|", norm_set_bracket(s)),
-        ("r(S*S)^1/2", _fin_term([(set_product(sstar, s), 0.5, 2)], 2)),
-        ("r(SS*)^1/2", _fin_term([(set_product(s, sstar), 0.5, 2)], 2)),
-    ])]
+
+    def terms():
+        yield "r(S*S)^1/2", [(set_product(sstar, s), 0.5, 2)], 2
+        yield "r(SS*)^1/2", [(set_product(s, sstar), 0.5, 2)], 2
+
+    return [Part("norm-identity", EQUALITY,
+                 [("sup |T|", norm_set_bracket(s)), *_fin_terms(terms())])]
 
 
 def _f14_sample(rng, ens):
@@ -715,14 +749,16 @@ def _f14_build(inputs, beta):
     p, q = inputs.matrix_sets
     pq = set_product(p, q)
     qp = set_product(q, p)
-    return [Part("beta-split", CHAIN, [
-        ("r(P o Q)", _fin_term([(_smean([p, q], [1.0, 1.0]), 1.0, 1)], 2)),
-        ("r(PQ o QP)^1/2", _fin_term([(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], 2)),
-        ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
-         _fin_term([(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
-                    (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], 2)),
-        ("r(PQ)", _fin_term([(pq, 1.0, 2)], 2)),
-    ])]
+
+    def terms():
+        yield "r(P o Q)", [(_smean([p, q], [1.0, 1.0]), 1.0, 1)], 2
+        yield "r(PQ o QP)^1/2", [(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], 2
+        yield ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
+               [(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
+                (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], 2)
+        yield "r(PQ)", [(pq, 1.0, 2)], 2
+
+    return [Part("beta-split", CHAIN, _fin_terms(terms()))]
 
 
 def _f15_sample(rng, ens):

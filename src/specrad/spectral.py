@@ -399,7 +399,10 @@ def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, 
     """(lo, hi, converged) for the l2 norm of each nonnegative array.
 
     The norm is the square root of the spectral radius of A*A, and the Gram
-    radii of all arrays go through one ``_spectral_radii`` call.  Each Gram
+    radii of all arrays go through one ``_spectral_radii`` call, between two
+    per-array steps: ``_gram`` before it and ``_l2_finish`` after it (a
+    caller may put other arrays in that batch, as ``jsr._depth_bounds``
+    does, since a radius does not depend on its batch).  Each Gram
     matrix is formed on its own array, since numpy may compute ``a.T @ a``
     with a symmetric rank-k update that rounds differently from a general
     product.  When the largest entry lies outside [_GRAM_MIN, _GRAM_MAX],
@@ -418,27 +421,34 @@ def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, 
     squared entry (>= 2**-802), by less than n * m * 2**-1074, below the
     one-ulp steps.
     """
-    grams = []
-    exps = []
-    for a in arrays:
-        top = a.max().item()
-        e = 0 if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX else math.frexp(top)[1]
-        if e:
-            a = np.ldexp(a, -e)
-        grams.append(a.T @ a)
-        exps.append(e)
-    out = []
-    for a, e, (lo, hi, ok) in zip(arrays, exps, _spectral_radii(grams, tol)):
-        g = _gamma(a.shape[0])
-        lo = _down(math.sqrt(_down(lo / _up(1.0 + g))))
-        hi = _up(math.sqrt(_up(hi / _down(1.0 - g))))
-        if e:
-            try:
-                lo, hi = _times_pow2(lo, e, 0.0), _times_pow2(hi, e, math.inf)
-            except OverflowError:
-                raise DomainError("operator norm exceeds the float range") from None
-        out.append((lo, hi, ok))
-    return out
+    grams = [_gram(a) for a in arrays]
+    radii = _spectral_radii([g for g, _ in grams], tol)
+    return [_l2_finish(a.shape[0], e, r) for a, (_, e), r in zip(arrays, grams, radii)]
+
+
+def _gram(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """The first step of ``_l2_norms``: (A*A, e) for A = 2**-e ``a``, where
+    e = 0 unless the largest entry lies outside [_GRAM_MIN, _GRAM_MAX]."""
+    top = a.max().item()
+    e = 0 if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX else math.frexp(top)[1]
+    if e:
+        a = np.ldexp(a, -e)
+    return a.T @ a, e
+
+
+def _l2_finish(rows: int, e: int, radius: tuple[float, float, bool]) -> tuple[float, float, bool]:
+    """The last step of ``_l2_norms``: the norm (lo, hi, converged) of a
+    matrix with ``rows`` rows from the Gram radius of its ``_gram``."""
+    lo, hi, ok = radius
+    g = _gamma(rows)
+    lo = _down(math.sqrt(_down(lo / _up(1.0 + g))))
+    hi = _up(math.sqrt(_up(hi / _down(1.0 - g))))
+    if e:
+        try:
+            lo, hi = _times_pow2(lo, e, 0.0), _times_pow2(hi, e, math.inf)
+        except OverflowError:
+            raise DomainError("operator norm exceeds the float range") from None
+    return lo, hi, ok
 
 
 def _down(x: float) -> float:

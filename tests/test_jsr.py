@@ -33,7 +33,8 @@ from specrad.families import _pow0
 from specrad.jsr import (
     _MAX_LEVEL,
     _canonical,
-    _child_period,
+    _child,
+    _depth_bounds,
     _levels,
     _necklaces,
     gamma_level_max,
@@ -314,10 +315,15 @@ def test_canonical_is_the_least_rotation_test_on_long_and_periodic_words():
 
 
 def _periods(word):
-    """The prenecklace period of each prefix of the word, grown one letter at a time."""
-    out = [1]
+    """The prenecklace period of each prefix of the word, grown one letter at
+    a time in the prefix form: each step sees only the period, the head (the
+    first period letters) and the length, and the head is checked against
+    the word."""
+    out, head = [1], word[:1]
     for i in range(1, len(word)):
-        out.append(_child_period(word[:i], out[-1], word[i]))
+        p, head = _child(head, i, out[-1], word[i])
+        assert head == word[:i + 1][:p], (word[:i + 1], p, head)
+        out.append(p)
     return out
 
 
@@ -520,3 +526,40 @@ def test_norm_set_bracket_matches_the_per_element_loop():
         got, want = norm_set_bracket(s), _loop_norm_set_bracket(s)
         assert (got.lo.hex(), got.hi.hex(), got.method, got.converged) == \
             (want.lo.hex(), want.hi.hex(), want.method, want.converged)
+
+
+def _matrix_set(rng, n, size, scale, density, fortran):
+    """A set of ``size`` random n x n matrices with entries up to ``scale``,
+    each entry kept with probability ``density``, in C or Fortran order."""
+    out = []
+    for _ in range(size):
+        a = scale * rng.random((n, n)) * (rng.random((n, n)) < density)
+        out.append(FiniteMatrix(np.asfortranarray(a) if fortran else a))
+    return OperatorSet(out)
+
+
+def test_depth_bounds_are_the_two_estimators_bit_for_bit():
+    """One batched pass gives (gen_radius_lb(S, d), norm_level_max(S, d))
+    for every pair, bit for bit: on dense and reducible sparse sets, with
+    deepest products near 2**600 and 2**-600 (the Gram scaling path), with
+    Fortran-ordered letters at n = 18 (where OpenBLAS rounds the two layouts
+    apart), and with a set repeated in the list, at its depth and at
+    another."""
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        pairs = []
+        for _ in range(int(rng.integers(1, 5))):
+            if pairs and rng.random() < 0.3:
+                s, d = pairs[int(rng.integers(len(pairs)))]
+                pairs.append((s, d if rng.random() < 0.5 else int(rng.integers(1, 4))))
+                continue
+            d = int(rng.integers(1, 4))
+            n = 18 if rng.random() < 0.2 else int(rng.integers(1, 6))
+            scale = 2.0 ** (int(rng.choice([-600, 0, 600])) // d)
+            density = 1.0 if rng.random() < 0.5 else 0.3
+            pairs.append((_matrix_set(rng, n, int(rng.integers(1, 4)), scale, density,
+                                      rng.random() < 0.4), d))
+        want = [(gen_radius_lb(s, d), norm_level_max(s, d)) for s, d in pairs]
+        got = _depth_bounds(pairs)
+        assert [(lb.hex(), ub.hex()) for lb, ub in got] == \
+            [(lb.hex(), ub.hex()) for lb, ub in want]

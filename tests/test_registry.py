@@ -21,8 +21,14 @@ from specrad import (
     identity_family,
     shift_family,
 )
+from specrad import jsr, spectral
 from specrad.ensembles import rng_for
-from specrad.registry import _ess_term, by_id, catalog_json, registry
+from specrad.errors import DomainError, SpecradError
+from specrad.families import _pow0
+from specrad.jsr import gen_radius_lb, norm_level_max
+from specrad.registry import _ess_term, _fin_terms, by_id, catalog_json, registry
+from specrad.sets import set_hadamard_power, set_power, set_product
+from specrad.spectral import _ROUND_GUARD, Bracket
 
 CTX = EvalContext()
 
@@ -264,3 +270,120 @@ def test_essential_set_term_encloses_the_largest_exact_gamma(power):
     b = _ess_term([(OperatorSet(fams), power)])
     assert Fraction(b.lo) <= exact <= Fraction(b.hi)
     assert abs(Fraction(b.lo) - exact) <= Fraction(1e-12) * exact
+
+
+def _one_term_at_a_time(factors, u):
+    """A product of finite set radii as each term was bounded before the
+    batched pass: every factor by ``norm_level_max``, then ``gen_radius_lb``."""
+    hi = 1.0
+    lo = 1.0
+    for S, p, sigma in factors:
+        d = max(1, u // sigma)
+        hi *= _pow0(norm_level_max(S, d), p / d)
+        lo *= _pow0(gen_radius_lb(S, d), p)
+    hi *= 1 + _ROUND_GUARD
+    return Bracket(min(lo, hi), hi, "set-depth-ub/gen-lb")
+
+
+def _outcome(run):
+    """The labelled brackets' bits, or the type and message of the error raised."""
+    try:
+        return [(label, b.lo.hex(), b.hi.hex(), b.method, b.converged) for label, b in run()]
+    except SpecradError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_set(rng, n, size):
+    scale = 2.0 ** float(rng.choice([-600, 0, 150, 600]))
+    density = 1.0 if rng.random() < 0.5 else 0.3
+    return OperatorSet([FiniteMatrix(np.asfortranarray(a) if rng.random() < 0.3 else a)
+                        for a in scale * rng.random((size, n, n))
+                        * (rng.random((size, n, n)) < density)])
+
+
+def test_fin_terms_are_the_terms_bounded_one_at_a_time():
+    """``_fin_terms`` gives each term's bracket bit for bit, and on inputs
+    that fail it raises what bounding the terms in turn raises first:
+    terms built lazily from set operations on dense, sparse, scaled
+    (2**-600 to 2**600), Fortran-ordered and repeated sets, failing by a
+    word level past the cap, a set operation past its element cap, a
+    product or a power beyond the float range."""
+    rng = np.random.default_rng(71)
+    outcomes = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        sets = [_random_set(rng, n, int(rng.choice([1, 2, 3, 17, 70]))) for _ in range(3)]
+        recipes = []
+        for _ in range(int(rng.integers(1, 5))):
+            a, b = (sets[int(i)] for i in rng.integers(0, 3, 2))
+            op = int(rng.integers(0, 4))
+            build = [lambda a=a: a, lambda a=a, b=b: set_product(a, b),
+                     lambda a=a: set_power(a, 3), lambda a=a: set_hadamard_power(a, 3.0)][op]
+            sigma = 2 if op == 1 else 3 if op == 2 else 1
+            p, u = float(rng.choice([0.5, 1.0, 4.0])), int(rng.integers(1, 4))
+            recipes.append((build, [(None, p, sigma)] + [(a, 1.0, 1)] * int(rng.integers(0, 2)), u))
+
+        def factors(build, spec):
+            return [(build() if S is None else S, p, sigma) for S, p, sigma in spec]
+
+        want = _outcome(lambda: [(str(j), _one_term_at_a_time(factors(build, spec), u))
+                                 for j, (build, spec, u) in enumerate(recipes)])
+        got = _outcome(lambda: _fin_terms((str(j), factors(build, spec), u)
+                                          for j, (build, spec, u) in enumerate(recipes)))
+        assert got == want
+        outcomes.add(want[1] if isinstance(want, tuple) else "ok")
+    for seen in ("ok", "word level enumeration exceeded its cap", "elements (cap 200000)",
+                 "a word product exceeds the float range",
+                 "matrix product exceeds the float range",
+                 "entrywise power exceeds the float range", "** 4.0 exceeds the float range"):
+        assert any(seen in o for o in outcomes), seen
+
+
+def _f14_inputs(p, q, beta=0.5):
+    return ChainInputs(matrix_sets=(OperatorSet(p), OperatorSet(q)), params={"beta": beta})
+
+
+def test_a_term_past_the_level_cap_reports_before_a_later_set_past_its_cap():
+    """F14 on two sets of 22: its first term's depth-2 level of 484**2
+    products passes ``_MAX_LEVEL``, and its second term's set of 484**2
+    elements would pass ``MAX_SET_ELEMENTS``.  The first term is bounded
+    before the second is built, so the build part names the level cap."""
+    rng = np.random.default_rng(73)
+    p, q = ([FiniteMatrix(rng.random((2, 2)) + 0.1) for _ in range(22)] for _ in range(2))
+    rep = evaluate_chain(by_id("F14"), _f14_inputs(p, q), CTX)
+    assert rep.verdict == "inconclusive"
+    assert [(part.name, part.note) for part in rep.parts] == \
+        [("build", "word level enumeration exceeded its cap")]
+
+
+def test_an_overflowing_word_product_raises_before_a_later_set_overflows():
+    """F14 on {P} and {Q} with entries 1e80: (P o Q)^2 leaves the float
+    range in the first term, and PQ o QP, the second term's set, would too.
+    The first term is bounded before the second is built, so the error is
+    the word product's."""
+    big = [FiniteMatrix(np.full((2, 2), 1e80))]
+    with pytest.raises(DomainError, match="^a word product exceeds the float range$"):
+        evaluate_chain(by_id("F14"), _f14_inputs(big, big), CTX)
+
+
+@pytest.mark.parametrize("cid,calls", [("F11", 1), ("F13", 2), ("F14", 1)])
+def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
+    """F11's eight, F13's two and F14's four set terms make one
+    ``_spectral_radii`` call together (F13's other call is its sup |T|)."""
+    count = [0]
+    real = spectral._spectral_radii
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_spectral_radii", counted)
+    monkeypatch.setattr(jsr, "_spectral_radii", counted)
+    spec = by_id(cid)
+    for kind in ("dense_uniform", "sparse_bernoulli"):
+        ens = EnsembleSpec(kind=kind, seed=13)
+        for trial in range(4):
+            inputs = spec.sample(rng_for(ens, trial, cid), ens)
+            count[0] = 0
+            spec.build(inputs)
+            assert count[0] == calls, (kind, trial)

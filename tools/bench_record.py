@@ -27,8 +27,13 @@ its checkout:
   the eight fixed reports that ``tools/fixed_reports.py`` builds.
 
 With two or more checkouts it prints, per workload and metric, how many
-seed pairs the last checkout won against the first and the ratio of the
-medians.  It also prints ``identical`` or ``DIFFERS`` for the stdout and
+seed pairs the last checkout won against the first, both medians and
+their ratio, and the first checkout's quartile spread (IQR).  Each such
+line ends ``gain shown`` when the last checkout won at least nine tenths
+of the pairs and its median beat the first's by more than that IQR, and
+``not shown`` otherwise; ``WORSE`` is added when its median is worse than
+the first's by more than the metric's ``BENCHMARK.json`` bound, taken as
+a fraction of the first's median.  It also prints ``identical`` or ``DIFFERS`` for the stdout and
 ``--out`` sha256 of each fixed report and for the counts and digest of
 each reference slice, the last checkout against the first.  The benchmark
 files under ``perfbench/`` are used as they are.
@@ -132,15 +137,16 @@ def commit_of(root: Path) -> str | None:
 
 
 def compare(bench: dict, first: dict, last: dict) -> None:
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     for workload, doc in last["workloads"].items():
         base = first["workloads"][workload]
         for name, better in end_to_end(bench).items():
             pairs = list(zip((r["metrics"][name] for r in base["runs"]),
                              (r["metrics"][name] for r in doc["runs"])))
             wins = sum((b > a) if better == "higher" else (b < a) for a, b in pairs)
-            ratio = doc["median"][name] / base["median"][name] if base["median"][name] else None
-            ratio_text = "n/a" if ratio is None else f"{ratio:.3f}"
-            print(f"{workload} {name}: wins {wins}/{len(pairs)} median ratio {ratio_text}")
+            print(f"{workload} {name}: " + judge(
+                wins, len(pairs), base["median"][name], doc["median"][name],
+                base["q3"][name] - base["q1"][name], better, bounds[name]))
     for name, doc in last["reports"].items():
         for key in ("stdout_sha256", "out_sha256"):
             print(f"report {name} {key}: {_same(doc[key], first['reports'][name][key])}")
@@ -149,6 +155,26 @@ def compare(bench: dict, first: dict, last: dict) -> None:
             for key in ("counts", "digest"):
                 base = first["reference"][workload][seed][key]
                 print(f"reference {workload} seed {seed} {key}: {_same(doc[key], base)}")
+
+
+def judge(wins: int, pairs: int, base: float, change: float, iqr: float, better: str,
+          bound: float) -> str:
+    """One metric's comparison line after its name.
+
+    ``gain shown`` when the change won at least nine tenths of the pairs
+    (ties count for neither side) and its median beat the parent's by more
+    than the parent's quartile spread; ``WORSE`` when its median is worse
+    than the parent's by more than ``bound``, a fraction of the parent's
+    median, as ``BENCHMARK.json`` fixes it.
+    """
+    gap = change - base if better == "higher" else base - change
+    ratio = f"{change / base:.3f}" if base else "n/a"
+    shown = wins >= 0.9 * pairs and gap > iqr
+    text = (f"wins {wins}/{pairs} median {base:.6g} -> {change:.6g} (ratio {ratio}) "
+            f"parent IQR {iqr:.3g}: {'gain shown' if shown else 'not shown'}")
+    if gap < -bound * abs(base):
+        text += f", WORSE (bound {bound:g})"
+    return text
 
 
 def _same(a, b) -> str:
