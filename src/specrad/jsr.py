@@ -7,7 +7,8 @@ and from a branch-and-bound factorization argument with l1-norm pruning.
 One walk, ``_levels``, yields each level of products as one stack, and
 the radii and norms of a level go through one batched estimator call;
 ``_depth_bounds`` gives both finite bounds of many (set, depth) pairs
-from one such call.
+from one such call, between a walk step and a finish step that a caller
+may use around a larger batch.
 The branch and bound builds each level's children the same way, as one
 stack, and reduces, prunes and normalizes them stacked.
 """
@@ -197,7 +198,8 @@ def _norm_max(norms) -> float:
 
 def _depth_bounds(pairs) -> list[tuple[float, float]]:
     """``(gen_radius_lb(S, d), norm_level_max(S, d))`` for each (S, d) pair,
-    bit for bit, from one walk per pair and one ``_spectral_radii`` call.
+    bit for bit, from one walk per pair and one ``_spectral_radii`` call:
+    ``_depth_walks``, the call, then ``_depth_finish``.
 
     A pair repeated (the same set object at the same depth) is walked once.
     The necklace products of every walk and the Gram matrices
@@ -207,18 +209,37 @@ def _depth_bounds(pairs) -> list[tuple[float, float]]:
     wherever either estimator would, though not always with the error that
     running the two in turn raises first.
     """
-    walks = {}
+    walks, arrays = _depth_walks(pairs)
+    bounds = _depth_finish(walks, iter(_spectral_radii(arrays)))
+    return [bounds[id(s), d] for s, d in pairs]
+
+
+def _depth_walks(pairs) -> tuple[dict, list[np.ndarray]]:
+    """The first step of ``_depth_bounds``: ({(id(S), d): walk}, arrays).
+
+    Each distinct pair is walked once, and its walk is (the necklace
+    products, their roots, (rows, exponent) of each ``_gram`` of the deepest
+    level).  ``arrays`` lists, walk by walk, the products and then the Gram
+    matrices: the walks' share of a ``_spectral_radii`` batch, which a
+    caller may extend with other arrays after them.
+    """
+    walks, arrays = {}, []
     for s, d in pairs:
         if (id(s), d) not in walks:
-            walks[id(s), d] = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
-    grams = [[_gram(a) for a in level] for _, _, level in walks.values()]
-    radii = iter(_spectral_radii([p for prods, _, _ in walks.values() for p in prods]
-                                 + [g for level in grams for g, _ in level]))
-    lbs = [_root_max([next(radii) for _ in prods], roots) for prods, roots, _ in walks.values()]
-    ubs = [_norm_max([_l2_finish(a.shape[0], e, next(radii)) for a, (_, e) in zip(level, gs)])
-           for (_, _, level), gs in zip(walks.values(), grams)]
-    bounds = dict(zip(walks, zip(lbs, ubs)))
-    return [bounds[id(s), d] for s, d in pairs]
+            prods, roots, level = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
+            grams = [_gram(a) for a in level]
+            walks[id(s), d] = prods, roots, [(a.shape[0], e) for a, (_, e) in zip(level, grams)]
+            arrays += prods
+            arrays += [g for g, _ in grams]
+    return walks, arrays
+
+
+def _depth_finish(walks: dict, radii) -> dict:
+    """The last step of ``_depth_bounds``: {(id(S), d): (lower, upper)} from
+    an iterator over the radii of ``_depth_walks``' arrays, read in order."""
+    return {key: (_root_max([next(radii) for _ in prods], roots),
+                  _norm_max([_l2_finish(rows, e, next(radii)) for rows, e in grams]))
+            for key, (prods, roots, grams) in walks.items()}
 
 
 def joint_radius_ub(s, m_max: int) -> float:
@@ -408,7 +429,11 @@ def _gamma_max(s: OperatorSet) -> float:
 
 def norm_set_bracket(s) -> Bracket:
     """sup of the l2 operator norm over the elements of a matrix set, in one batch."""
-    norms = _l2_norms(_letters(s, "norm_set_bracket"))
-    lo = max(0.0, *(lo for lo, _, _ in norms))  # starting at +0.0 fixes the sign of zero
-    hi = max(0.0, *(hi for _, hi, _ in norms))
+    return _norm_sup(_l2_norms(_letters(s, "norm_set_bracket")))
+
+
+def _norm_sup(norms) -> Bracket:
+    """The ``norm_set_bracket`` of the elements' norms, (lo, hi, ...) each."""
+    lo = max(0.0, *(n[0] for n in norms))  # starting at +0.0 fixes the sign of zero
+    hi = max(0.0, *(n[1] for n in norms))
     return Bracket(min(lo, hi), hi, "norm-sup")

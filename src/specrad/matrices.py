@@ -85,8 +85,13 @@ class FiniteMatrix:
             return _checked(self.a * c, "scaled matrix")
 
     def adjoint(self) -> "FiniteMatrix":
-        """Transpose; the adjoint of a real nonnegative matrix."""
-        return FiniteMatrix(self.a.T)
+        """Transpose; the adjoint of a real nonnegative matrix.
+
+        A copy of the transposed view in its own layout (Fortran-ordered for
+        a C-ordered matrix), as the constructor copies it, without its scans:
+        the entries are already checked.
+        """
+        return _wrap(np.array(self.a.T))
 
     def entry_sup(self) -> float:
         return float(self.a.max())
@@ -114,12 +119,23 @@ class FiniteMatrix:
 
 
 def _checked(a: np.ndarray, what: str) -> FiniteMatrix:
-    """The result ``a`` of an operation on finite nonnegative matrices, which
-    can fail the FiniteMatrix checks only by overflowing to inf."""
-    try:
-        return FiniteMatrix(a)
-    except DomainError:
-        raise DomainError(f"{what} exceeds the float range") from None
+    """The fresh result ``a`` of an operation on finite nonnegative matrices,
+    wrapped as it is.  Such a result can fail the FiniteMatrix checks only by
+    overflowing to inf (or to nan, inf times zero), so it is tested for
+    finite entries alone and not copied: it aliases no input, and its layout
+    is the one the constructor's copy would keep."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} exceeds the float range")
+    return _wrap(a)
+
+
+def _wrap(a: np.ndarray) -> FiniteMatrix:
+    """A FiniteMatrix around a fresh, checked float array, set read-only."""
+    a.flags.writeable = False
+    m = object.__new__(FiniteMatrix)
+    m.a = a
+    return m
 
 
 _SUM_SLACK = 1e-12

@@ -13,18 +13,27 @@ Verdict semantics live in :mod:`specrad.chains`; every term here is built
 from certified brackets, so a ``fail`` verdict on hypothesis-satisfying
 inputs localizes a toolkit bug, never a sharpness experiment.
 
+A finite build returns its bracket terms as data, not as brackets: the
+leaves ``_Rho(M)`` and ``_Norm(M)`` (l2), the set terms ``_Sets(factors,
+u)`` and F13's ``sup |T|`` over the norm leaves of its letters, composed
+by the nodes ``power``, ``scaled``, ``_bprod`` and ``_split``.  The wrapper
+that ``_chain`` puts around a build resolves every leaf of every part in
+one pass, ``_resolve``: the radius arrays, the Gram matrices of the norms
+and the necklace products and deepest-level Gram matrices of the set terms
+go through one ``_spectral_radii`` call, since a radius does not depend on
+its batch, and each node is then folded in declared order.  Every term
+gets the bits of its public estimator.  When the build or the pass raises
+a ``SpecradError``, every leaf and node drawn so far is evaluated again,
+eagerly and in the order drawn, before the error is re-raised, so the
+first error raised is the one that evaluating the terms in turn meets.
+Essential builds return brackets, evaluated as they are built.
+
 Finite-level upper estimates inside one part are evaluated at matched
 underlying depths, so whenever the proof of a chain rests on entrywise
 domination of matched products (all of these do), the certified upper
-bounds inherit the ordering and the part passes decisively.  A chain
-declares its finite set terms as one sequence of labelled terms (a
-generator that builds each term's sets as it yields the term) and bounds
-them in one ``_fin_terms`` call: every term's ``gen_radius_lb`` and
-``norm_level_max`` come from one batched pass, ``jsr._depth_bounds``, bit
-for bit, and an input that fails raises what bounding the terms one at a
-time raises first.  Essential upper estimates need no depth: the noncompactness
-measure is multiplicative on banded families, so every depth gives the
-same bound.
+bounds inherit the ordering and the part passes decisively.  Essential
+upper estimates need no depth: the noncompactness measure is
+multiplicative on banded families, so every depth gives the same bound.
 
 Adding a chain
 --------------
@@ -32,8 +41,11 @@ Write two functions and one declaration.  ``sample(rng, ens)`` draws
 random inputs (a word chain on m family sets passes ``_Words(m_law)``,
 which derives it from the params); ``build(inputs, **params)`` turns
 inputs into parts of labelled terms and signs for exactly its declared
-params, by name (E15: ``build(inputs, m, alpha, alpha2)``).  The
-declaration is one ``_chain(...)`` entry in ``_REGISTRY`` and holds:
+params, by name (E15: ``build(inputs, m, alpha, alpha2)``).  A finite
+build makes its bracket terms from the leaves and nodes above, never from
+an estimator, so that its chain keeps one estimator pass; an entrywise
+part's terms are matrices.  The declaration is one ``_chain(...)`` entry
+in ``_REGISTRY`` and holds:
 
 - the catalog strings: id, title, level, description, and the hypothesis
   text that ``specrad catalog`` prints;
@@ -71,6 +83,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -86,12 +99,14 @@ from .ensembles import (
 from .errors import DomainError, InputFormatError, SpecradError
 from .families import _pow0
 from .jsr import (
-    _depth_bounds,
+    _depth_finish,
+    _depth_walks,
+    _norm_sup,
+    _set_of,
     gamma_level_max,
     gamma_set_bracket,
     gen_radius_lb,
     norm_level_max,
-    norm_set_bracket,
 )
 from .matrices import FiniteMatrix, WeightVector
 from .serialize import _is_number
@@ -110,6 +125,9 @@ from .sets import (
 from .spectral import (
     _ROUND_GUARD,
     Bracket,
+    _gram,
+    _l2_finish,
+    _spectral_radii,
     essential_spectral_radius,
     hausdorff_mnc,
     operator_norm,
@@ -121,36 +139,132 @@ from .spectral import (
 # term builders
 
 
-def _fin_terms(terms) -> list[tuple[str, Bracket]]:
-    """Labelled products of finite set radii, from one batched pass.
+# The terms drawn by the build that runs, set by ``_chain``'s wrapper: a
+# build takes only its inputs and params, and a context variable keeps
+# builds in different threads apart.
+_DRAWN: ContextVar[list] = ContextVar("_DRAWN")
 
-    Each term is (label, factors, u): ``factors`` is a list of (set, power,
-    sigma) where sigma counts how many base factors one element of the set
-    embodies, and each factor is bounded at depth d = max(1, u // sigma).
-    Evaluating every term of a part at the same underlying depth u keeps
-    the upper bounds comparable: entrywise domination of matched products
-    transfers to the norm maxima, so theorem-ordered terms stay ordered.
-    Every factor's ``gen_radius_lb`` and ``norm_level_max`` come from one
-    ``_depth_bounds`` call, bit for bit.
 
-    ``terms`` may be a generator that builds each term's sets as it yields
-    the term.  When building a term or the batch raises, the terms drawn so
-    far are bounded again one factor at a time, as if each term were built
-    and bounded in turn, so the error raised is the one that order meets
-    first.
+class _Term:
+    """A bracket of a finite build, declared as data and resolved later.
+
+    A node ``fold``s the brackets of its ``terms``: ``power``, ``scaled``
+    and ``_bprod`` make the nodes, with the folds of ``Bracket.power``,
+    ``Bracket.scaled`` and ``_bprod`` on brackets.  The leaves are the
+    subclasses below.  Each term, once made, is drawn into the list of the
+    build that runs, so that list holds every leaf and node in the order
+    the build declared them, every node after the terms it folds.
+    ``eager`` sets ``value`` as the build would have evaluated it in turn:
+    a leaf from its public estimator, a node from the values it folds.
     """
-    drawn = []
-    try:
-        for label, factors, u in terms:
-            drawn.append((label, [(S, p, max(1, u // sigma)) for S, p, sigma in factors]))
-        pairs = [(S, d) for _, factors in drawn for S, _, d in factors]
-        bounds = {(id(S), d): b for (S, d), b in zip(pairs, _depth_bounds(pairs))}
-    except SpecradError:
-        for _, factors in drawn:
-            _fin_term(factors, norm_level_max, gen_radius_lb)
-        raise
-    return [(label, _fin_term(factors, lambda S, d: bounds[id(S), d][1],
-                              lambda S, d: bounds[id(S), d][0])) for label, factors in drawn]
+
+    __slots__ = ("fold", "terms", "value")
+
+    def __init__(self, fold=None, terms=()):
+        self.fold, self.terms = fold, terms
+        _DRAWN.get().append(self)
+
+    def eager(self) -> None:
+        self.value = self.fold(*[t.value for t in self.terms])
+
+    def power(self, p: float) -> "_Term":
+        return _Term(lambda b: b.power(p), (self,))
+
+    def scaled(self, c: float) -> "_Term":
+        return _Term(lambda b: b.scaled(c), (self,))
+
+
+class _Rho(_Term):
+    """Leaf: ``spectral_radius(m)``, whose array joins the pass's batch."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: FiniteMatrix):
+        self.m = m
+        super().__init__()
+
+    def eager(self) -> None:
+        self.value = spectral_radius(self.m)
+
+    def array(self):
+        return self.m.a
+
+    def finish(self, radius) -> None:
+        lo, hi, ok = radius
+        self.value = Bracket(lo, hi, "gelfand-cw", ok)
+
+
+class _Norm(_Rho):
+    """Leaf: ``operator_norm(m)`` in l2, whose Gram matrix joins the batch
+    (``spectral._gram`` before it, ``_l2_finish`` after it)."""
+
+    __slots__ = ("e",)
+
+    def eager(self) -> None:
+        self.value = operator_norm(self.m)
+
+    def array(self):
+        g, self.e = _gram(self.m.a)
+        return g
+
+    def finish(self, radius) -> None:
+        lo, hi, ok = _l2_finish(self.m.rows, self.e, radius)
+        self.value = Bracket(lo, hi, "sqrt-gram", ok)
+
+
+class _Sets(_Term):
+    """Leaf: a product of finite set radii, the term (factors, u).
+
+    ``factors`` is a list of (set, power, sigma) where sigma counts how many
+    base factors one element of the set embodies, and each factor is
+    bounded at depth d = max(1, u // sigma).  Evaluating every term of a
+    part at the same underlying depth u keeps the upper bounds comparable:
+    entrywise domination of matched products transfers to the norm maxima,
+    so theorem-ordered terms stay ordered.  In the pass, every factor's
+    ``gen_radius_lb`` and ``norm_level_max`` come from the walks of
+    ``jsr._depth_walks``, bit for bit.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors, u: int):
+        self.factors = [(S, p, max(1, u // sigma)) for S, p, sigma in factors]
+        super().__init__()
+
+    def eager(self) -> None:
+        self.value = _fin_term(self.factors, norm_level_max, gen_radius_lb)
+
+
+def _norm_sup_of(s) -> _Term:
+    """``norm_set_bracket(s)`` as a node over the norm leaves of its letters."""
+    norms = [_Norm(x) for x in _set_of(s, "matrix", "norm_set_bracket")]
+    return _Term(lambda *bs: _norm_sup([(b.lo, b.hi) for b in bs]), norms)
+
+
+def _resolve(drawn) -> None:
+    """Set the value of every term a finite build drew, from one pass.
+
+    The leaves' arrays go through one ``_spectral_radii`` call: each
+    ``_Rho``'s matrix, each ``_Norm``'s Gram matrix, and the necklace
+    products and deepest-level Gram matrices of one ``_depth_walks`` walk
+    per distinct (set, depth) of the ``_Sets`` leaves.  A radius does not
+    depend on its batch, so every leaf gets the bits of its estimator.  The
+    nodes are then folded in the order drawn.
+    """
+    sets = [t for t in drawn if type(t) is _Sets]
+    mats = [t for t in drawn if isinstance(t, _Rho)]
+    walks, arrays = _depth_walks([(S, d) for t in sets for S, _, d in t.factors])
+    arrays += [t.array() for t in mats]
+    radii = iter(_spectral_radii(arrays))
+    bounds = _depth_finish(walks, radii)
+    for t, radius in zip(mats, radii):
+        t.finish(radius)
+    for t in sets:
+        t.value = _fin_term(t.factors, lambda S, d: bounds[id(S), d][1],
+                            lambda S, d: bounds[id(S), d][0])
+    for t in drawn:
+        if type(t) is _Term:
+            t.eager()
 
 
 def _fin_term(factors, ub, lb) -> Bracket:
@@ -182,7 +296,10 @@ def _ess_term(factors) -> Bracket:
     return Bracket(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), "ess-set-gamma")
 
 
-def _bprod(brackets, powers) -> Bracket:
+def _bprod(brackets, powers):
+    """prod b_j^p_j over brackets, or the node that folds it over terms."""
+    if any(isinstance(b, _Term) for b in brackets):
+        return _Term(lambda *bs: _bprod(bs, powers), tuple(brackets))
     lo = 1.0
     hi = 1.0
     conv = True
@@ -236,9 +353,10 @@ def _grid_factorization(items, k, m, alphas):
     return a, cols, _mean(cols, alphas)
 
 
-def _grid_terms(labels, f, a, cols, mid, alphas):
-    """f(A) <= f(mean of column products) <= prod f(column product)^a_j."""
-    return list(zip(labels, (f(a), f(mid), _bprod([f(c) for c in cols], alphas))))
+def _grid_terms(labels, terms, alphas):
+    """f(A) <= f(mean of column products) <= prod f(column product)^a_j, from
+    ``terms``, [f(A), f(mean of column products), f(column product)...]."""
+    return list(zip(labels, (terms[0], terms[1], _bprod(terms[2:], alphas))))
 
 
 def _adjoints(sets):
@@ -514,7 +632,23 @@ def _chain(cid, title, level, description, hypothesis_doc, operands, params,
         return _violation(inputs, operands, params, check)
 
     def build_with_params(inputs):
-        return build(inputs, **{p.name: inputs.params[p.name] for p in params})
+        drawn = []
+        token = _DRAWN.set(drawn)
+        try:
+            parts = build(inputs, **{p.name: inputs.params[p.name] for p in params})
+            if drawn:
+                _resolve(drawn)
+        except SpecradError:
+            for term in drawn:
+                term.eager()
+            raise
+        finally:
+            _DRAWN.reset(token)
+        if not drawn:
+            return parts
+        return [Part(part.name, part.kind,
+                     [(label, t.value if isinstance(t, _Term) else t) for label, t in part.terms])
+                for part in parts]
 
     return ChainSpec(cid, title, level, description, arity, hypothesis_doc,
                      sample, hypothesis, build_with_params)
@@ -535,16 +669,16 @@ def _zhan(middle_terms):
         a, b = inputs.matrices
         ab = a @ b
         return [Part("chain", CHAIN, [
-            ("rho(A o B)", spectral_radius(a.hadamard(b))),
+            ("rho(A o B)", _Rho(a.hadamard(b))),
             *middle_terms(a, b, ab, **params),
-            ("rho(AB)", spectral_radius(ab)),
+            ("rho(AB)", _Rho(ab)),
         ])]
 
     return build
 
 
 def _squares(a, b):
-    return ("rho((AoA)(BoB))^1/2", spectral_radius(a.hadamard(a) @ b.hadamard(b)).power(0.5))
+    return ("rho((AoA)(BoB))^1/2", _Rho(a.hadamard(a) @ b.hadamard(b)).power(0.5))
 
 
 def _split(radius, ab, ba, beta) -> Bracket:
@@ -554,7 +688,7 @@ def _split(radius, ab, ba, beta) -> Bracket:
 
 
 def _f3_mid(a, b, ab):
-    return [("rho(AB o BA)^1/2", spectral_radius(ab.hadamard(b @ a)).power(0.5))]
+    return [("rho(AB o BA)^1/2", _Rho(ab.hadamard(b @ a)).power(0.5))]
 
 
 def _f4_sample(rng, ens):
@@ -565,14 +699,14 @@ def _f4_sample(rng, ens):
 def _f4_build(inputs, m):
     mats = inputs.matrices
     return [Part("chain", CHAIN, [
-        ("rho(A1 o ... o Am)", spectral_radius(_mean(mats, [1.0] * m))),
-        ("rho(A1 ... Am)", spectral_radius(_prod(mats))),
+        ("rho(A1 o ... o Am)", _Rho(_mean(mats, [1.0] * m))),
+        ("rho(A1 ... Am)", _Rho(_prod(mats))),
     ])]
 
 
 def _f5_mid(a, b, ab):
     return [_squares(a, b),
-            ("rho(AB o AB)^1/2", spectral_radius(ab.hadamard(ab)).power(0.5))]
+            ("rho(AB o AB)^1/2", _Rho(ab.hadamard(ab)).power(0.5))]
 
 
 def _f6_sample(rng, ens):
@@ -582,13 +716,13 @@ def _f6_sample(rng, ens):
 
 def _f6_mid(a, b, ab, beta):
     return [_squares(a, b),
-            ("rho(ABoAB)^b/2 rho(BAoBA)^(1-b)/2", _split(spectral_radius, ab, b @ a, beta))]
+            ("rho(ABoAB)^b/2 rho(BAoBA)^(1-b)/2", _split(_Rho, ab, b @ a, beta))]
 
 
 def _f7_mid(a, b, ab):
     ba = b @ a
-    return [("rho(AB o BA)^1/2", spectral_radius(ab.hadamard(ba)).power(0.5)),
-            ("rho(ABoAB)^1/4 rho(BAoBA)^1/4", _split(spectral_radius, ab, ba, 0.5))]
+    return [("rho(AB o BA)^1/2", _Rho(ab.hadamard(ba)).power(0.5)),
+            ("rho(ABoAB)^1/4 rho(BAoBA)^1/4", _split(_Rho, ab, ba, 0.5))]
 
 
 def _f8_sample(rng, ens):
@@ -605,10 +739,10 @@ def _f8_build(inputs, k, m, alphas):
         Part("entrywise", ENTRYWISE, [("row-mean product", a), ("mean of column products", mid)]),
         Part("norms", CHAIN, _grid_terms(
             ("|A|", "|mean of col products|", "prod |col product|^a_j"),
-            operator_norm, a, cols, mid, alphas)),
+            [_Norm(x) for x in (a, mid, *cols)], alphas)),
         Part("radii", CHAIN, _grid_terms(
             ("rho(A)", "rho(mean of col products)", "prod rho(col product)^a_j"),
-            spectral_radius, a, cols, mid, alphas)),
+            [_Rho(x) for x in (a, mid, *cols)], alphas)),
     ]
 
 
@@ -627,24 +761,24 @@ def _f9_build(inputs, m, alphas, t):
     prod = _prod(mats)
     return [
         Part("mean-norm", CHAIN, [
-            ("|mean|", operator_norm(mean)),
-            ("prod |A_j|^a_j", _bprod([operator_norm(x) for x in mats], alphas)),
+            ("|mean|", _Norm(mean)),
+            ("prod |A_j|^a_j", _bprod([_Norm(x) for x in mats], alphas)),
         ]),
         Part("mean-radius", CHAIN, [
-            ("rho(mean)", spectral_radius(mean)),
-            ("prod rho(A_j)^a_j", _bprod([spectral_radius(x) for x in mats], alphas)),
+            ("rho(mean)", _Rho(mean)),
+            ("prod rho(A_j)^a_j", _bprod([_Rho(x) for x in mats], alphas)),
         ]),
         Part("power-entrywise", ENTRYWISE, [
             ("A1^(t) ... Am^(t)", powprod),
             ("(A1 ... Am)^(t)", prod.hpow(t)),
         ]),
         Part("power-radius", CHAIN, [
-            ("rho(A1^(t)...Am^(t))", spectral_radius(powprod)),
-            ("rho(A1...Am)^t", spectral_radius(prod).power(t)),
+            ("rho(A1^(t)...Am^(t))", _Rho(powprod)),
+            ("rho(A1...Am)^t", _Rho(prod).power(t)),
         ]),
         Part("power-norm", CHAIN, [
-            ("|A1^(t)...Am^(t)|", operator_norm(powprod)),
-            ("|A1...Am|^t", operator_norm(prod).power(t)),
+            ("|A1^(t)...Am^(t)|", _Norm(powprod)),
+            ("|A1...Am|^t", _Norm(prod).power(t)),
         ]),
     ]
 
@@ -664,12 +798,12 @@ def _f10_build(inputs, t):
             ("sup^(t-1) A", a.scale(c)),
         ]),
         Part("norm", CHAIN, [
-            ("|A^(t)|", operator_norm(at)),
-            ("sup^(t-1)|A|", operator_norm(a).scaled(c)),
+            ("|A^(t)|", _Norm(at)),
+            ("sup^(t-1)|A|", _Norm(a).scaled(c)),
         ]),
         Part("radius", CHAIN, [
-            ("rho(A^(t))", spectral_radius(at)),
-            ("sup^(t-1) rho(A)", spectral_radius(a).scaled(c)),
+            ("rho(A^(t))", _Rho(at)),
+            ("sup^(t-1) rho(A)", _Rho(a).scaled(c)),
         ]),
     ]
 
@@ -687,24 +821,25 @@ def _f11_sample(rng, ens):
 
 def _f11_build(inputs, m, n, alphas, t):
     sets = inputs.matrix_sets
-
-    def terms():
-        mean = _smean(sets, alphas)
-        mean_n = _smean([set_power(s, n) for s in sets], alphas)
-        yield "r(mean)", [(mean, 1.0, 1)], n
-        yield "r(mean of n-powers)^1/n", [(mean_n, 1.0 / n, n)], n
-        yield "prod r(S_j)^a_j", [(s, a, 1) for s, a in zip(sets, alphas)], n
-        yield "r(uniform mean)", [(_smean(sets, [1.0 / m] * m), 1.0, 1)], m
-        yield "r(S1...Sm)^1/m", [(set_product_many(sets), 1.0 / m, m)], m
-        yield "r(S^(t))", [(set_hadamard_power(sets[0], t), 1.0, 1)], n
-        yield ("r((S^n)^(t))^1/n",
-               [(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], n)
-        yield "r(S)^t", [(sets[0], t, 1)], n
-
-    r = _fin_terms(terms())
-    return [Part("set-mean", CHAIN, r[:3]),
-            Part("geometric-mean-vs-product", CHAIN, r[3:5]),
-            Part("set-power", CHAIN, r[5:])]
+    mean = _smean(sets, alphas)
+    mean_n = _smean([set_power(s, n) for s in sets], alphas)
+    return [
+        Part("set-mean", CHAIN, [
+            ("r(mean)", _Sets([(mean, 1.0, 1)], n)),
+            ("r(mean of n-powers)^1/n", _Sets([(mean_n, 1.0 / n, n)], n)),
+            ("prod r(S_j)^a_j", _Sets([(s, a, 1) for s, a in zip(sets, alphas)], n)),
+        ]),
+        Part("geometric-mean-vs-product", CHAIN, [
+            ("r(uniform mean)", _Sets([(_smean(sets, [1.0 / m] * m), 1.0, 1)], m)),
+            ("r(S1...Sm)^1/m", _Sets([(set_product_many(sets), 1.0 / m, m)], m)),
+        ]),
+        Part("set-power", CHAIN, [
+            ("r(S^(t))", _Sets([(set_hadamard_power(sets[0], t), 1.0, 1)], n)),
+            ("r((S^n)^(t))^1/n",
+             _Sets([(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], n)),
+            ("r(S)^t", _Sets([(sets[0], t, 1)], n)),
+        ]),
+    ]
 
 
 def _f12_sample(rng, ens):
@@ -731,13 +866,11 @@ def _f13_sample(rng, ens):
 def _f13_build(inputs):
     s = inputs.matrix_sets[0]
     sstar = set_adjoint(s)
-
-    def terms():
-        yield "r(S*S)^1/2", [(set_product(sstar, s), 0.5, 2)], 2
-        yield "r(SS*)^1/2", [(set_product(s, sstar), 0.5, 2)], 2
-
-    return [Part("norm-identity", EQUALITY,
-                 [("sup |T|", norm_set_bracket(s)), *_fin_terms(terms())])]
+    return [Part("norm-identity", EQUALITY, [
+        ("sup |T|", _norm_sup_of(s)),
+        ("r(S*S)^1/2", _Sets([(set_product(sstar, s), 0.5, 2)], 2)),
+        ("r(SS*)^1/2", _Sets([(set_product(s, sstar), 0.5, 2)], 2)),
+    ])]
 
 
 def _f14_sample(rng, ens):
@@ -749,16 +882,14 @@ def _f14_build(inputs, beta):
     p, q = inputs.matrix_sets
     pq = set_product(p, q)
     qp = set_product(q, p)
-
-    def terms():
-        yield "r(P o Q)", [(_smean([p, q], [1.0, 1.0]), 1.0, 1)], 2
-        yield "r(PQ o QP)^1/2", [(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], 2
-        yield ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
-               [(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
-                (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], 2)
-        yield "r(PQ)", [(pq, 1.0, 2)], 2
-
-    return [Part("beta-split", CHAIN, _fin_terms(terms()))]
+    return [Part("beta-split", CHAIN, [
+        ("r(P o Q)", _Sets([(_smean([p, q], [1.0, 1.0]), 1.0, 1)], 2)),
+        ("r(PQ o QP)^1/2", _Sets([(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], 2)),
+        ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
+         _Sets([(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
+                (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], 2)),
+        ("r(PQ)", _Sets([(pq, 1.0, 2)], 2)),
+    ])]
 
 
 def _f15_sample(rng, ens):
@@ -771,9 +902,9 @@ def _f15_build(inputs, m):
     uniform = [1.0 / m] * m
     cyc = [_prod(_cyclic(mats, j)) for j in range(m)]
     return [Part("cyclic-mean", CHAIN, [
-        ("rho(mean(A_j))", spectral_radius(_mean(mats, uniform))),
-        ("rho(mean(P_j))^1/m", spectral_radius(_mean(cyc, uniform)).power(1.0 / m)),
-        ("rho(A1...Am)^1/m", spectral_radius(_prod(mats)).power(1.0 / m)),
+        ("rho(mean(A_j))", _Rho(_mean(mats, uniform))),
+        ("rho(mean(P_j))^1/m", _Rho(_mean(cyc, uniform)).power(1.0 / m)),
+        ("rho(A1...Am)^1/m", _Rho(_prod(mats)).power(1.0 / m)),
     ])]
 
 
@@ -781,15 +912,15 @@ def _f16_build(inputs):
     a, b = inputs.matrices
     bstar = b.adjoint()
     astar_b = a.adjoint() @ b
-    r = spectral_radius(astar_b)
+    r = _Rho(astar_b)
     return [
         Part("norm-chain", CHAIN, [
-            ("|A^(1/2) o B^(1/2)|", operator_norm(_mean([a, b], [0.5, 0.5]))),
+            ("|A^(1/2) o B^(1/2)|", _Norm(_mean([a, b], [0.5, 0.5]))),
             ("rho((A*B)^(1/2) o (B*A)^(1/2))^1/2",
-             spectral_radius(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5)),
+             _Rho(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5)),
             ("rho(A*B)^1/2", r.power(0.5)),
         ]),
-        Part("star-swap", EQUALITY, [("rho(A*B)", r), ("rho(AB*)", spectral_radius(a @ bstar))]),
+        Part("star-swap", EQUALITY, [("rho(A*B)", r), ("rho(AB*)", _Rho(a @ bstar))]),
     ]
 
 
@@ -878,10 +1009,10 @@ def _e3_build(inputs, k, m, alphas):
     return [
         Part("gamma-grid", CHAIN, _grid_terms(
             ("gamma(A)", "gamma(mean of col products)", "prod gamma(col product)^a_j"),
-            hausdorff_mnc, a, cols, mid, alphas)),
+            [hausdorff_mnc(x) for x in (a, mid, *cols)], alphas)),
         Part("ess-grid", CHAIN, _grid_terms(
             ("ess(A)", "ess(mean of col products)", "prod ess(col product)^a_j"),
-            essential_spectral_radius, a, cols, mid, alphas)),
+            [essential_spectral_radius(x) for x in (a, mid, *cols)], alphas)),
     ]
 
 

@@ -401,8 +401,9 @@ def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, 
     The norm is the square root of the spectral radius of A*A, and the Gram
     radii of all arrays go through one ``_spectral_radii`` call, between two
     per-array steps: ``_gram`` before it and ``_l2_finish`` after it (a
-    caller may put other arrays in that batch, as ``jsr._depth_bounds``
-    does, since a radius does not depend on its batch).  Each Gram
+    caller may put other arrays in that batch, as ``jsr._depth_bounds`` and
+    the registry's one pass per finite build do, since a radius does not
+    depend on its batch).  Each Gram
     matrix is formed on its own array, since numpy may compute ``a.T @ a``
     with a symmetric rank-k update that rounds differently from a general
     product.  When the largest entry lies outside [_GRAM_MIN, _GRAM_MAX],

@@ -72,6 +72,52 @@ def test_overflow_is_a_domain_error_without_a_runtime_warning(op, what):
             op(M(np.full((2, 2), 1.5e308)))
 
 
+# (operation on FiniteMatrix operands, the same operation on their arrays)
+_DERIVED = {
+    "hadamard": (lambda x, y: x.hadamard(y), lambda a, b: a * b),
+    "hpow": (lambda x, y: x.hpow(2.5), lambda a, b: np.where(a > 0, np.power(a, 2.5), 0.0)),
+    "matmul": (lambda x, y: x @ y, lambda a, b: a @ b),
+    "add": (lambda x, y: x + y, lambda a, b: a + b),
+    "scale": (lambda x, y: x.scale(3.0), lambda a, b: a * 3.0),
+    "adjoint": (lambda x, y: x.adjoint(), lambda a, b: a.T),
+}
+
+
+@pytest.mark.parametrize("name", list(_DERIVED))
+def test_derived_matrices_are_fresh_read_only_copies(name):
+    """A derived matrix is read-only, shares no memory with its operands or
+    with the arrays they were built from, and has the bits and the C/F
+    layout of the constructor-built copy of the same operation's result,
+    for C- and Fortran-ordered operands."""
+    op, raw = _DERIVED[name]
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 18):
+        for left, right in ((False, False), (True, True), (True, False), (False, True)):
+            data = [rng.random((n, n)) * (rng.random((n, n)) < 0.7) for _ in range(2)]
+            data = [np.asfortranarray(a) if f else a for a, f in zip(data, (left, right))]
+            x, y = (M(a) for a in data)
+            got = op(x, y).a
+            want = M(raw(x.a, y.a)).a
+            assert not got.flags.writeable
+            assert not any(np.shares_memory(got, a) for a in (*data, x.a, y.a))
+            assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+                (want.flags.c_contiguous, want.flags.f_contiguous), (n, left, right)
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("op,what", [
+    (lambda a: a @ a, "matrix product"),
+    (lambda a: a + a, "matrix sum"),
+    (lambda a: a.scale(1e10), "scaled matrix"),
+    (lambda a: a.hadamard(a), "entrywise product"),
+    (lambda a: a.hpow(2.0), "entrywise power"),
+])
+def test_overflow_messages_hold_for_fortran_operands(op, what):
+    with pytest.raises(DomainError, match=f"^{what} exceeds the float range$"):
+        op(M(np.asfortranarray(np.triu(np.full((3, 3), 1.5e308)))))
+
+
 def test_mean_idempotent_and_sqrt():
     a = M([[1, 4], [1, 1]])
     b = M([[4, 1], [1, 1]])

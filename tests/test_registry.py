@@ -22,15 +22,17 @@ from specrad import (
     shift_family,
 )
 from specrad import jsr, spectral
+from specrad.chains import CHAIN, Part
 from specrad.ensembles import rng_for
 from specrad.errors import DomainError, SpecradError
 from specrad.families import _pow0
 from specrad.jsr import gen_radius_lb, norm_level_max
-from specrad.registry import _ess_term, _fin_terms, by_id, catalog_json, registry
+from specrad.registry import _chain, _ess_term, _Sets, by_id, catalog_json, registry
 from specrad.sets import set_hadamard_power, set_power, set_product
 from specrad.spectral import _ROUND_GUARD, Bracket
 
 CTX = EvalContext()
+reg = importlib.import_module("specrad.registry")  # the package's ``registry`` is the function
 
 
 def test_catalog_structure():
@@ -302,12 +304,13 @@ def _random_set(rng, n, size):
 
 
 def test_fin_terms_are_the_terms_bounded_one_at_a_time():
-    """``_fin_terms`` gives each term's bracket bit for bit, and on inputs
-    that fail it raises what bounding the terms in turn raises first:
-    terms built lazily from set operations on dense, sparse, scaled
-    (2**-600 to 2**600), Fortran-ordered and repeated sets, failing by a
-    word level past the cap, a set operation past its element cap, a
-    product or a power beyond the float range."""
+    """A build's set terms, resolved in its chain's one pass, give each
+    term's bracket bit for bit, and on inputs that fail the build raises
+    what bounding the terms in turn raises first: terms built one after
+    another from set operations on dense, sparse, scaled (2**-600 to
+    2**600), Fortran-ordered and repeated sets, failing by a word level
+    past the cap, a set operation past its element cap, a product or a
+    power beyond the float range."""
     rng = np.random.default_rng(71)
     outcomes = set()
     for _ in range(60):
@@ -328,8 +331,12 @@ def test_fin_terms_are_the_terms_bounded_one_at_a_time():
 
         want = _outcome(lambda: [(str(j), _one_term_at_a_time(factors(build, spec), u))
                                  for j, (build, spec, u) in enumerate(recipes)])
-        got = _outcome(lambda: _fin_terms((str(j), factors(build, spec), u)
-                                          for j, (build, spec, u) in enumerate(recipes)))
+        def chain_build(inputs):
+            return [Part("terms", CHAIN, [(str(j), _Sets(factors(build, spec), u))
+                                          for j, (build, spec, u) in enumerate(recipes)])]
+
+        spec = _chain("X", "", "finite", "", "", {}, (), None, chain_build)
+        got = _outcome(lambda: spec.build(ChainInputs())[0].terms)
         assert got == want
         outcomes.add(want[1] if isinstance(want, tuple) else "ok")
     for seen in ("ok", "word level enumeration exceeded its cap", "elements (cap 200000)",
@@ -366,10 +373,14 @@ def test_an_overflowing_word_product_raises_before_a_later_set_overflows():
         evaluate_chain(by_id("F14"), _f14_inputs(big, big), CTX)
 
 
-@pytest.mark.parametrize("cid,calls", [("F11", 1), ("F13", 2), ("F14", 1)])
+_FINITE = [f"F{i}" for i in range(1, 17)]
+
+
+@pytest.mark.parametrize("cid,calls", [(cid, 0 if cid == "F12" else 1) for cid in _FINITE])
 def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
-    """F11's eight, F13's two and F14's four set terms make one
-    ``_spectral_radii`` call together (F13's other call is its sup |T|)."""
+    """Each finite chain's build makes one ``_spectral_radii`` call for all
+    its terms (matrix radii, norms, set terms and F13's sup |T|), and F12,
+    whose one part is entrywise, makes none."""
     count = [0]
     real = spectral._spectral_radii
 
@@ -377,8 +388,8 @@ def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
         count[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_spectral_radii", counted)
-    monkeypatch.setattr(jsr, "_spectral_radii", counted)
+    for module in (spectral, jsr, reg):
+        monkeypatch.setattr(module, "_spectral_radii", counted)
     spec = by_id(cid)
     for kind in ("dense_uniform", "sparse_bernoulli"):
         ens = EnsembleSpec(kind=kind, seed=13)
@@ -387,3 +398,90 @@ def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
             count[0] = 0
             spec.build(inputs)
             assert count[0] == calls, (kind, trial)
+
+
+def _parts(parts):
+    """Each part's terms as bits: a bracket's ends, method and flag, or an
+    entrywise term's matrix bytes and layout."""
+    out = []
+    for part in parts:
+        terms = [(label, b.lo.hex(), b.hi.hex(), b.method, b.converged)
+                 if isinstance(b, Bracket) else
+                 (label, b.a.tobytes(), b.a.flags.c_contiguous, b.a.flags.f_contiguous)
+                 for label, b in part.terms]
+        out.append((part.name, part.kind, terms))
+    return out
+
+
+def _build_outcome(spec, inputs):
+    try:
+        return _parts(spec.build(inputs))
+    except SpecradError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rescaled(inputs, scale, fortran):
+    """The inputs with every matrix and set element scaled, in Fortran order
+    when asked."""
+    def one(m):
+        a = m.a * scale
+        return FiniteMatrix(np.asfortranarray(a) if fortran else a)
+
+    return ChainInputs(matrices=tuple(one(m) for m in inputs.matrices),
+                       matrix_sets=tuple(OperatorSet([one(m) for m in s])
+                                         for s in inputs.matrix_sets),
+                       params=inputs.params)
+
+
+class _EagerDraws:
+    """Stands in for ``registry._DRAWN`` so that a build evaluates each term
+    as it draws it, as builds did before terms became data."""
+
+    def set(self, drawn):
+        self.drawn = drawn
+
+    def reset(self, token):
+        pass
+
+    def get(self):
+        return self
+
+    def append(self, term):
+        self.drawn.append(term)
+        term.eager()
+
+
+def test_one_pass_builds_are_the_eager_replay(monkeypatch):
+    """Every finite chain's one-pass build gives the parts of the same build
+    evaluated eagerly (each leaf by its public estimator and each node by
+    ``Bracket.power``/``scaled``/``_bprod``, as it is drawn) bit for bit,
+    or raises the same first error: on dense and sparse inputs scaled by
+    2**-600 to 2**1023, C- or Fortran-ordered, so that radii, products,
+    entrywise powers and bracket powers leave the float range."""
+    rng = np.random.default_rng(83)
+    cases = []
+    for cid in _FINITE:
+        spec = by_id(cid)
+        for kind in ("dense_uniform", "sparse_bernoulli"):
+            ens = EnsembleSpec(kind=kind, seed=29)
+            for trial, power in enumerate([-600, 0, 0, 300, 500, 600, 1000, 1021]):
+                sampled = spec.sample(rng_for(ens, trial, cid), ens)
+                scale = 2.0 ** power * (1 + rng.random())
+                cases.append((spec, _rescaled(sampled, scale, rng.random() < 0.4)))
+    # a radius past the float range with no product before it: 4.5 * 2**1022
+    big = FiniteMatrix(np.full((3, 3), 1.5 * 2.0 ** 1022))
+    cases.append((by_id("F4"), ChainInputs(matrices=(big,), params={"m": 1})))
+    outcomes = set()
+    for spec, inputs in cases:
+        got = _build_outcome(spec, inputs)
+        with monkeypatch.context() as m:
+            m.setattr(reg, "_DRAWN", _EagerDraws())
+            m.setattr(reg, "_resolve", lambda drawn: None)
+            want = _build_outcome(spec, inputs)
+        assert got == want, spec.id
+        outcomes.add(want[1] if isinstance(want, tuple) else "ok")
+    for seen in ("ok", "spectral radius exceeds the float range",
+                 "matrix product exceeds the float range",
+                 "entrywise power exceeds the float range",
+                 "bracket endpoints must be finite"):
+        assert seen in outcomes, (seen, sorted(outcomes))

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Record specrad's benchmark figures for one or more checkouts as BENCH_<n>.json.
 
-    python3 tools/bench_record.py PARENT=BENCH_0.json CHANGE=BENCH_1.json \\
-        [--seeds 501-510]
+    python3 tools/bench_record.py PARENT=BENCH_8_parent.json CHANGE=BENCH_8.json \\
+        --seeds 1141-1150
 
 Each ``CHECKOUT=FILE`` names the root of a checkout and the JSON file to
 write for it.  The command, the run length, the workloads and the
 end-to-end metrics with their directions are read from the checkouts'
-``BENCHMARK.json``, which must be the same in all of them.  The
+``BENCHMARK.json``, which must be the same in all of them.  ``--seeds`` is
+required, and a seed that the ``seeds`` of a ``BENCH_*.json`` in the last
+checkout's root already lists is refused, with that file named: a spent
+seed has been seen by the change it measured.  The
 benchmark's runs alternate between the checkouts seed by
 seed, first one first on even seeds and last one first on odd seeds, so a
 slow spell of a shared machine falls on both sides.  Each file holds, for
@@ -186,11 +189,24 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def spent(seeds: list[int], root: Path) -> str | None:
+    """Why ``seeds`` may not be used in ``root``: the first seed that the
+    ``seeds`` of a ``BENCH_*.json`` there lists, and that file; None when
+    no seed is spent."""
+    for path in sorted(root.glob("BENCH_*.json")):
+        used = set(json.loads(path.read_text(encoding="utf-8")).get("seeds", ()))
+        for seed in seeds:
+            if seed in used:
+                return f"seed {seed} is spent: {path.name} lists it"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("targets", nargs="+", metavar="CHECKOUT=FILE")
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("501-510"),
-                        help="seed range of the --trace 0 pairs, e.g. 501-510")
+    parser.add_argument("--seeds", type=_seeds, required=True,
+                        help="seed range of the --trace 0 pairs, e.g. 1141-1150; "
+                             "seeds a BENCH_*.json of the last checkout lists are refused")
     args = parser.parse_args(argv)
     targets = []
     for spec in args.targets:
@@ -198,6 +214,9 @@ def main(argv=None) -> int:
         if not sep or not (Path(root) / "BENCHMARK.json").is_file():
             parser.error(f"{spec!r} is not CHECKOUT=FILE with BENCHMARK.json in CHECKOUT")
         targets.append((Path(root).resolve(), Path(out)))
+    refusal = spent(args.seeds, targets[-1][0])
+    if refusal:
+        parser.error(refusal)
     bench = load_benchmark([root for root, _ in targets])
     workloads = [w["name"] for w in bench["workloads"]]
 
