@@ -331,12 +331,13 @@ def test_fin_terms_are_the_terms_bounded_one_at_a_time():
 
         want = _outcome(lambda: [(str(j), _one_term_at_a_time(factors(build, spec), u))
                                  for j, (build, spec, u) in enumerate(recipes)])
+
         def chain_build(inputs):
             return [Part("terms", CHAIN, [(str(j), _Sets(factors(build, spec), u))
                                           for j, (build, spec, u) in enumerate(recipes)])]
 
-        spec = _chain("X", "", "finite", "", "", {}, (), None, chain_build)
-        got = _outcome(lambda: spec.build(ChainInputs())[0].terms)
+        chain = _chain("X", "", "finite", "", "", {}, (), None, chain_build)
+        got = _outcome(lambda: chain.build(ChainInputs())[0].terms)
         assert got == want
         outcomes.add(want[1] if isinstance(want, tuple) else "ok")
     for seen in ("ok", "word level enumeration exceeded its cap", "elements (cap 200000)",
