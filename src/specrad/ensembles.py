@@ -7,6 +7,7 @@ and order-insensitive.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -50,10 +51,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown ensemble kind {self.kind!r}; expected one of {KINDS}")
-        if self.size < 1:
-            raise DomainError("ensemble size must be >= 1")
-        if not (0.0 <= self.density <= 1.0):
-            raise DomainError("density must lie in [0, 1]")
+        if isinstance(self.size, bool) or not isinstance(self.size, int) or self.size < 1:
+            raise DomainError(f"ensemble size must be an integer >= 1, got {self.size!r}")
+        if (isinstance(self.density, bool) or not isinstance(self.density, numbers.Real)
+                or not 0.0 <= self.density <= 1.0):
+            raise DomainError(f"density must be a real in [0, 1], got {self.density!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise DomainError(f"ensemble seed must be an integer >= 0, got {self.seed!r}")
 

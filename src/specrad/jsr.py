@@ -5,10 +5,10 @@ generalized radius at every depth), upper bounds from norm maxima over
 complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
 One walk, ``_levels``, yields each level of products as one stack, and
-the radii and norms of a level go through one batched estimator call;
-``_depth_bounds`` gives both finite bounds of many (set, depth) pairs
-from one such call, between a walk step and a finish step that a caller
-may use around a larger batch.
+the radii and norms of a level go through one batched estimator call.
+``_depth_walks`` and ``_depth_finish`` give both finite bounds of many
+(set, depth) pairs around one ``spectral._radii_norms`` call, which a
+caller may share with other arrays.
 The branch and bound builds each level's children the same way, as one
 stack, and reduces, prunes and normalizes them stacked.
 """
@@ -30,8 +30,6 @@ from .spectral import (
     _ROUND_GUARD,
     Bracket,
     _band_limit_sum,
-    _gram,
-    _l2_finish,
     _l2_norms,
     _spectral_radii,
     operator_norm,
@@ -196,50 +194,37 @@ def _norm_max(norms) -> float:
     return max(hi for _, hi, _ in norms)
 
 
-def _depth_bounds(pairs) -> list[tuple[float, float]]:
-    """``(gen_radius_lb(S, d), norm_level_max(S, d))`` for each (S, d) pair,
-    bit for bit, from one walk per pair and one ``_spectral_radii`` call:
-    ``_depth_walks``, the call, then ``_depth_finish``.
+def _depth_walks(pairs) -> tuple[dict, list[np.ndarray], list[np.ndarray]]:
+    """({(id(S), d): walk}, rhos, norms) for the (S, d) pairs: the first step
+    of ``(gen_radius_lb(S, d), norm_level_max(S, d))`` for each pair, bit for
+    bit, around one ``spectral._radii_norms(rhos, norms)`` call.
 
-    A pair repeated (the same set object at the same depth) is walked once.
-    The necklace products of every walk and the Gram matrices
-    (``spectral._gram``) of every deepest level go into the one batch, whose
-    radii do not depend on the batch they share.  Every product of every
-    level is checked finite, as ``norm_level_max`` checks it, so this raises
-    wherever either estimator would, though not always with the error that
-    running the two in turn raises first.
+    A pair repeated (the same set object at the same depth) is walked once,
+    and its walk is (the roots of its necklace products, the size of its
+    deepest level).  ``rhos`` lists the necklace products and ``norms`` the
+    deepest-level products, walk by walk, as the walks' shares of the call's
+    two lists, which a caller may extend with other arrays after them.
+    Every product of every level is checked finite, as ``norm_level_max``
+    checks it, so a walk raises wherever either estimator would, though not
+    always with the error that running the two in turn raises first.
     """
-    walks, arrays = _depth_walks(pairs)
-    bounds = _depth_finish(walks, iter(_spectral_radii(arrays)))
-    return [bounds[id(s), d] for s, d in pairs]
-
-
-def _depth_walks(pairs) -> tuple[dict, list[np.ndarray]]:
-    """The first step of ``_depth_bounds``: ({(id(S), d): walk}, arrays).
-
-    Each distinct pair is walked once, and its walk is (the necklace
-    products, their roots, (rows, exponent) of each ``_gram`` of the deepest
-    level).  ``arrays`` lists, walk by walk, the products and then the Gram
-    matrices: the walks' share of a ``_spectral_radii`` batch, which a
-    caller may extend with other arrays after them.
-    """
-    walks, arrays = {}, []
+    walks, rhos, norms = {}, [], []
     for s, d in pairs:
         if (id(s), d) not in walks:
             prods, roots, level = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
-            grams = [_gram(a) for a in level]
-            walks[id(s), d] = prods, roots, [(a.shape[0], e) for a, (_, e) in zip(level, grams)]
-            arrays += prods
-            arrays += [g for g, _ in grams]
-    return walks, arrays
+            walks[id(s), d] = roots, len(level)
+            rhos += prods
+            norms += list(level)
+    return walks, rhos, norms
 
 
-def _depth_finish(walks: dict, radii) -> dict:
-    """The last step of ``_depth_bounds``: {(id(S), d): (lower, upper)} from
-    an iterator over the radii of ``_depth_walks``' arrays, read in order."""
-    return {key: (_root_max([next(radii) for _ in prods], roots),
-                  _norm_max([_l2_finish(rows, e, next(radii)) for rows, e in grams]))
-            for key, (prods, roots, grams) in walks.items()}
+def _depth_finish(walks: dict, radii, norms) -> dict:
+    """The last step after ``_depth_walks``: {(id(S), d): (lower, upper)}
+    from iterators over the radii and the norms of its two lists, read in
+    order."""
+    return {key: (_root_max([next(radii) for _ in roots], roots),
+                  _norm_max([next(norms) for _ in range(size)]))
+            for key, (roots, size) in walks.items()}
 
 
 def joint_radius_ub(s, m_max: int) -> float:

@@ -21,9 +21,13 @@ class FiniteMatrix:
     __slots__ = ("a",)
 
     def __init__(self, data):
-        a = np.array(data, dtype=float)
+        try:
+            a = np.array(data, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"matrix entries must be real numbers: {exc}") from None
         if a.ndim != 2 or a.size == 0:
-            raise ShapeMismatchError("a matrix needs at least one row and one column")
+            raise ShapeMismatchError(
+                f"a matrix needs two axes, at least one row and one column, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise DomainError("matrix entries must be finite")
         if np.any(a < 0):
@@ -154,7 +158,11 @@ class WeightVector:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        try:
+            weights = tuple(float(w) for w in self.weights)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"weights must be real numbers: {exc}") from None
+        object.__setattr__(self, "weights", weights)
         if not self.weights:
             raise DomainError("weight vector must be nonempty")
         if any(not (w > 0 and math.isfinite(w)) for w in self.weights):

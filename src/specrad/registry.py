@@ -18,15 +18,19 @@ leaves ``_Rho(M)`` and ``_Norm(M)`` (l2), the set terms ``_Sets(factors,
 u)`` and F13's ``sup |T|`` over the norm leaves of its letters, composed
 by the nodes ``power``, ``scaled``, ``_bprod`` and ``_split``.  The wrapper
 that ``_chain`` puts around a build resolves every leaf of every part in
-one pass, ``_resolve``: the radius arrays, the Gram matrices of the norms
-and the necklace products and deepest-level Gram matrices of the set terms
-go through one ``_spectral_radii`` call, since a radius does not depend on
-its batch, and each node is then folded in declared order.  Every term
-gets the bits of its public estimator.  When the build or the pass raises
-a ``SpecradError``, every leaf and node drawn so far is evaluated again,
-eagerly and in the order drawn, before the error is re-raised, so the
-first error raised is the one that evaluating the terms in turn meets.
-Essential builds return brackets, evaluated as they are built.
+one pass, ``_resolve``: the necklace products of the set terms and the
+radius arrays, and the deepest-level products of the set terms and the
+norm arrays, go through one ``spectral._radii_norms`` call, since a radius
+does not depend on its batch, and each node is then folded in declared
+order.  Every term gets the bits of its public estimator.  When the build
+or the pass raises a ``SpecradError``, every leaf and node drawn so far is
+evaluated again, eagerly and in the order drawn, before the error is
+re-raised, so the first error raised is the one that evaluating the terms
+in turn meets.  Essential builds return brackets, evaluated as they are
+built.  A finite chain and its essential twin share a part's builder
+(``_mean_part``, ``_grid_part``, ``_power_part``) over an estimator pair,
+the leaf and the label format of ``_RHO``, ``_NORM``, ``_ESS`` or
+``_GAMMA``.
 
 Finite-level upper estimates inside one part are evaluated at matched
 underlying depths, so whenever the proof of a chain rests on entrywise
@@ -125,9 +129,7 @@ from .sets import (
 from .spectral import (
     _ROUND_GUARD,
     Bracket,
-    _gram,
-    _l2_finish,
-    _spectral_radii,
+    _radii_norms,
     essential_spectral_radius,
     hausdorff_mnc,
     operator_norm,
@@ -175,7 +177,7 @@ class _Term:
 
 
 class _Rho(_Term):
-    """Leaf: ``spectral_radius(m)``, whose array joins the pass's batch."""
+    """Leaf: ``spectral_radius(m)``, whose array joins the pass's radii."""
 
     __slots__ = ("m",)
 
@@ -186,30 +188,24 @@ class _Rho(_Term):
     def eager(self) -> None:
         self.value = spectral_radius(self.m)
 
-    def array(self):
-        return self.m.a
-
-    def finish(self, radius) -> None:
-        lo, hi, ok = radius
-        self.value = Bracket(lo, hi, "gelfand-cw", ok)
-
 
 class _Norm(_Rho):
-    """Leaf: ``operator_norm(m)`` in l2, whose Gram matrix joins the batch
-    (``spectral._gram`` before it, ``_l2_finish`` after it)."""
+    """Leaf: ``operator_norm(m)`` in l2, whose array joins the pass's norms."""
 
-    __slots__ = ("e",)
+    __slots__ = ()
 
     def eager(self) -> None:
         self.value = operator_norm(self.m)
 
-    def array(self):
-        g, self.e = _gram(self.m.a)
-        return g
 
-    def finish(self, radius) -> None:
-        lo, hi, ok = _l2_finish(self.m.rows, self.e, radius)
-        self.value = Bracket(lo, hi, "sqrt-gram", ok)
+# Estimator pairs (leaf, label format) of the parts that a finite chain and
+# its essential twin share: a finite leaf is a term, an essential one a
+# bracket evaluated at once.  The essential estimators are looked up by name
+# at each call, so a wrapper bound to the module's name sees every call.
+_RHO = (_Rho, "rho({})".format)
+_NORM = (_Norm, "|{}|".format)
+_ESS = (lambda f: essential_spectral_radius(f), "ess({})".format)
+_GAMMA = (lambda f: hausdorff_mnc(f), "gamma({})".format)
 
 
 class _Sets(_Term):
@@ -244,21 +240,24 @@ def _norm_sup_of(s) -> _Term:
 def _resolve(drawn) -> None:
     """Set the value of every term a finite build drew, from one pass.
 
-    The leaves' arrays go through one ``_spectral_radii`` call: each
-    ``_Rho``'s matrix, each ``_Norm``'s Gram matrix, and the necklace
-    products and deepest-level Gram matrices of one ``_depth_walks`` walk
-    per distinct (set, depth) of the ``_Sets`` leaves.  A radius does not
-    depend on its batch, so every leaf gets the bits of its estimator.  The
-    nodes are then folded in the order drawn.
+    The leaves' arrays go through one ``_radii_norms`` call: the radii of
+    each ``_Rho``'s matrix and the norms of each ``_Norm``'s, after the
+    necklace products and deepest-level products of one ``_depth_walks``
+    walk per distinct (set, depth) of the ``_Sets`` leaves.  A radius does
+    not depend on its batch, so every leaf gets the bits of its estimator.
+    The nodes are then folded in the order drawn.
     """
     sets = [t for t in drawn if type(t) is _Sets]
-    mats = [t for t in drawn if isinstance(t, _Rho)]
-    walks, arrays = _depth_walks([(S, d) for t in sets for S, _, d in t.factors])
-    arrays += [t.array() for t in mats]
-    radii = iter(_spectral_radii(arrays))
-    bounds = _depth_finish(walks, radii)
-    for t, radius in zip(mats, radii):
-        t.finish(radius)
+    rhos = [t for t in drawn if type(t) is _Rho]
+    norms = [t for t in drawn if type(t) is _Norm]
+    walks, walk_rhos, walk_norms = _depth_walks([(S, d) for t in sets for S, _, d in t.factors])
+    radii, l2 = map(iter, _radii_norms(walk_rhos + [t.m.a for t in rhos],
+                                       walk_norms + [t.m.a for t in norms]))
+    bounds = _depth_finish(walks, radii, l2)
+    for t, (lo, hi, ok) in zip(rhos, radii):
+        t.value = Bracket(lo, hi, "gelfand-cw", ok)
+    for t, (lo, hi, ok) in zip(norms, l2):
+        t.value = Bracket(lo, hi, "sqrt-gram", ok)
     for t in sets:
         t.value = _fin_term(t.factors, lambda S, d: bounds[id(S), d][1],
                             lambda S, d: bounds[id(S), d][0])
@@ -353,10 +352,29 @@ def _grid_factorization(items, k, m, alphas):
     return a, cols, _mean(cols, alphas)
 
 
-def _grid_terms(labels, terms, alphas):
-    """f(A) <= f(mean of column products) <= prod f(column product)^a_j, from
-    ``terms``, [f(A), f(mean of column products), f(column product)...]."""
-    return list(zip(labels, (terms[0], terms[1], _bprod(terms[2:], alphas))))
+def _mean_part(name, est, mean, items, alphas) -> Part:
+    """f(mean) <= prod f(A_j)^a_j for the estimator pair ``est``."""
+    leaf, label = est
+    lhs = leaf(mean)
+    return Part(name, CHAIN, [(label("mean"), lhs),
+                              (f"prod {label('A_j')}^a_j", _bprod([leaf(x) for x in items], alphas))])
+
+
+def _grid_part(name, est, factorization, alphas) -> Part:
+    """f(A) <= f(mean of column products) <= prod f(column product)^a_j, for
+    a ``_grid_factorization`` and the estimator pair ``est``."""
+    leaf, label = est
+    a, cols, mid = factorization
+    terms = [leaf(x) for x in (a, mid, *cols)]
+    return Part(name, CHAIN, [(label("A"), terms[0]), (label("mean of col products"), terms[1]),
+                              (f"prod {label('col product')}^a_j", _bprod(terms[2:], alphas))])
+
+
+def _power_part(name, est, powprod, prod, t) -> Part:
+    """f(A1^(t)...Am^(t)) <= f(A1...Am)^t for the estimator pair ``est``."""
+    leaf, label = est
+    return Part(name, CHAIN, [(label("A1^(t)...Am^(t)"), leaf(powprod)),
+                              (f"{label('A1...Am')}^t", leaf(prod).power(t))])
 
 
 def _adjoints(sets):
@@ -734,15 +752,12 @@ def _f8_sample(rng, ens):
 
 
 def _f8_build(inputs, k, m, alphas):
-    a, cols, mid = _grid_factorization(inputs.matrices, k, m, alphas)
+    grid = _grid_factorization(inputs.matrices, k, m, alphas)
+    a, _, mid = grid
     return [
         Part("entrywise", ENTRYWISE, [("row-mean product", a), ("mean of column products", mid)]),
-        Part("norms", CHAIN, _grid_terms(
-            ("|A|", "|mean of col products|", "prod |col product|^a_j"),
-            [_Norm(x) for x in (a, mid, *cols)], alphas)),
-        Part("radii", CHAIN, _grid_terms(
-            ("rho(A)", "rho(mean of col products)", "prod rho(col product)^a_j"),
-            [_Rho(x) for x in (a, mid, *cols)], alphas)),
+        _grid_part("norms", _NORM, grid, alphas),
+        _grid_part("radii", _RHO, grid, alphas),
     ]
 
 
@@ -760,26 +775,14 @@ def _f9_build(inputs, m, alphas, t):
     powprod = _prod([x.hpow(t) for x in mats])
     prod = _prod(mats)
     return [
-        Part("mean-norm", CHAIN, [
-            ("|mean|", _Norm(mean)),
-            ("prod |A_j|^a_j", _bprod([_Norm(x) for x in mats], alphas)),
-        ]),
-        Part("mean-radius", CHAIN, [
-            ("rho(mean)", _Rho(mean)),
-            ("prod rho(A_j)^a_j", _bprod([_Rho(x) for x in mats], alphas)),
-        ]),
+        _mean_part("mean-norm", _NORM, mean, mats, alphas),
+        _mean_part("mean-radius", _RHO, mean, mats, alphas),
         Part("power-entrywise", ENTRYWISE, [
             ("A1^(t) ... Am^(t)", powprod),
             ("(A1 ... Am)^(t)", prod.hpow(t)),
         ]),
-        Part("power-radius", CHAIN, [
-            ("rho(A1^(t)...Am^(t))", _Rho(powprod)),
-            ("rho(A1...Am)^t", _Rho(prod).power(t)),
-        ]),
-        Part("power-norm", CHAIN, [
-            ("|A1^(t)...Am^(t)|", _Norm(powprod)),
-            ("|A1...Am|^t", _Norm(prod).power(t)),
-        ]),
+        _power_part("power-radius", _RHO, powprod, prod, t),
+        _power_part("power-norm", _NORM, powprod, prod, t),
     ]
 
 
@@ -953,14 +956,8 @@ def _e1_build(inputs, m, t):
             ("ess(A^(t))", ess_at),
             ("ess(A)^t", ess_a.power(t)),
         ]),
-        Part("gamma-product-power", CHAIN, [
-            ("gamma(A1^(t)...Am^(t))", hausdorff_mnc(powprod)),
-            ("gamma(A1...Am)^t", hausdorff_mnc(prod).power(t)),
-        ]),
-        Part("ess-product-power", CHAIN, [
-            ("ess(A1^(t)...Am^(t))", essential_spectral_radius(powprod)),
-            ("ess(A1...Am)^t", essential_spectral_radius(prod).power(t)),
-        ]),
+        _power_part("gamma-product-power", _GAMMA, powprod, prod, t),
+        _power_part("ess-product-power", _ESS, powprod, prod, t),
         Part("gamma-sup-scaling", CHAIN, [
             ("gamma(A^(t))", gamma_at),
             ("sup^(t-1) gamma(A)", gamma_a.scaled(c)),
@@ -983,16 +980,8 @@ def _e2_sample(rng, ens):
 def _e2_build(inputs, m, alphas):
     mats = inputs.families
     mean = _mean(mats, alphas)
-    return [
-        Part("gamma-mean", CHAIN, [
-            ("gamma(mean)", hausdorff_mnc(mean)),
-            ("prod gamma(A_j)^a_j", _bprod([hausdorff_mnc(x) for x in mats], alphas)),
-        ]),
-        Part("ess-mean", CHAIN, [
-            ("ess(mean)", essential_spectral_radius(mean)),
-            ("prod ess(A_j)^a_j", _bprod([essential_spectral_radius(x) for x in mats], alphas)),
-        ]),
-    ]
+    return [_mean_part("gamma-mean", _GAMMA, mean, mats, alphas),
+            _mean_part("ess-mean", _ESS, mean, mats, alphas)]
 
 
 def _e3_sample(rng, ens):
@@ -1005,15 +994,9 @@ def _e3_sample(rng, ens):
 
 
 def _e3_build(inputs, k, m, alphas):
-    a, cols, mid = _grid_factorization(inputs.families, k, m, alphas)
-    return [
-        Part("gamma-grid", CHAIN, _grid_terms(
-            ("gamma(A)", "gamma(mean of col products)", "prod gamma(col product)^a_j"),
-            [hausdorff_mnc(x) for x in (a, mid, *cols)], alphas)),
-        Part("ess-grid", CHAIN, _grid_terms(
-            ("ess(A)", "ess(mean of col products)", "prod ess(col product)^a_j"),
-            [essential_spectral_radius(x) for x in (a, mid, *cols)], alphas)),
-    ]
+    grid = _grid_factorization(inputs.families, k, m, alphas)
+    return [_grid_part("gamma-grid", _GAMMA, grid, alphas),
+            _grid_part("ess-grid", _ESS, grid, alphas)]
 
 
 def _e4_sample(rng, ens):

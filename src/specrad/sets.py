@@ -105,6 +105,8 @@ def set_sum(p, q) -> OperatorSet:
 
 def set_sum_many(sets) -> OperatorSet:
     sets = [_as_set(s) for s in sets]
+    if not sets:
+        raise DomainError("need at least one set to add")
     return reduce(set_sum, sets)
 
 

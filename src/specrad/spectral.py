@@ -379,7 +379,7 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
     """Operator norm bracket on the requested sequence space.
 
     l1 and linf norms are exact column/row sums; the l2 norm is the square
-    root of the spectral radius of A*A (see ``_l2_norms``).  A norm beyond
+    root of the spectral radius of A*A (see ``_radii_norms``).  A norm beyond
     the float range is a DomainError.
     """
     if space == L1 or space == LINF:
@@ -396,14 +396,19 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
 
 
 def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
-    """(lo, hi, converged) for the l2 norm of each nonnegative array.
+    """(lo, hi, converged) for the l2 norm of each nonnegative array: the
+    norms-only case of ``_radii_norms``."""
+    return _radii_norms([], arrays, tol)[1]
 
-    The norm is the square root of the spectral radius of A*A, and the Gram
-    radii of all arrays go through one ``_spectral_radii`` call, between two
-    per-array steps: ``_gram`` before it and ``_l2_finish`` after it (a
-    caller may put other arrays in that batch, as ``jsr._depth_bounds`` and
-    the registry's one pass per finite build do, since a radius does not
-    depend on its batch).  Each Gram
+
+def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]:
+    """(radii, norms): (lo, hi, converged) for the Perron root of each array
+    of ``rhos`` and for the l2 norm of each array of ``norms``, from one
+    ``_spectral_radii`` call on the radius arrays followed by the Gram
+    matrices of the norm arrays.  A radius does not depend on its batch, so
+    each result has the bits of its array bracketed alone.
+
+    The norm is the square root of the spectral radius of A*A.  Each Gram
     matrix is formed on its own array, since numpy may compute ``a.T @ a``
     with a symmetric rank-k update that rounds differently from a general
     product.  When the largest entry lies outside [_GRAM_MIN, _GRAM_MAX],
@@ -422,13 +427,15 @@ def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, 
     squared entry (>= 2**-802), by less than n * m * 2**-1074, below the
     one-ulp steps.
     """
-    grams = [_gram(a) for a in arrays]
-    radii = _spectral_radii([g for g, _ in grams], tol)
-    return [_l2_finish(a.shape[0], e, r) for a, (_, e), r in zip(arrays, grams, radii)]
+    grams = [_gram(a) for a in norms]
+    radii = _spectral_radii([*rhos, *(g for g, _ in grams)], tol)
+    k = len(rhos)
+    return radii[:k], [_l2_finish(a.shape[0], e, r)
+                       for a, (_, e), r in zip(norms, grams, radii[k:])]
 
 
 def _gram(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """The first step of ``_l2_norms``: (A*A, e) for A = 2**-e ``a``, where
+    """The first step of an l2 norm: (A*A, e) for A = 2**-e ``a``, where
     e = 0 unless the largest entry lies outside [_GRAM_MIN, _GRAM_MAX]."""
     top = a.max().item()
     e = 0 if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX else math.frexp(top)[1]
@@ -438,7 +445,7 @@ def _gram(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _l2_finish(rows: int, e: int, radius: tuple[float, float, bool]) -> tuple[float, float, bool]:
-    """The last step of ``_l2_norms``: the norm (lo, hi, converged) of a
+    """The last step of an l2 norm: the norm (lo, hi, converged) of a
     matrix with ``rows`` rows from the Gram radius of its ``_gram``."""
     lo, hi, ok = radius
     g = _gamma(rows)

@@ -149,6 +149,21 @@ def test_eval_context_refuses_unusable_settings(kwargs):
         EvalContext(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"size": 2.5}, "ensemble size must be an integer >= 1"),
+    ({"size": "4"}, "ensemble size must be an integer >= 1"),
+    ({"size": True}, "ensemble size must be an integer >= 1"),
+    ({"size": 0}, "ensemble size must be an integer >= 1"),
+    ({"density": "0.3"}, r"density must be a real in \[0, 1\]"),
+    ({"density": None}, r"density must be a real in \[0, 1\]"),
+    ({"density": float("nan")}, r"density must be a real in \[0, 1\]"),
+    ({"density": 1.5}, r"density must be a real in \[0, 1\]"),
+])
+def test_ensemble_spec_refuses_a_size_or_density_of_the_wrong_type(kwargs, match):
+    with pytest.raises(DomainError, match=match):
+        EnsembleSpec(**kwargs)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
 def test_ensemble_spec_refuses_a_seed_numpy_cannot_use(seed):
     with pytest.raises(DomainError, match="ensemble seed must be an integer >= 0"):

@@ -34,7 +34,8 @@ from specrad.jsr import (
     _MAX_LEVEL,
     _canonical,
     _child,
-    _depth_bounds,
+    _depth_finish,
+    _depth_walks,
     _levels,
     _necklaces,
     gamma_level_max,
@@ -42,7 +43,7 @@ from specrad.jsr import (
     norm_level_max,
     norm_set_bracket,
 )
-from specrad.spectral import operator_norm
+from specrad.spectral import _radii_norms, operator_norm
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -539,7 +540,8 @@ def _matrix_set(rng, n, size, scale, density, fortran):
 
 
 def test_depth_bounds_are_the_two_estimators_bit_for_bit():
-    """One batched pass gives (gen_radius_lb(S, d), norm_level_max(S, d))
+    """One batched pass (``_depth_walks``, ``_radii_norms``, then
+    ``_depth_finish``) gives (gen_radius_lb(S, d), norm_level_max(S, d))
     for every pair, bit for bit: on dense and reducible sparse sets, with
     deepest products near 2**600 and 2**-600 (the Gram scaling path), with
     Fortran-ordered letters at n = 18 (where OpenBLAS rounds the two layouts
@@ -560,6 +562,8 @@ def test_depth_bounds_are_the_two_estimators_bit_for_bit():
             pairs.append((_matrix_set(rng, n, int(rng.integers(1, 4)), scale, density,
                                       rng.random() < 0.4), d))
         want = [(gen_radius_lb(s, d), norm_level_max(s, d)) for s, d in pairs]
-        got = _depth_bounds(pairs)
+        walks, rhos, norms = _depth_walks(pairs)
+        bounds = _depth_finish(walks, *map(iter, _radii_norms(rhos, norms)))
+        got = [bounds[id(s), d] for s, d in pairs]
         assert [(lb.hex(), ub.hex()) for lb, ub in got] == \
             [(lb.hex(), ub.hex()) for lb, ub in want]

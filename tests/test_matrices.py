@@ -23,6 +23,22 @@ def test_rejects_negative_and_empty():
         FiniteMatrix(np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("make,error,match", [
+    (lambda: FiniteMatrix([[1, 2], [3]]), DomainError, "matrix entries must be real numbers"),
+    (lambda: FiniteMatrix("abc"), DomainError, "matrix entries must be real numbers"),
+    (lambda: FiniteMatrix([[1 + 2j]]), DomainError, "matrix entries must be real numbers"),
+    (lambda: FiniteMatrix([[{}]]), DomainError, "matrix entries must be real numbers"),
+    (lambda: FiniteMatrix(np.ones((2, 2, 2))), ShapeMismatchError, r"shape \(2, 2, 2\)"),
+    (lambda: WeightVector(("a",)), DomainError, "weights must be real numbers"),
+    (lambda: WeightVector((None,)), DomainError, "weights must be real numbers"),
+], ids=["ragged", "string", "complex", "dict", "three-axes", "weight-string", "weight-none"])
+def test_constructors_refuse_unconvertible_data_with_a_typed_error(make, error, match):
+    """Data that numpy cannot turn into a float matrix, or Python into float
+    weights, raises a SpecradError that says why, not a bare numpy error."""
+    with pytest.raises(error, match=match):
+        make()
+
+
 def test_hadamard_product_entrywise():
     a = M([[1, 2], [3, 4]])
     b = M([[2, 0], [1, 1]])

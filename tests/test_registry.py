@@ -389,7 +389,7 @@ def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
         count[0] += 1
         return real(*args, **kwargs)
 
-    for module in (spectral, jsr, reg):
+    for module in (spectral, jsr):
         monkeypatch.setattr(module, "_spectral_radii", counted)
     spec = by_id(cid)
     for kind in ("dense_uniform", "sparse_bernoulli"):

@@ -25,6 +25,7 @@ from specrad import (
     weighted_geometric_mean,
 )
 from specrad.errors import BudgetExceededError, DomainError, ShapeMismatchError
+from specrad.sets import set_product_many, set_sum_many
 
 
 A = FiniteMatrix([[1, 1], [0, 1]])
@@ -73,6 +74,14 @@ def test_set_sum_and_mean_singletons():
     assert got[0] == A.hpow(0.5).hadamard(B.hpow(0.5))
     got = set_hadamard_mean([OperatorSet([A, B]), OperatorSet([C])], WeightVector.uniform(2))
     assert len(got) == 2
+
+
+def test_set_sum_many_of_no_sets_is_refused_as_a_product_of_none_is():
+    with pytest.raises(DomainError, match="^need at least one set to add$"):
+        set_sum_many([])
+    with pytest.raises(DomainError, match="^need at least one set to multiply$"):
+        set_product_many([])
+    assert set_sum_many([OperatorSet([A]), OperatorSet([B])])[0] == A + B
 
 
 def test_set_hadamard_power_elementwise():

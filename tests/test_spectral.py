@@ -36,7 +36,9 @@ from specrad.spectral import (
     _ROUND_GUARD,
     DEFAULT_RHO_TOL,
     _gamma,
+    _l2_norms,
     _perron_brackets,
+    _radii_norms,
     _spectral_radii,
     _squeeze,
     _strong_components,
@@ -232,6 +234,34 @@ def test_spectral_radii_bits_do_not_depend_on_the_batch(arrays):
         assert _bits(r) == _bits(back) == _bits(_spectral_radii([a])[0])
         if len(a) <= 8:
             assert encloses_perron_root(a, r[0], r[1])
+
+
+def test_radii_and_norms_get_their_own_bits_in_one_mixed_batch():
+    """``_radii_norms`` gives each radius the bits of ``_spectral_radii`` and
+    each norm those of ``_l2_norms`` on its array alone, whatever the order
+    of the two lists: on C- and Fortran-ordered arrays, arrays scaled by
+    2**600 and 2**-600 (the Gram scaling path), sparse reducible ones,
+    1 x 1 and 18 x 18 ones, and one array that is in both lists."""
+    rng = np.random.default_rng(67)
+    for _ in range(30):
+        arrays = []
+        for n in rng.choice([1, 2, 3, 5, 18], size=int(rng.integers(2, 9))).tolist():
+            a = rng.random((n, n))
+            if rng.random() < 0.4:
+                a = np.triu(a * (rng.random((n, n)) < 0.4))
+            a = a * 2.0 ** int(rng.choice([-600, 0, 600]))
+            arrays.append(np.asfortranarray(a) if rng.random() < 0.4 else a)
+        side = rng.random(len(arrays)) < 0.5
+        rhos = [arrays[0], *(a for a, r in zip(arrays[1:], side[1:]) if r)]
+        norms = [arrays[0], *(a for a, r in zip(arrays[1:], side[1:]) if not r)]
+        rhos = [rhos[i] for i in rng.permutation(len(rhos))]
+        norms = [norms[i] for i in rng.permutation(len(norms))]
+        want = ([_bits(_spectral_radii([a])[0]) for a in rhos],
+                [_bits(_l2_norms([a])[0]) for a in norms])
+        radii, l2 = _radii_norms(rhos, norms)
+        assert ([_bits(r) for r in radii], [_bits(r) for r in l2]) == want
+        radii, l2 = _radii_norms(rhos[::-1], norms[::-1])
+        assert ([_bits(r) for r in radii[::-1]], [_bits(r) for r in l2[::-1]]) == want
 
 
 def test_fortran_ordered_positive_arrays_get_their_own_bits_in_a_batch():
