@@ -24,6 +24,7 @@ type checks; ``_normal_bands`` normalises every family's bands.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -112,7 +113,9 @@ class OperatorFamily:
             if 0 in items:
                 raise ShapeMismatchError("give the diagonal either as offset 0 or as diagonal=, not both")
             items[0] = diagonal
-        for w in items.values():
+        for d, w in items.items():
+            if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+                raise DomainError(f"band offsets must be integers, got {d!r}")
             if not isinstance(w, WeightSeq):
                 raise DomainError(f"band weights must be WeightSeq values, got {type(w).__name__}")
         self.bands = _normal_bands({int(d): w for d, w in items.items()})

@@ -47,10 +47,6 @@ class FiniteMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def entry(self, i: int, j: int) -> float:
-        """1-based entry access, matching the infinite-operator convention."""
-        return float(self.a[i - 1, j - 1])
-
     def hadamard(self, other: "FiniteMatrix") -> "FiniteMatrix":
         if self.a.shape != other.a.shape:
             raise ShapeMismatchError(
@@ -142,6 +138,8 @@ def _wrap(a: np.ndarray) -> FiniteMatrix:
     return m
 
 
+# The slack of every "weights sum to at least 1" check: weights such as
+# 1/3 are rounded, so their sum may fall just short of 1.
 _SUM_SLACK = 1e-12
 
 
@@ -150,9 +148,9 @@ class WeightVector:
     """Positive exponents for weighted geometric means.
 
     Every weight is positive and finite and the weights sum to at least 1
-    (within 1e-12).  A sum of exactly 1 gives the classical mean, dominated
-    entrywise by the matching arithmetic mean; a larger sum is the relaxed
-    form that the sequence-space inequalities allow.
+    (within ``_SUM_SLACK``).  A sum of exactly 1 gives the classical mean,
+    dominated entrywise by the matching arithmetic mean; a larger sum is the
+    relaxed form that the sequence-space inequalities allow.
     """
 
     weights: tuple[float, ...]

@@ -33,9 +33,12 @@ the leaf and the label format of ``_RHO``, ``_NORM``, ``_ESS`` or
 ``_GAMMA``.
 
 Finite-level upper estimates inside one part are evaluated at matched
-underlying depths, so whenever the proof of a chain rests on entrywise
-domination of matched products (all of these do), the certified upper
-bounds inherit the ordering and the part passes decisively.  Essential
+underlying depths, so whenever the proof of a link rests on entrywise
+domination of matched products, the certified upper bounds inherit the
+ordering and the link passes decisively.  One link does not: F14's last,
+r((PQ)^(1/b))^(b/2) r((QP)^(1/(1-b)))^((1-b)/2) <= r(PQ), rests on
+r(QP) = r(PQ), and the norm bounds of the products of QP and of PQ at a
+shared depth can cross, so that part can come out inconclusive.  Essential
 upper estimates need no depth: the noncompactness measure is
 multiplicative on banded families, so every depth gives the same bound.
 
@@ -61,7 +64,7 @@ in ``_REGISTRY`` and holds:
 - ``params``: the typed params in catalog order, each with its side
   condition: ``_Int`` (integer >= low that converts to a float, optionally
   odd or even), ``_Real`` (finite real in a closed or open range), ``_Alpha``
-  (real >= c/m or >= c, with 1e-12 slack for the rounded bound), ``_Weights``
+  (real >= c/m or >= c whose weights pass ``WeightVector``), ``_Weights``
   (m positive reals summing to at least 1) and ``_Perm`` (a permutation of
   0..m-1);
 - ``check``: an optional per-chain condition that fits no shared type.
@@ -87,9 +90,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from typing import Callable
 
 from .chains import CHAIN, ENTRYWISE, EQUALITY, ChainInputs, ChainSpec, Part
@@ -112,7 +117,7 @@ from .jsr import (
     gen_radius_lb,
     norm_level_max,
 )
-from .matrices import FiniteMatrix, WeightVector
+from .matrices import _SUM_SLACK, FiniteMatrix, WeightVector
 from .serialize import _is_number
 from .sets import (
     OperatorSet,
@@ -478,9 +483,6 @@ def _perm(rng, m):
 # ---------------------------------------------------------------------------
 # declarations: typed params, operand counts, and the shared validator
 
-_SLACK = 1e-12
-
-
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
@@ -529,7 +531,11 @@ class _Real:
 class _Alpha:
     """Real exponent >= num/den, where den is an integer or the param m.
 
-    num/den is rounded (1/3, 1/m), so the bound is checked with 1e-12 slack.
+    A build weights den/num operands by the exponent (E18 three, E8 m), so
+    it holds when that many copies of it pass ``WeightVector``'s check, a
+    sum of at least 1 - _SUM_SLACK.  The rounding of that sum cannot carry
+    an exponent _SUM_SLACK or more away from num/den across the line, so
+    only an exponent nearer than that is summed, copy by copy.
     """
 
     name: str
@@ -543,7 +549,12 @@ class _Alpha:
         return self.num / (params["m"] if self.den == "m" else self.den)
 
     def holds(self, v, params) -> bool:
-        return _is_number(v) and self.bound(params) - _SLACK <= v < math.inf
+        bound = self.bound(params)
+        if not (_is_number(v) and bound - _SUM_SLACK <= v < math.inf):
+            return False
+        copies = (params["m"] if self.den == "m" else self.den) // self.num
+        return v >= bound + _SUM_SLACK or (
+            copies <= sys.maxsize and sum(repeat(float(v), copies)) >= 1.0 - _SUM_SLACK)
 
 
 @dataclass(frozen=True)
@@ -558,7 +569,7 @@ class _Weights:
     def holds(self, v, params) -> bool:
         return (isinstance(v, (list, tuple)) and len(v) == params["m"]
                 and all(_is_number(a) and 0 < a < math.inf for a in v)
-                and sum(v) >= 1.0 - _SLACK)
+                and sum(v) >= 1.0 - _SUM_SLACK)
 
 
 @dataclass(frozen=True)
@@ -1085,7 +1096,7 @@ def _e6_sample(rng, ens):
 
 
 def _e6_check(inputs):
-    if inputs.params["alpha"] + inputs.params["beta"] < 1.0 - _SLACK:
+    if inputs.params["alpha"] + inputs.params["beta"] < 1.0 - _SUM_SLACK:
         return "symmetrization needs alpha + beta >= 1"
     return None
 

@@ -13,7 +13,7 @@ from functools import reduce
 
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError
 from .families import OperatorFamily
-from .matrices import FiniteMatrix, WeightVector
+from .matrices import _SUM_SLACK, FiniteMatrix, WeightVector
 
 MAX_SET_ELEMENTS = 200_000
 
@@ -165,7 +165,7 @@ def symmetrization(s, alpha: float, beta: float, q=None) -> OperatorSet:
     """
     if alpha < 0 or beta < 0:
         raise DomainError("symmetrization weights must be nonnegative")
-    if alpha + beta < 1.0 - 1e-12:
+    if alpha + beta < 1.0 - _SUM_SLACK:
         raise DomainError(f"symmetrization needs alpha + beta >= 1, got {alpha + beta}")
     s = _as_set(s)
     q = s if q is None else _as_set(q)

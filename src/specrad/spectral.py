@@ -6,15 +6,13 @@ finite spectral radius is the max over strongly connected components,
 so reducible matrices also get tight lower bounds.  The components come
 from the reachability closure of the sparsity pattern: R = (A != 0) | I
 squared until it stops growing, after which i and j share a component
-exactly when R[i, j] and R[j, i].  In a batch, the arrays of one shape
-are tested for a zero entry in one stacked reduction (when the first
-of them has a zero off-diagonal corner entry, only those whose two corner
-entries are nonzero), and each with none, one component by itself, skips
-the closure.  One routine,
-``_perron_brackets``, brackets a whole stack of equal-sized irreducible blocks at once: the
-components of many matrices (word products of a set, or their Gram
-matrices) are stacked by size, and ``spectral_radius`` is the one-matrix
-case.  It takes each block's Perron vector x from one batched
+exactly when R[i, j] and R[j, i].  A batch's arrays are stacked by size
+and each stack is split at once: one reduction finds the arrays with a
+zero entry, and only those are squared, together.  One routine,
+``_perron_brackets``, brackets a whole stack of equal-sized irreducible
+blocks at once: the components of many matrices (word products of a set,
+or their Gram matrices) are stacked by size, and ``spectral_radius`` is
+the one-matrix case.  It takes each block's Perron vector x from one batched
 ``np.linalg.eig`` call and makes one Collatz-Wielandt check: the min and
 max of fl(Ax)_i / x_i, widened by Higham's gamma_{n+1} with every rounded
 step moved outward, enclose the Perron root for any x > 0.  A block whose
@@ -114,35 +112,44 @@ class Bracket:
 # -- finite spectral radius ------------------------------------------------
 
 
-def _strong_components(a: np.ndarray) -> list[np.ndarray]:
-    """Strongly connected components of the digraph i -> j where a[i, j] != 0.
+def _strong_components(stack: np.ndarray) -> list[list[np.ndarray]]:
+    """Strongly connected components of the digraph i -> j where a[i, j] != 0,
+    for each array a of a C-ordered (k, n, n) stack.
 
-    R = (a != 0) | I holds 0/1 floats; each squaring, clipped back to 1,
-    doubles the path length R covers, so it stops growing after at most
-    ceil(log2 n) + 1 products and is then the reachability closure.
+    One reduction tests the whole stack for a zero entry: an array with
+    none is one component.  For the others, R = (a != 0) | I holds 0/1
+    floats; each stacked squaring, clipped back to 1, doubles the path
+    length R covers, so after at most ceil(log2 n) + 1 products no
+    array's entry count grows and each R is its reachability closure.
     Products use BLAS: at n = 100 a boolean ``@`` is several times slower.
-    Each component is its sorted indices; components come in order of
-    their smallest index.  When R is all ones (an entrywise positive
-    matrix, or a primitive one after a few squarings) the whole index
-    range is one component.
+    The closure is exact 0/1 arithmetic, so an array's components do not
+    depend on its stack.  Each component is its sorted indices; an array's
+    components come in order of their smallest index.
     """
-    n = a.shape[0]
-    r = (a != 0).astype(float)
-    np.fill_diagonal(r, 1.0)
-    count = r.sum()
-    while count < n * n:
+    k, n, _ = stack.shape
+    out = [[np.arange(n)]] * k
+    split = [j for j, full in enumerate(stack.reshape(k, -1).all(axis=1).tolist()) if not full]
+    if not split:
+        return out
+    r = ((stack if len(split) == k else stack[split]) != 0).astype(float)
+    r.reshape(len(split), -1)[:, ::n + 1] = 1.0
+    count = r.sum(axis=(1, 2)).tolist()
+    while min(count) < n * n:
         r = r @ r
         np.minimum(r, 1.0, out=r)
-        grown = r.sum()
+        grown = r.sum(axis=(1, 2)).tolist()
         if grown == count:
-            # Row i of R * R.T marks i's component; its first one is the
-            # component's smallest index, which labels it.
-            labels = (r * r.T).argmax(axis=1)
-            order = np.argsort(labels, kind="stable")
-            cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), n]
-            return [order[i:j] for i, j in zip(cuts, cuts[1:])]
+            break
         count = grown
-    return [np.arange(n)]
+    # Row i of R * R.T marks i's component; its first one is the
+    # component's smallest index, which labels it.
+    labels = (r * r.transpose(0, 2, 1)).argmax(axis=2)
+    for j, lab, c in zip(split, labels, count):
+        if c < n * n:
+            order = np.argsort(lab, kind="stable")
+            cuts = [0, *(np.flatnonzero(np.diff(lab[order])) + 1).tolist(), n]
+            out[j] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    return out
 
 
 def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
@@ -294,74 +301,42 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     """(lo, hi, converged) for the Perron root of each square nonnegative array.
 
     The spectrum of a block-triangular matrix is the union over diagonal
-    blocks, so a radius is the max over strongly connected components.  A
-    singleton component is its diagonal entry.  The blocks of each larger
-    size, gathered across all arrays as C-ordered copies, go through one
-    ``_perron_brackets`` call.  An array with every entry nonzero is one
-    component: when two or more arrays share its shape, n >= 2, it joins
-    its size's group from one stacked test (``_full_blocks``) and skips
-    ``_strong_components``.
+    blocks, so a radius is the max over strongly connected components.  The
+    arrays of each size are copied into one C-ordered stack by ``np.array``
+    of their list, a copy that keeps no operand's layout (``np.stack`` keeps
+    Fortran strides, and ``_perron_brackets``' row sums would then add in
+    another order than for the array alone), and split by one
+    ``_strong_components`` call.  A singleton component is its diagonal
+    entry.  The blocks of each larger size, gathered across all arrays as
+    C-ordered views or copies of the stacks, go through one
+    ``_perron_brackets`` call.
     """
-    out = []
-    groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
-
-    def add(i: int, block: np.ndarray) -> None:
-        owners, blocks = groups.setdefault(len(block), ([], []))
-        owners.append(i)
-        blocks.append(block)
-
-    full = _full_blocks(arrays) if len(arrays) > 1 else {}
+    sizes: dict[int, list[int]] = {}
     for i, a in enumerate(arrays):
         if a.shape[0] != a.shape[1]:
             raise ShapeMismatchError("spectral radius needs a square matrix")
-        v = 0.0  # the largest singleton component, a diagonal entry
-        if i in full:
-            add(i, full[i])
-        else:
-            for comp in _strong_components(a):
+        sizes.setdefault(len(a), []).append(i)
+    out: list = [None] * len(arrays)
+    groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    for n, owners in sizes.items():
+        stack = np.array([arrays[i] for i in owners])
+        for i, a, comps in zip(owners, stack, _strong_components(stack)):
+            v = 0.0  # the largest singleton component, a diagonal entry
+            for comp in comps:
                 if comp.size == 1:
                     c = comp.item()
                     v = max(v, a.item(c, c))
                     continue
-                add(i, np.ascontiguousarray(a) if comp.size == len(a) else a[np.ix_(comp, comp)])
-        out.append([v, v, True])
+                block_owners, blocks = groups.setdefault(comp.size, ([], []))
+                block_owners.append(i)
+                blocks.append(a if comp.size == n else a[np.ix_(comp, comp)])
+            out[i] = [v, v, True]
     for owners, blocks in groups.values():
         stack = np.array(blocks) if len(blocks) > 1 else blocks[0][None]
         for i, (lo, hi, ok) in zip(owners, _perron_brackets(stack, tol)):
             r = out[i]
             r[0], r[1], r[2] = max(r[0], lo), max(r[1], hi), r[2] and ok
     return [tuple(r) for r in out]
-
-
-def _full_blocks(arrays) -> dict[int, np.ndarray]:
-    """{index: C-ordered copy} of the arrays with every entry nonzero, among
-    the square n x n arrays, n >= 2, whose shape two or more arrays share.
-
-    An array with a zero top-right or bottom-left entry is not full.  When
-    the first array of a shape fails that probe, only the arrays of the
-    shape that pass it are stacked and tested; a shape whose first array
-    passes is stacked whole, so a positive batch pays one probe per shape.
-    The candidates are copied into one C-ordered stack by ``np.array`` of
-    their list, a copy that keeps no operand's layout: ``np.stack`` keeps
-    Fortran strides, and ``_perron_brackets``' row sums would then add in
-    another order than for the array alone.
-    """
-    shapes: dict[tuple, list[int]] = {}
-    for i, a in enumerate(arrays):
-        shapes.setdefault(a.shape, []).append(i)
-    full = {}
-    for shape, owners in shapes.items():
-        if len(owners) < 2 or shape != (shape[0], shape[0]) or shape[0] < 2:
-            continue
-        first = arrays[owners[0]]
-        if not (first.item(0, -1) and first.item(-1, 0)):
-            owners = [i for i in owners if arrays[i].item(0, -1) and arrays[i].item(-1, 0)]
-            if not owners:
-                continue
-        stack = np.array([arrays[i] for i in owners])
-        for j in np.flatnonzero(stack.reshape(len(owners), -1).all(axis=1)).tolist():
-            full[owners[j]] = stack[j]
-    return full
 
 
 def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:

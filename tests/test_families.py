@@ -53,6 +53,24 @@ def test_diagonal_and_zero_band_pruning():
         OperatorFamily({0: Constant(1.0)}, diagonal=Constant(1.0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda w: shift_family(w, offset=1.5),
+    lambda w: OperatorFamily({"1": w}),
+    lambda w: OperatorFamily({True: w}),
+    lambda w: OperatorFamily({1.0: w}),
+], ids=["float-shift", "str", "bool", "integral-float"])
+def test_a_band_offset_that_is_not_an_integer_is_refused(make):
+    with pytest.raises(DomainError, match="band offsets must be integers"):
+        make(Constant(1.0))
+
+
+def test_numpy_integer_band_offsets_are_accepted():
+    f = OperatorFamily({np.int64(2): Constant(1.0)})
+    assert list(f.bands) == [2] and type(next(iter(f.bands))) is int
+    assert shift_family(Constant(1.0), offset=np.int32(-1)).truncate(2).a.tolist() == \
+        [[0.0, 0.0], [1.0, 0.0]]
+
+
 def test_adjoint_is_transpose_on_truncations():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -486,3 +486,30 @@ def test_one_pass_builds_are_the_eager_replay(monkeypatch):
                  "entrywise power exceeds the float range",
                  "bracket endpoints must be finite"):
         assert seen in outcomes, (seen, sorted(outcomes))
+
+
+@pytest.mark.parametrize("below", [0.9e-12, 1e-13])
+def test_an_alpha_just_below_its_bound_is_refused_or_evaluated(below):
+    """Every ``_Alpha`` param of every chain, set just below its bound, gives
+    a ``HypothesisViolation`` or a report, never a ``DomainError`` from the
+    ``WeightVector`` the build makes of it: the hypothesis accepts exactly
+    the exponents whose weights pass.  The trials draw m from 2 to 4."""
+    ens = EnsembleSpec(kind="shift_family", seed=5)
+    seen = set()
+    for spec in registry():
+        declared = inspect.getclosurevars(spec.hypothesis).nonlocals["params"]
+        for p in (p for p in declared if isinstance(p, reg._Alpha)):
+            for trial in range(4):
+                good = spec.sample(rng_for(ens, trial, spec.id), ens)
+                params = {**good.params, p.name: p.bound(good.params) - below}
+                inputs = ChainInputs(good.matrices, good.families, good.matrix_sets,
+                                     good.family_sets, params)
+                try:
+                    evaluate_chain(spec, inputs, CTX)
+                except HypothesisViolation:
+                    pass
+                seen.add((spec.id, p.name, params.get("m")))
+    assert {("E8", "alpha"), ("E11", "alpha"), ("E15", "alpha"), ("E15", "alpha2"),
+            ("E17", "alpha"), ("E18", "alpha"), ("E19", "alpha"), ("E20", "alpha"),
+            ("E21", "alpha")} == {key[:2] for key in seen}
+    assert ("E20", "alpha", 4) in seen

@@ -163,14 +163,22 @@ def _component_matrices(count, seed):
 
 
 def test_strong_components_match_scipy():
-    """Same partition as scipy's strong components; sorted, by smallest index."""
+    """Same partition as scipy's strong components; sorted, by smallest
+    index.  Each array is split alone and in one stack with every other
+    array of its size, so its split does not depend on its stack."""
+    by_size = {}
     for a in _component_matrices(2400, seed=81):
-        comps = _strong_components(a)
-        assert {frozenset(c.tolist()) for c in comps} == \
-            {frozenset(c.tolist()) for c in _scipy_components(a)}
-        assert sum(c.size for c in comps) == a.shape[0]
-        assert all(np.array_equal(c, np.sort(c)) for c in comps)
-        assert [int(c[0]) for c in comps] == sorted(int(c[0]) for c in comps)
+        by_size.setdefault(len(a), []).append(a)
+    for arrays in by_size.values():
+        stacked = _strong_components(np.array(arrays))
+        assert len(stacked) == len(arrays)
+        for a, comps in zip(arrays, stacked):
+            for split in (comps, _strong_components(a[None])[0]):
+                assert {frozenset(c.tolist()) for c in split} == \
+                    {frozenset(c.tolist()) for c in _scipy_components(a)}
+                assert sum(c.size for c in split) == a.shape[0]
+                assert all(np.array_equal(c, np.sort(c)) for c in split)
+                assert [int(c[0]) for c in split] == sorted(int(c[0]) for c in split)
 
 
 def test_spectral_radius_matches_scipy_split_reference():
@@ -283,44 +291,41 @@ def test_fortran_ordered_positive_arrays_get_their_own_bits_in_a_batch():
                     assert _bits(r) == _bits(_spectral_radii([a])[0])
 
 
-def test_only_arrays_with_a_zero_entry_are_split_into_components(monkeypatch):
-    """Two or more arrays of one shape are tested for a zero entry in one
-    stacked reduction; only those that have one, and a lone array, go
-    through ``_strong_components``."""
-    split = []
+def test_each_size_is_split_once_and_every_array_keeps_its_bits(monkeypatch):
+    """One ``_spectral_radii`` call splits the arrays of each distinct size
+    by one ``_strong_components`` call on a C-contiguous stack, and each
+    array gets the bracket it gets alone: on Fortran-ordered positive
+    arrays, an array whose corner entries are nonzero but which has a zero
+    interior entry, 1 x 1 arrays, and a lone array."""
+    stacks = []
     real = spectral._strong_components
-    monkeypatch.setattr(spectral, "_strong_components", lambda a: split.append(a) or real(a))
+    monkeypatch.setattr(spectral, "_strong_components",
+                        lambda s: stacks.append((s.shape, s.flags.c_contiguous)) or real(s))
     rng = np.random.default_rng(72)
-    sparse = [np.triu(rng.random((3, 3))), np.array([[0.0, 2.0], [3.0, 0.0]])]
-    batch = [rng.random((3, 3)) + 0.1, sparse[0], np.asfortranarray(rng.random((3, 3)) + 0.1),
-             sparse[1], np.ones((2, 2)), np.array([[2.5]]), np.array([[0.5]])]
-    got = _spectral_radii(batch)
-    assert [id(a) for a in split] == [id(a) for a in sparse + batch[5:]]
-    split.clear()
-    alone = [_spectral_radii([a])[0] for a in batch]
-    assert [id(a) for a in split] == [id(a) for a in batch]
-    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
-    split.clear()
-    assert spectral_radius(FiniteMatrix(batch[0])) == Bracket(*got[0][:2], "gelfand-cw")
-    assert len(split) == 1
-
-
-def test_a_shape_led_by_a_sparse_array_probes_each_array(monkeypatch):
-    """When the first array of a shape has a zero off-diagonal corner entry,
-    each array is probed at its two corner entries; the full ones still skip
-    ``_strong_components`` and every bracket keeps its bits."""
-    split = []
-    real = spectral._strong_components
-    monkeypatch.setattr(spectral, "_strong_components", lambda a: split.append(a) or real(a))
-    rng = np.random.default_rng(73)
     hole = rng.random((3, 3)) + 0.1
-    hole[1, 1] = 0.0  # passes the corner probe, fails the stacked test
-    batch = [np.triu(rng.random((3, 3))), rng.random((3, 3)) + 0.1, hole,
-             np.asfortranarray(rng.random((3, 3)) + 0.1)]
-    got = _spectral_radii(batch)
-    assert [id(a) for a in split] == [id(batch[0]), id(hole)]
-    alone = [_spectral_radii([a])[0] for a in batch]
-    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
+    hole[1, 1] = 0.0  # nonzero corner entries, a zero interior entry
+    batches = [
+        [rng.random((3, 3)) + 0.1, np.triu(rng.random((3, 3))),
+         np.asfortranarray(rng.random((3, 3)) + 0.1), np.array([[0.0, 2.0], [3.0, 0.0]]),
+         np.ones((2, 2)), np.array([[2.5]]), np.array([[0.5]])],
+        [np.triu(rng.random((3, 3))), rng.random((3, 3)) + 0.1, hole,
+         np.asfortranarray(rng.random((3, 3)) + 0.1)],
+        [np.asfortranarray(rng.random((4, 4)) + 0.1) for _ in range(3)],
+        [np.asfortranarray(np.triu(rng.random((5, 5))))],
+    ]
+    for batch in batches:
+        stacks.clear()
+        got = _spectral_radii(batch)
+        sizes = list(dict.fromkeys(len(a) for a in batch))
+        assert stacks == [((sum(len(a) == n for a in batch), n, n), True) for n in sizes]
+        for a, r in zip(batch, got):
+            stacks.clear()
+            assert _bits(r) == _bits(_spectral_radii([a])[0])
+            assert stacks == [((1, len(a), len(a)), True)]
+    stacks.clear()
+    assert spectral_radius(FiniteMatrix(hole)) == Bracket(*_spectral_radii([hole])[0][:2],
+                                                          "gelfand-cw")
+    assert stacks == [((1, 3, 3), True)] * 2
 
 
 def test_a_one_by_one_array_in_a_batch_is_its_entry():
@@ -424,7 +429,7 @@ def test_fallback_blocks_of_one_stack_each_get_their_own_squeeze():
 @given(st.data())
 def test_the_squeeze_encloses_the_exact_root(data):
     a = _oracle_matrix(data.draw, data.draw(st.integers(2, 8)))
-    if len(_strong_components(a)) == 1:
+    if len(_strong_components(a[None])[0]) == 1:
         lo, hi, _ = _squeeze(np.ascontiguousarray(a), DEFAULT_RHO_TOL)
         assert encloses_perron_root(a, lo, hi)
 

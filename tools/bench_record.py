@@ -27,7 +27,7 @@ its checkout:
 - ``reference``: the verdict counts and report digests of perfbench's
   reference slices on its default and held-out seeds;
 - ``reports``: wall time, exit status and sha256 of stdout and ``--out`` of
-  the eight fixed reports that ``tools/fixed_reports.py`` builds.
+  the nine fixed reports that ``tools/fixed_reports.py`` builds.
 
 With two or more checkouts it prints, per workload and metric, how many
 seed pairs the last checkout won against the first, both medians and

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Build specrad's eight fixed reports in a checkout and print their sha256.
+"""Build specrad's nine fixed reports in a checkout and print their sha256.
 
     python3 tools/fixed_reports.py CHECKOUT [BASE_CHECKOUT]
 
 The fixed reports are the ones that must stay byte-identical across
 refactors: ``catalog``, the fixed-seed sweep over all chains, the three
 essential sweeps, a finite sweep on sparse matrices (the only one whose
-blocks fall back to the squaring squeeze), the sweep with
-``--dump-inputs`` and ``estimate jsr`` on the golden pair (the only one
-that reaches ``gripenberg_bracket``).  Each
-runs in the checkout's root with its ``src`` on ``PYTHONPATH`` and with
+blocks fall back to the squaring squeeze), a finite sweep on sparser,
+larger ones with many singleton and small components per matrix (the
+component split), the sweep with ``--dump-inputs`` and ``estimate jsr``
+on the golden pair (the only one that reaches ``gripenberg_bracket``).
+Each runs in the checkout's root with its ``src`` on ``PYTHONPATH`` and with
 ``--out``, and one line per report gives the sha256 of its stdout and of
 its ``--out`` file.  With a base checkout the reports are built there too,
 and the stdout and ``--out`` of each one are printed as ``identical`` or
@@ -40,6 +41,9 @@ REPORTS = {
        for e in ("shift_family", "diagonal_family", "shift_plus_rank")},
     "sweep_sparse": ["sweep", "--registry", "finite", "--ensemble", "sparse_bernoulli",
                      "--size", "12", "--density", "0.15", "--trials", "4", "--seed", "42"],
+    "sweep_sparse_reducible": ["sweep", "--registry", "finite", "--ensemble", "sparse_bernoulli",
+                               "--size", "18", "--density", "0.08", "--trials", "4",
+                               "--seed", "7"],
     "sweep_dump": ["sweep", "--registry", "all", "--trials", "2", "--seed", "5",
                    "--dump-inputs"],
     "estimate_jsr": ["estimate", "jsr", "--input", str(GOLDEN_PAIR), "--delta", "1e-6"],
