@@ -117,10 +117,11 @@ def _strong_components(stack: np.ndarray) -> list[list[np.ndarray]]:
     for each array a of a C-ordered (k, n, n) stack.
 
     One reduction tests the whole stack for a zero entry: an array with
-    none is one component.  For the others, R = (a != 0) | I holds 0/1
-    floats; each stacked squaring, clipped back to 1, doubles the path
-    length R covers, so after at most ceil(log2 n) + 1 products no
-    array's entry count grows and each R is its reachability closure.
+    none is one component; only the others reach ``_closure``.  There
+    R = (a != 0) | I holds 0/1 floats; each stacked squaring, clipped back
+    to 1, doubles the path length R covers, so after at most
+    ceil(log2 n) + 1 products no array's entry count grows and each R is
+    its reachability closure.
     Products use BLAS: at n = 100 a boolean ``@`` is several times slower.
     The closure is exact 0/1 arithmetic, so an array's components do not
     depend on its stack.  Each component is its sorted indices; an array's
@@ -133,14 +134,7 @@ def _strong_components(stack: np.ndarray) -> list[list[np.ndarray]]:
         return out
     r = ((stack if len(split) == k else stack[split]) != 0).astype(float)
     r.reshape(len(split), -1)[:, ::n + 1] = 1.0
-    count = r.sum(axis=(1, 2)).tolist()
-    while min(count) < n * n:
-        r = r @ r
-        np.minimum(r, 1.0, out=r)
-        grown = r.sum(axis=(1, 2)).tolist()
-        if grown == count:
-            break
-        count = grown
+    r, count = _closure(r)
     # Row i of R * R.T marks i's component; its first one is the
     # component's smallest index, which labels it.
     labels = (r * r.transpose(0, 2, 1)).argmax(axis=2)
@@ -150,6 +144,22 @@ def _strong_components(stack: np.ndarray) -> list[list[np.ndarray]]:
             cuts = [0, *(np.flatnonzero(np.diff(lab[order])) + 1).tolist(), n]
             out[j] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
     return out
+
+
+def _closure(r: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Reachability closure of each 0/1 (with ones on the diagonal) array of
+    a (k, n, n) float stack, by stacked squaring clipped back to 1, and
+    each closure's entry count."""
+    n = r.shape[1]
+    count = r.sum(axis=(1, 2)).tolist()
+    while min(count) < n * n:
+        r = r @ r
+        np.minimum(r, 1.0, out=r)
+        grown = r.sum(axis=(1, 2)).tolist()
+        if grown == count:
+            break
+        count = grown
+    return r, count
 
 
 def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:

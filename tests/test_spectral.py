@@ -328,6 +328,56 @@ def test_each_size_is_split_once_and_every_array_keeps_its_bits(monkeypatch):
     assert stacks == [((1, 3, 3), True)] * 2
 
 
+def _closure_inputs(monkeypatch):
+    """Record each array that ``_strong_components`` hands to ``_closure``."""
+    closed = []
+    real = spectral._closure
+    monkeypatch.setattr(spectral, "_closure",
+                        lambda r: closed.extend(m.tolist() for m in r) or real(r))
+    return closed
+
+
+def _reach_mask(a):
+    return ((a != 0) | np.eye(len(a), dtype=bool)).astype(float).tolist()
+
+
+def test_only_arrays_with_a_zero_entry_are_split_into_components(monkeypatch):
+    """The arrays of one size are tested for a zero entry in one stacked
+    reduction; only those that have one, in a batch or alone, reach the
+    reachability closure."""
+    closed = _closure_inputs(monkeypatch)
+    rng = np.random.default_rng(72)
+    sparse = [np.triu(rng.random((3, 3))), np.array([[0.0, 2.0], [3.0, 0.0]])]
+    batch = [rng.random((3, 3)) + 0.1, sparse[0], np.asfortranarray(rng.random((3, 3)) + 0.1),
+             sparse[1], np.ones((2, 2)), np.array([[2.5]]), np.array([[0.5]])]
+    got = _spectral_radii(batch)
+    assert closed == [_reach_mask(a) for a in sparse]
+    closed.clear()
+    alone = [_spectral_radii([a])[0] for a in batch]
+    assert closed == [_reach_mask(a) for a in sparse]
+    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
+    closed.clear()
+    assert spectral_radius(FiniteMatrix(batch[0])) == Bracket(*got[0][:2], "gelfand-cw")
+    assert closed == []
+
+
+def test_a_shape_led_by_a_sparse_array_probes_each_array(monkeypatch):
+    """When the first array of a shape has a zero entry, each array is
+    still tested for one: the full ones skip the closure, an array with
+    nonzero corner entries but a zero interior entry reaches it, and every
+    bracket keeps its bits."""
+    closed = _closure_inputs(monkeypatch)
+    rng = np.random.default_rng(73)
+    hole = rng.random((3, 3)) + 0.1
+    hole[1, 1] = 0.0  # nonzero corner entries, a zero interior entry
+    batch = [np.triu(rng.random((3, 3))), rng.random((3, 3)) + 0.1, hole,
+             np.asfortranarray(rng.random((3, 3)) + 0.1)]
+    got = _spectral_radii(batch)
+    assert closed == [_reach_mask(batch[0]), _reach_mask(hole)]
+    alone = [_spectral_radii([a])[0] for a in batch]
+    assert [_bits(r) for r in got] == [_bits(r) for r in alone]
+
+
 def test_a_one_by_one_array_in_a_batch_is_its_entry():
     batch = [np.array([[2.5]]), np.ones((2, 2)), np.array([[0.0]]), np.full((2, 2), 2.0),
              np.array([[7.0]])]
