@@ -20,6 +20,7 @@ certifiably disjoint.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -98,17 +99,18 @@ class ChainInputs:
 
 
 def _params_json(params: dict) -> dict:
-    """Params as JSON values.  A sequence becomes a list; in it an integer
-    (an entry of a permutation) stays an integer, as a scalar param does,
-    and another number becomes a float."""
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, (tuple, list)):
-            out[k] = [x if isinstance(x, int) else float(x) if isinstance(x, float) else list(x)
-                      for x in v]
-        else:
-            out[k] = v
-    return out
+    """Params as JSON values: a sequence becomes a list, and in it or not an
+    integer of any type but bool (a numpy one too) becomes an ``int`` and
+    any other real number a ``float``."""
+    return {k: _json_value(v) for k, v in params.items()}
+
+
+def _json_value(v):
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return v
+    return int(v) if isinstance(v, numbers.Integral) else float(v)
 
 
 @dataclass(frozen=True)
@@ -285,8 +287,9 @@ class EnsembleRun:
 def run_ensemble(spec: ChainSpec, ens: EnsembleSpec, trials: int,
                  ctx: EvalContext) -> EnsembleRun:
     """Evaluate a chain over seeded random inputs; deterministic per spec."""
-    if trials < 1:
-        raise HypothesisViolation("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise HypothesisViolation(f"trials must be an integer >= 1, got {trials!r}")
+    trials = int(trials)
     reports = []
     sampled = []
     for trial in range(trials):

@@ -6,9 +6,8 @@ complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
 One walk, ``_levels``, yields each level of products as one stack, and
 the radii and norms of a level go through one batched estimator call.
-``_depth_walks`` and ``_depth_finish`` give both finite bounds of many
-(set, depth) pairs around one ``spectral._radii_norms`` call, which a
-caller may share with other arrays.
+``_set_bounds`` gives both finite bounds of many (set, depth) pairs from
+one ``spectral._radii_norms`` call, which also brackets a caller's arrays.
 The branch and bound builds each level's children the same way, as one
 stack, and reduces, prunes and normalizes them stacked.
 """
@@ -16,7 +15,6 @@ stack, and reduces, prunes and normalizes them stacked.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -31,6 +29,7 @@ from .spectral import (
     Bracket,
     _band_limit_sum,
     _l2_norms,
+    _radii_norms,
     _spectral_radii,
     operator_norm,
 )
@@ -59,51 +58,42 @@ def _finite(products):
     return products
 
 
-def _canonical(word: tuple[int, ...]) -> bool:
-    """True when the word is the lexicographically minimal rotation.
+def _child(word: tuple[int, tuple[int, ...]], m: int, c: int) -> tuple[int, tuple[int, ...]]:
+    """The word w + (c,) as (period, head), from w as (p, head) and its
+    length m: p is w's prenecklace period (0 when w is no prenecklace) and
+    head its first p letters; a one-letter word is (1, (letter,)).
 
     Radii of products are invariant under cyclic rotation of the factors,
-    so one representative per necklace is enough for lower bounds.  In one
-    pass: p is the period of the longest prenecklace prefix, and the word
-    is a necklace when no letter falls below the one p places back and p
-    divides the length (Cattell et al., J. Algorithms 2000).
+    so one representative per necklace is enough for lower bounds.  The
+    period p of a word is that of its longest prenecklace prefix; the word
+    is a necklace, its least rotation, when no letter falls below the one p
+    places back and p divides its length (Cattell et al., J. Algorithms
+    2000).  A prenecklace of period p is p-periodic, so the letter p places
+    back, w[m - p], is head[m % p], and a child keeps its parent's head
+    unless its period becomes its length, when the child is rebuilt from
+    the head in full; a child that is no prenecklace is (0, ()).
     """
-    p = 1
-    for i in range(1, len(word)):
-        if word[i] < word[i - p]:
-            return False
-        if word[i] > word[i - p]:
-            p = i + 1
-    return len(word) % p == 0
-
-
-def _child(head: tuple[int, ...], m: int, p: int, c: int) -> tuple[int, tuple[int, ...]]:
-    """(period, head) of the word w + (c,): ``_canonical``'s scan, one letter
-    on, from the length m of w, its prenecklace period p (0 when w is no
-    prenecklace) and its head, the first p letters of w.
-
-    A prenecklace of period p is p-periodic, so the letter p places back,
-    w[m - p], is head[m % p], and a child keeps its parent's head unless its
-    period becomes its length, when the child is rebuilt from the head in
-    full; a child that is no prenecklace has period 0 and head ().  The
-    child is a necklace exactly when its period is positive and divides its
-    length; a one-letter word has period 1 and is its own head.
-    """
+    p, head = word
     if not p:
-        return 0, ()
+        return word
     last = head[m % p]
     if c < last:
         return 0, ()
     if c > last:
         return m + 1, (head * (m // p + 1))[:m] + (c,)
-    return p, head
+    return word
 
 
 @functools.cache
 def _necklaces(k: int, m: int) -> list[int]:
     """Ranks (indices in the level), in order, of the length-m words over k
-    letters that are their least rotation; cached, so never mutate the list."""
-    return [r for r, w in enumerate(itertools.product(range(k), repeat=m)) if _canonical(w)]
+    letters that are their least rotation: each level's words are grown
+    from the last with ``_child``, and a word is kept when its period
+    divides m.  Cached, so never mutate the list."""
+    words = [(1, (c,)) for c in range(k)]
+    for j in range(1, m):
+        words = [_child(w, j, c) for w in words for c in range(k)]
+    return [r for r, (p, _) in enumerate(words) if p and m % p == 0]
 
 
 def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
@@ -194,37 +184,32 @@ def _norm_max(norms) -> float:
     return max(hi for _, hi, _ in norms)
 
 
-def _depth_walks(pairs) -> tuple[dict, list[np.ndarray], list[np.ndarray]]:
-    """({(id(S), d): walk}, rhos, norms) for the (S, d) pairs: the first step
-    of ``(gen_radius_lb(S, d), norm_level_max(S, d))`` for each pair, bit for
-    bit, around one ``spectral._radii_norms(rhos, norms)`` call.
+def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
+    """({(id(S), d): (gen_radius_lb(S, d), norm_level_max(S, d))}, radii,
+    norms) for the (S, d) pairs, bit for bit, from one
+    ``spectral._radii_norms`` call that also brackets the arrays of
+    ``rhos`` (their radii) and ``norms`` (their l2 norms) after the walks'.
 
-    A pair repeated (the same set object at the same depth) is walked once,
-    and its walk is (the roots of its necklace products, the size of its
-    deepest level).  ``rhos`` lists the necklace products and ``norms`` the
-    deepest-level products, walk by walk, as the walks' shares of the call's
-    two lists, which a caller may extend with other arrays after them.
-    Every product of every level is checked finite, as ``norm_level_max``
-    checks it, so a walk raises wherever either estimator would, though not
-    always with the error that running the two in turn raises first.
+    A pair repeated (the same set object at the same depth) is walked once.
+    The call's two lists hold the walks' necklace products and deepest-level
+    products, walk by walk, then the caller's arrays, whose (lo, hi,
+    converged) come back in ``radii`` and ``norms``.  Every product of every
+    level is checked finite, as ``norm_level_max`` checks it, so a walk
+    raises wherever either estimator would, though not always with the
+    error that running the two in turn raises first.
     """
-    walks, rhos, norms = {}, [], []
+    walks, walk_rhos, walk_norms = {}, [], []
     for s, d in pairs:
         if (id(s), d) not in walks:
             prods, roots, level = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
             walks[id(s), d] = roots, len(level)
-            rhos += prods
-            norms += list(level)
-    return walks, rhos, norms
-
-
-def _depth_finish(walks: dict, radii, norms) -> dict:
-    """The last step after ``_depth_walks``: {(id(S), d): (lower, upper)}
-    from iterators over the radii and the norms of its two lists, read in
-    order."""
-    return {key: (_root_max([next(radii) for _ in roots], roots),
-                  _norm_max([next(norms) for _ in range(size)]))
-            for key, (roots, size) in walks.items()}
+            walk_rhos += prods
+            walk_norms += list(level)
+    radii, l2 = map(iter, _radii_norms(walk_rhos + rhos, walk_norms + norms))
+    bounds = {key: (_root_max([next(radii) for _ in roots], roots),
+                    _norm_max([next(l2) for _ in range(size)]))
+              for key, (roots, size) in walks.items()}
+    return bounds, list(radii), list(l2)
 
 
 def joint_radius_ub(s, m_max: int) -> float:
@@ -259,9 +244,10 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     normalized in one stacked division, and the canonical ones go to
     ``lower_end`` as one slice of the stack.  A child is canonical when its
     prenecklace period, carried from its parent with the word's first
-    period letters (``_child``), divides its length; the words themselves
-    are never spelled out, so a child costs constant time unless its period
-    becomes its length.  Logs and exponentials stay per element on ``math``.
+    period letters as one (period, head) pair (``_child``), divides its
+    length; the words themselves are never spelled out, so a child costs
+    constant time unless its period becomes its length.  Logs and
+    exponentials stay per element on ``math``.
     """
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
@@ -303,13 +289,12 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     k = len(mats)
     # the frontier: words of one length m, their products normalized to unit
     # max entry, the logs of the normalization factors and of the pruning
-    # bounds, and each word's prenecklace period and head (``_child``)
+    # bounds, and each word as its (period, head) pair (``_child``)
     m = 1
-    heads = [(i,) for i in live]
+    words = [(1, (i,)) for i in live]
     prods = [mats[i] / tops[i] for i in live]
     logscales = [math.log(tops[i]) for i in live]
     logps = [letter_lognorm[i] for i in live]
-    periods = [1] * len(live)
     alpha = lower_end(1, prods, logscales)
 
     while True:
@@ -319,16 +304,16 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
         if ub - alpha <= delta:
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        if spent >= budget or len(heads) * k > _MAX_LEVEL:
+        if spent >= budget or len(words) * k > _MAX_LEVEL:
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
         # child j * k + i is word j followed by letter i; the level-1
         # products are a list, so they keep their letters' layouts
-        spent += len(heads) * k
+        spent += len(words) * k
         with np.errstate(over="ignore"):
             stack = _extend(prods, mats)
             colsums = stack.sum(axis=1).max(axis=1).tolist()
-        children = []  # unpruned: (index in the stack, its largest entry, logp, period, head)
+        children = []  # unpruned: (index in the stack, its largest entry, logp, word)
         for c, (top, colsum) in enumerate(zip(stack.max(axis=(1, 2)).tolist(), colsums)):
             if top <= 0:
                 continue  # zero product: prunable with bound 0
@@ -337,27 +322,25 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
             if _exp_up(logp / (m + 1)) <= alpha + delta:
                 exhaustive = False
                 continue
-            children.append((c, top, logp, *_child(heads[j], m, periods[j], i)))
-        _finite([top for _, top, _, _, _ in children])
+            children.append((c, top, logp, _child(words[j], m, i)))
+        _finite([top for _, top, _, _ in children])
         m += 1
-        logscales, logps, periods, heads = (
-            [logscales[c // k] + math.log(top) for c, top, _, _, _ in children],
-            [logp for _, _, logp, _, _ in children],
-            [p for _, _, _, p, _ in children],
-            [head for _, _, _, _, head in children])
-        prods = stack[[c for c, _, _, _, _ in children]] / np.array(
-            [top for _, top, _, _, _ in children]).reshape(-1, 1, 1)
+        logscales, logps, words = (
+            [logscales[c // k] + math.log(top) for c, top, _, _ in children],
+            [logp for _, _, logp, _ in children],
+            [word for _, _, _, word in children])
+        prods = stack[[c for c, _, _, _ in children]] / np.array(
+            [top for _, top, _, _ in children]).reshape(-1, 1, 1)
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
-        canon = [j for j, p in enumerate(periods) if p and m % p == 0]
+        canon = [j for j, (p, _) in enumerate(words) if p and m % p == 0]
         alpha = max(alpha, lower_end(m, prods[canon], [logscales[j] for j in canon]))
         keep = [j for j, logp in enumerate(logps) if _exp_up(logp / m) > alpha + delta]
-        exhaustive = exhaustive and len(keep) == len(heads)
+        exhaustive = exhaustive and len(keep) == len(words)
         if not keep:
             ub = min(fekete, alpha + delta)
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        logscales, logps, periods, heads = (
-            [col[j] for j in keep] for col in (logscales, logps, periods, heads))
+        logscales, logps, words = ([col[j] for j in keep] for col in (logscales, logps, words))
         prods = prods[keep]
 
 

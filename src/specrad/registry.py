@@ -18,16 +18,15 @@ leaves ``_Rho(M)`` and ``_Norm(M)`` (l2), the set terms ``_Sets(factors,
 u)`` and F13's ``sup |T|`` over the norm leaves of its letters, composed
 by the nodes ``power``, ``scaled``, ``_bprod`` and ``_split``.  The wrapper
 that ``_chain`` puts around a build resolves every leaf of every part in
-one pass, ``_resolve``: the necklace products of the set terms and the
-radius arrays, and the deepest-level products of the set terms and the
-norm arrays, go through one ``spectral._radii_norms`` call, since a radius
-does not depend on its batch, and each node is then folded in declared
-order.  Every term gets the bits of its public estimator.  When the build
-or the pass raises a ``SpecradError``, every leaf and node drawn so far is
-evaluated again, eagerly and in the order drawn, before the error is
-re-raised, so the first error raised is the one that evaluating the terms
-in turn meets.  Essential builds return brackets, evaluated as they are
-built.  A finite chain and its essential twin share a part's builder
+one pass, ``_resolve``: one ``jsr._set_bounds`` call bounds the set terms
+and brackets the radius and norm arrays with one ``spectral._radii_norms``
+call, since a radius does not depend on its batch, and each node is then
+folded in declared order.  Every term gets the bits of its public
+estimator.  When the build or the pass raises a ``SpecradError``, every
+leaf and node drawn so far is evaluated again, eagerly and in the order
+drawn, before the error is re-raised, so the first error raised is the
+one that evaluating the terms in turn meets.  Essential builds return
+brackets, evaluated as they are built.  A finite chain and its essential twin share a part's builder
 (``_mean_part``, ``_grid_part``, ``_power_part``) over an estimator pair,
 the leaf and the label format of ``_RHO``, ``_NORM``, ``_ESS`` or
 ``_GAMMA``.
@@ -108,9 +107,8 @@ from .ensembles import (
 from .errors import DomainError, InputFormatError, SpecradError
 from .families import _pow0
 from .jsr import (
-    _depth_finish,
-    _depth_walks,
     _norm_sup,
+    _set_bounds,
     _set_of,
     gamma_level_max,
     gamma_set_bracket,
@@ -134,7 +132,6 @@ from .sets import (
 from .spectral import (
     _ROUND_GUARD,
     Bracket,
-    _radii_norms,
     essential_spectral_radius,
     hausdorff_mnc,
     operator_norm,
@@ -222,8 +219,8 @@ class _Sets(_Term):
     part at the same underlying depth u keeps the upper bounds comparable:
     entrywise domination of matched products transfers to the norm maxima,
     so theorem-ordered terms stay ordered.  In the pass, every factor's
-    ``gen_radius_lb`` and ``norm_level_max`` come from the walks of
-    ``jsr._depth_walks``, bit for bit.
+    ``gen_radius_lb`` and ``norm_level_max`` come from ``jsr._set_bounds``,
+    bit for bit.
     """
 
     __slots__ = ("factors",)
@@ -245,20 +242,17 @@ def _norm_sup_of(s) -> _Term:
 def _resolve(drawn) -> None:
     """Set the value of every term a finite build drew, from one pass.
 
-    The leaves' arrays go through one ``_radii_norms`` call: the radii of
-    each ``_Rho``'s matrix and the norms of each ``_Norm``'s, after the
-    necklace products and deepest-level products of one ``_depth_walks``
-    walk per distinct (set, depth) of the ``_Sets`` leaves.  A radius does
+    One ``jsr._set_bounds`` call gives both bounds of every distinct (set,
+    depth) of the ``_Sets`` leaves, the radius of each ``_Rho``'s matrix and
+    the norm of each ``_Norm``'s, from one estimator batch.  A radius does
     not depend on its batch, so every leaf gets the bits of its estimator.
     The nodes are then folded in the order drawn.
     """
     sets = [t for t in drawn if type(t) is _Sets]
     rhos = [t for t in drawn if type(t) is _Rho]
     norms = [t for t in drawn if type(t) is _Norm]
-    walks, walk_rhos, walk_norms = _depth_walks([(S, d) for t in sets for S, _, d in t.factors])
-    radii, l2 = map(iter, _radii_norms(walk_rhos + [t.m.a for t in rhos],
-                                       walk_norms + [t.m.a for t in norms]))
-    bounds = _depth_finish(walks, radii, l2)
+    bounds, radii, l2 = _set_bounds([(S, d) for t in sets for S, _, d in t.factors],
+                                    [t.m.a for t in rhos], [t.m.a for t in norms])
     for t, (lo, hi, ok) in zip(rhos, radii):
         t.value = Bracket(lo, hi, "gelfand-cw", ok)
     for t, (lo, hi, ok) in zip(norms, l2):

@@ -9,6 +9,7 @@ stays predictable (|set_power(S, m)| = |S|**m exactly).
 from __future__ import annotations
 
 import math
+import numbers
 from functools import reduce
 
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError
@@ -91,8 +92,9 @@ def set_product_many(sets) -> OperatorSet:
 def set_power(s, m: int) -> OperatorSet:
     """All length-m ordered products from S; cardinality |S|**m."""
     s = _as_set(s)
-    if m < 1:
-        raise DomainError("set power needs m >= 1")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError(f"set power needs an integer >= 1, got {m!r}")
+    m = int(m)
     _guard_size(len(s) ** m)
     return set_product_many([s] * m)
 

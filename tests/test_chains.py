@@ -1,5 +1,7 @@
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from specrad import (
@@ -12,6 +14,7 @@ from specrad import (
     run_ensemble,
 )
 from specrad.chains import CHAIN, ChainSpec, Part
+from specrad.ensembles import rng_for
 from specrad.errors import DomainError
 from specrad.registry import by_id
 from specrad.spectral import Bracket
@@ -118,6 +121,47 @@ def test_run_ensemble_summary_fields():
     assert s["pass"] + s["fail"] + s["inconclusive"] == 3
     assert s["argmin_digest"]
     assert run.reports[0].input_digest != ""
+
+
+@pytest.mark.parametrize("trials", [2.0, 2.5, True, "2"])
+def test_run_ensemble_refuses_trials_that_are_not_integers(trials):
+    ens = EnsembleSpec(kind="shift_family", size=4, seed=9)
+    with pytest.raises(HypothesisViolation, match="trials must be an integer >= 1"):
+        run_ensemble(by_id("E2"), ens, trials, CTX)
+
+
+def test_run_ensemble_takes_numpy_integer_trials():
+    ens = EnsembleSpec(kind="shift_family", size=4, seed=9)
+    run = run_ensemble(by_id("E2"), ens, np.int64(2), CTX)
+    assert run.to_json() == run_ensemble(by_id("E2"), ens, 2, CTX).to_json()
+    assert type(run.summary["trials"]) is int
+
+
+def _numpy_params(v):
+    """The param with every int an ``np.int64`` and every float an
+    ``np.float64``, inside sequences too."""
+    if isinstance(v, (list, tuple)):
+        return type(v)(_numpy_params(x) for x in v)
+    if isinstance(v, bool):
+        return v
+    return np.int64(v) if isinstance(v, int) else np.float64(v) if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("cid", ["F4", "F8", "F11", "E6", "E8", "E19"])
+def test_numpy_scalar_params_give_the_report_of_python_numbers(cid):
+    """``np.int64`` and ``np.float64`` params, scalar or in a sequence (E19's
+    permutations), pass the hypothesis and give report JSON byte-identical
+    to the same inputs with Python numbers."""
+    spec = by_id(cid)
+    ens = EnsembleSpec(kind="dense_uniform" if cid[0] == "F" else "shift_family", seed=42)
+    for trial in range(3):
+        inputs = spec.sample(rng_for(ens, trial, cid), ens)
+        numpy_inputs = dataclasses.replace(
+            inputs, params={k: _numpy_params(v) for k, v in inputs.params.items()})
+        assert any(isinstance(v, np.generic) for v in numpy_inputs.params.values())
+        want = evaluate_chain(spec, inputs, CTX, trial).to_json()
+        got = evaluate_chain(spec, numpy_inputs, CTX, trial).to_json()
+        assert json.dumps(got, allow_nan=False) == json.dumps(want, allow_nan=False)
 
 
 def test_report_configs_keep_their_keys_and_values():

@@ -32,18 +32,16 @@ from specrad.errors import BudgetExceededError, DomainError, ShapeMismatchError
 from specrad.families import _pow0
 from specrad.jsr import (
     _MAX_LEVEL,
-    _canonical,
     _child,
-    _depth_finish,
-    _depth_walks,
     _levels,
     _necklaces,
+    _set_bounds,
     gamma_level_max,
     gamma_set_bracket,
     norm_level_max,
     norm_set_bracket,
 )
-from specrad.spectral import _radii_norms, operator_norm
+from specrad.spectral import operator_norm
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -306,43 +304,47 @@ def test_necklaces_are_the_canonical_words_in_order(k, m):
     assert _necklaces(k, m) == want
 
 
+def _period(word):
+    """The prenecklace period of the word, grown one letter at a time with
+    ``_child``: each step sees only the (period, head) pair and the length,
+    and the head is checked against the word at every step."""
+    w = (1, word[:1])
+    for i in range(1, len(word)):
+        w = _child(w, i, word[i])
+        assert w[1] == word[:i + 1][:w[0]], (word[:i + 1], w)
+    return w[0]
+
+
+def _is_necklace(word):
+    p = _period(word)
+    return p > 0 and len(word) % p == 0
+
+
 def test_canonical_is_the_least_rotation_test_on_long_and_periodic_words():
+    """``_child``'s period divides the length exactly when the word is its
+    least rotation, on random long words and on periodic ones."""
     rng = np.random.default_rng(41)
     for _ in range(3000):
         k, m, period = (int(v) for v in rng.integers(1, [4, 60, 8]))
         letters = rng.integers(0, k, period if rng.random() < 0.5 else m)
         word = tuple(int(v) for v in np.resize(letters, m))
-        assert _canonical(word) == _least_rotation(word), word
-
-
-def _periods(word):
-    """The prenecklace period of each prefix of the word, grown one letter at
-    a time in the prefix form: each step sees only the period, the head (the
-    first period letters) and the length, and the head is checked against
-    the word."""
-    out, head = [1], word[:1]
-    for i in range(1, len(word)):
-        p, head = _child(head, i, out[-1], word[i])
-        assert head == word[:i + 1][:p], (word[:i + 1], p, head)
-        out.append(p)
-    return out
+        assert _is_necklace(word) == _least_rotation(word), word
 
 
 def test_child_period_is_the_canonical_test_one_letter_at_a_time():
-    """A word is canonical exactly when its incremental period is positive
-    and divides its length: on every word with k <= 3 letters and length <=
-    10, and on long and periodic words."""
+    """A word is its least rotation exactly when its incremental period is
+    positive and divides its length: on every word with k <= 3 letters and
+    length <= 10 (so on every prefix of each), and on long and periodic
+    words of length below 400."""
     for k in (1, 2, 3):
         for m in range(1, 11):
             for word in product(range(k), repeat=m):
-                p = _periods(word)[-1]
-                assert (p > 0 and m % p == 0) == _canonical(word), word
+                assert _is_necklace(word) == _least_rotation(word), word
     rng = np.random.default_rng(43)
     for _ in range(300):
         k, m, period = (int(v) for v in rng.integers(1, [5, 400, 12]))
         word = tuple(int(v) for v in np.resize(rng.integers(0, k, period), m))
-        for length, p in enumerate(_periods(word), 1):
-            assert (p > 0 and length % p == 0) == _canonical(word[:length]), word[:length]
+        assert _is_necklace(word) == _least_rotation(word), word
 
 
 def _phi(d):
@@ -539,14 +541,23 @@ def _matrix_set(rng, n, size, scale, density, fortran):
     return OperatorSet(out)
 
 
+def _ends(b):
+    return b.lo, b.hi, b.converged
+
+
+def _bits(brackets):
+    """(lo, hi, converged) triples with their ends as hex strings."""
+    return [(lo.hex(), hi.hex(), ok) for lo, hi, ok in brackets]
+
+
 def test_depth_bounds_are_the_two_estimators_bit_for_bit():
-    """One batched pass (``_depth_walks``, ``_radii_norms``, then
-    ``_depth_finish``) gives (gen_radius_lb(S, d), norm_level_max(S, d))
-    for every pair, bit for bit: on dense and reducible sparse sets, with
+    """One ``_set_bounds`` call gives (gen_radius_lb(S, d), norm_level_max(S,
+    d)) for every pair, bit for bit: on dense and reducible sparse sets, with
     deepest products near 2**600 and 2**-600 (the Gram scaling path), with
     Fortran-ordered letters at n = 18 (where OpenBLAS rounds the two layouts
     apart), and with a set repeated in the list, at its depth and at
-    another."""
+    another.  The caller's radius and norm arrays, C- and Fortran-ordered,
+    get the bits of ``spectral_radius`` and ``operator_norm``."""
     rng = np.random.default_rng(61)
     for _ in range(40):
         pairs = []
@@ -561,9 +572,14 @@ def test_depth_bounds_are_the_two_estimators_bit_for_bit():
             density = 1.0 if rng.random() < 0.5 else 0.3
             pairs.append((_matrix_set(rng, n, int(rng.integers(1, 4)), scale, density,
                                       rng.random() < 0.4), d))
+        rhos, norms = ([x.a for x in _matrix_set(rng, int(rng.integers(1, 19)),
+                                                  int(rng.integers(1, 4)), 2.0, 0.5,
+                                                  rng.random() < 0.5)]
+                       for _ in range(2))
         want = [(gen_radius_lb(s, d), norm_level_max(s, d)) for s, d in pairs]
-        walks, rhos, norms = _depth_walks(pairs)
-        bounds = _depth_finish(walks, *map(iter, _radii_norms(rhos, norms)))
+        bounds, radii, l2 = _set_bounds(pairs, rhos, norms)
         got = [bounds[id(s), d] for s, d in pairs]
         assert [(lb.hex(), ub.hex()) for lb, ub in got] == \
             [(lb.hex(), ub.hex()) for lb, ub in want]
+        assert _bits(radii) == _bits(_ends(spectral_radius(FiniteMatrix(a))) for a in rhos)
+        assert _bits(l2) == _bits(_ends(operator_norm(FiniteMatrix(a))) for a in norms)

@@ -56,6 +56,17 @@ def test_set_power_cardinality_and_order():
         set_power(s, 0)
 
 
+@pytest.mark.parametrize("m", [2.0, 2.5, True, "2"])
+def test_set_power_refuses_a_count_that_is_not_an_integer(m):
+    with pytest.raises(DomainError, match="set power needs an integer >= 1"):
+        set_power(OperatorSet([A, B]), m)
+
+
+def test_set_power_takes_a_numpy_integer():
+    s = OperatorSet([A, B])
+    assert list(set_power(s, np.int64(2))) == list(set_power(s, 2))
+
+
 def test_set_product_enumeration():
     got = set_product(OperatorSet([A]), OperatorSet([B, C]))
     assert len(got) == 2
