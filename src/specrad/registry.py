@@ -96,7 +96,7 @@ from functools import reduce
 from itertools import repeat
 from typing import Callable
 
-from .chains import CHAIN, ENTRYWISE, EQUALITY, ChainInputs, ChainSpec, Part
+from .chains import CHAIN, ENTRYWISE, EQUALITY, ChainInputs, ChainSpec, Part, _json_value
 from .ensembles import (
     sample_alpha_at_least,
     sample_beta,
@@ -639,6 +639,15 @@ def _violation(inputs, operands, params, check) -> str | None:
     return check(inputs) if check is not None else None
 
 
+def _param(v):
+    """A param as builds take it: a number as the Python int or float that
+    its report records (``chains._json_value``), so a report reproduces
+    from its own JSON; a sequence keeps its type, its elements converted."""
+    if isinstance(v, (tuple, list)):
+        return type(v)(_param(x) for x in v)
+    return _json_value(v)
+
+
 def _chain(cid, title, level, description, hypothesis_doc, operands, params,
            sample, build, check=None) -> ChainSpec:
     """A ChainSpec whose arity and hypothesis derive from one declaration."""
@@ -658,7 +667,7 @@ def _chain(cid, title, level, description, hypothesis_doc, operands, params,
         drawn = []
         token = _DRAWN.set(drawn)
         try:
-            parts = build(inputs, **{p.name: inputs.params[p.name] for p in params})
+            parts = build(inputs, **{p.name: _param(inputs.params[p.name]) for p in params})
             if drawn:
                 _resolve(drawn)
         except SpecradError:

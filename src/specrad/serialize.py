@@ -38,7 +38,7 @@ from .sets import OperatorSet
 
 
 def matrix_to_json(m: FiniteMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": [float(v) for v in m.a.ravel()]}
+    return {"rows": m.rows, "cols": m.cols, "entries": m.a.ravel().tolist()}
 
 
 def _json_type(obj: Any) -> str:

@@ -8,7 +8,10 @@ from the reachability closure of the sparsity pattern: R = (A != 0) | I
 squared until it stops growing, after which i and j share a component
 exactly when R[i, j] and R[j, i].  A batch's arrays are stacked by size
 and each stack is split at once: one reduction finds the arrays with a
-zero entry, and only those are squared, together.  One routine,
+zero entry, and only those are squared, together.  The split comes back
+as flat arrays that name each component's array, size and members, so
+each block size is gathered from its stack by one fancy index and no
+Python loop runs over arrays or components.  One routine,
 ``_perron_brackets``, brackets a whole stack of equal-sized irreducible
 blocks at once: the components of many matrices (word products of a set,
 or their Gram matrices) are stacked by size, and ``spectral_radius`` is
@@ -112,38 +115,47 @@ class Bracket:
 # -- finite spectral radius ------------------------------------------------
 
 
-def _strong_components(stack: np.ndarray) -> list[list[np.ndarray]]:
+def _strong_components(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Strongly connected components of the digraph i -> j where a[i, j] != 0,
-    for each array a of a C-ordered (k, n, n) stack.
+    for each array a of a C-ordered (k, n, n) stack, as flat arrays
+    ``(owner, start, size, members)``: component c belongs to array
+    ``owner[c]`` and has the ``size[c]`` members
+    ``members[start[c]:start[c] + size[c]]``.
 
-    One reduction tests the whole stack for a zero entry: an array with
-    none is one component; only the others reach ``_closure``.  There
+    One reduction tests the whole stack for a zero entry and, when it has
+    one, another finds the arrays that do: an array with none is one
+    component; only the others reach ``_closure``.  There
     R = (a != 0) | I holds 0/1 floats; each stacked squaring, clipped back
     to 1, doubles the path length R covers, so after at most
     ceil(log2 n) + 1 products no array's entry count grows and each R is
     its reachability closure.
     Products use BLAS: at n = 100 a boolean ``@`` is several times slower.
     The closure is exact 0/1 arithmetic, so an array's components do not
-    depend on its stack.  Each component is its sorted indices; an array's
-    components come in order of their smallest index.
+    depend on its stack.  Each index is labelled by the smallest index of
+    its component (0 in an array with no zero entry); one stable
+    ``argsort`` of the label matrix lays every array's components end to
+    end, in order of their smallest index and each one sorted, and a
+    component starts where its member equals its label.  When no array of
+    the stack has a zero entry, or every closure is full, each array is
+    one component and no labels are sorted.
     """
     k, n, _ = stack.shape
-    out = [[np.arange(n)]] * k
-    split = [j for j, full in enumerate(stack.reshape(k, -1).all(axis=1).tolist()) if not full]
-    if not split:
-        return out
-    r = ((stack if len(split) == k else stack[split]) != 0).astype(float)
-    r.reshape(len(split), -1)[:, ::n + 1] = 1.0
-    r, count = _closure(r)
-    # Row i of R * R.T marks i's component; its first one is the
-    # component's smallest index, which labels it.
-    labels = (r * r.transpose(0, 2, 1)).argmax(axis=2)
-    for j, lab, c in zip(split, labels, count):
-        if c < n * n:
-            order = np.argsort(lab, kind="stable")
-            cuts = [0, *(np.flatnonzero(np.diff(lab[order])) + 1).tolist(), n]
-            out[j] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-    return out
+    if not stack.all():
+        split = np.flatnonzero(~stack.reshape(k, -1).all(axis=1))
+        r = ((stack if split.size == k else stack[split]) != 0).astype(float)
+        r.reshape(split.size, -1)[:, ::n + 1] = 1.0
+        r, count = _closure(r)
+        if min(count) < n * n:
+            labels = np.zeros((k, n), dtype=np.intp)
+            # Row i of R * R.T marks i's component; its first one is the
+            # component's smallest index, which labels it.
+            labels[split] = (r * r.transpose(0, 2, 1)).argmax(axis=2)
+            members = np.argsort(labels, axis=1, kind="stable")
+            first = labels[np.arange(k)[:, None], members] == members
+            cuts = np.flatnonzero(np.append(first, True))
+            start = cuts[:-1]
+            return start // n, start, cuts[1:] - start, members.ravel()
+    return np.arange(k), np.arange(0, k * n, n), np.full(k, n), np.arange(k * n) % n
 
 
 def _closure(r: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -316,37 +328,49 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     of their list, a copy that keeps no operand's layout (``np.stack`` keeps
     Fortran strides, and ``_perron_brackets``' row sums would then add in
     another order than for the array alone), and split by one
-    ``_strong_components`` call.  A singleton component is its diagonal
-    entry.  The blocks of each larger size, gathered across all arrays as
-    C-ordered views or copies of the stacks, go through one
-    ``_perron_brackets`` call.
+    ``_strong_components`` call into flat component arrays.  The
+    components of each size s are gathered from the stack by one fancy
+    index, ``stack[rows[:, None, None], idx[:, :, None], idx[:, None, :]]``
+    with each component's array in ``rows`` and its members in the rows of
+    ``idx``, a C-ordered copy; whole arrays are the stack itself, or its
+    row subset.  A singleton component is its diagonal entry; the blocks
+    of each larger size, from every stack, go through one
+    ``_perron_brackets`` call.  An array's radius is the max of its
+    components' ends, taken by ``np.maximum.at`` from +0.0; adding +0.0
+    then turns a -0.0 that it kept (a -0.0 diagonal entry) into +0.0, as
+    Python's ``max(0.0, -0.0)`` does.
     """
     sizes: dict[int, list[int]] = {}
     for i, a in enumerate(arrays):
         if a.shape[0] != a.shape[1]:
             raise ShapeMismatchError("spectral radius needs a square matrix")
         sizes.setdefault(len(a), []).append(i)
-    out: list = [None] * len(arrays)
-    groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for n, owners in sizes.items():
         stack = np.array([arrays[i] for i in owners])
-        for i, a, comps in zip(owners, stack, _strong_components(stack)):
-            v = 0.0  # the largest singleton component, a diagonal entry
-            for comp in comps:
-                if comp.size == 1:
-                    c = comp.item()
-                    v = max(v, a.item(c, c))
-                    continue
-                block_owners, blocks = groups.setdefault(comp.size, ([], []))
-                block_owners.append(i)
-                blocks.append(a if comp.size == n else a[np.ix_(comp, comp)])
-            out[i] = [v, v, True]
-    for owners, blocks in groups.values():
-        stack = np.array(blocks) if len(blocks) > 1 else blocks[0][None]
-        for i, (lo, hi, ok) in zip(owners, _perron_brackets(stack, tol)):
-            r = out[i]
-            r[0], r[1], r[2] = max(r[0], lo), max(r[1], hi), r[2] and ok
-    return [tuple(r) for r in out]
+        owner, start, size, members = _strong_components(stack)
+        which = np.array(owners)[owner]
+        for s in set(size.tolist()):
+            pick = size == s
+            rows = owner[pick]
+            if s == n:
+                blocks = stack if len(rows) == len(stack) else stack[rows]
+            else:
+                idx = members[start[pick, None] + np.arange(s)]
+                blocks = stack[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
+            parts.setdefault(s, []).append((which[pick], blocks))
+    radii = np.zeros((len(arrays), 2))
+    ok = np.ones(len(arrays), dtype=bool)
+    for s, pieces in parts.items():
+        which, blocks = (np.concatenate(x) for x in zip(*pieces)) if len(pieces) > 1 else pieces[0]
+        if s == 1:
+            np.maximum.at(radii, which, blocks.reshape(-1, 1))
+        else:
+            r = np.array(_perron_brackets(blocks, tol))
+            np.maximum.at(radii, which, r[:, :2])
+            ok[which[r[:, 2] == 0.0]] = False
+    radii += 0.0  # a -0.0 that ufunc.at kept becomes +0.0; nothing else moves
+    return list(zip(*radii.T.tolist(), ok.tolist()))
 
 
 def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:

@@ -11,7 +11,6 @@ import numpy as np
 
 from specrad import (
     Bracket,
-    FiniteMatrix,
     OperatorFamily,
     essential_spectral_radius,
     spectral_radius,

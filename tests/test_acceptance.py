@@ -4,12 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is also part of the default pytest run.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import encloses_perron_root, gamma_via_star, word_radius_lb
 from specrad import (

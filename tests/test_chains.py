@@ -164,6 +164,21 @@ def test_numpy_scalar_params_give_the_report_of_python_numbers(cid):
         assert json.dumps(got, allow_nan=False) == json.dumps(want, allow_nan=False)
 
 
+def test_a_float32_param_builds_with_the_float64_its_report_records():
+    """A ``np.float32`` alpha builds with the float64 value that its report
+    records, so the report reproduces from its own JSON: E8 at seed 42
+    gives the report JSON of ``float(np.float32(alpha))``."""
+    spec = by_id("E8")
+    ens = EnsembleSpec(kind="shift_family", seed=42)
+    for trial in range(2):
+        inputs = spec.sample(rng_for(ens, trial, "E8"), ens)
+        alpha = np.float32(inputs.params["alpha"])
+        want = dataclasses.replace(inputs, params={**inputs.params, "alpha": float(alpha)})
+        got = dataclasses.replace(inputs, params={**inputs.params, "alpha": alpha})
+        assert json.dumps(evaluate_chain(spec, got, CTX, trial).to_json(), allow_nan=False) == \
+            json.dumps(evaluate_chain(spec, want, CTX, trial).to_json(), allow_nan=False)
+
+
 def test_report_configs_keep_their_keys_and_values():
     """Reports record the fixed bracket tolerance, norm space and weight-law
     ranges next to the settable values, in this key order."""

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "specrad"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "specrad"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -26,6 +27,16 @@ def test_src_modules_use_every_name_they_import():
     assert modules
     unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8")))
               for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_tests_and_tools_use_every_name_they_import():
+    """Every ``tests/*.py`` and ``tools/*.py`` file reads each name it
+    imports."""
+    files = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+    assert files
+    unused = {p.relative_to(ROOT).as_posix():
+              _unused_imports(ast.parse(p.read_text(encoding="utf-8"))) for p in files}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,19 @@ def test_matrix_roundtrip():
     obj = matrix_to_json(m)
     assert obj == {"rows": 2, "cols": 2, "entries": [1.5, 0.0, 2.25, 3.0]}
     assert matrix_from_json(obj) == m
+
+
+def test_matrix_json_is_the_per_entry_float_form_byte_for_byte():
+    """``entries`` is ``ravel().tolist()``: the JSON is byte-equal to that of
+    ``float`` taken entry by entry, on -0.0, a subnormal, 1e308 and a
+    Fortran-ordered matrix."""
+    a = np.array([[-0.0, 5e-324, 1e308], [0.1, 2.0 ** -1030, 3.0]])
+    for m in (FiniteMatrix(a), FiniteMatrix(np.asfortranarray(a)), FiniteMatrix(a.T)):
+        want = {"rows": m.rows, "cols": m.cols, "entries": [float(v) for v in m.a.ravel()]}
+        got = matrix_to_json(m)
+        assert json.dumps(got) == json.dumps(want)
+        assert all(type(v) is float for v in got["entries"])
+    assert json.dumps(matrix_to_json(FiniteMatrix(a))["entries"][:3]) == "[-0.0, 5e-324, 1e+308]"
 
 
 def test_matrix_errors():

@@ -162,6 +162,20 @@ def _component_matrices(count, seed):
         yield a * 10.0 ** rng.uniform(-200.0, 200.0)
 
 
+def _component_lists(stack):
+    """``_strong_components``' flat return read back as one list of member
+    arrays per array of the stack, components in their returned order.
+    The flat arrays must lay the components end to end, array by array."""
+    owner, start, size, members = _strong_components(stack)
+    k, n, _ = stack.shape
+    assert members.shape == (k * n,) and start.tolist() == (np.cumsum(size) - size).tolist()
+    assert np.array_equal(owner, np.sort(owner)) and size.min() >= 1
+    out = [[] for _ in range(k)]
+    for j, a, b in zip(owner.tolist(), start.tolist(), (start + size).tolist()):
+        out[j].append(members[a:b])
+    return out
+
+
 def test_strong_components_match_scipy():
     """Same partition as scipy's strong components; sorted, by smallest
     index.  Each array is split alone and in one stack with every other
@@ -170,10 +184,10 @@ def test_strong_components_match_scipy():
     for a in _component_matrices(2400, seed=81):
         by_size.setdefault(len(a), []).append(a)
     for arrays in by_size.values():
-        stacked = _strong_components(np.array(arrays))
+        stacked = _component_lists(np.array(arrays))
         assert len(stacked) == len(arrays)
         for a, comps in zip(arrays, stacked):
-            for split in (comps, _strong_components(a[None])[0]):
+            for split in (comps, _component_lists(a[None])[0]):
                 assert {frozenset(c.tolist()) for c in split} == \
                     {frozenset(c.tolist()) for c in _scipy_components(a)}
                 assert sum(c.size for c in split) == a.shape[0]
@@ -378,6 +392,64 @@ def test_a_shape_led_by_a_sparse_array_probes_each_array(monkeypatch):
     assert [_bits(r) for r in got] == [_bits(r) for r in alone]
 
 
+def _blocks(sizes, rng, perm=True):
+    """A nonnegative array with irreducible diagonal blocks of the given
+    sizes (a size 1 block is a diagonal entry), coupled one way only and
+    permuted: its components are the blocks."""
+    n = sum(sizes)
+    a = np.zeros((n, n))
+    at = 0
+    for s in sizes:
+        a[at:at + s, at:at + s] = rng.random((s, s)) + 0.1 if s > 1 else rng.random()
+        a[at:at + s, at + s:] = rng.random((s, n - at - s)) * (rng.random((s, n - at - s)) < 0.3)
+        at += s
+    p = rng.permutation(n) if perm else np.arange(n)
+    return a[np.ix_(p, p)]
+
+
+def test_one_batch_mixes_every_component_shape(monkeypatch):
+    """Sizes 1, 2, 3 and 12 in one batch: all-singleton arrays (-0.0
+    diagonal entries among them), a 1 x 1 zero and a 1 x 1 -0.0, positive
+    and reducible arrays, Fortran-ordered ones and transposed views, and
+    12 x 12 arrays with two or more blocks of different sizes.  Each array
+    keeps the bits it gets alone, ``_perron_brackets`` is called once per
+    block size on a C-contiguous stack (never for an all-singleton array),
+    and the split is scipy's partition."""
+    rng = np.random.default_rng(91)
+    singletons = [np.array([[-0.0, 1.0], [0.0, 2.0]]),
+                  np.triu(rng.random((3, 3)) + 0.1) * np.where(np.eye(3), -0.0, 1.0),
+                  np.zeros((12, 12)) + np.diag(rng.random(12)) + np.triu(rng.random((12, 12)), 1)]
+    batch = [
+        np.array([[2.5]]), np.array([[0.0]]), np.array([[-0.0]]), *singletons,
+        np.array([[0.0, 2.0], [3.0, 0.0]]), rng.random((2, 2)) + 0.1,
+        np.asfortranarray(rng.random((3, 3)) + 0.1), _blocks([2, 1], rng).T,
+        _blocks([2, 3, 5, 1, 1], rng), np.asfortranarray(_blocks([3, 4, 5], rng)),
+        _blocks([12], rng), _blocks([2, 2, 3, 3, 2], rng).T, _blocks([6, 6], rng),
+        rng.random((12, 12)) + 0.1,
+    ]
+    calls = []
+    real = spectral._perron_brackets
+    monkeypatch.setattr(spectral, "_perron_brackets", lambda s, tol: calls.append(
+        (s.shape, s.flags.c_contiguous)) or real(s, tol))
+    got = _spectral_radii(batch)
+    comps = [_scipy_components(a) for a in batch]
+    sizes = {c.size for cs in comps for c in cs if c.size > 1}
+    assert sorted(shape[1] for shape, _ in calls) == sorted(sizes) == [2, 3, 4, 5, 6, 12]
+    assert all(contiguous for _, contiguous in calls)
+    for a, r in zip(batch, got):
+        calls.clear()
+        assert _bits(r) == _bits(_spectral_radii([a])[0])
+        if any(a is b for b in singletons):
+            assert calls == [] and r[0] == r[1] == max(np.diagonal(a).max(), 0.0)
+    assert [_bits(r) for r in got[:3]] == [_bits((2.5, 2.5, True)), _bits((0.0, 0.0, True)),
+                                           _bits((0.0, 0.0, True))]
+    for n in (1, 2, 3, 12):
+        arrays = [a for a in batch if len(a) == n]
+        for a, split in zip(arrays, _component_lists(np.array(arrays))):
+            assert {frozenset(c.tolist()) for c in split} == \
+                {frozenset(c.tolist()) for c in _scipy_components(a)}
+
+
 def test_a_one_by_one_array_in_a_batch_is_its_entry():
     batch = [np.array([[2.5]]), np.ones((2, 2)), np.array([[0.0]]), np.full((2, 2), 2.0),
              np.array([[7.0]])]
@@ -479,7 +551,7 @@ def test_fallback_blocks_of_one_stack_each_get_their_own_squeeze():
 @given(st.data())
 def test_the_squeeze_encloses_the_exact_root(data):
     a = _oracle_matrix(data.draw, data.draw(st.integers(2, 8)))
-    if len(_strong_components(a[None])[0]) == 1:
+    if len(_component_lists(a[None])[0]) == 1:
         lo, hi, _ = _squeeze(np.ascontiguousarray(a), DEFAULT_RHO_TOL)
         assert encloses_perron_root(a, lo, hi)
 
