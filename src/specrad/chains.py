@@ -106,6 +106,8 @@ def _params_json(params: dict) -> dict:
 
 
 def _json_value(v):
+    if type(v) is float or type(v) is int:  # skips the slower ABC checks below
+        return v
     if isinstance(v, (tuple, list)):
         return [_json_value(x) for x in v]
     if isinstance(v, bool) or not isinstance(v, numbers.Real):

@@ -642,10 +642,7 @@ def _violation(inputs, operands, params, check) -> str | None:
 def _param(v):
     """A param as builds take it: a number as the Python int or float that
     its report records (``chains._json_value``), so a report reproduces
-    from its own JSON; a sequence keeps its type, its elements converted.
-    A Python int or float is already that number."""
-    if type(v) is int or type(v) is float:
-        return v
+    from its own JSON; a sequence keeps its type, its elements converted."""
     if isinstance(v, (tuple, list)):
         return type(v)(map(_param, v))
     return _json_value(v)
