@@ -328,17 +328,17 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     of their list, a copy that keeps no operand's layout (``np.stack`` keeps
     Fortran strides, and ``_perron_brackets``' row sums would then add in
     another order than for the array alone), and split by one
-    ``_strong_components`` call into flat component arrays.  The
-    components of each size s are gathered from the stack by one fancy
-    index, ``stack[rows[:, None, None], idx[:, :, None], idx[:, None, :]]``
-    with each component's array in ``rows`` and its members in the rows of
-    ``idx``, a C-ordered copy; whole arrays are the stack itself, or its
-    row subset.  A singleton component is its diagonal entry; the blocks
-    of each larger size, from every stack, go through one
-    ``_perron_brackets`` call.  An array's radius is the max of its
-    components' ends, taken by ``np.maximum.at`` from +0.0; adding +0.0
-    then turns a -0.0 that it kept (a -0.0 diagonal entry) into +0.0, as
-    Python's ``max(0.0, -0.0)`` does.
+    ``_strong_components`` call into flat component arrays.  A stack whose
+    arrays are one component each goes on as it is.  Otherwise the
+    components of each size s are gathered from it by one fancy index,
+    ``stack[rows[:, None, None], idx[:, :, None], idx[:, None, :]]`` with
+    each component's array in ``rows`` and its members in the rows of
+    ``idx``, a C-ordered copy; whole arrays are the stack's row subset.  A
+    singleton component is its diagonal entry; the blocks of each larger
+    size, from every stack, go through one ``_perron_brackets`` call.  An
+    array's radius is the max of its components' ends, taken by
+    ``np.maximum.at`` from +0.0; adding +0.0 then turns a -0.0 that it kept
+    (a -0.0 diagonal entry) into +0.0, as Python's ``max(0.0, -0.0)`` does.
     """
     sizes: dict[int, list[int]] = {}
     for i, a in enumerate(arrays):
@@ -349,12 +349,15 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     for n, owners in sizes.items():
         stack = np.array([arrays[i] for i in owners])
         owner, start, size, members = _strong_components(stack)
+        if len(owner) == len(stack):  # one component per array: the stack itself
+            parts.setdefault(n, []).append((np.array(owners), stack))
+            continue
         which = np.array(owners)[owner]
         for s in set(size.tolist()):
             pick = size == s
             rows = owner[pick]
             if s == n:
-                blocks = stack if len(rows) == len(stack) else stack[rows]
+                blocks = stack[rows]
             else:
                 idx = members[start[pick, None] + np.arange(s)]
                 blocks = stack[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
