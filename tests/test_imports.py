@@ -20,24 +20,25 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _unused_by_file(files) -> dict[str, list[str]]:
+    """``_unused_imports`` of each file that has any, keyed by its path."""
+    assert files
+    unused = {p.relative_to(ROOT).as_posix(): _unused_imports(ast.parse(p.read_text("utf-8")))
+              for p in files}
+    return {name: names for name, names in unused.items() if names}
+
+
 def test_src_modules_use_every_name_they_import():
     """Every ``src/specrad`` module but ``__init__`` (which re-exports) reads
     each name it imports."""
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8")))
-              for p in modules}
-    assert {name: names for name, names in unused.items() if names} == {}
+    assert _unused_by_file(sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")) == {}
 
 
 def test_tests_and_tools_use_every_name_they_import():
     """Every ``tests/*.py`` and ``tools/*.py`` file reads each name it
     imports."""
-    files = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
-    assert files
-    unused = {p.relative_to(ROOT).as_posix():
-              _unused_imports(ast.parse(p.read_text(encoding="utf-8"))) for p in files}
-    assert {name: names for name, names in unused.items() if names} == {}
+    assert _unused_by_file(sorted([*(ROOT / "tests").glob("*.py"),
+                                   *(ROOT / "tools").glob("*.py")])) == {}
 
 
 def test_the_import_scan_finds_an_unused_import():
