@@ -10,8 +10,9 @@ exactly when R[i, j] and R[j, i].  A batch's arrays are stacked by size
 and each stack is split at once: one reduction finds the arrays with a
 zero entry, and only those are squared, together.  The split comes back
 as flat arrays that name each component's array, size and members, so
-each block size is gathered from its stack by one fancy index and no
-Python loop runs over arrays or components.  One routine,
+each block size is gathered from its stack by one fancy index, and
+neither the split nor the gather loops in Python over arrays or
+components.  One routine,
 ``_perron_brackets``, brackets a whole stack of equal-sized irreducible
 blocks at once: the components of many matrices (word products of a set,
 or their Gram matrices) are stacked by size, and ``spectral_radius`` is
