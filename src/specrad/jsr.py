@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError
 from .families import _pow0
-from .matrices import FiniteMatrix
 from .sets import OperatorSet, _as_set
 from .spectral import (
     L2,
@@ -31,7 +30,7 @@ from .spectral import (
     _l2_norms,
     _radii_norms,
     _spectral_radii,
-    operator_norm,
+    _sum_norms,
 )
 
 _MAX_LEVEL = 4096
@@ -169,9 +168,9 @@ def _necklace_walk(letters: list[np.ndarray], depth: int, full: bool = False):
     for m, level in enumerate(_levels(letters, depth), 1):
         picked = np.asarray(level)[_necklaces(len(letters), m)]
         _finite(level if full else picked)
-        prods += list(picked)
+        prods.append(picked)
         roots += [1.0 / m] * len(picked)
-    return prods, roots, level
+    return np.concatenate(prods), roots, level
 
 
 def _root_max(radii, roots) -> float:
@@ -203,7 +202,7 @@ def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
         if (id(s), d) not in walks:
             prods, roots, level = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
             walks[id(s), d] = roots, len(level)
-            walk_rhos += prods
+            walk_rhos += list(prods)
             walk_norms += list(level)
     radii, l2 = map(iter, _radii_norms(walk_rhos + rhos, walk_norms + norms))
     bounds = {key: (_root_max([next(radii) for _ in roots], roots),
@@ -277,7 +276,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         if space == L2:
             his = [hi for _, hi, _ in _l2_norms(prods)]
         else:
-            his = [operator_norm(FiniteMatrix(p), space).hi for p in prods]
+            his = [hi for _, hi in _sum_norms(prods, space)]
         best = max([math.log(hi) + logscale for logscale, hi in zip(logscales, his) if hi > 0],
                    default=-math.inf)
         return _exp_up(best / m) if best > -math.inf else 0.0
@@ -295,12 +294,13 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     prods = [mats[i] / tops[i] for i in live]
     logscales = [math.log(tops[i]) for i in live]
     logps = [letter_lognorm[i] for i in live]
+    bounds = [_exp_up(logp) for logp in logps]  # each word's p(w)^(1/m)
     alpha = lower_end(1, prods, logscales)
 
     while True:
         if exhaustive:
             fekete = min(fekete, level_fekete(m, prods, logscales))
-        frontier_term = max(_exp_up(logp / m) for logp in logps)
+        frontier_term = max(bounds)
         ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
         if ub - alpha <= delta:
             return Bracket(min(alpha, ub), ub, "gripenberg")
@@ -313,34 +313,35 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         with np.errstate(over="ignore"):
             stack = _extend(prods, mats)
             colsums = stack.sum(axis=1).max(axis=1).tolist()
-        children = []  # unpruned: (index in the stack, its largest entry, logp, word)
+        children = []  # unpruned: (index in the stack, its largest entry, logp, bound, word)
         for c, (top, colsum) in enumerate(zip(stack.max(axis=(1, 2)).tolist(), colsums)):
             if top <= 0:
                 continue  # zero product: prunable with bound 0
             j, i = divmod(c, k)
             logp = min(logps[j] + letter_lognorm[i], math.log(colsum) + logscales[j])
-            if _exp_up(logp / (m + 1)) <= alpha + delta:
+            bound = _exp_up(logp / (m + 1))
+            if bound <= alpha + delta:
                 exhaustive = False
                 continue
-            children.append((c, top, logp, _child(words[j], m, i)))
-        _finite([top for _, top, _, _ in children])
+            children.append((c, top, logp, bound, _child(words[j], m, i)))
+        _finite([child[1] for child in children])
         m += 1
-        logscales, logps, words = (
-            [logscales[c // k] + math.log(top) for c, top, _, _ in children],
-            [logp for _, _, logp, _ in children],
-            [word for _, _, _, word in children])
-        prods = stack[[c for c, _, _, _ in children]] / np.array(
-            [top for _, top, _, _ in children]).reshape(-1, 1, 1)
+        logscales, logps, bounds, words = (
+            [logscales[c // k] + math.log(top) for c, top, _, _, _ in children],
+            *([child[f] for child in children] for f in (2, 3, 4)))
+        prods = stack[[c for c, _, _, _, _ in children]] / np.array(
+            [top for _, top, _, _, _ in children]).reshape(-1, 1, 1)
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
         canon = [j for j, (p, _) in enumerate(words) if p and m % p == 0]
         alpha = max(alpha, lower_end(m, prods[canon], [logscales[j] for j in canon]))
-        keep = [j for j, logp in enumerate(logps) if _exp_up(logp / m) > alpha + delta]
+        keep = [j for j, bound in enumerate(bounds) if bound > alpha + delta]
         exhaustive = exhaustive and len(keep) == len(words)
         if not keep:
             ub = min(fekete, alpha + delta)
             return Bracket(min(alpha, ub), ub, "gripenberg")
-        logscales, logps, words = ([col[j] for j in keep] for col in (logscales, logps, words))
+        logscales, logps, bounds, words = (
+            [col[j] for j in keep] for col in (logscales, logps, bounds, words))
         prods = prods[keep]
 
 

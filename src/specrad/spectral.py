@@ -341,19 +341,30 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     ``np.maximum.at`` from +0.0; adding +0.0 then turns a -0.0 that it kept
     (a -0.0 diagonal entry) into +0.0, as Python's ``max(0.0, -0.0)`` does.
     """
-    sizes: dict[int, list[int]] = {}
-    for i, a in enumerate(arrays):
-        if a.shape[0] != a.shape[1]:
+    if not len(arrays):
+        return []
+    if isinstance(arrays, np.ndarray):
+        if arrays.shape[1] != arrays.shape[2]:
             raise ShapeMismatchError("spectral radius needs a square matrix")
-        sizes.setdefault(len(a), []).append(i)
+        stacks = [(np.arange(len(arrays)), np.ascontiguousarray(arrays))]
+    else:
+        sizes: dict[int, list[int]] = {}
+        for i, a in enumerate(arrays):
+            if a.shape[0] != a.shape[1]:
+                raise ShapeMismatchError("spectral radius needs a square matrix")
+            sizes.setdefault(len(a), []).append(i)
+        stacks = [(np.array(owners), np.array([arrays[i] for i in owners]))
+                  for owners in sizes.values()]
     parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for n, owners in sizes.items():
-        stack = np.array([arrays[i] for i in owners])
+    for owners, stack in stacks:
+        n = stack.shape[1]
         owner, start, size, members = _strong_components(stack)
         if len(owner) == len(stack):  # one component per array: the stack itself
-            parts.setdefault(n, []).append((np.array(owners), stack))
+            if n > 1 and len(stacks) == 1:  # a positive block's ends are >= +0.0 already
+                return _perron_brackets(stack, tol)
+            parts.setdefault(n, []).append((owners, stack))
             continue
-        which = np.array(owners)[owner]
+        which = owners[owner]
         for s in set(size.tolist()):
             pick = size == s
             rows = owner[pick]
@@ -395,17 +406,30 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
     root of the spectral radius of A*A (see ``_radii_norms``).  A norm beyond
     the float range is a DomainError.
     """
-    if space == L1 or space == LINF:
-        with np.errstate(over="ignore"):
-            v = float(m.a.sum(axis=0 if space == L1 else 1).max())
-        hi = v * (1 + _ROUND_GUARD)
-        if hi == math.inf:
-            raise DomainError("operator norm exceeds the float range")
-        return Bracket(v * (1 - _ROUND_GUARD), hi, "colsum" if space == L1 else "rowsum")
     if space == L2:
         lo, hi, ok = _l2_norms([m.a], tol)[0]
         return Bracket(lo, hi, "sqrt-gram", ok)
-    raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
+    (lo, hi), = _sum_norms([m.a], space)
+    return Bracket(lo, hi, "colsum" if space == L1 else "rowsum")
+
+
+def _sum_norms(arrays, space: str) -> list[tuple[float, float]]:
+    """(lo, hi) for the l1 norm (the largest column sum) or the linf norm
+    (the largest row sum) of each array of a list or a (k, m, n) stack: the
+    sum padded by ``_ROUND_GUARD`` each way.  A stack is summed in one
+    reduction; a list's arrays one by one, each in its own layout, since a
+    Fortran-ordered column sum runs along contiguous memory, which numpy may
+    add pairwise.  A norm beyond the float range is a DomainError.
+    """
+    if space != L1 and space != LINF:
+        raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
+    axis = -2 if space == L1 else -1
+    with np.errstate(over="ignore"):
+        sums = [v for s in ([arrays] if isinstance(arrays, np.ndarray) else [a[None] for a in arrays])
+                for v in np.maximum.reduce(s.sum(axis=axis), axis=-1).tolist()]
+    if any(v * (1 + _ROUND_GUARD) == math.inf for v in sums):
+        raise DomainError("operator norm exceeds the float range")
+    return [(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in sums]
 
 
 def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
@@ -440,21 +464,28 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     squared entry (>= 2**-802), by less than n * m * 2**-1074, below the
     one-ulp steps.
     """
-    grams = [_gram(a) for a in norms]
-    radii = _spectral_radii([*rhos, *(g for g, _ in grams)], tol)
+    if isinstance(norms, np.ndarray) and norms.flags.c_contiguous:
+        grams, exps = _gram(norms)
+    else:
+        grams, exps = [], []
+        for a in norms:
+            g, e = _gram(a[None])
+            grams.append(g[0])
+            exps += e
+    radii = _spectral_radii([*rhos, *grams] if len(rhos) else grams, tol)
     k = len(rhos)
-    return radii[:k], [_l2_finish(a.shape[0], e, r)
-                       for a, (_, e), r in zip(norms, grams, radii[k:])]
+    return radii[:k], [_l2_finish(len(a), e, r) for a, e, r in zip(norms, exps, radii[k:])]
 
 
-def _gram(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """The first step of an l2 norm: (A*A, e) for A = 2**-e ``a``, where
-    e = 0 unless the largest entry lies outside [_GRAM_MIN, _GRAM_MAX]."""
-    top = a.max().item()
-    e = 0 if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX else math.frexp(top)[1]
-    if e:
-        a = np.ldexp(a, -e)
-    return a.T @ a, e
+def _gram(s: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The first step of an l2 norm for each array of a (k, m, n) stack:
+    (the stack of A*A, each e) for A = 2**-e times the array, where e = 0
+    unless the array's largest entry lies outside [_GRAM_MIN, _GRAM_MAX]."""
+    exps = [0 if top == 0.0 or _GRAM_MIN <= top <= _GRAM_MAX else math.frexp(top)[1]
+            for top in np.maximum.reduce(s, axis=(1, 2)).tolist()]
+    if any(exps):
+        s = np.ldexp(s, -np.array(exps).reshape(-1, 1, 1))
+    return s.transpose(0, 2, 1) @ s, exps
 
 
 def _l2_finish(rows: int, e: int, radius: tuple[float, float, bool]) -> tuple[float, float, bool]:

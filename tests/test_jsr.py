@@ -29,6 +29,7 @@ from specrad import (
     spectral_radius,
 )
 from specrad.errors import BudgetExceededError, DomainError, ShapeMismatchError
+from specrad import jsr
 from specrad.families import _pow0
 from specrad.jsr import (
     _MAX_LEVEL,
@@ -583,3 +584,42 @@ def test_depth_bounds_are_the_two_estimators_bit_for_bit():
             [(lb.hex(), ub.hex()) for lb, ub in want]
         assert _bits(radii) == _bits(_ends(spectral_radius(FiniteMatrix(a))) for a in rhos)
         assert _bits(l2) == _bits(_ends(operator_norm(FiniteMatrix(a))) for a in norms)
+
+
+def test_gen_radius_lb_brackets_its_products_as_one_stack(monkeypatch):
+    """All necklace products, Fortran-ordered letters among them, go to one
+    ``_spectral_radii`` call as one C-ordered stack."""
+    seen = []
+    real = jsr._spectral_radii
+    monkeypatch.setattr(jsr, "_spectral_radii", lambda a: seen.append(a) or real(a))
+    rng = np.random.default_rng(1256)
+    s = OperatorSet([FiniteMatrix(np.asfortranarray(rng.random((3, 3)))),
+                     FiniteMatrix(rng.random((3, 3)))])
+    gen_radius_lb(s, 4)
+    (stack,) = seen
+    assert isinstance(stack, np.ndarray) and stack.flags.c_contiguous
+    assert stack.shape == (2 + 3 + 4 + 6, 3, 3)  # the binary necklaces of lengths 1-4
+
+
+@pytest.mark.parametrize("space", ["l1", "linf"])
+def test_gripenberg_level_norms_are_each_products_own_norm(monkeypatch, space):
+    """The l1/linf level norms come from one ``_sum_norms`` call per level:
+    the letters as a list, each in its own layout, then one C-ordered stack.
+    The bracket has the bits of a run that takes each product's
+    ``operator_norm`` alone."""
+    rng = np.random.default_rng(1257)
+    real = jsr._sum_norms
+    golden = [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])]
+    for h in (1, 5, 6):  # the golden pair blown up to n = 2h, so no level is pruned early
+        a, b = (np.kron(g, np.full((h, h), 1.0 / h)) + 1e-3 * rng.random((2 * h, 2 * h))
+                for g in golden)
+        s = OperatorSet([FiniteMatrix(np.asfortranarray(a)), FiniteMatrix(b)])
+        seen = []
+        monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: seen.append(p) or real(p, sp))
+        got = gripenberg_bracket(s, 1e-6, budget=200, space=space)
+        monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: [
+            (0.0, operator_norm(FiniteMatrix(a), sp).hi) for a in p])
+        assert got == gripenberg_bracket(s, 1e-6, budget=200, space=space)
+        assert isinstance(seen[0], list) and seen[0][0].flags.f_contiguous
+        assert len(seen) > 1 and all(isinstance(p, np.ndarray) and p.flags.c_contiguous
+                                     for p in seen[1:])

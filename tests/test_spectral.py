@@ -450,6 +450,109 @@ def test_one_batch_mixes_every_component_shape(monkeypatch):
                 {frozenset(c.tolist()) for c in _scipy_components(a)}
 
 
+def _stacks(rng):
+    """(k, n, n) stacks of every kind ``_spectral_radii`` and ``_l2_norms``
+    take: empty ones, 1 x 1 ones with -0.0 and 0.0, positive ones, ones with
+    a zero entry or reducible arrays, and at n = 2-40 ones scaled by
+    2**+-900, each C-ordered and as a transposed and a non-contiguous view."""
+    stacks = [np.zeros((0, n, n)) for n in (1, 2, 5)]
+    stacks += [np.array([[[-0.0]], [[2.5]], [[0.0]]]), np.array([[[-0.0]]]),
+               rng.random((4, 1, 1)) * 2.0 ** 900]
+    for n in range(2, 41):
+        k = int(rng.integers(1, 6))
+        positive = rng.random((k, n, n)) + 0.01
+        holes = rng.random((k, n, n)) * (rng.random((k, n, n)) < 0.6)
+        reducible = np.triu(rng.random((k, n, n)))
+        for s in (positive, holes, reducible):
+            s = s * 2.0 ** rng.choice([-900, 0, 900], size=(k, 1, 1))
+            stacks += [s, s.transpose(0, 2, 1), s[:, ::-1, :]]
+    return stacks
+
+
+def test_a_stack_gets_the_bits_of_its_list():
+    """``_spectral_radii`` and ``_l2_norms`` give a stack the bits they give
+    the list of its arrays, whatever its layout; the l2 norms cover largest
+    entries outside [_GRAM_MIN, _GRAM_MAX] beside ones inside it."""
+    mixed = {"above": 0, "below": 0}
+    for s in _stacks(np.random.default_rng(1252)):
+        assert [_bits(r) for r in _spectral_radii(s)] == \
+            [_bits(r) for r in _spectral_radii(list(s))]
+        assert [_bits(r) for r in _l2_norms(s)] == [_bits(r) for r in _l2_norms(list(s))]
+        for a, g, e in zip(s, *spectral._gram(s)) if s.flags.c_contiguous else ():
+            # one product per array, as a list gets, is the reference
+            b = np.ldexp(a, -e) if e else a
+            assert g.tobytes() == (b.T @ b).tobytes()
+        tops = s.max(axis=(1, 2))
+        inside = ((_GRAM_MIN <= tops) & (tops <= _GRAM_MAX)).any()
+        mixed["above"] += bool(inside and (tops > _GRAM_MAX).any())
+        mixed["below"] += bool(inside and (tops < _GRAM_MIN).any())
+    assert min(mixed.values()) > 0  # stacks that scale some arrays and not others
+
+
+def test_a_positive_stack_goes_to_the_perron_brackets_as_it_is(monkeypatch):
+    """A C-ordered stack of positive arrays is handed to ``_perron_brackets``
+    itself, neither copied nor split; a non-contiguous one is copied once
+    into C order; an empty stack returns [] and reaches neither the split
+    nor the brackets; a stack with a zero entry is still split."""
+    calls = []
+    split = spectral._strong_components
+    real = spectral._perron_brackets
+    monkeypatch.setattr(spectral, "_strong_components", lambda s: calls.append(("split", s))
+                        or split(s))
+    monkeypatch.setattr(spectral, "_perron_brackets", lambda s, tol: calls.append(("rho", s))
+                        or real(s, tol))
+    rng = np.random.default_rng(1253)
+    s = rng.random((5, 3, 3)) + 0.1
+    got = _spectral_radii(s)
+    assert [(what, b is s) for what, b in calls] == [("split", True), ("rho", True)]
+    assert got == real(s, DEFAULT_RHO_TOL)
+    calls.clear()
+    t = s.transpose(0, 2, 1)
+    _spectral_radii(t)
+    assert calls[0][1] is calls[1][1] and calls[0][1].flags.c_contiguous
+    assert np.array_equal(calls[0][1], t)
+    calls.clear()
+    assert _spectral_radii(np.zeros((0, 4, 4))) == [] and _l2_norms(np.zeros((0, 4, 4))) == []
+    assert calls == []
+    holes = s.copy()
+    holes[1, 0, 2] = 0.0
+    holes[3] = np.triu(holes[3])
+    _spectral_radii(holes)
+    assert [what for what, _ in calls][:2] == ["split", "rho"]
+    assert [b.shape for what, b in calls if what == "rho"] != [holes.shape]
+
+
+def test_a_stack_of_non_square_arrays_is_refused():
+    for s in (np.ones((2, 3, 2)), np.ones((1, 1, 4))):
+        with pytest.raises(ShapeMismatchError):
+            _spectral_radii(s)
+
+
+def test_stacked_sum_norms_are_the_per_array_sums():
+    """The l1 and linf norms of a C-ordered stack are the column and row
+    sums of each array alone, padded as ``operator_norm`` pads them.  A list
+    sums each array in its own layout: at n >= 9 a Fortran-ordered column
+    sum runs along contiguous memory, which numpy adds pairwise, and on
+    these seeds it differs from the sum of a C-ordered copy."""
+    rng = np.random.default_rng(1254)
+    moved = 0
+    for n in (*range(1, 41), 64, 100):
+        s = rng.random((4, n, n)) * (rng.random((4, n, n)) < 0.7) * 2.0 ** int(rng.integers(-30, 31))
+        fortran = [np.asfortranarray(a) for a in s]
+        for space, axis in (("l1", 0), ("linf", 1)):
+            want = [float(a.sum(axis=axis).max()) for a in s]
+            pad = [(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in want]
+            assert spectral._sum_norms(s, space) == pad
+            assert [operator_norm(FiniteMatrix(a), space).hi for a in s] == [hi for _, hi in pad]
+            own = [float(a.sum(axis=axis).max()) for a in fortran]
+            assert spectral._sum_norms(fortran, space) == [
+                (v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in own]
+            moved += own != want
+    assert moved
+    with pytest.raises(DomainError, match="unknown space tag"):
+        spectral._sum_norms(s, "l3")
+
+
 def test_a_one_by_one_array_in_a_batch_is_its_entry():
     batch = [np.array([[2.5]]), np.ones((2, 2)), np.array([[0.0]]), np.full((2, 2), 2.0),
              np.array([[7.0]])]

@@ -37,3 +37,21 @@ def test_bench_record_refuses_spent_seeds(tmp_path, capsys):
     assert "seed 1120 is spent: BENCH_7.json lists it" in err
     assert "--seeds" in err.splitlines()[-1]
     assert not (tmp_path / "out.json").exists()
+
+
+def test_bench_record_refuses_a_checkout_without_git_metadata(tmp_path, monkeypatch):
+    """A checkout whose commit git cannot name is refused before any
+    benchmark runs, with the command that makes a checkout that has one."""
+    tool = _bench_record()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    bench = {"command": [], "run_seconds": 1, "workloads": [], "end_to_end": []}
+    (checkout / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        tool.commit_of(checkout)
+    assert "git worktree add --detach" in str(exc.value.code)
+    with pytest.raises(SystemExit) as exc:
+        tool.main([f"{checkout}={tmp_path / 'out.json'}", "--seeds", "1"])
+    assert f"{checkout} has no git metadata" in str(exc.value.code)
+    assert not (tmp_path / "out.json").exists()

@@ -10,7 +10,10 @@ end-to-end metrics with their directions are read from the checkouts'
 ``BENCHMARK.json``, which must be the same in all of them.  ``--seeds`` is
 required, and a seed that the ``seeds`` of a ``BENCH_*.json`` in the last
 checkout's root already lists is refused, with that file named: a spent
-seed has been seen by the change it measured.  The
+seed has been seen by the change it measured.  Each checkout must
+have git metadata (a clone, or ``git worktree add --detach DIR COMMIT``),
+so that its file names the commit it measured; a checkout without it is
+refused before any benchmark runs.  The
 benchmark's runs alternate between the checkouts seed by
 seed, first one first on even seeds and last one first on odd seeds, so a
 slow spell of a shared machine falls on both sides.  Each file holds, for
@@ -134,9 +137,14 @@ def tier1(root: Path) -> dict:
             "exit_code": proc.returncode}
 
 
-def commit_of(root: Path) -> str | None:
+def commit_of(root: Path) -> str:
+    """The commit checked out at ``root``; a checkout without git metadata
+    is refused, since its record could name no commit."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode != 0:
+        raise SystemExit(f"{root} has no git metadata, so its record would name no commit; "
+                         "check the commit out with `git worktree add --detach DIR COMMIT`")
+    return proc.stdout.strip()
 
 
 def compare(bench: dict, first: dict, last: dict) -> None:
