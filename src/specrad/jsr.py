@@ -6,6 +6,10 @@ complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
 One walk, ``_levels``, yields each level of products as one stack, and
 the radii and norms of a level go through one batched estimator call.
+Those calls take the stacks as they are: ``gen_radius_lb`` hands its
+necklace products on as one C-ordered stack, and the branch and bound
+its levels, so a positive stack goes to the Perron brackets with no copy
+and no component split, and its Gram matrices are one stacked product.
 ``_set_bounds`` gives both finite bounds of many (set, depth) pairs from
 one ``spectral._radii_norms`` call, which also brackets a caller's arrays.
 The branch and bound builds each level's children the same way, as one
@@ -151,7 +155,8 @@ def gen_radius_lb(s, m_max: int) -> float:
     Max of rho(P)^(1/m) over the products P of length-m necklace words
     (one word per rotation class), m <= m_max; non-decreasing in m_max.
     The radii of all the products go through one batched
-    ``_spectral_radii`` call; ``_levels`` caps the deepest level.
+    ``_spectral_radii`` call on one stack; ``_levels`` caps the deepest
+    level.
     """
     prods, roots, _ = _necklace_walk(_letters(s, "gen_radius_lb"), m_max)
     return _root_max(_spectral_radii(prods), roots)
@@ -159,7 +164,8 @@ def gen_radius_lb(s, m_max: int) -> float:
 
 def _necklace_walk(letters: list[np.ndarray], depth: int, full: bool = False):
     """One ``_levels`` walk to ``depth``: (the products of every level's
-    necklace words, their roots 1/m, the deepest level).
+    necklace words as one C-ordered stack, their roots 1/m, the deepest
+    level).
 
     The picked products are checked finite or, with ``full``, every product
     of every level, as ``norm_level_max`` checks them.
@@ -241,12 +247,15 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     as ``_levels`` builds a level; their largest entries and l1 norms (max
     column sums) come from two stacked reductions, the survivors are
     normalized in one stacked division, and the canonical ones go to
-    ``lower_end`` as one slice of the stack.  A child is canonical when its
-    prenecklace period, carried from its parent with the word's first
-    period letters as one (period, head) pair (``_child``), divides its
-    length; the words themselves are never spelled out, so a child costs
-    constant time unless its period becomes its length.  Logs and
-    exponentials stay per element on ``math``.
+    ``lower_end`` as one slice of the stack.  Each word's bound
+    p(w)^(1/|w|) is computed once, at the prune test, and serves the
+    survivors' test and the frontier term.  l1/linf level norms are one
+    stacked column or row sum (``spectral._sum_norms``).  A child is
+    canonical when its prenecklace period, carried from its parent with the
+    word's first period letters as one (period, head) pair (``_child``),
+    divides its length; the words themselves are never spelled out, so a
+    child costs constant time unless its period becomes its length.  Logs
+    and exponentials stay per element on ``math``.
     """
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
@@ -324,11 +333,13 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
                 exhaustive = False
                 continue
             children.append((c, top, logp, bound, _child(words[j], m, i)))
-        _finite([child[1] for child in children])
+        _finite([top for _, top, _, _, _ in children])
         m += 1
         logscales, logps, bounds, words = (
             [logscales[c // k] + math.log(top) for c, top, _, _, _ in children],
-            *([child[f] for child in children] for f in (2, 3, 4)))
+            [logp for _, _, logp, _, _ in children],
+            [bound for _, _, _, bound, _ in children],
+            [word for _, _, _, _, word in children])
         prods = stack[[c for c, _, _, _, _ in children]] / np.array(
             [top for _, top, _, _, _ in children]).reshape(-1, 1, 1)
         # radius evaluations are the expensive step: one canonical word per

@@ -8,9 +8,11 @@ from the reachability closure of the sparsity pattern: R = (A != 0) | I
 squared until it stops growing, after which i and j share a component
 exactly when R[i, j] and R[j, i].  A batch's arrays are stacked by size
 and each stack is split at once: one reduction finds the arrays with a
-zero entry, and only those are squared, together.  The split comes back
-as flat arrays that name each component's array, size and members, so
-each block size is gathered from its stack by one fancy index, and
+zero entry, and only those are squared, together.  A caller's (k, n, n)
+stack goes in as it is, and a positive one (no zero entry) skips the
+split: its blocks go straight to the Perron brackets.  The split comes
+back as flat arrays that name each component's array, size and members,
+so each block size is gathered from its stack by one fancy index, and
 neither the split nor the gather loops in Python over arrays or
 components.  One routine,
 ``_perron_brackets``, brackets a whole stack of equal-sized irreducible
@@ -26,7 +28,9 @@ to ``_squeeze``, Gelfand upper and Collatz-Wielandt lower bounds on
 repeated squarings.  When ``eig`` fails on a stack, each block is retried
 alone.  Every step treats each block as it would treat it alone, so a bracket
 does not depend on the batch it was computed in.  The l2 norm widens its
-Gram radius by gamma_m, the rounding of A*A.  On the
+Gram radius by gamma_m, the rounding of A*A; a C-ordered stack's Gram
+matrices are one stacked product.  The l1 and linf norms are column and
+row sums, one reduction for a stack.  On the
 infinite side, the Hausdorff measure of noncompactness gamma of a banded
 family is the sum of its band weight limits: every weight sequence
 converges, so row-tail norm bounds decrease to that sum, and sliding
@@ -321,17 +325,25 @@ def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
 
 
 def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
-    """(lo, hi, converged) for the Perron root of each square nonnegative array.
+    """(lo, hi, converged) for the Perron root of each square nonnegative
+    array of a list or of one (k, n, n) stack.
 
     The spectrum of a block-triangular matrix is the union over diagonal
-    blocks, so a radius is the max over strongly connected components.  The
-    arrays of each size are copied into one C-ordered stack by ``np.array``
-    of their list, a copy that keeps no operand's layout (``np.stack`` keeps
-    Fortran strides, and ``_perron_brackets``' row sums would then add in
-    another order than for the array alone), and split by one
-    ``_strong_components`` call into flat component arrays.  A stack whose
-    arrays are one component each goes on as it is.  Otherwise the
-    components of each size s are gathered from it by one fancy index,
+    blocks, so a radius is the max over strongly connected components.  An
+    empty input returns [] before any numpy call.  The arrays of each size
+    of a list are copied into one C-ordered stack by ``np.array`` of their
+    list, a copy that keeps no operand's layout (``np.stack`` keeps Fortran
+    strides, and ``_perron_brackets``' row sums would then add in another
+    order than for the array alone).  A stack is one size group and goes in
+    as it is when it is C-contiguous, neither iterated nor copied; otherwise
+    one ``np.ascontiguousarray`` gives it the list's layout.  Each stack is
+    split by one ``_strong_components`` call into flat component arrays.
+    When the arrays are all of one size n >= 2 and each is one component
+    (no zero entry), ``_perron_brackets``' list of that stack is the
+    result: a positive block's ends are >= +0.0 already, so the scatter
+    below would move no bit.  Otherwise a stack whose arrays are one
+    component each goes on as it is, and the components of each size s of
+    any other stack are gathered from it by one fancy index,
     ``stack[rows[:, None, None], idx[:, :, None], idx[:, None, :]]`` with
     each component's array in ``rows`` and its members in the rows of
     ``idx``, a C-ordered copy; whole arrays are the stack's row subset.  A
@@ -424,12 +436,13 @@ def _sum_norms(arrays, space: str) -> list[tuple[float, float]]:
     if space != L1 and space != LINF:
         raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
     axis = -2 if space == L1 else -1
+    stacks = [arrays] if isinstance(arrays, np.ndarray) else [a[None] for a in arrays]
     with np.errstate(over="ignore"):
-        sums = [v for s in ([arrays] if isinstance(arrays, np.ndarray) else [a[None] for a in arrays])
-                for v in np.maximum.reduce(s.sum(axis=axis), axis=-1).tolist()]
-    if any(v * (1 + _ROUND_GUARD) == math.inf for v in sums):
+        sums = [v for s in stacks for v in s.sum(axis=axis).max(axis=-1).tolist()]
+    ends = [(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in sums]
+    if any(hi == math.inf for _, hi in ends):
         raise DomainError("operator norm exceeds the float range")
-    return [(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in sums]
+    return ends
 
 
 def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
@@ -443,15 +456,21 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     of ``rhos`` and for the l2 norm of each array of ``norms``, from one
     ``_spectral_radii`` call on the radius arrays followed by the Gram
     matrices of the norm arrays.  A radius does not depend on its batch, so
-    each result has the bits of its array bracketed alone.
+    each result has the bits of its array bracketed alone.  ``norms`` is a
+    list or one (k, m, n) stack; with no radius arrays, the Gram stack of a
+    stack goes to ``_spectral_radii`` as it is.
 
-    The norm is the square root of the spectral radius of A*A.  Each Gram
-    matrix is formed on its own array, since numpy may compute ``a.T @ a``
-    with a symmetric rank-k update that rounds differently from a general
-    product.  When the largest entry lies outside [_GRAM_MIN, _GRAM_MAX],
-    A*A would overflow or lose its low bits to subnormal rounding, so the
-    norm of 2**-e A is taken instead, where 2**e brackets that entry, and
-    its endpoints are multiplied back by 2**e.
+    The norm is the square root of the spectral radius of A*A.  The Gram
+    matrices of a C-ordered stack S are one product
+    ``S.transpose(0, 2, 1) @ S``, which gives each the bits of its array's
+    own ``a.T @ a`` (numpy may form that with a symmetric rank-k update,
+    which rounds differently from a general product).  A list's arrays,
+    and a stack in another layout, get one product per array in its own
+    layout, because a Fortran-ordered operand rounds differently.  When an
+    array's largest entry lies outside [_GRAM_MIN, _GRAM_MAX], A*A would
+    overflow or lose its low bits to subnormal rounding, so the norm of
+    2**-e A is taken instead, where 2**e brackets that entry, and its
+    endpoints are multiplied back by 2**e.
 
     fl(A*A) lies within gamma_m (A*A) entrywise for A with m rows, since
     every term is nonnegative, and the Perron root is monotone in
@@ -467,11 +486,8 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     if isinstance(norms, np.ndarray) and norms.flags.c_contiguous:
         grams, exps = _gram(norms)
     else:
-        grams, exps = [], []
-        for a in norms:
-            g, e = _gram(a[None])
-            grams.append(g[0])
-            exps += e
+        pairs = [_gram(a[None]) for a in norms]
+        grams, exps = [g[0] for g, _ in pairs], [e[0] for _, e in pairs]
     radii = _spectral_radii([*rhos, *grams] if len(rhos) else grams, tol)
     k = len(rhos)
     return radii[:k], [_l2_finish(len(a), e, r) for a, e, r in zip(norms, exps, radii[k:])]

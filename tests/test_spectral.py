@@ -478,6 +478,9 @@ def test_a_stack_gets_the_bits_of_its_list():
         assert [_bits(r) for r in _spectral_radii(s)] == \
             [_bits(r) for r in _spectral_radii(list(s))]
         assert [_bits(r) for r in _l2_norms(s)] == [_bits(r) for r in _l2_norms(list(s))]
+        if s.shape[1] == 1:  # a 1 x 1 array's radius is its entry, -0.0 as +0.0
+            assert [_bits(r) for r in _spectral_radii(s)] == \
+                [_bits((abs(v), abs(v), True)) for v in s.ravel().tolist()]
         for a, g, e in zip(s, *spectral._gram(s)) if s.flags.c_contiguous else ():
             # one product per array, as a list gets, is the reference
             b = np.ldexp(a, -e) if e else a
@@ -514,12 +517,19 @@ def test_a_positive_stack_goes_to_the_perron_brackets_as_it_is(monkeypatch):
     calls.clear()
     assert _spectral_radii(np.zeros((0, 4, 4))) == [] and _l2_norms(np.zeros((0, 4, 4))) == []
     assert calls == []
+    empty = np.zeros((0, 4, 4))
+    monkeypatch.setattr(spectral, "np", None)  # an empty input makes no numpy call
+    assert _spectral_radii(empty) == [] and _spectral_radii([]) == []
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "_strong_components", lambda s: calls.append(("split", s))
+                        or split(s))
+    monkeypatch.setattr(spectral, "_perron_brackets", lambda s, tol: calls.append(("rho", s))
+                        or real(s, tol))
     holes = s.copy()
-    holes[1, 0, 2] = 0.0
-    holes[3] = np.triu(holes[3])
+    holes[1, 0, 2] = 0.0  # still one component
+    holes[3] = np.triu(holes[3])  # three singleton components
     _spectral_radii(holes)
-    assert [what for what, _ in calls][:2] == ["split", "rho"]
-    assert [b.shape for what, b in calls if what == "rho"] != [holes.shape]
+    assert [(what, b.shape) for what, b in calls] == [("split", (5, 3, 3)), ("rho", (4, 3, 3))]
 
 
 def test_a_stack_of_non_square_arrays_is_refused():
@@ -531,13 +541,14 @@ def test_a_stack_of_non_square_arrays_is_refused():
 def test_stacked_sum_norms_are_the_per_array_sums():
     """The l1 and linf norms of a C-ordered stack are the column and row
     sums of each array alone, padded as ``operator_norm`` pads them.  A list
-    sums each array in its own layout: at n >= 9 a Fortran-ordered column
+    sums each array in its own layout: at n >= 8 a Fortran-ordered column
     sum runs along contiguous memory, which numpy adds pairwise, and on
     these seeds it differs from the sum of a C-ordered copy."""
     rng = np.random.default_rng(1254)
     moved = 0
     for n in (*range(1, 41), 64, 100):
-        s = rng.random((4, n, n)) * (rng.random((4, n, n)) < 0.7) * 2.0 ** int(rng.integers(-30, 31))
+        s = rng.random((4, n, n)) * (rng.random((4, n, n)) < 0.7)
+        s *= 2.0 ** int(rng.integers(-30, 31))
         fortran = [np.asfortranarray(a) for a in s]
         for space, axis in (("l1", 0), ("linf", 1)):
             want = [float(a.sum(axis=axis).max()) for a in s]
