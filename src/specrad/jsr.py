@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, ShapeMismatchError
+from .errors import BudgetExceededError, DomainError, ShapeMismatchError, SpecradError
 from .families import _pow0
 from .sets import OperatorSet, _as_set
 from .spectral import (
@@ -31,6 +31,8 @@ from .spectral import (
     _ROUND_GUARD,
     Bracket,
     _band_limit_sum,
+    _exp_up,
+    _in_range,
     _l2_norms,
     _radii_norms,
     _spectral_radii,
@@ -180,13 +182,24 @@ def _necklace_walk(letters: list[np.ndarray], depth: int, full: bool = False):
 
 
 def _root_max(radii, roots) -> float:
-    """The largest lo**root over the radii with a positive lower end, else 0.0."""
+    """The largest lo**root over the radii with a positive lower end, else
+    0.0; a radius beyond the float range is a DomainError."""
+    radii = _in_range(radii, "spectral radius")
     return max([math.pow(lo, p) for (lo, _, _), p in zip(radii, roots) if lo > 0], default=0.0)
 
 
 def _norm_max(norms) -> float:
-    """The largest upper end over a level's norms."""
-    return max(hi for _, hi, _ in norms)
+    """The largest upper end over a level's norms; a norm beyond the float
+    range is a DomainError."""
+    return max(hi for _, hi, _ in _in_range(norms, "operator norm"))
+
+
+def _caught(f, *args):
+    """f(*args), or the SpecradError it raises, as a value."""
+    try:
+        return f(*args)
+    except SpecradError as exc:
+        return exc
 
 
 def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
@@ -195,25 +208,32 @@ def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
     ``spectral._radii_norms`` call that also brackets the arrays of
     ``rhos`` (their radii) and ``norms`` (their l2 norms) after the walks'.
 
-    A pair repeated (the same set object at the same depth) is walked once.
-    The call's two lists hold the walks' necklace products and deepest-level
-    products, walk by walk, then the caller's arrays, whose (lo, hi,
-    converged) come back in ``radii`` and ``norms``.  Every product of every
-    level is checked finite, as ``norm_level_max`` checks it, so a walk
-    raises wherever either estimator would, though not always with the
-    error that running the two in turn raises first.
+    Errors are values: each bound is a float or the SpecradError its
+    estimator raises, and nothing here raises one.  A pair repeated (the
+    same set object at the same depth) is walked once.  Every product of
+    every level is checked finite, as ``norm_level_max`` checks it, so a
+    walk fails where ``norm_level_max`` fails first, and its error is both
+    bounds of its pair.  The call's two lists hold the other walks'
+    necklace products and deepest-level products, walk by walk, then the
+    caller's arrays, whose (lo, hi, converged) come back in ``radii`` and
+    ``norms``, with hi = +inf beyond the float range.
     """
     walks, walk_rhos, walk_norms = {}, [], []
     for s, d in pairs:
         if (id(s), d) not in walks:
-            prods, roots, level = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
+            try:
+                prods, roots, level = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
+            except SpecradError as exc:
+                walks[id(s), d] = exc
+                continue
             walks[id(s), d] = roots, len(level)
             walk_rhos += list(prods)
             walk_norms += list(level)
     radii, l2 = map(iter, _radii_norms(walk_rhos + rhos, walk_norms + norms))
-    bounds = {key: (_root_max([next(radii) for _ in roots], roots),
-                    _norm_max([next(l2) for _ in range(size)]))
-              for key, (roots, size) in walks.items()}
+    bounds = {key: (walk, walk) if isinstance(walk, SpecradError) else
+              (_caught(_root_max, [next(radii) for _ in walk[0]], walk[0]),
+               _caught(_norm_max, [next(l2) for _ in range(walk[1])]))
+              for key, walk in walks.items()}
     return bounds, list(radii), list(l2)
 
 
@@ -273,7 +293,8 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     def lower_end(m: int, prods: list, logscales: list) -> float:
         """Largest rho(P)^(1/m) over the length-m products, in one batched call."""
         best = 0.0
-        for logscale, (lo, _, _) in zip(logscales, _spectral_radii(prods)):
+        for logscale, (lo, _, _) in zip(logscales,
+                                        _in_range(_spectral_radii(prods), "spectral radius")):
             if lo > 0:
                 try:
                     best = max(best, math.exp((math.log(lo) + logscale) / m))
@@ -354,14 +375,6 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         logscales, logps, bounds, words = (
             [col[j] for j in keep] for col in (logscales, logps, bounds, words))
         prods = prods[keep]
-
-
-def _exp_up(x: float) -> float:
-    """exp(x) for an upper end: +inf beyond the float range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def norm_level_max(s, depth: int) -> float:

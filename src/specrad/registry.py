@@ -20,16 +20,22 @@ by the nodes ``power``, ``scaled``, ``_bprod`` and ``_split``.  The wrapper
 that ``_chain`` puts around a build resolves every leaf of every part in
 one pass, ``_resolve``: one ``jsr._set_bounds`` call bounds the set terms
 and brackets the radius and norm arrays with one ``spectral._radii_norms``
-call, since a radius does not depend on its batch, and each node is then
-folded in declared order.  Every term gets the bits of its public
-estimator.  When the build or the pass raises a ``SpecradError``, every
-leaf and node drawn so far is evaluated again, eagerly and in the order
-drawn, before the error is re-raised, so the first error raised is the
-one that evaluating the terms in turn meets.  Essential builds return
-brackets, evaluated as they are built.  A finite chain and its essential twin share a part's builder
-(``_mean_part``, ``_grid_part``, ``_power_part``) over an estimator pair,
-the leaf and the label format of ``_RHO``, ``_NORM``, ``_ESS`` or
-``_GAMMA``.
+call, since a radius does not depend on its batch.  Every term gets the
+bits of its public estimator.
+
+The pass carries errors as values: a set bound that fails is the error
+its estimator raises, and a radius or norm beyond the float range has an
+upper end of +inf.  One loop then sets each leaf and folds each node in
+the order drawn, and the first term that fails raises its error.  When
+the build itself raises a ``SpecradError``, the terms it drew so far are
+resolved first, so a term drawn before the failing step raises before
+the build's error.  Either way the error raised is the one that
+evaluating the terms in turn meets, from the same one pass.
+
+Essential builds return brackets, evaluated as they are built.  A finite
+chain and its essential twin share a part's builder (``_mean_part``,
+``_grid_part``, ``_power_part``) over an estimator pair, the leaf and the
+label format of ``_RHO``, ``_NORM``, ``_ESS`` or ``_GAMMA``.
 
 Finite-level upper estimates inside one part are evaluated at matched
 underlying depths, so whenever the proof of a link rests on entrywise
@@ -106,15 +112,7 @@ from .ensembles import (
 )
 from .errors import DomainError, InputFormatError, SpecradError
 from .families import _pow0
-from .jsr import (
-    _norm_sup,
-    _set_bounds,
-    _set_of,
-    gamma_level_max,
-    gamma_set_bracket,
-    gen_radius_lb,
-    norm_level_max,
-)
+from .jsr import _norm_sup, _set_bounds, _set_of, gamma_level_max, gamma_set_bracket
 from .matrices import _SUM_SLACK, FiniteMatrix, WeightVector
 from .serialize import _is_number
 from .sets import (
@@ -129,14 +127,7 @@ from .sets import (
     symmetrization,
     weighted_geometric_mean,
 )
-from .spectral import (
-    _ROUND_GUARD,
-    Bracket,
-    essential_spectral_radius,
-    hausdorff_mnc,
-    operator_norm,
-    spectral_radius,
-)
+from .spectral import _ROUND_GUARD, Bracket, _in_range, essential_spectral_radius, hausdorff_mnc
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +149,9 @@ class _Term:
     subclasses below.  Each term, once made, is drawn into the list of the
     build that runs, so that list holds every leaf and node in the order
     the build declared them, every node after the terms it folds.
-    ``eager`` sets ``value`` as the build would have evaluated it in turn:
-    a leaf from its public estimator, a node from the values it folds.
+    ``_resolve`` sets each ``value`` in that order, a leaf from its slot of
+    the one estimator pass and a node from the values it folds, so the
+    first term that fails raises.
     """
 
     __slots__ = ("fold", "terms", "value")
@@ -167,9 +159,6 @@ class _Term:
     def __init__(self, fold=None, terms=()):
         self.fold, self.terms = fold, terms
         _DRAWN.get().append(self)
-
-    def eager(self) -> None:
-        self.value = self.fold(*[t.value for t in self.terms])
 
     def power(self, p: float) -> "_Term":
         return _Term(lambda b: b.power(p), (self,))
@@ -182,22 +171,18 @@ class _Rho(_Term):
     """Leaf: ``spectral_radius(m)``, whose array joins the pass's radii."""
 
     __slots__ = ("m",)
+    what, method = "spectral radius", "gelfand-cw"  # its estimator's error and tag
 
     def __init__(self, m: FiniteMatrix):
         self.m = m
         super().__init__()
-
-    def eager(self) -> None:
-        self.value = spectral_radius(self.m)
 
 
 class _Norm(_Rho):
     """Leaf: ``operator_norm(m)`` in l2, whose array joins the pass's norms."""
 
     __slots__ = ()
-
-    def eager(self) -> None:
-        self.value = operator_norm(self.m)
+    what, method = "operator norm", "sqrt-gram"
 
 
 # Estimator pairs (leaf, label format) of the parts that a finite chain and
@@ -220,7 +205,7 @@ class _Sets(_Term):
     entrywise domination of matched products transfers to the norm maxima,
     so theorem-ordered terms stay ordered.  In the pass, every factor's
     ``gen_radius_lb`` and ``norm_level_max`` come from ``jsr._set_bounds``,
-    bit for bit.
+    bit for bit, each a value or the error its estimator raises.
     """
 
     __slots__ = ("factors",)
@@ -228,9 +213,6 @@ class _Sets(_Term):
     def __init__(self, factors, u: int):
         self.factors = [(S, p, max(1, u // sigma)) for S, p, sigma in factors]
         super().__init__()
-
-    def eager(self) -> None:
-        self.value = _fin_term(self.factors, norm_level_max, gen_radius_lb)
 
 
 def _norm_sup_of(s) -> _Term:
@@ -240,42 +222,54 @@ def _norm_sup_of(s) -> _Term:
 
 
 def _resolve(drawn) -> None:
-    """Set the value of every term a finite build drew, from one pass.
+    """Set the value of every term a finite build drew, from one pass, and
+    raise the first error that evaluating the terms in drawn order meets.
 
     One ``jsr._set_bounds`` call gives both bounds of every distinct (set,
     depth) of the ``_Sets`` leaves, the radius of each ``_Rho``'s matrix and
     the norm of each ``_Norm``'s, from one estimator batch.  A radius does
     not depend on its batch, so every leaf gets the bits of its estimator.
-    The nodes are then folded in the order drawn.
+    The pass raises no error: a bound that fails is its estimator's error,
+    and a radius or norm beyond the float range has hi = +inf.  One loop
+    then sets each term in the order drawn, and a leaf raises its slot's
+    error there, as its public estimator would.
     """
     sets = [t for t in drawn if type(t) is _Sets]
     rhos = [t for t in drawn if type(t) is _Rho]
     norms = [t for t in drawn if type(t) is _Norm]
     bounds, radii, l2 = _set_bounds([(S, d) for t in sets for S, _, d in t.factors],
                                     [t.m.a for t in rhos], [t.m.a for t in norms])
-    for t, (lo, hi, ok) in zip(rhos, radii):
-        t.value = Bracket(lo, hi, "gelfand-cw", ok)
-    for t, (lo, hi, ok) in zip(norms, l2):
-        t.value = Bracket(lo, hi, "sqrt-gram", ok)
-    for t in sets:
-        t.value = _fin_term(t.factors, lambda S, d: bounds[id(S), d][1],
-                            lambda S, d: bounds[id(S), d][0])
+    for t, ends in zip(rhos + norms, radii + l2):
+        t.value = ends
     for t in drawn:
         if type(t) is _Term:
-            t.eager()
+            t.value = t.fold(*[s.value for s in t.terms])
+        elif type(t) is _Sets:
+            t.value = _fin_term(t.factors, bounds)
+        else:
+            (lo, hi, ok), = _in_range([t.value], t.what)
+            t.value = Bracket(lo, hi, t.method, ok)
 
 
-def _fin_term(factors, ub, lb) -> Bracket:
-    """The product of the set radii (set, power, depth) of one term, with
-    ``ub(S, d)`` for ``norm_level_max`` and ``lb(S, d)`` for
-    ``gen_radius_lb``, read in that order."""
+def _fin_term(factors, bounds) -> Bracket:
+    """The product of the set radii (set, power, depth) of one term from
+    ``jsr._set_bounds``' (gen_radius_lb, norm_level_max) of each (set,
+    depth), the upper bound read first, a bound that is an error raised."""
     hi = 1.0
     lo = 1.0
     for S, p, d in factors:
-        hi *= _pow0(ub(S, d), p / d)
-        lo *= _pow0(lb(S, d), p)
+        lb, ub = bounds[id(S), d]
+        hi *= _pow0(_held(ub), p / d)
+        lo *= _pow0(_held(lb), p)
     hi *= 1 + _ROUND_GUARD
     return Bracket(min(lo, hi), hi, "set-depth-ub/gen-lb")
+
+
+def _held(value):
+    """A value of the pass, raised when it is an error."""
+    if isinstance(value, SpecradError):
+        raise value
+    return value
 
 
 def _ess_term(factors) -> Bracket:
@@ -668,16 +662,14 @@ def _chain(cid, title, level, description, hypothesis_doc, operands, params,
         token = _DRAWN.set(drawn)
         try:
             parts = build(inputs, **{p.name: _param(inputs.params[p.name]) for p in params})
-            if drawn:
-                _resolve(drawn)
         except SpecradError:
-            for term in drawn:
-                term.eager()
+            _resolve(drawn)  # a term drawn before the failing step raises first
             raise
         finally:
             _DRAWN.reset(token)
         if not drawn:
             return parts
+        _resolve(drawn)
         return [Part(part.name, part.kind,
                      [(label, t.value if isinstance(t, _Term) else t) for label, t in part.terms])
                 for part in parts]

@@ -27,14 +27,16 @@ an inexact power-of-two scaling) or not within tol falls back, on its own,
 to ``_squeeze``, Gelfand upper and Collatz-Wielandt lower bounds on
 repeated squarings.  When ``eig`` fails on a stack, each block is retried
 alone.  Every step treats each block as it would treat it alone, so a bracket
-does not depend on the batch it was computed in.  The l2 norm widens its
-Gram radius by gamma_m, the rounding of A*A; a C-ordered stack's Gram
-matrices are one stacked product.  The l1 and linf norms are column and
-row sums, one reduction for a stack.  On the
-infinite side, the Hausdorff measure of noncompactness gamma of a banded
-family is the sum of its band weight limits: every weight sequence
-converges, so row-tail norm bounds decrease to that sum, and sliding
-window vectors attain it from below.  A family is a Toeplitz operator with
+does not depend on the batch it was computed in.  Nor does a batch raise for
+one block: a radius or l2 norm beyond the float range comes back with an
+upper end of +inf, and the public estimators refuse that mark with a
+DomainError (``_in_range``).  The l2 norm widens its Gram radius by
+gamma_m, the rounding of A*A; a C-ordered stack's Gram matrices are one
+stacked product.  The l1 and linf norms are column and row sums, one
+reduction for a stack.  On the infinite side, the Hausdorff measure of
+noncompactness gamma of a banded family is the sum of its band weight
+limits: every weight sequence converges, so row-tail norm bounds decrease
+to that sum, and sliding window vectors attain it from below.  A family is a Toeplitz operator with
 those nonnegative limits on its bands plus a compact part, so its
 essential radius is gamma too (see ``essential_spectral_radius``).  Both
 brackets read the band limits rounded to nearest, so they are not
@@ -203,12 +205,13 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     A block goes to ``_squeeze``, which runs on it alone, when a scaled
     entry does not round-trip, when x has a zero or non-finite entry, when
     a nonzero product b_ij x_j lies below the normal range, when an end
-    leaves the float range on the way back, or when hi - lo > tol * hi.  When ``eig`` raises
-    ``LinAlgError`` on the stack, each block is retried alone and a block
-    that fails alone falls back, so no sibling decides the path of a
-    block.  ``eig`` treats each matrix of a stack on its own and every
-    other step is elementwise or a reduction along the last axis, so a
-    bracket does not depend on the batch it was computed in.
+    leaves the float range on the way back (``_times_pow2`` gives +inf), or
+    when hi - lo > tol * hi.  When ``eig`` raises ``LinAlgError`` on the
+    stack, each block is retried alone and a block that fails alone falls
+    back, so no sibling decides the path of a block.  ``eig`` treats each
+    matrix of a stack on its own and every other step is elementwise or a
+    reduction along the last axis, so a bracket does not depend on the
+    batch it was computed in.
     """
     k, n, _ = stack.shape
     exps = [math.frexp(t)[1] for t in np.maximum.reduce(stack, axis=(1, 2)).tolist()]
@@ -226,14 +229,11 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     for j, (ok, qlo, qhi, ej) in enumerate(zip(good.tolist(), q.min(axis=1).tolist(),
                                                q.max(axis=1).tolist(), exps)):
         if ok:
-            try:
-                lo = _times_pow2(_down(qlo / up), ej, 0.0)
-                hi = _times_pow2(_up(qhi / down), ej, math.inf)
-                if hi - lo <= tol * hi < math.inf:
-                    out.append((lo, hi, True))
-                    continue
-            except OverflowError:
-                pass
+            lo = _times_pow2(_down(qlo / up), ej, 0.0)
+            hi = _times_pow2(_up(qhi / down), ej, math.inf)
+            if hi - lo <= tol * hi < math.inf:
+                out.append((lo, hi, True))
+                continue
         out.append(_squeeze(stack[j], tol))
     return out
 
@@ -277,8 +277,9 @@ def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
     padded ends are within tol relative to the upper end
     (hi - lo <= tol * hi), the test its converged flag reports.  An upper
     end beyond the float range counts as +inf, which the running minimum
-    skips; a lower end beyond it, or a final upper end of +inf, is a
-    DomainError.
+    skips.  A root beyond the float range comes back as hi = +inf, not
+    converged: the squeeze stops with lo = +inf when a lower end leaves the
+    range, and otherwise ends with an upper end of +inf.
     """
     top = a.max().item()
     b = a / top
@@ -292,20 +293,14 @@ def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
         mx = max(rs)  # >= 1: b has an entry equal to 1
         if mn > 0.0:
             t = math.log(mn)
-            try:
-                x = math.exp((t + s - (err + 4.0 * math.ulp(abs(t) + abs(s)))) / power)
-            except OverflowError:
-                raise DomainError("spectral radius exceeds the float range") from None
-            lo = max(lo, x)
+            lo = max(lo, _exp_up((t + s - (err + 4.0 * math.ulp(abs(t) + abs(s)))) / power))
+            if lo == math.inf:
+                return lo, lo, False
         t = math.log(mx)
-        try:
-            x = math.exp((t + s + (err + 4.0 * math.ulp(abs(t) + abs(s)))) / power)
-        except OverflowError:
-            x = math.inf
-        hi = min(hi, x)
+        hi = min(hi, _exp_up((t + s + (err + 4.0 * math.ulp(abs(t) + abs(s)))) / power))
         if step == _MAX_SQUARINGS - 1:
             break
-        up = hi * (1.0 + _ROUND_GUARD)  # the padded upper end; +inf raises below
+        up = hi * (1.0 + _ROUND_GUARD)  # the padded upper end; +inf is returned as it is
         if hi < math.inf and (up == math.inf or up - lo * (1.0 - _ROUND_GUARD) <= tol * up):
             break
         b = b @ b
@@ -319,14 +314,23 @@ def _squeeze(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
         power *= 2.0
     lo *= 1.0 - _ROUND_GUARD
     hi *= 1.0 + _ROUND_GUARD
-    if hi == math.inf:
-        raise DomainError("spectral radius exceeds the float range")
-    return lo, hi, hi - lo <= tol * hi
+    return lo, hi, hi < math.inf and hi - lo <= tol * hi
+
+
+def _exp_up(x: float) -> float:
+    """exp(x) for an upper end: +inf beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
     """(lo, hi, converged) for the Perron root of each square nonnegative
-    array of a list or of one (k, n, n) stack.
+    array of a list or of one (k, n, n) stack.  A root beyond the float
+    range is not an error here: its hi is +inf and it is not converged, and
+    the public estimators refuse it with ``_in_range``.  So a batch raises
+    for no array, and its other arrays keep the bits they get alone.
 
     The spectrum of a block-triangular matrix is the union over diagonal
     blocks, so a radius is the max over strongly connected components.  An
@@ -407,7 +411,7 @@ def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     connected components, each irreducible one bracketed by
     ``_perron_brackets``.
     """
-    lo, hi, ok = _spectral_radii([m.a], tol)[0]
+    (lo, hi, ok), = _in_range(_spectral_radii([m.a], tol), "spectral radius")
     return Bracket(lo, hi, "gelfand-cw", ok)
 
 
@@ -439,16 +443,24 @@ def _sum_norms(arrays, space: str) -> list[tuple[float, float]]:
     stacks = [arrays] if isinstance(arrays, np.ndarray) else [a[None] for a in arrays]
     with np.errstate(over="ignore"):
         sums = [v for s in stacks for v in s.sum(axis=axis).max(axis=-1).tolist()]
-    ends = [(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in sums]
-    if any(hi == math.inf for _, hi in ends):
-        raise DomainError("operator norm exceeds the float range")
-    return ends
+    return _in_range([(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in sums],
+                     "operator norm")
 
 
 def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
     """(lo, hi, converged) for the l2 norm of each nonnegative array: the
-    norms-only case of ``_radii_norms``."""
-    return _radii_norms([], arrays, tol)[1]
+    norms-only case of ``_radii_norms``, with a norm beyond the float range
+    refused as a DomainError."""
+    return _in_range(_radii_norms([], arrays, tol)[1], "operator norm")
+
+
+def _in_range(ends, what: str):
+    """The (lo, hi, ...) ends, unless an upper end is +inf, the mark of a
+    radius or norm beyond the float range: then a DomainError names ``what``."""
+    for e in ends:
+        if e[1] == math.inf:
+            raise DomainError(f"{what} exceeds the float range")
+    return ends
 
 
 def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]:
@@ -456,7 +468,8 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     of ``rhos`` and for the l2 norm of each array of ``norms``, from one
     ``_spectral_radii`` call on the radius arrays followed by the Gram
     matrices of the norm arrays.  A radius does not depend on its batch, so
-    each result has the bits of its array bracketed alone.  ``norms`` is a
+    each result has the bits of its array bracketed alone, and a result
+    beyond the float range has hi = +inf, as in ``_spectral_radii``.  ``norms`` is a
     list or one (k, m, n) stack; with no radius arrays, the Gram stack of a
     stack goes to ``_spectral_radii`` as it is.
 
@@ -506,17 +519,15 @@ def _gram(s: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def _l2_finish(rows: int, e: int, radius: tuple[float, float, bool]) -> tuple[float, float, bool]:
     """The last step of an l2 norm: the norm (lo, hi, converged) of a
-    matrix with ``rows`` rows from the Gram radius of its ``_gram``."""
+    matrix with ``rows`` rows from the Gram radius of its ``_gram``.  A norm
+    scaled back beyond the float range has hi = +inf and is not converged."""
     lo, hi, ok = radius
     g = _gamma(rows)
     lo = _down(math.sqrt(_down(lo / _up(1.0 + g))))
     hi = _up(math.sqrt(_up(hi / _down(1.0 - g))))
     if e:
-        try:
-            lo, hi = _times_pow2(lo, e, 0.0), _times_pow2(hi, e, math.inf)
-        except OverflowError:
-            raise DomainError("operator norm exceeds the float range") from None
-    return lo, hi, ok
+        lo, hi = _times_pow2(lo, e, 0.0), _times_pow2(hi, e, math.inf)
+    return lo, hi, ok and hi < math.inf
 
 
 def _down(x: float) -> float:
@@ -532,13 +543,17 @@ def _up(x: float) -> float:
 
 def _times_pow2(x: float, e: int, toward: float) -> float:
     """x * 2**e, moved one step toward ``toward`` when the product is below
-    the normal range; OverflowError beyond the float range.
+    the normal range; +inf beyond the float range, the mark of an end that
+    left it.
 
     A normal product is exact; a smaller one is rounded to nearest (possibly
     to zero), so the step keeps an endpoint on its side of the value it
     encloses.  Zero stays zero.
     """
-    y = math.ldexp(x, e)
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
     return math.nextafter(y, toward) if x and y < _TINY else y
 
 

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import inspect
 import json
@@ -24,12 +25,12 @@ from specrad import (
 from specrad import jsr, spectral
 from specrad.chains import CHAIN, Part
 from specrad.ensembles import rng_for
-from specrad.errors import DomainError, SpecradError
+from specrad.errors import BudgetExceededError, DomainError, SpecradError
 from specrad.families import _pow0
 from specrad.jsr import gen_radius_lb, norm_level_max
 from specrad.registry import _chain, _ess_term, _Sets, by_id, catalog_json, registry
 from specrad.sets import set_hadamard_power, set_power, set_product
-from specrad.spectral import _ROUND_GUARD, Bracket
+from specrad.spectral import _ROUND_GUARD, Bracket, operator_norm, spectral_radius
 
 CTX = EvalContext()
 reg = importlib.import_module("specrad.registry")  # the package's ``registry`` is the function
@@ -277,10 +278,14 @@ def test_essential_set_term_encloses_the_largest_exact_gamma(power):
 def _one_term_at_a_time(factors, u):
     """A product of finite set radii as each term was bounded before the
     batched pass: every factor by ``norm_level_max``, then ``gen_radius_lb``."""
+    return _bounded_in_turn([(S, p, max(1, u // sigma)) for S, p, sigma in factors])
+
+
+def _bounded_in_turn(factors):
+    """``_one_term_at_a_time`` of (set, power, depth) factors."""
     hi = 1.0
     lo = 1.0
-    for S, p, sigma in factors:
-        d = max(1, u // sigma)
+    for S, p, d in factors:
         hi *= _pow0(norm_level_max(S, d), p / d)
         lo *= _pow0(gen_radius_lb(S, d), p)
     hi *= 1 + _ROUND_GUARD
@@ -374,6 +379,43 @@ def test_an_overflowing_word_product_raises_before_a_later_set_overflows():
         evaluate_chain(by_id("F14"), _f14_inputs(big, big), CTX)
 
 
+def test_the_pass_raises_the_first_error_in_drawn_order():
+    """The one pass raises the error of the first term drawn that fails: a
+    radius or an l2 norm beyond the float range drawn before a set term
+    past the level cap raises its estimator's error, and the set term drawn
+    first raises the cap's, which ``evaluate_chain`` reports as an
+    inconclusive build part.  A term drawn before a failing build step
+    raises before the build's error."""
+    big = FiniteMatrix(np.full((3, 3), 1.5 * 2.0 ** 1022))  # radius and norm 4.5 * 2**1022
+    wide = OperatorSet([FiniteMatrix(np.eye(2) + k) for k in range(70)])  # 4,900 words at depth 2
+    leaves = {"spectral radius": lambda: reg._Rho(big), "operator norm": lambda: reg._Norm(big)}
+
+    def chain(*draws):
+        def build(inputs):
+            terms = [(str(j), draw()) for j, draw in enumerate(draws)]
+            return [Part("terms", CHAIN, terms)]
+
+        return _chain("X", "", "finite", "", "", {}, (), None, build)
+
+    def capped():
+        return _Sets([(wide, 1.0, 1)], 2)
+
+    def refused():
+        raise BudgetExceededError("a build step past its cap")
+
+    for what, leaf in leaves.items():
+        for after in (capped, refused):
+            with pytest.raises(DomainError, match=f"^{what} exceeds the float range$"):
+                chain(leaf, after).build(ChainInputs())
+        spec = chain(capped, leaf)
+        with pytest.raises(BudgetExceededError, match="^word level enumeration exceeded its cap$"):
+            spec.build(ChainInputs())
+        rep = evaluate_chain(spec, ChainInputs(), CTX)
+        assert rep.verdict == "inconclusive"
+        assert [(part.name, part.note) for part in rep.parts] == \
+            [("build", "word level enumeration exceeded its cap")]
+
+
 _FINITE = [f"F{i}" for i in range(1, 17)]
 
 
@@ -381,7 +423,9 @@ _FINITE = [f"F{i}" for i in range(1, 17)]
 def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
     """Each finite chain's build makes one ``_spectral_radii`` call for all
     its terms (matrix radii, norms, set terms and F13's sup |T|), and F12,
-    whose one part is entrywise, makes none."""
+    whose one part is entrywise, makes none.  On the scaled inputs of
+    ``test_one_pass_builds_are_the_eager_replay`` a build that raises makes
+    at most one call too: no term is evaluated twice."""
     count = [0]
     real = spectral._spectral_radii
 
@@ -399,6 +443,14 @@ def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
             count[0] = 0
             spec.build(inputs)
             assert count[0] == calls, (kind, trial)
+    for j, scaled in enumerate(x for s, x in _scaled_cases() if s is spec):
+        count[0] = 0
+        try:
+            spec.build(scaled)
+        except SpecradError:
+            assert count[0] <= 1, j
+        else:
+            assert count[0] == calls, j
 
 
 def _parts(parts):
@@ -436,7 +488,8 @@ def _rescaled(inputs, scale, fortran):
 
 class _EagerDraws:
     """Stands in for ``registry._DRAWN`` so that a build evaluates each term
-    as it draws it, as builds did before terms became data."""
+    as it draws it, as builds did before terms became data: a leaf by its
+    public estimator, a node from the values it folds."""
 
     def set(self, drawn):
         self.drawn = drawn
@@ -449,16 +502,21 @@ class _EagerDraws:
 
     def append(self, term):
         self.drawn.append(term)
-        term.eager()
+        if type(term) is reg._Rho:
+            term.value = spectral_radius(term.m)
+        elif type(term) is reg._Norm:
+            term.value = operator_norm(term.m)
+        elif type(term) is _Sets:
+            term.value = _bounded_in_turn(term.factors)
+        else:
+            term.value = term.fold(*[t.value for t in term.terms])
 
 
-def test_one_pass_builds_are_the_eager_replay(monkeypatch):
-    """Every finite chain's one-pass build gives the parts of the same build
-    evaluated eagerly (each leaf by its public estimator and each node by
-    ``Bracket.power``/``scaled``/``_bprod``, as it is drawn) bit for bit,
-    or raises the same first error: on dense and sparse inputs scaled by
-    2**-600 to 2**1023, C- or Fortran-ordered, so that radii, products,
-    entrywise powers and bracket powers leave the float range."""
+@functools.cache
+def _scaled_cases():
+    """(spec, inputs) of every finite chain on dense and sparse inputs scaled
+    by 2**-600 to 2**1023, C- or Fortran-ordered, and F4 on one matrix whose
+    radius is past the float range."""
     rng = np.random.default_rng(83)
     cases = []
     for cid in _FINITE:
@@ -472,8 +530,18 @@ def test_one_pass_builds_are_the_eager_replay(monkeypatch):
     # a radius past the float range with no product before it: 4.5 * 2**1022
     big = FiniteMatrix(np.full((3, 3), 1.5 * 2.0 ** 1022))
     cases.append((by_id("F4"), ChainInputs(matrices=(big,), params={"m": 1})))
+    return cases
+
+
+def test_one_pass_builds_are_the_eager_replay(monkeypatch):
+    """Every finite chain's one-pass build gives the parts of the same build
+    evaluated eagerly (each leaf by its public estimator and each node by
+    ``Bracket.power``/``scaled``/``_bprod``, as it is drawn) bit for bit,
+    or raises the same first error: on dense and sparse inputs scaled by
+    2**-600 to 2**1023, C- or Fortran-ordered, so that radii, products,
+    entrywise powers and bracket powers leave the float range."""
     outcomes = set()
-    for spec, inputs in cases:
+    for spec, inputs in _scaled_cases():
         got = _build_outcome(spec, inputs)
         with monkeypatch.context() as m:
             m.setattr(reg, "_DRAWN", _EagerDraws())

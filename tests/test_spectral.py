@@ -768,6 +768,46 @@ def test_spectral_radius_beyond_the_float_range_is_a_domain_error():
         spectral_radius(FiniteMatrix([[1e308, 1e308], [1e308, 1e308]]))
 
 
+def test_a_radius_or_norm_beyond_the_float_range_has_an_infinite_upper_end():
+    """``_spectral_radii`` and ``_radii_norms`` raise for no array: a radius
+    or an l2 norm beyond the float range comes back with hi = +inf, not
+    converged, the mark that ``spectral_radius`` and ``operator_norm``
+    refuse, and the finite arrays of its batch keep the bits they get
+    alone.  Beyond the range here: positive blocks (the Perron path falls
+    back to the squeeze), a reducible array with one large block (the
+    component split), a radius of exactly the largest float (its padded
+    upper end is not a float) and a norm that the Gram scaling takes past
+    the range."""
+    rng = np.random.default_rng(1264)
+    top = 1.5 * 2.0 ** 1022
+    half = 2.0 ** 1023
+    block = np.array([[half, half, 1.0], [half, half, 0.0], [0.0, 0.0, 2.0]])
+    beyond = [np.full((3, 3), top), block, np.full((2, 2), sys.float_info.max / 2),
+              np.full((2, 2), 2.0 ** 1023)]
+    finite = [rng.random((n, n)) * (rng.random((n, n)) < 0.7) for n in (1, 2, 3, 3, 4)]
+    batch = [beyond[0], finite[0], beyond[1], finite[1], finite[2], beyond[2], finite[3],
+             beyond[3], finite[4]]
+    stack = np.array([beyond[0], finite[2] + 0.1, finite[3] + 0.1])  # one positive stack
+    norms = [finite[1], np.full((2, 2), 1.7e308), finite[4]]  # norm 3.4e308
+    got_radii, got_norms = _radii_norms(batch, norms)
+    out = {0, 2, 5, 7}  # the batch's arrays beyond the range
+    for got, arrays, marked in ((_spectral_radii(batch), batch, out),
+                                (_spectral_radii(stack), stack, {0}), (got_radii, batch, out)):
+        for j, (a, r) in enumerate(zip(arrays, got)):
+            if j in marked:
+                assert r[1] == math.inf and r[2] is False
+            else:
+                assert _bits(r) == _bits(_spectral_radii([a])[0])
+    assert got_norms[1][1] == math.inf and got_norms[1][2] is False
+    for j in (0, 2):
+        assert _bits(got_norms[j]) == _bits(_l2_norms([norms[j]])[0])
+    for a in beyond:
+        with pytest.raises(DomainError, match="^spectral radius exceeds the float range$"):
+            spectral_radius(FiniteMatrix(a))
+    with pytest.raises(DomainError, match="^operator norm exceeds the float range$"):
+        operator_norm(FiniteMatrix(norms[1]))
+
+
 def test_import_and_registry_load_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(spectral_radius.__code__.co_filename)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -8,15 +8,19 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
+def _tool(name):
+    loader = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
 def _bench_record():
     sys.path.insert(0, str(TOOLS))  # bench_record imports fixed_reports by name
     try:
-        loader = importlib.util.spec_from_file_location("bench_record", TOOLS / "bench_record.py")
-        module = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(module)
+        return _tool("bench_record")
     finally:
         sys.path.remove(str(TOOLS))
-    return module
 
 
 def test_bench_record_refuses_spent_seeds(tmp_path, capsys):
@@ -55,3 +59,48 @@ def test_bench_record_refuses_a_checkout_without_git_metadata(tmp_path, monkeypa
         tool.main([f"{checkout}={tmp_path / 'out.json'}", "--seeds", "1"])
     assert f"{checkout} has no git metadata" in str(exc.value.code)
     assert not (tmp_path / "out.json").exists()
+
+
+FIXTURE_MODULE = '''"""Module docstring,
+on two lines."""
+
+import math  # a comment after code
+
+# a comment line
+
+
+class Shape:
+    """Class docstring."""
+
+    sides = 4
+
+    def area(self):
+        """Method docstring,
+
+        with a blank line inside."""
+        text = """a string value
+        on two lines"""
+        return math.pi, text
+'''
+
+
+def test_line_counts_leave_out_docstrings_comments_and_blanks(tmp_path, capsys):
+    """Code lines count every line with a token other than a comment, a
+    multi-line string value too, and leave out docstrings and blanks; the
+    ``all`` line sums the modules, and a module that a checkout lacks reads
+    0 there."""
+    tool = _tool("line_counts")
+    assert tool.counts(FIXTURE_MODULE) == (20, 7)
+    head, base = tmp_path / "head", tmp_path / "base"
+    for root, extra in ((head, "x = 1\n"), (base, None)):
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "shape.py").write_text(FIXTURE_MODULE, encoding="utf-8")
+        if extra:
+            (root / "src" / "pkg" / "extra.py").write_text(extra, encoding="utf-8")
+    assert tool.main([str(head)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pkg/extra.py total=1 code=1", "pkg/shape.py total=20 code=7", "all total=21 code=8"]
+    assert tool.main([str(head), str(base)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pkg/extra.py total 0 -> 1, code 0 -> 1", "pkg/shape.py total 20 -> 20, code 7 -> 7",
+        "all total 20 -> 21, code 7 -> 8"]
