@@ -4,12 +4,14 @@ Lower bounds come from spectral radii of explored products (valid for the
 generalized radius at every depth), upper bounds from norm maxima over
 complete product levels (valid by submultiplicativity and Fekete's lemma)
 and from a branch-and-bound factorization argument with l1-norm pruning.
-One walk, ``_levels``, yields each level of products as one stack, and
-the radii and norms of a level go through one batched estimator call.
-Those calls take the stacks as they are: ``gen_radius_lb`` hands its
-necklace products on as one C-ordered stack, and the branch and bound
-its levels, so a positive stack goes to the Perron brackets with no copy
-and no component split, and its Gram matrices are one stacked product.
+One walk, ``_levels``, yields each level of products as one stack, the
+first being the set's own stack of letters, and the radii and norms of a
+level go through one batched estimator call.  Those calls take the stacks
+as they are: ``gen_radius_lb`` hands its necklace products on as one
+stack, ``_set_bounds`` each walk's necklace products and deepest level,
+and the branch and bound its levels, so a positive stack goes to the
+Perron brackets with no copy and no component split, and the Gram
+matrices of a C-ordered one are one stacked product.
 ``_set_bounds`` gives both finite bounds of many (set, depth) pairs from
 one ``spectral._radii_norms`` call, which also brackets a caller's arrays.
 The branch and bound builds each level's children the same way, as one
@@ -51,9 +53,10 @@ def _set_of(s, kind: str, who: str) -> OperatorSet:
     return s
 
 
-def _letters(s, who: str) -> list[np.ndarray]:
-    """The arrays of a matrix set, refused for any other kind of set."""
-    return [e.a for e in _set_of(s, "matrix", who).elements]
+def _letters(s, who: str) -> np.ndarray:
+    """The (k, n, n) stack of a matrix set, as it is (C-ordered, or the
+    transposed view of an adjoint set), refused for any other kind of set."""
+    return _set_of(s, "matrix", who).items
 
 
 def _finite(products):
@@ -101,7 +104,7 @@ def _necklaces(k: int, m: int) -> list[int]:
     return [r for r, (p, _) in enumerate(words) if p and m % p == 0]
 
 
-def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
+def _levels(letters: np.ndarray, depth: int, clip: bool = False):
     """Products of all words of length 1..depth over the letters, yielded one
     level per length; level m holds all k**m products in lexicographic order.
 
@@ -109,14 +112,15 @@ def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
     ``BudgetExceededError`` before any is yielded or, with ``clip``, ends the
     walk at the deepest level that fits; depth 1 builds no product.  Each
     product multiplies left to right, (w[0] @ w[1]) @ w[2] ..., as a
-    one-word fold does.  Level 1 is the letters; later levels are
-    C-ordered (K, n, n) stacks from ``_extend``, and only the level being
-    extended is kept.  Each letter keeps its own memory layout, because at
-    some sizes (n = 17 to 20, for one) OpenBLAS rounds products of C- and
-    Fortran-ordered operands differently.  Each level is built under
-    ``np.errstate(over="ignore", invalid="ignore")``, left before the level
-    is yielded: a product beyond the float range comes out non-finite, and
-    each caller checks the products it reads under its own error state.
+    one-word fold does.  Level 1 is the letters' stack as it is; later
+    levels are C-ordered (K, n, n) stacks from ``_extend``, and only the
+    level being extended is kept.  The letters keep their set's memory
+    layout, because at some sizes (n = 17 to 20, for one) OpenBLAS rounds
+    products of C- and Fortran-ordered operands differently.  Each level is
+    built under ``np.errstate(over="ignore", invalid="ignore")``, left
+    before the level is yielded: a product beyond the float range comes out
+    non-finite, and each caller checks the products it reads under its own
+    error state.
     """
     if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
         raise DomainError(f"word depth must be an integer >= 1, got {depth!r}")
@@ -125,9 +129,9 @@ def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
         fits += 1
     if fits < depth and not clip:
         raise BudgetExceededError("word level enumeration exceeded its cap")
-    n = letters[0].shape[0]
-    if fits > 1 and letters[0].shape != (n, n):
-        raise ShapeMismatchError(f"word products need square matrices, got {letters[0].shape}")
+    n = letters.shape[1]
+    if fits > 1 and letters.shape[1:] != (n, n):
+        raise ShapeMismatchError(f"word products need square matrices, got {letters.shape[1:]}")
     level = letters
     yield level
     for _ in range(2, fits + 1):
@@ -136,17 +140,12 @@ def _levels(letters: list[np.ndarray], depth: int, clip: bool = False):
         yield level
 
 
-def _extend(level, letters: list[np.ndarray]) -> np.ndarray:
-    """The children of a word level as one C-ordered (K * k, n, n) stack:
-    child j * k + i is ``level[j] @ letters[i]``.
-
-    A list level (the letters, or any products that keep their own layouts)
-    multiplies one pair at a time, so each operand keeps its layout; a
-    stacked level takes one stacked ``@`` per letter.  The caller sets the
-    error state.
+def _extend(level: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The children of a (K, n, n) word level as one C-ordered (K * k, n, n)
+    stack: child j * k + i is ``level[j] @ letters[i]``, from one stacked
+    ``@`` per letter, which multiplies each pair in its operands' layouts.
+    The caller sets the error state.
     """
-    if isinstance(level, list):
-        return np.stack([p @ a for p in level for a in letters])
     n = level.shape[-1]
     return np.stack([level @ a for a in letters], axis=1).reshape(-1, n, n)
 
@@ -164,17 +163,16 @@ def gen_radius_lb(s, m_max: int) -> float:
     return _root_max(_spectral_radii(prods), roots)
 
 
-def _necklace_walk(letters: list[np.ndarray], depth: int, full: bool = False):
+def _necklace_walk(letters: np.ndarray, depth: int, full: bool = False):
     """One ``_levels`` walk to ``depth``: (the products of every level's
-    necklace words as one C-ordered stack, their roots 1/m, the deepest
-    level).
+    necklace words as one stack, their roots 1/m, the deepest level).
 
     The picked products are checked finite or, with ``full``, every product
     of every level, as ``norm_level_max`` checks them.
     """
     prods, roots = [], []
     for m, level in enumerate(_levels(letters, depth), 1):
-        picked = np.asarray(level)[_necklaces(len(letters), m)]
+        picked = level[_necklaces(len(letters), m)]
         _finite(level if full else picked)
         prods.append(picked)
         roots += [1.0 / m] * len(picked)
@@ -214,9 +212,10 @@ def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
     every level is checked finite, as ``norm_level_max`` checks it, so a
     walk fails where ``norm_level_max`` fails first, and its error is both
     bounds of its pair.  The call's two lists hold the other walks'
-    necklace products and deepest-level products, walk by walk, then the
-    caller's arrays, whose (lo, hi, converged) come back in ``radii`` and
-    ``norms``, with hi = +inf beyond the float range.
+    necklace products and deepest levels, one stack per walk as the walk
+    built it, so a C-ordered level's Gram matrices are one product, then
+    the caller's arrays, whose (lo, hi, converged) come back in ``radii``
+    and ``norms``, with hi = +inf beyond the float range.
     """
     walks, walk_rhos, walk_norms = {}, [], []
     for s, d in pairs:
@@ -227,8 +226,8 @@ def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
                 walks[id(s), d] = exc
                 continue
             walks[id(s), d] = roots, len(level)
-            walk_rhos += list(prods)
-            walk_norms += list(level)
+            walk_rhos.append(prods)
+            walk_norms.append(level)
     radii, l2 = map(iter, _radii_norms(walk_rhos + rhos, walk_norms + norms))
     bounds = {key: (walk, walk) if isinstance(walk, SpecradError) else
               (_caught(_root_max, [next(radii) for _ in walk[0]], walk[0]),
@@ -290,7 +289,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     spent = 0
     exhaustive = True  # no nonzero branch pruned yet: levels are complete
 
-    def lower_end(m: int, prods: list, logscales: list) -> float:
+    def lower_end(m: int, prods: np.ndarray, logscales: list) -> float:
         """Largest rho(P)^(1/m) over the length-m products, in one batched call."""
         best = 0.0
         for logscale, (lo, _, _) in zip(logscales,
@@ -302,7 +301,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
                     raise DomainError("joint spectral radius exceeds the float range") from None
         return best
 
-    def level_fekete(m: int, prods: list, logscales: list) -> float:
+    def level_fekete(m: int, prods: np.ndarray, logscales: list) -> float:
         if space == L2:
             his = [hi for _, hi, _ in _l2_norms(prods)]
         else:
@@ -321,7 +320,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     # bounds, and each word as its (period, head) pair (``_child``)
     m = 1
     words = [(1, (i,)) for i in live]
-    prods = [mats[i] / tops[i] for i in live]
+    prods = mats[live] / np.array([tops[i] for i in live]).reshape(-1, 1, 1)
     logscales = [math.log(tops[i]) for i in live]
     logps = [letter_lognorm[i] for i in live]
     bounds = [_exp_up(logp) for logp in logps]  # each word's p(w)^(1/m)
@@ -338,7 +337,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
 
         # child j * k + i is word j followed by letter i; the level-1
-        # products are a list, so they keep their letters' layouts
+        # products keep their letters' layout
         spent += len(words) * k
         with np.errstate(over="ignore"):
             stack = _extend(prods, mats)

@@ -57,10 +57,7 @@ class FiniteMatrix:
 
     def hpow(self, t: float) -> "FiniteMatrix":
         """Entrywise t-th power with the convention 0^t = 0."""
-        if not (t > 0 and math.isfinite(t)):
-            raise DomainError(f"entrywise power requires t > 0, got {t}")
-        with np.errstate(divide="ignore", over="ignore"):
-            return _checked(np.where(self.a > 0, np.power(self.a, t), 0.0), "entrywise power")
+        return _wrap(_hpow(self.a, t))
 
     def __matmul__(self, other: "FiniteMatrix") -> "FiniteMatrix":
         if self.cols != other.rows:
@@ -118,16 +115,29 @@ class FiniteMatrix:
         return cls(np.ones((rows, cols if cols is not None else rows)))
 
 
-def _checked(a: np.ndarray, what: str) -> FiniteMatrix:
-    """The fresh result ``a`` of an operation on finite nonnegative matrices,
-    wrapped as it is.  Such a result can fail the FiniteMatrix checks only by
-    overflowing to inf (or to nan, inf times zero), so it is tested for
-    finite entries alone and not copied: it aliases no input, and its layout
-    is the one the constructor's copy would keep."""
-    a = np.asarray(a, dtype=float)
+def _hpow(a: np.ndarray, t: float) -> np.ndarray:
+    """The entrywise t-th power of a matrix or a stack of them, 0^t = 0, in
+    its layout; the one power of ``FiniteMatrix.hpow`` and of matrix sets."""
+    if not (t > 0 and math.isfinite(t)):
+        raise DomainError(f"entrywise power requires t > 0, got {t}")
+    with np.errstate(divide="ignore", over="ignore"):
+        return _finite(np.where(a > 0, np.power(a, t), 0.0), "entrywise power")
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """The fresh result ``a`` of an operation on finite nonnegative matrices
+    (one, or a stack), as it is.  Such a result can fail the FiniteMatrix
+    checks only by overflowing to inf (or to nan, inf times zero), so it is
+    tested for finite entries alone and not copied: it aliases no input, and
+    its layout is the one the constructor's copy would keep."""
     if not np.isfinite(a).all():
         raise DomainError(f"{what} exceeds the float range")
-    return _wrap(a)
+    return a
+
+
+def _checked(a: np.ndarray, what: str) -> FiniteMatrix:
+    """``_finite(a, what)`` wrapped as a FiniteMatrix."""
+    return _wrap(_finite(a, what))
 
 
 def _wrap(a: np.ndarray) -> FiniteMatrix:

@@ -829,10 +829,14 @@ def _f11_sample(rng, ens):
 
 
 def _f11_build(inputs, m, n, alphas, t):
+    # S**1 is S, so at n = 1 each n-power set is its depth-1 twin, the same
+    # object, and the pass walks the pair once; every set is still built
+    # where the terms before it have been drawn, so a failing step raises
+    # after them
     sets = inputs.matrix_sets
     mean = _smean(sets, alphas)
-    mean_n = _smean([set_power(s, n) for s in sets], alphas)
-    return [
+    mean_n = mean if n == 1 else _smean([set_power(s, n) for s in sets], alphas)
+    parts = [
         Part("set-mean", CHAIN, [
             ("r(mean)", _Sets([(mean, 1.0, 1)], n)),
             ("r(mean of n-powers)^1/n", _Sets([(mean_n, 1.0 / n, n)], n)),
@@ -842,10 +846,14 @@ def _f11_build(inputs, m, n, alphas, t):
             ("r(uniform mean)", _Sets([(_smean(sets, [1.0 / m] * m), 1.0, 1)], m)),
             ("r(S1...Sm)^1/m", _Sets([(set_product_many(sets), 1.0 / m, m)], m)),
         ]),
+    ]
+    power_t = set_hadamard_power(sets[0], t)
+    term_t = _Sets([(power_t, 1.0, 1)], n)
+    power_nt = power_t if n == 1 else set_hadamard_power(set_power(sets[0], n), t)
+    return parts + [
         Part("set-power", CHAIN, [
-            ("r(S^(t))", _Sets([(set_hadamard_power(sets[0], t), 1.0, 1)], n)),
-            ("r((S^n)^(t))^1/n",
-             _Sets([(set_hadamard_power(set_power(sets[0], n), t), 1.0 / n, n)], n)),
+            ("r(S^(t))", term_t),
+            ("r((S^n)^(t))^1/n", _Sets([(power_nt, 1.0 / n, n)], n)),
             ("r(S)^t", _Sets([(sets[0], t, 1)], n)),
         ]),
     ]

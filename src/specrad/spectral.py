@@ -327,20 +327,21 @@ def _exp_up(x: float) -> float:
 
 def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
     """(lo, hi, converged) for the Perron root of each square nonnegative
-    array of a list or of one (k, n, n) stack.  A root beyond the float
-    range is not an error here: its hi is +inf and it is not converged, and
-    the public estimators refuse it with ``_in_range``.  So a batch raises
-    for no array, and its other arrays keep the bits they get alone.
+    array of one (k, n, n) stack, or of a list of arrays and such stacks,
+    in order.  A root beyond the float range is not an error here: its hi
+    is +inf and it is not converged, and the public estimators refuse it
+    with ``_in_range``.  So a batch raises for no array, and its other
+    arrays keep the bits they get alone.
 
     The spectrum of a block-triangular matrix is the union over diagonal
     blocks, so a radius is the max over strongly connected components.  An
-    empty input returns [] before any numpy call.  The arrays of each size
-    of a list are copied into one C-ordered stack by ``np.array`` of their
-    list, a copy that keeps no operand's layout (``np.stack`` keeps Fortran
-    strides, and ``_perron_brackets``' row sums would then add in another
-    order than for the array alone).  A stack is one size group and goes in
-    as it is when it is C-contiguous, neither iterated nor copied; otherwise
-    one ``np.ascontiguousarray`` gives it the list's layout.  Each stack is
+    empty input returns [] before any numpy call.  The stacks of each size,
+    an array being a stack of one, are joined into one C-ordered stack by
+    one ``np.concatenate``, made C-ordered by ``np.ascontiguousarray``: a
+    copy that keeps no operand's layout (a stack of Fortran-ordered arrays
+    keeps their strides, and ``_perron_brackets``' row sums would then add
+    in another order than for the array alone).  A size with one C-ordered
+    stack goes in as it is, neither iterated nor copied.  Each stack is
     split by one ``_strong_components`` call into flat component arrays.
     When the arrays are all of one size n >= 2 and each is one component
     (no zero entry), ``_perron_brackets``' list of that stack is the
@@ -359,18 +360,17 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     """
     if not len(arrays):
         return []
-    if isinstance(arrays, np.ndarray):
-        if arrays.shape[1] != arrays.shape[2]:
+    sizes: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    count = 0
+    for s in [arrays] if isinstance(arrays, np.ndarray) else arrays:
+        s = s[None] if s.ndim == 2 else s
+        if s.shape[1] != s.shape[2]:
             raise ShapeMismatchError("spectral radius needs a square matrix")
-        stacks = [(np.arange(len(arrays)), np.ascontiguousarray(arrays))]
-    else:
-        sizes: dict[int, list[int]] = {}
-        for i, a in enumerate(arrays):
-            if a.shape[0] != a.shape[1]:
-                raise ShapeMismatchError("spectral radius needs a square matrix")
-            sizes.setdefault(len(a), []).append(i)
-        stacks = [(np.array(owners), np.array([arrays[i] for i in owners]))
-                  for owners in sizes.values()]
+        sizes.setdefault(s.shape[1], []).append((np.arange(count, count + len(s)), s))
+        count += len(s)
+    if not count:
+        return []
+    stacks = [(owners, np.ascontiguousarray(s)) for owners, s in map(_joined, sizes.values())]
     parts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for owners, stack in stacks:
         n = stack.shape[1]
@@ -390,10 +390,10 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
                 idx = members[start[pick, None] + np.arange(s)]
                 blocks = stack[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
             parts.setdefault(s, []).append((which[pick], blocks))
-    radii = np.zeros((len(arrays), 2))
-    ok = np.ones(len(arrays), dtype=bool)
+    radii = np.zeros((count, 2))
+    ok = np.ones(count, dtype=bool)
     for s, pieces in parts.items():
-        which, blocks = (np.concatenate(x) for x in zip(*pieces)) if len(pieces) > 1 else pieces[0]
+        which, blocks = _joined(pieces)
         if s == 1:
             np.maximum.at(radii, which, blocks.reshape(-1, 1))
         else:
@@ -404,6 +404,11 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     return list(zip(*radii.T.tolist(), ok.tolist()))
 
 
+def _joined(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(owners, arrays) pairs as one pair, each part joined by one concatenate."""
+    return pieces[0] if len(pieces) == 1 else tuple(np.concatenate(x) for x in zip(*pieces))
+
+
 def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     """Certified bracket for the Perron root of a nonnegative matrix.
 
@@ -411,7 +416,7 @@ def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     connected components, each irreducible one bracketed by
     ``_perron_brackets``.
     """
-    (lo, hi, ok), = _in_range(_spectral_radii([m.a], tol), "spectral radius")
+    (lo, hi, ok), = _in_range(_spectral_radii(m.a[None], tol), "spectral radius")
     return Bracket(lo, hi, "gelfand-cw", ok)
 
 
@@ -432,15 +437,17 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
 def _sum_norms(arrays, space: str) -> list[tuple[float, float]]:
     """(lo, hi) for the l1 norm (the largest column sum) or the linf norm
     (the largest row sum) of each array of a list or a (k, m, n) stack: the
-    sum padded by ``_ROUND_GUARD`` each way.  A stack is summed in one
-    reduction; a list's arrays one by one, each in its own layout, since a
-    Fortran-ordered column sum runs along contiguous memory, which numpy may
-    add pairwise.  A norm beyond the float range is a DomainError.
+    sum padded by ``_ROUND_GUARD`` each way.  A C-ordered stack is summed in
+    one reduction; a list's arrays, and a stack in another layout, one by
+    one, each in its own layout, since a Fortran-ordered column sum runs
+    along contiguous memory, which numpy may add pairwise.  A norm beyond
+    the float range is a DomainError.
     """
     if space != L1 and space != LINF:
         raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
     axis = -2 if space == L1 else -1
-    stacks = [arrays] if isinstance(arrays, np.ndarray) else [a[None] for a in arrays]
+    whole = isinstance(arrays, np.ndarray) and arrays.flags.c_contiguous
+    stacks = [arrays] if whole else [a[None] for a in arrays]
     with np.errstate(over="ignore"):
         sums = [v for s in stacks for v in s.sum(axis=axis).max(axis=-1).tolist()]
     return _in_range([(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in sums],
@@ -469,21 +476,25 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     ``_spectral_radii`` call on the radius arrays followed by the Gram
     matrices of the norm arrays.  A radius does not depend on its batch, so
     each result has the bits of its array bracketed alone, and a result
-    beyond the float range has hi = +inf, as in ``_spectral_radii``.  ``norms`` is a
-    list or one (k, m, n) stack; with no radius arrays, the Gram stack of a
-    stack goes to ``_spectral_radii`` as it is.
+    beyond the float range has hi = +inf, as in ``_spectral_radii``.
+    ``rhos`` is a list of arrays and (k, n, n) stacks, and ``norms`` one
+    (k, m, n) stack or such a list, each taken in order; with no radius
+    arrays, the Gram stack of one stack goes to ``_spectral_radii`` as it
+    is.
 
     The norm is the square root of the spectral radius of A*A.  The Gram
     matrices of a C-ordered stack S are one product
     ``S.transpose(0, 2, 1) @ S``, which gives each the bits of its array's
     own ``a.T @ a`` (numpy may form that with a symmetric rank-k update,
-    which rounds differently from a general product).  A list's arrays,
-    and a stack in another layout, get one product per array in its own
-    layout, because a Fortran-ordered operand rounds differently.  When an
-    array's largest entry lies outside [_GRAM_MIN, _GRAM_MAX], A*A would
-    overflow or lose its low bits to subnormal rounding, so the norm of
-    2**-e A is taken instead, where 2**e brackets that entry, and its
-    endpoints are multiplied back by 2**e.
+    which rounds differently from a general product).  A stack in another
+    layout gets one product per array in its own layout, because a
+    Fortran-ordered operand rounds differently; an array is a stack of one.
+    When an array's largest entry lies outside [_GRAM_MIN, _GRAM_MAX], A*A
+    would overflow or lose its low bits to subnormal rounding, so the norm
+    of 2**-e A is taken instead, where 2**e brackets that entry, and its
+    endpoints are multiplied back by 2**e.  The last step, ``_l2_finish``,
+    runs array by array: on the stacks a set's radii bring (a few dozen
+    arrays) a stacked finish cost more than this loop.
 
     fl(A*A) lies within gamma_m (A*A) entrywise for A with m rows, since
     every term is nonnegative, and the Perron root is monotone in
@@ -496,14 +507,17 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     squared entry (>= 2**-802), by less than n * m * 2**-1074, below the
     one-ulp steps.
     """
-    if isinstance(norms, np.ndarray) and norms.flags.c_contiguous:
-        grams, exps = _gram(norms)
-    else:
-        pairs = [_gram(a[None]) for a in norms]
-        grams, exps = [g[0] for g, _ in pairs], [e[0] for _, e in pairs]
-    radii = _spectral_radii([*rhos, *grams] if len(rhos) else grams, tol)
-    k = len(rhos)
-    return radii[:k], [_l2_finish(len(a), e, r) for a, e, r in zip(norms, exps, radii[k:])]
+    grams, exps, rows = [], [], []
+    for s in [norms] if isinstance(norms, np.ndarray) else norms:
+        s = s[None] if s.ndim == 2 else s
+        for part in [s] if s.flags.c_contiguous else [a[None] for a in s]:
+            g, e = _gram(part)
+            grams.append(g)
+            exps += e
+        rows += [s.shape[1]] * len(s)
+    radii = _spectral_radii([*rhos, *grams], tol)
+    k = len(radii) - len(exps)
+    return radii[:k], [_l2_finish(m, e, r) for m, e, r in zip(rows, exps, radii[k:])]
 
 
 def _gram(s: np.ndarray) -> tuple[np.ndarray, list[int]]:

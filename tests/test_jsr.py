@@ -24,6 +24,7 @@ from specrad import (
     gripenberg_bracket,
     hausdorff_mnc,
     joint_radius_ub,
+    set_adjoint,
     set_power,
     shift_family,
     spectral_radius,
@@ -406,7 +407,7 @@ def test_a_refused_overflowing_level_leaves_the_error_state_as_it_was():
 def test_a_caller_sees_its_own_error_state_between_levels():
     """Each level is built under its own error state, which is left before
     the level is yielded, so the caller's loop body runs under the caller's."""
-    letters = [np.full((2, 2), 1e200), np.eye(2)]
+    letters = np.array([np.full((2, 2), 1e200), np.eye(2)])
     for state in ({}, {"all": "raise"}, {"over": "warn", "invalid": "print"}):
         with np.errstate(**state):
             before = np.geterr()
@@ -434,17 +435,21 @@ def test_word_levels_keep_one_level_at_a_time():
 
 def test_levels_are_left_folds_in_each_letter_layout():
     """Every level product is the ``@`` fold of its word, bit for bit, with
-    Fortran-ordered letters kept in their own layout: at n = 18 OpenBLAS
-    rounds C- and Fortran-ordered operands differently."""
+    the letters in either layout a set's stack has: C-ordered, or the
+    transposed view of an adjoint set, whose letters are Fortran-ordered.
+    At n = 18 OpenBLAS rounds C- and Fortran-ordered operands differently,
+    so each letter of the fold is a copy in the layout of its stack's."""
     rng = np.random.default_rng(31)
-    letters = [rng.random((18, 18)), np.asfortranarray(rng.random((18, 18))),
-               rng.random((18, 18)).T]
-    for m, level in enumerate(_levels(letters, 4), 1):
-        words = list(product(range(3), repeat=m))
-        assert len(level) == len(words)
-        for word, p in zip(words, level):
-            want = reduce(np.matmul, [letters[i] for i in word])
-            assert np.array_equal(p, want)
+    c = rng.random((3, 18, 18))
+    for stack in (c, c.transpose(0, 2, 1)):
+        letters = [np.array(a) for a in stack]  # each keeps its view's layout
+        assert all(a.flags.c_contiguous == stack.flags.c_contiguous for a in letters)
+        for m, level in enumerate(_levels(stack, 4), 1):
+            words = list(product(range(3), repeat=m))
+            assert len(level) == len(words)
+            for word, p in zip(words, level):
+                want = reduce(np.matmul, [letters[i] for i in word])
+                assert np.array_equal(p, want)
 
 
 def test_overflowing_word_products_are_domain_errors():
@@ -604,8 +609,11 @@ def test_gen_radius_lb_brackets_its_products_as_one_stack(monkeypatch):
 @pytest.mark.parametrize("space", ["l1", "linf"])
 def test_gripenberg_level_norms_are_each_products_own_norm(monkeypatch, space):
     """The l1/linf level norms come from one ``_sum_norms`` call per level:
-    the letters as a list, each in its own layout, then one C-ordered stack.
-    The bracket has the bits of a run that takes each product's
+    the normalized letters as a stack in their set's layout, then one
+    C-ordered stack per level.  A set built from mixed layouts is one
+    C-ordered stack; an adjoint set's letters are the Fortran-ordered views
+    of a transposed stack, which ``_sum_norms`` sums one by one.  The
+    bracket has the bits of a run that takes each product's
     ``operator_norm`` alone."""
     rng = np.random.default_rng(1257)
     real = jsr._sum_norms
@@ -613,13 +621,15 @@ def test_gripenberg_level_norms_are_each_products_own_norm(monkeypatch, space):
     for h in (1, 5, 6):  # the golden pair blown up to n = 2h, so no level is pruned early
         a, b = (np.kron(g, np.full((h, h), 1.0 / h)) + 1e-3 * rng.random((2 * h, 2 * h))
                 for g in golden)
-        s = OperatorSet([FiniteMatrix(np.asfortranarray(a)), FiniteMatrix(b)])
-        seen = []
-        monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: seen.append(p) or real(p, sp))
-        got = gripenberg_bracket(s, 1e-6, budget=200, space=space)
-        monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: [
-            (0.0, operator_norm(FiniteMatrix(a), sp).hi) for a in p])
-        assert got == gripenberg_bracket(s, 1e-6, budget=200, space=space)
-        assert isinstance(seen[0], list) and seen[0][0].flags.f_contiguous
-        assert len(seen) > 1 and all(isinstance(p, np.ndarray) and p.flags.c_contiguous
-                                     for p in seen[1:])
+        mixed = OperatorSet([FiniteMatrix(np.asfortranarray(a)), FiniteMatrix(b)])
+        for s in (mixed, set_adjoint(mixed)):
+            seen = []
+            monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: seen.append(p) or real(p, sp))
+            got = gripenberg_bracket(s, 1e-6, budget=200, space=space)
+            monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: [
+                (0.0, operator_norm(FiniteMatrix(a), sp).hi) for a in p])
+            assert got == gripenberg_bracket(s, 1e-6, budget=200, space=space)
+            fortran = s is not mixed
+            assert all(x.flags.f_contiguous == fortran != x.flags.c_contiguous for x in seen[0])
+            assert len(seen) > 1 and all(isinstance(p, np.ndarray) and p.flags.c_contiguous
+                                         for p in seen[1:])

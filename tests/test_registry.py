@@ -453,6 +453,43 @@ def test_set_terms_share_one_radius_batch(monkeypatch, cid, calls):
             assert count[0] == calls, j
 
 
+def test_a_set_term_forms_a_levels_gram_matrices_in_one_product(monkeypatch):
+    """An F14 build makes one ``_gram`` call per walk, on the walk's whole
+    deepest level as one stack, not one call per array.  Its five distinct
+    (set, depth) walks end in levels of 16 (P o Q at depth 2, PQ o QP at
+    depth 1) and of 4 (PQ, PQ^(1/b) and QP^(1/(1-b)) at depth 1) products."""
+    calls = []
+    real = spectral._gram
+    monkeypatch.setattr(spectral, "_gram", lambda s: calls.append(len(s)) or real(s))
+    spec = by_id("F14")
+    ens = EnsembleSpec(kind="dense_uniform", seed=13)
+    for trial in range(4):
+        calls.clear()
+        spec.build(spec.sample(rng_for(ens, trial, "F14"), ens))
+        assert sorted(calls) == [4, 4, 4, 16, 16], trial
+
+
+def test_f11_walks_each_set_once_when_n_is_one(monkeypatch):
+    """S**1 is S, so at n = 1 F11's n-power terms reuse the depth-1 sets
+    themselves and the pass walks m + 4 (set, depth) pairs: the mean, the m
+    sets, the uniform mean, the product and the t-th power.  At n = 2 the
+    n-power mean and (S1**2)^(t) are walks of their own, m + 6 in all."""
+    walks = []
+    real = jsr._necklace_walk
+    monkeypatch.setattr(jsr, "_necklace_walk", lambda *a, **k: walks.append(1) or real(*a, **k))
+    spec = by_id("F11")
+    ens = EnsembleSpec(kind="dense_uniform", seed=13)
+    seen = set()
+    for trial in range(12):
+        inputs = spec.sample(rng_for(ens, trial, "F11"), ens)
+        m, n = inputs.params["m"], inputs.params["n"]
+        walks.clear()
+        spec.build(inputs)
+        assert len(walks) == m + (4 if n == 1 else 6), (trial, m, n)
+        seen.add(n)
+    assert seen == {1, 2}
+
+
 def _parts(parts):
     """Each part's terms as bits: a bracket's ends, method and flag, or an
     entrywise term's matrix bytes and layout."""

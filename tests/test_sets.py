@@ -26,6 +26,7 @@ from specrad import (
 )
 from specrad.errors import BudgetExceededError, DomainError, ShapeMismatchError
 from specrad.sets import set_product_many, set_sum_many
+from specrad.spectral import operator_norm
 
 
 A = FiniteMatrix([[1, 1], [0, 1]])
@@ -197,10 +198,15 @@ def _reference_symmetrization(s, alpha, beta, q):
 
 
 def _assert_bitwise_equal(got, want):
+    """Equal bits and, for matrices, equal layouts: ``tobytes`` reads C order
+    whatever the layout, and a Fortran-ordered operand rounds differently in
+    a later product."""
     assert len(got) == len(want)
     for x, y in zip(got, want):
         if isinstance(y, FiniteMatrix):
             assert x.a.tobytes() == y.a.tobytes()
+            assert (x.a.flags.c_contiguous, x.a.flags.f_contiguous) == \
+                (y.a.flags.c_contiguous, y.a.flags.f_contiguous)
             continue
         assert tuple(x.bands) == tuple(y.bands)
         assert (x.corner is None) == (y.corner is None)
@@ -236,6 +242,38 @@ def test_symmetrization_matches_per_pair_reference(make_sets, alpha, beta):
     for s, other in ((p, q), (q, None)):
         want = _reference_symmetrization(s, alpha, beta, s if other is None else other)
         _assert_bitwise_equal(list(symmetrization(s, alpha, beta, other)), want)
+
+
+@pytest.mark.parametrize("n", [*range(17, 21), *range(25, 29), *range(33, 37)])
+def test_adjoint_sets_keep_each_elements_layout(n):
+    """A matrix set's adjoints are the transposed view of a fresh C-ordered
+    stack, so each element is Fortran-ordered as ``FiniteMatrix.adjoint``
+    makes it, and every set operation gives each element the bits and the
+    layout of its own operation.  At these n OpenBLAS rounds a product with
+    a Fortran-ordered operand differently from one with its C-ordered copy,
+    and a product of an array with a view of its own transpose (P* P)
+    differently from one with a copy.  A set built from Fortran-ordered
+    matrices keeps their layout too.  The l1 and linf norms of the adjoints,
+    column and row sums in their own layout, keep their bits."""
+    rng = np.random.default_rng([1294, n])
+    p = OperatorSet([FiniteMatrix(a) for a in rng.random((3, n, n))])
+    q = OperatorSet([FiniteMatrix(a) for a in rng.random((2, n, n))])
+    stars = [a.adjoint() for a in p]  # each a fresh Fortran-ordered copy
+    w = WeightVector.of(0.5, 0.75)
+    for pstar in (set_adjoint(p), OperatorSet(stars)):
+        _assert_bitwise_equal(list(pstar), stars)
+        own = {id(pstar): stars, id(p): list(p), id(q): list(q)}
+        for x, y in ((pstar, q), (q, pstar), (pstar, pstar), (pstar, p), (p, pstar)):
+            xs, ys = own[id(x)], own[id(y)]
+            _assert_bitwise_equal(list(set_product(x, y)), [a @ b for a in xs for b in ys])
+            _assert_bitwise_equal(list(set_sum(x, y)), [a + b for a in xs for b in ys])
+            _assert_bitwise_equal(list(set_hadamard_mean([x, y], w)), _reference_mean([xs, ys], w))
+        _assert_bitwise_equal(list(set_power(pstar, 2)), [a @ b for a in stars for b in stars])
+        _assert_bitwise_equal(list(set_hadamard_power(pstar, 1.5)), [a.hpow(1.5) for a in stars])
+        _assert_bitwise_equal(list(set_adjoint(pstar)), [a.adjoint() for a in stars])
+        for space in ("l1", "linf"):
+            assert [operator_norm(x, space) for x in pstar] == \
+                [operator_norm(a, space) for a in stars]
 
 
 def test_hpow_one_rerounds_a_corner():

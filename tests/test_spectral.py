@@ -286,6 +286,41 @@ def test_radii_and_norms_get_their_own_bits_in_one_mixed_batch():
         assert ([_bits(r) for r in radii[::-1]], [_bits(r) for r in l2[::-1]]) == want
 
 
+def test_radii_and_norms_of_stacks_are_each_arrays_own():
+    """``_radii_norms`` takes lists of stacks and arrays, as ``jsr._set_bounds``
+    hands it a walk's necklace products and deepest level beside a
+    registry's single arrays: each radius has the bits of
+    ``spectral_radius`` and each norm those of ``operator_norm`` on its array
+    alone.  The pieces are C-ordered stacks (one stacked Gram product each),
+    transposed stacks and Fortran-ordered arrays (one product per array, in
+    its own layout), of sizes 1 to 14, with some arrays' largest entries
+    outside [_GRAM_MIN, _GRAM_MAX] beside others inside it."""
+    rng = np.random.default_rng(1295)
+    seen = {"C": 0, "transposed": 0, "fortran": 0, "scaled": 0}
+    for _ in range(25):
+        pieces = []
+        for _ in range(int(rng.integers(2, 7))):
+            n, k = int(rng.choice([1, 2, 3, 5, 12, 13, 14])), int(rng.integers(1, 5))
+            s = rng.random((k, n, n)) * 2.0 ** rng.choice([-500, 0, 0, 500], size=(k, 1, 1))
+            seen["scaled"] += bool((s.max(axis=(1, 2)) > _GRAM_MAX).any())
+            kind = ("C", "transposed", "fortran")[int(rng.integers(0, 3))]
+            seen[kind] += 1
+            pieces.append(s if kind == "C" else s.transpose(0, 2, 1) if kind == "transposed"
+                          else np.asfortranarray(s[0]))
+        split = int(rng.integers(0, len(pieces) + 1))
+        rhos, norms = pieces[:split], pieces[split:]
+
+        def each(group):
+            return [FiniteMatrix(a) for p in group for a in (p if p.ndim == 3 else [p])]
+
+        radii, l2 = _radii_norms(rhos, norms)
+        assert [_bits(r) for r in radii] == \
+            [_bits((b.lo, b.hi, b.converged)) for b in map(spectral_radius, each(rhos))]
+        assert [_bits(r) for r in l2] == \
+            [_bits((b.lo, b.hi, b.converged)) for b in map(operator_norm, each(norms))]
+    assert min(seen.values()) > 0
+
+
 def test_fortran_ordered_positive_arrays_get_their_own_bits_in_a_batch():
     """Positive arrays of one shape are stacked in C order: at n = 10 and 14
     a Fortran-ordered one batched with C-ordered ones, with other
