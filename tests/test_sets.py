@@ -43,6 +43,17 @@ def test_homogeneity_enforced():
         OperatorSet([A, shift_family(Constant(1.0))])
 
 
+def test_a_matrix_set_operation_refuses_a_family_set():
+    """A family set as the second operand of a matrix-set operation is a
+    ShapeMismatchError, not a bare AttributeError."""
+    s, f = OperatorSet([A]), OperatorSet([shift_family(Constant(1.0))])
+    for op in (lambda: set_product(s, f), lambda: set_sum(s, f),
+               lambda: set_hadamard_mean([s, f], WeightVector.uniform(2)),
+               lambda: symmetrization(s, 0.5, 0.5, f)):
+        with pytest.raises(ShapeMismatchError, match="needs two sets of matrices$"):
+            op()
+
+
 def test_set_power_cardinality_and_order():
     s = OperatorSet([A, B])
     sq = set_power(s, 2)
