@@ -11,7 +11,7 @@ as they are: ``gen_radius_lb`` hands its necklace products on as one
 stack, ``_set_bounds`` each walk's necklace products and deepest level,
 and the branch and bound its levels, so a positive stack goes to the
 Perron brackets with no copy and no component split, and the Gram
-matrices of a C-ordered one are one stacked product.
+matrices of each are one stacked product.
 ``_set_bounds`` gives both finite bounds of many (set, depth) pairs from
 one ``spectral._radii_norms`` call, which also brackets a caller's arrays.
 The branch and bound builds each level's children the same way, as one
@@ -27,18 +27,19 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError, SpecradError
 from .families import _pow0
+from .matrices import _finite
 from .sets import OperatorSet, _as_set
 from .spectral import (
     L2,
     _ROUND_GUARD,
     Bracket,
     _band_limit_sum,
+    _check_space,
     _exp_up,
     _in_range,
-    _l2_norms,
+    _norms,
     _radii_norms,
     _spectral_radii,
-    _sum_norms,
 )
 
 _MAX_LEVEL = 4096
@@ -57,13 +58,6 @@ def _letters(s, who: str) -> np.ndarray:
     """The (k, n, n) stack of a matrix set, as it is (C-ordered, or the
     transposed view of an adjoint set), refused for any other kind of set."""
     return _set_of(s, "matrix", who).items
-
-
-def _finite(products):
-    """The products, unless one of them lies beyond the float range."""
-    if not np.isfinite(products).all():
-        raise DomainError("a word product exceeds the float range")
-    return products
 
 
 def _child(word: tuple[int, tuple[int, ...]], m: int, c: int) -> tuple[int, tuple[int, ...]]:
@@ -156,11 +150,11 @@ def gen_radius_lb(s, m_max: int) -> float:
     Max of rho(P)^(1/m) over the products P of length-m necklace words
     (one word per rotation class), m <= m_max; non-decreasing in m_max.
     The radii of all the products go through one batched
-    ``_spectral_radii`` call on one stack; ``_levels`` caps the deepest
+    ``_spectral_radii`` call as one stack; ``_levels`` caps the deepest
     level.
     """
     prods, roots, _ = _necklace_walk(_letters(s, "gen_radius_lb"), m_max)
-    return _root_max(_spectral_radii(prods), roots)
+    return _root_max(_spectral_radii([prods]), roots)
 
 
 def _necklace_walk(letters: np.ndarray, depth: int, full: bool = False):
@@ -173,7 +167,7 @@ def _necklace_walk(letters: np.ndarray, depth: int, full: bool = False):
     prods, roots = [], []
     for m, level in enumerate(_levels(letters, depth), 1):
         picked = level[_necklaces(len(letters), m)]
-        _finite(level if full else picked)
+        _finite(level if full else picked, "a word product")
         prods.append(picked)
         roots += [1.0 / m] * len(picked)
     return np.concatenate(prods), roots, level
@@ -213,7 +207,7 @@ def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
     walk fails where ``norm_level_max`` fails first, and its error is both
     bounds of its pair.  The call's two lists hold the other walks'
     necklace products and deepest levels, one stack per walk as the walk
-    built it, so a C-ordered level's Gram matrices are one product, then
+    built it, so each level's Gram matrices are one product, then
     the caller's arrays, whose (lo, hi, converged) come back in ``radii``
     and ``norms``, with hi = +inf beyond the float range.
     """
@@ -243,10 +237,9 @@ def joint_radius_ub(s, m_max: int) -> float:
     submultiplicativity.  Non-increasing in m_max.  Stops at the last depth
     whose level fits under the cap instead of raising, in one walk.
     """
-    best = math.inf
-    for m, level in enumerate(_levels(_letters(s, "joint_radius_ub"), m_max, clip=True), 1):
-        best = min(best, _pow0(_norm_max(_l2_norms(_finite(level))), 1.0 / m))
-    return best
+    levels = _levels(_letters(s, "joint_radius_ub"), m_max, clip=True)
+    return min(_pow0(_norm_max(_norms(_finite(level, "a word product"))), 1.0 / m)
+               for m, level in enumerate(levels, 1))
 
 
 def gripenberg_bracket(s, delta: float, budget: int = 50_000,
@@ -268,8 +261,8 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     normalized in one stacked division, and the canonical ones go to
     ``lower_end`` as one slice of the stack.  Each word's bound
     p(w)^(1/|w|) is computed once, at the prune test, and serves the
-    survivors' test and the frontier term.  l1/linf level norms are one
-    stacked column or row sum (``spectral._sum_norms``).  A child is
+    survivors' test and the frontier term.  Each level's norms in the
+    requested space come from one ``spectral._norms`` call.  A child is
     canonical when its prenecklace period, carried from its parent with the
     word's first period letters as one (period, head) pair (``_child``),
     divides its length; the words themselves are never spelled out, so a
@@ -280,6 +273,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
         raise DomainError(f"budget must be an integer >= 0, got {budget!r}")
+    _check_space(space)
     mats = _letters(s, "gripenberg_bracket")
     with np.errstate(over="ignore"):
         colsums = [float(m.sum(axis=0).max()) for m in mats]
@@ -293,7 +287,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         """Largest rho(P)^(1/m) over the length-m products, in one batched call."""
         best = 0.0
         for logscale, (lo, _, _) in zip(logscales,
-                                        _in_range(_spectral_radii(prods), "spectral radius")):
+                                        _in_range(_spectral_radii([prods]), "spectral radius")):
             if lo > 0:
                 try:
                     best = max(best, math.exp((math.log(lo) + logscale) / m))
@@ -302,10 +296,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         return best
 
     def level_fekete(m: int, prods: np.ndarray, logscales: list) -> float:
-        if space == L2:
-            his = [hi for _, hi, _ in _l2_norms(prods)]
-        else:
-            his = [hi for _, hi in _sum_norms(prods, space)]
+        his = [hi for _, hi, _ in _norms(prods, space)]
         best = max([math.log(hi) + logscale for logscale, hi in zip(logscales, his) if hi > 0],
                    default=-math.inf)
         return _exp_up(best / m) if best > -math.inf else 0.0
@@ -353,7 +344,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
                 exhaustive = False
                 continue
             children.append((c, top, logp, bound, _child(words[j], m, i)))
-        _finite([top for _, top, _, _, _ in children])
+        _finite([top for _, top, _, _, _ in children], "a word product")
         m += 1
         logscales, logps, bounds, words = (
             [logscales[c // k] + math.log(top) for c, top, _, _, _ in children],
@@ -383,8 +374,8 @@ def norm_level_max(s, depth: int) -> float:
     chains compare such values at matched underlying depths.
     """
     for level in _levels(_letters(s, "norm_level_max"), depth):
-        _finite(level)
-    return _norm_max(_l2_norms(level))
+        _finite(level, "a word product")
+    return _norm_max(_norms(level))
 
 
 def gamma_level_max(s) -> float:
@@ -421,7 +412,7 @@ def _gamma_max(s: OperatorSet) -> float:
 
 def norm_set_bracket(s) -> Bracket:
     """sup of the l2 operator norm over the elements of a matrix set, in one batch."""
-    return _norm_sup(_l2_norms(_letters(s, "norm_set_bracket")))
+    return _norm_sup(_norms(_letters(s, "norm_set_bracket")))
 
 
 def _norm_sup(norms) -> Bracket:

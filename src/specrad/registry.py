@@ -633,15 +633,6 @@ def _violation(inputs, operands, params, check) -> str | None:
     return check(inputs) if check is not None else None
 
 
-def _param(v):
-    """A param as builds take it: a number as the Python int or float that
-    its report records (``chains._json_value``), so a report reproduces
-    from its own JSON; a sequence keeps its type, its elements converted."""
-    if isinstance(v, (tuple, list)):
-        return type(v)(map(_param, v))
-    return _json_value(v)
-
-
 def _chain(cid, title, level, description, hypothesis_doc, operands, params,
            sample, build, check=None) -> ChainSpec:
     """A ChainSpec whose arity and hypothesis derive from one declaration."""
@@ -661,7 +652,7 @@ def _chain(cid, title, level, description, hypothesis_doc, operands, params,
         drawn = []
         token = _DRAWN.set(drawn)
         try:
-            parts = build(inputs, **{p.name: _param(inputs.params[p.name]) for p in params})
+            parts = build(inputs, **{p.name: _json_value(inputs.params[p.name]) for p in params})
         except SpecradError:
             _resolve(drawn)  # a term drawn before the failing step raises first
             raise

@@ -30,15 +30,20 @@ alone.  Every step treats each block as it would treat it alone, so a bracket
 does not depend on the batch it was computed in.  Nor does a batch raise for
 one block: a radius or l2 norm beyond the float range comes back with an
 upper end of +inf, and the public estimators refuse that mark with a
-DomainError (``_in_range``).  The l2 norm widens its Gram radius by
-gamma_m, the rounding of A*A; a C-ordered stack's Gram matrices are one
-stacked product.  The l1 and linf norms are column and row sums, one
-reduction for a stack.  On the infinite side, the Hausdorff measure of
-noncompactness gamma of a banded family is the sum of its band weight
-limits: every weight sequence converges, so row-tail norm bounds decrease
-to that sum, and sliding window vectors attain it from below.  A family is a Toeplitz operator with
-those nonnegative limits on its bands plus a compact part, so its
-essential radius is gamma too (see ``essential_spectral_radius``).  Both
+DomainError (``_in_range``).  One routine, ``_norms``, gives the operator
+norms of a stack on every space: the l1 and linf norms are column and row
+sums, one reduction, and the l2 norm widens its Gram radius by gamma_m,
+the rounding of A*A, whose matrices are one stacked product.  A stack is
+C-ordered or the transposed view of a C-ordered stack (a set of
+adjoints, or a Fortran-ordered array), and numpy's stacked reductions
+and ``@`` hand each array to the per-matrix kernel with its own strides,
+so each norm has the bits of its array's alone.  On the infinite side,
+the Hausdorff measure of noncompactness gamma of a banded family is the
+sum of its band weight limits: every weight sequence converges, so
+row-tail norm bounds decrease to that sum, and sliding window vectors
+attain it from below.  A family is a Toeplitz operator with those
+nonnegative limits on its bands plus a compact part, so its essential
+radius is gamma too (see ``essential_spectral_radius``).  Both
 brackets read the band limits rounded to nearest, so they are not
 certified as the finite ones are.
 """
@@ -327,15 +332,15 @@ def _exp_up(x: float) -> float:
 
 def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
     """(lo, hi, converged) for the Perron root of each square nonnegative
-    array of one (k, n, n) stack, or of a list of arrays and such stacks,
-    in order.  A root beyond the float range is not an error here: its hi
-    is +inf and it is not converged, and the public estimators refuse it
-    with ``_in_range``.  So a batch raises for no array, and its other
-    arrays keep the bits they get alone.
+    array of a list of arrays and (k, n, n) stacks, in order.  A root
+    beyond the float range is not an error here: its hi is +inf and it is
+    not converged, and the public estimators refuse it with ``_in_range``.
+    So a batch raises for no array, and its other arrays keep the bits they
+    get alone.
 
     The spectrum of a block-triangular matrix is the union over diagonal
     blocks, so a radius is the max over strongly connected components.  An
-    empty input returns [] before any numpy call.  The stacks of each size,
+    empty list returns [] before any numpy call.  The stacks of each size,
     an array being a stack of one, are joined into one C-ordered stack by
     one ``np.concatenate``, made C-ordered by ``np.ascontiguousarray``: a
     copy that keeps no operand's layout (a stack of Fortran-ordered arrays
@@ -358,11 +363,9 @@ def _spectral_radii(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, f
     ``np.maximum.at`` from +0.0; adding +0.0 then turns a -0.0 that it kept
     (a -0.0 diagonal entry) into +0.0, as Python's ``max(0.0, -0.0)`` does.
     """
-    if not len(arrays):
-        return []
     sizes: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     count = 0
-    for s in [arrays] if isinstance(arrays, np.ndarray) else arrays:
+    for s in arrays:
         s = s[None] if s.ndim == 2 else s
         if s.shape[1] != s.shape[2]:
             raise ShapeMismatchError("spectral radius needs a square matrix")
@@ -416,49 +419,46 @@ def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     connected components, each irreducible one bracketed by
     ``_perron_brackets``.
     """
-    (lo, hi, ok), = _in_range(_spectral_radii(m.a[None], tol), "spectral radius")
+    (lo, hi, ok), = _in_range(_spectral_radii([m.a], tol), "spectral radius")
     return Bracket(lo, hi, "gelfand-cw", ok)
 
 
 def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL) -> Bracket:
-    """Operator norm bracket on the requested sequence space.
-
-    l1 and linf norms are exact column/row sums; the l2 norm is the square
-    root of the spectral radius of A*A (see ``_radii_norms``).  A norm beyond
-    the float range is a DomainError.
-    """
-    if space == L2:
-        lo, hi, ok = _l2_norms([m.a], tol)[0]
-        return Bracket(lo, hi, "sqrt-gram", ok)
-    (lo, hi), = _sum_norms([m.a], space)
-    return Bracket(lo, hi, "colsum" if space == L1 else "rowsum")
+    """Operator norm bracket on the requested sequence space: the one-matrix
+    case of ``_norms``, with the method tag of its space.  A norm beyond the
+    float range is a DomainError."""
+    (lo, hi, ok), = _norms(m.a[None], space, tol)
+    return Bracket(lo, hi, {L1: "colsum", L2: "sqrt-gram", LINF: "rowsum"}[space], ok)
 
 
-def _sum_norms(arrays, space: str) -> list[tuple[float, float]]:
-    """(lo, hi) for the l1 norm (the largest column sum) or the linf norm
-    (the largest row sum) of each array of a list or a (k, m, n) stack: the
-    sum padded by ``_ROUND_GUARD`` each way.  A C-ordered stack is summed in
-    one reduction; a list's arrays, and a stack in another layout, one by
-    one, each in its own layout, since a Fortran-ordered column sum runs
-    along contiguous memory, which numpy may add pairwise.  A norm beyond
-    the float range is a DomainError.
-    """
-    if space != L1 and space != LINF:
+def _check_space(space: str) -> None:
+    """Refuse a space tag that is not one of ``SPACES``."""
+    if space not in SPACES:
         raise DomainError(f"unknown space tag {space!r}; expected one of {SPACES}")
-    axis = -2 if space == L1 else -1
-    whole = isinstance(arrays, np.ndarray) and arrays.flags.c_contiguous
-    stacks = [arrays] if whole else [a[None] for a in arrays]
+
+
+def _norms(stack: np.ndarray, space: str = L2, tol: float = DEFAULT_RHO_TOL) -> list:
+    """(lo, hi, converged) for the operator norm of each nonnegative array
+    of one (k, m, n) stack on the sequence space ``space``, refused as a
+    DomainError beyond the float range.  The l1 norm is the largest column
+    sum and the linf norm the largest row sum, from one reduction and
+    padded by ``_ROUND_GUARD`` each way, always converged; the l2 norm is
+    the norms-only case of ``_radii_norms``.
+
+    The stack is C-ordered or the transposed view of a C-ordered stack (a
+    set of adjoints, or a Fortran-ordered array a as ``a[None]``).  numpy's
+    stacked reductions and ``@`` hand each array to the per-matrix kernel
+    with its own strides, so on either layout each array gets the bits it
+    gets alone.  A stack in another layout, such as a view with a negative
+    stride, can be copied into C order on the way and lose that.
+    """
+    _check_space(space)
+    if space == L2:
+        return _in_range(_radii_norms([], [stack], tol)[1], "operator norm")
     with np.errstate(over="ignore"):
-        sums = [v for s in stacks for v in s.sum(axis=axis).max(axis=-1).tolist()]
-    return _in_range([(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in sums],
+        sums = stack.sum(axis=-2 if space == L1 else -1).max(axis=-1).tolist()
+    return _in_range([(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), True) for v in sums],
                      "operator norm")
-
-
-def _l2_norms(arrays, tol: float = DEFAULT_RHO_TOL) -> list[tuple[float, float, bool]]:
-    """(lo, hi, converged) for the l2 norm of each nonnegative array: the
-    norms-only case of ``_radii_norms``, with a norm beyond the float range
-    refused as a DomainError."""
-    return _in_range(_radii_norms([], arrays, tol)[1], "operator norm")
 
 
 def _in_range(ends, what: str):
@@ -477,19 +477,20 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     matrices of the norm arrays.  A radius does not depend on its batch, so
     each result has the bits of its array bracketed alone, and a result
     beyond the float range has hi = +inf, as in ``_spectral_radii``.
-    ``rhos`` is a list of arrays and (k, n, n) stacks, and ``norms`` one
-    (k, m, n) stack or such a list, each taken in order; with no radius
+    ``rhos`` is a list of arrays and (k, n, n) stacks, and ``norms`` a list
+    of arrays and (k, m, n) stacks, each taken in order; with no radius
     arrays, the Gram stack of one stack goes to ``_spectral_radii`` as it
     is.
 
     The norm is the square root of the spectral radius of A*A.  The Gram
-    matrices of a C-ordered stack S are one product
-    ``S.transpose(0, 2, 1) @ S``, which gives each the bits of its array's
-    own ``a.T @ a`` (numpy may form that with a symmetric rank-k update,
-    which rounds differently from a general product).  A stack in another
-    layout gets one product per array in its own layout, because a
-    Fortran-ordered operand rounds differently; an array is a stack of one.
-    When an array's largest entry lies outside [_GRAM_MIN, _GRAM_MAX], A*A
+    matrices of a stack S, an array being a stack of one, are one product
+    ``S.transpose(0, 2, 1) @ S``.  S is C-ordered or the transposed view of
+    a C-ordered stack (``_norms``); numpy's stacked ``@`` hands each pair to
+    the per-matrix kernel with its array's own strides, so each Gram matrix
+    has the bits of its array's own ``a.T @ a`` (numpy may form that with a
+    symmetric rank-k update, which rounds differently from a general
+    product), and the power-of-two scaling keeps either layout.  When an
+    array's largest entry lies outside [_GRAM_MIN, _GRAM_MAX], A*A
     would overflow or lose its low bits to subnormal rounding, so the norm
     of 2**-e A is taken instead, where 2**e brackets that entry, and its
     endpoints are multiplied back by 2**e.  The last step, ``_l2_finish``,
@@ -508,12 +509,11 @@ def _radii_norms(rhos, norms, tol: float = DEFAULT_RHO_TOL) -> tuple[list, list]
     one-ulp steps.
     """
     grams, exps, rows = [], [], []
-    for s in [norms] if isinstance(norms, np.ndarray) else norms:
+    for s in norms:
         s = s[None] if s.ndim == 2 else s
-        for part in [s] if s.flags.c_contiguous else [a[None] for a in s]:
-            g, e = _gram(part)
-            grams.append(g)
-            exps += e
+        g, e = _gram(s)
+        grams.append(g)
+        exps += e
         rows += [s.shape[1]] * len(s)
     radii = _spectral_radii([*rhos, *grams], tol)
     k = len(radii) - len(exps)

@@ -386,6 +386,18 @@ def test_gripenberg_refuses_a_budget_that_is_not_a_count(budget):
         gripenberg_bracket(GOLDEN, 1e-2, budget=budget)
 
 
+def test_gripenberg_refuses_an_unknown_space_up_front():
+    """A set of zero letters, which builds no level, and the golden pair
+    refuse an unknown space with the message ``operator_norm`` gives."""
+    with pytest.raises(DomainError) as want:
+        operator_norm(FiniteMatrix([[1.0]]), "l3")
+    assert str(want.value).startswith("unknown space tag 'l3'; expected one of")
+    for s in (OperatorSet([FiniteMatrix(np.zeros((2, 2)))]), GOLDEN):
+        with pytest.raises(DomainError) as got:
+            gripenberg_bracket(s, 1e-3, space="l3")
+        assert str(got.value) == str(want.value)
+
+
 def test_gripenberg_takes_a_zero_or_numpy_budget():
     assert not gripenberg_bracket(GOLDEN, 1e-12, budget=0).converged
     assert gripenberg_bracket(GOLDEN, 1e-2, budget=np.int64(100)) == \
@@ -593,7 +605,7 @@ def test_depth_bounds_are_the_two_estimators_bit_for_bit():
 
 def test_gen_radius_lb_brackets_its_products_as_one_stack(monkeypatch):
     """All necklace products, Fortran-ordered letters among them, go to one
-    ``_spectral_radii`` call as one C-ordered stack."""
+    ``_spectral_radii`` call as a list of one C-ordered stack."""
     seen = []
     real = jsr._spectral_radii
     monkeypatch.setattr(jsr, "_spectral_radii", lambda a: seen.append(a) or real(a))
@@ -601,22 +613,22 @@ def test_gen_radius_lb_brackets_its_products_as_one_stack(monkeypatch):
     s = OperatorSet([FiniteMatrix(np.asfortranarray(rng.random((3, 3)))),
                      FiniteMatrix(rng.random((3, 3)))])
     gen_radius_lb(s, 4)
-    (stack,) = seen
+    ((stack,),) = seen
     assert isinstance(stack, np.ndarray) and stack.flags.c_contiguous
     assert stack.shape == (2 + 3 + 4 + 6, 3, 3)  # the binary necklaces of lengths 1-4
 
 
 @pytest.mark.parametrize("space", ["l1", "linf"])
 def test_gripenberg_level_norms_are_each_products_own_norm(monkeypatch, space):
-    """The l1/linf level norms come from one ``_sum_norms`` call per level:
-    the normalized letters as a stack in their set's layout, then one
-    C-ordered stack per level.  A set built from mixed layouts is one
-    C-ordered stack; an adjoint set's letters are the Fortran-ordered views
-    of a transposed stack, which ``_sum_norms`` sums one by one.  The
+    """The l1/linf level norms come from one ``_norms`` call per level: the
+    normalized letters as a stack in their set's layout, then one C-ordered
+    stack per level.  A set built from mixed layouts is one C-ordered
+    stack; an adjoint set's letters are the Fortran-ordered views of a
+    transposed stack, which ``_norms`` sums in one reduction.  The
     bracket has the bits of a run that takes each product's
     ``operator_norm`` alone."""
     rng = np.random.default_rng(1257)
-    real = jsr._sum_norms
+    real = jsr._norms
     golden = [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])]
     for h in (1, 5, 6):  # the golden pair blown up to n = 2h, so no level is pruned early
         a, b = (np.kron(g, np.full((h, h), 1.0 / h)) + 1e-3 * rng.random((2 * h, 2 * h))
@@ -624,10 +636,10 @@ def test_gripenberg_level_norms_are_each_products_own_norm(monkeypatch, space):
         mixed = OperatorSet([FiniteMatrix(np.asfortranarray(a)), FiniteMatrix(b)])
         for s in (mixed, set_adjoint(mixed)):
             seen = []
-            monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: seen.append(p) or real(p, sp))
+            monkeypatch.setattr(jsr, "_norms", lambda p, sp: seen.append(p) or real(p, sp))
             got = gripenberg_bracket(s, 1e-6, budget=200, space=space)
-            monkeypatch.setattr(jsr, "_sum_norms", lambda p, sp: [
-                (0.0, operator_norm(FiniteMatrix(a), sp).hi) for a in p])
+            monkeypatch.setattr(jsr, "_norms", lambda p, sp: [
+                (0.0, operator_norm(FiniteMatrix(a), sp).hi, True) for a in p])
             assert got == gripenberg_bracket(s, 1e-6, budget=200, space=space)
             fortran = s is not mixed
             assert all(x.flags.f_contiguous == fortran != x.flags.c_contiguous for x in seen[0])

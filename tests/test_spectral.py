@@ -36,7 +36,7 @@ from specrad.spectral import (
     _ROUND_GUARD,
     DEFAULT_RHO_TOL,
     _gamma,
-    _l2_norms,
+    _norms,
     _perron_brackets,
     _radii_norms,
     _spectral_radii,
@@ -260,7 +260,7 @@ def test_spectral_radii_bits_do_not_depend_on_the_batch(arrays):
 
 def test_radii_and_norms_get_their_own_bits_in_one_mixed_batch():
     """``_radii_norms`` gives each radius the bits of ``_spectral_radii`` and
-    each norm those of ``_l2_norms`` on its array alone, whatever the order
+    each norm those of ``_norms`` on its array alone, whatever the order
     of the two lists: on C- and Fortran-ordered arrays, arrays scaled by
     2**600 and 2**-600 (the Gram scaling path), sparse reducible ones,
     1 x 1 and 18 x 18 ones, and one array that is in both lists."""
@@ -279,7 +279,7 @@ def test_radii_and_norms_get_their_own_bits_in_one_mixed_batch():
         rhos = [rhos[i] for i in rng.permutation(len(rhos))]
         norms = [norms[i] for i in rng.permutation(len(norms))]
         want = ([_bits(_spectral_radii([a])[0]) for a in rhos],
-                [_bits(_l2_norms([a])[0]) for a in norms])
+                [_bits(_norms(a[None])[0]) for a in norms])
         radii, l2 = _radii_norms(rhos, norms)
         assert ([_bits(r) for r in radii], [_bits(r) for r in l2]) == want
         radii, l2 = _radii_norms(rhos[::-1], norms[::-1])
@@ -291,10 +291,10 @@ def test_radii_and_norms_of_stacks_are_each_arrays_own():
     hands it a walk's necklace products and deepest level beside a
     registry's single arrays: each radius has the bits of
     ``spectral_radius`` and each norm those of ``operator_norm`` on its array
-    alone.  The pieces are C-ordered stacks (one stacked Gram product each),
-    transposed stacks and Fortran-ordered arrays (one product per array, in
-    its own layout), of sizes 1 to 14, with some arrays' largest entries
-    outside [_GRAM_MIN, _GRAM_MAX] beside others inside it."""
+    alone.  The pieces are C-ordered stacks, transposed stacks and
+    Fortran-ordered arrays (one stacked Gram product each, in its own
+    layout), of sizes 1 to 14, with some arrays' largest entries outside
+    [_GRAM_MIN, _GRAM_MAX] beside others inside it."""
     rng = np.random.default_rng(1295)
     seen = {"C": 0, "transposed": 0, "fortran": 0, "scaled": 0}
     for _ in range(25):
@@ -486,10 +486,10 @@ def test_one_batch_mixes_every_component_shape(monkeypatch):
 
 
 def _stacks(rng):
-    """(k, n, n) stacks of every kind ``_spectral_radii`` and ``_l2_norms``
-    take: empty ones, 1 x 1 ones with -0.0 and 0.0, positive ones, ones with
-    a zero entry or reducible arrays, and at n = 2-40 ones scaled by
-    2**+-900, each C-ordered and as a transposed and a non-contiguous view."""
+    """(k, n, n) stacks of every kind ``_spectral_radii`` takes: empty ones,
+    1 x 1 ones with -0.0 and 0.0, positive ones, ones with a zero entry or
+    reducible arrays, and at n = 2-40 ones scaled by 2**+-900, each
+    C-ordered and as a transposed and a reversed (non-contiguous) view."""
     stacks = [np.zeros((0, n, n)) for n in (1, 2, 5)]
     stacks += [np.array([[[-0.0]], [[2.5]], [[0.0]]]), np.array([[[-0.0]]]),
                rng.random((4, 1, 1)) * 2.0 ** 900]
@@ -505,19 +505,26 @@ def _stacks(rng):
 
 
 def test_a_stack_gets_the_bits_of_its_list():
-    """``_spectral_radii`` and ``_l2_norms`` give a stack the bits they give
-    the list of its arrays, whatever its layout; the l2 norms cover largest
-    entries outside [_GRAM_MIN, _GRAM_MAX] beside ones inside it."""
+    """``_spectral_radii`` gives a stack the bits it gives the list of its
+    arrays, whatever its layout.  ``_norms`` gives each array of a stack in
+    either layout of its contract, C-ordered or the transposed view of a
+    C-ordered stack, the l2 bits of the array alone, and each stacked Gram
+    matrix is the array's own 2-D product: this pins numpy handing each
+    array of a stacked ``@`` to the per-matrix kernel with its own strides.
+    The l2 norms cover largest entries outside [_GRAM_MIN, _GRAM_MAX]
+    beside ones inside it."""
     mixed = {"above": 0, "below": 0}
     for s in _stacks(np.random.default_rng(1252)):
-        assert [_bits(r) for r in _spectral_radii(s)] == \
+        assert [_bits(r) for r in _spectral_radii([s])] == \
             [_bits(r) for r in _spectral_radii(list(s))]
-        assert [_bits(r) for r in _l2_norms(s)] == [_bits(r) for r in _l2_norms(list(s))]
         if s.shape[1] == 1:  # a 1 x 1 array's radius is its entry, -0.0 as +0.0
-            assert [_bits(r) for r in _spectral_radii(s)] == \
+            assert [_bits(r) for r in _spectral_radii([s])] == \
                 [_bits((abs(v), abs(v), True)) for v in s.ravel().tolist()]
-        for a, g, e in zip(s, *spectral._gram(s)) if s.flags.c_contiguous else ():
-            # one product per array, as a list gets, is the reference
+        if not (s.flags.c_contiguous or s.transpose(0, 2, 1).flags.c_contiguous):
+            continue  # a reversed view: no caller makes one, and ``_norms`` may copy it
+        assert [_bits(r) for r in _norms(s)] == [_bits(_norms(a[None])[0]) for a in s]
+        for a, g, e in zip(s, *spectral._gram(s)):
+            # one product per array, in its own layout, is the reference
             b = np.ldexp(a, -e) if e else a
             assert g.tobytes() == (b.T @ b).tobytes()
         tops = s.max(axis=(1, 2))
@@ -541,20 +548,19 @@ def test_a_positive_stack_goes_to_the_perron_brackets_as_it_is(monkeypatch):
                         or real(s, tol))
     rng = np.random.default_rng(1253)
     s = rng.random((5, 3, 3)) + 0.1
-    got = _spectral_radii(s)
+    got = _spectral_radii([s])
     assert [(what, b is s) for what, b in calls] == [("split", True), ("rho", True)]
     assert got == real(s, DEFAULT_RHO_TOL)
     calls.clear()
     t = s.transpose(0, 2, 1)
-    _spectral_radii(t)
+    _spectral_radii([t])
     assert calls[0][1] is calls[1][1] and calls[0][1].flags.c_contiguous
     assert np.array_equal(calls[0][1], t)
     calls.clear()
-    assert _spectral_radii(np.zeros((0, 4, 4))) == [] and _l2_norms(np.zeros((0, 4, 4))) == []
+    assert _spectral_radii([np.zeros((0, 4, 4))]) == [] and _norms(np.zeros((0, 4, 4))) == []
     assert calls == []
-    empty = np.zeros((0, 4, 4))
-    monkeypatch.setattr(spectral, "np", None)  # an empty input makes no numpy call
-    assert _spectral_radii(empty) == [] and _spectral_radii([]) == []
+    monkeypatch.setattr(spectral, "np", None)  # an empty list makes no numpy call
+    assert _spectral_radii([]) == []
     monkeypatch.undo()
     monkeypatch.setattr(spectral, "_strong_components", lambda s: calls.append(("split", s))
                         or split(s))
@@ -563,40 +569,44 @@ def test_a_positive_stack_goes_to_the_perron_brackets_as_it_is(monkeypatch):
     holes = s.copy()
     holes[1, 0, 2] = 0.0  # still one component
     holes[3] = np.triu(holes[3])  # three singleton components
-    _spectral_radii(holes)
+    _spectral_radii([holes])
     assert [(what, b.shape) for what, b in calls] == [("split", (5, 3, 3)), ("rho", (4, 3, 3))]
 
 
 def test_a_stack_of_non_square_arrays_is_refused():
     for s in (np.ones((2, 3, 2)), np.ones((1, 1, 4))):
         with pytest.raises(ShapeMismatchError):
-            _spectral_radii(s)
+            _spectral_radii([s])
 
 
 def test_stacked_sum_norms_are_the_per_array_sums():
-    """The l1 and linf norms of a C-ordered stack are the column and row
-    sums of each array alone, padded as ``operator_norm`` pads them.  A list
-    sums each array in its own layout: at n >= 8 a Fortran-ordered column
-    sum runs along contiguous memory, which numpy adds pairwise, and on
-    these seeds it differs from the sum of a C-ordered copy."""
+    """The l1 and linf norms of a stack are the column and row sums of each
+    array alone, padded as ``operator_norm`` pads them, from one reduction
+    in either layout: a C-ordered stack, and the Fortran-ordered arrays of
+    a transposed one.  There each array is summed in its own layout: at
+    n >= 8 a Fortran-ordered column sum runs along contiguous memory, which
+    numpy adds pairwise, and on these seeds it differs from the sum of a
+    C-ordered copy."""
     rng = np.random.default_rng(1254)
     moved = 0
     for n in (*range(1, 41), 64, 100):
         s = rng.random((4, n, n)) * (rng.random((4, n, n)) < 0.7)
         s *= 2.0 ** int(rng.integers(-30, 31))
-        fortran = [np.asfortranarray(a) for a in s]
+        fortran = np.ascontiguousarray(s.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert all(a.flags.f_contiguous for a in fortran) and np.array_equal(fortran, s)
         for space, axis in (("l1", 0), ("linf", 1)):
             want = [float(a.sum(axis=axis).max()) for a in s]
-            pad = [(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in want]
-            assert spectral._sum_norms(s, space) == pad
-            assert [operator_norm(FiniteMatrix(a), space).hi for a in s] == [hi for _, hi in pad]
+            pad = [(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), True) for v in want]
+            assert spectral._norms(s, space) == pad
+            assert [operator_norm(FiniteMatrix(a), space).hi for a in s] == \
+                [hi for _, hi, _ in pad]
             own = [float(a.sum(axis=axis).max()) for a in fortran]
-            assert spectral._sum_norms(fortran, space) == [
-                (v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD)) for v in own]
+            assert spectral._norms(fortran, space) == [
+                (v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), True) for v in own]
             moved += own != want
     assert moved
     with pytest.raises(DomainError, match="unknown space tag"):
-        spectral._sum_norms(s, "l3")
+        spectral._norms(s, "l3")
 
 
 def test_a_one_by_one_array_in_a_batch_is_its_entry():
@@ -827,7 +837,7 @@ def test_a_radius_or_norm_beyond_the_float_range_has_an_infinite_upper_end():
     got_radii, got_norms = _radii_norms(batch, norms)
     out = {0, 2, 5, 7}  # the batch's arrays beyond the range
     for got, arrays, marked in ((_spectral_radii(batch), batch, out),
-                                (_spectral_radii(stack), stack, {0}), (got_radii, batch, out)):
+                                (_spectral_radii([stack]), stack, {0}), (got_radii, batch, out)):
         for j, (a, r) in enumerate(zip(arrays, got)):
             if j in marked:
                 assert r[1] == math.inf and r[2] is False
@@ -835,7 +845,7 @@ def test_a_radius_or_norm_beyond_the_float_range_has_an_infinite_upper_end():
                 assert _bits(r) == _bits(_spectral_radii([a])[0])
     assert got_norms[1][1] == math.inf and got_norms[1][2] is False
     for j in (0, 2):
-        assert _bits(got_norms[j]) == _bits(_l2_norms([norms[j]])[0])
+        assert _bits(got_norms[j]) == _bits(_norms(norms[j][None])[0])
     for a in beyond:
         with pytest.raises(DomainError, match="^spectral radius exceeds the float range$"):
             spectral_radius(FiniteMatrix(a))

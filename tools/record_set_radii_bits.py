@@ -15,10 +15,12 @@ declared behaviour change.
 The sets mix sizes 1 to 18, one to three letters, dense, sparse,
 triangular and cyclic patterns, zero letters and scales from 2^-300 to
 2^300.  Sets marked ``adjoint`` use the transposes of their stored
-matrices, which numpy keeps in Fortran order.  With OpenBLAS 0.3 the
-Gram matrix of a Fortran-ordered 12 x 12 matrix and products of
-Fortran-ordered 18 x 18 matrices round differently from their C-ordered
-twins, so the recorded bits also pin each operand's memory layout.
+matrices, which numpy keeps in Fortran order.  With OpenBLAS 0.3.31 a
+product of a Fortran-ordered 18 x 18 matrix rounds differently from its
+C-ordered twin's, so the recorded bits of those sets also pin each
+operand's memory layout.  A Gram matrix ``a.T @ a`` rounds the same in
+either layout there (every n in 1-64 was scanned), so the 12 x 12
+adjoint sets pin no layout.
 """
 
 from __future__ import annotations
