@@ -126,7 +126,9 @@ def test_builds_sign_for_exactly_their_declared_params():
 def test_samplers_draw_the_recorded_inputs():
     """Every chain's sampler draws, at seed 42, trials 0-4 and each ensemble
     kind of its level, the inputs whose digests
-    tools/record_sample_digests.py recorded."""
+    tools/record_sample_digests.py recorded, and each trial's report has
+    the recorded skeleton: part names and kinds, term labels, method tags
+    and notes."""
     path = Path(__file__).resolve().parents[1] / "tools" / "record_sample_digests.py"
     loader = importlib.util.spec_from_file_location("record_sample_digests", path)
     recorder = importlib.util.module_from_spec(loader)
