@@ -28,6 +28,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, ShapeMismatchError, SpecradError
 from .families import _pow0
 from .matrices import _finite
+from .serialize import _is_number
 from .sets import OperatorSet, _as_set
 from .spectral import (
     L2,
@@ -269,7 +270,7 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     child costs constant time unless its period becomes its length.  Logs
     and exponentials stay per element on ``math``.
     """
-    if not 0 < delta < math.inf:
+    if not (_is_number(delta) and 0 < delta < math.inf):
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
         raise DomainError(f"budget must be an integer >= 0, got {budget!r}")

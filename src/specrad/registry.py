@@ -26,16 +26,32 @@ bits of its public estimator.
 The pass carries errors as values: a set bound that fails is the error
 its estimator raises, and a radius or norm beyond the float range has an
 upper end of +inf.  One loop then sets each leaf and folds each node in
-the order drawn, and the first term that fails raises its error.  When
+the order drawn, and the first term that fails raises its error: a radius
+or norm leaf's ``finish`` is the finisher its public estimator calls
+(``spectral._radius_bracket``, ``spectral._norm_bracket``).  When
 the build itself raises a ``SpecradError``, the terms it drew so far are
 resolved first, so a term drawn before the failing step raises before
 the build's error.  Either way the error raised is the one that
 evaluating the terms in turn meets, from the same one pass.
 
 Essential builds return brackets, evaluated as they are built.  A finite
-chain and its essential twin share a part's builder (``_mean_part``,
-``_grid_part``, ``_power_part``) over an estimator pair, the leaf and the
-label format of ``_RHO``, ``_NORM``, ``_ESS`` or ``_GAMMA``.
+chain and its essential twin state a part with the same labels and terms,
+so each such part has one builder:
+
+- over an estimator pair, the leaf and the label format of ``_RHO``,
+  ``_NORM``, ``_ESS`` or ``_GAMMA``: ``_mean_part`` (F9/E2),
+  ``_grid_part`` (F8/E3), ``_power_part`` (F9/E1) and ``_cross_parts``
+  (F16/E14's singleton parts);
+- over a label format and the brackets or terms its caller holds:
+  ``_sup_part`` (F10/E1), and ``_hpow_part`` for E1's gamma and ess powers;
+- over a set term, ``_Sets`` or its essential twin ``_ess_sets``, which
+  bounds the same (set, power) factors by ``_ess_term`` and needs no depth:
+  ``_set_mean_part`` (F11/E4), ``_star_identity`` (F13/E12) and
+  ``_reciprocal_terms`` (F14/E9).
+
+A builder draws a finite build's terms in the order the build always
+has, the order that fixes its first error; an essential build may call
+its eager steps in its builders' order.
 
 Finite-level upper estimates inside one part are evaluated at matched
 underlying depths, so whenever the proof of a link rests on entrywise
@@ -56,7 +72,9 @@ inputs into parts of labelled terms and signs for exactly its declared
 params, by name (E15: ``build(inputs, m, alpha, alpha2)``).  A finite
 build makes its bracket terms from the leaves and nodes above, never from
 an estimator, so that its chain keeps one estimator pass; an entrywise
-part's terms are matrices.  The declaration is one ``_chain(...)`` entry
+part's terms are matrices.  A part that restates another level's twin
+reuses the twin's builder above with its own estimator pair or set term.
+The declaration is one ``_chain(...)`` entry
 in ``_REGISTRY`` and holds:
 
 - the catalog strings: id, title, level, description, and the hypothesis
@@ -127,7 +145,14 @@ from .sets import (
     symmetrization,
     weighted_geometric_mean,
 )
-from .spectral import _ROUND_GUARD, Bracket, _in_range, essential_spectral_radius, hausdorff_mnc
+from .spectral import (
+    _ROUND_GUARD,
+    Bracket,
+    _norm_bracket,
+    _radius_bracket,
+    essential_spectral_radius,
+    hausdorff_mnc,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +193,11 @@ class _Term:
 
 
 class _Rho(_Term):
-    """Leaf: ``spectral_radius(m)``, whose array joins the pass's radii."""
+    """Leaf: ``spectral_radius(m)``, whose array joins the pass's radii and
+    whose ends ``finish`` makes its estimator's bracket or error."""
 
     __slots__ = ("m",)
-    what, method = "spectral radius", "gelfand-cw"  # its estimator's error and tag
+    finish = staticmethod(_radius_bracket)
 
     def __init__(self, m: FiniteMatrix):
         self.m = m
@@ -182,7 +208,7 @@ class _Norm(_Rho):
     """Leaf: ``operator_norm(m)`` in l2, whose array joins the pass's norms."""
 
     __slots__ = ()
-    what, method = "operator norm", "sqrt-gram"
+    finish = staticmethod(_norm_bracket)
 
 
 # Estimator pairs (leaf, label format) of the parts that a finite chain and
@@ -247,8 +273,7 @@ def _resolve(drawn) -> None:
         elif type(t) is _Sets:
             t.value = _fin_term(t.factors, bounds)
         else:
-            (lo, hi, ok), = _in_range([t.value], t.what)
-            t.value = Bracket(lo, hi, t.method, ok)
+            t.value = t.finish(t.value)
 
 
 def _fin_term(factors, bounds) -> Bracket:
@@ -286,6 +311,12 @@ def _ess_term(factors) -> Bracket:
     for S, p in factors:
         v *= _pow0(gamma_level_max(S), p)
     return Bracket(v * (1 - _ROUND_GUARD), v * (1 + _ROUND_GUARD), "ess-set-gamma")
+
+
+def _ess_sets(factors, u) -> Bracket:
+    """The essential twin of ``_Sets(factors, u)``: ``_ess_term`` over the
+    (set, power) of each (set, power, sigma), since no depth is needed."""
+    return _ess_term([(S, p) for S, p, _ in factors])
 
 
 def _bprod(brackets, powers):
@@ -370,6 +401,70 @@ def _power_part(name, est, powprod, prod, t) -> Part:
                               (f"{label('A1...Am')}^t", leaf(prod).power(t))])
 
 
+def _hpow_part(name, label, f_at, f_a, t) -> Part:
+    """f(A^(t)) <= f(A)^t over the brackets f_at and f_a, f's label format ``label``."""
+    return Part(name, CHAIN, [(label("A^(t)"), f_at), (f"{label('A')}^t", f_a.power(t))])
+
+
+def _sup_part(name, label, f_at, f_a, c) -> Part:
+    """f(A^(t)) <= sup^(t-1) f(A), where c = sup^(t-1), over the brackets or
+    terms f_at and f_a, f's label format ``label``."""
+    return Part(name, CHAIN, [(label("A^(t)"), f_at), (f"sup^(t-1) {label('A')}", f_a.scaled(c))])
+
+
+def _cross_parts(names, norm, rho, a, b) -> list:
+    """f(A^(1/2) o B^(1/2)) <= r((A*B)^(1/2) o (B*A)^(1/2))^1/2 <= r(A*B)^1/2
+    and r(A*B) = r(AB*), named ``names``, for the estimator pairs ``norm``
+    (f) and ``rho`` (r)."""
+    (norm_of, norm_label), (rho_of, rho_label) = norm, rho
+    bstar = b.adjoint()
+    astar_b = a.adjoint() @ b
+    r = rho_of(astar_b)
+    return [
+        Part(names[0], CHAIN, [
+            (norm_label("A^(1/2) o B^(1/2)"), norm_of(_mean([a, b], [0.5, 0.5]))),
+            (f"{rho_label('(A*B)^(1/2) o (B*A)^(1/2)')}^1/2",
+             rho_of(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5)),
+            (f"{rho_label('A*B')}^1/2", r.power(0.5)),
+        ]),
+        Part(names[1], EQUALITY, [(rho_label("A*B"), r), (rho_label("AB*"), rho_of(a @ bstar))]),
+    ]
+
+
+def _set_mean_part(sets_term, sets, alphas, mean, mean_n, n) -> Part:
+    """r(mean) <= r(mean of n-powers)^1/n <= prod r(S_j)^a_j for the set
+    term ``sets_term``, ``_Sets`` or ``_ess_sets``."""
+    return Part("set-mean", CHAIN, [
+        ("r(mean)", sets_term([(mean, 1.0, 1)], n)),
+        ("r(mean of n-powers)^1/n", sets_term([(mean_n, 1.0 / n, n)], n)),
+        ("prod r(S_j)^a_j", sets_term([(s, a, 1) for s, a in zip(sets, alphas)], n)),
+    ])
+
+
+def _star_identity(name, sup, sets_term, s) -> Part:
+    """sup = r(S*S)^1/2 = r(SS*)^1/2 for the first (label, term) ``sup`` and
+    the set term ``sets_term``."""
+    sstar = set_adjoint(s)
+    return Part(name, EQUALITY, [
+        sup,
+        ("r(S*S)^1/2", sets_term([(set_product(sstar, s), 0.5, 2)], 2)),
+        ("r(SS*)^1/2", sets_term([(set_product(s, sstar), 0.5, 2)], 2)),
+    ])
+
+
+def _reciprocal_terms(sets_term, p, q, pq, qp, beta) -> list:
+    """r(P o Q) <= r(PQ o QP)^1/2 <= r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2
+    <= r(PQ) as (label, term) pairs, for the set term ``sets_term``."""
+    return [
+        ("r(P o Q)", sets_term([(_smean([p, q], [1.0, 1.0]), 1.0, 1)], 2)),
+        ("r(PQ o QP)^1/2", sets_term([(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], 2)),
+        ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
+         sets_term([(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
+                    (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], 2)),
+        ("r(PQ)", sets_term([(pq, 1.0, 2)], 2)),
+    ]
+
+
 def _adjoints(sets):
     return [set_adjoint(s) for s in sets]
 
@@ -433,15 +528,15 @@ def _mats(rng, ens, count):
     return tuple(sample_matrix(rng, ens) for _ in range(count))
 
 
-def _fams(rng, ens, count, offset=1):
+def _fams(rng, ens, count, offset):
     return tuple(sample_family(rng, ens, offset=offset) for _ in range(count))
 
 
-def _mat_set(rng, ens, size=2):
+def _mat_set(rng, ens, size):
     return OperatorSet([sample_matrix(rng, ens) for _ in range(size)])
 
 
-def _fam_set(rng, ens, size=1, offset=1):
+def _fam_set(rng, ens, size, offset):
     return OperatorSet([sample_family(rng, ens, offset=offset) for _ in range(size)])
 
 
@@ -801,10 +896,7 @@ def _f10_build(inputs, t):
             ("|A^(t)|", _Norm(at)),
             ("sup^(t-1)|A|", _Norm(a).scaled(c)),
         ]),
-        Part("radius", CHAIN, [
-            ("rho(A^(t))", _Rho(at)),
-            ("sup^(t-1) rho(A)", _Rho(a).scaled(c)),
-        ]),
+        _sup_part("radius", _RHO[1], _Rho(at), _Rho(a), c),
     ]
 
 
@@ -828,11 +920,7 @@ def _f11_build(inputs, m, n, alphas, t):
     mean = _smean(sets, alphas)
     mean_n = mean if n == 1 else _smean([set_power(s, n) for s in sets], alphas)
     parts = [
-        Part("set-mean", CHAIN, [
-            ("r(mean)", _Sets([(mean, 1.0, 1)], n)),
-            ("r(mean of n-powers)^1/n", _Sets([(mean_n, 1.0 / n, n)], n)),
-            ("prod r(S_j)^a_j", _Sets([(s, a, 1) for s, a in zip(sets, alphas)], n)),
-        ]),
+        _set_mean_part(_Sets, sets, alphas, mean, mean_n, n),
         Part("geometric-mean-vs-product", CHAIN, [
             ("r(uniform mean)", _Sets([(_smean(sets, [1.0 / m] * m), 1.0, 1)], m)),
             ("r(S1...Sm)^1/m", _Sets([(set_product_many(sets), 1.0 / m, m)], m)),
@@ -873,12 +961,7 @@ def _f13_sample(rng, ens):
 
 def _f13_build(inputs):
     s = inputs.matrix_sets[0]
-    sstar = set_adjoint(s)
-    return [Part("norm-identity", EQUALITY, [
-        ("sup |T|", _norm_sup_of(s)),
-        ("r(S*S)^1/2", _Sets([(set_product(sstar, s), 0.5, 2)], 2)),
-        ("r(SS*)^1/2", _Sets([(set_product(s, sstar), 0.5, 2)], 2)),
-    ])]
+    return [_star_identity("norm-identity", ("sup |T|", _norm_sup_of(s)), _Sets, s)]
 
 
 def _f14_sample(rng, ens):
@@ -888,16 +971,8 @@ def _f14_sample(rng, ens):
 
 def _f14_build(inputs, beta):
     p, q = inputs.matrix_sets
-    pq = set_product(p, q)
-    qp = set_product(q, p)
-    return [Part("beta-split", CHAIN, [
-        ("r(P o Q)", _Sets([(_smean([p, q], [1.0, 1.0]), 1.0, 1)], 2)),
-        ("r(PQ o QP)^1/2", _Sets([(_smean([pq, qp], [1.0, 1.0]), 0.5, 2)], 2)),
-        ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
-         _Sets([(set_hadamard_power(pq, 1 / beta), beta / 2, 2),
-                (set_hadamard_power(qp, 1 / (1 - beta)), (1 - beta) / 2, 2)], 2)),
-        ("r(PQ)", _Sets([(pq, 1.0, 2)], 2)),
-    ])]
+    return [Part("beta-split", CHAIN, _reciprocal_terms(
+        _Sets, p, q, set_product(p, q), set_product(q, p), beta))]
 
 
 def _f15_sample(rng, ens):
@@ -917,19 +992,7 @@ def _f15_build(inputs, m):
 
 
 def _f16_build(inputs):
-    a, b = inputs.matrices
-    bstar = b.adjoint()
-    astar_b = a.adjoint() @ b
-    r = _Rho(astar_b)
-    return [
-        Part("norm-chain", CHAIN, [
-            ("|A^(1/2) o B^(1/2)|", _Norm(_mean([a, b], [0.5, 0.5]))),
-            ("rho((A*B)^(1/2) o (B*A)^(1/2))^1/2",
-             _Rho(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5)),
-            ("rho(A*B)^1/2", r.power(0.5)),
-        ]),
-        Part("star-swap", EQUALITY, [("rho(A*B)", r), ("rho(AB*)", _Rho(a @ bstar))]),
-    ]
+    return _cross_parts(("norm-chain", "star-swap"), _NORM, _RHO, *inputs.matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -953,24 +1016,12 @@ def _e1_build(inputs, m, t):
     gamma_at, gamma_a = hausdorff_mnc(at), hausdorff_mnc(a)
     ess_at, ess_a = essential_spectral_radius(at), essential_spectral_radius(a)
     return [
-        Part("gamma-power", CHAIN, [
-            ("gamma(A^(t))", gamma_at),
-            ("gamma(A)^t", gamma_a.power(t)),
-        ]),
-        Part("ess-power", CHAIN, [
-            ("ess(A^(t))", ess_at),
-            ("ess(A)^t", ess_a.power(t)),
-        ]),
+        _hpow_part("gamma-power", _GAMMA[1], gamma_at, gamma_a, t),
+        _hpow_part("ess-power", _ESS[1], ess_at, ess_a, t),
         _power_part("gamma-product-power", _GAMMA, powprod, prod, t),
         _power_part("ess-product-power", _ESS, powprod, prod, t),
-        Part("gamma-sup-scaling", CHAIN, [
-            ("gamma(A^(t))", gamma_at),
-            ("sup^(t-1) gamma(A)", gamma_a.scaled(c)),
-        ]),
-        Part("ess-sup-scaling", CHAIN, [
-            ("ess(A^(t))", ess_at),
-            ("sup^(t-1) ess(A)", ess_a.scaled(c)),
-        ]),
+        _sup_part("gamma-sup-scaling", _GAMMA[1], gamma_at, gamma_a, c),
+        _sup_part("ess-sup-scaling", _ESS[1], ess_at, ess_a, c),
     ]
 
 
@@ -1028,11 +1079,7 @@ def _e4_build(inputs, m, n, k, alphas, t):
     colmean_n = _smean([set_power(c, n) for c in cols], alphas)
     prod_all = set_product_many(sets)
     return [
-        Part("set-mean", CHAIN, [
-            ("r(mean)", _ess_term([(mean, 1.0)])),
-            ("r(mean of n-powers)^1/n", _ess_term([(mean_n, 1.0 / n)])),
-            ("prod r(S_j)^a_j", _ess_term([(s, a) for s, a in zip(sets, alphas)])),
-        ]),
+        _set_mean_part(_ess_sets, sets, alphas, mean, mean_n, n),
         Part("grid", CHAIN, [
             ("r(product of row means)", _ess_term([(set_product_many(rowmeans), 1.0)])),
             ("r(mean of col products)", _ess_term([(colmean, 1.0)])),
@@ -1253,9 +1300,7 @@ def _e9_build(inputs, beta, beta_open):
     pq = set_product(p, q)
     qp = set_product(q, p)
     pqpq, qpqp = _smean([pq, pq], ones), _smean([qp, qp], ones)
-    lhs = ("r(P o Q)", _ess_term([(_smean([p, q], ones), 1.0)]))
-    cross = ("r(PQ o QP)^1/2", _ess_term([(_smean([pq, qp], ones), 0.5)]))
-    rhs = ("r(PQ)", _ess_term([(pq, 1.0)]))
+    lhs, cross, split, rhs = _reciprocal_terms(_ess_sets, p, q, pq, qp, beta_open)
     return [
         Part("squares-route", CHAIN, [
             lhs,
@@ -1277,14 +1322,7 @@ def _e9_build(inputs, beta, beta_open):
             ("r(PQoPQ)^1/4 r(QPoQP)^1/4", _ess_term([(pqpq, 0.25), (qpqp, 0.25)])),
             rhs,
         ]),
-        Part("reciprocal-route", CHAIN, [
-            lhs,
-            cross,
-            ("r((PQ)^(1/b))^b/2 r((QP)^(1/(1-b)))^(1-b)/2",
-             _ess_term([(set_hadamard_power(pq, 1 / beta_open), beta_open / 2),
-                        (set_hadamard_power(qp, 1 / (1 - beta_open)), (1 - beta_open) / 2)])),
-            rhs,
-        ]),
+        Part("reciprocal-route", CHAIN, [lhs, cross, split, rhs]),
     ]
 
 
@@ -1368,7 +1406,6 @@ def _e12_check(inputs):
 def _e12_build(inputs):
     t, d = inputs.families
     sigma = inputs.family_sets[0]
-    sstar = set_adjoint(sigma)
     tstar = t.adjoint()
     tst = tstar @ t
     gamma_t = hausdorff_mnc(t)
@@ -1386,11 +1423,8 @@ def _e12_build(inputs):
             ("ess(D)", essential_spectral_radius(d)),
             ("gamma(D)", hausdorff_mnc(d)),
         ]),
-        Part("set-star-identity", EQUALITY, [
-            ("gamma(S)", gamma_set_bracket(sigma)),
-            ("r(S*S)^1/2", _ess_term([(set_product(sstar, sigma), 0.5)])),
-            ("r(SS*)^1/2", _ess_term([(set_product(sigma, sstar), 0.5)])),
-        ]),
+        _star_identity("set-star-identity", ("gamma(S)", gamma_set_bracket(sigma)),
+                       _ess_sets, sigma),
     ]
 
 
@@ -1419,23 +1453,12 @@ def _e14_sample(rng, ens):
 def _e14_build(inputs):
     sets = inputs.family_sets
     ps_q, qs_p, p_qs = _star_pair(sets, _adjoints(sets))
-    a, b = inputs.families
-    bstar = b.adjoint()
-    astar_b = a.adjoint() @ b
-    r = essential_spectral_radius(astar_b)
     return [
         Part("set", CHAIN, _star_mean_terms(
             ("gamma(P^(1/2) o Q^(1/2))", "r((P*Q)^(1/2) o (Q*P)^(1/2))^1/2", "r(P*Q)^1/2"),
             sets, ps_q, qs_p, 0.5)),
         _star_swap("set-star-swap", ps_q, p_qs),
-        Part("singleton", CHAIN, [
-            ("gamma(A^(1/2) o B^(1/2))", hausdorff_mnc(_mean([a, b], [0.5, 0.5]))),
-            ("ess((A*B)^(1/2) o (B*A)^(1/2))^1/2",
-             essential_spectral_radius(_mean([astar_b, bstar @ a], [0.5, 0.5])).power(0.5)),
-            ("ess(A*B)^1/2", r.power(0.5)),
-        ]),
-        Part("singleton-star-swap", EQUALITY,
-             [("ess(A*B)", r), ("ess(AB*)", essential_spectral_radius(a @ bstar))]),
+        *_cross_parts(("singleton", "singleton-star-swap"), _GAMMA, _ESS, *inputs.families),
     ]
 
 

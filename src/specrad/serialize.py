@@ -69,10 +69,10 @@ def _require_object(obj: Any, what: str, keys: tuple[str, ...]) -> None:
 def _is_number(value: Any) -> bool:
     """True for a real number that converts to a float.
 
-    This is the one number check for JSON values and chain params.  true and
-    false decode to bools, not numbers.  JSON integers have no size limit,
-    and one beyond the float range is refused here rather than left to
-    overflow in ``float()``.
+    This is the one number check for JSON values, chain params and the
+    estimators' ``tol`` and ``delta``.  true and false decode to bools, not
+    numbers.  JSON integers have no size limit, and one beyond the float
+    range is refused here rather than left to overflow in ``float()``.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False

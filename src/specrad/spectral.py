@@ -30,10 +30,12 @@ alone.  Every step treats each block as it would treat it alone, so a bracket
 does not depend on the batch it was computed in.  Nor does a batch raise for
 one block: a radius or l2 norm beyond the float range comes back with an
 upper end of +inf, and the public estimators refuse that mark with a
-DomainError (``_in_range``).  One routine, ``_norms``, gives the operator
-norms of a stack on every space: the l1 and linf norms are column and row
-sums, one reduction, and the l2 norm widens its Gram radius by gamma_m,
-the rounding of A*A, whose matrices are one stacked product.  A stack is
+DomainError (``_in_range``), through the finishers ``_radius_bracket``
+and ``_norm_bracket`` that also end ``registry``'s one pass.  One
+routine, ``_norms``, gives the operator norms of a stack on every space:
+the l1 and linf norms are column and row sums, one reduction, and the l2
+norm widens its Gram radius by gamma_m, the rounding of A*A, whose
+matrices are one stacked product.  A stack is
 C-ordered or the transposed view of a C-ordered stack (a set of
 adjoints, or a Fortran-ordered array), and numpy's stacked reductions
 and ``@`` hand each array to the per-matrix kernel with its own strides,
@@ -59,6 +61,7 @@ import numpy as np
 from .errors import DomainError, ShapeMismatchError
 from .families import OperatorFamily, _pow0
 from .matrices import FiniteMatrix
+from .serialize import _is_number
 
 L1 = "l1"
 L2 = "l2"
@@ -417,18 +420,39 @@ def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
 
     The one-matrix case of ``_spectral_radii``: the max over strongly
     connected components, each irreducible one bracketed by
-    ``_perron_brackets``.
+    ``_perron_brackets``.  ``tol`` is a finite number >= 0.
     """
-    (lo, hi, ok), = _in_range(_spectral_radii([m.a], tol), "spectral radius")
-    return Bracket(lo, hi, "gelfand-cw", ok)
+    _check_tol(tol)
+    return _radius_bracket(_spectral_radii([m.a], tol)[0])
 
 
 def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     """Operator norm bracket on the requested sequence space: the one-matrix
-    case of ``_norms``, with the method tag of its space.  A norm beyond the
-    float range is a DomainError."""
-    (lo, hi, ok), = _norms(m.a[None], space, tol)
+    case of ``_norms``, with the method tag of its space.  ``tol`` is a
+    finite number >= 0.  A norm beyond the float range is a DomainError."""
+    _check_tol(tol)
+    return _norm_bracket(_norms(m.a[None], space, tol)[0], space)
+
+
+def _radius_bracket(ends) -> Bracket:
+    """The bracket of ``spectral_radius`` from its (lo, hi, converged) ends;
+    an upper end of +inf, a radius beyond the float range, is a DomainError."""
+    (lo, hi, ok), = _in_range([ends], "spectral radius")
+    return Bracket(lo, hi, "gelfand-cw", ok)
+
+
+def _norm_bracket(ends, space: str = L2) -> Bracket:
+    """The bracket of ``operator_norm`` on ``space`` from its (lo, hi,
+    converged) ends; an upper end of +inf is a DomainError."""
+    (lo, hi, ok), = _in_range([ends], "operator norm")
     return Bracket(lo, hi, {L1: "colsum", L2: "sqrt-gram", LINF: "rowsum"}[space], ok)
+
+
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not a real, finite number >= 0: a negative
+    or nan one would discard every Perron-vector bracket."""
+    if not (_is_number(tol) and 0 <= tol < math.inf):
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _check_space(space: str) -> None:

@@ -519,7 +519,8 @@ def test_set_radii_refuse_the_wrong_kind_of_set():
             fn(families)
 
 
-@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, True, "0.1",
+                                   pytest.param(10**400, id="10**400")])
 def test_gripenberg_refuses_a_delta_outside_the_positive_floats(delta):
     with pytest.raises(DomainError, match="delta must be positive"):
         gripenberg_bracket(GOLDEN, delta)

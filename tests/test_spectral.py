@@ -609,6 +609,20 @@ def test_stacked_sum_norms_are_the_per_array_sums():
         spectral._norms(s, "l3")
 
 
+@pytest.mark.parametrize("estimate", [spectral_radius, lambda m, tol: operator_norm(m, "l2", tol),
+                                      lambda m, tol: operator_norm(m, "l1", tol)],
+                         ids=["rho", "l2", "l1"])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, True, "x", None,
+                                 pytest.param(10**400, id="10**400")])
+def test_estimators_refuse_a_tol_that_is_not_a_finite_number_at_least_0(estimate, tol):
+    """A negative or nan tol would throw every Perron-vector bracket away
+    and return the squeeze's unconverged one; a tol that is no real number,
+    or an int too large for a float, would raise a bare TypeError or
+    OverflowError.  Each is a DomainError, on every space."""
+    with pytest.raises(DomainError, match="^tol must be a finite number >= 0, got "):
+        estimate(FiniteMatrix([[1.0, 2.0], [3.0, 4.0]]), tol)
+
+
 def test_a_one_by_one_array_in_a_batch_is_its_entry():
     batch = [np.array([[2.5]]), np.ones((2, 2)), np.array([[0.0]]), np.full((2, 2), 2.0),
              np.array([[7.0]])]
