@@ -17,8 +17,14 @@ by the operation: noncompactness and essential radii read band limits
 only, so most derived corners are never needed.  Until that read,
 ``corner_shape`` is the box that bounds the corner; the operation checks
 that box against ``MAX_CORNER``.  Operands with no corner box give a
-result with no pending build.  Derived bands skip the constructor's
-type checks; ``_normal_bands`` normalises every family's bands.
+result with no pending build.
+
+Every family's bands are in one normal form: ascending offsets, no
+constant band of +0.0, at most ``MAX_BANDS`` bands.  The public
+constructor checks types and normalises through ``_normal_bands``, as do
+``@`` and ``+``, which can list offsets out of order or add bands.  The
+other operations emit their bands in normal form as they build them
+(``_family`` says how), with no sort and no cap.
 """
 
 from __future__ import annotations
@@ -121,7 +127,7 @@ class OperatorFamily:
         self.bands = _normal_bands({int(d): w for d, w in items.items()})
         self._corner = _as_corner(finite_rank)
         self._box = _shape(self._corner)
-        self._pending = None  # (operands, build) until a derived corner is read
+        self._pending = None  # (operands, shape, build) until a derived corner is read
 
     # -- structure ----------------------------------------------------
 
@@ -202,54 +208,59 @@ class OperatorFamily:
         return best
 
     # -- algebra ----------------------------------------------------------
-    # Each operation builds its bands now.  With no operand corner box the
-    # result is _plain; otherwise the operation hands _derived the box of
-    # its corner, as a function of the operands' corner shapes, and the
-    # corner itself, as a function of that box.
+    # Each operation builds its bands now, in normal form.  With no operand
+    # corner box the result has no corner; otherwise the operation hands
+    # _lazy_corner the function of its operands that computes the corner's
+    # box, and the corner itself as a function of that box.
 
     def hadamard(self, other: "OperatorFamily") -> "OperatorFamily":
         if not isinstance(other, OperatorFamily):
             raise ShapeMismatchError("entrywise product needs two operator families")
         theirs = other.bands
-        bands = {d: seq_product(w, theirs[d]) for d, w in self.bands.items() if d in theirs}
+        bands = {d: p for d, w in self.bands.items() if d in theirs
+                 if not _is_zero(p := seq_product(w, theirs[d]))}
         if self._box == other._box == (0, 0):
-            return _plain(bands)
-        return _derived(
-            bands, (self, other), lambda: _union_box(self.corner_shape, other.corner_shape),
+            return _family(bands)
+        return _family(bands, *_lazy_corner(
+            (self, other), _union_box,
             lambda box: _corner_correction(
-                bands, box, lambda r, c: self._block(r, c) * other._block(r, c)))
+                bands, box, lambda r, c: self._block(r, c) * other._block(r, c))))
 
     def hpow(self, t: float) -> "OperatorFamily":
         if not (t > 0 and math.isfinite(t)):
             raise DomainError(f"entrywise power requires t > 0, got {t}")
-        bands = {d: seq_power(w, t) for d, w in self.bands.items()}
+        bands = {d: p for d, w in self.bands.items() if not _is_zero(p := seq_power(w, t))}
         if self._box == (0, 0):
-            return _plain(bands)
+            return _family(bands)
         # math.pow per entry: np.power differs from it in the last bit
-        return _derived(
-            bands, (self,), lambda: self.corner_shape,
+        return _family(bands, *_lazy_corner(
+            (self,), _own_box,
             lambda box: _corner_correction(bands, box, lambda r, c: np.array(
-                [[_pow0(x, t) for x in row] for row in self._block(r, c).tolist()])))
+                [[_pow0(x, t) for x in row] for row in self._block(r, c).tolist()]))))
 
     def __matmul__(self, other: "OperatorFamily") -> "OperatorFamily":
         if not isinstance(other, OperatorFamily):
             raise ShapeMismatchError("operator product needs two operator families")
         bands: dict[int, list[WeightSeq]] = {}
         for da, wa in self.bands.items():
+            # row i needs i >= band_start(da), i + da >= band_start(db) and
+            # i >= band_start(da + db); the first and last imply the middle
             sa = band_start(da)
             for db, wb in other.bands.items():
-                start = max(sa, band_start(db) - da, band_start(da + db))
+                start = max(sa, band_start(da + db))
                 term = seq_restrict(seq_product(wa, seq_shift(wb, da)), start)
                 bands.setdefault(da + db, []).append(term)
         merged = {d: seq_sum(parts) for d, parts in bands.items()}
         if self._box == other._box == (0, 0):
-            return _plain(merged)
-        return _derived(merged, (self, other), lambda: self._product_box(other),
-                        lambda box: self._product_corner(other, box), "product corner")
+            return _family(_normal_bands(merged))
+        # an operation over both caps reports the corner's (so does +)
+        box, pending = _lazy_corner((self, other), OperatorFamily._product_box,
+                                    lambda box: self._product_corner(other, box), "product corner")
+        return _family(_normal_bands(merged), box, pending)
 
     def _product_box(self, other: "OperatorFamily") -> tuple[int, int]:
-        ra, ca = self.corner_shape
-        rb, cb = other.corner_shape
+        ra, ca = self._box
+        rb, cb = other._box
         rows, cols = ra, cb
         if rb:
             rows = max(rows, max((rb - d for d in self.bands), default=0))
@@ -258,8 +269,8 @@ class OperatorFamily:
         return rows, cols
 
     def _product_corner(self, other: "OperatorFamily", box: tuple[int, int]):
-        ra, ca = self.corner_shape
-        rb, cb = other.corner_shape
+        ra, ca = self._box
+        rb, cb = other._box
         rows, cols = box
         if rows == 0 or cols == 0:
             return None
@@ -295,28 +306,29 @@ class OperatorFamily:
         for d, w in other.bands.items():
             bands[d] = seq_sum([bands[d], w]) if d in bands else w
         if self._box == other._box == (0, 0):
-            return _plain(bands)
-        return _derived(bands, (self, other),
-                        lambda: _union_box(self.corner_shape, other.corner_shape),
-                        lambda box: _padded_sum(self.corner, other.corner))
+            return _family(_normal_bands(bands))
+        box, pending = _lazy_corner((self, other), _union_box,
+                                    lambda box: _padded_sum(self.corner, other.corner))
+        return _family(_normal_bands(bands), box, pending)
 
     def scale(self, c: float) -> "OperatorFamily":
         if not (c >= 0 and math.isfinite(c)):
             raise DomainError(f"scale factor must be finite and >= 0, got {c}")
-        bands = {d: seq_scale(w, c) for d, w in self.bands.items()}
+        bands = {d: p for d, w in self.bands.items() if not _is_zero(p := seq_scale(w, c))}
         if self._box == (0, 0):
-            return _plain(bands)
-        return _derived(bands, (self,), lambda: self.corner_shape,
-                        lambda box: None if self.corner is None else self.corner * c)
+            return _family(bands)
+        return _family(bands, *_lazy_corner(
+            (self,), _own_box, lambda box: None if self.corner is None else self.corner * c))
 
     def adjoint(self) -> "OperatorFamily":
-        bands = {}
-        for d, w in self.bands.items():
-            bands[-d] = seq_restrict(seq_shift(w, -d), max(1, 1 + d))
+        # built in the operand's order, so a node-cap error is the same one,
+        # then listed from the highest offset down: ascending in -d
+        flipped = [(-d, seq_restrict(seq_shift(w, -d), max(1, 1 + d))) for d, w in self.bands.items()]
+        bands = dict(reversed(flipped))
         if self._box == (0, 0):
-            return _plain(bands)
-        return _derived(bands, (self,), lambda: self.corner_shape[::-1],
-                        lambda box: None if self.corner is None else self.corner.T)
+            return _family(bands)
+        return _family(bands, *_lazy_corner(
+            (self,), _flipped_box, lambda box: None if self.corner is None else self.corner.T))
 
     def __repr__(self):
         parts = [f"{d}:{w!r}" for d, w in self.bands.items()]
@@ -327,41 +339,56 @@ def _shape(corner: np.ndarray | None) -> tuple[int, int]:
     return (0, 0) if corner is None else corner.shape
 
 
+def _is_zero(w: WeightSeq) -> bool:
+    """A constant weight that rounds to +0.0: a band that normal form drops."""
+    return isinstance(w, Constant) and w.c == 0.0
+
+
 def _normal_bands(bands: dict[int, WeightSeq]) -> dict[int, WeightSeq]:
     """The bands in ascending offset order, zero constant bands dropped,
     capped at ``MAX_BANDS``."""
-    clean = {}
-    for d in sorted(bands):
-        w = bands[d]
-        if not (isinstance(w, Constant) and w.c == 0.0):
-            clean[d] = w
+    clean = {d: bands[d] for d in sorted(bands) if not _is_zero(bands[d])}
     if len(clean) > MAX_BANDS:
         raise ClosureOverflowError(f"family has {len(clean)} bands (cap {MAX_BANDS})")
     return clean
 
 
-def _plain(bands) -> OperatorFamily:
-    """Corner-free family of these bands, built past the constructor."""
+def _family(bands, box=(0, 0), pending=None) -> OperatorFamily:
+    """Family of these bands, built past the constructor.
+
+    The bands must already be in normal form: ascending offsets, no
+    constant band of +0.0, at most ``MAX_BANDS``.  Only the public
+    constructor, ``@`` and ``+`` sort and cap, through ``_normal_bands``,
+    since only they can list offsets out of order or grow the band count.
+    ``hadamard``, ``hpow`` and ``scale`` walk their operand's bands in
+    ascending order and drop a constant band that rounds to +0.0, and
+    ``adjoint`` lists the operand's bands from the highest offset down,
+    which gives ascending offsets with no zero band.
+    """
     f = OperatorFamily.__new__(OperatorFamily)
-    f.bands = _normal_bands(bands)
+    f.bands = bands
     f._corner = None
-    f._box = (0, 0)
-    f._pending = None
+    f._box = box
+    f._pending = pending
     return f
 
 
-def _derived(bands, operands, shape, build, what="corner correction") -> OperatorFamily:
-    """Family of these bands whose corner is ``build(shape())`` on first read.
+def _lazy_corner(operands, shape, build, what="corner correction"):
+    """(box, pending) of a derived family whose corner is built on first read.
 
-    Operations on operands with no corner box return ``_plain`` instead and
-    never reach here, so a corner-free result carries no pending build.
-    ``shape`` computes the corner box from the operands' ``corner_shape``:
-    box bounds now, realized shapes when the corner is built.  Its
-    arithmetic is monotone in those shapes and a realized shape never
-    exceeds its box, so the corner fits in the box checked against
-    ``MAX_CORNER`` here, at the operation.  ``build`` reads the operands'
-    realized corners, so the corner equals the one an eager build gives,
-    bit for bit, also when an operand's corner turned out all zero.
+    Operations on operands with no corner box call ``_family(bands)``
+    instead and never reach here, so a corner-free result carries no
+    pending build.  ``shape(*operands)`` computes the corner box from the
+    operands' boxes: box bounds now, realized shapes when the corner is
+    built.  A box with no rows or no columns gives ``((0, 0), None)``.
+    Otherwise the pending entry is ``(operands, shape, build)``, and
+    ``_realize`` sets the corner to ``build(shape(*operands))`` once the
+    operands' corners are realized.  ``shape``'s arithmetic is monotone in
+    the operands' boxes and a realized shape never exceeds its box, so the
+    corner fits in the box checked against ``MAX_CORNER`` here, at the
+    operation.  ``build`` reads the operands' realized corners, so the
+    corner equals the one an eager build gives, bit for bit, also when an
+    operand's corner turned out all zero.
 
     An eager build differs in two ways.  First, an all-zero operand
     corner shows as ``None`` only once it is read, so until then a later
@@ -378,15 +405,12 @@ def _derived(bands, operands, shape, build, what="corner correction") -> Operato
     operation; the corner is compact, so that bracket is the one the
     operation's bands determine.
     """
-    box = shape()
-    live = box[0] > 0 and box[1] > 0
-    if live and max(box) > MAX_CORNER:
-        raise ClosureOverflowError(f"{what} exceeded the size cap")
-    f = _plain(bands)
-    if live:
-        f._box = box
-        f._pending = (operands, lambda: build(shape()))
-    return f
+    box = shape(*operands)
+    if box[0] > 0 and box[1] > 0:
+        if max(box) > MAX_CORNER:
+            raise ClosureOverflowError(f"{what} exceeded the size cap")
+        return box, (operands, shape, build)
+    return (0, 0), None
 
 
 def _realize(root: OperatorFamily) -> None:
@@ -401,19 +425,30 @@ def _realize(root: OperatorFamily) -> None:
         if f._pending is None:
             stack.pop()
             continue
-        operands, build = f._pending
+        operands, shape, build = f._pending
         waiting = [g for g in operands if g._pending is not None]
         if waiting:
             stack.extend(waiting)
             continue
         stack.pop()
-        f._corner = _as_corner(build())
+        f._corner = _as_corner(build(shape(*operands)))
         f._box = _shape(f._corner)
         f._pending = None
 
 
-def _union_box(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (max(a[0], b[0]), max(a[1], b[1]))
+# Corner boxes as functions of the operands, read now for the operation's
+# box and again at realization for the corner's.
+
+def _own_box(f: OperatorFamily) -> tuple[int, int]:
+    return f._box
+
+
+def _flipped_box(f: OperatorFamily) -> tuple[int, int]:
+    return f._box[::-1]
+
+
+def _union_box(a: OperatorFamily, b: OperatorFamily) -> tuple[int, int]:
+    return (max(a._box[0], b._box[0]), max(a._box[1], b._box[1]))
 
 
 def _padded_sum(a: np.ndarray | None, b: np.ndarray | None):

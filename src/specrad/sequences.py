@@ -42,12 +42,15 @@ def _pow0(x: float, p: float) -> float:
         raise DomainError(f"{x!r} ** {p!r} exceeds the float range") from None
 
 
-def _check_nodes(nodes: int) -> int:
-    if nodes > MAX_NODES:
-        raise ClosureOverflowError(
-            f"weight-sequence expression grew to {nodes} nodes (cap {MAX_NODES})"
-        )
-    return nodes
+def _node_overflow(nodes: int) -> ClosureOverflowError:
+    """The error of an expression grown to ``nodes`` > ``MAX_NODES`` nodes.
+
+    Each node constructor compares its count with the cap itself and builds
+    this only past it.
+    """
+    return ClosureOverflowError(
+        f"weight-sequence expression grew to {nodes} nodes (cap {MAX_NODES})"
+    )
 
 
 class WeightSeq:
@@ -64,7 +67,8 @@ class WeightSeq:
     def tail_sup(self, n: int) -> float:
         """sup of w(i) over i >= n from float values, rounded to nearest.
 
-        Not certified: ``RationalFormula([1.0], [0.0, 3.0]).tail_sup(1)`` is
+        The sequence starts at i = 1, so an n below 1 reads as 1.  Not
+        certified: ``RationalFormula([1.0], [0.0, 3.0]).tail_sup(1)`` is
         fl(1/3) < 1/3.
         """
         raise NotImplementedError
@@ -247,6 +251,7 @@ class PrefixWithLimit(WeightSeq):
         return self.limit + (self._last - self.limit) * math.pow(0.5, i - P)
 
     def tail_sup(self, n: int) -> float:
+        n = max(n, 1)
         P = len(self.prefix)
         if n <= P:
             return max(max(self.prefix[n - 1:]), self.tail_sup(P + 1))
@@ -265,7 +270,9 @@ class Shifted(WeightSeq):
         self.inner = inner
         self.s = int(s)
         self.limit = inner.limit
-        self.nodes = _check_nodes(inner.nodes + 1)
+        self.nodes = nodes = inner.nodes + 1
+        if nodes > MAX_NODES:
+            raise _node_overflow(nodes)
 
     def value(self, i: int) -> float:
         j = i + self.s
@@ -274,7 +281,7 @@ class Shifted(WeightSeq):
         return self.inner.value(j)
 
     def tail_sup(self, n: int) -> float:
-        return self.inner.tail_sup(max(1, n + self.s))
+        return self.inner.tail_sup(max(1, max(n, 1) + self.s))
 
 
 class Restricted(WeightSeq):
@@ -286,7 +293,9 @@ class Restricted(WeightSeq):
         self.inner = inner
         self.start = int(start)
         self.limit = inner.limit
-        self.nodes = _check_nodes(inner.nodes + 1)
+        self.nodes = nodes = inner.nodes + 1
+        if nodes > MAX_NODES:
+            raise _node_overflow(nodes)
 
     def value(self, i: int) -> float:
         if i < self.start:
@@ -304,7 +313,9 @@ class ProductSeq(WeightSeq):
         self.a = a
         self.b = b
         self.limit = a.limit * b.limit
-        self.nodes = _check_nodes(a.nodes + b.nodes + 1)
+        self.nodes = nodes = a.nodes + b.nodes + 1
+        if nodes > MAX_NODES:
+            raise _node_overflow(nodes)
 
     def value(self, i: int) -> float:
         return self.a.value(i) * self.b.value(i)
@@ -322,7 +333,9 @@ class PowerSeq(WeightSeq):
         self.inner = inner
         self.t = float(t)
         self.limit = _pow0(inner.limit, self.t)
-        self.nodes = _check_nodes(inner.nodes + 1)
+        self.nodes = nodes = inner.nodes + 1
+        if nodes > MAX_NODES:
+            raise _node_overflow(nodes)
 
     def value(self, i: int) -> float:
         return _pow0(self.inner.value(i), self.t)
@@ -337,7 +350,9 @@ class SumSeq(WeightSeq):
     def __init__(self, parts):
         self.parts = tuple(parts)
         self.limit = sum(p.limit for p in self.parts)
-        self.nodes = _check_nodes(sum(p.nodes for p in self.parts) + 1)
+        self.nodes = nodes = sum(p.nodes for p in self.parts) + 1
+        if nodes > MAX_NODES:
+            raise _node_overflow(nodes)
 
     def value(self, i: int) -> float:
         return sum(p.value(i) for p in self.parts)
@@ -355,7 +370,9 @@ class ScaledSeq(WeightSeq):
         self.inner = inner
         self.c = float(c)
         self.limit = self.c * inner.limit
-        self.nodes = _check_nodes(inner.nodes + 1)
+        self.nodes = nodes = inner.nodes + 1
+        if nodes > MAX_NODES:
+            raise _node_overflow(nodes)
 
     def value(self, i: int) -> float:
         return self.c * self.inner.value(i)
@@ -420,11 +437,7 @@ def seq_sum(parts) -> WeightSeq:
     flat: list[WeightSeq] = []
     const = 0.0
     for p in parts:
-        if isinstance(p, SumSeq):
-            inner = list(p.parts)
-        else:
-            inner = [p]
-        for q in inner:
+        for q in p.parts if isinstance(p, SumSeq) else (p,):
             if isinstance(q, Constant):
                 const += q.c
             else:

@@ -141,7 +141,7 @@ def set_product(p, q) -> OperatorSet:
     p, q = _as_set(p), _as_set(q)
     _guard_size(len(p) * len(q))
     if p.kind == "family":
-        return _set([a @ b for a in p.items for b in q])
+        return _set([a @ b for a in p.items for b in q.items])
     a, b = p.items, _stack(q, "product")
     if a.shape[2] != b.shape[1]:
         raise ShapeMismatchError(
@@ -170,7 +170,7 @@ def set_sum(p, q) -> OperatorSet:
     p, q = _as_set(p), _as_set(q)
     _guard_size(len(p) * len(q))
     if p.kind == "family":
-        return _set([a + b for a in p.items for b in q])
+        return _set([a + b for a in p.items for b in q.items])
     a, b = p.items, _stack(q, "sum")
     _same_shapes(a, b, "sum")
     return _set(_cross(np.add, a, b, "matrix sum"))
@@ -229,7 +229,7 @@ def _hadamard(p: OperatorSet, q: OperatorSet) -> OperatorSet:
     """{x o y : x in P, y in Q}, y varying fastest: one ``hadamard`` per
     pair of families, or one broadcast product of two matrix stacks."""
     if p.kind == "family":
-        return _set([x.hadamard(y) for x in p.items for y in q])
+        return _set([x.hadamard(y) for x in p.items for y in q.items])
     a, b = p.items, _stack(q, "entrywise product")
     _same_shapes(a, b, "entrywise product")
     return _set(_cross(np.multiply, a, b, "entrywise product"))

@@ -609,7 +609,7 @@ def _gamma(m: int) -> float:
 
 def _band_limit_sum(f: OperatorFamily) -> float:
     """gamma as a float: the band limits summed in offset order from +0.0."""
-    return sum((w.limit for w in f.bands.values()), 0.0)
+    return sum([w.limit for w in f.bands.values()], 0.0)
 
 
 def hausdorff_mnc(f: OperatorFamily) -> Bracket:

@@ -490,6 +490,23 @@ def test_derived_bands_match_the_public_constructor():
                     assert f.corner_shape == (0, 0) and f._pending is None
 
 
+@pytest.mark.parametrize("rank", [None, [[1.0, 0.5], [0.25, 2.0]]], ids=["corner-free", "corner"])
+def test_lean_operations_emit_the_normal_form(rank):
+    """hadamard, hpow, scale and adjoint neither sort nor filter through the
+    public constructor's normalisation, so each drops a constant band that
+    rounds to +0.0 and lists its offsets ascending by itself."""
+    tiny = diagonal_family(Constant(1e-200), finite_rank=rank)
+    assert tiny.hadamard(diagonal_family(Constant(1e-200))).bands == {}
+    faint = diagonal_family(Constant(1e-300), finite_rank=rank)
+    assert faint.hpow(2.0).bands == {}
+    assert faint.scale(1e-300).bands == {}
+    f = OperatorFamily({3: EventuallyConstant([2.0], 0.5), -2: Constant(1.0), 1: inv_index()},
+                       finite_rank=rank)
+    star = f.adjoint()
+    assert list(star.bands) == list(OperatorFamily(star.bands).bands) == [-3, -1, 2]
+    assert all(star.entry(i, j) == f.entry(j, i) for i in range(1, 7) for j in range(1, 7))
+
+
 def test_band_cap_holds_on_corner_free_products():
     wide = OperatorFamily({d: Constant(1.0) for d in range(300)})
     gap = OperatorFamily({0: Constant(1.0), 300: Constant(1.0)})
@@ -553,6 +570,23 @@ def test_closure_overflow_raises_at_the_operation(monkeypatch):
     with pytest.raises(ClosureOverflowError, match="product corner exceeded the size cap"):
         small @ f
     assert count[0] == 0
+
+
+def test_an_operation_over_both_caps_reports_the_corner_cap(monkeypatch):
+    """@ and + check the corner box before they sort and cap their bands."""
+    f = OperatorFamily({0: Constant(1.0), 1: Constant(1.0)}, finite_rank=np.ones((4, 4)))
+    g = OperatorFamily({2: Constant(1.0), 3: Constant(1.0)}, finite_rank=np.ones((4, 4)))
+    monkeypatch.setattr(families, "MAX_BANDS", 2)
+    monkeypatch.setattr(families, "MAX_CORNER", 3)
+    with pytest.raises(ClosureOverflowError, match="product corner exceeded the size cap"):
+        f @ f
+    with pytest.raises(ClosureOverflowError, match="corner correction exceeded the size cap"):
+        f + g
+    monkeypatch.setattr(families, "MAX_CORNER", 4096)
+    with pytest.raises(ClosureOverflowError, match=r"family has 3 bands \(cap 2\)"):
+        f @ f
+    with pytest.raises(ClosureOverflowError, match=r"family has 4 bands \(cap 2\)"):
+        f + g
 
 
 def test_corner_arithmetic_errors_surface_at_the_read():

@@ -96,6 +96,25 @@ def test_combinator_tail_bounds_cover_samples(n):
         assert w.limit <= w.tail_sup(n) + 1e-12
 
 
+_PREFIX = PrefixWithLimit([5.0, 1.0], 0.5)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+@pytest.mark.parametrize("w", [
+    Constant(2.5),
+    EventuallyConstant([3.0, 0.5], 1.0),
+    RationalFormula([0.7, 1.1], [0.0, 1.0]),
+    _PREFIX,
+    seq_product(_PREFIX, EventuallyConstant([0.2, 2.0], 1.3)),
+    seq_shift(_PREFIX, 1),
+], ids=["constant", "eventually-constant", "rational", "prefix", "product", "shifted"])
+def test_tail_sup_below_the_first_index_is_the_sup_from_1(w, n):
+    """A sequence starts at i = 1, so tail_sup(n) for n <= 1 is tail_sup(1),
+    at least every value.  ``PrefixWithLimit([5, 1], 0.5).tail_sup(0)`` was
+    1.0, below the sup 5.0."""
+    assert w.tail_sup(n) == w.tail_sup(1) >= brute_sup(w, 1)
+
+
 def test_combinator_limits_are_exact():
     a = RationalFormula([1.0, 2.0], [0.0, 1.0])  # -> 2
     b = Constant(3.0)

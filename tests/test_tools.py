@@ -5,11 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from specrad.families import OperatorFamily
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PERFBENCH = TOOLS.parent / "perfbench"
 
 
-def _tool(name):
-    loader = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _tool(name, folder=TOOLS):
+    loader = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
     return module
@@ -59,6 +62,22 @@ def test_bench_record_refuses_a_checkout_without_git_metadata(tmp_path, monkeypa
         tool.main([f"{checkout}={tmp_path / 'out.json'}", "--seeds", "1"])
     assert f"{checkout} has no git metadata" in str(exc.value.code)
     assert not (tmp_path / "out.json").exists()
+
+
+def test_every_traced_name_resolves_to_a_callable_in_specrad():
+    """The benchmark's tracer wraps specrad functions and ``OperatorFamily``
+    methods by name, so a refactor that renames or moves one would break
+    its span.  Each ``(module, attribute)`` of ``FUNCTIONS`` must be a
+    callable in that specrad module, and each ``FAMILY_METHODS`` name a
+    callable defined on the class itself, where the tracer looks it up.
+    The tracer is read here, not edited."""
+    tracer = _tool("tracer", PERFBENCH)
+    assert tracer.FUNCTIONS and tracer.FAMILY_METHODS
+    for module, attr, _ in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"specrad.{module}"), attr, None)), \
+            f"specrad.{module}.{attr}"
+    for attr, _ in tracer.FAMILY_METHODS:
+        assert callable(OperatorFamily.__dict__.get(attr)), f"OperatorFamily.{attr}"
 
 
 FIXTURE_MODULE = '''"""Module docstring,
