@@ -253,7 +253,8 @@ class OperatorFamily:
         merged = {d: seq_sum(parts) for d, parts in bands.items()}
         if self._box == other._box == (0, 0):
             return _family(_normal_bands(merged))
-        # an operation over both caps reports the corner's (so does +)
+        # the box is checked before the bands are capped, so a product over
+        # both caps raises the corner's error; + keeps the same order
         box, pending = _lazy_corner((self, other), OperatorFamily._product_box,
                                     lambda box: self._product_corner(other, box), "product corner")
         return _family(_normal_bands(merged), box, pending)
