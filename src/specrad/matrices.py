@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
+from .sequences import _fold_sum
 
 
 class FiniteMatrix:
@@ -175,7 +176,7 @@ class WeightVector:
             raise DomainError("weight vector must be nonempty")
         if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
             raise DomainError("weights must be positive and finite")
-        total = sum(self.weights)
+        total = _fold_sum(self.weights)
         if total < 1.0 - _SUM_SLACK:
             raise DomainError(f"weights must sum to at least 1, got {total}")
 

@@ -132,6 +132,7 @@ from .errors import DomainError, InputFormatError, SpecradError
 from .families import _pow0
 from .jsr import _norm_sup, _set_bounds, _set_of, gamma_level_max, gamma_set_bracket
 from .matrices import _SUM_SLACK, FiniteMatrix, WeightVector
+from .sequences import _fold_sum
 from .serialize import _is_number
 from .sets import (
     OperatorSet,
@@ -637,7 +638,7 @@ class _Alpha:
             return False
         copies = (params["m"] if self.den == "m" else self.den) // self.num
         return v >= bound + _SUM_SLACK or (
-            copies <= sys.maxsize and sum(repeat(float(v), copies)) >= 1.0 - _SUM_SLACK)
+            copies <= sys.maxsize and _fold_sum(repeat(float(v), copies)) >= 1.0 - _SUM_SLACK)
 
 
 @dataclass(frozen=True)
@@ -652,7 +653,7 @@ class _Weights:
     def holds(self, v, params) -> bool:
         return (isinstance(v, (list, tuple)) and len(v) == params["m"]
                 and all(_is_number(a) and 0 < a < math.inf for a in v)
-                and sum(v) >= 1.0 - _SUM_SLACK)
+                and _fold_sum(v) >= 1.0 - _SUM_SLACK)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,19 @@ def _pow0(x: float, p: float) -> float:
         raise DomainError(f"{x!r} ** {p!r} exceeds the float range") from None
 
 
+def _fold_sum(xs, start=0):
+    """The numbers ``xs`` added left to right from ``start``: the order of the
+    builtin ``sum`` up to Python 3.11.  From 3.12 on, ``sum`` of floats is
+    compensated and can round differently, so every float sum that feeds a
+    report is this fold, and keeps its bits on every Python version.  The
+    hot sums (``SumSeq`` and ``spectral._band_limit_sum``) write the same
+    loop inline, which costs less than a call."""
+    total = start
+    for x in xs:
+        total += x
+    return total
+
+
 def _node_overflow(nodes: int) -> ClosureOverflowError:
     """The error of an expression grown to ``nodes`` > ``MAX_NODES`` nodes.
 
@@ -349,16 +362,26 @@ class SumSeq(WeightSeq):
 
     def __init__(self, parts):
         self.parts = tuple(parts)
-        self.limit = sum(p.limit for p in self.parts)
-        self.nodes = nodes = sum(p.nodes for p in self.parts) + 1
+        limit = nodes = 0  # the left folds of ``_fold_sum``, inline
+        for p in self.parts:
+            limit += p.limit
+            nodes += p.nodes
+        self.limit = limit
+        self.nodes = nodes = nodes + 1
         if nodes > MAX_NODES:
             raise _node_overflow(nodes)
 
     def value(self, i: int) -> float:
-        return sum(p.value(i) for p in self.parts)
+        total = 0
+        for p in self.parts:
+            total += p.value(i)
+        return total
 
     def tail_sup(self, n: int) -> float:
-        return sum(p.tail_sup(n) for p in self.parts)
+        total = 0
+        for p in self.parts:
+            total += p.tail_sup(n)
+        return total
 
 
 class ScaledSeq(WeightSeq):

@@ -608,8 +608,12 @@ def _gamma(m: int) -> float:
 
 
 def _band_limit_sum(f: OperatorFamily) -> float:
-    """gamma as a float: the band limits summed in offset order from +0.0."""
-    return sum([w.limit for w in f.bands.values()], 0.0)
+    """gamma as a float: the band limits added left to right in offset
+    order from +0.0, the fold of ``sequences._fold_sum`` written inline."""
+    g = 0.0
+    for w in f.bands.values():
+        g += w.limit
+    return g
 
 
 def hausdorff_mnc(f: OperatorFamily) -> Bracket:

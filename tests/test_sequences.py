@@ -1,11 +1,16 @@
+import builtins
+import math
+
 import pytest
 
 from specrad.errors import ClosureOverflowError, DomainError
+from specrad.families import OperatorFamily
 from specrad.sequences import (
     Constant,
     EventuallyConstant,
     PrefixWithLimit,
     RationalFormula,
+    SumSeq,
     seq_power,
     seq_product,
     seq_restrict,
@@ -13,6 +18,7 @@ from specrad.sequences import (
     seq_sum,
 )
 from specrad.serialize import seq_from_json, seq_to_json
+from specrad.spectral import hausdorff_mnc
 
 
 def brute_sup(seq, n, horizon=3000):
@@ -164,3 +170,16 @@ def test_json_roundtrip_leaves():
         seq_to_json(seq_product(leaves[1], leaves[2]))
     with pytest.raises(DomainError):
         seq_from_json({"kind": "mystery"})
+
+
+def test_sums_of_weights_are_left_folds_on_every_python_version(monkeypatch):
+    """Limits 0.1, 0.2 and 0.3 add left to right to 0.6000000000000001, as the
+    builtin ``sum`` does up to Python 3.11.  A compensated ``sum`` (3.12 on)
+    gives 0.6; it stands in for the builtin here, and neither a sum node
+    (limit, value and tail bound) nor gamma moves."""
+    monkeypatch.setattr(builtins, "sum", lambda xs, start=0: math.fsum([start, *xs]))
+    assert sum([0.1, 0.2, 0.3]) == 0.6
+    w = SumSeq([Constant(0.1), Constant(0.2), Constant(0.3)])
+    assert w.limit == w.value(5) == w.tail_sup(5) == 0.6000000000000001
+    f = OperatorFamily({-1: Constant(0.1), 0: Constant(0.2), 1: Constant(0.3)})
+    assert hausdorff_mnc(f).hi == 0.6000000000000001
