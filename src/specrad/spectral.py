@@ -23,12 +23,17 @@ the one-matrix case.  It takes each block's Perron vector x from one batched
 max of fl(Ax)_i / x_i, widened by Higham's gamma_{n+1} with every rounded
 step moved outward, enclose the Perron root for any x > 0.  A block whose
 check is not certified (x not positive, a product below the normal range,
-an inexact power-of-two scaling) or not within tol falls back, on its own,
-to ``_squeeze``, Gelfand upper and Collatz-Wielandt lower bounds on
-repeated squarings.  When ``eig`` fails on a stack, each block is retried
-alone.  Every step treats each block as it would treat it alone, so a bracket
-does not depend on the batch it was computed in.  Nor does a batch raise for
-one block: a radius or l2 norm beyond the float range comes back with an
+a ratio that overflows) or not within tol takes up to ``_POWER_STEPS``
+power steps x <- Ax / max(Ax), batched over such blocks and each checked
+the same way.  A block keeps the intersection of every bracket certified
+for it, and converges once that is within tol.  What is left, and a block
+whose x is not finite or whose power-of-two scaling is inexact, falls back
+on its own to ``_squeeze``, Gelfand upper and Collatz-Wielandt lower
+bounds on repeated squarings, intersected with the certified brackets.
+When ``eig`` fails on a stack, each block is retried alone.  Every step
+treats each block as it would treat it alone, so a bracket does not
+depend on the batch it was computed in.  Nor does a batch raise for one
+block: a radius or l2 norm beyond the float range comes back with an
 upper end of +inf, and the public estimators refuse that mark with a
 DomainError (``_in_range``), through the finishers ``_radius_bracket``
 and ``_norm_bracket`` that also end ``registry``'s one pass.  One
@@ -72,6 +77,7 @@ SPACES = (L1, L2, LINF)
 _ROUND_GUARD = 2e-13
 
 DEFAULT_RHO_TOL = 1e-10
+_POWER_STEPS = 8  # power steps for a block whose check at eig's vector fails
 _MAX_SQUARINGS = 64  # the cap of the squeeze fallback
 
 # Range of the largest entry in which the Gram matrix A*A is formed with no
@@ -191,59 +197,109 @@ def _closure(r: np.ndarray) -> tuple[np.ndarray, list[float]]:
 
 def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, bool]]:
     """(lo, hi, converged) for the Perron root of each irreducible block of a
-    C-ordered (k, n, n) stack, n >= 2: a Collatz-Wielandt bracket at the
-    Perron vector of one batched ``np.linalg.eig`` call, with ``_squeeze``
-    as the fallback for each block whose check fails.
+    C-ordered (k, n, n) stack, n >= 2: Collatz-Wielandt brackets at the
+    Perron vector of one batched ``np.linalg.eig`` call, refined by power
+    steps where that one fails, with ``_squeeze`` as the last resort.
 
     Each block A is scaled to B = 2**-e A, e the binary exponent of its
     largest entry.  x is |v| for the eigenvector v of the eigenvalue with
-    the largest real part.  For every x > 0, min_i (Bx)_i / x_i <= rho(B)
-    <= max_i (Bx)_i / x_i (Collatz-Wielandt).  With B, x >= 0 and every
-    nonzero product b_ij x_j in the normal range, fl(Bx)_i =
-    (Bx)_i (1 + theta) with |theta| <= gamma_n in any summation order, and
-    the quotient by x_i rounds once more, so each computed ratio q_i lies
-    within a factor 1 +- gamma_{n+1} of the exact one, where
-    gamma_m = m u / (1 - m u) and u = 2**-53 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 3).  So lo = min q / (1 +
-    gamma_{n+1}) and hi = max q / (1 - gamma_{n+1}), each rounded step
-    moved outward by ``math.nextafter``, and both ends are multiplied back
-    by 2**e.  The bound holds for any positive x: a poor eigenvector makes
-    the bracket loose, never wrong.
+    the largest real part, and ``_cw_brackets`` checks it: min and max of
+    (Bx)_i / x_i, widened by gamma_{n+1} and scaled back by 2**e, enclose
+    the Perron root for any x > 0, so a poor eigenvector makes the bracket
+    loose, never wrong.
 
-    A block goes to ``_squeeze``, which runs on it alone, when a scaled
-    entry does not round-trip, when x has a zero or non-finite entry, when
-    a nonzero product b_ij x_j lies below the normal range, when an end
-    leaves the float range on the way back (``_times_pow2`` gives +inf), or
-    when hi - lo > tol * hi.  When ``eig`` raises ``LinAlgError`` on the
-    stack, each block is retried alone and a block that fails alone falls
-    back, so no sibling decides the path of a block.  ``eig`` treats each
-    matrix of a stack on its own and every other step is elementwise or a
-    reduction along the last axis, so a bracket does not depend on the
-    batch it was computed in.
+    Every bracket certified for a block is kept, and the block's bracket is
+    their intersection, converged once hi - lo <= tol * hi < inf.  The
+    blocks that this first check leaves unconverged, whose x is finite and
+    whose scaling is exact (without it no check passes), take up to
+    ``_POWER_STEPS`` batched steps x <- Bx / max(Bx) on their sub-stack,
+    each checked by ``_cw_brackets``.  A step is a nonnegative product with no
+    cancellation, so it gives an entry of x that eig left tiny or zero
+    relative accuracy.  A block still unconverged goes to ``_squeeze``,
+    which runs on it alone, and its bracket is the intersection of the
+    squeeze's ends with the certified ones.  That is the path of a block
+    whose scaled entries do not round-trip, whose x has a non-finite entry
+    or stays with a zero one, whose nonzero products b_ij x_j stay below the
+    normal range, or whose steps do not close within tol.  When ``eig``
+    raises ``LinAlgError`` on the stack, each block is retried alone and a
+    block that fails alone has a NaN x, so no sibling decides the path of a
+    block.  ``eig`` treats each matrix of a stack on its own and every
+    other step is elementwise or a reduction along the last axis, so a
+    bracket does not depend on the batch it was computed in.
     """
     k, n, _ = stack.shape
     exps = [math.frexp(t)[1] for t in np.maximum.reduce(stack, axis=(1, 2)).tolist()]
     e = np.array(exps).reshape(k, 1, 1)
     b = np.ldexp(stack, -e)
+    exact = (np.ldexp(b, e) == stack).all(axis=(1, 2))
     x = _perron_vectors(b)
+    out, y = _cw_brackets(b, x, exact, exps, tol)
+    retry = [j for j, r in enumerate(out) if not r[2]]
+    if not retry:
+        return out
+    live = np.array(retry)
+    live = live[exact[live] & np.isfinite(x[live]).all(axis=1)]
+    b, y = b[live], y[live]
+    for _ in range(_POWER_STEPS):
+        if not live.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = y / y.max(axis=1, keepdims=True)
+        steps, y = _cw_brackets(b, x, exact[live], [exps[j] for j in live.tolist()], tol)
+        keep = []
+        for j, (lo, hi, _) in zip(live.tolist(), steps):
+            lo, hi = max(lo, out[j][0]), min(hi, out[j][1])
+            out[j] = (lo, hi, hi - lo <= tol * hi < math.inf)
+            keep.append(not out[j][2])
+        live, b, y = live[keep], b[keep], y[keep]
+    for j in retry:
+        lo, hi, ok = out[j]
+        if not ok:
+            slo, shi, _ = _squeeze(stack[j], tol)
+            lo, hi = max(slo, lo), min(shi, hi)
+            out[j] = (lo, hi, hi < math.inf and hi - lo <= tol * hi)
+    return out
+
+
+def _cw_brackets(b: np.ndarray, x: np.ndarray, exact: np.ndarray, exps: list[int],
+                 tol: float) -> tuple[list[tuple[float, float, bool]], np.ndarray]:
+    """(brackets, Bx): the certified Collatz-Wielandt (lo, hi, converged)
+    of each block of A = 2**e B at x, e from ``exps``, converged when
+    hi - lo <= tol * hi, and the (k, n) products Bx.  A block whose check
+    fails gets the trivial (+0.0, +inf, False).
+
+    With B, x >= 0 and every nonzero product b_ij x_j in the normal range,
+    fl(Bx)_i = (Bx)_i (1 + theta) with |theta| <= gamma_n in any summation
+    order, and the quotient by x_i rounds once more, so each computed ratio
+    q_i lies within a factor 1 +- gamma_{n+1} of the exact one, where
+    gamma_m = m u / (1 - m u) and u = 2**-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3).  So lo = min q / (1 +
+    gamma_{n+1}) and hi = max q / (1 - gamma_{n+1}), each rounded step
+    moved outward by ``math.nextafter``, and both ends are multiplied back
+    by 2**e.  The check fails when B is not exactly 2**-e A (``exact``),
+    when x has an entry that is not positive (NaN included), when a nonzero
+    product lies below the normal range, or when hi leaves the float range
+    (a ratio that overflows, or ``_times_pow2`` on the way back).
+    """
+    n = b.shape[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p = b * x[:, None, :]
-        q = np.add.reduce(p, axis=2) / x
-    good = ((np.ldexp(b, e) == stack).all(axis=(1, 2)) & (x > 0.0).all(axis=1)
-            & ((b == 0.0) | (p > _TINY)).all(axis=(1, 2)))
+        y = np.add.reduce(p, axis=2)
+        q = y / x
+    good = exact & (x > 0.0).all(axis=1) & ((b == 0.0) | (p > _TINY)).all(axis=(1, 2))
     g = _gamma(n + 1)
     up, down = _up(1.0 + g), _down(1.0 - g)
     out = []
-    for j, (ok, qlo, qhi, ej) in enumerate(zip(good.tolist(), q.min(axis=1).tolist(),
-                                               q.max(axis=1).tolist(), exps)):
+    for ok, qlo, qhi, ej in zip(good.tolist(), q.min(axis=1).tolist(), q.max(axis=1).tolist(),
+                                exps):
         if ok:
             lo = _times_pow2(_down(qlo / up), ej, 0.0)
             hi = _times_pow2(_up(qhi / down), ej, math.inf)
-            if hi - lo <= tol * hi < math.inf:
-                out.append((lo, hi, True))
+            if hi < math.inf:
+                out.append((lo, hi, hi - lo <= tol * hi < math.inf))
                 continue
-        out.append(_squeeze(stack[j], tol))
-    return out
+        out.append((0.0, math.inf, False))
+    return out, y
 
 
 def _perron_vectors(b: np.ndarray) -> np.ndarray:

@@ -707,17 +707,88 @@ def test_the_squeeze_encloses_a_slow_block_at_every_scale(e):
     assert ok and encloses_perron_root(a, lo, hi)
 
 
-def test_fallback_blocks_of_one_stack_each_get_their_own_squeeze():
+def test_fallback_blocks_of_one_stack_each_get_their_own_squeeze(monkeypatch):
     """Three slow blocks at 2^-740, 2^0 and 2^740 fall back from one stack
-    beside a block that eig certifies; each gets the bits it gets alone."""
+    beside a block that eig certifies, and the power steps do not close
+    them either; each gets the bits it gets alone, and its bracket is its
+    own squeeze's intersected with the certified steps' ones."""
     blocks = [_SLOW_BLOCK * 2.0 ** -740, np.random.default_rng(5).random((4, 4)),
               _SLOW_BLOCK, _SLOW_BLOCK * 2.0 ** 740]
+    calls = _count_squeezes(monkeypatch)
     got = _perron_brackets(np.stack(blocks), DEFAULT_RHO_TOL)
+    slow = [0, 2, 3]
+    assert [shape for shape, _ in calls] == [(4, 4)] * 3
+    for j, (_, (lo, hi, ok)) in zip(slow, calls):
+        assert ok and got[j][2] and lo <= got[j][0] <= got[j][1] <= hi
+        assert (lo, hi, ok) == _squeeze(blocks[j], DEFAULT_RHO_TOL)
     for a, r in zip(blocks, got):
         assert r == _perron_brackets(a[None], DEFAULT_RHO_TOL)[0]
         assert encloses_perron_root(a, r[0], r[1])
-    slow = [0, 2, 3]
-    assert [got[j] for j in slow] == [_squeeze(blocks[j], DEFAULT_RHO_TOL) for j in slow]
+
+
+def _count_squeezes(monkeypatch) -> list:
+    """Patch ``spectral._squeeze`` to record (block shape, result) per call."""
+    calls = []
+    squeeze = spectral._squeeze
+
+    def counted(block, tol):
+        calls.append((block.shape, squeeze(block, tol)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectral, "_squeeze", counted)
+    return calls
+
+
+def _blocks_that_fail_at_eigs_vector(seed: int, draws: int) -> list:
+    """The irreducible n x n blocks, n = 2..8, among seeded sparse matrices
+    with entries u**6 (half of them zero) and their Gram matrices, whose
+    Collatz-Wielandt check at eig's vector is uncertified or wider than the
+    default tol."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(draws):
+        n = int(rng.integers(2, 9))
+        a = rng.random((n, n)) ** 6 * (rng.random((n, n)) < 0.5)
+        for g in (a, np.ascontiguousarray(a.T @ a)):
+            if len(_strong_components(g[None])[0]) > 1:
+                continue
+            e = math.frexp(g.max())[1]
+            b = np.ldexp(g, -e)[None]
+            exact = np.array([np.array_equal(np.ldexp(b[0], e), g)])
+            (_, _, ok), = spectral._cw_brackets(b, spectral._perron_vectors(b), exact, [e],
+                                                DEFAULT_RHO_TOL)[0]
+            if not ok:
+                found.append(g)
+    return found
+
+
+def test_power_steps_certify_blocks_that_fail_at_eigs_vector(monkeypatch):
+    """Twenty blocks whose check at eig's vector fails are certified by the
+    power steps, with no squeeze, alone and stacked by size, and each
+    bracket encloses the exact Perron root."""
+    blocks = _blocks_that_fail_at_eigs_vector(1, 120)
+    assert len(blocks) == 20 and {len(a) for a in blocks} == set(range(3, 9))
+    calls = _count_squeezes(monkeypatch)
+    alone = [_perron_brackets(a[None], DEFAULT_RHO_TOL)[0] for a in blocks]
+    for a, (lo, hi, ok) in zip(blocks, alone):
+        assert ok and hi - lo <= DEFAULT_RHO_TOL * hi
+        assert encloses_perron_root(a, lo, hi)
+    for n in {len(a) for a in blocks}:
+        pick = [j for j, a in enumerate(blocks) if len(a) == n]
+        got = _perron_brackets(np.stack([blocks[j] for j in pick]), DEFAULT_RHO_TOL)
+        assert got == [alone[j] for j in pick]
+    assert calls == []
+
+
+def test_a_zero_tol_bracket_lies_inside_the_default_one():
+    """Each block keeps the intersection of its certified brackets, so at
+    tol = 0, where no bracket converges and the squeeze runs its 64
+    squarings, the result is no looser than the one at eig's vector."""
+    m = FiniteMatrix(np.random.default_rng(1).random((3, 3)))
+    tight, loose = spectral_radius(m, tol=0), spectral_radius(m)
+    assert loose.converged and not tight.converged
+    assert loose.lo <= tight.lo <= tight.hi <= loose.hi
+    assert encloses_perron_root(m.a, tight.lo, tight.hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -729,16 +800,19 @@ def test_the_squeeze_encloses_the_exact_root(data):
         assert encloses_perron_root(a, lo, hi)
 
 
-def test_an_infinite_ratio_goes_to_the_squeeze(monkeypatch):
+def test_an_infinite_ratio_is_refined_by_a_power_step(monkeypatch):
     """A poor positive x with an entry near the bottom of the normal range
     passes the product check but overflows its ratio y_i / x_i; the block
-    then falls back instead of reporting an infinite upper end."""
+    then takes a power step, to the ones vector, instead of reporting an
+    infinite upper end, and needs no squeeze."""
     a = np.full((9, 9), 1.98)
     x = np.ones(9)
     x[8] = 1.02 * sys.float_info.min
     monkeypatch.setattr(spectral, "_perron_vectors", lambda b: x[None])
+    calls = _count_squeezes(monkeypatch)
     (lo, hi, ok), = _perron_brackets(a[None], DEFAULT_RHO_TOL)
     assert ok and Fraction(lo) <= 9 * Fraction(1.98) <= Fraction(hi)
+    assert calls == []
 
 
 def _oracle_matrix(draw, n):
