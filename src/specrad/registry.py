@@ -893,10 +893,7 @@ def _f10_build(inputs, t):
             ("A^(t)", at),
             ("sup^(t-1) A", a.scale(c)),
         ]),
-        Part("norm", CHAIN, [
-            ("|A^(t)|", _Norm(at)),
-            ("sup^(t-1)|A|", _Norm(a).scaled(c)),
-        ]),
+        _sup_part("norm", _NORM[1], _Norm(at), _Norm(a), c),
         _sup_part("radius", _RHO[1], _Rho(at), _Rho(a), c),
     ]
 
