@@ -123,3 +123,35 @@ def test_line_counts_leave_out_docstrings_comments_and_blanks(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "pkg/extra.py total 0 -> 1, code 0 -> 1", "pkg/shape.py total 20 -> 20, code 7 -> 7",
         "all total 20 -> 21, code 7 -> 8"]
+
+
+def test_fixed_reports_print_each_sweeps_verdicts_beside_the_base(monkeypatch, capsys):
+    """With a base checkout, each sweep's per-chain pass/fail/inconclusive
+    counts are printed after the digests, as ``same verdicts`` or, where a
+    count moved or a side lacks a chain, ``VERDICTS DIFFER`` with the base's
+    counts in parentheses; a report that is no sweep gets no such line."""
+    tool = _tool("fixed_reports")
+    run = {"runs": [{"chain_id": "F1", "summary": {"trials": 4, "pass": 4, "fail": 0,
+                                                    "inconclusive": 0, "min_slack": 0.5}},
+                    {"chain_id": "F2", "summary": {"trials": 4, "pass": 3, "fail": 0,
+                                                    "inconclusive": 1, "min_slack": 0.0}}]}
+    assert tool.verdicts(run) == {"F1": "4/0/0", "F2": "3/0/1"}
+    head = {"F1": "4/0/0", "F2": "3/0/1"}
+    assert tool.verdict_line("s", head, dict(head)) == "same verdicts s F1=4/0/0 F2=3/0/1"
+    assert tool.verdict_line("s", head, {"F1": "4/0/0", "F2": "4/0/0", "F3": "1/0/0"}) == (
+        "VERDICTS DIFFER s F1=4/0/0 F2=3/0/1(base 4/0/0) F3=-(base 1/0/0)")
+    assert tool.verdict_line("s", head, None) == (
+        "VERDICTS DIFFER s F1=4/0/0(base -) F2=3/0/1(base -)")
+
+    def doc(sha, **counts):
+        return {"wall_s": 0.1, "exit_code": 0, "stdout_sha256": sha, "out_sha256": sha,
+                **counts}
+
+    fake = {"head": {"catalog": doc("a"), "sweep_x": doc("b", verdicts=head)},
+            "base": {"catalog": doc("a"), "sweep_x": doc("c", verdicts=head)}}
+    monkeypatch.setattr(tool, "reports", lambda root: fake[root.name])
+    assert tool.main(["head", "base"]) == 0
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "identical catalog stdout_sha256", "identical catalog out_sha256",
+        "DIFFERS sweep_x stdout_sha256", "DIFFERS sweep_x out_sha256",
+        "same verdicts sweep_x F1=4/0/0 F2=3/0/1"]
