@@ -42,14 +42,14 @@ def _pow0(x: float, p: float) -> float:
         raise DomainError(f"{x!r} ** {p!r} exceeds the float range") from None
 
 
-def _fold_sum(xs, start=0):
-    """The numbers ``xs`` added left to right from ``start``: the order of the
+def _fold_sum(xs):
+    """The numbers ``xs`` added left to right from 0: the order of the
     builtin ``sum`` up to Python 3.11.  From 3.12 on, ``sum`` of floats is
     compensated and can round differently, so every float sum that feeds a
     report is this fold, and keeps its bits on every Python version.  The
     hot sums (``SumSeq`` and ``spectral._band_limit_sum``) write the same
     loop inline, which costs less than a call."""
-    total = start
+    total = 0
     for x in xs:
         total += x
     return total
