@@ -203,30 +203,28 @@ def _set_bounds(pairs, rhos, norms) -> tuple[dict, list, list]:
 
     Errors are values: each bound is a float or the SpecradError its
     estimator raises, and nothing here raises one.  A pair repeated (the
-    same set object at the same depth) is walked once.  Every product of
-    every level is checked finite, as ``norm_level_max`` checks it, so a
-    walk fails where ``norm_level_max`` fails first, and its error is both
-    bounds of its pair.  The call's two lists hold the other walks'
-    necklace products and deepest levels, one stack per walk as the walk
-    built it, so each level's Gram matrices are one product, then
-    the caller's arrays, whose (lo, hi, converged) come back in ``radii``
-    and ``norms``, with hi = +inf beyond the float range.
+    same set object at the same depth) is walked once: each walk runs
+    through ``_caught``, and ``walks`` keeps it (its necklace products,
+    their roots and its deepest level) or its error under the pair's key.
+    Every product of every level is checked finite, as ``norm_level_max``
+    checks it, so a walk fails where ``norm_level_max`` fails first, and
+    its error is both bounds of its pair.  The call's two lists hold the
+    other walks' necklace products and deepest levels, one stack per walk
+    as the walk built it, so each level's Gram matrices are one product,
+    then the caller's arrays, whose (lo, hi, converged) come back in
+    ``radii`` and ``norms``, with hi = +inf beyond the float range.
     """
-    walks, walk_rhos, walk_norms = {}, [], []
+    walks = {}
     for s, d in pairs:
         if (id(s), d) not in walks:
-            try:
-                prods, roots, level = _necklace_walk(_letters(s, "norm_level_max"), d, full=True)
-            except SpecradError as exc:
-                walks[id(s), d] = exc
-                continue
-            walks[id(s), d] = roots, len(level)
-            walk_rhos.append(prods)
-            walk_norms.append(level)
-    radii, l2 = map(iter, _radii_norms(walk_rhos + rhos, walk_norms + norms))
+            walks[id(s), d] = _caught(
+                lambda: _necklace_walk(_letters(s, "norm_level_max"), d, full=True))
+    done = [walk for walk in walks.values() if not isinstance(walk, SpecradError)]
+    radii, l2 = map(iter, _radii_norms([prods for prods, _, _ in done] + rhos,
+                                       [level for _, _, level in done] + norms))
     bounds = {key: (walk, walk) if isinstance(walk, SpecradError) else
-              (_caught(_root_max, [next(radii) for _ in walk[0]], walk[0]),
-               _caught(_norm_max, [next(l2) for _ in range(walk[1])]))
+              (_caught(_root_max, [next(radii) for _ in walk[1]], walk[1]),
+               _caught(_norm_max, [next(l2) for _ in range(len(walk[2]))]))
               for key, walk in walks.items()}
     return bounds, list(radii), list(l2)
 
@@ -252,23 +250,33 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     product then factors through pruned blocks and the surviving frontier,
     which yields a certified upper bound.  While no branch has been pruned
     the levels are exhaustive and also feed Fekete upper bounds in the
-    requested norm.  Terminates with width <= delta unless the budget (an
-    integer >= 0 of child products) runs out first, in which case the
-    widest certified bracket is returned with the converged flag cleared.
+    requested norm.  One test ends each level: the bracket is returned,
+    converged when its width is <= delta and otherwise with the converged
+    flag cleared, once the width is <= delta, the budget (an integer >= 0
+    of child products) is spent, or the next level would pass the
+    ``_MAX_LEVEL`` cap.  When every child is pruned the frontier is empty,
+    and the bracket [lb, lb + delta] (cut by the Fekete bound) is
+    converged.
 
-    Each level's children form one C-ordered stack, built by ``_extend``
-    as ``_levels`` builds a level; their largest entries and l1 norms (max
-    column sums) come from two stacked reductions, the survivors are
-    normalized in one stacked division, and the canonical ones go to
-    ``lower_end`` as one slice of the stack.  Each word's bound
-    p(w)^(1/|w|) is computed once, at the prune test, and serves the
+    The frontier is the stack of its words' products, each normalized to
+    unit max entry, beside one list of records (logscale, logp, bound,
+    word), one per product: the log of the product's normalization, the
+    log of its chained l1 bound, that bound's |w|-th root and the word as
+    its (period, head) pair (``_child``).  Each level's children form one
+    C-ordered stack, built by ``_extend`` as ``_levels`` builds a level;
+    their largest entries and l1 norms (max column sums) come from two
+    stacked reductions, the unpruned children's records are built in one
+    pass, their products normalized in one stacked division, and the
+    canonical ones go to ``lower_end`` as one slice of the stack.  Records
+    and products are then filtered once against the raised lower bound.
+    Each word's bound is computed once, at the prune test, and serves the
     survivors' test and the frontier term.  Each level's norms in the
     requested space come from one ``spectral._norms`` call.  A child is
-    canonical when its prenecklace period, carried from its parent with the
-    word's first period letters as one (period, head) pair (``_child``),
-    divides its length; the words themselves are never spelled out, so a
-    child costs constant time unless its period becomes its length.  Logs
-    and exponentials stay per element on ``math``.
+    canonical when its prenecklace period, carried from its parent with
+    the word's first period letters, divides its length; the words
+    themselves are never spelled out, so a child costs constant time
+    unless its period becomes its length.  Logs and exponentials stay per
+    element on ``math``.
     """
     if not (_is_number(delta) and 0 < delta < math.inf):
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
@@ -296,76 +304,60 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
                     raise DomainError("joint spectral radius exceeds the float range") from None
         return best
 
-    def level_fekete(m: int, prods: np.ndarray, logscales: list) -> float:
-        his = [hi for _, hi, _ in _norms(prods, space)]
-        best = max([math.log(hi) + logscale for logscale, hi in zip(logscales, his) if hi > 0],
-                   default=-math.inf)
-        return _exp_up(best / m) if best > -math.inf else 0.0
-
     tops = [float(a.max()) for a in mats]
     live = [i for i, top in enumerate(tops) if top > 0]  # a zero letter only yields zero products
     if not live:
         return Bracket(0.0, 0.0, "gripenberg")
     k = len(mats)
-    # the frontier: words of one length m, their products normalized to unit
-    # max entry, the logs of the normalization factors and of the pruning
-    # bounds, and each word as its (period, head) pair (``_child``)
     m = 1
-    words = [(1, (i,)) for i in live]
     prods = mats[live] / np.array([tops[i] for i in live]).reshape(-1, 1, 1)
-    logscales = [math.log(tops[i]) for i in live]
-    logps = [letter_lognorm[i] for i in live]
-    bounds = [_exp_up(logp) for logp in logps]  # each word's p(w)^(1/m)
-    alpha = lower_end(1, prods, logscales)
+    frontier = [(math.log(tops[i]), letter_lognorm[i], _exp_up(letter_lognorm[i]), (1, (i,)))
+                for i in live]
+    alpha = lower_end(1, prods, [logscale for logscale, _, _, _ in frontier])
 
-    while True:
+    while frontier:
         if exhaustive:
-            fekete = min(fekete, level_fekete(m, prods, logscales))
-        frontier_term = max(bounds)
-        ub = min(fekete, max(alpha + delta, frontier_term * (1 + _ROUND_GUARD)))
-        if ub - alpha <= delta:
-            return Bracket(min(alpha, ub), ub, "gripenberg")
-        if spent >= budget or len(words) * k > _MAX_LEVEL:
-            return Bracket(min(alpha, ub), ub, "gripenberg", converged=False)
+            his = [hi for _, hi, _ in _norms(prods, space)]
+            best = max([math.log(hi) + logscale for (logscale, _, _, _), hi in zip(frontier, his)
+                        if hi > 0], default=-math.inf)
+            fekete = min(fekete, _exp_up(best / m) if best > -math.inf else 0.0)
+        frontier_term = max(bound for _, _, bound, _ in frontier) * (1 + _ROUND_GUARD)
+        ub = min(fekete, max(alpha + delta, frontier_term))
+        if ub - alpha <= delta or spent >= budget or len(frontier) * k > _MAX_LEVEL:
+            return Bracket(min(alpha, ub), ub, "gripenberg", converged=ub - alpha <= delta)
 
         # child j * k + i is word j followed by letter i; the level-1
         # products keep their letters' layout
-        spent += len(words) * k
+        spent += len(frontier) * k
         with np.errstate(over="ignore"):
             stack = _extend(prods, mats)
             colsums = stack.sum(axis=1).max(axis=1).tolist()
-        children = []  # unpruned: (index in the stack, its largest entry, logp, bound, word)
+        children = []  # unpruned: (index in the stack, its largest entry, its record)
         for c, (top, colsum) in enumerate(zip(stack.max(axis=(1, 2)).tolist(), colsums)):
             if top <= 0:
                 continue  # zero product: prunable with bound 0
             j, i = divmod(c, k)
-            logp = min(logps[j] + letter_lognorm[i], math.log(colsum) + logscales[j])
+            logscale, logp, _, word = frontier[j]
+            logp = min(logp + letter_lognorm[i], math.log(colsum) + logscale)
             bound = _exp_up(logp / (m + 1))
             if bound <= alpha + delta:
                 exhaustive = False
                 continue
-            children.append((c, top, logp, bound, _child(words[j], m, i)))
-        _finite([top for _, top, _, _, _ in children], "a word product")
+            children.append((c, top, (logscale + math.log(top), logp, bound, _child(word, m, i))))
+        _finite([top for _, top, _ in children], "a word product")
         m += 1
-        logscales, logps, bounds, words = (
-            [logscales[c // k] + math.log(top) for c, top, _, _, _ in children],
-            [logp for _, _, logp, _, _ in children],
-            [bound for _, _, _, bound, _ in children],
-            [word for _, _, _, _, word in children])
-        prods = stack[[c for c, _, _, _, _ in children]] / np.array(
-            [top for _, top, _, _, _ in children]).reshape(-1, 1, 1)
+        frontier = [record for _, _, record in children]
+        prods = stack[[c for c, _, _ in children]] / np.array(
+            [top for _, top, _ in children]).reshape(-1, 1, 1)
         # radius evaluations are the expensive step: one canonical word per
         # necklace raises the lower bound just as well
-        canon = [j for j, (p, _) in enumerate(words) if p and m % p == 0]
-        alpha = max(alpha, lower_end(m, prods[canon], [logscales[j] for j in canon]))
-        keep = [j for j, bound in enumerate(bounds) if bound > alpha + delta]
-        exhaustive = exhaustive and len(keep) == len(words)
-        if not keep:
-            ub = min(fekete, alpha + delta)
-            return Bracket(min(alpha, ub), ub, "gripenberg")
-        logscales, logps, bounds, words = (
-            [col[j] for j in keep] for col in (logscales, logps, bounds, words))
-        prods = prods[keep]
+        canon = [j for j, (_, _, _, (p, _)) in enumerate(frontier) if p and m % p == 0]
+        alpha = max(alpha, lower_end(m, prods[canon], [frontier[j][0] for j in canon]))
+        keep = [j for j, (_, _, bound, _) in enumerate(frontier) if bound > alpha + delta]
+        exhaustive = exhaustive and len(keep) == len(frontier)
+        frontier, prods = [frontier[j] for j in keep], prods[keep]
+    ub = min(fekete, alpha + delta)
+    return Bracket(min(alpha, ub), ub, "gripenberg")
 
 
 def norm_level_max(s, depth: int) -> float:

@@ -27,9 +27,11 @@ a ratio that overflows) or not within tol takes up to ``_POWER_STEPS``
 power steps x <- Ax / max(Ax), batched over such blocks and each checked
 the same way.  A block keeps the intersection of every bracket certified
 for it, and converges once that is within tol.  What is left, and a block
-whose x is not finite or whose power-of-two scaling is inexact, falls back
-on its own to ``_squeeze``, Gelfand upper and Collatz-Wielandt lower
-bounds on repeated squarings, intersected with the certified brackets.
+whose x is not finite, whose power-of-two scaling is inexact or whose
+scaled block has a nonzero entry no larger than the smallest normal
+float, falls back on its own to ``_squeeze``, Gelfand upper and
+Collatz-Wielandt lower bounds on repeated squarings, intersected with
+the certified brackets.
 When ``eig`` fails on a stack, each block is retried alone.  Every step
 treats each block as it would treat it alone, so a bracket does not
 depend on the batch it was computed in.  Nor does a batch raise for one
@@ -210,22 +212,27 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
 
     Every bracket certified for a block is kept, and the block's bracket is
     their intersection, converged once hi - lo <= tol * hi < inf.  The
-    blocks that this first check leaves unconverged, whose x is finite and
-    whose scaling is exact (without it no check passes), take up to
-    ``_POWER_STEPS`` batched steps x <- Bx / max(Bx) on their sub-stack,
-    each checked by ``_cw_brackets``.  A step is a nonnegative product with no
-    cancellation, so it gives an entry of x that eig left tiny or zero
-    relative accuracy.  A block still unconverged goes to ``_squeeze``,
-    which runs on it alone, and its bracket is the intersection of the
-    squeeze's ends with the certified ones.  That is the path of a block
-    whose scaled entries do not round-trip, whose x has a non-finite entry
-    or stays with a zero one, whose nonzero products b_ij x_j stay below the
-    normal range, or whose steps do not close within tol.  When ``eig``
-    raises ``LinAlgError`` on the stack, each block is retried alone and a
-    block that fails alone has a NaN x, so no sibling decides the path of a
-    block.  ``eig`` treats each matrix of a stack on its own and every
-    other step is elementwise or a reduction along the last axis, so a
-    bracket does not depend on the batch it was computed in.
+    blocks that this first check leaves unconverged, whose x is finite,
+    whose scaling is exact and whose nonzero entries b_ij all exceed the
+    smallest normal float, take up to ``_POWER_STEPS`` batched steps
+    x <- Bx / max(Bx) on their sub-stack, each checked by ``_cw_brackets``.
+    Without an exact scaling no check passes, and with a nonzero
+    b_ij <= ``_TINY`` no step's check does: a step's x is at most 1, so
+    b_ij x_j <= b_ij never enters the normal range.  A step is a
+    nonnegative product with no cancellation, so it gives an entry of x
+    that eig left tiny or zero relative accuracy.  A block still
+    unconverged goes to ``_squeeze``, which runs on it alone, and its
+    bracket is the intersection of the squeeze's ends with the certified
+    ones.  That is the path of a block whose scaled entries do not
+    round-trip or have a nonzero one at or below ``_TINY``, whose x has a
+    non-finite entry or stays with a zero one, whose nonzero products
+    b_ij x_j stay below the normal range, or whose steps do not close
+    within tol.  When ``eig`` raises ``LinAlgError`` on the stack, each
+    block is retried alone and a block that fails alone has a NaN x, so no
+    sibling decides the path of a block.  ``eig`` treats each matrix of a
+    stack on its own and every other step is elementwise or a reduction
+    along the last axis, so a bracket does not depend on the batch it was
+    computed in.
     """
     k, n, _ = stack.shape
     exps = [math.frexp(t)[1] for t in np.maximum.reduce(stack, axis=(1, 2)).tolist()]
@@ -238,7 +245,8 @@ def _perron_brackets(stack: np.ndarray, tol: float) -> list[tuple[float, float, 
     if not retry:
         return out
     live = np.array(retry)
-    live = live[exact[live] & np.isfinite(x[live]).all(axis=1)]
+    normal = ((b[live] == 0.0) | (b[live] > _TINY)).all(axis=(1, 2))
+    live = live[exact[live] & normal & np.isfinite(x[live]).all(axis=1)]
     b, y = b[live], y[live]
     for _ in range(_POWER_STEPS):
         if not live.size:

@@ -43,6 +43,7 @@ from specrad.jsr import (
     norm_level_max,
     norm_set_bracket,
 )
+from specrad.registry import _fin_term
 from specrad.spectral import operator_norm
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -265,6 +266,15 @@ def test_a_gamma_beyond_the_float_range_is_refused_by_the_set_sup_too():
                 fn(f)
 
 
+def test_a_family_set_past_the_level_cap_is_refused():
+    """``gamma_level_max`` takes a family set of ``_MAX_LEVEL`` elements and
+    refuses one more with a BudgetExceededError."""
+    f = shift_family(Constant(0.5))
+    assert gamma_level_max(OperatorSet([f] * _MAX_LEVEL)) == 0.5
+    with pytest.raises(BudgetExceededError, match="gamma level enumeration exceeded its cap"):
+        gamma_level_max(OperatorSet([f] * (_MAX_LEVEL + 1)))
+
+
 def test_gamma_set_and_level_helpers():
     pair = OperatorSet([shift_family(Constant(0.5)), shift_family(Constant(1.5))])
     g = gamma_set_bracket(pair)
@@ -294,6 +304,21 @@ def test_set_radii_match_the_recorded_bits():
     assert len(cases) >= 40
     for i, case in enumerate(cases):
         assert recorder.outputs(case) == case["expected"], f"case {i}"
+
+
+def test_the_last_recorded_sets_stop_at_the_frontier_cap():
+    """The fixture's last three sets pin the branch and bound's exit at the
+    ``_MAX_LEVEL`` frontier cap: each call is unconverged, and a budget far
+    beyond the recorded one gives the same bracket, so the budget did not
+    stop it, and neither a width <= delta nor an all-pruned level did."""
+    recorder = _recorder()
+    cases = json.loads((FIXTURES / "set_radii_bits.json").read_text(encoding="utf-8"))
+    for case in cases[-3:]:
+        s = recorder.operator_set(case)
+        for delta, budget, space in case["grip"]:
+            b = gripenberg_bracket(s, delta, budget=budget, space=space)
+            assert not b.converged
+            assert gripenberg_bracket(s, delta, budget=10 ** 9, space=space) == b
 
 
 def _least_rotation(word):
@@ -646,3 +671,51 @@ def test_gripenberg_level_norms_are_each_products_own_norm(monkeypatch, space):
             assert all(x.flags.f_contiguous == fortran != x.flags.c_contiguous for x in seen[0])
             assert len(seen) > 1 and all(isinstance(p, np.ndarray) and p.flags.c_contiguous
                                          for p in seen[1:])
+
+
+def test_set_bounds_give_each_estimators_error_as_a_value(monkeypatch):
+    """A bound that fails is the DomainError its estimator raises, as a
+    value.  {[[1e308, 1e308], [1e308, 1e308]]} at depth 1 walks, and both
+    of its bounds fail beyond the float range; at depth 2 the walk itself
+    fails, and its error is both bounds.  {[[1.7e308, 1.7e308], [0, 0]]}
+    has the lower bound 1.7e308 and the l2 norm's error as its upper
+    bound, which ``registry._fin_term`` reads, and raises, first.  A pair
+    repeated in the list is walked once, and the caller's arrays get the
+    bits of ``spectral_radius`` and ``operator_norm``."""
+    walked = []
+    walk = jsr._necklace_walk
+    monkeypatch.setattr(jsr, "_necklace_walk",
+                        lambda letters, d, **kw: walked.append(d) or walk(letters, d, **kw))
+    huge = OperatorSet([FiniteMatrix([[1e308, 1e308], [1e308, 1e308]])])
+    row = OperatorSet([FiniteMatrix([[1.7e308, 1.7e308], [0.0, 0.0]])])
+    rng = np.random.default_rng(63)
+    rhos = [rng.random((3, 3)), np.asfortranarray(rng.random((4, 4)))]
+    norms = [np.asfortranarray(rng.random((2, 2))), rng.random((5, 5))]
+    pairs = [(huge, 1), (huge, 2), (row, 1), (huge, 2), (huge, 1), (row, 1)]
+    bounds, radii, l2 = _set_bounds(pairs, rhos, norms)
+    assert walked == [1, 2, 1]
+    assert list(bounds) == [(id(huge), 1), (id(huge), 2), (id(row), 1)]
+
+    def error(value):
+        return type(value), str(value)
+
+    lb, ub = bounds[id(huge), 1]
+    assert error(lb) == (DomainError, "spectral radius exceeds the float range")
+    assert error(ub) == (DomainError, "operator norm exceeds the float range")
+    lb, ub = bounds[id(huge), 2]
+    assert lb is ub and error(lb) == (DomainError, "a word product exceeds the float range")
+    lb, ub = bounds[id(row), 1]
+    assert lb == 1.7e308
+    assert error(ub) == (DomainError, "operator norm exceeds the float range")
+    with pytest.raises(DomainError, match="operator norm exceeds the float range"):
+        _fin_term([(row, 1.0, 1)], bounds)
+    for (s, d), (lb, ub) in zip([(huge, 1), (huge, 2), (row, 1)], bounds.values()):
+        for got, estimator in ((lb, gen_radius_lb), (ub, norm_level_max)):
+            if isinstance(got, float):
+                assert got.hex() == estimator(s, d).hex()
+                continue
+            with pytest.raises(type(got)) as raised:
+                estimator(s, d)
+            assert str(raised.value) == str(got)
+    assert _bits(radii) == _bits(_ends(spectral_radius(FiniteMatrix(a))) for a in rhos)
+    assert _bits(l2) == _bits(_ends(operator_norm(FiniteMatrix(a))) for a in norms)

@@ -141,6 +141,28 @@ def test_samplers_draw_the_recorded_inputs():
         assert got[cid] == per_kind, cid
 
 
+def test_a_chain_with_matrices_refuses_non_square_ones():
+    spec = by_id("F9")
+    wide = tuple(FiniteMatrix([[1.0, 2.0, 0.5], [0.5, 1.0, 2.0]]) for _ in range(2))
+    inputs = ChainInputs(matrices=wide, params={"m": 2, "alphas": (0.5, 0.5), "t": 2.0})
+    assert spec.hypothesis(inputs) == "matrices must be square"
+    with pytest.raises(HypothesisViolation, match="matrices must be square"):
+        evaluate_chain(spec, inputs, CTX)
+
+
+def test_e12_refuses_a_second_family_that_is_not_diagonal():
+    spec = by_id("E12")
+    ens = EnsembleSpec(kind="shift_family", seed=5)
+    good = spec.sample(rng_for(ens, 0, "E12"), ens)
+    assert spec.hypothesis(good) is None
+    t, _ = good.families
+    bad = ChainInputs(families=(t, t), family_sets=good.family_sets, params=good.params)
+    message = "second family must be diagonal (it plays the normal operator)"
+    assert spec.hypothesis(bad) == message
+    with pytest.raises(HypothesisViolation, match=r"diagonal \(it plays"):
+        evaluate_chain(spec, bad, CTX)
+
+
 def test_e19_rejects_odd_m():
     spec = by_id("E19")
     rng = rng_for(EnsembleSpec(kind="shift_family"), 0, "E19")

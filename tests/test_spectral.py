@@ -689,6 +689,21 @@ def test_uncertified_blocks_go_to_the_squeeze(monkeypatch, a):
     assert calls == []
 
 
+def test_a_block_with_an_entry_below_the_normal_range_skips_the_power_steps(monkeypatch):
+    """A nonzero scaled entry b_ij <= the smallest normal float fails every
+    power step's check, since a step's x is at most 1 and b_ij x_j <= b_ij:
+    the block goes to the squeeze after the one check at eig's vector (one
+    ``_cw_brackets`` call, where eight failed steps made nine), and keeps
+    the bits it had after those steps."""
+    calls = []
+    cw = spectral._cw_brackets
+    monkeypatch.setattr(spectral, "_cw_brackets", lambda *args: calls.append(1) or cw(*args))
+    a = np.array([[0.0, 1.0], [2.0 ** -1030, 0.0]])
+    (lo, hi, ok), = _perron_brackets(a[None], DEFAULT_RHO_TOL)
+    assert len(calls) == 1
+    assert (lo.hex(), hi.hex(), ok) == ("0x1.fffffffffed30p-516", "0x1.00000000009a1p-515", True)
+
+
 _SLOW_BLOCK = np.array([  # two blocks coupled by 2^-10 and 2^-39: a slow squeeze
     [0.5118885911882057, 0.05407980327125794, 3.169733113226927e-13, 5.89688666377049e-14],
     [0.6199462567240359, 0.4050734207978558, 1.684810657597327e-13, 1.2567236550735902e-12],

@@ -14,7 +14,10 @@ declared behaviour change.
 
 The sets mix sizes 1 to 18, one to three letters, dense, sparse,
 triangular and cyclic patterns, zero letters and scales from 2^-300 to
-2^300.  Sets marked ``adjoint`` use the transposes of their stored
+2^300.  Three sets of three random 4 x 4 letters (rng seeds 5, 7 and 9)
+end the list: at delta = 1e-4 and the default budget their branch and
+bound stops at the frontier cap (``jsr._MAX_LEVEL``), which no other set
+reaches.  Sets marked ``adjoint`` use the transposes of their stored
 matrices, which numpy keeps in Fortran order.  With OpenBLAS 0.3.31 a
 product of a Fortran-ordered 18 x 18 matrix rounds differently from its
 C-ordered twin's, so the recorded bits of those sets also pin each
@@ -70,6 +73,15 @@ def cases() -> list[dict]:
             "lb": [1, 3, 6] if deep else [1, 3],
             "norm": [1, 2, 4] if deep else [1, 2],
             "grip": [[1e-2, 300, "l2"], [1e-3, 300, "linf" if c % 2 else "l2"]],
+        })
+    for c, seed in enumerate((5, 7, 9)):
+        rng = np.random.default_rng(seed)
+        out.append({
+            "mats": [rng.random((4, 4)).tolist() for _ in range(3)],
+            "adjoint": c == 1,
+            "lb": [1, 3],
+            "norm": [1, 2],
+            "grip": [[1e-4, 50_000, "l2"], [1e-4, 50_000, "linf" if c % 2 else "l1"]],
         })
     return out
 
