@@ -19,15 +19,14 @@ certifiably disjoint.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, rng_for
-from .errors import BudgetExceededError, ClosureOverflowError, DomainError, HypothesisViolation
+from .errors import (BudgetExceededError, ClosureOverflowError, HypothesisViolation, _integer,
+                     _is_int, _is_number, _real)
 from .families import OperatorFamily
 from .matrices import FiniteMatrix
 from .serialize import digest, element_to_json, matrix_to_json, set_to_json
@@ -59,10 +58,7 @@ class EvalContext:
 
     def __post_init__(self):
         for name in ("finite_tol", "ess_tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not (math.isfinite(v) and v >= 0):
-                raise DomainError(f"{name} must be a finite number >= 0, got {v!r}")
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
     def tol_for(self, level: str) -> float:
         return self.finite_tol if level == "finite" else self.ess_tol
@@ -110,9 +106,9 @@ def _json_value(v):
         return v
     if isinstance(v, (tuple, list)):
         return [_json_value(x) for x in v]
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+    if not _is_number(v):
         return v
-    return int(v) if isinstance(v, numbers.Integral) else float(v)
+    return int(v) if _is_int(v) else float(v)
 
 
 @dataclass(frozen=True)
@@ -289,9 +285,7 @@ class EnsembleRun:
 def run_ensemble(spec: ChainSpec, ens: EnsembleSpec, trials: int,
                  ctx: EvalContext) -> EnsembleRun:
     """Evaluate a chain over seeded random inputs; deterministic per spec."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise HypothesisViolation(f"trials must be an integer >= 1, got {trials!r}")
-    trials = int(trials)
+    trials = _integer(trials, 1, "trials", HypothesisViolation)
     reports = []
     sampled = []
     for trial in range(trials):

@@ -29,13 +29,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from . import __version__
 from .chains import ChainInputs, ChainSpec, EvalContext, evaluate_chain, run_ensemble
 from .ensembles import KINDS, EnsembleSpec
-from .errors import InputFormatError, SpecradError
+from .errors import InputFormatError, SpecradError, _integer, _real
 from .jsr import gripenberg_bracket
 from .registry import by_id, catalog_json, registry
 from .serialize import (
@@ -233,12 +232,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        raise InputFormatError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    if not (math.isfinite(args.delta) and args.delta > 0):
-        raise InputFormatError(f"--delta must be a finite number > 0, got {args.delta!r}")
-    if args.budget < 0:
-        raise InputFormatError(f"--budget must be an integer >= 0, got {args.budget!r}")
+    if args.tol is not None:
+        _real(args.tol, "--tol", error=InputFormatError)
+    _real(args.delta, "--delta", strict=True, error=InputFormatError)
+    _integer(args.budget, 0, "--budget", InputFormatError)
     tol = DEFAULT_RHO_TOL if args.tol is None else args.tol
     obj = _load_json_file(args.input)
     q = args.quantity

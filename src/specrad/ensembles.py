@@ -7,13 +7,12 @@ and order-insensitive.
 
 from __future__ import annotations
 
-import numbers
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _is_number
 from .families import OperatorFamily, diagonal_family, shift_family
 from .matrices import FiniteMatrix
 from .sequences import EventuallyConstant, PrefixWithLimit, RationalFormula, WeightSeq
@@ -51,13 +50,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown ensemble kind {self.kind!r}; expected one of {KINDS}")
-        if isinstance(self.size, bool) or not isinstance(self.size, int) or self.size < 1:
-            raise DomainError(f"ensemble size must be an integer >= 1, got {self.size!r}")
-        if (isinstance(self.density, bool) or not isinstance(self.density, numbers.Real)
-                or not 0.0 <= self.density <= 1.0):
+        object.__setattr__(self, "size", _integer(self.size, 1, "ensemble size"))
+        if not (_is_number(self.density) and 0.0 <= self.density <= 1.0):
             raise DomainError(f"density must be a real in [0, 1], got {self.density!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"ensemble seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "density", float(self.density))
+        object.__setattr__(self, "seed", _integer(self.seed, 0, "ensemble seed"))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "size": self.size, "density": self.density,

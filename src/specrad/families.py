@@ -29,21 +29,18 @@ other operations emit their bands in normal form as they build them
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from .errors import ClosureOverflowError, DomainError, ShapeMismatchError
+from .errors import ClosureOverflowError, DomainError, ShapeMismatchError, _integer, _is_int, _real
 from .matrices import FiniteMatrix
 from .sequences import (
     Constant,
     WeightSeq,
     _pow0,
-    seq_power,
+    _power,
+    _scale,
     seq_product,
     seq_restrict,
-    seq_scale,
     seq_shift,
     seq_sum,
 )
@@ -120,7 +117,7 @@ class OperatorFamily:
                 raise ShapeMismatchError("give the diagonal either as offset 0 or as diagonal=, not both")
             items[0] = diagonal
         for d, w in items.items():
-            if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+            if not _is_int(d):
                 raise DomainError(f"band offsets must be integers, got {d!r}")
             if not isinstance(w, WeightSeq):
                 raise DomainError(f"band weights must be WeightSeq values, got {type(w).__name__}")
@@ -149,8 +146,7 @@ class OperatorFamily:
 
     def entry(self, i: int, j: int) -> float:
         """1-based entry a(i, j)."""
-        if i < 1 or j < 1:
-            raise DomainError("indices are 1-based")
+        i, j = _integer(i, 1, "row index"), _integer(j, 1, "column index")
         d = j - i
         w = self.bands.get(d)
         v = w.value(i) if w is not None and i >= band_start(d) else 0.0
@@ -171,8 +167,7 @@ class OperatorFamily:
 
     def truncate(self, n: int) -> FiniteMatrix:
         """Top-left n-by-n compression P_n A P_n as a dense matrix."""
-        if n < 1:
-            raise DomainError("truncation size must be >= 1")
+        n = _integer(n, 1, "truncation size")
         return FiniteMatrix(self._block(n, n))
 
     def tail_norm_bound(self, n: int) -> float:
@@ -185,8 +180,7 @@ class OperatorFamily:
         ``tail_sup`` values and an SVD norm, all rounded to nearest, so it
         is not certified.
         """
-        if n < 1:
-            raise DomainError("tail index must be >= 1")
+        n = _integer(n, 1, "tail index")
         total = 0.0
         for d, w in self.bands.items():
             total += w.tail_sup(max(n, band_start(d)))
@@ -227,9 +221,8 @@ class OperatorFamily:
                 bands, box, lambda r, c: self._block(r, c) * other._block(r, c))))
 
     def hpow(self, t: float) -> "OperatorFamily":
-        if not (t > 0 and math.isfinite(t)):
-            raise DomainError(f"entrywise power requires t > 0, got {t}")
-        bands = {d: p for d, w in self.bands.items() if not _is_zero(p := seq_power(w, t))}
+        t = _real(t, "entrywise power exponent", strict=True)
+        bands = {d: p for d, w in self.bands.items() if not _is_zero(p := _power(w, t))}
         if self._box == (0, 0):
             return _family(bands)
         # math.pow per entry: np.power differs from it in the last bit
@@ -313,9 +306,8 @@ class OperatorFamily:
         return _family(_normal_bands(bands), box, pending)
 
     def scale(self, c: float) -> "OperatorFamily":
-        if not (c >= 0 and math.isfinite(c)):
-            raise DomainError(f"scale factor must be finite and >= 0, got {c}")
-        bands = {d: p for d, w in self.bands.items() if not _is_zero(p := seq_scale(w, c))}
+        c = _real(c, "scale factor")
+        bands = {d: p for d, w in self.bands.items() if not _is_zero(p := _scale(w, c))}
         if self._box == (0, 0):
             return _family(bands)
         return _family(bands, *_lazy_corner(

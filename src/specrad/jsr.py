@@ -25,10 +25,10 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, ShapeMismatchError, SpecradError
+from .errors import (BudgetExceededError, DomainError, ShapeMismatchError, SpecradError,
+                     _integer, _real)
 from .families import _pow0
 from .matrices import _finite
-from .serialize import _is_number
 from .sets import OperatorSet, _as_set
 from .spectral import (
     L2,
@@ -103,9 +103,11 @@ def _levels(letters: np.ndarray, depth: int, clip: bool = False):
     """Products of all words of length 1..depth over the letters, yielded one
     level per length; level m holds all k**m products in lexicographic order.
 
-    The depth is an integer >= 1.  A level past ``_MAX_LEVEL`` raises
-    ``BudgetExceededError`` before any is yielded or, with ``clip``, ends the
-    walk at the deepest level that fits; depth 1 builds no product.  Each
+    The depth is an integer >= 1.  A level past ``_MAX_LEVEL`` products, or
+    a walk past ``2 * _MAX_LEVEL`` over all its levels (which binds a
+    one-letter set alone), raises ``BudgetExceededError`` before any level
+    is yielded or, with ``clip``, ends the walk at the deepest level that
+    fits; depth 1 builds no product.  Each
     product multiplies left to right, (w[0] @ w[1]) @ w[2] ..., as a
     one-word fold does.  Level 1 is the letters' stack as it is; later
     levels are C-ordered (K, n, n) stacks from ``_extend``, and only the
@@ -117,11 +119,12 @@ def _levels(letters: np.ndarray, depth: int, clip: bool = False):
     non-finite, and each caller checks the products it reads under its own
     error state.
     """
-    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
-        raise DomainError(f"word depth must be an integer >= 1, got {depth!r}")
-    fits = 1
-    while fits < depth and len(letters) ** (fits + 1) <= _MAX_LEVEL:
+    depth = _integer(depth, 1, "word depth")
+    k = len(letters)
+    fits, total = 1, k  # the deepest level that fits, and the products up to it
+    while fits < depth and k ** (fits + 1) <= min(_MAX_LEVEL, 2 * _MAX_LEVEL - total):
         fits += 1
+        total += k ** fits
     if fits < depth and not clip:
         raise BudgetExceededError("word level enumeration exceeded its cap")
     n = letters.shape[1]
@@ -234,7 +237,7 @@ def joint_radius_ub(s, m_max: int) -> float:
 
     Min over m <= m_max of ``norm_level_max(S, m)^(1/m)``; valid by
     submultiplicativity.  Non-increasing in m_max.  Stops at the last depth
-    whose level fits under the cap instead of raising, in one walk.
+    that fits under the walk's caps instead of raising, in one walk.
     """
     levels = _levels(_letters(s, "joint_radius_ub"), m_max, clip=True)
     return min(_pow0(_norm_max(_norms(_finite(level, "a word product"))), 1.0 / m)
@@ -254,9 +257,9 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     converged when its width is <= delta and otherwise with the converged
     flag cleared, once the width is <= delta, the budget (an integer >= 0
     of child products) is spent, or the next level would pass the
-    ``_MAX_LEVEL`` cap.  When every child is pruned the frontier is empty,
-    and the bracket [lb, lb + delta] (cut by the Fekete bound) is
-    converged.
+    ``_MAX_LEVEL`` cap; an upper end of +inf there is a DomainError.  When
+    every child is pruned the frontier is empty, and the bracket
+    [lb, lb + delta] (cut by the Fekete bound) is converged.
 
     The frontier is the stack of its words' products, each normalized to
     unit max entry, beside one list of records (logscale, logp, bound,
@@ -278,10 +281,8 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
     unless its period becomes its length.  Logs and exponentials stay per
     element on ``math``.
     """
-    if not (_is_number(delta) and 0 < delta < math.inf):
-        raise DomainError(f"delta must be positive and finite, got {delta!r}")
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
-        raise DomainError(f"budget must be an integer >= 0, got {budget!r}")
+    delta = _real(delta, "delta", strict=True)
+    budget = _integer(budget, 0, "budget")
     _check_space(space)
     mats = _letters(s, "gripenberg_bracket")
     with np.errstate(over="ignore"):
@@ -324,6 +325,8 @@ def gripenberg_bracket(s, delta: float, budget: int = 50_000,
         frontier_term = max(bound for _, _, bound, _ in frontier) * (1 + _ROUND_GUARD)
         ub = min(fekete, max(alpha + delta, frontier_term))
         if ub - alpha <= delta or spent >= budget or len(frontier) * k > _MAX_LEVEL:
+            if ub == math.inf:
+                raise DomainError("joint spectral radius upper bound exceeds the float range")
             return Bracket(min(alpha, ub), ub, "gripenberg", converged=ub - alpha <= delta)
 
         # child j * k + i is word j followed by letter i; the level-1

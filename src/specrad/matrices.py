@@ -7,12 +7,11 @@ objects, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError, _integer, _real
 from .sequences import _fold_sum
 
 
@@ -77,8 +76,7 @@ class FiniteMatrix:
             return _checked(self.a + other.a, "matrix sum")
 
     def scale(self, c: float) -> "FiniteMatrix":
-        if not (c >= 0 and math.isfinite(c)):
-            raise DomainError(f"scale factor must be finite and >= 0, got {c}")
+        c = _real(c, "scale factor")
         with np.errstate(over="ignore"):
             return _checked(self.a * c, "scaled matrix")
 
@@ -119,8 +117,7 @@ class FiniteMatrix:
 def _hpow(a: np.ndarray, t: float) -> np.ndarray:
     """The entrywise t-th power of a matrix or a stack of them, 0^t = 0, in
     its layout; the one power of ``FiniteMatrix.hpow`` and of matrix sets."""
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"entrywise power requires t > 0, got {t}")
+    t = _real(t, "entrywise power exponent", strict=True)
     with np.errstate(divide="ignore", over="ignore"):
         return _finite(np.where(a > 0, np.power(a, t), 0.0), "entrywise power")
 
@@ -168,15 +165,13 @@ class WeightVector:
 
     def __post_init__(self):
         try:
-            weights = tuple(float(w) for w in self.weights)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"weights must be real numbers: {exc}") from None
+            weights = tuple(_real(w, "weight", strict=True) for w in self.weights)
+        except TypeError:  # not iterable
+            raise DomainError(f"weights must be a sequence, got {self.weights!r}") from None
         object.__setattr__(self, "weights", weights)
-        if not self.weights:
+        if not weights:
             raise DomainError("weight vector must be nonempty")
-        if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
-            raise DomainError("weights must be positive and finite")
-        total = _fold_sum(self.weights)
+        total = _fold_sum(weights)
         if total < 1.0 - _SUM_SLACK:
             raise DomainError(f"weights must sum to at least 1, got {total}")
 
@@ -188,6 +183,7 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, m: int) -> "WeightVector":
+        m = _integer(m, 1, "weight count")
         return cls((1.0 / m,) * m)
 
     @classmethod

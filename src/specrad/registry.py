@@ -112,7 +112,6 @@ against cProfile by ``__code__``, so the ``ChainSpec.build`` that
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -128,12 +127,11 @@ from .ensembles import (
     sample_matrix,
     sample_weights_ge_one,
 )
-from .errors import DomainError, InputFormatError, SpecradError
+from .errors import DomainError, InputFormatError, SpecradError, _is_int, _is_number
 from .families import _pow0
 from .jsr import _norm_sup, _set_bounds, _set_of, gamma_level_max, gamma_set_bracket
 from .matrices import _SUM_SLACK, FiniteMatrix, WeightVector
 from .sequences import _fold_sum
-from .serialize import _is_number
 from .sets import (
     OperatorSet,
     set_adjoint,
@@ -566,10 +564,6 @@ def _perm(rng, m):
 
 # ---------------------------------------------------------------------------
 # declarations: typed params, operand counts, and the shared validator
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
 
 @dataclass(frozen=True)
 class _Int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ClosureOverflowError, DomainError
+from .errors import ClosureOverflowError, DomainError, _real
 
 MAX_NODES = 50_000
 
@@ -91,11 +91,7 @@ class Constant(WeightSeq):
     __slots__ = ("c",)
 
     def __init__(self, c: float):
-        c = float(c)
-        if not (c >= 0.0 and math.isfinite(c)):
-            raise DomainError(f"constant weight must be finite and >= 0, got {c}")
-        self.c = c
-        self.limit = c
+        self.c = self.limit = _real(c, "constant weight")
         self.nodes = 1
 
     def value(self, i: int) -> float:
@@ -112,13 +108,8 @@ class EventuallyConstant(WeightSeq):
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix, tail: float):
-        self.prefix = tuple(float(v) for v in prefix)
-        self.tail = float(tail)
-        if any(not (v >= 0.0 and math.isfinite(v)) for v in self.prefix):
-            raise DomainError("prefix values must be finite and >= 0")
-        if not (self.tail >= 0.0 and math.isfinite(self.tail)):
-            raise DomainError("tail value must be finite and >= 0")
-        self.limit = self.tail
+        self.prefix = tuple(_real(v, "prefix value") for v in prefix)
+        self.tail = self.limit = _real(tail, "tail value")
         self.nodes = 1
 
     def value(self, i: int) -> float:
@@ -245,15 +236,10 @@ class PrefixWithLimit(WeightSeq):
     __slots__ = ("prefix", "_last")
 
     def __init__(self, prefix, limit: float):
-        self.prefix = tuple(float(v) for v in prefix)
+        self.prefix = tuple(_real(v, "prefix value") for v in prefix)
         if not self.prefix:
             raise DomainError("prefix must be nonempty; use Constant for a bare limit")
-        if any(not (v >= 0.0 and math.isfinite(v)) for v in self.prefix):
-            raise DomainError("prefix values must be finite and >= 0")
-        limit = float(limit)
-        if not (limit >= 0.0 and math.isfinite(limit)):
-            raise DomainError("limit must be finite and >= 0")
-        self.limit = limit
+        self.limit = _real(limit, "limit")
         self._last = self.prefix[-1]
         self.nodes = 1
 
@@ -341,11 +327,9 @@ class PowerSeq(WeightSeq):
     __slots__ = ("inner", "t")
 
     def __init__(self, inner: WeightSeq, t: float):
-        if not (t > 0.0 and math.isfinite(t)):
-            raise DomainError(f"entrywise power requires t > 0, got {t}")
         self.inner = inner
-        self.t = float(t)
-        self.limit = _pow0(inner.limit, self.t)
+        self.t = t
+        self.limit = _pow0(inner.limit, t)
         self.nodes = nodes = inner.nodes + 1
         if nodes > MAX_NODES:
             raise _node_overflow(nodes)
@@ -388,11 +372,9 @@ class ScaledSeq(WeightSeq):
     __slots__ = ("inner", "c")
 
     def __init__(self, inner: WeightSeq, c: float):
-        if not (c >= 0.0 and math.isfinite(c)):
-            raise DomainError(f"scale factor must be finite and >= 0, got {c}")
         self.inner = inner
-        self.c = float(c)
-        self.limit = self.c * inner.limit
+        self.c = c
+        self.limit = c * inner.limit
         self.nodes = nodes = inner.nodes + 1
         if nodes > MAX_NODES:
             raise _node_overflow(nodes)
@@ -426,25 +408,37 @@ def seq_restrict(w: WeightSeq, start: int) -> WeightSeq:
 
 def seq_product(a: WeightSeq, b: WeightSeq) -> WeightSeq:
     if isinstance(a, Constant):
-        return seq_scale(b, a.c)
+        return _scale(b, a.c)
     if isinstance(b, Constant):
-        return seq_scale(a, b.c)
+        return _scale(a, b.c)
     return ProductSeq(a, b)
 
 
 def seq_power(w: WeightSeq, t: float) -> WeightSeq:
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"entrywise power requires t > 0, got {t}")
+    return _power(w, _real(t, "entrywise power exponent", strict=True))
+
+
+def _power(w: WeightSeq, t: float) -> WeightSeq:
+    """``seq_power`` for a checked exponent, as ``OperatorFamily.hpow``
+    calls it per band; a folded exponent is checked, since it can leave the
+    float range."""
     if t == 1.0:
         return w
     if isinstance(w, Constant):
         return Constant(_pow0(w.c, t))
     if isinstance(w, PowerSeq):
-        return PowerSeq(w.inner, w.t * t)
+        return PowerSeq(w.inner, _real(w.t * t, "entrywise power exponent", strict=True))
     return PowerSeq(w, t)
 
 
 def seq_scale(w: WeightSeq, c: float) -> WeightSeq:
+    return _scale(w, _real(c, "scale factor"))
+
+
+def _scale(w: WeightSeq, c: float) -> WeightSeq:
+    """``seq_scale`` for a checked factor, as ``OperatorFamily.scale`` and
+    ``seq_product`` call it; a folded factor is checked, since it can
+    overflow."""
     if c == 0.0:
         return Constant(0.0)
     if c == 1.0:
@@ -452,7 +446,7 @@ def seq_scale(w: WeightSeq, c: float) -> WeightSeq:
     if isinstance(w, Constant):
         return Constant(c * w.c)
     if isinstance(w, ScaledSeq):
-        return ScaledSeq(w.inner, c * w.c)
+        return ScaledSeq(w.inner, _real(c * w.c, "scale factor"))
     return ScaledSeq(w, c)
 
 

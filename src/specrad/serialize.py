@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from typing import Any
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, _is_number
 from .families import OperatorFamily
 from .matrices import FiniteMatrix
 from .sequences import (
@@ -64,23 +63,6 @@ def _require_object(obj: Any, what: str, keys: tuple[str, ...]) -> None:
         if key not in keys:
             raise InputFormatError(
                 f"{what} has unexpected key {key!r}; expected keys: {', '.join(keys) or 'none'}")
-
-
-def _is_number(value: Any) -> bool:
-    """True for a real number that converts to a float.
-
-    This is the one number check for JSON values, chain params and the
-    estimators' ``tol`` and ``delta``.  true and false decode to bools, not
-    numbers.  JSON integers have no size limit, and one beyond the float
-    range is refused here rather than left to overflow in ``float()``.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
 
 
 def _json_numbers(value: Any, what: str) -> list:

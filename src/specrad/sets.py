@@ -18,12 +18,11 @@ broadcasts give each element the layout its own operation gives it too.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, ShapeMismatchError
+from .errors import BudgetExceededError, DomainError, ShapeMismatchError, _integer, _real
 from .families import OperatorFamily
 from .matrices import _SUM_SLACK, FiniteMatrix, WeightVector, _finite, _hpow, _wrap
 
@@ -159,9 +158,7 @@ def set_product_many(sets) -> OperatorSet:
 def set_power(s, m: int) -> OperatorSet:
     """All length-m ordered products from S; cardinality |S|**m.  S**1 is S."""
     s = _as_set(s)
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError(f"set power needs an integer >= 1, got {m!r}")
-    m = int(m)
+    m = _integer(m, 1, "set power exponent")
     _guard_size(len(s) ** m)
     return set_product_many([s] * m)
 
@@ -263,8 +260,8 @@ def symmetrization(s, alpha: float, beta: float, q=None) -> OperatorSet:
     stack, at most two stacked powers and one broadcast product.  Requires
     alpha + beta >= 1 so the mean stays bounded on l2.
     """
-    if alpha < 0 or beta < 0:
-        raise DomainError("symmetrization weights must be nonnegative")
+    alpha = _real(alpha, "symmetrization weight alpha")
+    beta = _real(beta, "symmetrization weight beta")
     if alpha + beta < 1.0 - _SUM_SLACK:
         raise DomainError(f"symmetrization needs alpha + beta >= 1, got {alpha + beta}")
     s = _as_set(s)

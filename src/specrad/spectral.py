@@ -65,10 +65,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError, _real
 from .families import OperatorFamily, _pow0
 from .matrices import FiniteMatrix
-from .serialize import _is_number
 
 L1 = "l1"
 L2 = "l2"
@@ -125,13 +124,11 @@ class Bracket:
 
     def power(self, p: float) -> "Bracket":
         """Endpointwise power; valid for p > 0 on nonnegative brackets."""
-        if p <= 0:
-            raise DomainError("bracket power requires a positive exponent")
+        p = _real(p, "bracket power exponent", strict=True)
         return replace(self, lo=_pow0(self.lo, p), hi=_pow0(self.hi, p))
 
     def scaled(self, c: float) -> "Bracket":
-        if c < 0:
-            raise DomainError("brackets scale by nonnegative factors")
+        c = _real(c, "bracket scale factor")
         return replace(self, lo=self.lo * c, hi=self.hi * c)
 
 
@@ -486,7 +483,7 @@ def spectral_radius(m: FiniteMatrix, tol: float = DEFAULT_RHO_TOL) -> Bracket:
     connected components, each irreducible one bracketed by
     ``_perron_brackets``.  ``tol`` is a finite number >= 0.
     """
-    _check_tol(tol)
+    _real(tol, "tol")
     return _radius_bracket(_spectral_radii([m.a], tol)[0])
 
 
@@ -494,7 +491,7 @@ def operator_norm(m: FiniteMatrix, space: str = L2, tol: float = DEFAULT_RHO_TOL
     """Operator norm bracket on the requested sequence space: the one-matrix
     case of ``_norms``, with the method tag of its space.  ``tol`` is a
     finite number >= 0.  A norm beyond the float range is a DomainError."""
-    _check_tol(tol)
+    _real(tol, "tol")
     return _norm_bracket(_norms(m.a[None], space, tol)[0], space)
 
 
@@ -510,13 +507,6 @@ def _norm_bracket(ends, space: str = L2) -> Bracket:
     converged) ends; an upper end of +inf is a DomainError."""
     (lo, hi, ok), = _in_range([ends], "operator norm")
     return Bracket(lo, hi, {L1: "colsum", L2: "sqrt-gram", LINF: "rowsum"}[space], ok)
-
-
-def _check_tol(tol) -> None:
-    """Refuse a tolerance that is not a real, finite number >= 0: a negative
-    or nan one would discard every Perron-vector bracket."""
-    if not (_is_number(tol) and 0 <= tol < math.inf):
-        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _check_space(space: str) -> None:

@@ -29,6 +29,19 @@ def _unused_by_file(files) -> dict[str, list[str]]:
     return {name: names for name, names in unused.items() if names}
 
 
+def _scalar_check_copies(tree: ast.Module) -> list[str]:
+    """Where a module imports ``numbers`` or defines ``_is_number`` or
+    ``_is_int``: a scalar check of its own beside those of ``errors.py``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+            found.append(f"imports numbers (line {node.lineno})")
+        elif isinstance(node, ast.FunctionDef) and node.name in ("_is_number", "_is_int"):
+            found.append(f"defines {node.name} (line {node.lineno})")
+    return found
+
+
 def _reads(node: ast.AST) -> Counter:
     """How many times each name is read as a plain name under ``node``."""
     return Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name))
@@ -80,6 +93,23 @@ def test_the_import_scan_finds_an_unused_import():
                      "import itertools\nimport os.path\nfrom math import inf as INF, pi\n"
                      "x = pi + os.path.sep\n")
     assert _unused_imports(tree) == ["itertools (line 2)", "INF (line 4)"]
+
+
+def test_scalar_checks_live_in_errors_alone():
+    """No ``src/specrad`` module but ``errors.py`` imports ``numbers`` or
+    defines ``_is_number`` or ``_is_int``: every count, tolerance, exponent
+    and factor is checked with the helpers there."""
+    copies = {p.name: found for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"
+              if (found := _scalar_check_copies(ast.parse(p.read_text("utf-8"))))}
+    assert copies == {}
+
+
+def test_the_scalar_check_scan_finds_a_copy():
+    tree = ast.parse("import numbers\nfrom numbers import Real\n"
+                     "def _is_int(v):\n    return isinstance(v, numbers.Integral)\n"
+                     "def _is_real(v):\n    return isinstance(v, Real)\n")
+    assert _scalar_check_copies(tree) == [
+        "imports numbers (line 1)", "imports numbers (line 2)", "defines _is_int (line 3)"]
 
 
 def test_every_private_src_definition_is_named_elsewhere():

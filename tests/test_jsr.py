@@ -121,6 +121,21 @@ def test_gen_radius_lb_has_the_level_cap():
     assert gen_radius_lb(big, 1) == 1.0
 
 
+def test_a_word_walk_caps_its_products_over_all_levels():
+    """A one-letter set has one product per level, so no level passes the
+    width cap; the walk stops at 2 * _MAX_LEVEL products over all levels.
+    Past it the estimators raise the cap's error before any product is
+    built, and ``joint_radius_ub`` clips to the deepest level that fits."""
+    jordan = OperatorSet([FiniteMatrix([[1.0, 1.0], [0.0, 1.0]])])
+    depth = 2 * _MAX_LEVEL + 1
+    for call in (norm_level_max, gen_radius_lb):
+        with pytest.raises(BudgetExceededError, match="^word level enumeration exceeded its cap$"):
+            call(jordan, depth)
+    bounds, _, _ = _set_bounds([(jordan, depth)], [], [])
+    assert all(isinstance(b, BudgetExceededError) for b in bounds[id(jordan), depth])
+    assert joint_radius_ub(jordan, 20_000) == joint_radius_ub(jordan, 2 * _MAX_LEVEL)
+
+
 def test_sandwich_and_monotone_refinement():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -511,6 +526,21 @@ def test_overflowing_word_products_are_domain_errors():
             gripenberg_bracket(pair, 1e-2)
 
 
+def test_gripenberg_names_an_upper_end_beyond_the_float_range():
+    """The letter's radius, 1.69e308, is in range, but its column sums are
+    not, so the chained l1 bound and the l1 Fekete bound are +inf; an upper
+    end of +inf is refused with the estimator's own error.  In l2 the
+    Fekete bound sqrt(2)^(1/m) 1.69e308 is back in range from depth 6, so a
+    budget of 10 keeps its bracket."""
+    s = OperatorSet([FiniteMatrix([[1.69e308, 0.0], [1.69e308, 0.0]])])
+    for space, budget in (("l1", 0), ("l1", 10), ("l2", 0)):
+        with pytest.raises(DomainError,
+                           match="^joint spectral radius upper bound exceeds the float range$"):
+            gripenberg_bracket(s, 1e-6, budget, space)
+    b = gripenberg_bracket(s, 1e-6, 10, "l2")
+    assert (b.lo, b.hi, b.converged) == (1.6900000000001257e308, 1.7440939927509937e308, False)
+
+
 def test_non_square_sets_are_shape_errors():
     s = OperatorSet([FiniteMatrix([[1.0, 2.0, 0.5]]), FiniteMatrix([[0.5, 1.0, 1.0]])])
     assert norm_level_max(s, 1) == operator_norm(s[0]).hi
@@ -547,7 +577,7 @@ def test_set_radii_refuse_the_wrong_kind_of_set():
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, True, "0.1",
                                    pytest.param(10**400, id="10**400")])
 def test_gripenberg_refuses_a_delta_outside_the_positive_floats(delta):
-    with pytest.raises(DomainError, match="delta must be positive"):
+    with pytest.raises(DomainError, match="delta must be a finite number > 0"):
         gripenberg_bracket(GOLDEN, delta)
 
 

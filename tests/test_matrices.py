@@ -29,8 +29,8 @@ def test_rejects_negative_and_empty():
     (lambda: FiniteMatrix([[1 + 2j]]), DomainError, "matrix entries must be real numbers"),
     (lambda: FiniteMatrix([[{}]]), DomainError, "matrix entries must be real numbers"),
     (lambda: FiniteMatrix(np.ones((2, 2, 2))), ShapeMismatchError, r"shape \(2, 2, 2\)"),
-    (lambda: WeightVector(("a",)), DomainError, "weights must be real numbers"),
-    (lambda: WeightVector((None,)), DomainError, "weights must be real numbers"),
+    (lambda: WeightVector(("a",)), DomainError, "weight must be a finite number > 0"),
+    (lambda: WeightVector((None,)), DomainError, "weight must be a finite number > 0"),
 ], ids=["ragged", "string", "complex", "dict", "three-axes", "weight-string", "weight-none"])
 def test_constructors_refuse_unconvertible_data_with_a_typed_error(make, error, match):
     """Data that numpy cannot turn into a float matrix, or Python into float
@@ -206,8 +206,8 @@ def test_weight_vector_rule():
     WeightVector((0.5, 0.5 - 5e-13))
     with pytest.raises(DomainError, match="sum to at least 1"):
         WeightVector((0.2, 0.3))
-    with pytest.raises(DomainError, match="positive and finite"):
+    with pytest.raises(DomainError, match="weight must be a finite number > 0"):
         WeightVector((0.5, -0.5))
-    with pytest.raises(DomainError, match="positive and finite"):
+    with pytest.raises(DomainError, match="weight must be a finite number > 0"):
         WeightVector((1.0, 0.0))
     assert [f.name for f in dataclasses.fields(WeightVector)] == ["weights"]

@@ -70,7 +70,7 @@ def test_set_power_cardinality_and_order():
 
 @pytest.mark.parametrize("m", [2.0, 2.5, True, "2"])
 def test_set_power_refuses_a_count_that_is_not_an_integer(m):
-    with pytest.raises(DomainError, match="set power needs an integer >= 1"):
+    with pytest.raises(DomainError, match="set power exponent must be an integer >= 1"):
         set_power(OperatorSet([A, B]), m)
 
 
