@@ -431,14 +431,10 @@ def _power(w: WeightSeq, t: float) -> WeightSeq:
     return PowerSeq(w, t)
 
 
-def seq_scale(w: WeightSeq, c: float) -> WeightSeq:
-    return _scale(w, _real(c, "scale factor"))
-
-
 def _scale(w: WeightSeq, c: float) -> WeightSeq:
-    """``seq_scale`` for a checked factor, as ``OperatorFamily.scale`` and
-    ``seq_product`` call it; a folded factor is checked, since it can
-    overflow."""
+    """``c * w`` for a factor its caller has checked (``OperatorFamily.scale``,
+    or a ``Constant`` in ``seq_product``); a folded factor is checked, since
+    it can overflow."""
     if c == 0.0:
         return Constant(0.0)
     if c == 1.0:
