@@ -2,9 +2,12 @@
 
 Every count, tolerance, exponent and factor that a public entry point
 takes is checked here: ``_integer`` for a count and ``_real`` for a
-nonnegative (or positive) finite real.  A bool is no number, a numeric
-string is no number, and a value the check accepts comes back as a Python
-``int`` or ``float``, so what a caller stores is JSON as it is.
+nonnegative (or positive) finite real.  A list of them (a weight vector's
+weights, a weight sequence's prefix) goes through ``_reals``, and a
+polynomial's coefficients, finite reals of either sign, through
+``_coefficients``.  A bool is no number, a numeric string is no number, and
+a value the check accepts comes back as a Python ``int`` or ``float``, so
+what a caller stores is JSON as it is.
 """
 
 import math
@@ -84,3 +87,25 @@ def _real(v, what: str, strict: bool = False, error=DomainError) -> float:
     if (x > 0.0 if strict else x >= 0.0) and x < math.inf:
         return x
     raise error(f"{what} must be a finite number {'>' if strict else '>='} 0, got {v!r}")
+
+
+def _reals(values, what: str, strict: bool = False) -> tuple[float, ...]:
+    """The sequence ``values`` as a tuple of ``_real(v, what, strict)``."""
+    return tuple(_real(v, what, strict) for v in _items(values, what))
+
+
+def _coefficients(values, what: str) -> tuple[float, ...]:
+    """The sequence ``values`` as a tuple of floats, each a finite real of
+    either sign.  A float skips the type test, as in ``_real``."""
+    for v in (values := _items(values, what)):
+        if not ((type(v) is float or _is_number(v)) and math.isfinite(v)):
+            raise DomainError(f"{what} must be a finite number, got {v!r}")
+    return tuple(map(float, values))
+
+
+def _items(values, what: str) -> tuple:
+    """The sequence ``values`` as a tuple, refused unless it is one."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{what}s must be a sequence, got {values!r}") from None

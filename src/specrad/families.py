@@ -2,7 +2,9 @@
 
 An ``OperatorFamily`` is a finite collection of bands (offset ``d`` holds
 ``a[i, i+d] = w_d(i)``), plus an optional finite-rank correction embedded
-in the top-left corner.  Band weights are :mod:`specrad.sequences` values,
+in the top-left corner: ``OperatorFamily({d: w_d, ...}, finite_rank=block)``,
+where the band at offset 0 is the diagonal and ``block`` is parsed as a
+``FiniteMatrix``.  Band weights are :mod:`specrad.sequences` values,
 so every family carries float tail bounds and per-band limits.
 Finitely many bands with bounded weights always give a bounded operator,
 and the algebra below (entrywise products and powers, operator products,
@@ -79,16 +81,12 @@ def _corner_correction(bands: dict[int, WeightSeq], box: tuple[int, int], exact)
 
 
 def _as_corner(value) -> np.ndarray | None:
+    """The corner block ``value`` as a read-only array, parsed by
+    ``FiniteMatrix`` (a FiniteMatrix is copied in its layout), or None when
+    it is all zero."""
     if value is None:
         return None
-    if isinstance(value, FiniteMatrix):
-        arr = np.array(value.a)
-    else:
-        arr = np.array(value, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeMismatchError("finite-rank corner must be a 2-d block")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise DomainError("finite-rank corner entries must be finite and nonnegative")
+    arr = np.array(value.a) if isinstance(value, FiniteMatrix) else FiniteMatrix(value).a
     if not arr.any():
         return None
     if max(arr.shape) > MAX_CORNER:
@@ -98,8 +96,12 @@ def _as_corner(value) -> np.ndarray | None:
 
 
 class OperatorFamily:
-    """Banded + diagonal + finite-rank nonnegative operator on l2.
+    """Banded + finite-rank nonnegative operator on l2.
 
+    ``OperatorFamily(bands, finite_rank=None)`` takes ``bands`` as a mapping
+    (or pairs) from integer offset to ``WeightSeq``; the band at offset 0 is
+    the diagonal.  ``finite_rank`` is any block that ``FiniteMatrix``
+    parses, with its errors; an all-zero block means no corner.
     ``corner`` is the finite-rank block, or ``None`` when there is none.
     A family built from ``finite_rank=`` validates its corner at once.  A
     derived family keeps its operands and computes its corner on the first
@@ -110,12 +112,8 @@ class OperatorFamily:
 
     __slots__ = ("bands", "_corner", "_box", "_pending")
 
-    def __init__(self, bands=(), diagonal: WeightSeq | None = None, finite_rank=None):
+    def __init__(self, bands=(), finite_rank=None):
         items = dict(bands)
-        if diagonal is not None:
-            if 0 in items:
-                raise ShapeMismatchError("give the diagonal either as offset 0 or as diagonal=, not both")
-            items[0] = diagonal
         for d, w in items.items():
             if not _is_int(d):
                 raise DomainError(f"band offsets must be integers, got {d!r}")
@@ -390,7 +388,7 @@ def _lazy_corner(operands, shape, build, what="corner correction"):
     would not.  An overflow the eager build raises is always raised.
     Second, the errors of the corner arithmetic itself surface at the
     first read of ``corner``, or never if nothing reads it: a corner entry
-    that overflows to inf (``_as_corner``'s ``DomainError``), an entry
+    that overflows to inf (``FiniteMatrix``'s ``DomainError``), an entry
     power beyond the float range under ``hpow`` (``_pow0``'s
     ``DomainError``) and the internal negative-correction check.
     Essential radii and noncompactness never read a corner, so on such an
@@ -445,10 +443,10 @@ def _union_box(a: OperatorFamily, b: OperatorFamily) -> tuple[int, int]:
 
 
 def _padded_sum(a: np.ndarray | None, b: np.ndarray | None):
-    if a is None:
-        return None if b is None else np.array(b)
-    if b is None:
-        return np.array(a)
+    """The sum of two corners, padded to the larger; a lone corner as it is,
+    since ``_as_corner`` copies it."""
+    if a is None or b is None:
+        return b if a is None else a
     rows = max(a.shape[0], b.shape[0])
     cols = max(a.shape[1], b.shape[1])
     out = np.zeros((rows, cols))
@@ -465,7 +463,7 @@ def shift_family(weights: WeightSeq, offset: int = 1, finite_rank=None) -> Opera
 
 
 def diagonal_family(weights: WeightSeq, finite_rank=None) -> OperatorFamily:
-    return OperatorFamily(diagonal=weights, finite_rank=finite_rank)
+    return OperatorFamily({0: weights}, finite_rank=finite_rank)
 
 
 def finite_rank_family(block) -> OperatorFamily:

@@ -92,7 +92,10 @@ def _necklaces(k: int, m: int) -> list[int]:
     """Ranks (indices in the level), in order, of the length-m words over k
     letters that are their least rotation: each level's words are grown
     from the last with ``_child``, and a word is kept when its period
-    divides m.  Cached, so never mutate the list."""
+    divides m.  One letter makes one word per length, a necklace, so it
+    needs no walk.  Cached, so never mutate the list."""
+    if k == 1:
+        return [0]
     words = [(1, (c,)) for c in range(k)]
     for j in range(1, m):
         words = [_child(w, j, c) for w in words for c in range(k)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, _integer, _real
+from .errors import DomainError, ShapeMismatchError, _integer, _real, _reals
 from .sequences import _fold_sum
 
 
@@ -101,18 +101,6 @@ class FiniteMatrix:
     def __repr__(self):
         return f"FiniteMatrix({self.a.tolist()!r})"
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "FiniteMatrix":
-        return cls(np.zeros((rows, cols if cols is not None else rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "FiniteMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int | None = None) -> "FiniteMatrix":
-        return cls(np.ones((rows, cols if cols is not None else rows)))
-
 
 def _hpow(a: np.ndarray, t: float) -> np.ndarray:
     """The entrywise t-th power of a matrix or a stack of them, 0^t = 0, in
@@ -164,10 +152,7 @@ class WeightVector:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            weights = tuple(_real(w, "weight", strict=True) for w in self.weights)
-        except TypeError:  # not iterable
-            raise DomainError(f"weights must be a sequence, got {self.weights!r}") from None
+        weights = _reals(self.weights, "weight", strict=True)
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise DomainError("weight vector must be nonempty")

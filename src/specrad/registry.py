@@ -84,21 +84,25 @@ in ``_REGISTRY`` and holds:
   are ``matrices`` (square), ``vectors`` (column vectors, passed in
   ``ChainInputs.matrices``), ``families``, ``matrix_sets`` and
   ``family_sets``;
-- ``params``: the typed params in catalog order, each with its side
-  condition: ``_Int`` (integer >= low that converts to a float, optionally
-  odd or even), ``_Real`` (finite real in a closed or open range), ``_Alpha``
-  (real >= c/m or >= c whose weights pass ``WeightVector``), ``_Weights``
-  (m positive reals summing to at least 1) and ``_Perm`` (a permutation of
-  0..m-1);
+- ``params``: the typed params in catalog order, the integers first, each
+  with its side condition: ``_Int`` (integer >= low that converts to a
+  float, optionally odd or even), ``_Real`` (finite real in a closed or
+  open range), ``_Alpha`` (real >= c/m or >= c whose weights pass
+  ``WeightVector``), ``_Weights`` (m positive reals summing to at least 1)
+  and ``_Perm`` (a permutation of 0..m-1);
 - ``check``: an optional per-chain condition that fits no shared type.
 
 The catalog ``arity`` and the chain's ``hypothesis`` both come from the
 declaration.  The hypothesis rejects the inputs, and ``evaluate_chain``
 raises ``HypothesisViolation``, unless every declared param is present
-with its type and range, every operand count equals its declared count
-exactly (an undeclared kind must be empty), every ``matrices`` operand is
-square, and ``check`` passes.  A build therefore never sees a malformed
-param.
+with its type and range, every operand field is a tuple or list of its
+kind (``FiniteMatrix``, ``OperatorFamily``, or an ``OperatorSet`` of
+matrices or of families) whose length equals its declared count exactly
+(an undeclared kind must be empty), every ``matrices`` operand is square,
+and ``check`` passes.  It reports the first failure, checking the integer
+params first (the counts are read off them), then the operands with their
+squareness, then the other params and ``check``.  A build therefore never
+sees a malformed param.
 
 ``sample`` draws from ``rng`` in a fixed order, and that order is part of
 every report: reports carry the digest and the params of each sampled
@@ -112,7 +116,6 @@ against cProfile by ``__code__``, so the ``ChainSpec.build`` that
 from __future__ import annotations
 
 import math
-import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
@@ -128,7 +131,7 @@ from .ensembles import (
     sample_weights_ge_one,
 )
 from .errors import DomainError, InputFormatError, SpecradError, _is_int, _is_number
-from .families import _pow0
+from .families import OperatorFamily, _pow0
 from .jsr import _norm_sup, _set_bounds, _set_of, gamma_level_max, gamma_set_bracket
 from .matrices import _SUM_SLACK, FiniteMatrix, WeightVector
 from .sequences import _fold_sum
@@ -613,7 +616,9 @@ class _Alpha:
     it holds when that many copies of it pass ``WeightVector``'s check, a
     sum of at least 1 - _SUM_SLACK.  The rounding of that sum cannot carry
     an exponent _SUM_SLACK or more away from num/den across the line, so
-    only an exponent nearer than that is summed, copy by copy.
+    only an exponent nearer than that is summed, copy by copy.  The
+    hypothesis checks it once the operand counts hold, so m copies are no
+    more than the m operands given.
     """
 
     name: str
@@ -631,8 +636,7 @@ class _Alpha:
         if not (_is_number(v) and bound - _SUM_SLACK <= v < math.inf):
             return False
         copies = (params["m"] if self.den == "m" else self.den) // self.num
-        return v >= bound + _SUM_SLACK or (
-            copies <= sys.maxsize and _fold_sum(repeat(float(v), copies)) >= 1.0 - _SUM_SLACK)
+        return v >= bound + _SUM_SLACK or _fold_sum(repeat(float(v), copies)) >= 1.0 - _SUM_SLACK
 
 
 @dataclass(frozen=True)
@@ -693,7 +697,9 @@ _OPERANDS = {
     "matrix_sets": ("matrix_sets", ""),
     "family_sets": ("family_sets", ""),
 }
-_FIELDS = ("matrices", "families", "matrix_sets", "family_sets")
+# ChainInputs field -> the type of its elements, and for a set field their kind
+_FIELDS = {"matrices": (FiniteMatrix, None), "families": (OperatorFamily, None),
+           "matrix_sets": (OperatorSet, "matrix"), "family_sets": (OperatorSet, "family")}
 
 
 def _count(expr, params) -> int:
@@ -704,22 +710,31 @@ def _count(expr, params) -> int:
                for term in expr.replace(" ", "").split("+"))
 
 
-def _violation(inputs, operands, params, check) -> str | None:
-    """Why ``inputs`` do not meet a declaration, or None when they do."""
+def _violation(inputs, operands, ints, rest, check) -> str | None:
+    """Why ``inputs`` do not meet a declaration, or None when they do.
+
+    ``ints`` are the integer params, which the operand counts are read off,
+    and ``rest`` the other params.  Once the integers hold, the operands are
+    checked before any other param: ``_Alpha`` sums m copies of its
+    exponent, and m is then at most the number of operands given.
+    """
     values = inputs.params
-    for p in params:
+    if counted := all(p.holds(values.get(p.name), values) for p in ints):
+        want = {_OPERANDS[k][0]: _count(e, values) for k, e in operands.items()}
+        for name, (cls, kind) in _FIELDS.items():
+            got, n = getattr(inputs, name), want.get(name, 0)  # an undeclared field is empty
+            if not isinstance(got, (tuple, list)) or (got and not all(
+                    isinstance(x, cls) and (kind is None or x.kind == kind) for x in got)):
+                what = f"{cls.__name__} values" + (f" of kind {kind!r}" if kind else "")
+                return f"{name.replace('_', ' ')} must be a tuple or list of {what}"
+            if len(got) != n:
+                return f"needs exactly {n} {name.replace('_', ' ')}, got {len(got)}"
+        if "matrices" in operands and not all(m.is_square for m in inputs.matrices):
+            return "matrices must be square"
+    for p in rest if counted else ints:
         v = values.get(p.name)
         if not p.holds(v, values):
             return f"needs {p.doc()}, got {v!r}"
-    want = dict.fromkeys(_FIELDS, 0)
-    for kind, expr in operands.items():
-        want[_OPERANDS[kind][0]] = _count(expr, values)
-    for name, n in want.items():
-        got = len(getattr(inputs, name))
-        if got != n:
-            return f"needs exactly {n} {name.replace('_', ' ')}, got {got}"
-    if "matrices" in operands and not all(m.is_square for m in inputs.matrices):
-        return "matrices must be square"
     return check(inputs) if check is not None else None
 
 
@@ -735,8 +750,10 @@ def _chain(cid, title, level, description, hypothesis_doc, operands, params,
     if isinstance(sample, _Words):
         sample = sample.sampler(params)
 
+    ints = sum(isinstance(p, _Int) for p in params)  # every declaration lists them first
+
     def hypothesis(inputs):
-        return _violation(inputs, operands, params, check)
+        return _violation(inputs, operands, params[:ints], params[ints:], check)
 
     def build_with_params(inputs):
         drawn = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ClosureOverflowError, DomainError, _real
+from .errors import ClosureOverflowError, DomainError, _coefficients, _real, _reals
 
 MAX_NODES = 50_000
 
@@ -108,7 +108,7 @@ class EventuallyConstant(WeightSeq):
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix, tail: float):
-        self.prefix = tuple(_real(v, "prefix value") for v in prefix)
+        self.prefix = _reals(prefix, "prefix value")
         self.tail = self.limit = _real(tail, "tail value")
         self.nodes = 1
 
@@ -126,7 +126,9 @@ class EventuallyConstant(WeightSeq):
 
 
 def _poly_trim(coeffs) -> tuple[float, ...]:
-    c = [float(x) for x in coeffs]
+    """The float coefficients without their trailing zeros; a formula's own
+    are floats from ``_coefficients``, and the arithmetic below keeps them so."""
+    c = list(coeffs)
     while c and c[-1] == 0.0:
         c.pop()
     return tuple(c)
@@ -184,8 +186,8 @@ class RationalFormula(WeightSeq):
     __slots__ = ("p", "q", "threshold")
 
     def __init__(self, p, q):
-        self.p = _poly_trim(p)
-        self.q = _poly_trim(q)
+        self.p = _poly_trim(_coefficients(p, "numerator coefficient"))
+        self.q = _poly_trim(_coefficients(q, "denominator coefficient"))
         if not self.q:
             raise DomainError("denominator polynomial must be nonzero")
         if len(self.p) > len(self.q):
@@ -194,9 +196,9 @@ class RationalFormula(WeightSeq):
                       _poly_mul(self.p, _poly_deriv(self.q)))
         bound = max(_cauchy_root_bound(h), _cauchy_root_bound(self.p),
                     _cauchy_root_bound(self.q))
-        self.threshold = int(math.ceil(bound)) + 1
-        if self.threshold > _RATIONAL_WINDOW_CAP:
+        if not bound <= _RATIONAL_WINDOW_CAP - 1:  # an overflow gives an inf or nan bound
             raise DomainError("rational formula coefficients give an impractical root bound")
+        self.threshold = int(math.ceil(bound)) + 1
         for i in range(1, self.threshold + 1):
             if _poly_eval(self.q, i) <= 0.0:
                 raise DomainError(f"denominator must be positive on i >= 1; fails at i={i}")
@@ -236,7 +238,7 @@ class PrefixWithLimit(WeightSeq):
     __slots__ = ("prefix", "_last")
 
     def __init__(self, prefix, limit: float):
-        self.prefix = tuple(_real(v, "prefix value") for v in prefix)
+        self.prefix = _reals(prefix, "prefix value")
         if not self.prefix:
             raise DomainError("prefix must be nonempty; use Constant for a bare limit")
         self.limit = _real(limit, "limit")

@@ -5,7 +5,8 @@ Schemas:
 - matrix:   {"rows": r, "cols": c, "entries": [row-major floats]}
 - family:   {"bands": [{"offset": d, "weights": W}, ...],
              "diagonal": W?, "finite_rank": matrix?}
-  where W is a leaf weight sequence: {"kind": "constant", "c": x},
+  where "diagonal" is read as one more band, at offset 0, and W is a
+  leaf weight sequence: {"kind": "constant", "c": x},
   {"kind": "eventually_constant", "prefix": [...], "tail": x},
   {"kind": "rational", "p": [...], "q": [...]} or
   {"kind": "prefix_with_limit", "prefix": [...], "limit": x}
@@ -166,15 +167,15 @@ def family_from_json(obj: Any) -> OperatorFamily:
         raise InputFormatError(f"family bands must be a JSON array, got {_json_type(band_list)}")
     try:
         bands = {}
-        for band in band_list:
+        diagonal = [{"offset": 0, "weights": obj["diagonal"]}] if "diagonal" in obj else []
+        for band in band_list + diagonal:
             _require_object(band, "band", ("offset", "weights"))
             d = _json_int(band, "offset")
             if d in bands:
                 raise InputFormatError(f"family has two bands at offset {d}")
             bands[d] = seq_from_json(band["weights"])
-        diagonal = seq_from_json(obj["diagonal"]) if "diagonal" in obj else None
         rank = matrix_from_json(obj["finite_rank"]) if "finite_rank" in obj else None
-        return OperatorFamily(bands, diagonal=diagonal, finite_rank=rank)
+        return OperatorFamily(bands, finite_rank=rank)
     except InputFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,6 +10,7 @@ from specrad import (
     EventuallyConstant,
     FiniteMatrix,
     OperatorFamily,
+    PrefixWithLimit,
     RationalFormula,
     diagonal_family,
     evaluate_chain,
@@ -21,10 +22,10 @@ from specrad import (
 )
 from specrad import families, sequences
 from specrad.ensembles import EnsembleSpec, rng_for, sample_family
-from specrad.errors import ClosureOverflowError, DomainError, ShapeMismatchError
+from specrad.errors import ClosureOverflowError, DomainError, InputFormatError, ShapeMismatchError
 from specrad.families import _pow0, band_start
 from specrad.registry import by_id
-from specrad.serialize import canonical_dumps
+from specrad.serialize import canonical_dumps, family_from_json
 from specrad.sequences import seq_power
 
 
@@ -49,8 +50,39 @@ def test_entry_access_and_corner_overlay():
 def test_diagonal_and_zero_band_pruning():
     d = diagonal_family(Constant(0.0))
     assert d.bands == {}
-    with pytest.raises(ShapeMismatchError):
-        OperatorFamily({0: Constant(1.0)}, diagonal=Constant(1.0))
+
+
+_ONE = {"kind": "constant", "c": 1.0}
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: EventuallyConstant(None, 1.0), DomainError, "prefix values must be a sequence"),
+    (lambda: PrefixWithLimit(3, 1.0), DomainError, "prefix values must be a sequence"),
+    (lambda: OperatorFamily(finite_rank="x"), DomainError, "matrix entries must be real numbers"),
+    (lambda: OperatorFamily(finite_rank=[[1, 2], [3]]), DomainError,
+     "matrix entries must be real numbers"),
+    (lambda: OperatorFamily(finite_rank=np.zeros((0, 3))), ShapeMismatchError,
+     "at least one row and one column"),
+    (lambda: family_from_json({"bands": [{"offset": 0, "weights": _ONE}], "diagonal": _ONE}),
+     InputFormatError, "family has two bands at offset 0"),
+], ids=["prefix-none", "prefix-int", "corner-string", "corner-ragged", "corner-empty",
+        "json-two-diagonals"])
+def test_each_operator_input_is_refused_by_its_one_parser(make, error, message):
+    """A prefix is read by ``errors._reals``, a corner by ``FiniteMatrix``,
+    and a JSON "diagonal" as the band at offset 0."""
+    with pytest.raises(error, match=message):
+        make()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("wrap", [FiniteMatrix, np.asarray], ids=["matrix", "array"])
+def test_a_corner_keeps_its_values_and_layout(order, wrap):
+    block = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 0.5]], order=order)
+    given = wrap(block)
+    corner = finite_rank_family(given).corner
+    assert corner.tolist() == block.tolist()
+    assert (corner.flags.c_contiguous, corner.flags.f_contiguous) == (order == "C", order == "F")
+    assert not corner.flags.writeable and not np.shares_memory(corner, block)
 
 
 @pytest.mark.parametrize("make", [
@@ -596,7 +628,7 @@ def test_corner_arithmetic_errors_surface_at_the_read():
         product = f @ f
         assert product.corner_shape == (1, 2)
         assert hausdorff_mnc(product).hi == 1.0
-        with pytest.raises(DomainError, match="finite and nonnegative"):
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
             product.corner
     power = f.hpow(2.0)
     with pytest.raises(DomainError, match="exceeds the float range"):

@@ -42,6 +42,16 @@ def _scalar_check_copies(tree: ast.Module) -> list[str]:
     return found
 
 
+def _typed_conversions(tree: ast.Module) -> list[str]:
+    """Where a module calls ``np.array`` or ``np.asarray`` with a ``dtype=``:
+    an array parser of its own beside ``FiniteMatrix``'s."""
+    return [f"np.{node.func.attr}(dtype=...) (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and node.func.attr in ("array", "asarray")
+            and any(k.arg == "dtype" for k in node.keywords)]
+
+
 def _reads(node: ast.AST) -> Counter:
     """How many times each name is read as a plain name under ``node``."""
     return Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name))
@@ -110,6 +120,22 @@ def test_the_scalar_check_scan_finds_a_copy():
                      "def _is_real(v):\n    return isinstance(v, Real)\n")
     assert _scalar_check_copies(tree) == [
         "imports numbers (line 1)", "imports numbers (line 2)", "defines _is_int (line 3)"]
+
+
+def test_matrices_are_parsed_in_matrices_alone():
+    """No ``src/specrad`` module but ``matrices.py`` converts a value with
+    ``np.array(..., dtype=...)`` or ``np.asarray(..., dtype=...)``: every
+    matrix and corner block is parsed by ``FiniteMatrix``."""
+    copies = {p.name: found for p in sorted(SRC.glob("*.py")) if p.name != "matrices.py"
+              if (found := _typed_conversions(ast.parse(p.read_text("utf-8"))))}
+    assert copies == {}
+
+
+def test_the_conversion_scan_finds_a_copy():
+    tree = ast.parse("import numpy as np\nnp.array(x)\nnp.array(x, dtype=float)\n"
+                     "np.asarray(x, dtype=float)\nnp.zeros(3, dtype=float)\n")
+    assert _typed_conversions(tree) == [
+        "np.array(dtype=...) (line 3)", "np.asarray(dtype=...) (line 4)"]
 
 
 def test_every_private_src_definition_is_named_elsewhere():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -68,7 +69,7 @@ def test_joint_radius_ub_examples():
     assert joint_radius_ub(OperatorSet([FiniteMatrix([[2, 0], [0, 1]])]), 1) == \
         pytest.approx(2.0, rel=1e-9)
     assert joint_radius_ub(GOLDEN, 1) == pytest.approx(PHI, rel=1e-9)
-    c = OperatorSet([FiniteMatrix.identity(3).scale(1.3)])
+    c = OperatorSet([FiniteMatrix(np.eye(3)).scale(1.3)])
     assert joint_radius_ub(c, 2) == pytest.approx(1.3, rel=1e-9)
 
 
@@ -136,6 +137,21 @@ def test_a_word_walk_caps_its_products_over_all_levels():
     assert joint_radius_ub(jordan, 20_000) == joint_radius_ub(jordan, 2 * _MAX_LEVEL)
 
 
+def test_a_one_letter_walk_lists_its_necklaces_without_a_walk(monkeypatch):
+    """One letter makes one word per length, a necklace, so ``_necklaces``
+    grows no word list (4,999 ``_child`` calls at length 5,000 when it did),
+    and ``gen_radius_lb`` at the deepest level the walk cap allows takes
+    about 0.1 s (23.5 s when each length's list was grown from length 1)."""
+    real, calls = jsr._child, []
+    monkeypatch.setattr(jsr, "_child", lambda *args: calls.append(args) or real(*args))
+    _necklaces.cache_clear()
+    assert _necklaces(1, 5000) == [0] and calls == []
+    jordan = OperatorSet([FiniteMatrix([[1.0, 1.0], [0.0, 1.0]])])
+    start = time.perf_counter()
+    assert gen_radius_lb(jordan, 2 * _MAX_LEVEL) == 1.0
+    assert time.perf_counter() - start < 2.0
+
+
 def test_sandwich_and_monotone_refinement():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -197,7 +213,7 @@ def test_gripenberg_singleton_and_zero():
     b = gripenberg_bracket(OperatorSet([a]), 1e-6)
     assert b.width <= 1e-6
     assert b.contains(spectral_radius(a).mid, slack=1e-9)
-    z = FiniteMatrix.zeros(2)
+    z = FiniteMatrix(np.zeros((2, 2)))
     assert gripenberg_bracket(OperatorSet([z, z]), 1e-6).hi == 0.0
     with pytest.raises(DomainError):
         gripenberg_bracket(GOLDEN, 0.0)

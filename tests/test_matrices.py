@@ -43,7 +43,7 @@ def test_hadamard_product_entrywise():
     a = M([[1, 2], [3, 4]])
     b = M([[2, 0], [1, 1]])
     assert a.hadamard(b) == M([[2, 0], [3, 4]])
-    assert a.hadamard(FiniteMatrix.ones(2)) == a
+    assert a.hadamard(FiniteMatrix(np.ones((2, 2)))) == a
     with pytest.raises(ShapeMismatchError):
         a.hadamard(M([[1, 2, 3]]))
 
@@ -64,7 +64,7 @@ def test_product_sum_scale_adjoint():
     a = M([[1, 1], [0, 1]])
     b = M([[1, 0], [1, 1]])
     assert a @ b == M([[2, 1], [1, 1]])
-    assert a + FiniteMatrix.zeros(2) == a
+    assert a + FiniteMatrix(np.zeros((2, 2))) == a
     assert a.scale(2.0) == M([[2, 2], [0, 2]])
     assert a.adjoint().adjoint() == a
     assert (a @ b).adjoint() == b.adjoint() @ a.adjoint()

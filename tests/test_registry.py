@@ -141,6 +141,51 @@ def test_samplers_draw_the_recorded_inputs():
         assert got[cid] == per_kind, cid
 
 
+A = FiniteMatrix([[1.0, 2.0], [0.5, 1.0]])
+MATRIX_SET = OperatorSet([A])
+
+
+@pytest.mark.parametrize("cid,inputs,message", [
+    ("F2", ChainInputs(matrices=(identity_family(), identity_family())),
+     "matrices must be a tuple or list of FiniteMatrix values"),
+    ("F2", ChainInputs(matrices=A), "matrices must be a tuple or list of FiniteMatrix values"),
+    ("E2", ChainInputs(families=(A,), params={"m": 1, "alphas": (1.0,)}),
+     "families must be a tuple or list of OperatorFamily values"),
+    ("F11", ChainInputs(matrix_sets=(OperatorSet([identity_family()]),),
+                        params={"m": 1, "n": 1, "alphas": (1.0,), "t": 1.0}),
+     "matrix sets must be a tuple or list of OperatorSet values of kind 'matrix'"),
+    ("E8", ChainInputs(family_sets=(MATRIX_SET,), params={"m": 1, "n": 1, "alpha": 1.0}),
+     "family sets must be a tuple or list of OperatorSet values of kind 'family'"),
+], ids=["F2-families", "F2-bare-matrix", "E2-matrix", "F11-family-set", "E8-matrix-set"])
+def test_an_operand_of_the_wrong_kind_is_a_hypothesis_violation(cid, inputs, message):
+    with pytest.raises(HypothesisViolation, match=message):
+        evaluate_chain(by_id(cid), inputs, CTX)
+
+
+def test_operand_counts_are_checked_before_the_params_read_against_them(monkeypatch):
+    """The integer params come first, since the counts are read off them;
+    the counts and kinds next, so ``_Alpha`` never sums m copies for an m
+    beyond the operands given (at m = 10**12 that sum took hours); and an
+    input with a wrong count and a bad alpha is refused for its count.  The
+    hypothesis relies on every declaration listing its integers first."""
+    for spec in registry():
+        declared = inspect.getclosurevars(spec.hypothesis).nonlocals["params"]
+        kinds = [isinstance(p, reg._Int) for p in declared]
+        assert kinds == sorted(kinds, reverse=True), spec.id
+
+    def no_sum(xs):
+        raise AssertionError("alpha was summed")
+
+    monkeypatch.setattr(reg, "_fold_sum", no_sum)
+    e8 = by_id("E8")
+    huge = ChainInputs(params={"m": 10 ** 12, "n": 1, "alpha": 1e-12})
+    assert e8.hypothesis(huge) == "needs exactly 1000000000000 family sets, got 0"
+    both = ChainInputs(params={"m": 2, "n": 1, "alpha": 0.1})
+    assert e8.hypothesis(both) == "needs exactly 2 family sets, got 0"
+    assert e8.hypothesis(ChainInputs(params={"m": 2.0, "n": 1, "alpha": 0.1})) == \
+        "needs integer m >= 1, got 2.0"
+
+
 def test_a_chain_with_matrices_refuses_non_square_ones():
     spec = by_id("F9")
     wide = tuple(FiniteMatrix([[1.0, 2.0, 0.5], [0.5, 1.0, 2.0]]) for _ in range(2))

@@ -72,6 +72,21 @@ def test_rational_rejects_unbounded_or_negative():
         RationalFormula([1.0], [0.0])  # zero denominator
 
 
+@pytest.mark.parametrize("p,q,message", [
+    (["1"], [1.0], "numerator coefficient must be a finite number, got '1'"),
+    ([True], [1.0], "numerator coefficient must be a finite number, got True"),
+    ([math.nan], [1.0], "numerator coefficient must be a finite number, got nan"),
+    ([1.0], [math.inf], "denominator coefficient must be a finite number, got inf"),
+    ([1.0, 1.0], [0.0, math.inf], "denominator coefficient must be a finite number, got inf"),
+    (None, [1.0], "numerator coefficients must be a sequence, got None"),
+    ([1.0], [1e308, 1e-308], "impractical root bound"),  # the root bound overflows
+    ([1e200, 1e200], [1e200, 1e200], "impractical root bound"),  # p'q - pq' is nan
+], ids=["string", "bool", "nan", "inf", "inf-lead", "none", "inf-bound", "nan-bound"])
+def test_rational_coefficients_are_finite_reals(p, q, message):
+    with pytest.raises(DomainError, match=message):
+        RationalFormula(p, q)
+
+
 def test_prefix_with_limit():
     w = PrefixWithLimit([2.0, 1.8], 1.0)
     assert w.value(2) == 1.8

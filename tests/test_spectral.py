@@ -68,7 +68,7 @@ def test_spectral_radius_examples():
     b = spectral_radius(FiniteMatrix([[2, 1], [1, 1]]))
     assert b.contains(GOLDEN_SQUARED)
     assert b.width <= 1e-10 * max(1.0, b.hi)
-    assert spectral_radius(FiniteMatrix.zeros(3)).hi == 0.0
+    assert spectral_radius(FiniteMatrix(np.zeros((3, 3)))).hi == 0.0
     with pytest.raises(ShapeMismatchError):
         spectral_radius(FiniteMatrix([[1, 2, 3]]))
 
